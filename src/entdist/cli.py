@@ -16,15 +16,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .families import FAMILY_ANGLES, FAMILY_TAGS, THREEQ, FamilySpec, family_state
+from .families import (
+    FAMILY_ANGLES,
+    FAMILY_TAGS,
+    THREEQ,
+    FamilySpec,
+    family_state,
+    three_qubit_amplitudes,
+)
 from .metric import (
     DEFAULT_RANK_TOL,
     entanglement_measure,
     entanglement_metric,
+    measure_from_bilinears,
     spectrum,
     w_vectors,
 )
-from .qstate import StateFileError, StateVector, read_state_file
+from .qstate import (
+    StateFileError,
+    StateVector,
+    bilinears,
+    read_state_file,
+    validate_amplitudes,
+)
 from .verify import (
     DEFAULT_RESTARTS,
     DEFAULT_TOL,
@@ -98,19 +112,26 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
 def run_surface(
     gamma_range: tuple[float, float], tau_range: tuple[float, float], points: int
 ) -> tuple[list[str], list[list[float]]]:
-    """Row-major (gamma outer, tau inner) grid of E/3 for the three-qubit family."""
+    """Row-major (gamma outer, tau inner) grid of E/3 for the three-qubit family.
+
+    The whole grid is one (points^2, 8) amplitude array, validated row-wise
+    and measured in a single kernel call.
+    """
     if points < 2:
         raise ValueError("surface requires at least 2 points per axis")
     if not (gamma_range[0] < gamma_range[1] and tau_range[0] < tau_range[1]):
         raise ValueError("surface ranges require start < stop")
-    header = ["gamma", "tau", "E_over_3"]
-    rows = []
-    for gamma in np.linspace(*gamma_range, points):
-        for tau in np.linspace(*tau_range, points):
-            fam = FamilySpec(tag=THREEQ, m=3, gamma=float(gamma), tau=float(tau))
-            e = entanglement_measure(family_state(fam))
-            rows.append([float(gamma), float(tau), e / 3.0])
-    return header, rows
+    gammas = np.linspace(*gamma_range, points)
+    taus = np.linspace(*tau_range, points)
+    # FamilySpec rejects the first non-finite angle in row-major order:
+    # along the first row, then down the first column
+    FamilySpec(THREEQ, gamma=float(gammas[0]), tau=float(taus[np.argmin(np.isfinite(taus))]))
+    FamilySpec(THREEQ, gamma=float(gammas[np.argmin(np.isfinite(gammas))]), tau=float(taus[0]))
+    amps = three_qubit_amplitudes(gammas, taus)
+    validate_amplitudes(amps)
+    e = measure_from_bilinears(*bilinears(amps))
+    grid = np.column_stack([np.repeat(gammas, points), np.tile(taus, points), e / 3.0])
+    return ["gamma", "tau", "E_over_3"], grid.tolist()
 
 
 def _csv_text(header: list[str], rows: list[list[float]]) -> str:

@@ -125,18 +125,31 @@ def ghzl_state(m: int, theta: float, phase: float = 0.0) -> StateVector:
     return StateVector(m, amps)
 
 
+def three_qubit_amplitudes(gammas, taus) -> np.ndarray:
+    """Amplitudes (len(gammas) * len(taus), 8) of the three-qubit family.
+
+    Rows run over the grid with gamma outer and tau inner.  The nonzero
+    amplitudes sit at k = 0, 3, 4, 7: cos(gamma)cos(tau), cos(gamma)sin(tau),
+    sin(gamma)sin(tau), sin(gamma)cos(tau).  The sines and cosines come from
+    ``math`` one angle at a time and the products from ``np.outer``, so a
+    grid point gets the same bits as a single state.
+    """
+    cg, sg = (np.array([f(g) for g in gammas]) for f in (math.cos, math.sin))
+    ct, st = (np.array([f(t) for t in taus]) for f in (math.cos, math.sin))
+    amps = np.zeros((cg.size * ct.size, 8), dtype=np.complex128)
+    amps[:, 0] = np.outer(cg, ct).ravel()
+    amps[:, 3] = np.outer(cg, st).ravel()
+    amps[:, 4] = np.outer(sg, st).ravel()
+    amps[:, 7] = np.outer(sg, ct).ravel()
+    return amps
+
+
 def three_qubit_state(gamma: float, tau: float) -> StateVector:
     """Two-parameter three-qubit family; the leftmost ket factor is qubit 2.
 
-    Nonzero amplitudes sit at k = 0, 3, 4, 7:
-    cos(gamma)cos(tau), cos(gamma)sin(tau), sin(gamma)sin(tau), sin(gamma)cos(tau).
+    See ``three_qubit_amplitudes`` for the amplitudes.
     """
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0] = math.cos(gamma) * math.cos(tau)
-    amps[3] = math.cos(gamma) * math.sin(tau)
-    amps[4] = math.sin(gamma) * math.sin(tau)
-    amps[7] = math.sin(gamma) * math.cos(tau)
-    return StateVector(3, amps)
+    return StateVector(3, three_qubit_amplitudes([gamma], [tau])[0])
 
 
 def family_state(spec: FamilySpec) -> StateVector:

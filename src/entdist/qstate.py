@@ -4,12 +4,17 @@ A state of ``m`` qubits is a normalized complex array of length ``2**m``
 over the computational basis.  Qubit ``nu`` addresses binary digit ``nu``
 of the basis index ``k``, counting from the right: qubit 0 is the least
 significant bit.  All operations are pure functions on immutable inputs.
+
+The per-qubit amplitude bilinears, from which every Bloch vector and the
+entanglement measure follow, come from one array-first kernel,
+``bilinears``, for a single state or a batch of shape (..., 2**M).
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +36,20 @@ class StateFileError(ValueError):
     """Raised when a state file cannot be parsed into amplitude arrays."""
 
 
+def validate_amplitudes(amps: np.ndarray) -> None:
+    """Reject non-finite or unnormalized states, row-wise over ``(..., 2**M)``.
+
+    Each row's squared norm must be 1 within ``NORM_TOL``; the error names
+    the first row that is not.
+    """
+    if not np.all(np.isfinite(amps.view(np.float64))):
+        raise ValueError("amplitudes contain non-finite entries")
+    norm_sq = np.sum(np.abs(amps) ** 2, axis=-1)
+    bad = np.abs(norm_sq - 1.0) > NORM_TOL
+    if np.any(bad):
+        raise ValueError(f"state is not normalized: sum |c_k|^2 = {float(norm_sq[bad][0])!r}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state of ``num_qubits`` qubits.
@@ -49,11 +68,7 @@ class StateVector:
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**m,):
             raise ValueError(f"expected {2**m} amplitudes for {m} qubits, got shape {amps.shape}")
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValueError("amplitudes contain non-finite entries")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: sum |c_k|^2 = {norm_sq!r}")
+        validate_amplitudes(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -140,21 +155,45 @@ def apply_local_unitary(state: StateVector, qubit: int, u: LocalUnitary) -> Stat
     return StateVector(state.num_qubits, out)
 
 
-def _bloch_components(amps: np.ndarray, m: int, qubit: int) -> tuple[float, float, float]:
-    """Expectations (<X>, <Y>, <Z>) of one qubit from amplitude bilinears."""
-    view = amps.reshape(1 << (m - 1 - qubit), 2, 1 << qubit)
-    a0 = view[:, 0, :]
-    a1 = view[:, 1, :]
-    cross = complex(np.einsum("ab,ab->", np.conj(a1), a0))
-    p0 = float(np.einsum("ab,ab->", np.conj(a0), a0).real)
-    p1 = float(np.einsum("ab,ab->", np.conj(a1), a1).real)
-    return 2.0 * cross.real, -2.0 * cross.imag, p0 - p1
+def bilinears(
+    amps: np.ndarray, qubits: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-qubit amplitude bilinears of states with amplitudes ``(..., 2**M)``.
+
+    Returns ``w_minus`` (complex) and ``w_3`` (real), each of shape
+    ``(..., len(qubits))``, for ``qubits`` (default: all, in order).
+    w_minus sums c*_{k+2^nu} c_k over indices with qubit nu clear and w_3
+    is the signed probability sum (-1)^{bit nu of k} |c_k|^2; the third
+    bilinear, w_plus, is conj(w_minus).  One einsum and two sums per qubit,
+    O(M 2^M) per state.  A batch row gives the same bits as the row alone.
+    """
+    amps = np.asarray(amps, dtype=np.complex128)
+    batch = amps.shape[:-1]
+    m = amps.shape[-1].bit_length() - 1
+    if amps.shape[-1] != 1 << m:
+        raise ValueError(f"expected 2**M amplitudes per state, got {amps.shape[-1]}")
+    qubits = range(m) if qubits is None else qubits
+    probs = np.abs(amps) ** 2
+    w_minus = np.empty(batch + (len(qubits),), dtype=np.complex128)
+    w_3 = np.empty(batch + (len(qubits),))
+    for i, nu in enumerate(qubits):
+        shape = batch + (1 << (m - 1 - nu), 2, 1 << nu)
+        view = amps.reshape(shape)
+        pview = probs.reshape(shape)
+        w_minus[..., i] = np.einsum("...ab,...ab->...", np.conj(view[..., 1, :]), view[..., 0, :])
+        w_3[..., i] = np.sum(pview[..., 0, :], axis=(-2, -1)) - np.sum(pview[..., 1, :], axis=(-2, -1))
+    return w_minus, w_3
+
+
+def bloch_vectors(w_minus: np.ndarray, w_3: np.ndarray) -> np.ndarray:
+    """Reduced Bloch vectors (<X>, <Y>, <Z>) = (2 Re w_minus, -2 Im w_minus, w_3), shape (..., 3)."""
+    return np.stack([2.0 * w_minus.real, -2.0 * w_minus.imag, w_3], axis=-1)
 
 
 def pauli_expectation(state: StateVector, qubit: int, v: Direction) -> float:
     """<s| (v . sigma^qubit) |s>, a real number in [-1, 1]."""
     _check_qubit(qubit, state.num_qubits)
-    e1, e2, e3 = _bloch_components(state.amplitudes, state.num_qubits, qubit)
+    e1, e2, e3 = bloch_vectors(*bilinears(state.amplitudes, (qubit,)))[0]
     value = v.v1 * e1 + v.v2 * e2 + v.v3 * e3
     return float(np.clip(value, -1.0, 1.0))
 

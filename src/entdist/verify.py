@@ -1,9 +1,10 @@
 """Independent numerical oracles for the analytic minimizer.
 
-Three cross checks, none of which touch the per-qubit bilinear route:
+Three cross checks, none of which use the analytic minimizer v = b/|b|:
 
 * direct multi-start descent of the metric trace over the product of unit
-  spheres (one spherical pair per qubit);
+  spheres (one spherical pair per qubit), on expectation triples from the
+  shared bilinear kernel;
 * single-qubit Bloch vectors from an explicit partial trace of the
   projector, validating the bilinear-to-Bloch identification;
 * a local-unitary invariance harness dressing states with Haar-random
@@ -14,16 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .metric import entanglement_measure
 from .qstate import (
     Direction,
     LocalUnitary,
     StateVector,
-    _bloch_components,
     _haar_unitary,
     apply_local_unitary,
+    bilinears,
+    bloch_vectors,
 )
 
 DEFAULT_RESTARTS = 8
@@ -65,16 +66,17 @@ def minimize_trace_numeric(
     where e is the qubit's expectation triple (<X>, <Y>, <Z>); e does not
     depend on the directions, so it is computed once per state and the
     descent runs on the spherical angles with an analytic gradient.
-    Deterministic for a fixed seed; the best restart wins.
+    Deterministic for a fixed seed; the best restart wins.  scipy is
+    imported here, on first use, so that ``import entdist`` does not load it.
     """
+    from scipy.optimize import minimize
+
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     m = state.num_qubits
-    bloch = np.array(
-        [_bloch_components(state.amplitudes, m, nu) for nu in range(m)]
-    )  # (m, 3)
+    bloch = bloch_vectors(*bilinears(state.amplitudes))  # (m, 3)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         thetas, phis = x[0::2], x[1::2]
@@ -120,11 +122,7 @@ def bloch_vector_oracle(state: StateVector, qubit: int) -> np.ndarray:
     Reduces the projector |s><s| to a 2x2 density matrix by summing over
     all other indices, then reads off (<X>, <Y>, <Z>).
     """
-    m = state.num_qubits
-    if not 0 <= qubit < m:
-        raise ValueError(f"qubit index must satisfy 0 <= qubit < {m}, got {qubit}")
-    psi = state.amplitudes.reshape(1 << (m - 1 - qubit), 2, 1 << qubit)
-    rho = np.einsum("aib,ajb->ij", psi, np.conj(psi))
+    rho = reduced_density_matrix(state, qubit)
     return np.array(
         [
             2.0 * rho[0, 1].real,

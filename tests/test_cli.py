@@ -8,6 +8,7 @@ import pytest
 
 from entdist import ghzl_state, write_state_file
 from entdist.cli import main
+from entdist.metric import trace_tol
 
 
 def run_cli(args, capsys):
@@ -34,6 +35,14 @@ class TestMeasure:
         assert len(payload["matrix"]) == 49
         assert len(payload["directions"]) == 7
         assert payload["eigenvalues"][0] == pytest.approx(1.75, abs=1e-12)
+
+    def test_large_chain_phase_state_is_valid(self, capsys):
+        """M = 20, phi = 0.3: |tr g - E| = 3.1e-12 is rounding, not an invalid state."""
+        code, out = run_cli(["measure", "--family", "brs", "--m", "20", "--phi", "0.3"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        trace = float(np.trace(np.reshape(payload["matrix"], (20, 20))))
+        assert abs(payload["measure"] - trace) <= trace_tol(20)
 
     def test_separable_chain_phase(self, capsys):
         code, out = run_cli(["measure", "--family", "brs", "--m", "2", "--phi", "0"], capsys)

@@ -22,6 +22,7 @@ from entdist import (
     spectrum,
     w_vectors,
 )
+from entdist.metric import trace_tol
 from entdist.qstate import _haar_unitary
 
 from oracles import (
@@ -300,6 +301,13 @@ class TestEntanglementMetric:
         bad = np.array([[0.1, 0.2], [0.3, 0.1]])  # asymmetric
         with pytest.raises(ValueError, match="symmetric"):
             EntanglementMetric(2, bad, (Z, Z), 0.2)
+
+    def test_inconsistent_trace_rejected(self):
+        em = entanglement_metric(brs_state(12, 0.3))
+        bad = em.matrix.copy()
+        bad[5, 5] += 1e-9
+        with pytest.raises(ValueError, match=r"\|tr g - E\| = 1.000e-09 exceeds .* 1.095e-11"):
+            EntanglementMetric(12, bad, em.directions, em.measure)
 
 
 class TestSpectrum:
