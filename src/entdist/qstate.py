@@ -42,7 +42,7 @@ def validate_amplitudes(amps: np.ndarray) -> None:
     Each row's squared norm must be 1 within ``NORM_TOL``; the error names
     the first row that is not.
     """
-    if not np.all(np.isfinite(amps.view(np.float64))):
+    if not np.all(np.isfinite(amps)):
         raise ValueError("amplitudes contain non-finite entries")
     norm_sq = np.sum(np.abs(amps) ** 2, axis=-1)
     bad = np.abs(norm_sq - 1.0) > NORM_TOL
