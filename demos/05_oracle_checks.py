@@ -24,6 +24,7 @@ from entdist import (
     three_qubit_state,
     w_vectors,
 )
+from entdist.qstate import bloch_vectors
 
 rng = np.random.default_rng(12345)
 z = rng.normal(size=16) + 1j * rng.normal(size=16)
@@ -40,8 +41,8 @@ for name, state in cases:
     deviation = invariance_check(state, trials=100, seed=1)
     report = minimize_trace_numeric(state, seed=2)
     bloch_gap = max(
-        float(np.max(np.abs(w.bloch - bloch_vector_oracle(state, nu))))
-        for nu, w in enumerate(w_vectors(state))
+        float(np.max(np.abs(b - bloch_vector_oracle(state, nu))))
+        for nu, b in enumerate(bloch_vectors(*w_vectors(state)))
     )
     print(f"{name:<18} {e:>10.6f} {deviation:>12.2e} {report.value - e:>14.2e} {bloch_gap:>11.2e}")
 

@@ -1,9 +1,10 @@
 """Command-line front end: measure states, sweep families, emit figure data.
 
 Subcommands: ``measure``, ``eigs``, ``sweep``, ``surface``, ``verify``.
-Exit codes: 0 ok, 1 verification failure, 2 I/O or parse error, 3 invalid
-state.  Identical invocations produce byte-identical output; CSV floats are
-written with 17 significant digits so values round-trip exactly.
+Exit codes: 0 ok, 1 verification failure, 2 I/O, parse or argument error,
+3 invalid input state, 4 internal error (a broken invariant after the state
+was validated).  Identical invocations produce byte-identical output; CSV
+floats are written with 17 significant digits so values round-trip exactly.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from .families import (
 )
 from .metric import (
     DEFAULT_RANK_TOL,
-    entanglement_measure,
     entanglement_metric,
     measure_from_bilinears,
     spectrum,
@@ -36,6 +36,7 @@ from .qstate import (
     StateFileError,
     StateVector,
     bilinears,
+    bloch_vectors,
     read_state_file,
     validate_amplitudes,
 )
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_INVALID_STATE = 3
+EXIT_INTERNAL = 4
 
 # verification thresholds enforced by the ``verify`` subcommand
 INVARIANCE_TOL = 1e-9
@@ -65,6 +67,10 @@ _ABSCISSA_DIVISOR = {
     "gamma": np.pi,
     "tau": np.pi,
 }
+
+
+class InvalidStateError(Exception):
+    """The input state failed validation."""
 
 
 @dataclass(frozen=True)
@@ -180,22 +186,33 @@ def _resolve_format(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def _state_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> StateVector:
-    """Build the input state; argparse-level errors exit 2, bad norms raise."""
-    if args.state_file is not None:
-        return read_state_file(args.state_file)
+    """Build the input state.
+
+    Argparse-level errors exit 2 and unreadable input raises StateFileError;
+    a state that fails validation raises InvalidStateError.
+    """
+    try:
+        if args.state_file is not None:
+            return read_state_file(args.state_file)
+        return family_state(_spec_from_args(args, parser))
+    except StateFileError:
+        raise
+    except ValueError as exc:
+        raise InvalidStateError(exc) from exc
+
+
+def _spec_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FamilySpec:
     if args.family_json is not None:
         try:
-            spec = FamilySpec.from_dict(json.loads(args.family_json))
+            return FamilySpec.from_dict(json.loads(args.family_json))
         except (json.JSONDecodeError, ValueError) as exc:
             raise StateFileError(f"invalid --family-json: {exc}") from exc
-        return family_state(spec)
     if args.family is None:
         parser.error("provide one of --family, --family-json or --state-file")
     try:
-        spec = _family_from_flags(args, parser)
+        return _family_from_flags(args, parser)
     except ValueError as exc:
         parser.error(str(exc))
-    return family_state(spec)
 
 
 def _family_from_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FamilySpec:
@@ -210,18 +227,8 @@ def _family_from_flags(args: argparse.Namespace, parser: argparse.ArgumentParser
 
 def _cmd_measure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _resolve_format(args, parser)
-    state = _state_from_args(args, parser)
-    em = entanglement_metric(state)
-    record = em.to_dict()
-    payload = {
-        "m": record["m"],
-        "measure": record["measure"],
-        "measure_over_m": record["measure"] / record["m"],
-        "directions": record["directions"],
-        "matrix": record["matrix"],
-        "eigenvalues": record["eigenvalues"],
-    }
-    _emit(json.dumps(payload) + "\n", args.out)
+    record = entanglement_metric(_state_from_args(args, parser)).to_dict()
+    _emit(json.dumps(record) + "\n", args.out)
     return EXIT_OK
 
 
@@ -267,42 +274,49 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def _cmd_surface(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _resolve_format(args, parser)
-    header, rows = run_surface(
-        (args.gamma_start, args.gamma_stop), (args.tau_start, args.tau_stop), args.points
-    )
+    try:
+        header, rows = run_surface(
+            (args.gamma_start, args.gamma_stop), (args.tau_start, args.tau_stop), args.points
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     _emit(_csv_text(header, rows), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _resolve_format(args, parser)
+    for name in ("trials", "restarts"):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name} must be at least 1")
     state = _state_from_args(args, parser)
-    analytic = entanglement_measure(state)
+    w_minus, w_3 = w_vectors(state)
+    analytic = float(measure_from_bilinears(w_minus, w_3))
     deviation = invariance_check(state, trials=args.trials, seed=args.seed)
     report = minimize_trace_numeric(
         state, restarts=args.restarts, tol=DEFAULT_TOL, seed=args.seed + 1
     )
-    bloch_gap = 0.0
-    for nu, w in enumerate(w_vectors(state)):
-        gap = np.max(np.abs(w.bloch - bloch_vector_oracle(state, nu)))
-        bloch_gap = max(bloch_gap, float(gap))
-    passed = (
-        deviation < INVARIANCE_TOL
-        and abs(report.value - analytic) < OPTIMIZER_TOL
-        and bloch_gap < BLOCH_TOL
+    bloch_gap = max(
+        float(np.max(np.abs(b - bloch_vector_oracle(state, nu))))
+        for nu, b in enumerate(bloch_vectors(w_minus, w_3))
     )
+    gaps = {"invariance": deviation, "optimizer": abs(report.value - analytic), "bloch": bloch_gap}
+    thresholds = {"invariance": INVARIANCE_TOL, "optimizer": OPTIMIZER_TOL, "bloch": BLOCH_TOL}
+    failed = [name for name, tol in thresholds.items() if not gaps[name] < tol]
     payload = {
         "m": state.num_qubits,
         "analytic_measure": analytic,
         "invariance_max_deviation": deviation,
         "optimizer_value": report.value,
-        "optimizer_gap": abs(report.value - analytic),
+        "optimizer_gap": gaps["optimizer"],
         "optimizer_converged": report.converged,
         "bloch_gap": bloch_gap,
-        "passed": passed,
+        "passed": not failed,
+        "thresholds": thresholds,
+        "failed_checks": failed,
     }
     _emit(json.dumps(payload) + "\n", args.out)
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -365,9 +379,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except InvalidStateError as exc:
         print(f"error: invalid state: {exc}", file=sys.stderr)
         return EXIT_INVALID_STATE
+    except ValueError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

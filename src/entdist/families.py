@@ -13,6 +13,7 @@ Families, selected by tag:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +45,20 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {self.tag!r}; expected one of {FAMILY_TAGS}")
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"m must be an integer, got {self.m!r}")
         if self.tag == THREEQ:
             if self.m != 3:
                 raise ValueError("the three-qubit family has m fixed at 3")
         elif not 2 <= self.m <= MAX_QUBITS:
             raise ValueError(f"m must be in [2, {MAX_QUBITS}] for family {self.tag!r}")
         for name in FAMILY_ANGLES[self.tag]:
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"angle {name!r} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"angle {name!r} must be finite")
+            object.__setattr__(self, name, float(value))
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FamilySpec":
@@ -68,7 +75,7 @@ class FamilySpec:
             kwargs["m"] = 3
         for name in FAMILY_ANGLES[tag]:
             if name in payload:
-                kwargs[name] = float(payload[name])
+                kwargs[name] = payload[name]
         return cls(**kwargs)
 
     def to_dict(self) -> dict:

@@ -17,12 +17,14 @@ array-first kernel, ``qstate.bilinears``, computes them for amplitudes of
 shape (..., 2**M): a single state, or a whole batch in one pass (the
 three-qubit surface evaluates all of its grid points in one call), and
 ``measure_from_bilinears`` turns them into E.  ``entanglement_metric``
-computes them once per state and shares them between the directions and E;
-``WVector`` is the per-qubit record view of the same numbers.
+computes them once per state (``w_vectors``) and passes the same arrays to
+the directions, through ``qstate.bloch_vectors``, and to E.  The metric is
+diagonalised once, when the ``EntanglementMetric`` is built; ``spectrum``
+and the JSON record read that one set of eigenvalues.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,14 +33,12 @@ from .qstate import (
     StateVector,
     _apply_one_qubit_matrix,
     bilinears,
+    bloch_vectors,
     direction_operator,
-    pauli_expectation,
 )
 
 DEGENERATE_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-8
-SYMMETRY_TOL = 1e-9
-_CONJUGACY_TOL = 1e-12
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -61,50 +61,19 @@ def trace_tol(m: int) -> float:
 
 
 @dataclass(frozen=True)
-class WVector:
-    """Per-qubit amplitude bilinears (w_minus, w_plus, w_3).
-
-    w_minus sums c*_{k+2^nu} c_k over indices with qubit nu clear, w_plus
-    sums c*_{k-2^nu} c_k over indices with qubit nu set, and w_3 is the
-    signed probability sum (-1)^{bit nu of k} |c_k|^2.  w_plus is the
-    conjugate of w_minus term by term, so ``w_vectors`` sets it as such;
-    for a normalized state the effective norm w_3^2 + 4 |w_minus|^2 is at
-    most 1 (equality for a pure marginal).
-    """
-
-    w_minus: complex
-    w_plus: complex
-    w_3: float
-
-    def __post_init__(self) -> None:
-        if abs(self.w_plus - np.conj(self.w_minus)) > _CONJUGACY_TOL:
-            raise ValueError("w_plus must equal conj(w_minus) for a normalized state")
-        norm_sq = self.effective_norm_sq
-        if not -_CONJUGACY_TOL <= norm_sq <= 1.0 + _CONJUGACY_TOL:
-            raise ValueError(f"effective norm^2 out of [0, 1]: {norm_sq!r}")
-
-    @property
-    def effective_norm_sq(self) -> float:
-        return self.w_3**2 + 4.0 * abs(self.w_minus) ** 2
-
-    @property
-    def bloch(self) -> np.ndarray:
-        """Reduced Bloch vector (2 Re w_minus, -2 Im w_minus, w_3)."""
-        return np.array([2.0 * self.w_minus.real, -2.0 * self.w_minus.imag, self.w_3])
-
-
-@dataclass(frozen=True)
 class EntanglementMetric:
     """Metric evaluated at the minimizing direction field.
 
     ``matrix`` is real symmetric positive semidefinite with diagonal in
-    [0, 1/4] and trace equal to ``measure``.
+    [0, 1/4] and trace equal to ``measure``.  ``eigenvalues`` is its
+    spectrum, sorted descending and read-only, taken once at construction.
     """
 
     size: int
     matrix: np.ndarray
     directions: tuple[Direction, ...]
     measure: float
+    eigenvalues: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         g = np.ascontiguousarray(self.matrix, dtype=float)
@@ -124,20 +93,27 @@ class EntanglementMetric:
                 f"measure must equal the matrix trace: |tr g - E| = {gap:.3e} exceeds "
                 f"the rounding bound {tol:.3e} for {self.size} qubits"
             )
-        if float(np.linalg.eigvalsh(g)[0]) < -1e-10:
+        eigs = np.linalg.eigvalsh(0.5 * (g + g.T))[::-1].copy()
+        if float(eigs[-1]) < -1e-10:
             raise ValueError("metric matrix must be positive semidefinite")
         g.flags.writeable = False
+        eigs.flags.writeable = False
         object.__setattr__(self, "matrix", g)
         object.__setattr__(self, "directions", tuple(self.directions))
+        object.__setattr__(self, "eigenvalues", eigs)
 
     def to_dict(self) -> dict:
-        """JSON-ready record: m, row-major matrix, directions, measure, eigenvalues."""
+        """The ``entdist measure`` record: m, E, E/M, directions, matrix, eigenvalues.
+
+        The matrix is flattened row-major and the eigenvalues run descending.
+        """
         return {
             "m": self.size,
-            "matrix": [float(x) for x in self.matrix.reshape(-1)],
-            "directions": [[d.v1, d.v2, d.v3] for d in self.directions],
             "measure": self.measure,
-            "eigenvalues": [float(x) for x in spectrum(self).eigenvalues],
+            "measure_over_m": self.measure / self.size,
+            "directions": [[d.v1, d.v2, d.v3] for d in self.directions],
+            "matrix": [float(x) for x in self.matrix.reshape(-1)],
+            "eigenvalues": [float(x) for x in self.eigenvalues],
         }
 
 
@@ -158,10 +134,12 @@ class Spectrum:
         return int(np.sum(self.eigenvalues > self.rank_tol))
 
 
-def w_vectors(state: StateVector) -> list[WVector]:
-    """Amplitude bilinears (w_minus, w_plus, w_3) for every qubit, O(M 2^M)."""
-    w_minus, w_3 = bilinears(state.amplitudes)
-    return [WVector(wm, wm.conjugate(), w3) for wm, w3 in zip(w_minus.tolist(), w_3.tolist())]
+def w_vectors(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude bilinears ``(w_minus, w_3)``, each of shape (M,), in O(M 2^M).
+
+    w_plus, the third bilinear, is conj(w_minus); see ``qstate.bilinears``.
+    """
+    return bilinears(state.amplitudes)
 
 
 def measure_from_bilinears(w_minus: np.ndarray, w_3: np.ndarray) -> np.ndarray:
@@ -186,8 +164,8 @@ def _canonicalize(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def optimal_directions(ws: list[WVector] | tuple[WVector, ...]) -> list[Direction]:
-    """Directions minimizing the metric trace, one per qubit.
+def optimal_directions(bloch: np.ndarray) -> list[Direction]:
+    """Directions minimizing the metric trace, one per row of the (M, 3) Bloch array.
 
     The trace term (v . b)^2 is maximized by the unit vector along the
     Bloch vector b; when |b| falls below DEGENERATE_TOL every direction is
@@ -196,8 +174,7 @@ def optimal_directions(ws: list[WVector] | tuple[WVector, ...]) -> list[Directio
     leaves (v . b)^2 and the measure unchanged.
     """
     dirs = []
-    for w in ws:
-        b = w.bloch
+    for b in bloch:
         norm = float(np.linalg.norm(b))
         if norm < DEGENERATE_TOL:
             dirs.append(Direction(0.0, 0.0, 1.0, degenerate=True))
@@ -239,22 +216,16 @@ def metric_matrix(state: StateVector, dirs: list[Direction] | tuple[Direction, .
 
 def entanglement_metric(state: StateVector) -> EntanglementMetric:
     """Metric at the minimizing directions, with E = trace attained."""
-    ws = w_vectors(state)
-    dirs = optimal_directions(ws)
+    w_minus, w_3 = w_vectors(state)
+    dirs = optimal_directions(bloch_vectors(w_minus, w_3))
     g = metric_matrix(state, dirs)
-    measure = measure_from_bilinears(
-        np.array([w.w_minus for w in ws]), np.array([w.w_3 for w in ws])
-    )
+    measure = measure_from_bilinears(w_minus, w_3)
     return EntanglementMetric(state.num_qubits, g, tuple(dirs), float(measure))
 
 
 def spectrum(em: EntanglementMetric, rank_tol: float = DEFAULT_RANK_TOL) -> Spectrum:
-    """All eigenvalues of the metric, sorted descending."""
-    g = em.matrix
-    if np.max(np.abs(g - g.T), initial=0.0) > SYMMETRY_TOL:
-        raise ValueError("metric matrix is asymmetric beyond tolerance")
-    eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
-    return Spectrum(eigs[::-1].copy(), rank_tol)
+    """All eigenvalues of the metric, sorted descending, with a rank threshold."""
+    return Spectrum(em.eigenvalues, rank_tol)
 
 
 def distance_density(state: StateVector, dirs: list[Direction] | tuple[Direction, ...]) -> float:
@@ -267,7 +238,7 @@ def distance_density(state: StateVector, dirs: list[Direction] | tuple[Direction
     if len(dirs) != m:
         raise ValueError(f"expected {m} directions, got {len(dirs)}")
     total = 0.0
-    for nu, v in enumerate(dirs):
-        e = pauli_expectation(state, nu, v)
+    for v, (e1, e2, e3) in zip(dirs, bloch_vectors(*w_vectors(state))):
+        e = float(np.clip(v.v1 * e1 + v.v2 * e2 + v.v3 * e3, -1.0, 1.0))
         total += 1.0 - e * e
     return 0.25 * total

@@ -247,7 +247,7 @@ def read_state_file(path: str | Path) -> StateVector:
     if not isinstance(payload, dict) or not {"m", "re", "im"} <= payload.keys():
         raise StateFileError(f'state file {path} must be an object with keys "m", "re", "im"')
     m = payload["m"]
-    if not isinstance(m, int) or not 1 <= m <= MAX_QUBITS:
+    if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= MAX_QUBITS:
         raise StateFileError(f'state file {path}: "m" must be an integer in [1, {MAX_QUBITS}]')
     re, im = payload["re"], payload["im"]
     if not isinstance(re, list) or not isinstance(im, list) or len(re) != 2**m or len(im) != 2**m:

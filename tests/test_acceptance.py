@@ -31,6 +31,7 @@ from entdist import (
     three_qubit_state,
     w_vectors,
 )
+from entdist.qstate import bloch_vectors
 
 from oracles import random_state
 
@@ -162,8 +163,8 @@ def test_criterion_7_oracle_equivalence():
         assert abs(report.value - analytic) < 1e-6, (
             f"state {index}: optimizer gap {abs(report.value - analytic):.3e}"
         )
-        for nu, w in enumerate(w_vectors(state)):
-            assert np.max(np.abs(w.bloch - bloch_vector_oracle(state, nu))) < 1e-12
+        for nu, b in enumerate(bloch_vectors(*w_vectors(state))):
+            assert np.max(np.abs(b - bloch_vector_oracle(state, nu))) < 1e-12
 
 
 @criterion(8, "distance bound: 20 states x 1000 direction fields, trace >= E - 1e-12")

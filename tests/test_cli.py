@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from entdist import ghzl_state, write_state_file
-from entdist.cli import main
+import entdist.metric
+from entdist import FamilySpec, ghzl_state, write_state_file
+from entdist.cli import SweepSpec, main, run_sweep
 from entdist.metric import trace_tol
 
 
@@ -63,6 +64,48 @@ class TestMeasure:
         )
         assert code == 0
         assert json.loads(out)["measure"] == pytest.approx(0.75, abs=1e-12)
+
+    def test_near_normalized_state_file(self, tmp_path, capsys):
+        """A basis state with |c|^2 = 1 + 0.9e-12 is within NORM_TOL, so valid and separable."""
+        path = tmp_path / "near.json"
+        re = [0.0] * 8
+        re[5] = float(np.sqrt(1.0 + 0.9e-12))
+        path.write_text(json.dumps({"m": 3, "re": re, "im": [0.0] * 8}))
+        code, out = run_cli(["measure", "--state-file", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["measure"] == 0.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"family": "brs", "m": 3.0}',
+            '{"family": "brs", "m": "3"}',
+            '{"family": "brs", "m": true}',
+            '{"family": "ghzl", "m": 3, "theta": null}',
+            '{"family": "ghzl", "m": 3, "theta": "0.3"}',
+        ],
+    )
+    def test_family_json_wrong_types_exit_2(self, spec, capsys):
+        assert main(["measure", "--family-json", spec]) == 2
+        assert "invalid --family-json" in capsys.readouterr().err
+
+    def test_broken_invariant_exits_4(self, capsys, monkeypatch):
+        """A ValueError after the state was validated is an internal error, not bad input."""
+        monkeypatch.setattr(entdist.metric, "trace_tol", lambda m: -1.0)
+        assert main(["measure", "--family", "brs", "--m", "3", "--phi", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: measure must equal")
+
+    def test_each_metric_is_diagonalised_once(self, capsys, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        code, _ = run_cli(["measure", "--family", "brs", "--m", "4", "--phi", "1"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+        run_sweep(SweepSpec(FamilySpec("brs", m=4), "phi", 0.0, 1.0, 10))
+        assert len(calls) == 11
 
     def test_requires_state_source(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -202,6 +245,14 @@ class TestSurface:
         for gamma in [0.0, quarter]:
             assert rows[(gamma, quarter)] == pytest.approx(1 / 6, abs=1e-13)
 
+    @pytest.mark.parametrize(
+        "flags", [["--points", "1"], ["--points", "5", "--gamma-start", "nan"]]
+    )
+    def test_bad_arguments_exit_2(self, flags, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["surface", *flags])
+        assert err.value.code == 2
+
 
 # ---------------------------------------------------------------------------
 # verify
@@ -223,6 +274,8 @@ class TestVerify:
         assert payload["invariance_max_deviation"] < 1e-9
         assert payload["optimizer_gap"] < 1e-6
         assert payload["bloch_gap"] < 1e-12
+        assert payload["thresholds"] == {"invariance": 1e-9, "optimizer": 1e-6, "bloch": 1e-12}
+        assert payload["failed_checks"] == []
 
     def test_chain_phase_passes(self, capsys):
         code, out = run_cli(
@@ -243,7 +296,16 @@ class TestVerify:
             capsys,
         )
         assert code == 1
-        assert json.loads(out)["passed"] is False
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert payload["failed_checks"] == ["invariance"]
+        assert payload["thresholds"]["invariance"] == -1.0
+
+    @pytest.mark.parametrize("flag", ["--trials", "--restarts"])
+    def test_zero_count_exits_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--family", "brs", "--m", "3", flag, "0"])
+        assert err.value.code == 2
 
     def test_denormalized_state_file_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -253,9 +315,10 @@ class TestVerify:
 
     def test_malformed_state_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
-        path.write_text("{]")
-        code, _ = run_cli(["measure", "--state-file", str(path)], capsys)
-        assert code == 2
+        for text in ["{]", '{"m": true, "re": [1.0, 0.0], "im": [0.0, 0.0]}']:
+            path.write_text(text)
+            code, _ = run_cli(["measure", "--state-file", str(path)], capsys)
+            assert code == 2
 
     def test_missing_state_file_exits_2(self, capsys):
         code, _ = run_cli(["measure", "--state-file", "/nonexistent/state.json"], capsys)

@@ -58,13 +58,13 @@ def test_kernel_and_w_vectors_match_literal_sums(m):
     w_minus, w_3 = bilinears(batch)
     for i, amps in enumerate(batch):
         expected = w_triples_literal(amps, m)
-        ws = w_vectors(StateVector(m, amps))
+        ws_minus, ws_3 = w_vectors(StateVector(m, amps))
         for nu, (wm, wp, w3) in enumerate(expected):
             assert abs(w_minus[i, nu] - wm) < 1e-13
             assert abs(w_3[i, nu] - w3) < 1e-13
-            assert abs(ws[nu].w_minus - wm) < 1e-13
-            assert abs(ws[nu].w_plus - wp) < 1e-13
-            assert abs(ws[nu].w_3 - w3) < 1e-13
+            assert abs(ws_minus[nu] - wm) < 1e-13
+            assert abs(np.conj(ws_minus[nu]) - wp) < 1e-13
+            assert abs(ws_3[nu] - w3) < 1e-13
 
 
 def test_qubit_subset_matches_full_kernel():
@@ -77,11 +77,12 @@ def test_qubit_subset_matches_full_kernel():
 
 @pytest.mark.parametrize("m", [3, 7, 9])
 def test_measure_keeps_the_per_qubit_sum_in_qubit_order(m):
-    """E equals Python's sum over WVector.effective_norm_sq, to the bit."""
+    """E equals Python's sum of the per-qubit w_3^2 + 4 |w_minus|^2, to the bit."""
     rng = np.random.default_rng(500 + m)
     for amps in _stacked_batch(m, rng):
         state = StateVector(m, amps)
-        total = sum(w.effective_norm_sq for w in w_vectors(state))
+        w_minus, w_3 = w_vectors(state)
+        total = sum(w3**2 + 4.0 * abs(wm) ** 2 for wm, w3 in zip(w_minus.tolist(), w_3.tolist()))
         assert entanglement_measure(state) == max(0.0, 0.25 * (m - total))
 
 

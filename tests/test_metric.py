@@ -9,7 +9,6 @@ from entdist import (
     EntanglementMetric,
     LocalUnitary,
     StateVector,
-    WVector,
     apply_local_unitary,
     brs_state,
     distance_density,
@@ -23,7 +22,7 @@ from entdist import (
     w_vectors,
 )
 from entdist.metric import trace_tol
-from entdist.qstate import _haar_unitary
+from entdist.qstate import _haar_unitary, bloch_vectors
 
 from oracles import (
     covariance_metric_dense,
@@ -36,6 +35,11 @@ from oracles import (
 
 X = Direction(1.0, 0.0, 0.0)
 Z = Direction(0.0, 0.0, 1.0)
+
+
+def _bloch(w_minus: complex, w_3: float) -> np.ndarray:
+    """(1, 3) Bloch array of one qubit with the given bilinears."""
+    return bloch_vectors(np.array([w_minus], dtype=complex), np.array([w_3]))
 
 
 def _random_direction(rng) -> Direction:
@@ -53,23 +57,24 @@ class TestWVectors:
     def test_uniform_state(self):
         """Uniform superposition: every qubit has w_minus = w_plus = 1/2, w_3 = 0."""
         for m in [2, 3, 5]:
-            for w in w_vectors(brs_state(m, 0.0)):
-                assert abs(w.w_minus - 0.5) < 1e-14
-                assert abs(w.w_plus - 0.5) < 1e-14
-                assert abs(w.w_3) < 1e-14
-                assert abs(w.effective_norm_sq - 1.0) < 1e-13
+            w_minus, w_3 = w_vectors(brs_state(m, 0.0))
+            assert w_minus.shape == w_3.shape == (m,)
+            assert np.all(np.abs(w_minus - 0.5) < 1e-14)
+            assert np.all(np.abs(np.conj(w_minus) - 0.5) < 1e-14)
+            assert np.all(np.abs(w_3) < 1e-14)
+            assert np.all(np.abs(w_3**2 + 4.0 * np.abs(w_minus) ** 2 - 1.0) < 1e-13)
 
     def test_ghz_marginals_vanish(self):
         """One bit flip never connects |0...0> and |1...1>; w_3 cancels at theta=pi/4."""
         for m in [2, 4, 6]:
-            for w in w_vectors(ghzl_state(m, np.pi / 4)):
-                assert abs(w.w_minus) < 1e-15
-                assert abs(w.w_3) < 1e-15
+            w_minus, w_3 = w_vectors(ghzl_state(m, np.pi / 4))
+            assert np.all(np.abs(w_minus) < 1e-15)
+            assert np.all(np.abs(w_3) < 1e-15)
 
     def test_all_zeros_state(self):
-        for w in w_vectors(make_basis_state(4, 0)):
-            assert w.w_minus == 0.0
-            assert w.w_3 == pytest.approx(1.0, abs=1e-15)
+        w_minus, w_3 = w_vectors(make_basis_state(4, 0))
+        assert np.all(w_minus == 0.0)
+        np.testing.assert_allclose(w_3, 1.0, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_matches_literal_sums(self, m):
@@ -77,18 +82,10 @@ class TestWVectors:
         rng = np.random.default_rng(100 + m)
         s = StateVector(m, random_state(m, rng))
         expected = w_triples_literal(s.amplitudes, m)
-        for w, (wm, wp, w3) in zip(w_vectors(s), expected):
-            assert abs(w.w_minus - wm) < 1e-13
-            assert abs(w.w_plus - wp) < 1e-13
-            assert abs(w.w_3 - w3) < 1e-13
-
-    def test_conjugacy_invariant_enforced(self):
-        with pytest.raises(ValueError, match="conj"):
-            WVector(0.3 + 0.1j, 0.3 + 0.1j, 0.0)
-
-    def test_effective_norm_bound_enforced(self):
-        with pytest.raises(ValueError, match="norm"):
-            WVector(0.5, 0.5, 1.0)
+        for w_minus, w_3, (wm, wp, w3) in zip(*w_vectors(s), expected):
+            assert abs(w_minus - wm) < 1e-13
+            assert abs(np.conj(w_minus) - wp) < 1e-13
+            assert abs(w_3 - w3) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -98,21 +95,21 @@ class TestWVectors:
 
 class TestOptimalDirections:
     def test_transverse_bloch(self):
-        (d,) = optimal_directions([WVector(0.5, 0.5, 0.0)])
+        (d,) = optimal_directions(_bloch(0.5, 0.0))
         assert (d.v1, d.v2, d.v3) == pytest.approx((1.0, 0.0, 0.0))
         assert not d.degenerate
 
     def test_pure_z_bloch(self):
-        (d,) = optimal_directions([WVector(0.0, 0.0, 1.0)])
+        (d,) = optimal_directions(_bloch(0.0, 1.0))
         assert (d.v1, d.v2, d.v3) == (0.0, 0.0, 1.0)
 
     def test_degenerate_marginal(self):
-        (d,) = optimal_directions([WVector(0.0, 0.0, 0.0)])
+        (d,) = optimal_directions(_bloch(0.0, 0.0))
         assert (d.v1, d.v2, d.v3) == (0.0, 0.0, 1.0)
         assert d.degenerate
 
     def test_sign_canonicalized(self):
-        (d,) = optimal_directions([WVector(0.0, 0.0, -0.8)])
+        (d,) = optimal_directions(_bloch(0.0, -0.8))
         assert d.v3 == 1.0
 
     def test_beats_sphere_grid(self):
@@ -127,10 +124,10 @@ class TestOptimalDirections:
         for _ in range(5):
             wm = complex(rng.normal(scale=0.2), rng.normal(scale=0.2))
             w3 = rng.normal(scale=0.3)
-            w = WVector(wm, np.conj(wm), w3)
-            (d,) = optimal_directions([w])
-            achieved = float(np.dot(d.as_array(), w.bloch)) ** 2
-            best_on_grid = float(np.max((grid @ w.bloch) ** 2))
+            bloch = _bloch(wm, w3)
+            (d,) = optimal_directions(bloch)
+            achieved = float(np.dot(d.as_array(), bloch[0])) ** 2
+            best_on_grid = float(np.max((grid @ bloch[0]) ** 2))
             assert achieved >= best_on_grid - 1e-12
 
 
@@ -223,7 +220,7 @@ class TestMetricMatrix:
             assert g[mu, mu] == pytest.approx(0.25 * (1 - dirs[mu].v3**2), abs=1e-14)
             for nu in range(mu + 1, 3):
                 assert abs(g[mu, nu]) < 1e-14
-        g_opt = metric_matrix(s, optimal_directions(w_vectors(s)))
+        g_opt = metric_matrix(s, optimal_directions(bloch_vectors(*w_vectors(s))))
         np.testing.assert_allclose(g_opt, np.zeros((3, 3)), atol=1e-14)
 
     @pytest.mark.parametrize("theta", [0.3, np.pi / 4, 1.1])
@@ -288,11 +285,15 @@ class TestEntanglementMetric:
     def test_serialization_schema(self):
         em = entanglement_metric(ghzl_state(3, 0.4))
         record = em.to_dict()
-        assert set(record) == {"m", "matrix", "directions", "measure", "eigenvalues"}
+        assert list(record) == [
+            "m", "measure", "measure_over_m", "directions", "matrix", "eigenvalues"
+        ]
         assert record["m"] == 3
+        assert record["measure_over_m"] == em.measure / 3
         assert len(record["matrix"]) == 9
         assert len(record["directions"]) == 3
         assert record["eigenvalues"] == sorted(record["eigenvalues"], reverse=True)
+        assert record["eigenvalues"] == em.eigenvalues.tolist()
         np.testing.assert_allclose(
             np.asarray(record["matrix"]).reshape(3, 3), em.matrix, atol=0
         )
@@ -308,6 +309,14 @@ class TestEntanglementMetric:
         bad[5, 5] += 1e-9
         with pytest.raises(ValueError, match=r"\|tr g - E\| = 1.000e-09 exceeds .* 1.095e-11"):
             EntanglementMetric(12, bad, em.directions, em.measure)
+
+    def test_near_normalized_basis_state_is_separable(self):
+        """|c|^2 = 1 + 0.9e-12 is within NORM_TOL: a valid state with E = 0."""
+        amps = np.zeros(8, dtype=complex)
+        amps[5] = np.sqrt(1.0 + 0.9e-12)
+        em = entanglement_metric(StateVector(3, amps))
+        assert em.measure == 0.0
+        np.testing.assert_allclose(em.matrix, np.zeros((3, 3)), atol=1e-12)
 
 
 class TestSpectrum:
@@ -354,7 +363,7 @@ class TestDistanceDensity:
         rng = np.random.default_rng(90)
         for m in [2, 3, 4]:
             s = StateVector(m, random_state(m, rng))
-            dirs = optimal_directions(w_vectors(s))
+            dirs = optimal_directions(bloch_vectors(*w_vectors(s)))
             assert abs(distance_density(s, dirs) - entanglement_measure(s)) < 1e-12
 
     def test_all_x_on_zero_state(self):

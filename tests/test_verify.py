@@ -17,6 +17,7 @@ from entdist import (
     reduced_density_matrix,
     w_vectors,
 )
+from entdist.qstate import bloch_vectors
 
 from oracles import random_state
 
@@ -99,10 +100,8 @@ class TestBlochVectorOracle:
         rng = np.random.default_rng(203)
         for m in [2, 3, 4, 5]:
             s = StateVector(m, random_state(m, rng))
-            for nu, w in enumerate(w_vectors(s)):
-                np.testing.assert_allclose(
-                    w.bloch, bloch_vector_oracle(s, nu), atol=1e-12
-                )
+            for nu, b in enumerate(bloch_vectors(*w_vectors(s))):
+                np.testing.assert_allclose(b, bloch_vector_oracle(s, nu), atol=1e-12)
 
     def test_purity_identity(self):
         """1 - |b|^2 = 2 (1 - tr rho^2) for the one-qubit reduced state."""
