@@ -21,9 +21,17 @@ computes them once per state (``w_vectors``) and passes the same arrays to
 the directions, through ``qstate.bloch_vectors``, and to E.  The metric is
 diagonalised once, when the ``EntanglementMetric`` is built; ``spectrum``
 and the JSON record read that one set of eigenvalues.
+
+``metric_matrix`` needs the M applied states A_nu|s>, but never holds them
+whole: it walks the amplitudes in rows of 2**ROW_BITS (256 KiB) and builds
+the M applied row vectors of one row at a time, so its working memory is
+the state plus M rows, O(2^M) rather than M copies of the state.  Up to
+ROW_BITS qubits there is one row and the arithmetic is that of the
+whole-vector products.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +47,7 @@ from .qstate import (
 
 DEGENERATE_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-8
+ROW_BITS = 14  # metric_matrix walks the state in rows of 2**ROW_BITS amplitudes (256 KiB)
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -49,13 +58,16 @@ def trace_tol(m: int) -> float:
     the bilinears w_minus, w_3 for E, the expectation <s|A_nu|s> for the
     diagonal of g.  Error model: the einsum and dot products accumulate
     sequentially, and a sum of n terms whose magnitudes add up to S is off
-    by at most gamma_n S ~ n u S, with u = 2^-53 the unit roundoff.  For a
-    normalized state S <= 1 (Cauchy-Schwarz), so per qubit the diagonal
-    entry (1 - e^2)/4 is off by at most 0.71 * 2^m u and the term
-    (w_3^2 + 4 |w_minus|^2)/4 of E by 0.61 * 2^m u; the two sums over the
-    m qubits add m^2 u / 2.  The bound 2 m (2^m + m) u covers the sum with
-    room to spare: at m = 20 it is 4.7e-9, and the largest gaps measured on
-    chain-phase states at m = 16-22 (3.3e-12 at m = 20) are 0.6-1.1e-3 of it.
+    by at most gamma_n S ~ n u S, with u = 2^-53 the unit roundoff.  The
+    metric sums by rows (see ``metric_matrix``): 2^(m-r) row sums of 2^r
+    terms each, added in turn, a summation depth of 2^r + 2^(m-r) - 1 <=
+    2^m, so the whole-vector bound covers it.  For a normalized state
+    S <= 1 (Cauchy-Schwarz), so per qubit the diagonal entry (1 - e^2)/4 is
+    off by at most 0.71 * 2^m u and the term (w_3^2 + 4 |w_minus|^2)/4 of E
+    by 0.61 * 2^m u; the two sums over the m qubits add m^2 u / 2.  The
+    bound 2 m (2^m + m) u covers the sum with room to spare: at m = 20 it
+    is 4.7e-9, and the largest gaps measured on chain-phase states at
+    m = 16-22 (3.3e-12 at m = 20) are 0.6-1.1e-3 of it.
     """
     return 2.0 * m * ((1 << m) + m) * _UNIT_ROUNDOFF
 
@@ -65,8 +77,9 @@ class EntanglementMetric:
     """Metric evaluated at the minimizing direction field.
 
     ``matrix`` is real symmetric positive semidefinite with diagonal in
-    [0, 1/4] and trace equal to ``measure``.  ``eigenvalues`` is its
-    spectrum, sorted descending and read-only, taken once at construction.
+    [0, 1/4] and trace equal to ``measure``, stored as a read-only copy of
+    the array passed in.  ``eigenvalues`` is its spectrum, sorted
+    descending and read-only, taken once at construction.
     """
 
     size: int
@@ -76,7 +89,7 @@ class EntanglementMetric:
     eigenvalues: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        g = np.ascontiguousarray(self.matrix, dtype=float)
+        g = np.array(self.matrix, dtype=float, order="C")
         if g.shape != (self.size, self.size):
             raise ValueError(f"expected a {self.size}x{self.size} matrix, got {g.shape}")
         if len(self.directions) != self.size:
@@ -119,13 +132,13 @@ class EntanglementMetric:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of an entanglement metric, sorted descending."""
+    """Eigenvalues of an entanglement metric, sorted descending, as a read-only copy."""
 
     eigenvalues: np.ndarray
     rank_tol: float
 
     def __post_init__(self) -> None:
-        eigs = np.ascontiguousarray(self.eigenvalues, dtype=float)
+        eigs = np.array(self.eigenvalues, dtype=float, order="C")
         eigs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eigs)
 
@@ -191,26 +204,45 @@ def entanglement_measure(state: StateVector) -> float:
 
 
 def metric_matrix(state: StateVector, dirs: list[Direction] | tuple[Direction, ...]) -> np.ndarray:
-    """Adapted metric at a given direction field.
+    """Adapted metric at a given direction field, in O(2^M) working memory.
 
     Entries: g[mu, nu] = (<A_mu A_nu> - <A_mu><A_nu>) / 4 off the diagonal
     and g[mu, mu] = (1 - <A_mu>^2) / 4, with A_nu = v^nu . sigma^nu.
+
+    The state is walked in rows of 2^k amplitudes, k = min(M, ROW_BITS).
+    A qubit below k acts within a row; a higher qubit mixes the row with its
+    partner row, the one whose index differs in that qubit's bit.  Per row
+    the M applied row vectors give row sums of <A_mu> and <A_mu A_nu>, which
+    are added across rows.  For M <= ROW_BITS there is one row.
     """
     m = state.num_qubits
     if len(dirs) != m:
         raise ValueError(f"expected {m} directions, got {len(dirs)}")
-    amps = state.amplitudes
-    applied = [
-        _apply_one_qubit_matrix(amps, m, nu, direction_operator(v))
-        for nu, v in enumerate(dirs)
-    ]
-    expectations = np.array([np.vdot(amps, t).real for t in applied])
+    k = min(m, ROW_BITS)
+    rows = state.amplitudes.reshape(-1, 1 << k)
+    ops = [direction_operator(v) for v in dirs]
+    applied = list(np.empty((m, 1 << k), dtype=np.complex128))  # reused for every row
+    partner = np.empty(1 << k, dtype=np.complex128)
+    pairs = list(itertools.combinations(range(m), 2))
+    expectations = np.zeros(m)
+    cross = np.zeros(len(pairs))
+    for h, row in enumerate(rows):
+        for nu in range(k):
+            _apply_one_qubit_matrix(row, k, nu, ops[nu], out=applied[nu])
+        for nu in range(k, m):
+            bit = 1 << (nu - k)
+            b = (h >> (nu - k)) & 1
+            np.multiply(ops[nu][b, 0], rows[h & ~bit], out=applied[nu])
+            np.multiply(ops[nu][b, 1], rows[h | bit], out=partner)
+            applied[nu] += partner
+        expectations += [np.vdot(row, t).real for t in applied]
+        cross += [np.vdot(applied[mu], applied[nu]).real for mu, nu in pairs]
+    e = expectations.tolist()
     g = np.zeros((m, m))
     for mu in range(m):
-        g[mu, mu] = 0.25 * max(0.0, 1.0 - expectations[mu] ** 2)
-        for nu in range(mu + 1, m):
-            cross = np.vdot(applied[mu], applied[nu]).real
-            g[mu, nu] = g[nu, mu] = 0.25 * (cross - expectations[mu] * expectations[nu])
+        g[mu, mu] = 0.25 * max(0.0, 1.0 - e[mu] ** 2)
+    for (mu, nu), c in zip(pairs, cross.tolist()):
+        g[mu, nu] = g[nu, mu] = 0.25 * (c - e[mu] * e[nu])
     return g
 
 

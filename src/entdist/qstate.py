@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-MAX_QUBITS = 26  # dense complex128 amplitudes reach ~1 GiB at 26 qubits
+MAX_QUBITS = 26  # 1 GiB of complex128 amplitudes; the metric streams over them in O(2^M) memory
 NORM_TOL = 1e-12
 UNIT_TOL = 1e-12
 
@@ -56,6 +56,10 @@ class StateVector:
 
     Amplitudes are stored as a read-only complex128 array of length
     ``2**num_qubits``; the squared norm must be 1 within ``NORM_TOL``.
+    A contiguous complex128 input is not copied: the stored array is a
+    read-only view that shares the caller's buffer, so writing to that
+    buffer afterwards changes the state.  The caller's array itself stays
+    writeable.
     """
 
     num_qubits: int
@@ -69,6 +73,7 @@ class StateVector:
         if amps.shape != (2**m,):
             raise ValueError(f"expected {2**m} amplitudes for {m} qubits, got shape {amps.shape}")
         validate_amplitudes(amps)
+        amps = amps.view()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -102,12 +107,12 @@ class Direction:
 
 @dataclass(frozen=True)
 class LocalUnitary:
-    """2x2 unitary acting on a single qubit."""
+    """2x2 unitary acting on a single qubit, stored as a read-only copy."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        u = np.ascontiguousarray(self.matrix, dtype=np.complex128)
+        u = np.array(self.matrix, dtype=np.complex128, order="C")
         if u.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
         defect = np.max(np.abs(u.conj().T @ u - np.eye(2)))
@@ -137,10 +142,23 @@ def make_basis_state(m: int, k: int) -> StateVector:
     return StateVector(m, amps)
 
 
-def _apply_one_qubit_matrix(amps: np.ndarray, m: int, qubit: int, mat: np.ndarray) -> np.ndarray:
-    """Mix amplitude pairs (k, k + 2**qubit) by an arbitrary 2x2 matrix."""
-    view = amps.reshape(1 << (m - 1 - qubit), 2, 1 << qubit)
-    return np.einsum("ij,ajb->aib", mat, view).reshape(-1)
+def _apply_one_qubit_matrix(
+    amps: np.ndarray, m: int, qubit: int, mat: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Mix amplitude pairs (k, k + 2**qubit) by an arbitrary 2x2 matrix.
+
+    The result goes to ``out`` (a new array if None), a contiguous array of
+    2**m amplitudes.  Each output entry is the same two-term sum whatever
+    the iteration order, so the bits do not depend on it; for qubits below
+    4 the short innermost axis 2**qubit would make einsum's inner loop
+    tiny, so the long outer axis is iterated innermost instead.
+    """
+    shape = (1 << (m - 1 - qubit), 2, 1 << qubit)
+    if out is None:
+        out = np.empty(1 << m, dtype=np.complex128)
+    order = "F" if qubit < 4 else "K"
+    np.einsum("ij,ajb->aib", mat, amps.reshape(shape), out=out.reshape(shape), order=order)
+    return out
 
 
 def _check_qubit(qubit: int, m: int) -> None:
@@ -173,7 +191,8 @@ def bilinears(
     if amps.shape[-1] != 1 << m:
         raise ValueError(f"expected 2**M amplitudes per state, got {amps.shape[-1]}")
     qubits = range(m) if qubits is None else qubits
-    probs = np.abs(amps) ** 2
+    probs = np.abs(amps)
+    np.square(probs, out=probs)  # the bits of np.abs(amps) ** 2, one temporary fewer
     w_minus = np.empty(batch + (len(qubits),), dtype=np.complex128)
     w_3 = np.empty(batch + (len(qubits),))
     for i, nu in enumerate(qubits):

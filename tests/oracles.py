@@ -61,6 +61,31 @@ def covariance_metric_dense(amps: np.ndarray, m: int, dirs) -> np.ndarray:
     return g
 
 
+def covariance_entry_pairwise(amps: np.ndarray, m: int, mu: int, v_mu, nu: int, v_nu) -> float:
+    """One off-diagonal metric entry from whole vectors, summed pairwise.
+
+    (<A_mu A_nu> - <A_mu><A_nu>) / 4, with each operator applied by slicing
+    and broadcasting and every inner product taken as ``np.sum`` of the real
+    parts of the products.  numpy sums those pairwise, a rounding error of
+    order (128 + log2 N) u against N u for a sequential sum, so this serves
+    as a reference at 20 and more qubits.
+    """
+
+    def apply(qubit, v):
+        view = amps.reshape(1 << (m - 1 - qubit), 2, 1 << qubit)
+        mat = dense_direction_operator(v)
+        out = np.empty_like(view)
+        for i in range(2):
+            out[:, i, :] = mat[i, 0] * view[:, 0, :] + mat[i, 1] * view[:, 1, :]
+        return out.reshape(-1)
+
+    def inner(x, y):
+        return float(np.sum(x.real * y.real + x.imag * y.imag))
+
+    a_mu, a_nu = apply(mu, v_mu), apply(nu, v_nu)
+    return 0.25 * (inner(a_mu, a_nu) - inner(amps, a_mu) * inner(amps, a_nu))
+
+
 def jacobi_eigenvalues(matrix: np.ndarray, max_sweeps: int = 60, tol: float = 1e-15) -> np.ndarray:
     """Eigenvalues of a small real symmetric matrix by cyclic Jacobi rotations."""
     a = np.array(matrix, dtype=float)

@@ -1,6 +1,8 @@
 """Entanglement measure, metric, spectrum: oracles and invariants."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from entdist import (
     Direction,
     EntanglementMetric,
     LocalUnitary,
+    Spectrum,
     StateVector,
     apply_local_unitary,
     brs_state,
@@ -21,8 +24,9 @@ from entdist import (
     spectrum,
     w_vectors,
 )
+from entdist import metric
 from entdist.metric import trace_tol
-from entdist.qstate import _haar_unitary, bloch_vectors
+from entdist.qstate import _haar_unitary, bloch_vectors, direction_operator
 
 from oracles import (
     covariance_metric_dense,
@@ -253,6 +257,69 @@ class TestMetricMatrix:
             metric_matrix(make_basis_state(2, 0), [Z])
 
 
+def _whole_vector_metric(state, dirs) -> np.ndarray:
+    """Reference for a state that is one row: M whole applied copies of it.
+
+    One einsum per qubit and one vdot per entry, the arithmetic that
+    ``metric_matrix`` must reproduce bit for bit when M <= ROW_BITS.
+    """
+    m = state.num_qubits
+    amps = state.amplitudes
+    applied = []
+    for nu, v in enumerate(dirs):
+        view = amps.reshape(1 << (m - 1 - nu), 2, 1 << nu)
+        applied.append(np.einsum("ij,ajb->aib", direction_operator(v), view).reshape(-1))
+    expectations = np.array([np.vdot(amps, t).real for t in applied])
+    g = np.zeros((m, m))
+    for mu in range(m):
+        g[mu, mu] = 0.25 * max(0.0, 1.0 - expectations[mu] ** 2)
+        for nu in range(mu + 1, m):
+            cross = np.vdot(applied[mu], applied[nu]).real
+            g[mu, nu] = g[nu, mu] = 0.25 * (cross - expectations[mu] * expectations[nu])
+    return g
+
+
+class TestRowBlockedMetric:
+    """``metric_matrix`` walks the state in rows of 2**min(M, ROW_BITS) amplitudes."""
+
+    @pytest.mark.parametrize("row_bits", [1, 2, 3])
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+    def test_short_rows_match_dense_oracle(self, monkeypatch, row_bits, m):
+        """Rows of 2, 4 and 8 amplitudes run every partner-row pattern."""
+        rng = np.random.default_rng(1000 * row_bits + m)
+        s = StateVector(m, random_state(m, rng))
+        dirs = [_random_direction(rng) for _ in range(m)]
+        one_row = metric_matrix(s, dirs)
+        monkeypatch.setattr(metric, "ROW_BITS", row_bits)
+        rows = metric_matrix(s, dirs)
+        np.testing.assert_allclose(rows, covariance_metric_dense(s.amplitudes, m, dirs), atol=1e-12)
+        np.testing.assert_allclose(rows, one_row, rtol=0, atol=1e-15)
+
+    def test_one_row_is_bit_identical_to_whole_vector_loop(self):
+        rng = np.random.default_rng(1100)
+        for m in range(1, metric.ROW_BITS + 1):
+            states = [StateVector(m, random_state(m, rng))]
+            if m >= 2:
+                states += [brs_state(m, rng.uniform(0, 2 * np.pi)), ghzl_state(m, rng.uniform(0, np.pi))]
+            for s in states:
+                for dirs in (
+                    optimal_directions(bloch_vectors(*w_vectors(s))),
+                    [_random_direction(rng) for _ in range(m)],
+                ):
+                    assert metric_matrix(s, dirs).tobytes() == _whole_vector_metric(s, dirs).tobytes()
+
+    def test_working_memory_below_twice_the_state(self):
+        """At M = 20 the whole-vector loop peaked at 320 MiB for a 16 MiB state."""
+        s = brs_state(20, 0.3)
+        tracemalloc.start()
+        try:
+            entanglement_metric(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * s.amplitudes.nbytes
+
+
 # ---------------------------------------------------------------------------
 # entanglement metric (composition) and spectrum
 # ---------------------------------------------------------------------------
@@ -298,6 +365,15 @@ class TestEntanglementMetric:
             np.asarray(record["matrix"]).reshape(3, 3), em.matrix, atol=0
         )
 
+    def test_caller_array_stays_writeable(self):
+        g = np.zeros((2, 2))
+        em = EntanglementMetric(2, g, (Z, Z), 0.0)
+        assert g.flags.writeable
+        assert not em.matrix.flags.writeable
+        assert not em.eigenvalues.flags.writeable
+        g[0, 0] = 1.0
+        assert em.matrix[0, 0] == 0.0
+
     def test_invariants_enforced(self):
         bad = np.array([[0.1, 0.2], [0.3, 0.1]])  # asymmetric
         with pytest.raises(ValueError, match="symmetric"):
@@ -320,6 +396,14 @@ class TestEntanglementMetric:
 
 
 class TestSpectrum:
+    def test_caller_array_stays_writeable(self):
+        eigs = np.array([0.5, 0.25, 0.0])
+        sp = Spectrum(eigs, 1e-8)
+        assert eigs.flags.writeable
+        assert not sp.eigenvalues.flags.writeable
+        eigs[0] = 1.0
+        assert sp.eigenvalues[0] == 0.5
+
     def test_ghz_rank_one(self):
         sp = spectrum(entanglement_metric(ghzl_state(7, np.pi / 4)))
         assert sp.eigenvalues[0] == pytest.approx(7 / 4, abs=1e-12)

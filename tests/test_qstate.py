@@ -61,6 +61,16 @@ class TestStateVector:
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
 
+    def test_caller_array_stays_writeable(self):
+        """The state stores a read-only view of the caller's complex128 buffer."""
+        amps = np.zeros(4, dtype=np.complex128)
+        amps[0] = 1.0
+        s = StateVector(2, amps)
+        assert amps.flags.writeable
+        assert not s.amplitudes.flags.writeable
+        assert np.shares_memory(s.amplitudes, amps)
+        amps[0] = 0.5  # the caller may still write its own array
+
 
 class TestDirection:
     def test_unit_enforced(self):
@@ -75,6 +85,14 @@ class TestLocalUnitary:
     def test_rejects_nonunitary(self):
         with pytest.raises(ValueError, match="unitary"):
             LocalUnitary(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_caller_array_stays_writeable(self):
+        u = np.array(HADAMARD, dtype=np.complex128)
+        lu = LocalUnitary(u)
+        assert u.flags.writeable
+        assert not lu.matrix.flags.writeable
+        u[0, 0] = 0.0
+        np.testing.assert_array_equal(lu.matrix, HADAMARD)
 
 
 # ---------------------------------------------------------------------------
