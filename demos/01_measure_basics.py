@@ -16,7 +16,10 @@ from entdist import (
     make_basis_state,
     spectrum,
     three_qubit_state,
+    w_vectors,
 )
+from entdist.metric import DEGENERATE_TOL
+from entdist.qstate import bloch_vectors
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -30,8 +33,10 @@ em = entanglement_metric(ghz)
 print("GHZ (M=3)        E =", em.measure, " E/M =", em.measure / 3)
 print("metric (all-ones form, every pair maximally correlated):")
 print(em.matrix)
+# A vanishing Bloch vector makes every axis minimizing; the z axis is returned.
+bloch = bloch_vectors(*w_vectors(ghz))
 print("minimizing axes are degenerate here (any axis attains the infimum):",
-      [d.degenerate for d in em.directions])
+      (np.linalg.norm(bloch, axis=1) < DEGENERATE_TOL).tolist())
 
 # Same E, very different metric: the chain-phase state at its maximum.
 chain = brs_state(3, np.pi)

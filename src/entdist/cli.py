@@ -170,7 +170,6 @@ def _add_state_source(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="seed for any randomness")
     parser.add_argument("--out", help="output path (default: stdout)")
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", help="JSON output")
@@ -233,6 +232,8 @@ def _cmd_measure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_eigs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if not (np.isfinite(args.rank_tol) and args.rank_tol >= 0.0):
+        parser.error(f"--rank-tol must be finite and non-negative, got {args.rank_tol!r}")
     state = _state_from_args(args, parser)
     fmt = _resolve_format(args, parser)
     spec = spectrum(entanglement_metric(state), rank_tol=args.rank_tol)
@@ -338,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eigs.set_defaults(func=_cmd_eigs)
 
     p_sweep = sub.add_parser("sweep", help="sweep a family angle, emit figure CSV")
-    _add_state_source(p_sweep)
+    _add_family_flags(p_sweep)
     _add_common(p_sweep, formats=("csv",))
     p_sweep.add_argument("--parameter", required=True, choices=sorted(_ABSCISSA_DIVISOR))
     p_sweep.add_argument("--start", type=float, required=True)
@@ -361,6 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the numeric oracle harness")
     _add_state_source(p_verify)
     _add_common(p_verify, formats=("json",))
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for the random checks")
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p_verify.set_defaults(func=_cmd_verify)

@@ -37,12 +37,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qstate import (
-    Direction,
     StateVector,
     _apply_one_qubit_matrix,
+    _operator,
     bilinears,
     bloch_vectors,
-    direction_operator,
+    validate_directions,
 )
 
 DEGENERATE_TOL = 1e-12
@@ -78,13 +78,15 @@ class EntanglementMetric:
 
     ``matrix`` is real symmetric positive semidefinite with diagonal in
     [0, 1/4] and trace equal to ``measure``, stored as a read-only copy of
-    the array passed in.  ``eigenvalues`` is its spectrum, sorted
-    descending and read-only, taken once at construction.
+    the array passed in.  ``directions`` is a read-only copy of the
+    (size, 3) direction field, one unit row per qubit.  ``eigenvalues`` is
+    its spectrum, sorted descending and read-only, taken once at
+    construction.
     """
 
     size: int
     matrix: np.ndarray
-    directions: tuple[Direction, ...]
+    directions: np.ndarray
     measure: float
     eigenvalues: np.ndarray = field(init=False, compare=False)
 
@@ -92,8 +94,7 @@ class EntanglementMetric:
         g = np.array(self.matrix, dtype=float, order="C")
         if g.shape != (self.size, self.size):
             raise ValueError(f"expected a {self.size}x{self.size} matrix, got {g.shape}")
-        if len(self.directions) != self.size:
-            raise ValueError("one direction per qubit is required")
+        dirs = validate_directions(self.directions, self.size).copy()
         if np.max(np.abs(g - g.T), initial=0.0) > 1e-12:
             raise ValueError("metric matrix must be symmetric")
         diag = np.diagonal(g)
@@ -109,10 +110,10 @@ class EntanglementMetric:
         eigs = np.linalg.eigvalsh(0.5 * (g + g.T))[::-1].copy()
         if float(eigs[-1]) < -1e-10:
             raise ValueError("metric matrix must be positive semidefinite")
-        g.flags.writeable = False
-        eigs.flags.writeable = False
+        for a in (g, dirs, eigs):
+            a.flags.writeable = False
         object.__setattr__(self, "matrix", g)
-        object.__setattr__(self, "directions", tuple(self.directions))
+        object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "eigenvalues", eigs)
 
     def to_dict(self) -> dict:
@@ -124,7 +125,7 @@ class EntanglementMetric:
             "m": self.size,
             "measure": self.measure,
             "measure_over_m": self.measure / self.size,
-            "directions": [[d.v1, d.v2, d.v3] for d in self.directions],
+            "directions": self.directions.tolist(),
             "matrix": [float(x) for x in self.matrix.reshape(-1)],
             "eigenvalues": [float(x) for x in self.eigenvalues],
         }
@@ -177,24 +178,24 @@ def _canonicalize(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def optimal_directions(bloch: np.ndarray) -> list[Direction]:
-    """Directions minimizing the metric trace, one per row of the (M, 3) Bloch array.
+def optimal_directions(bloch: np.ndarray) -> np.ndarray:
+    """Directions minimizing the metric trace, one unit row per row of the (M, 3) Bloch array.
 
     The trace term (v . b)^2 is maximized by the unit vector along the
     Bloch vector b; when |b| falls below DEGENERATE_TOL every direction is
-    minimizing and the z axis is returned with the degenerate flag set.
-    Signs are canonicalized (first nonzero component positive), which
-    leaves (v . b)^2 and the measure unchanged.
+    minimizing and the z axis is returned.  Signs are canonicalized (first
+    nonzero component positive), which leaves (v . b)^2 and the measure
+    unchanged.  The norm is taken row by row: np.linalg.norm(..., axis=1)
+    rounds differently and would move the bits of the directions.
     """
-    dirs = []
-    for b in bloch:
+    dirs = np.empty((len(bloch), 3))
+    for nu, b in enumerate(bloch):
         norm = float(np.linalg.norm(b))
         if norm < DEGENERATE_TOL:
-            dirs.append(Direction(0.0, 0.0, 1.0, degenerate=True))
+            dirs[nu] = (0.0, 0.0, 1.0)
             continue
         v = _canonicalize(b / norm)
-        v = v / np.linalg.norm(v)
-        dirs.append(Direction(float(v[0]), float(v[1]), float(v[2])))
+        dirs[nu] = v / np.linalg.norm(v)
     return dirs
 
 
@@ -203,8 +204,8 @@ def entanglement_measure(state: StateVector) -> float:
     return float(measure_from_bilinears(*bilinears(state.amplitudes)))
 
 
-def metric_matrix(state: StateVector, dirs: list[Direction] | tuple[Direction, ...]) -> np.ndarray:
-    """Adapted metric at a given direction field, in O(2^M) working memory.
+def metric_matrix(state: StateVector, dirs: np.ndarray) -> np.ndarray:
+    """Adapted metric at an (M, 3) direction field, in O(2^M) working memory.
 
     Entries: g[mu, nu] = (<A_mu A_nu> - <A_mu><A_nu>) / 4 off the diagonal
     and g[mu, mu] = (1 - <A_mu>^2) / 4, with A_nu = v^nu . sigma^nu.
@@ -216,11 +217,9 @@ def metric_matrix(state: StateVector, dirs: list[Direction] | tuple[Direction, .
     are added across rows.  For M <= ROW_BITS there is one row.
     """
     m = state.num_qubits
-    if len(dirs) != m:
-        raise ValueError(f"expected {m} directions, got {len(dirs)}")
+    ops = [_operator(*v) for v in validate_directions(dirs, m).tolist()]
     k = min(m, ROW_BITS)
     rows = state.amplitudes.reshape(-1, 1 << k)
-    ops = [direction_operator(v) for v in dirs]
     applied = list(np.empty((m, 1 << k), dtype=np.complex128))  # reused for every row
     partner = np.empty(1 << k, dtype=np.complex128)
     pairs = list(itertools.combinations(range(m), 2))
@@ -252,7 +251,7 @@ def entanglement_metric(state: StateVector) -> EntanglementMetric:
     dirs = optimal_directions(bloch_vectors(w_minus, w_3))
     g = metric_matrix(state, dirs)
     measure = measure_from_bilinears(w_minus, w_3)
-    return EntanglementMetric(state.num_qubits, g, tuple(dirs), float(measure))
+    return EntanglementMetric(state.num_qubits, g, dirs, float(measure))
 
 
 def spectrum(em: EntanglementMetric, rank_tol: float = DEFAULT_RANK_TOL) -> Spectrum:
@@ -260,17 +259,15 @@ def spectrum(em: EntanglementMetric, rank_tol: float = DEFAULT_RANK_TOL) -> Spec
     return Spectrum(em.eigenvalues, rank_tol)
 
 
-def distance_density(state: StateVector, dirs: list[Direction] | tuple[Direction, ...]) -> float:
-    """Metric trace ds^2/dr^2 at a direction field; bounded below by E.
+def distance_density(state: StateVector, dirs: np.ndarray) -> float:
+    """Metric trace ds^2/dr^2 at an (M, 3) direction field; bounded below by E.
 
     Only the diagonal contributes to the trace, so this runs in O(M 2^M)
     without assembling the full matrix.
     """
-    m = state.num_qubits
-    if len(dirs) != m:
-        raise ValueError(f"expected {m} directions, got {len(dirs)}")
+    dirs = validate_directions(dirs, state.num_qubits).tolist()
     total = 0.0
-    for v, (e1, e2, e3) in zip(dirs, bloch_vectors(*w_vectors(state))):
-        e = float(np.clip(v.v1 * e1 + v.v2 * e2 + v.v3 * e3, -1.0, 1.0))
+    for (v1, v2, v3), (e1, e2, e3) in zip(dirs, bloch_vectors(*w_vectors(state))):
+        e = float(np.clip(v1 * e1 + v2 * e2 + v3 * e3, -1.0, 1.0))
         total += 1.0 - e * e
     return 0.25 * total

@@ -12,7 +12,7 @@ entanglement measure follow, come from one array-first kernel,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -26,10 +26,6 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
-X_AXIS = (1.0, 0.0, 0.0)
-Y_AXIS = (0.0, 1.0, 0.0)
-Z_AXIS = (0.0, 0.0, 1.0)
 
 
 class StateFileError(ValueError):
@@ -67,7 +63,7 @@ class StateVector:
 
     def __post_init__(self) -> None:
         m = self.num_qubits
-        if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_QUBITS:
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be an integer in [1, {MAX_QUBITS}], got {m!r}")
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**m,):
@@ -82,27 +78,25 @@ class StateVector:
         return 1 << self.num_qubits
 
 
-@dataclass(frozen=True)
-class Direction:
-    """Real unit 3-vector selecting a local Pauli axis for one qubit.
+def validate_directions(dirs: np.ndarray, m: int | None = None) -> np.ndarray:
+    """A direction field as a float array of m real unit rows, shape (m, 3).
 
-    ``degenerate`` marks directions returned for a vanishing reduced Bloch
-    vector, where every axis minimizes the metric trace; it does not take
-    part in equality.
+    With ``m`` None, a single unit 3-vector, shape (3,).  Each row's squared
+    norm must be 1 within ``UNIT_TOL``; the error gives the squared norm of
+    the first row that is not.
     """
-
-    v1: float
-    v2: float
-    v3: float
-    degenerate: bool = field(default=False, compare=False)
-
-    def __post_init__(self) -> None:
-        norm_sq = self.v1**2 + self.v2**2 + self.v3**2
-        if not np.isfinite(norm_sq) or abs(norm_sq - 1.0) > UNIT_TOL:
-            raise ValueError(f"direction must be a unit vector: |v|^2 = {norm_sq!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v1, self.v2, self.v3])
+    v = np.asarray(dirs, dtype=float)
+    shape = (3,) if m is None else (m, 3)
+    if v.shape != shape:
+        raise ValueError(f"expected directions of shape {shape}, got shape {v.shape}")
+    norm_sq = (v * v).sum(axis=-1)
+    gap = abs(norm_sq - 1.0)
+    if not gap.max(initial=0.0) <= UNIT_TOL:  # also true for a NaN gap
+        if not np.isfinite(v).all():
+            raise ValueError("directions contain non-finite entries")
+        first = float(norm_sq[gap > UNIT_TOL][0])
+        raise ValueError(f"direction must be a unit vector: |v|^2 = {first!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -124,11 +118,13 @@ class LocalUnitary:
         object.__setattr__(self, "matrix", u)
 
 
-def direction_operator(v: Direction) -> np.ndarray:
-    """2x2 Hermitian matrix v . sigma = v1*X + v2*Y + v3*Z."""
-    return np.array(
-        [[v.v3, v.v1 - 1j * v.v2], [v.v1 + 1j * v.v2, -v.v3]], dtype=complex
-    )
+def _operator(v1: float, v2: float, v3: float) -> np.ndarray:
+    return np.array([[v3, v1 - 1j * v2], [v1 + 1j * v2, -v3]], dtype=complex)
+
+
+def direction_operator(v: np.ndarray) -> np.ndarray:
+    """2x2 Hermitian matrix v . sigma = v1*X + v2*Y + v3*Z for a unit 3-vector v."""
+    return _operator(*validate_directions(v).tolist())
 
 
 def make_basis_state(m: int, k: int) -> StateVector:
@@ -209,18 +205,19 @@ def bloch_vectors(w_minus: np.ndarray, w_3: np.ndarray) -> np.ndarray:
     return np.stack([2.0 * w_minus.real, -2.0 * w_minus.imag, w_3], axis=-1)
 
 
-def pauli_expectation(state: StateVector, qubit: int, v: Direction) -> float:
-    """<s| (v . sigma^qubit) |s>, a real number in [-1, 1]."""
+def pauli_expectation(state: StateVector, qubit: int, v: np.ndarray) -> float:
+    """<s| (v . sigma^qubit) |s> for a unit 3-vector v, a real number in [-1, 1]."""
     _check_qubit(qubit, state.num_qubits)
+    v1, v2, v3 = validate_directions(v).tolist()
     e1, e2, e3 = bloch_vectors(*bilinears(state.amplitudes, (qubit,)))[0]
-    value = v.v1 * e1 + v.v2 * e2 + v.v3 * e3
+    value = v1 * e1 + v2 * e2 + v3 * e3
     return float(np.clip(value, -1.0, 1.0))
 
 
 def pauli_pair_correlation(
-    state: StateVector, q_mu: int, v_mu: Direction, q_nu: int, v_nu: Direction
+    state: StateVector, q_mu: int, v_mu: np.ndarray, q_nu: int, v_nu: np.ndarray
 ) -> float:
-    """<s| (v_mu . sigma^mu)(v_nu . sigma^nu) |s> for two distinct qubits.
+    """<s| (v_mu . sigma^mu)(v_nu . sigma^nu) |s> for two distinct qubits and unit 3-vectors.
 
     The operators act on different qubits, so they commute and the product
     is Hermitian; the expectation is real and lies in [-1, 1].

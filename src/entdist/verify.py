@@ -18,13 +18,13 @@ import numpy as np
 
 from .metric import entanglement_measure
 from .qstate import (
-    Direction,
     LocalUnitary,
     StateVector,
     _haar_unitary,
     apply_local_unitary,
     bilinears,
     bloch_vectors,
+    validate_directions,
 )
 
 DEFAULT_RESTARTS = 8
@@ -33,25 +33,29 @@ DEFAULT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class OptimizerReport:
-    """Outcome of the numeric trace minimization."""
+    """Outcome of the numeric trace minimization; ``directions`` is a read-only (M, 3) copy."""
 
     value: float
-    directions: tuple[Direction, ...]
+    directions: np.ndarray
     restarts_used: int
     converged: bool
     iterations: int
 
+    def __post_init__(self) -> None:
+        dirs = validate_directions(self.directions, len(self.directions)).copy()
+        dirs.flags.writeable = False
+        object.__setattr__(self, "directions", dirs)
 
-def _angles_to_directions(x: np.ndarray) -> list[Direction]:
+
+def _sphere(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit vectors v(theta, phi), (M, 3), at x = (theta_0, phi_0, ...), with dv/dtheta, dv/dphi."""
     thetas, phis = x[0::2], x[1::2]
-    return [
-        Direction(
-            float(np.sin(t) * np.cos(p)),
-            float(np.sin(t) * np.sin(p)),
-            float(np.cos(t)),
-        )
-        for t, p in zip(thetas, phis)
-    ]
+    st, ct = np.sin(thetas), np.cos(thetas)
+    sp, cp = np.sin(phis), np.cos(phis)
+    v = np.stack([st * cp, st * sp, ct], axis=1)
+    dv_dt = np.stack([ct * cp, ct * sp, -st], axis=1)
+    dv_dp = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=1)
+    return v, dv_dt, dv_dp
 
 
 def minimize_trace_numeric(
@@ -79,12 +83,7 @@ def minimize_trace_numeric(
     bloch = bloch_vectors(*bilinears(state.amplitudes))  # (m, 3)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        thetas, phis = x[0::2], x[1::2]
-        st, ct = np.sin(thetas), np.cos(thetas)
-        sp, cp = np.sin(phis), np.cos(phis)
-        v = np.stack([st * cp, st * sp, ct], axis=1)
-        dv_dt = np.stack([ct * cp, ct * sp, -st], axis=1)
-        dv_dp = np.stack([-st * sp, st * cp, np.zeros(m)], axis=1)
+        v, dv_dt, dv_dp = _sphere(x)
         proj = np.sum(v * bloch, axis=1)
         value = 0.25 * float(np.sum(1.0 - proj**2))
         grad = np.empty(2 * m)
@@ -109,7 +108,7 @@ def minimize_trace_numeric(
             best_success = bool(res.success)
     return OptimizerReport(
         value=best_value,
-        directions=tuple(_angles_to_directions(best_x)),
+        directions=_sphere(best_x)[0],
         restarts_used=restarts,
         converged=best_success,
         iterations=iterations,

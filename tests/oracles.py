@@ -24,7 +24,7 @@ def dense_qubit_operator(m: int, qubit: int, mat: np.ndarray) -> np.ndarray:
 
 
 def dense_direction_operator(v) -> np.ndarray:
-    return v.v1 * SX + v.v2 * SY + v.v3 * SZ
+    return v[0] * SX + v[1] * SY + v[2] * SZ
 
 
 def expectation_dense(amps: np.ndarray, op: np.ndarray) -> float:

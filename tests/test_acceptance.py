@@ -15,7 +15,6 @@ import tracemalloc
 import numpy as np
 
 from entdist import (
-    Direction,
     StateVector,
     bloch_vector_oracle,
     brs_state,
@@ -176,8 +175,7 @@ def test_criterion_8_distance_bound():
         for _ in range(1000):
             raw = rng.normal(size=(m, 3))
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            dirs = [Direction(*row) for row in raw]
-            assert distance_density(state, dirs) >= e - 1e-12
+            assert distance_density(state, raw) >= e - 1e-12
 
 
 @criterion(9, "desk-scale performance: M=20 measure under 2 s and under 64 MiB")
@@ -206,17 +204,12 @@ def test_criterion_10_m4_forms_differ():
     assert np.max(np.abs(canonical - ones)) > 1e-6
     substituted = metric_matrix(
         maximal,
-        [
-            Direction(1.0, 0.0, 0.0),
-            Direction(0.0, 0.0, 1.0),
-            Direction(0.0, 0.0, 1.0),
-            Direction(-1.0, 0.0, 0.0),
-        ],
+        np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
     )
     assert np.max(np.abs(substituted - ones)) > 1e-6
     # context: the same substitution pattern does reproduce the GHZ form at M=3
     three = metric_matrix(
         brs_state(3, np.pi),
-        [Direction(1.0, 0.0, 0.0), Direction(0.0, 0.0, 1.0), Direction(-1.0, 0.0, 0.0)],
+        np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
     )
     assert np.max(np.abs(three - 0.25 * np.ones((3, 3)))) < 1e-12

@@ -144,6 +144,13 @@ class TestEigs:
         values = [float(x) for x in lines[1].split(",")]
         assert values == sorted(values, reverse=True)
 
+    @pytest.mark.parametrize("rank_tol", ["nan", "-1e-8"])
+    def test_bad_rank_tol_exits_2(self, rank_tol, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["eigs", "--family", "brs", "--m", "3", f"--rank-tol={rank_tol}"])
+        assert err.value.code == 2
+        assert "--rank-tol must be finite and non-negative" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # sweep
@@ -216,6 +223,40 @@ class TestSweep:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag", [["--state-file", "/nonexistent.json"], ["--family-json", '{"family": "threeq"}']]
+    )
+    def test_state_source_flags_rejected(self, flag, capsys):
+        """A sweep varies a family angle, so it takes family flags only."""
+        with pytest.raises(SystemExit) as err:
+            main(
+                [
+                    "sweep", "--family", "brs", "--m", "3", "--parameter", "phi",
+                    "--start", "0", "--stop", "1", "--points", "3", *flag,
+                ]
+            )
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["measure", "--family", "brs", "--m", "3"],
+        ["eigs", "--family", "brs", "--m", "3"],
+        ["sweep", "--family", "brs", "--m", "3", "--parameter", "phi",
+         "--start", "0", "--stop", "1", "--points", "3"],
+        ["surface", "--points", "3"],
+    ],
+    ids=["measure", "eigs", "sweep", "surface"],
+)
+def test_seed_only_on_verify(args, capsys):
+    """Only verify draws random numbers; elsewhere --seed is not a flag."""
+    with pytest.raises(SystemExit) as err:
+        main([*args, "--seed", "1"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

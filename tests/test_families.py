@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from entdist import (
-    Direction,
     FamilySpec,
     StateVector,
     brs_n01,
@@ -270,7 +269,7 @@ class TestReferenceMetricForms:
     def test_three_qubit_axis_substitution_matches_ghz_form(self):
         """At the maximally entangled point the stated axis substitution turns
         the chain-phase metric into the all-ones GHZ form."""
-        dirs = [Direction(1.0, 0, 0), Direction(0, 0, 1.0), Direction(-1.0, 0, 0)]
+        dirs = np.array([[1.0, 0, 0], [0, 0, 1.0], [-1.0, 0, 0]])
         g = metric_matrix(brs_state(3, np.pi), dirs)
         np.testing.assert_allclose(g, 0.25 * np.ones((3, 3)), atol=1e-13)
 

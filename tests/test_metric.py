@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from entdist import (
-    Direction,
     EntanglementMetric,
     LocalUnitary,
     Spectrum,
@@ -25,7 +24,7 @@ from entdist import (
     w_vectors,
 )
 from entdist import metric
-from entdist.metric import trace_tol
+from entdist.metric import DEGENERATE_TOL, trace_tol
 from entdist.qstate import _haar_unitary, bloch_vectors, direction_operator
 
 from oracles import (
@@ -37,8 +36,8 @@ from oracles import (
     w_triples_literal,
 )
 
-X = Direction(1.0, 0.0, 0.0)
-Z = Direction(0.0, 0.0, 1.0)
+X = np.array([1.0, 0.0, 0.0])
+Z = np.array([0.0, 0.0, 1.0])
 
 
 def _bloch(w_minus: complex, w_3: float) -> np.ndarray:
@@ -46,10 +45,14 @@ def _bloch(w_minus: complex, w_3: float) -> np.ndarray:
     return bloch_vectors(np.array([w_minus], dtype=complex), np.array([w_3]))
 
 
-def _random_direction(rng) -> Direction:
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return Direction(*v)
+def _random_directions(rng, m: int) -> np.ndarray:
+    """(m, 3) field of random unit rows, each drawn and normalized in turn."""
+    rows = []
+    for _ in range(m):
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        rows.append(v)
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -99,22 +102,21 @@ class TestWVectors:
 
 class TestOptimalDirections:
     def test_transverse_bloch(self):
-        (d,) = optimal_directions(_bloch(0.5, 0.0))
-        assert (d.v1, d.v2, d.v3) == pytest.approx((1.0, 0.0, 0.0))
-        assert not d.degenerate
+        dirs = optimal_directions(_bloch(0.5, 0.0))
+        assert dirs.shape == (1, 3)
+        assert tuple(dirs[0]) == pytest.approx((1.0, 0.0, 0.0))
 
     def test_pure_z_bloch(self):
         (d,) = optimal_directions(_bloch(0.0, 1.0))
-        assert (d.v1, d.v2, d.v3) == (0.0, 0.0, 1.0)
+        assert d.tolist() == [0.0, 0.0, 1.0]
 
     def test_degenerate_marginal(self):
         (d,) = optimal_directions(_bloch(0.0, 0.0))
-        assert (d.v1, d.v2, d.v3) == (0.0, 0.0, 1.0)
-        assert d.degenerate
+        assert d.tolist() == [0.0, 0.0, 1.0]
 
     def test_sign_canonicalized(self):
         (d,) = optimal_directions(_bloch(0.0, -0.8))
-        assert d.v3 == 1.0
+        assert d[2] == 1.0
 
     def test_beats_sphere_grid(self):
         """(v.b)^2 at the returned direction majorizes a dense sphere scan."""
@@ -130,7 +132,7 @@ class TestOptimalDirections:
             w3 = rng.normal(scale=0.3)
             bloch = _bloch(wm, w3)
             (d,) = optimal_directions(bloch)
-            achieved = float(np.dot(d.as_array(), bloch[0])) ** 2
+            achieved = float(np.dot(d, bloch[0])) ** 2
             best_on_grid = float(np.max((grid @ bloch[0]) ** 2))
             assert achieved >= best_on_grid - 1e-12
 
@@ -218,10 +220,10 @@ class TestMetricMatrix:
     def test_product_state_has_no_correlations(self):
         rng = np.random.default_rng(61)
         s = make_basis_state(3, 0)
-        dirs = [_random_direction(rng) for _ in range(3)]
+        dirs = _random_directions(rng, 3)
         g = metric_matrix(s, dirs)
         for mu in range(3):
-            assert g[mu, mu] == pytest.approx(0.25 * (1 - dirs[mu].v3**2), abs=1e-14)
+            assert g[mu, mu] == pytest.approx(0.25 * (1 - dirs[mu, 2] ** 2), abs=1e-14)
             for nu in range(mu + 1, 3):
                 assert abs(g[mu, nu]) < 1e-14
         g_opt = metric_matrix(s, optimal_directions(bloch_vectors(*w_vectors(s))))
@@ -230,22 +232,20 @@ class TestMetricMatrix:
     @pytest.mark.parametrize("theta", [0.3, np.pi / 4, 1.1])
     def test_ghz_all_z_gives_ones_matrix(self, theta):
         m = 4
-        g = metric_matrix(ghzl_state(m, theta), [Z] * m)
+        g = metric_matrix(ghzl_state(m, theta), np.tile(Z, (m, 1)))
         expected = 0.25 * np.sin(2 * theta) ** 2 * np.ones((m, m))
         np.testing.assert_allclose(g, expected, atol=1e-14)
 
     def test_two_qubit_chain_phase_all_ones_form(self):
         """At phi = pi the axes (0,-1,0)/(0,1,0) give the all-ones metric."""
-        g = metric_matrix(
-            brs_state(2, np.pi), [Direction(0.0, -1.0, 0.0), Direction(0.0, 1.0, 0.0)]
-        )
+        g = metric_matrix(brs_state(2, np.pi), np.array([[0.0, -1.0, 0.0], [0.0, 1.0, 0.0]]))
         np.testing.assert_allclose(g, 0.25 * np.ones((2, 2)), atol=1e-14)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_matches_dense_covariance(self, m):
         rng = np.random.default_rng(62 + m)
         s = StateVector(m, random_state(m, rng))
-        dirs = [_random_direction(rng) for _ in range(m)]
+        dirs = _random_directions(rng, m)
         np.testing.assert_allclose(
             metric_matrix(s, dirs),
             covariance_metric_dense(s.amplitudes, m, dirs),
@@ -253,8 +253,8 @@ class TestMetricMatrix:
         )
 
     def test_wrong_direction_count(self):
-        with pytest.raises(ValueError):
-            metric_matrix(make_basis_state(2, 0), [Z])
+        with pytest.raises(ValueError, match="shape"):
+            metric_matrix(make_basis_state(2, 0), Z[None, :])
 
 
 def _whole_vector_metric(state, dirs) -> np.ndarray:
@@ -288,7 +288,7 @@ class TestRowBlockedMetric:
         """Rows of 2, 4 and 8 amplitudes run every partner-row pattern."""
         rng = np.random.default_rng(1000 * row_bits + m)
         s = StateVector(m, random_state(m, rng))
-        dirs = [_random_direction(rng) for _ in range(m)]
+        dirs = _random_directions(rng, m)
         one_row = metric_matrix(s, dirs)
         monkeypatch.setattr(metric, "ROW_BITS", row_bits)
         rows = metric_matrix(s, dirs)
@@ -304,7 +304,7 @@ class TestRowBlockedMetric:
             for s in states:
                 for dirs in (
                     optimal_directions(bloch_vectors(*w_vectors(s))),
-                    [_random_direction(rng) for _ in range(m)],
+                    _random_directions(rng, m),
                 ):
                     assert metric_matrix(s, dirs).tobytes() == _whole_vector_metric(s, dirs).tobytes()
 
@@ -332,10 +332,13 @@ class TestEntanglementMetric:
         assert em.measure == 0.0
 
     def test_ghz_seven_qubits(self):
-        em = entanglement_metric(ghzl_state(7, np.pi / 4))
+        s = ghzl_state(7, np.pi / 4)
+        em = entanglement_metric(s)
         np.testing.assert_allclose(em.matrix, 0.25 * np.ones((7, 7)), atol=1e-13)
         assert em.measure == pytest.approx(7 / 4, abs=1e-13)
-        assert all(d.degenerate for d in em.directions)
+        # every Bloch vector vanishes, so every qubit gets the z axis
+        assert np.all(np.linalg.norm(bloch_vectors(*w_vectors(s)), axis=1) < DEGENERATE_TOL)
+        np.testing.assert_array_equal(em.directions, np.tile(Z, (7, 1)))
 
     @pytest.mark.parametrize("phi", np.linspace(0.1, 2 * np.pi - 0.1, 9))
     def test_three_qubit_chain_phase_trace(self, phi):
@@ -367,17 +370,22 @@ class TestEntanglementMetric:
 
     def test_caller_array_stays_writeable(self):
         g = np.zeros((2, 2))
-        em = EntanglementMetric(2, g, (Z, Z), 0.0)
+        dirs = np.array([Z, Z])
+        em = EntanglementMetric(2, g, dirs, 0.0)
         assert g.flags.writeable
+        assert dirs.flags.writeable
         assert not em.matrix.flags.writeable
+        assert not em.directions.flags.writeable
         assert not em.eigenvalues.flags.writeable
         g[0, 0] = 1.0
+        dirs[0] = X
         assert em.matrix[0, 0] == 0.0
+        np.testing.assert_array_equal(em.directions, [Z, Z])
 
     def test_invariants_enforced(self):
         bad = np.array([[0.1, 0.2], [0.3, 0.1]])  # asymmetric
         with pytest.raises(ValueError, match="symmetric"):
-            EntanglementMetric(2, bad, (Z, Z), 0.2)
+            EntanglementMetric(2, bad, np.array([Z, Z]), 0.2)
 
     def test_inconsistent_trace_rejected(self):
         em = entanglement_metric(brs_state(12, 0.3))
@@ -452,14 +460,14 @@ class TestDistanceDensity:
 
     def test_all_x_on_zero_state(self):
         m = 5
-        assert distance_density(make_basis_state(m, 0), [X] * m) == pytest.approx(m / 4)
+        assert distance_density(make_basis_state(m, 0), np.tile(X, (m, 1))) == pytest.approx(m / 4)
 
     def test_ghz_trace_is_constant_maximum(self):
         rng = np.random.default_rng(91)
         m = 4
         s = ghzl_state(m, np.pi / 4)
         for _ in range(20):
-            dirs = [_random_direction(rng) for _ in range(m)]
+            dirs = _random_directions(rng, m)
             assert distance_density(s, dirs) >= m / 4 - 1e-12
 
     def test_bounded_below_by_measure(self):
@@ -468,13 +476,13 @@ class TestDistanceDensity:
             s = StateVector(m, random_state(m, rng))
             e = entanglement_measure(s)
             for _ in range(200):
-                dirs = [_random_direction(rng) for _ in range(m)]
+                dirs = _random_directions(rng, m)
                 assert distance_density(s, dirs) >= e - 1e-12
 
     def test_trace_of_metric_matrix(self):
         rng = np.random.default_rng(93)
         s = StateVector(3, random_state(3, rng))
-        dirs = [_random_direction(rng) for _ in range(3)]
+        dirs = _random_directions(rng, 3)
         assert distance_density(s, dirs) == pytest.approx(
             float(np.trace(metric_matrix(s, dirs))), abs=1e-13
         )

@@ -7,14 +7,16 @@ import pytest
 from entdist import (
     HADAMARD,
     PAULI_X,
-    Direction,
+    EntanglementMetric,
     LocalUnitary,
     StateFileError,
     StateVector,
     apply_local_unitary,
     brs_state,
+    distance_density,
     ghzl_state,
     make_basis_state,
+    metric_matrix,
     pauli_expectation,
     pauli_pair_correlation,
     random_local_unitary,
@@ -25,9 +27,13 @@ from entdist.qstate import _haar_unitary
 
 from oracles import dense_direction_operator, dense_qubit_operator, random_state
 
-X = Direction(1.0, 0.0, 0.0)
-Y = Direction(0.0, 1.0, 0.0)
-Z = Direction(0.0, 0.0, 1.0)
+X = np.array([1.0, 0.0, 0.0])
+Y = np.array([0.0, 1.0, 0.0])
+Z = np.array([0.0, 0.0, 1.0])
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +49,7 @@ class TestStateVector:
         assert s.amplitudes[5] == 1.0
         assert np.count_nonzero(s.amplitudes) == 1
 
-    @pytest.mark.parametrize("m,k", [(0, 0), (27, 0), (2, -1), (2, 4)])
+    @pytest.mark.parametrize("m,k", [(0, 0), (27, 0), (2, -1), (2, 4), (True, 0)])
     def test_basis_state_range_errors(self, m, k):
         with pytest.raises(ValueError):
             make_basis_state(m, k)
@@ -72,13 +78,28 @@ class TestStateVector:
         amps[0] = 0.5  # the caller may still write its own array
 
 
-class TestDirection:
-    def test_unit_enforced(self):
-        with pytest.raises(ValueError, match="unit"):
-            Direction(1.0, 1.0, 0.0)
+# Every public entry that takes directions checks the whole field once: a
+# (2, 3) field for a two-qubit state, or its first row where one 3-vector is taken.
+_TAKES_DIRECTIONS = {
+    "metric_matrix": lambda s, d: metric_matrix(s, d),
+    "distance_density": lambda s, d: distance_density(s, d),
+    "pauli_expectation": lambda s, d: pauli_expectation(s, 0, d[0]),
+    "pauli_pair_correlation": lambda s, d: pauli_pair_correlation(s, 0, Z, 1, d[0]),
+    "EntanglementMetric": lambda s, d: EntanglementMetric(2, np.zeros((2, 2)), d, 0.0),
+}
+_BAD_FIELDS = {
+    "shape": np.array([[1.0, 0.0], [0.0, 1.0]]),
+    "unit": np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "non-finite": np.array([[np.nan, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+}
 
-    def test_degenerate_flag_not_compared(self):
-        assert Direction(0.0, 0.0, 1.0, degenerate=True) == Direction(0.0, 0.0, 1.0)
+
+class TestDirectionValidation:
+    @pytest.mark.parametrize("problem", sorted(_BAD_FIELDS))
+    @pytest.mark.parametrize("entry", sorted(_TAKES_DIRECTIONS))
+    def test_bad_field_rejected(self, entry, problem):
+        with pytest.raises(ValueError, match=problem):
+            _TAKES_DIRECTIONS[entry](make_basis_state(2, 0), _BAD_FIELDS[problem])
 
 
 class TestLocalUnitary:
@@ -169,21 +190,19 @@ class TestPauliExpectation:
         for _ in range(10):
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
-            d = Direction(*v)
             combo = (
                 v[0] * pauli_expectation(s, 1, X)
                 + v[1] * pauli_expectation(s, 1, Y)
                 + v[2] * pauli_expectation(s, 1, Z)
             )
-            assert abs(pauli_expectation(s, 1, d) - combo) < 1e-12
+            assert abs(pauli_expectation(s, 1, v) - combo) < 1e-12
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_dense_operator(self, m):
         rng = np.random.default_rng(29 + m)
         s = StateVector(m, random_state(m, rng))
         for qubit in range(m):
-            v = rng.normal(size=3)
-            d = Direction(*(v / np.linalg.norm(v)))
+            d = _unit(rng.normal(size=3))
             dense = dense_qubit_operator(m, qubit, dense_direction_operator(d))
             expected = np.vdot(s.amplitudes, dense @ s.amplitudes).real
             assert abs(pauli_expectation(s, qubit, d) - expected) < 1e-12
@@ -207,7 +226,7 @@ class TestPauliPairCorrelation:
         s = brs_state(2, np.pi)
         np.testing.assert_allclose(s.amplitudes, np.array([1, 1, -1, 1]) / 2.0, atol=1e-15)
         assert pauli_pair_correlation(s, 0, Y, 1, Y) == pytest.approx(-1.0, abs=1e-14)
-        minus_y = Direction(0.0, -1.0, 0.0)
+        minus_y = np.array([0.0, -1.0, 0.0])
         assert pauli_pair_correlation(s, 0, minus_y, 1, Y) == pytest.approx(1.0, abs=1e-14)
 
     def test_equal_qubits_rejected(self):
@@ -220,8 +239,8 @@ class TestPauliPairCorrelation:
         rng = np.random.default_rng(31)
         for _ in range(5):
             s = StateVector(3, random_product_state(3, rng))
-            va = Direction(*(lambda u: u / np.linalg.norm(u))(rng.normal(size=3)))
-            vb = Direction(*(lambda u: u / np.linalg.norm(u))(rng.normal(size=3)))
+            va = _unit(rng.normal(size=3))
+            vb = _unit(rng.normal(size=3))
             corr = pauli_pair_correlation(s, 0, va, 2, vb)
             product = pauli_expectation(s, 0, va) * pauli_expectation(s, 2, vb)
             assert abs(corr - product) < 1e-12
@@ -232,8 +251,8 @@ class TestPauliPairCorrelation:
         s = StateVector(m, random_state(m, rng))
         for _ in range(4):
             qa, qb = rng.choice(m, size=2, replace=False)
-            va = Direction(*(lambda u: u / np.linalg.norm(u))(rng.normal(size=3)))
-            vb = Direction(*(lambda u: u / np.linalg.norm(u))(rng.normal(size=3)))
+            va = _unit(rng.normal(size=3))
+            vb = _unit(rng.normal(size=3))
             dense = dense_qubit_operator(m, qa, dense_direction_operator(va)) @ dense_qubit_operator(
                 m, qb, dense_direction_operator(vb)
             )

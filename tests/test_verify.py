@@ -42,7 +42,9 @@ class TestMinimizeTraceNumeric:
         a = minimize_trace_numeric(s, seed=9)
         b = minimize_trace_numeric(s, seed=9)
         assert a.value == b.value
-        assert a.directions == b.directions
+        np.testing.assert_array_equal(a.directions, b.directions)
+        assert a.directions.shape == (3, 3)
+        assert not a.directions.flags.writeable
         assert a.iterations == b.iterations
 
     def test_never_beats_analytic_infimum(self):
@@ -57,7 +59,7 @@ class TestMinimizeTraceNumeric:
     def test_directions_evaluate_to_reported_value(self):
         s = brs_state(4, 2.0)
         report = minimize_trace_numeric(s, seed=3)
-        assert distance_density(s, list(report.directions)) == pytest.approx(
+        assert distance_density(s, report.directions) == pytest.approx(
             report.value, abs=1e-10
         )
 
