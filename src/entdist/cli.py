@@ -26,6 +26,7 @@ from .families import (
     three_qubit_amplitudes,
 )
 from .metric import (
+    _UNIT_ROUNDOFF,
     DEFAULT_RANK_TOL,
     entanglement_metric,
     measure_from_bilinears,
@@ -38,6 +39,7 @@ from .qstate import (
     bilinears,
     bloch_vectors,
     read_state_file,
+    row_depth,
     validate_amplitudes,
 )
 from .verify import (
@@ -57,7 +59,6 @@ EXIT_INTERNAL = 4
 # verification thresholds enforced by the ``verify`` subcommand
 INVARIANCE_TOL = 1e-9
 OPTIMIZER_TOL = 1e-6
-BLOCH_TOL = 1e-12
 
 # figure abscissa per swept angle: x = angle / divisor
 _ABSCISSA_DIVISOR = {
@@ -93,6 +94,20 @@ class SweepSpec:
             raise ValueError("sweep requires start < stop")
         if self.points < 2:
             raise ValueError("sweep requires at least 2 points")
+
+
+def bloch_tol(m: int) -> float:
+    """Largest rounding gap between the kernel's and the partial trace's m-qubit Bloch vectors.
+
+    Each component is a sum of amplitude products whose magnitudes add up
+    to at most 1 for a normalized state (Cauchy-Schwarz), so a sum of depth
+    n is off by at most gamma_n + sqrt(2) gamma_2 ~ (n + 3) u, u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).  The
+    depth is ``row_depth(m)`` for ``qstate.bilinears`` and 2^(m-1) for the
+    oracle's einsum, which adds its terms in turn.  The bound doubles the
+    sum of the two errors: 1.2e-10 at m = 20, 3.3e-15 at m = 3.
+    """
+    return 2.0 * (row_depth(m) + (1 << (m - 1)) + 3) * _UNIT_ROUNDOFF
 
 
 def _fmt(x: float) -> str:
@@ -174,7 +189,7 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> No
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", help="JSON output")
     group.add_argument("--csv", action="store_true", help="CSV output")
-    parser.set_defaults(_formats=formats)
+    parser.set_defaults(_formats=formats, _parser=parser)
 
 
 def _resolve_format(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
@@ -302,7 +317,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         for nu, b in enumerate(bloch_vectors(w_minus, w_3))
     )
     gaps = {"invariance": deviation, "optimizer": abs(report.value - analytic), "bloch": bloch_gap}
-    thresholds = {"invariance": INVARIANCE_TOL, "optimizer": OPTIMIZER_TOL, "bloch": BLOCH_TOL}
+    thresholds = {"invariance": INVARIANCE_TOL, "optimizer": OPTIMIZER_TOL}
+    thresholds["bloch"] = bloch_tol(state.num_qubits)
     failed = [name for name, tol in thresholds.items() if not gaps[name] < tol]
     payload = {
         "m": state.num_qubits,
@@ -374,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args._parser)
     except StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

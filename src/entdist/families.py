@@ -115,11 +115,11 @@ def _n01_counts(m: int) -> np.ndarray:
 
 
 def brs_state(m: int, phi: float) -> StateVector:
-    """Chain-phase state: c_k = 2^{-m/2} e^{-i phi n(k)}."""
+    """Chain-phase state c_k = 2^{-m/2} e^{-i phi n(k)}, indexed from its m // 2 + 1 values."""
     if not 2 <= m <= MAX_QUBITS:
         raise ValueError(f"m must be in [2, {MAX_QUBITS}], got {m}")
-    amps = np.exp(-1j * phi * _n01_counts(m)) * (2.0 ** (-m / 2.0))
-    return StateVector(m, amps)
+    table = np.exp(-1j * phi * np.arange(m // 2 + 1)) * (2.0 ** (-m / 2.0))
+    return StateVector(m, table[_n01_counts(m)])
 
 
 def ghzl_state(m: int, theta: float, phase: float = 0.0) -> StateVector:

@@ -22,12 +22,13 @@ the directions, through ``qstate.bloch_vectors``, and to E.  The metric is
 diagonalised once, when the ``EntanglementMetric`` is built; ``spectrum``
 and the JSON record read that one set of eigenvalues.
 
-``metric_matrix`` needs the M applied states A_nu|s>, but never holds them
-whole: it walks the amplitudes in rows of 2**ROW_BITS (256 KiB) and builds
-the M applied row vectors of one row at a time, so its working memory is
-the state plus M rows, O(2^M) rather than M copies of the state.  Up to
-ROW_BITS qubits there is one row and the arithmetic is that of the
-whole-vector products.
+Both passes over the state, the bilinears and ``metric_matrix``, walk it
+by ``qstate.row_walk`` in rows of 2**ROW_BITS amplitudes (256 KiB), so
+every sum is blocked, of depth ``qstate.row_depth(M)`` rather than 2^M,
+and ``trace_tol`` bounds the rounding by that depth.  ``metric_matrix``
+builds the M applied states A_nu|s> one row at a time, so its working
+memory is the state plus M rows.  Up to ROW_BITS qubits there is one row
+and the arithmetic is that of the whole-vector products.
 """
 from __future__ import annotations
 
@@ -42,12 +43,13 @@ from .qstate import (
     _operator,
     bilinears,
     bloch_vectors,
+    row_depth,
+    row_walk,
     validate_directions,
 )
 
 DEGENERATE_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-8
-ROW_BITS = 14  # metric_matrix walks the state in rows of 2**ROW_BITS amplitudes (256 KiB)
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -56,20 +58,22 @@ def trace_tol(m: int) -> float:
 
     E and tr g are two different sums per qubit over the 2^m amplitudes:
     the bilinears w_minus, w_3 for E, the expectation <s|A_nu|s> for the
-    diagonal of g.  Error model: the einsum and dot products accumulate
-    sequentially, and a sum of n terms whose magnitudes add up to S is off
-    by at most gamma_n S ~ n u S, with u = 2^-53 the unit roundoff.  The
-    metric sums by rows (see ``metric_matrix``): 2^(m-r) row sums of 2^r
-    terms each, added in turn, a summation depth of 2^r + 2^(m-r) - 1 <=
-    2^m, so the whole-vector bound covers it.  For a normalized state
-    S <= 1 (Cauchy-Schwarz), so per qubit the diagonal entry (1 - e^2)/4 is
-    off by at most 0.71 * 2^m u and the term (w_3^2 + 4 |w_minus|^2)/4 of E
-    by 0.61 * 2^m u; the two sums over the m qubits add m^2 u / 2.  The
-    bound 2 m (2^m + m) u covers the sum with room to spare: at m = 20 it
-    is 4.7e-9, and the largest gaps measured on chain-phase states at
-    m = 16-22 (3.3e-12 at m = 20) are 0.6-1.1e-3 of it.
+    diagonal of g.  Error model (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 4): a sum of n terms whose magnitudes add up
+    to S, accumulated in turn, is off by at most gamma_n S ~ n u S, with
+    u = 2^-53 the unit roundoff.  Both passes walk the state by rows
+    (``qstate.row_walk``): 2^(m-r) row sums of 2^r terms each, r =
+    min(m, ROW_BITS), added in row order, so n is the blocked depth
+    ``row_depth(m)`` = 2^r + 2^(m-r) - 1, which is 2^m up to ROW_BITS
+    qubits.  For a normalized state S <= 1 (Cauchy-Schwarz), so per qubit
+    the diagonal entry (1 - e^2)/4 is off by at most 0.71 n u and the term
+    (w_3^2 + 4 |w_minus|^2)/4 of E by 0.61 n u; the two sums over the m
+    qubits add m^2 u / 2.  The bound 2 m (n + m) u covers the sum with room
+    to spare: at m = 20 it is 7.3e-11, and the largest gap measured on
+    chain-phase, GHZ-like and Haar states at m = 15-24 is 1.1e-13, 1.3e-3
+    of the bound.
     """
-    return 2.0 * m * ((1 << m) + m) * _UNIT_ROUNDOFF
+    return 2.0 * m * (row_depth(m) + m) * _UNIT_ROUNDOFF
 
 
 @dataclass(frozen=True)
@@ -210,7 +214,7 @@ def metric_matrix(state: StateVector, dirs: np.ndarray) -> np.ndarray:
     Entries: g[mu, nu] = (<A_mu A_nu> - <A_mu><A_nu>) / 4 off the diagonal
     and g[mu, mu] = (1 - <A_mu>^2) / 4, with A_nu = v^nu . sigma^nu.
 
-    The state is walked in rows of 2^k amplitudes, k = min(M, ROW_BITS).
+    The state is walked by ``qstate.row_walk`` in rows of 2^k amplitudes.
     A qubit below k acts within a row; a higher qubit mixes the row with its
     partner row, the one whose index differs in that qubit's bit.  Per row
     the M applied row vectors give row sums of <A_mu> and <A_mu A_nu>, which
@@ -218,22 +222,20 @@ def metric_matrix(state: StateVector, dirs: np.ndarray) -> np.ndarray:
     """
     m = state.num_qubits
     ops = [_operator(*v) for v in validate_directions(dirs, m).tolist()]
-    k = min(m, ROW_BITS)
-    rows = state.amplitudes.reshape(-1, 1 << k)
+    k, walk = row_walk(state.amplitudes)
     applied = list(np.empty((m, 1 << k), dtype=np.complex128))  # reused for every row
-    partner = np.empty(1 << k, dtype=np.complex128)
+    partner_term = np.empty(1 << k, dtype=np.complex128)
     pairs = list(itertools.combinations(range(m), 2))
     expectations = np.zeros(m)
     cross = np.zeros(len(pairs))
-    for h, row in enumerate(rows):
+    for h, row, partners in walk:
         for nu in range(k):
             _apply_one_qubit_matrix(row, k, nu, ops[nu], out=applied[nu])
-        for nu in range(k, m):
-            bit = 1 << (nu - k)
-            b = (h >> (nu - k)) & 1
-            np.multiply(ops[nu][b, 0], rows[h & ~bit], out=applied[nu])
-            np.multiply(ops[nu][b, 1], rows[h | bit], out=partner)
-            applied[nu] += partner
+        for nu, partner in enumerate(partners, k):
+            b = (h >> (nu - k)) & 1  # row h holds the |b> half of qubit nu's pairs
+            np.multiply(ops[nu][b, b], row, out=applied[nu])
+            np.multiply(ops[nu][b, 1 - b], partner, out=partner_term)
+            applied[nu] += partner_term
         expectations += [np.vdot(row, t).real for t in applied]
         cross += [np.vdot(applied[mu], applied[nu]).real for mu, nu in pairs]
     e = expectations.tolist()

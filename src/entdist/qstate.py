@@ -7,18 +7,20 @@ significant bit.  All operations are pure functions on immutable inputs.
 
 The per-qubit amplitude bilinears, from which every Bloch vector and the
 entanglement measure follow, come from one array-first kernel,
-``bilinears``, for a single state or a batch of shape (..., 2**M).
+``bilinears``, for a single state or a batch of shape (..., 2**M).  Every
+pass over a state walks it in cache-sized rows, by ``row_walk``.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-MAX_QUBITS = 26  # 1 GiB of complex128 amplitudes; the metric streams over them in O(2^M) memory
+MAX_QUBITS = 26  # 1 GiB of complex128 amplitudes; every pass streams over them in cache-sized rows
+ROW_BITS = 14  # row_walk walks a state in rows of 2**ROW_BITS amplitudes (256 KiB)
 NORM_TOL = 1e-12
 UNIT_TOL = 1e-12
 
@@ -32,6 +34,33 @@ class StateFileError(ValueError):
     """Raised when a state file cannot be parsed into amplitude arrays."""
 
 
+def row_walk(amps: np.ndarray) -> tuple[int, Iterable[tuple[int, np.ndarray, list[np.ndarray]]]]:
+    """k = min(M, ROW_BITS) and the rows of 2**k amplitudes of ``(..., 2**M)`` states, in order.
+
+    The rows come as ``(h, row, partners)``, views of shape (..., 2**k).
+    Row h holds basis indices h 2^k .. (h + 1) 2^k - 1, so a qubit nu < k
+    pairs amplitudes within a row, and a qubit nu >= k pairs the row with
+    ``partners[nu - k]``, row h ^ 2^(nu - k).  For M <= ROW_BITS there is
+    one row, the whole state, with no partners.
+    """
+    m = amps.shape[-1].bit_length() - 1
+    k = min(m, ROW_BITS)
+    if k == m:
+        return k, [(0, amps, [])]
+    rows = amps.reshape(amps.shape[:-1] + (-1, 1 << k))
+    walk = (
+        (h, rows[..., h, :], [rows[..., h ^ (1 << j), :] for j in range(m - k)])
+        for h in range(rows.shape[-2])
+    )
+    return k, walk
+
+
+def row_depth(m: int) -> int:
+    """Summation depth 2^k + 2^(m-k) - 1 of 2^m terms summed in rows of 2^k, then row by row."""
+    k = min(m, ROW_BITS)
+    return (1 << k) + (1 << (m - k)) - 1
+
+
 def validate_amplitudes(amps: np.ndarray) -> None:
     """Reject non-finite or unnormalized states, row-wise over ``(..., 2**M)``.
 
@@ -40,7 +69,7 @@ def validate_amplitudes(amps: np.ndarray) -> None:
     """
     if not np.all(np.isfinite(amps)):
         raise ValueError("amplitudes contain non-finite entries")
-    norm_sq = np.sum(np.abs(amps) ** 2, axis=-1)
+    norm_sq = sum(np.sum(np.abs(row) ** 2, axis=-1) for _, row, _ in row_walk(amps)[1])
     bad = np.abs(norm_sq - 1.0) > NORM_TOL
     if np.any(bad):
         raise ValueError(f"state is not normalized: sum |c_k|^2 = {float(norm_sq[bad][0])!r}")
@@ -178,8 +207,16 @@ def bilinears(
     ``(..., len(qubits))``, for ``qubits`` (default: all, in order).
     w_minus sums c*_{k+2^nu} c_k over indices with qubit nu clear and w_3
     is the signed probability sum (-1)^{bit nu of k} |c_k|^2; the third
-    bilinear, w_plus, is conj(w_minus).  One einsum and two sums per qubit,
-    O(M 2^M) per state.  A batch row gives the same bits as the row alone.
+    bilinear, w_plus, is conj(w_minus).  O(M 2^M) per state.
+
+    Each ``row_walk`` row adds its partial sums to the totals, in row order:
+    for a qubit below k one einsum and two sums within the row, for a
+    higher qubit nu the pairwise sum of the conjugated partner row times
+    the row (on rows with bit nu clear; a threaded BLAS dot can stall for
+    milliseconds waking its threads) and plus or minus the row's
+    probability sum.  No temporary is larger than a row, and a sum's depth
+    is at most ``row_depth(M)``.  For M <= ROW_BITS the one row is the
+    whole state.  A batch row gives the same bits as the row alone.
     """
     amps = np.asarray(amps, dtype=np.complex128)
     batch = amps.shape[:-1]
@@ -187,16 +224,26 @@ def bilinears(
     if amps.shape[-1] != 1 << m:
         raise ValueError(f"expected 2**M amplitudes per state, got {amps.shape[-1]}")
     qubits = range(m) if qubits is None else qubits
-    probs = np.abs(amps)
-    np.square(probs, out=probs)  # the bits of np.abs(amps) ** 2, one temporary fewer
-    w_minus = np.empty(batch + (len(qubits),), dtype=np.complex128)
-    w_3 = np.empty(batch + (len(qubits),))
-    for i, nu in enumerate(qubits):
-        shape = batch + (1 << (m - 1 - nu), 2, 1 << nu)
-        view = amps.reshape(shape)
-        pview = probs.reshape(shape)
-        w_minus[..., i] = np.einsum("...ab,...ab->...", np.conj(view[..., 1, :]), view[..., 0, :])
-        w_3[..., i] = np.sum(pview[..., 0, :], axis=(-2, -1)) - np.sum(pview[..., 1, :], axis=(-2, -1))
+    k, walk = row_walk(amps)
+    for h, row, partners in walk:
+        probs = np.abs(row)
+        np.square(probs, out=probs)  # the bits of np.abs(row) ** 2, one temporary fewer
+        dw_minus = np.empty(batch + (len(qubits),), dtype=np.complex128)
+        dw_3 = np.empty(batch + (len(qubits),))
+        row_prob = probs.sum(axis=-1) if partners else None
+        for i, nu in enumerate(qubits):
+            if nu >= k:
+                clear = not (h >> (nu - k)) & 1
+                dw_minus[..., i] = (np.conj(partners[nu - k]) * row).sum(axis=-1) if clear else 0.0
+                dw_3[..., i] = row_prob if clear else -row_prob
+                continue
+            shape = batch + (1 << (k - 1 - nu), 2, 1 << nu)
+            view = row.reshape(shape)
+            pview = probs.reshape(shape)
+            dw_minus[..., i] = np.einsum("...ab,...ab->...", np.conj(view[..., 1, :]), view[..., 0, :])
+            dw_3[..., i] = pview[..., 0, :].sum(axis=(-2, -1)) - pview[..., 1, :].sum(axis=(-2, -1))
+        w_minus = dw_minus if h == 0 else w_minus + dw_minus
+        w_3 = dw_3 if h == 0 else w_3 + dw_3
     return w_minus, w_3
 
 

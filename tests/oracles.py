@@ -50,6 +50,27 @@ def w_triples_literal(amps: np.ndarray, m: int) -> list[tuple[complex, complex, 
     return out
 
 
+def bilinears_extended(amps: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w_minus, w_3) per qubit in extended precision, summed pairwise.
+
+    The amplitudes are widened to ``np.clongdouble`` (a 64-bit significand
+    on x86-64, 2^11 times finer than float64), the index pairs (k, k + 2^nu)
+    are gathered by integer arithmetic on the basis index, and ``np.sum``
+    adds the products pairwise, so the reference is off by about
+    log2(2^m) 2^-64, far below the float64 kernel's rounding.
+    """
+    a = np.asarray(amps).astype(np.clongdouble)
+    probs = a.real**2 + a.imag**2
+    k = np.arange(1 << m)
+    w_minus = np.empty(m, dtype=np.clongdouble)
+    w_3 = np.empty(m, dtype=np.longdouble)
+    for nu in range(m):
+        clear = k[(k >> nu) & 1 == 0]
+        w_minus[nu] = np.sum(np.conj(a[clear + (1 << nu)]) * a[clear])
+        w_3[nu] = np.sum(probs[clear]) - np.sum(probs[clear + (1 << nu)])
+    return w_minus, w_3
+
+
 def covariance_metric_dense(amps: np.ndarray, m: int, dirs) -> np.ndarray:
     """Metric entries from dense operators: (<AB> - <A><B>) / 4."""
     ops = [dense_qubit_operator(m, nu, dense_direction_operator(v)) for nu, v in enumerate(dirs)]

@@ -87,6 +87,14 @@ class TestBrsState:
         with pytest.raises(ValueError):
             brs_state(1, 0.5)
 
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_amplitude_table_gives_the_bits_of_the_direct_formula(self, m):
+        """Indexing the m // 2 + 1 distinct amplitudes builds c_k to the bit."""
+        counts = np.array([brs_n01(k, m) for k in range(1 << m)], dtype=np.uint8)
+        for phi in [0.3, 1.1, 5.9, -2.0, np.pi]:
+            direct = np.exp(-1j * phi * counts) * (2.0 ** (-m / 2.0))
+            assert brs_state(m, phi).amplitudes.tobytes() == direct.tobytes()
+
     def test_bit_reflection_leaves_measure_and_spectrum_alone(self):
         """The opposite reading of 'adjacent 01 pairs' (printed-string order)
         builds the bit-reversed state; E and the eigenvalue multiset agree."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,14 @@ from entdist import (
     ghzl_state,
     w_vectors,
 )
+from entdist import qstate
 from entdist.cli import run_surface
 from entdist.metric import measure_from_bilinears
-from entdist.qstate import bilinears, validate_amplitudes
+from entdist.qstate import bilinears, row_depth, validate_amplitudes
 
-from oracles import random_state, w_triples_literal
+from oracles import bilinears_extended, random_state, w_triples_literal
+
+U = np.finfo(float).eps / 2
 
 
 def _stacked_batch(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -73,6 +77,98 @@ def test_qubit_subset_matches_full_kernel():
     sub_minus, sub_3 = bilinears(amps, (4, 1))
     np.testing.assert_array_equal(sub_minus, w_minus[[4, 1]])
     np.testing.assert_array_equal(sub_3, w_3[[4, 1]])
+
+
+def _whole_vector_bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One einsum and two sums per qubit over the whole state, in one pass each.
+
+    The arithmetic that ``bilinears`` must reproduce bit for bit when the
+    state is one row, M <= ROW_BITS.
+    """
+    m = amps.shape[-1].bit_length() - 1
+    probs = np.abs(amps) ** 2
+    w_minus = np.empty(amps.shape[:-1] + (m,), dtype=np.complex128)
+    w_3 = np.empty(amps.shape[:-1] + (m,))
+    for nu in range(m):
+        shape = amps.shape[:-1] + (1 << (m - 1 - nu), 2, 1 << nu)
+        view, pview = amps.reshape(shape), probs.reshape(shape)
+        w_minus[..., nu] = np.einsum("...ab,...ab->...", np.conj(view[..., 1, :]), view[..., 0, :])
+        w_3[..., nu] = np.sum(pview[..., 0, :], axis=(-2, -1)) - np.sum(pview[..., 1, :], axis=(-2, -1))
+    return w_minus, w_3
+
+
+class TestRowWalkedKernel:
+    """``bilinears`` walks the state in rows of 2**min(M, ROW_BITS) amplitudes."""
+
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_one_row_is_bit_identical_to_whole_vector_einsum(self, m):
+        rng = np.random.default_rng(600 + m)
+        batch = _stacked_batch(m, rng)
+        for amps in [*batch, batch]:
+            for got, expected in zip(bilinears(amps), _whole_vector_bilinears(amps)):
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("row_bits", [1, 2, 3])
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+    def test_short_rows_match_literal_sums(self, monkeypatch, row_bits, m):
+        """Rows of 2, 4 and 8 amplitudes run every partner-row pattern."""
+        monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
+        batch = _stacked_batch(m, np.random.default_rng(700 + 10 * row_bits + m))
+        w_minus, w_3 = bilinears(batch)
+        for i, amps in enumerate(batch):
+            for nu, (wm, _, w3) in enumerate(w_triples_literal(amps, m)):
+                assert abs(w_minus[i, nu] - wm) <= 1e-15
+                assert abs(w_3[i, nu] - w3) <= 1e-15
+
+    @pytest.mark.parametrize("row_bits", [1, 2, 3])
+    def test_qubit_subset_keeps_its_order_over_rows(self, monkeypatch, row_bits):
+        """Qubits (4, 1): 4 pairs rows, 1 pairs within a row, for rows of 2 to 8 amplitudes."""
+        monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
+        amps = random_state(6, np.random.default_rng(5))
+        w_minus, w_3 = bilinears(amps)
+        sub_minus, sub_3 = bilinears(amps, (4, 1))
+        np.testing.assert_array_equal(sub_minus, w_minus[[4, 1]])
+        np.testing.assert_array_equal(sub_3, w_3[[4, 1]])
+
+    @pytest.mark.parametrize("m", [4, 6, 9])
+    def test_multi_row_batch_rows_equal_single_states(self, monkeypatch, m):
+        monkeypatch.setattr(qstate, "ROW_BITS", 2)
+        batch = _stacked_batch(m, np.random.default_rng(800 + m))
+        w_minus, w_3 = bilinears(batch)
+        for i, amps in enumerate(batch):
+            wm_i, w3_i = bilinears(amps)
+            assert w_minus[i].tobytes() == wm_i.tobytes()
+            assert w_3[i].tobytes() == w3_i.tobytes()
+
+    def test_working_memory_is_a_few_rows(self):
+        """At M = 18 the whole-vector kernel held 4 MiB of temporaries, one state's worth."""
+        amps = brs_state(18, 0.3).amplitudes
+        tracemalloc.start()
+        try:
+            bilinears(amps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (1 << qstate.ROW_BITS) * 16  # four rows of complex128
+
+    @pytest.mark.parametrize("m", [15, 16])
+    def test_many_rows_match_extended_precision(self, m):
+        """At 15 and 16 qubits the kernel walks 2 and 4 rows of 2^14 amplitudes.
+
+        Each bilinear is a sum whose terms add up to at most 1 in magnitude,
+        so its rounding is at most (row_depth(m) + 3) u (see ``cli.bloch_tol``),
+        and E's, a sum over m qubits of squares, at most 2 m of that.
+        """
+        rng = np.random.default_rng(900 + m)
+        states = [brs_state(m, 0.3), ghzl_state(m, 0.7, 0.2), StateVector(m, random_state(m, rng))]
+        for s in states:
+            w_minus, w_3 = bilinears(s.amplitudes)
+            ref_minus, ref_3 = bilinears_extended(s.amplitudes, m)
+            bound = (row_depth(m) + 3) * U
+            assert float(np.max(np.abs(w_minus - ref_minus))) <= bound
+            assert float(np.max(np.abs(w_3 - ref_3))) <= bound
+            ref_e = 0.25 * (m - np.sum(ref_3**2 + 4 * np.abs(ref_minus) ** 2))
+            assert abs(entanglement_measure(s) - float(ref_e)) <= 2 * m * bound
 
 
 @pytest.mark.parametrize("m", [3, 7, 9])

@@ -6,6 +6,8 @@ largest.  A separate pass over the whole vectors checks a few entries.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from entdist import (
     pauli_expectation,
     pauli_pair_correlation,
 )
-from entdist.metric import ROW_BITS, trace_tol
+from entdist.cli import main
+from entdist.metric import trace_tol
+from entdist.qstate import ROW_BITS
 
 from oracles import covariance_entry_pairwise, random_state
 
@@ -63,3 +67,21 @@ def test_metric_at_24_qubits_completes():
     em = entanglement_metric(brs_state(24, 0.3))
     assert em.matrix.shape == (24, 24)
     assert abs(np.trace(em.matrix) - em.measure) <= trace_tol(24)
+
+
+VERIFY_M20 = ["verify", "--family", "brs", "--m", "20", "--phi", "0.3", "--trials", "1",
+              "--restarts", "1", "--seed", "1"]
+
+
+def test_verify_passes_a_valid_20_qubit_state(capsys):
+    """The kernel and the partial-trace oracle differ by rounding alone: 3.1e-12
+    here, mostly the oracle's sum in turn over 2^19 terms, and inside the
+    derived Bloch threshold of 1.2e-10.  The old absolute 1e-12 failed it."""
+    assert main(VERIFY_M20) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+@pytest.mark.usefixtures("conjugated_w_minus")
+def test_verify_still_fails_a_planted_defect_at_20_qubits(capsys):
+    assert main(VERIFY_M20) == 1
+    assert json.loads(capsys.readouterr().out)["failed_checks"] == ["bloch"]

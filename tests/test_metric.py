@@ -23,7 +23,7 @@ from entdist import (
     spectrum,
     w_vectors,
 )
-from entdist import metric
+from entdist import qstate
 from entdist.metric import DEGENERATE_TOL, trace_tol
 from entdist.qstate import _haar_unitary, bloch_vectors, direction_operator
 
@@ -290,14 +290,14 @@ class TestRowBlockedMetric:
         s = StateVector(m, random_state(m, rng))
         dirs = _random_directions(rng, m)
         one_row = metric_matrix(s, dirs)
-        monkeypatch.setattr(metric, "ROW_BITS", row_bits)
+        monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
         rows = metric_matrix(s, dirs)
         np.testing.assert_allclose(rows, covariance_metric_dense(s.amplitudes, m, dirs), atol=1e-12)
         np.testing.assert_allclose(rows, one_row, rtol=0, atol=1e-15)
 
     def test_one_row_is_bit_identical_to_whole_vector_loop(self):
         rng = np.random.default_rng(1100)
-        for m in range(1, metric.ROW_BITS + 1):
+        for m in range(1, qstate.ROW_BITS + 1):
             states = [StateVector(m, random_state(m, rng))]
             if m >= 2:
                 states += [brs_state(m, rng.uniform(0, 2 * np.pi)), ghzl_state(m, rng.uniform(0, np.pi))]

@@ -17,6 +17,7 @@ from entdist import (
     reduced_density_matrix,
     w_vectors,
 )
+from entdist.cli import bloch_tol
 from entdist.qstate import bloch_vectors
 
 from oracles import random_state
@@ -104,6 +105,19 @@ class TestBlochVectorOracle:
             s = StateVector(m, random_state(m, rng))
             for nu, b in enumerate(bloch_vectors(*w_vectors(s))):
                 np.testing.assert_allclose(b, bloch_vector_oracle(s, nu), atol=1e-12)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_gap_stays_inside_the_derived_threshold(self, m):
+        """``verify``'s derived Bloch threshold refuses no valid state.  The
+        largest gap seen is a quarter of ``cli.bloch_tol``, at m = 1 (12 u)."""
+        rng = np.random.default_rng(205 + m)
+        states = [StateVector(m, random_state(m, rng)) for _ in range(12)]
+        if m >= 2:
+            states += [brs_state(m, phi) for phi in rng.uniform(0.0, 2 * np.pi, 6)]
+            states += [ghzl_state(m, theta, 1.1) for theta in rng.uniform(0.0, np.pi, 6)]
+        for s in states:
+            for nu, b in enumerate(bloch_vectors(*w_vectors(s))):
+                assert np.max(np.abs(b - bloch_vector_oracle(s, nu))) <= bloch_tol(m)
 
     def test_purity_identity(self):
         """1 - |b|^2 = 2 (1 - tr rho^2) for the one-qubit reduced state."""
