@@ -44,7 +44,6 @@ from .qstate import (
 )
 from .verify import (
     DEFAULT_RESTARTS,
-    DEFAULT_TOL,
     bloch_vector_oracle,
     invariance_check,
     minimize_trace_numeric,
@@ -103,11 +102,15 @@ def bloch_tol(m: int) -> float:
     to at most 1 for a normalized state (Cauchy-Schwarz), so a sum of depth
     n is off by at most gamma_n + sqrt(2) gamma_2 ~ (n + 3) u, u = 2^-53
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).  The
-    depth is ``row_depth(m)`` for ``qstate.bilinears`` and 2^(m-1) for the
-    oracle's einsum, which adds its terms in turn.  The bound doubles the
-    sum of the two errors: 1.2e-10 at m = 20, 3.3e-15 at m = 3.
+    depth is ``row_depth(m)`` for ``qstate.bilinears``.  The oracle's
+    ``np.sum`` of N = 2^(m-1) terms is pairwise: depth at most 25 within a
+    block of 128 (eight accumulators of 16 terms, three levels, 7 leftover
+    terms), one more per halving of a longer array (at most m - 6) and one
+    for the start value, so at most m + 20, and never more than N.  The
+    bound 2 (n_kernel + n_oracle + 3) u covers the sum of the two errors:
+    3.7e-12 at m = 20, 3.3e-15 at m = 3.
     """
-    return 2.0 * (row_depth(m) + (1 << (m - 1)) + 3) * _UNIT_ROUNDOFF
+    return 2.0 * (row_depth(m) + min(1 << (m - 1), m + 20) + 3) * _UNIT_ROUNDOFF
 
 
 def _fmt(x: float) -> str:
@@ -309,9 +312,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     w_minus, w_3 = w_vectors(state)
     analytic = float(measure_from_bilinears(w_minus, w_3))
     deviation = invariance_check(state, trials=args.trials, seed=args.seed)
-    report = minimize_trace_numeric(
-        state, restarts=args.restarts, tol=DEFAULT_TOL, seed=args.seed + 1
-    )
+    report = minimize_trace_numeric(state, restarts=args.restarts, seed=args.seed + 1)
     bloch_gap = max(
         float(np.max(np.abs(b - bloch_vector_oracle(state, nu))))
         for nu, b in enumerate(bloch_vectors(w_minus, w_3))

@@ -9,6 +9,8 @@ Families, selected by tag:
   sin(theta) e^{i phase}|1...1>; maximally entangled at theta = pi/4 mod pi/2.
 * ``threeq`` - a two-parameter three-qubit family interpolating between
   fully separable, bi-separable and genuinely tripartite entangled states.
+
+The closed forms give the measure E only.
 """
 from __future__ import annotations
 
@@ -97,19 +99,9 @@ class ClosedForm:
             raise ValueError(f"closed-form measure cannot be negative: {self.value!r}")
 
 
-def brs_n01(k: int, m: int) -> int:
-    """Number of adjacent qubit pairs (j, j+1) of |k> with qubit j clear
-    and qubit j+1 set, for j = 0 .. m-2 on the open chain.
-
-    This is the exponent of the controlled-phase eigenvalue e^{-i phi n(k)}.
-    """
-    if not 0 <= k < (1 << m):
-        raise ValueError(f"basis index must satisfy 0 <= k < 2**{m}, got {k}")
-    return ((~k & (k >> 1)) & ((1 << (m - 1)) - 1)).bit_count()
-
-
 def _n01_counts(m: int) -> np.ndarray:
-    """brs_n01 for every basis index of an m-qubit register."""
+    """n(k) for every basis index k of m qubits: the count of adjacent pairs (j, j+1)
+    with qubit j clear and qubit j+1 set, the exponent of the phase e^{-i phi n(k)}."""
     k = np.arange(1 << m, dtype=np.uint32)
     return np.bitwise_count((~k & (k >> 1)) & np.uint32((1 << (m - 1)) - 1))
 
@@ -192,26 +184,3 @@ def closed_form_E(spec: FamilySpec) -> ClosedForm:
     value = 0.25 * (2.0 * s2t + 3.0 * math.sin(2.0 * spec.gamma) ** 2 * (1.0 - s2t))
     return ClosedForm(value, "(2 sin^2(2 tau) + 3 sin^2(2 gamma) cos^2(2 tau)) / 4")
 
-
-def brs_reference_metric(m: int, phi: float) -> np.ndarray:
-    """Analytic reference form of the chain-phase entanglement metric, m = 2 or 3.
-
-    Used as a regression target for the trace and diagonal; the constant
-    off-diagonal entries encode a fixed minimizer-sign convention that a
-    direct evaluation reproduces only at odd multiples of pi, so they are
-    compared in reports rather than asserted (see the test suite).
-    """
-    c = math.cos(phi / 2.0)
-    s = math.sin(phi / 2.0)
-    if m == 2:
-        return 0.25 * np.array([[s * s, 1.0], [1.0, s * s]])
-    if m == 3:
-        c2, s2 = c * c, s * s
-        return (s2 / 4.0) * np.array(
-            [
-                [1.0, c, -2.0 * s2 * c2],
-                [c, 1.0 + c2, c],
-                [-2.0 * s2 * c2, c, 1.0],
-            ]
-        )
-    raise ValueError("reference metric forms exist only for m = 2 and m = 3")

@@ -76,7 +76,7 @@ def trace_tol(m: int) -> float:
     return 2.0 * m * (row_depth(m) + m) * _UNIT_ROUNDOFF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntanglementMetric:
     """Metric evaluated at the minimizing direction field.
 
@@ -92,7 +92,7 @@ class EntanglementMetric:
     matrix: np.ndarray
     directions: np.ndarray
     measure: float
-    eigenvalues: np.ndarray = field(init=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         g = np.array(self.matrix, dtype=float, order="C")
@@ -135,7 +135,7 @@ class EntanglementMetric:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues of an entanglement metric, sorted descending, as a read-only copy."""
 

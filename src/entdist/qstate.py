@@ -24,11 +24,6 @@ ROW_BITS = 14  # row_walk walks a state in rows of 2**ROW_BITS amplitudes (256 K
 NORM_TOL = 1e-12
 UNIT_TOL = 1e-12
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
 
 class StateFileError(ValueError):
     """Raised when a state file cannot be parsed into amplitude arrays."""
@@ -75,7 +70,7 @@ def validate_amplitudes(amps: np.ndarray) -> None:
         raise ValueError(f"state is not normalized: sum |c_k|^2 = {float(norm_sq[bad][0])!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state of ``num_qubits`` qubits.
 
@@ -102,22 +97,16 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
 
-
-def validate_directions(dirs: np.ndarray, m: int | None = None) -> np.ndarray:
+def validate_directions(dirs: np.ndarray, m: int) -> np.ndarray:
     """A direction field as a float array of m real unit rows, shape (m, 3).
 
-    With ``m`` None, a single unit 3-vector, shape (3,).  Each row's squared
-    norm must be 1 within ``UNIT_TOL``; the error gives the squared norm of
-    the first row that is not.
+    Each row's squared norm must be 1 within ``UNIT_TOL``; the error gives
+    the squared norm of the first row that is not.
     """
     v = np.asarray(dirs, dtype=float)
-    shape = (3,) if m is None else (m, 3)
-    if v.shape != shape:
-        raise ValueError(f"expected directions of shape {shape}, got shape {v.shape}")
+    if v.shape != (m, 3):
+        raise ValueError(f"expected directions of shape {(m, 3)}, got shape {v.shape}")
     norm_sq = (v * v).sum(axis=-1)
     gap = abs(norm_sq - 1.0)
     if not gap.max(initial=0.0) <= UNIT_TOL:  # also true for a NaN gap
@@ -128,7 +117,7 @@ def validate_directions(dirs: np.ndarray, m: int | None = None) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalUnitary:
     """2x2 unitary acting on a single qubit, stored as a read-only copy."""
 
@@ -149,11 +138,6 @@ class LocalUnitary:
 
 def _operator(v1: float, v2: float, v3: float) -> np.ndarray:
     return np.array([[v3, v1 - 1j * v2], [v1 + 1j * v2, -v3]], dtype=complex)
-
-
-def direction_operator(v: np.ndarray) -> np.ndarray:
-    """2x2 Hermitian matrix v . sigma = v1*X + v2*Y + v3*Z for a unit 3-vector v."""
-    return _operator(*validate_directions(v).tolist())
 
 
 def make_basis_state(m: int, k: int) -> StateVector:
@@ -252,48 +236,12 @@ def bloch_vectors(w_minus: np.ndarray, w_3: np.ndarray) -> np.ndarray:
     return np.stack([2.0 * w_minus.real, -2.0 * w_minus.imag, w_3], axis=-1)
 
 
-def pauli_expectation(state: StateVector, qubit: int, v: np.ndarray) -> float:
-    """<s| (v . sigma^qubit) |s> for a unit 3-vector v, a real number in [-1, 1]."""
-    _check_qubit(qubit, state.num_qubits)
-    v1, v2, v3 = validate_directions(v).tolist()
-    e1, e2, e3 = bloch_vectors(*bilinears(state.amplitudes, (qubit,)))[0]
-    value = v1 * e1 + v2 * e2 + v3 * e3
-    return float(np.clip(value, -1.0, 1.0))
-
-
-def pauli_pair_correlation(
-    state: StateVector, q_mu: int, v_mu: np.ndarray, q_nu: int, v_nu: np.ndarray
-) -> float:
-    """<s| (v_mu . sigma^mu)(v_nu . sigma^nu) |s> for two distinct qubits and unit 3-vectors.
-
-    The operators act on different qubits, so they commute and the product
-    is Hermitian; the expectation is real and lies in [-1, 1].
-    """
-    m = state.num_qubits
-    _check_qubit(q_mu, m)
-    _check_qubit(q_nu, m)
-    if q_mu == q_nu:
-        raise ValueError(
-            "pair correlation requires distinct qubits; "
-            "for equal qubits use pauli_expectation and (v.sigma)^2 = 1"
-        )
-    left = _apply_one_qubit_matrix(state.amplitudes, m, q_mu, direction_operator(v_mu))
-    right = _apply_one_qubit_matrix(state.amplitudes, m, q_nu, direction_operator(v_nu))
-    value = np.vdot(left, right).real
-    return float(np.clip(value, -1.0, 1.0))
-
-
 def _haar_unitary(rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed 2x2 unitary via QR of a complex Ginibre matrix."""
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def random_local_unitary(seed: int) -> LocalUnitary:
-    """Haar-random single-qubit unitary, deterministic for a fixed seed."""
-    return LocalUnitary(_haar_unitary(np.random.default_rng(seed)))
 
 
 def read_state_file(path: str | Path) -> StateVector:

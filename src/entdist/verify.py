@@ -2,10 +2,9 @@
 
 Three cross checks, none of which use the analytic minimizer v = b/|b|:
 
-* direct multi-start descent of the metric trace over the product of unit
-  spheres (one spherical pair per qubit), on expectation triples from the
-  shared bilinear kernel;
-* single-qubit Bloch vectors from an explicit partial trace of the
+* a multi-start Riemannian gradient ascent of (v . b)^2 on the unit
+  spheres, one per qubit, which minimizes the metric trace;
+* single-qubit Bloch vectors from a pairwise-summed partial trace of the
   projector, validating the bilinear-to-Bloch identification;
 * a local-unitary invariance harness dressing states with Haar-random
   single-qubit rotations.
@@ -20,6 +19,7 @@ from .metric import entanglement_measure
 from .qstate import (
     LocalUnitary,
     StateVector,
+    _check_qubit,
     _haar_unitary,
     apply_local_unitary,
     bilinears,
@@ -29,15 +29,15 @@ from .qstate import (
 
 DEFAULT_RESTARTS = 8
 DEFAULT_TOL = 1e-8
+MAX_STEPS = 100  # ascent steps before minimize_trace_numeric reports no convergence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizerReport:
     """Outcome of the numeric trace minimization; ``directions`` is a read-only (M, 3) copy."""
 
     value: float
     directions: np.ndarray
-    restarts_used: int
     converged: bool
     iterations: int
 
@@ -47,72 +47,46 @@ class OptimizerReport:
         object.__setattr__(self, "directions", dirs)
 
 
-def _sphere(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit vectors v(theta, phi), (M, 3), at x = (theta_0, phi_0, ...), with dv/dtheta, dv/dphi."""
-    thetas, phis = x[0::2], x[1::2]
-    st, ct = np.sin(thetas), np.cos(thetas)
-    sp, cp = np.sin(phis), np.cos(phis)
-    v = np.stack([st * cp, st * sp, ct], axis=1)
-    dv_dt = np.stack([ct * cp, ct * sp, -st], axis=1)
-    dv_dp = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=1)
-    return v, dv_dt, dv_dp
-
-
 def minimize_trace_numeric(
     state: StateVector,
     restarts: int = DEFAULT_RESTARTS,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> OptimizerReport:
-    """Minimize the metric trace over direction fields by local descent.
+    """Minimize the metric trace over direction fields by a sphere ascent.
 
-    Each qubit contributes (1 - (v(theta, phi) . e)^2) / 4 to the trace,
-    where e is the qubit's expectation triple (<X>, <Y>, <Z>); e does not
-    depend on the directions, so it is computed once per state and the
-    descent runs on the spherical angles with an analytic gradient.
-    Deterministic for a fixed seed; the best restart wins.  scipy is
-    imported here, on first use, so that ``import entdist`` does not load it.
+    Each qubit contributes (1 - (v . b)^2) / 4 to the trace, b its Bloch
+    vector, so each v maximizes p^2 = (v . b)^2 on its own sphere.  All
+    restarts and qubits ascend as one (restarts, M, 3) array of unit rows
+    from Gaussian starts.  A step adds 1/L times the Riemannian gradient
+    2 p (b - p v), L = 2 |b|^2, and renormalizes each row, the retraction
+    onto the sphere (Absil, Mahony and Sepulchre, Optimization Algorithms
+    on Matrix Manifolds, 2008).  Only rows whose gradient norm is at least
+    ``tol`` move, which keeps a vanishing L out of the division; the ascent
+    stops when none does (``converged``) or after ``MAX_STEPS`` steps
+    (``iterations`` counts them).  Deterministic for a fixed seed; the
+    best restart wins.
     """
-    from scipy.optimize import minimize
-
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    m = state.num_qubits
     bloch = bloch_vectors(*bilinears(state.amplitudes))  # (m, 3)
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        v, dv_dt, dv_dp = _sphere(x)
-        proj = np.sum(v * bloch, axis=1)
-        value = 0.25 * float(np.sum(1.0 - proj**2))
-        grad = np.empty(2 * m)
-        grad[0::2] = -0.5 * proj * np.sum(dv_dt * bloch, axis=1)
-        grad[1::2] = -0.5 * proj * np.sum(dv_dp * bloch, axis=1)
-        return value, grad
-
-    rng = np.random.default_rng(seed)
-    best_value = np.inf
-    best_x = None
-    best_success = False
-    iterations = 0
-    for _ in range(restarts):
-        x0 = np.empty(2 * m)
-        x0[0::2] = np.arccos(rng.uniform(-1.0, 1.0, size=m))
-        x0[1::2] = rng.uniform(0.0, 2.0 * np.pi, size=m)
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B", tol=tol)
-        iterations += int(res.nit)
-        if res.fun < best_value:
-            best_value = float(res.fun)
-            best_x = res.x
-            best_success = bool(res.success)
-    return OptimizerReport(
-        value=best_value,
-        directions=_sphere(best_x)[0],
-        restarts_used=restarts,
-        converged=best_success,
-        iterations=iterations,
-    )
+    lipschitz = 2.0 * np.sum(bloch * bloch, axis=1)
+    v = np.random.default_rng(seed).normal(size=(restarts,) + bloch.shape)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    for steps in range(MAX_STEPS + 1):
+        proj = np.sum(v * bloch, axis=-1, keepdims=True)
+        grad = 2.0 * proj * (bloch - proj * v)
+        active = np.linalg.norm(grad, axis=-1) >= tol
+        if steps == MAX_STEPS or not active.any():
+            break
+        moved = v[active] + grad[active] / lipschitz[active.nonzero()[1], None]
+        v[active] = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
+    # clipped as in ``distance_density``: rounding in |b| can push (v . b)^2 past 1
+    values = 0.25 * np.sum(1.0 - np.clip(proj[..., 0], -1.0, 1.0) ** 2, axis=-1)
+    best = int(np.argmin(values))
+    return OptimizerReport(float(values[best]), v[best], not active.any(), steps)
 
 
 def bloch_vector_oracle(state: StateVector, qubit: int) -> np.ndarray:
@@ -132,12 +106,20 @@ def bloch_vector_oracle(state: StateVector, qubit: int) -> np.ndarray:
 
 
 def reduced_density_matrix(state: StateVector, qubit: int) -> np.ndarray:
-    """One-qubit reduced density matrix from the partial-trace oracle."""
+    """One-qubit reduced density matrix from the partial-trace oracle.
+
+    rho_ij sums psi_i conj(psi_j) over the other qubits' indices by
+    ``np.sum``, pairwise (see ``cli.bloch_tol``), over products of the
+    qubit's two half-views; no temporary is larger than the state.
+    """
     m = state.num_qubits
-    if not 0 <= qubit < m:
-        raise ValueError(f"qubit index must satisfy 0 <= qubit < {m}, got {qubit}")
+    _check_qubit(qubit, m)
     psi = state.amplitudes.reshape(1 << (m - 1 - qubit), 2, 1 << qubit)
-    return np.einsum("aib,ajb->ij", psi, np.conj(psi))
+    half0, half1 = psi[:, 0, :], psi[:, 1, :]
+    rho01 = np.sum(half0 * np.conj(half1))
+    rho00 = np.sum(np.abs(half0) ** 2)
+    rho11 = np.sum(np.abs(half1) ** 2)
+    return np.array([[rho00, rho01], [np.conj(rho01), rho11]])
 
 
 def invariance_check(state: StateVector, trials: int, seed: int = 0) -> float:

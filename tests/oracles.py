@@ -2,11 +2,15 @@
 
 Everything here recomputes quantities by a route the library does not use:
 dense kron-built operators, literal per-index sums, a hand-rolled cyclic
-Jacobi eigensolver, and the projector-product construction of the diagonal
-chain-phase operator.  Basis convention matches the library: bit nu of the
-index k is qubit nu, composite kron order is qubit M-1 (MSB) first.
+Jacobi eigensolver, the projector-product construction of the diagonal
+chain-phase operator, a pair-by-pair adjacent-pair count and the analytic
+two- and three-qubit chain-phase metric forms.  Basis convention matches
+the library: bit nu of the index k is qubit nu, composite kron order is
+qubit M-1 (MSB) first.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -14,6 +18,7 @@ I2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 P0 = (I2 + SZ) / 2.0  # projector onto |0> (sigma_z eigenvalue +1)
 P1 = (I2 - SZ) / 2.0
 
@@ -148,6 +153,42 @@ def phase_chain_operator(m: int, phi: float) -> np.ndarray:
             full = np.kron(full, mats[q])
         u = u @ (np.eye(dim) + alpha * full)
     return u
+
+
+def brs_n01(k: int, m: int) -> int:
+    """Number of adjacent qubit pairs (j, j+1) of |k> with qubit j clear
+    and qubit j+1 set, for j = 0 .. m-2 on the open chain.
+
+    This is the exponent of the controlled-phase eigenvalue e^{-i phi n(k)},
+    counted pair by pair rather than by the library's whole-word bit trick.
+    """
+    if not 0 <= k < (1 << m):
+        raise ValueError(f"basis index must satisfy 0 <= k < 2**{m}, got {k}")
+    return sum(1 for j in range(m - 1) if not (k >> j) & 1 and (k >> (j + 1)) & 1)
+
+
+def brs_reference_metric(m: int, phi: float) -> np.ndarray:
+    """Analytic reference form of the chain-phase entanglement metric, m = 2 or 3.
+
+    Used as a regression target for the trace and diagonal; the constant
+    off-diagonal entries encode a fixed minimizer-sign convention that a
+    direct evaluation reproduces only at odd multiples of pi, so they are
+    compared in reports rather than asserted.
+    """
+    c = math.cos(phi / 2.0)
+    s = math.sin(phi / 2.0)
+    if m == 2:
+        return 0.25 * np.array([[s * s, 1.0], [1.0, s * s]])
+    if m == 3:
+        c2, s2 = c * c, s * s
+        return (s2 / 4.0) * np.array(
+            [
+                [1.0, c, -2.0 * s2 * c2],
+                [c, 1.0 + c2, c],
+                [-2.0 * s2 * c2, c, 1.0],
+            ]
+        )
+    raise ValueError("reference metric forms exist only for m = 2 and m = 3")
 
 
 def n01_string_reading(k: int, m: int) -> int:

@@ -25,7 +25,6 @@ from entdist import (
     invariance_check,
     metric_matrix,
     minimize_trace_numeric,
-    pauli_expectation,
     spectrum,
     three_qubit_state,
     w_vectors,
@@ -92,8 +91,9 @@ def test_criterion_2_brs_endpoints():
         maximal = brs_state(m, np.pi)
         assert abs(entanglement_measure(maximal) / m - 0.25) < 1e-12
         em = entanglement_metric(maximal)
-        for nu, v in enumerate(em.directions):
-            assert abs(pauli_expectation(maximal, nu, v)) < 1e-10
+        bloch = bloch_vectors(*w_vectors(maximal))
+        for b, v in zip(bloch, em.directions):
+            assert abs(b @ v) < 1e-10
 
 
 @criterion(3, "GHZ-like: E grid 1e-12, all-ones metric at theta=pi/4, rank-1 spectrum")

@@ -7,8 +7,6 @@ import pytest
 from entdist import (
     FamilySpec,
     StateVector,
-    brs_n01,
-    brs_reference_metric,
     brs_state,
     closed_form_E,
     entanglement_measure,
@@ -20,7 +18,13 @@ from entdist import (
     three_qubit_state,
 )
 
-from oracles import bit_reversed_state, n01_string_reading, phase_chain_operator
+from oracles import (
+    bit_reversed_state,
+    brs_n01,
+    brs_reference_metric,
+    n01_string_reading,
+    phase_chain_operator,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The array-first bilinear kernel: batches, per-state wrappers, the surface."""
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -224,11 +225,26 @@ def test_surface_rejects_non_finite_range(gamma_range, tau_range, angle):
         run_surface(gamma_range, tau_range, 4)
 
 
-def test_import_does_not_load_scipy():
-    code = "import sys, entdist; print('scipy' in sys.modules)"
+def _run_python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(entdist.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_import_does_not_load_scipy():
+    out = _run_python("import sys, entdist; print('scipy' in sys.modules)")
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_verify_runs_without_scipy():
+    """With scipy unimportable, ``entdist verify`` still runs its three oracles and passes."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from entdist.cli import main\n"
+        "sys.exit(main(['verify', '--family', 'brs', '--m', '5', '--trials', '5']))\n"
+    )
+    out = _run_python(code)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["passed"] is True

@@ -19,13 +19,14 @@ from entdist import (
     ghzl_state,
     make_basis_state,
     metric_matrix,
+    minimize_trace_numeric,
     optimal_directions,
     spectrum,
     w_vectors,
 )
 from entdist import qstate
 from entdist.metric import DEGENERATE_TOL, trace_tol
-from entdist.qstate import _haar_unitary, bloch_vectors, direction_operator
+from entdist.qstate import _haar_unitary, _operator, bloch_vectors
 
 from oracles import (
     covariance_metric_dense,
@@ -268,7 +269,7 @@ def _whole_vector_metric(state, dirs) -> np.ndarray:
     applied = []
     for nu, v in enumerate(dirs):
         view = amps.reshape(1 << (m - 1 - nu), 2, 1 << nu)
-        applied.append(np.einsum("ij,ajb->aib", direction_operator(v), view).reshape(-1))
+        applied.append(np.einsum("ij,ajb->aib", _operator(*v), view).reshape(-1))
     expectations = np.array([np.vdot(amps, t).real for t in applied])
     g = np.zeros((m, m))
     for mu in range(m):
@@ -486,3 +487,21 @@ class TestDistanceDensity:
         assert distance_density(s, dirs) == pytest.approx(
             float(np.trace(metric_matrix(s, dirs))), abs=1e-13
         )
+
+
+_RECORDS = {
+    "EntanglementMetric": lambda: entanglement_metric(brs_state(3, 0.3)),
+    "Spectrum": lambda: spectrum(entanglement_metric(brs_state(3, 0.3))),
+    "StateVector": lambda: brs_state(3, 0.3),
+    "LocalUnitary": lambda: LocalUnitary(np.eye(2)),
+    "OptimizerReport": lambda: minimize_trace_numeric(brs_state(3, 0.3), seed=1),
+}
+
+
+@pytest.mark.parametrize("record", sorted(_RECORDS))
+def test_records_compare_and_hash_by_identity(record):
+    """Records that hold arrays compare and hash by identity, without raising."""
+    a, b = _RECORDS[record](), _RECORDS[record]()
+    assert a == a
+    assert a != b
+    assert len({a, b, a}) == 2

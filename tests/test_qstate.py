@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from entdist import (
-    HADAMARD,
-    PAULI_X,
     EntanglementMetric,
     LocalUnitary,
+    OptimizerReport,
     StateFileError,
     StateVector,
     apply_local_unitary,
@@ -17,15 +16,12 @@ from entdist import (
     ghzl_state,
     make_basis_state,
     metric_matrix,
-    pauli_expectation,
-    pauli_pair_correlation,
-    random_local_unitary,
     read_state_file,
     write_state_file,
 )
-from entdist.qstate import _haar_unitary
+from entdist.qstate import _haar_unitary, bilinears, bloch_vectors
 
-from oracles import dense_direction_operator, dense_qubit_operator, random_state
+from oracles import HADAMARD, SX, dense_direction_operator, dense_qubit_operator, random_state
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -34,6 +30,19 @@ Z = np.array([0.0, 0.0, 1.0])
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
+
+
+def _expectation(state: StateVector, qubit: int, v: np.ndarray) -> float:
+    """<v . sigma^qubit> as the kernel's Bloch vector of the qubit dotted with v."""
+    return float(bloch_vectors(*bilinears(state.amplitudes))[qubit] @ v)
+
+
+def _pair_correlation(state: StateVector, qa: int, va: np.ndarray, qb: int, vb: np.ndarray):
+    """<(va . sigma^qa)(vb . sigma^qb)> = 4 g[qa, qb] + <A_qa><A_qb>, from the metric."""
+    dirs = np.tile(Z, (state.num_qubits, 1))
+    dirs[qa], dirs[qb] = va, vb
+    g = metric_matrix(state, dirs)
+    return 4.0 * g[qa, qb] + _expectation(state, qa, va) * _expectation(state, qb, vb)
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +87,13 @@ class TestStateVector:
         amps[0] = 0.5  # the caller may still write its own array
 
 
-# Every public entry that takes directions checks the whole field once: a
-# (2, 3) field for a two-qubit state, or its first row where one 3-vector is taken.
+# Every public entry that takes directions checks the whole (2, 3) field of a
+# two-qubit state once.
 _TAKES_DIRECTIONS = {
     "metric_matrix": lambda s, d: metric_matrix(s, d),
     "distance_density": lambda s, d: distance_density(s, d),
-    "pauli_expectation": lambda s, d: pauli_expectation(s, 0, d[0]),
-    "pauli_pair_correlation": lambda s, d: pauli_pair_correlation(s, 0, Z, 1, d[0]),
     "EntanglementMetric": lambda s, d: EntanglementMetric(2, np.zeros((2, 2)), d, 0.0),
+    "OptimizerReport": lambda s, d: OptimizerReport(0.0, d, True, 0),
 }
 _BAD_FIELDS = {
     "shape": np.array([[1.0, 0.0], [0.0, 1.0]]),
@@ -123,7 +131,7 @@ class TestLocalUnitary:
 
 class TestApplyLocalUnitary:
     def test_bit_flip(self):
-        out = apply_local_unitary(make_basis_state(1, 0), 0, LocalUnitary(PAULI_X))
+        out = apply_local_unitary(make_basis_state(1, 0), 0, LocalUnitary(SX))
         np.testing.assert_allclose(out.amplitudes, [0, 1], atol=1e-15)
 
     def test_identity(self):
@@ -140,7 +148,7 @@ class TestApplyLocalUnitary:
 
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_local_unitary(make_basis_state(2, 0), 2, LocalUnitary(PAULI_X))
+            apply_local_unitary(make_basis_state(2, 0), 2, LocalUnitary(SX))
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_matches_dense_operator(self, m):
@@ -175,13 +183,15 @@ class TestApplyLocalUnitary:
 
 
 class TestPauliExpectation:
+    """<v . sigma> of one qubit is the kernel's Bloch vector dotted with v."""
+
     def test_sigma3_eigenstates(self):
-        assert pauli_expectation(make_basis_state(1, 0), 0, Z) == pytest.approx(1.0, abs=1e-15)
-        assert pauli_expectation(make_basis_state(1, 1), 0, Z) == pytest.approx(-1.0, abs=1e-15)
+        assert _expectation(make_basis_state(1, 0), 0, Z) == pytest.approx(1.0, abs=1e-15)
+        assert _expectation(make_basis_state(1, 1), 0, Z) == pytest.approx(-1.0, abs=1e-15)
 
     def test_sigma1_eigenstate(self):
         plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
-        assert pauli_expectation(plus, 0, X) == pytest.approx(1.0, abs=1e-15)
+        assert _expectation(plus, 0, X) == pytest.approx(1.0, abs=1e-15)
 
     def test_linear_in_direction(self):
         """<v.sigma> decomposes over the three axis expectations."""
@@ -191,31 +201,34 @@ class TestPauliExpectation:
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
             combo = (
-                v[0] * pauli_expectation(s, 1, X)
-                + v[1] * pauli_expectation(s, 1, Y)
-                + v[2] * pauli_expectation(s, 1, Z)
+                v[0] * _expectation(s, 1, X)
+                + v[1] * _expectation(s, 1, Y)
+                + v[2] * _expectation(s, 1, Z)
             )
-            assert abs(pauli_expectation(s, 1, v) - combo) < 1e-12
+            assert abs(_expectation(s, 1, v) - combo) < 1e-12
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_dense_operator(self, m):
+        """Pins the sign convention of each component, <Y> = -2 Im w_minus included."""
         rng = np.random.default_rng(29 + m)
         s = StateVector(m, random_state(m, rng))
         for qubit in range(m):
-            d = _unit(rng.normal(size=3))
-            dense = dense_qubit_operator(m, qubit, dense_direction_operator(d))
-            expected = np.vdot(s.amplitudes, dense @ s.amplitudes).real
-            assert abs(pauli_expectation(s, qubit, d) - expected) < 1e-12
+            for d in [X, Y, Z, _unit(rng.normal(size=3))]:
+                dense = dense_qubit_operator(m, qubit, dense_direction_operator(d))
+                expected = np.vdot(s.amplitudes, dense @ s.amplitudes).real
+                assert abs(_expectation(s, qubit, d) - expected) < 1e-12
 
 
 class TestPauliPairCorrelation:
+    """<(va . sigma^a)(vb . sigma^b)> from the metric's covariance entry."""
+
     def test_zz_on_basis_state(self):
-        assert pauli_pair_correlation(make_basis_state(2, 0), 0, Z, 1, Z) == pytest.approx(1.0)
+        assert _pair_correlation(make_basis_state(2, 0), 0, Z, 1, Z) == pytest.approx(1.0)
 
     def test_zz_on_ghz(self):
         """Both branches of the GHZ pair have even parity; direct 4-term sum."""
         s = ghzl_state(2, np.pi / 4)
-        assert pauli_pair_correlation(s, 0, Z, 1, Z) == pytest.approx(1.0, abs=1e-15)
+        assert _pair_correlation(s, 0, Z, 1, Z) == pytest.approx(1.0, abs=1e-15)
 
     def test_maximally_entangled_chain_phase_pair(self):
         """At phi = pi the y-y correlation is -1; flipping one axis gives +1.
@@ -225,13 +238,9 @@ class TestPauliPairCorrelation:
         """
         s = brs_state(2, np.pi)
         np.testing.assert_allclose(s.amplitudes, np.array([1, 1, -1, 1]) / 2.0, atol=1e-15)
-        assert pauli_pair_correlation(s, 0, Y, 1, Y) == pytest.approx(-1.0, abs=1e-14)
+        assert _pair_correlation(s, 0, Y, 1, Y) == pytest.approx(-1.0, abs=1e-14)
         minus_y = np.array([0.0, -1.0, 0.0])
-        assert pauli_pair_correlation(s, 0, minus_y, 1, Y) == pytest.approx(1.0, abs=1e-14)
-
-    def test_equal_qubits_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            pauli_pair_correlation(make_basis_state(2, 0), 1, Z, 1, Z)
+        assert _pair_correlation(s, 0, minus_y, 1, Y) == pytest.approx(1.0, abs=1e-14)
 
     def test_factorizes_on_product_states(self):
         from oracles import random_product_state
@@ -241,8 +250,8 @@ class TestPauliPairCorrelation:
             s = StateVector(3, random_product_state(3, rng))
             va = _unit(rng.normal(size=3))
             vb = _unit(rng.normal(size=3))
-            corr = pauli_pair_correlation(s, 0, va, 2, vb)
-            product = pauli_expectation(s, 0, va) * pauli_expectation(s, 2, vb)
+            corr = _pair_correlation(s, 0, va, 2, vb)
+            product = _expectation(s, 0, va) * _expectation(s, 2, vb)
             assert abs(corr - product) < 1e-12
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -257,7 +266,7 @@ class TestPauliPairCorrelation:
                 m, qb, dense_direction_operator(vb)
             )
             expected = np.vdot(s.amplitudes, dense @ s.amplitudes).real
-            assert abs(pauli_pair_correlation(s, int(qa), va, int(qb), vb) - expected) < 1e-12
+            assert abs(_pair_correlation(s, int(qa), va, int(qb), vb) - expected) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +275,16 @@ class TestPauliPairCorrelation:
 
 
 class TestRandomLocalUnitary:
+    """``_haar_unitary``, the sampler of ``verify.invariance_check``'s dressings."""
+
     def test_deterministic_by_seed(self):
         np.testing.assert_array_equal(
-            random_local_unitary(0).matrix, random_local_unitary(0).matrix
+            _haar_unitary(np.random.default_rng(0)), _haar_unitary(np.random.default_rng(0))
         )
 
     def test_unitarity(self):
         for seed in range(20):
-            u = random_local_unitary(seed).matrix
+            u = _haar_unitary(np.random.default_rng(seed))
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
     def test_haar_first_moment(self):

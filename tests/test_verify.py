@@ -17,10 +17,13 @@ from entdist import (
     reduced_density_matrix,
     w_vectors,
 )
+from entdist import verify
 from entdist.cli import bloch_tol
 from entdist.qstate import bloch_vectors
 
-from oracles import random_state
+from oracles import bilinears_extended, random_state
+
+U = np.finfo(float).eps / 2
 
 
 class TestMinimizeTraceNumeric:
@@ -63,6 +66,22 @@ class TestMinimizeTraceNumeric:
         assert distance_density(s, report.directions) == pytest.approx(
             report.value, abs=1e-10
         )
+
+    def test_step_cap_reports_no_convergence(self, monkeypatch):
+        """``converged`` is False exactly when the ascent stops at ``MAX_STEPS``."""
+        s = brs_state(4, 2.0)
+        full = minimize_trace_numeric(s, seed=3)
+        assert full.converged and 1 <= full.iterations < verify.MAX_STEPS
+        monkeypatch.setattr(verify, "MAX_STEPS", full.iterations - 1)
+        capped = minimize_trace_numeric(s, seed=3)
+        assert not capped.converged
+        assert capped.iterations == full.iterations - 1
+
+    def test_vanishing_bloch_vectors_need_no_step(self):
+        """Every direction is optimal for a GHZ state's qubits: no row moves."""
+        report = minimize_trace_numeric(ghzl_state(4, np.pi / 4), seed=4)
+        assert report.converged and report.iterations == 0
+        assert report.value == 1.0
 
     def test_parameter_validation(self):
         s = make_basis_state(2, 0)
@@ -109,7 +128,7 @@ class TestBlochVectorOracle:
     @pytest.mark.parametrize("m", range(1, 11))
     def test_gap_stays_inside_the_derived_threshold(self, m):
         """``verify``'s derived Bloch threshold refuses no valid state.  The
-        largest gap seen is a quarter of ``cli.bloch_tol``, at m = 1 (12 u)."""
+        largest gap seen is 1/12 of ``cli.bloch_tol``, at m = 1 (u against 12 u)."""
         rng = np.random.default_rng(205 + m)
         states = [StateVector(m, random_state(m, rng)) for _ in range(12)]
         if m >= 2:
@@ -118,6 +137,17 @@ class TestBlochVectorOracle:
         for s in states:
             for nu, b in enumerate(bloch_vectors(*w_vectors(s))):
                 assert np.max(np.abs(b - bloch_vector_oracle(s, nu))) <= bloch_tol(m)
+
+    @pytest.mark.parametrize("m", [12, 16])
+    def test_pairwise_oracle_error_within_its_depth(self, m):
+        """The oracle's share of ``cli.bloch_tol``: a pairwise sum of depth at most
+        m + 20 is off by at most (m + 23) u from an extended-precision reference."""
+        s = brs_state(m, 0.3)
+        w_minus, w_3 = bilinears_extended(s.amplitudes, m)
+        reference = np.stack([2 * w_minus.real, -2 * w_minus.imag, w_3], axis=-1)
+        for nu in range(m):
+            gap = np.max(np.abs(bloch_vector_oracle(s, nu) - reference[nu]))
+            assert float(gap) <= (m + 23) * U
 
     def test_purity_identity(self):
         """1 - |b|^2 = 2 (1 - tr rho^2) for the one-qubit reduced state."""
