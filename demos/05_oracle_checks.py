@@ -15,16 +15,14 @@ import numpy as np
 
 from entdist import (
     StateVector,
-    bloch_vector_oracle,
     brs_state,
-    entanglement_measure,
     ghzl_state,
-    invariance_check,
-    minimize_trace_numeric,
     three_qubit_state,
-    w_vectors,
 )
-from entdist.qstate import bloch_vectors
+from entdist.verify import (
+    DEFAULT_RESTARTS,
+    verify_state,
+)
 
 rng = np.random.default_rng(12345)
 z = rng.normal(size=16) + 1j * rng.normal(size=16)
@@ -37,14 +35,10 @@ cases = [
 
 print(f"{'state':<18} {'E':>10} {'invariance':>12} {'optimizer gap':>14} {'Bloch gap':>11}")
 for name, state in cases:
-    e = entanglement_measure(state)
-    deviation = invariance_check(state, trials=100, seed=1)
-    report = minimize_trace_numeric(state, seed=2)
-    bloch_gap = max(
-        float(np.max(np.abs(b - bloch_vector_oracle(state, nu))))
-        for nu, b in enumerate(bloch_vectors(*w_vectors(state)))
-    )
-    print(f"{name:<18} {e:>10.6f} {deviation:>12.2e} {report.value - e:>14.2e} {bloch_gap:>11.2e}")
+    r = verify_state(state, trials=100, restarts=DEFAULT_RESTARTS, seed=1)
+    e, deviation = r["analytic_measure"], r["invariance_max_deviation"]
+    gap = r["optimizer_value"] - e
+    print(f"{name:<18} {e:>10.6f} {deviation:>12.2e} {gap:>14.2e} {r['bloch_gap']:>11.2e}")
 
 print("\nThe descent value never undershoots E: the analytic per-qubit")
 print("maximization really is the infimum over direction fields.")

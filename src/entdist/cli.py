@@ -26,27 +26,21 @@ from .families import (
     three_qubit_amplitudes,
 )
 from .metric import (
-    _UNIT_ROUNDOFF,
     DEFAULT_RANK_TOL,
     entanglement_metric,
     measure_from_bilinears,
     spectrum,
-    w_vectors,
 )
 from .qstate import (
     StateFileError,
     StateVector,
     bilinears,
-    bloch_vectors,
     read_state_file,
-    row_depth,
     validate_amplitudes,
 )
 from .verify import (
     DEFAULT_RESTARTS,
-    bloch_vector_oracle,
-    invariance_check,
-    minimize_trace_numeric,
+    verify_state,
 )
 
 EXIT_OK = 0
@@ -54,10 +48,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_INVALID_STATE = 3
 EXIT_INTERNAL = 4
-
-# verification thresholds enforced by the ``verify`` subcommand
-INVARIANCE_TOL = 1e-9
-OPTIMIZER_TOL = 1e-6
 
 # figure abscissa per swept angle: x = angle / divisor
 _ABSCISSA_DIVISOR = {
@@ -93,24 +83,6 @@ class SweepSpec:
             raise ValueError("sweep requires start < stop")
         if self.points < 2:
             raise ValueError("sweep requires at least 2 points")
-
-
-def bloch_tol(m: int) -> float:
-    """Largest rounding gap between the kernel's and the partial trace's m-qubit Bloch vectors.
-
-    Each component is a sum of amplitude products whose magnitudes add up
-    to at most 1 for a normalized state (Cauchy-Schwarz), so a sum of depth
-    n is off by at most gamma_n + sqrt(2) gamma_2 ~ (n + 3) u, u = 2^-53
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).  The
-    depth is ``row_depth(m)`` for ``qstate.bilinears``.  The oracle's
-    ``np.sum`` of N = 2^(m-1) terms is pairwise: depth at most 25 within a
-    block of 128 (eight accumulators of 16 terms, three levels, 7 leftover
-    terms), one more per halving of a longer array (at most m - 6) and one
-    for the start value, so at most m + 20, and never more than N.  The
-    bound 2 (n_kernel + n_oracle + 3) u covers the sum of the two errors:
-    3.7e-12 at m = 20, 3.3e-15 at m = 3.
-    """
-    return 2.0 * (row_depth(m) + min(1 << (m - 1), m + 20) + 3) * _UNIT_ROUNDOFF
 
 
 def _fmt(x: float) -> str:
@@ -309,32 +281,9 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         if getattr(args, name) < 1:
             parser.error(f"--{name} must be at least 1")
     state = _state_from_args(args, parser)
-    w_minus, w_3 = w_vectors(state)
-    analytic = float(measure_from_bilinears(w_minus, w_3))
-    deviation = invariance_check(state, trials=args.trials, seed=args.seed)
-    report = minimize_trace_numeric(state, restarts=args.restarts, seed=args.seed + 1)
-    bloch_gap = max(
-        float(np.max(np.abs(b - bloch_vector_oracle(state, nu))))
-        for nu, b in enumerate(bloch_vectors(w_minus, w_3))
-    )
-    gaps = {"invariance": deviation, "optimizer": abs(report.value - analytic), "bloch": bloch_gap}
-    thresholds = {"invariance": INVARIANCE_TOL, "optimizer": OPTIMIZER_TOL}
-    thresholds["bloch"] = bloch_tol(state.num_qubits)
-    failed = [name for name, tol in thresholds.items() if not gaps[name] < tol]
-    payload = {
-        "m": state.num_qubits,
-        "analytic_measure": analytic,
-        "invariance_max_deviation": deviation,
-        "optimizer_value": report.value,
-        "optimizer_gap": gaps["optimizer"],
-        "optimizer_converged": report.converged,
-        "bloch_gap": bloch_gap,
-        "passed": not failed,
-        "thresholds": thresholds,
-        "failed_checks": failed,
-    }
+    payload = verify_state(state, args.trials, args.restarts, args.seed)
     _emit(json.dumps(payload) + "\n", args.out)
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+    return EXIT_OK if payload["passed"] else EXIT_VERIFY_FAILED
 
 
 def _build_parser() -> argparse.ArgumentParser:

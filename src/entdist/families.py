@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import entanglement_measure
 from .qstate import MAX_QUBITS, StateVector
 
 BRS = "brs"
@@ -163,19 +162,14 @@ def family_state(spec: FamilySpec) -> StateVector:
 def closed_form_E(spec: FamilySpec) -> ClosedForm:
     """Closed-form entanglement measure for a family spec.
 
-    The chain-phase family has explicit two- and three-qubit forms; for
-    m >= 4 the per-qubit Bloch-norm trace formula is evaluated on the
-    generated state (no simpler closed form exists).
+    For the chain-phase family the two end qubits have |b|^2 = cos^2(phi/2)
+    and the m - 2 inner ones |b|^2 = cos^4(phi/2), so E = (m - sum |b|^2) / 4
+    is s^2 (2m - 2 - (m - 2) s^2) / 4 with s^2 = sin^2(phi/2), for every m.
     """
     if spec.tag == BRS:
         s2 = math.sin(spec.phi / 2.0) ** 2
-        c2 = math.cos(spec.phi / 2.0) ** 2
-        if spec.m == 2:
-            return ClosedForm(s2 / 2.0, "sin^2(phi/2) / 2")
-        if spec.m == 3:
-            return ClosedForm(s2 * (3.0 + c2) / 4.0, "sin^2(phi/2) (3 + cos^2(phi/2)) / 4")
-        value = entanglement_measure(brs_state(spec.m, spec.phi))
-        return ClosedForm(value, "(m - sum_nu |b^nu|^2) / 4")
+        value = s2 * (2 * spec.m - 2 - (spec.m - 2) * s2) / 4.0
+        return ClosedForm(value, "s^2 (2m - 2 - (m - 2) s^2) / 4, s^2 = sin^2(phi/2)")
     if spec.tag == GHZL:
         return ClosedForm(
             spec.m / 4.0 * math.sin(2.0 * spec.theta) ** 2, "(m/4) sin^2(2 theta)"

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -40,8 +40,6 @@ def row_walk(amps: np.ndarray) -> tuple[int, Iterable[tuple[int, np.ndarray, lis
     """
     m = amps.shape[-1].bit_length() - 1
     k = min(m, ROW_BITS)
-    if k == m:
-        return k, [(0, amps, [])]
     rows = amps.reshape(amps.shape[:-1] + (-1, 1 << k))
     walk = (
         (h, rows[..., h, :], [rows[..., h ^ (1 << j), :] for j in range(m - k)])
@@ -60,13 +58,14 @@ def validate_amplitudes(amps: np.ndarray) -> None:
     """Reject non-finite or unnormalized states, row-wise over ``(..., 2**M)``.
 
     Each row's squared norm must be 1 within ``NORM_TOL``; the error names
-    the first row that is not.
+    the first row that is not.  A non-finite entry makes its row's norm
+    non-finite, so the entries are scanned only on that error path.
     """
-    if not np.all(np.isfinite(amps)):
-        raise ValueError("amplitudes contain non-finite entries")
     norm_sq = sum(np.sum(np.abs(row) ** 2, axis=-1) for _, row, _ in row_walk(amps)[1])
-    bad = np.abs(norm_sq - 1.0) > NORM_TOL
+    bad = ~(np.abs(norm_sq - 1.0) <= NORM_TOL)  # also true for a NaN gap
     if np.any(bad):
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes contain non-finite entries")
         raise ValueError(f"state is not normalized: sum |c_k|^2 = {float(norm_sq[bad][0])!r}")
 
 
@@ -182,16 +181,13 @@ def apply_local_unitary(state: StateVector, qubit: int, u: LocalUnitary) -> Stat
     return StateVector(state.num_qubits, out)
 
 
-def bilinears(
-    amps: np.ndarray, qubits: Sequence[int] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-qubit amplitude bilinears of states with amplitudes ``(..., 2**M)``.
 
     Returns ``w_minus`` (complex) and ``w_3`` (real), each of shape
-    ``(..., len(qubits))``, for ``qubits`` (default: all, in order).
-    w_minus sums c*_{k+2^nu} c_k over indices with qubit nu clear and w_3
-    is the signed probability sum (-1)^{bit nu of k} |c_k|^2; the third
-    bilinear, w_plus, is conj(w_minus).  O(M 2^M) per state.
+    ``(..., M)``.  w_minus sums c*_{k+2^nu} c_k over indices with qubit nu
+    clear and w_3 is the signed probability sum (-1)^{bit nu of k} |c_k|^2;
+    the third bilinear, w_plus, is conj(w_minus).  O(M 2^M) per state.
 
     Each ``row_walk`` row adds its partial sums to the totals, in row order:
     for a qubit below k one einsum and two sums within the row, for a
@@ -207,25 +203,24 @@ def bilinears(
     m = amps.shape[-1].bit_length() - 1
     if amps.shape[-1] != 1 << m:
         raise ValueError(f"expected 2**M amplitudes per state, got {amps.shape[-1]}")
-    qubits = range(m) if qubits is None else qubits
     k, walk = row_walk(amps)
     for h, row, partners in walk:
         probs = np.abs(row)
         np.square(probs, out=probs)  # the bits of np.abs(row) ** 2, one temporary fewer
-        dw_minus = np.empty(batch + (len(qubits),), dtype=np.complex128)
-        dw_3 = np.empty(batch + (len(qubits),))
+        dw_minus = np.empty(batch + (m,), dtype=np.complex128)
+        dw_3 = np.empty(batch + (m,))
         row_prob = probs.sum(axis=-1) if partners else None
-        for i, nu in enumerate(qubits):
+        for nu in range(m):
             if nu >= k:
                 clear = not (h >> (nu - k)) & 1
-                dw_minus[..., i] = (np.conj(partners[nu - k]) * row).sum(axis=-1) if clear else 0.0
-                dw_3[..., i] = row_prob if clear else -row_prob
+                dw_minus[..., nu] = (np.conj(partners[nu - k]) * row).sum(axis=-1) if clear else 0.0
+                dw_3[..., nu] = row_prob if clear else -row_prob
                 continue
             shape = batch + (1 << (k - 1 - nu), 2, 1 << nu)
             view = row.reshape(shape)
             pview = probs.reshape(shape)
-            dw_minus[..., i] = np.einsum("...ab,...ab->...", np.conj(view[..., 1, :]), view[..., 0, :])
-            dw_3[..., i] = pview[..., 0, :].sum(axis=(-2, -1)) - pview[..., 1, :].sum(axis=(-2, -1))
+            dw_minus[..., nu] = np.einsum("...ab,...ab->...", np.conj(view[..., 1, :]), view[..., 0, :])
+            dw_3[..., nu] = pview[..., 0, :].sum(axis=(-2, -1)) - pview[..., 1, :].sum(axis=(-2, -1))
         w_minus = dw_minus if h == 0 else w_minus + dw_minus
         w_3 = dw_3 if h == 0 else w_3 + dw_3
     return w_minus, w_3

@@ -8,6 +8,9 @@ Three cross checks, none of which use the analytic minimizer v = b/|b|:
   projector, validating the bilinear-to-Bloch identification;
 * a local-unitary invariance harness dressing states with Haar-random
   single-qubit rotations.
+
+``verify_state`` runs all three on one state against their thresholds and
+returns the ``entdist verify`` record.
 """
 from __future__ import annotations
 
@@ -15,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import entanglement_measure
+from .metric import (
+    _UNIT_ROUNDOFF,
+    entanglement_measure,
+    measure_from_bilinears,
+    w_vectors,
+)
 from .qstate import (
     LocalUnitary,
     StateVector,
@@ -24,12 +32,17 @@ from .qstate import (
     apply_local_unitary,
     bilinears,
     bloch_vectors,
+    row_depth,
     validate_directions,
 )
 
 DEFAULT_RESTARTS = 8
 DEFAULT_TOL = 1e-8
 MAX_STEPS = 100  # ascent steps before minimize_trace_numeric reports no convergence
+
+# thresholds that verify_state enforces; the Bloch one is bloch_tol(M)
+INVARIANCE_TOL = 1e-9
+OPTIMIZER_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +122,7 @@ def reduced_density_matrix(state: StateVector, qubit: int) -> np.ndarray:
     """One-qubit reduced density matrix from the partial-trace oracle.
 
     rho_ij sums psi_i conj(psi_j) over the other qubits' indices by
-    ``np.sum``, pairwise (see ``cli.bloch_tol``), over products of the
+    ``np.sum``, pairwise (see ``bloch_tol``), over products of the
     qubit's two half-views; no temporary is larger than the state.
     """
     m = state.num_qubits
@@ -120,6 +133,24 @@ def reduced_density_matrix(state: StateVector, qubit: int) -> np.ndarray:
     rho00 = np.sum(np.abs(half0) ** 2)
     rho11 = np.sum(np.abs(half1) ** 2)
     return np.array([[rho00, rho01], [np.conj(rho01), rho11]])
+
+
+def bloch_tol(m: int) -> float:
+    """Largest rounding gap between the kernel's and the partial trace's m-qubit Bloch vectors.
+
+    Each component is a sum of amplitude products whose magnitudes add up
+    to at most 1 for a normalized state (Cauchy-Schwarz), so a sum of depth
+    n is off by at most gamma_n + sqrt(2) gamma_2 ~ (n + 3) u, u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).  The
+    depth is ``row_depth(m)`` for ``qstate.bilinears``.  The oracle's
+    ``np.sum`` of N = 2^(m-1) terms is pairwise: depth at most 25 within a
+    block of 128 (eight accumulators of 16 terms, three levels, 7 leftover
+    terms), one more per halving of a longer array (at most m - 6) and one
+    for the start value, so at most m + 20, and never more than N.  The
+    bound 2 (n_kernel + n_oracle + 3) u covers the sum of the two errors:
+    3.7e-12 at m = 20, 3.3e-15 at m = 3.
+    """
+    return 2.0 * (row_depth(m) + min(1 << (m - 1), m + 20) + 3) * _UNIT_ROUNDOFF
 
 
 def invariance_check(state: StateVector, trials: int, seed: int = 0) -> float:
@@ -140,3 +171,37 @@ def invariance_check(state: StateVector, trials: int, seed: int = 0) -> float:
             dressed = apply_local_unitary(dressed, qubit, u)
         worst = max(worst, abs(entanglement_measure(dressed) - base))
     return worst
+
+
+def verify_state(state: StateVector, trials: int, restarts: int, seed: int) -> dict:
+    """The ``entdist verify`` record: E and the three oracle checks against their thresholds.
+
+    E and the Bloch vectors come from one ``w_vectors`` call.  The
+    invariance dressings are drawn from ``seed`` and the ascent starts from
+    ``seed + 1``.  A check fails unless its gap is below its threshold;
+    ``failed_checks`` names the failures in the order of ``thresholds``.
+    """
+    w_minus, w_3 = w_vectors(state)
+    analytic = float(measure_from_bilinears(w_minus, w_3))
+    deviation = invariance_check(state, trials=trials, seed=seed)
+    report = minimize_trace_numeric(state, restarts=restarts, seed=seed + 1)
+    bloch_gap = max(
+        float(np.max(np.abs(b - bloch_vector_oracle(state, nu))))
+        for nu, b in enumerate(bloch_vectors(w_minus, w_3))
+    )
+    gaps = {"invariance": deviation, "optimizer": abs(report.value - analytic), "bloch": bloch_gap}
+    thresholds = {"invariance": INVARIANCE_TOL, "optimizer": OPTIMIZER_TOL}
+    thresholds["bloch"] = bloch_tol(state.num_qubits)
+    failed = [name for name, tol in thresholds.items() if not gaps[name] < tol]
+    return {
+        "m": state.num_qubits,
+        "analytic_measure": analytic,
+        "invariance_max_deviation": deviation,
+        "optimizer_value": report.value,
+        "optimizer_gap": gaps["optimizer"],
+        "optimizer_converged": report.converged,
+        "bloch_gap": bloch_gap,
+        "passed": not failed,
+        "thresholds": thresholds,
+        "failed_checks": failed,
+    }

@@ -15,13 +15,13 @@ def conjugated_w_minus(monkeypatch):
     A planted defect: it flips the sign of qubit 0's Bloch y component,
     which the Bloch check must catch whenever that component is not 0.
     """
-    import entdist.cli as cli
+    import entdist.verify as verify
 
-    w_vectors = cli.w_vectors
+    w_vectors = verify.w_vectors
 
     def conjugated(state):
         w_minus, w_3 = w_vectors(state)
         w_minus[0] = np.conj(w_minus[0])
         return w_minus, w_3
 
-    monkeypatch.setattr(cli, "w_vectors", conjugated)
+    monkeypatch.setattr(verify, "w_vectors", conjugated)

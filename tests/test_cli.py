@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import entdist.metric
-from entdist import FamilySpec, ghzl_state, write_state_file
-from entdist.cli import SweepSpec, bloch_tol, main, run_sweep
+from entdist import FamilySpec, brs_state, ghzl_state, write_state_file
+from entdist.cli import SweepSpec, main, run_sweep
 from entdist.metric import trace_tol
+from entdist.verify import bloch_tol, verify_state
 
 
 def run_cli(args, capsys):
@@ -346,12 +347,22 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_record_is_verify_state(self, capsys):
+        """The CLI prints ``verify_state``'s record for the state and flags it was given."""
+        code, out = run_cli(
+            ["verify", "--family", "brs", "--m", "5", "--phi", "2.1", "--trials", "20",
+             "--restarts", "3", "--seed", "7"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out) == verify_state(brs_state(5, 2.1), trials=20, restarts=3, seed=7)
+
     def test_tolerance_breach_exits_1(self, capsys, monkeypatch):
         """No valid state breaches the thresholds, so force one to check the
         exit-code wiring."""
-        import entdist.cli as cli
+        import entdist.verify as verify
 
-        monkeypatch.setattr(cli, "INVARIANCE_TOL", -1.0)
+        monkeypatch.setattr(verify, "INVARIANCE_TOL", -1.0)
         code, out = run_cli(
             ["verify", "--family", "ghzl", "--m", "2", "--theta", "0.3", "--trials", "5"],
             capsys,

@@ -188,7 +188,7 @@ class TestClosedForms:
         assert "sin" in closed_form_E(FamilySpec("brs", m=2, phi=1.0)).source
         assert "theta" in closed_form_E(FamilySpec("ghzl", m=2, theta=1.0)).source
 
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 12])
     def test_brs_grid_agreement(self, m):
         for phi in np.linspace(0.0, 2 * np.pi, 61):
             spec = FamilySpec("brs", m=m, phi=float(phi))
@@ -196,8 +196,8 @@ class TestClosedForms:
             assert gap < 1e-12
 
     def test_brs_general_m_consistency_with_direct_trace(self):
-        """m >= 4: the per-qubit trace formula agrees with the direct metric
-        trace at the optimal directions (the two evaluation routes)."""
+        """m >= 4: the closed form agrees with the direct metric trace at the
+        optimal directions."""
         for m in [4, 5, 6]:
             for phi in np.linspace(0.2, 6.0, 7):
                 spec = FamilySpec("brs", m=m, phi=float(phi))

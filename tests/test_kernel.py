@@ -72,14 +72,6 @@ def test_kernel_and_w_vectors_match_literal_sums(m):
             assert abs(ws_3[nu] - w3) < 1e-13
 
 
-def test_qubit_subset_matches_full_kernel():
-    amps = random_state(6, np.random.default_rng(5))
-    w_minus, w_3 = bilinears(amps)
-    sub_minus, sub_3 = bilinears(amps, (4, 1))
-    np.testing.assert_array_equal(sub_minus, w_minus[[4, 1]])
-    np.testing.assert_array_equal(sub_3, w_3[[4, 1]])
-
-
 def _whole_vector_bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One einsum and two sums per qubit over the whole state, in one pass each.
 
@@ -121,16 +113,6 @@ class TestRowWalkedKernel:
                 assert abs(w_minus[i, nu] - wm) <= 1e-15
                 assert abs(w_3[i, nu] - w3) <= 1e-15
 
-    @pytest.mark.parametrize("row_bits", [1, 2, 3])
-    def test_qubit_subset_keeps_its_order_over_rows(self, monkeypatch, row_bits):
-        """Qubits (4, 1): 4 pairs rows, 1 pairs within a row, for rows of 2 to 8 amplitudes."""
-        monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
-        amps = random_state(6, np.random.default_rng(5))
-        w_minus, w_3 = bilinears(amps)
-        sub_minus, sub_3 = bilinears(amps, (4, 1))
-        np.testing.assert_array_equal(sub_minus, w_minus[[4, 1]])
-        np.testing.assert_array_equal(sub_3, w_3[[4, 1]])
-
     @pytest.mark.parametrize("m", [4, 6, 9])
     def test_multi_row_batch_rows_equal_single_states(self, monkeypatch, m):
         monkeypatch.setattr(qstate, "ROW_BITS", 2)
@@ -157,7 +139,7 @@ class TestRowWalkedKernel:
         """At 15 and 16 qubits the kernel walks 2 and 4 rows of 2^14 amplitudes.
 
         Each bilinear is a sum whose terms add up to at most 1 in magnitude,
-        so its rounding is at most (row_depth(m) + 3) u (see ``cli.bloch_tol``),
+        so its rounding is at most (row_depth(m) + 3) u (see ``verify.bloch_tol``),
         and E's, a sum over m qubits of squares, at most 2 m of that.
         """
         rng = np.random.default_rng(900 + m)

@@ -1,9 +1,10 @@
-"""The committed figure data in demos/output is a regression reference.
+"""The figure data in tests/reference is a regression reference.
 
-Each run_sweep/run_surface CSV written by demos 02 and 04 is recomputed and
-compared value by value at 1e-15 relative.  Byte equality is too strict: a
-different host can move the last digit of a few eigenvalues (rows 85 of
-chain_phase_m7 and chain_phase_m9 differ by up to 4.2e-16 relative).
+Each CSV is one that demos 02 and 04 write to demos/output, from
+run_sweep/run_surface; it is recomputed and compared value by value at
+1e-15 relative.  Byte equality is too strict: a different host can move
+the last digit of a few eigenvalues (rows 85 of chain_phase_m7 and
+chain_phase_m9 differ by up to 4.2e-16 relative).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import pytest
 from entdist import FamilySpec
 from entdist.cli import SweepSpec, run_sweep, run_surface
 
-OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "output"
+REFERENCE = Path(__file__).resolve().parent / "reference"
 RTOL = 1e-15
 
 SWEEPS = {
@@ -28,7 +29,7 @@ SWEEPS = {
 
 
 def _assert_matches_reference(name: str, header: list[str], rows: list[list[float]]) -> None:
-    lines = (OUTPUT / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+    lines = (REFERENCE / f"{name}.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0].split(",") == header
     ref = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     got = np.array(rows)

@@ -1,7 +1,8 @@
-"""Smoke checks: the public names resolve and the file-free demos run."""
+"""Smoke checks: the public names resolve and every demo runs."""
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,14 +19,19 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-# demos 02-04 write their CSVs under demos/output; these two only print
-@pytest.mark.parametrize("demo", ["01_measure_basics.py", "05_oracle_checks.py"])
-def test_demo_runs(demo):
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    """Each demo runs from a copy of demos/, so its CSVs land under tmp_path."""
+    ignore = shutil.ignore_patterns("output")
+    demos = shutil.copytree(ROOT / "demos", tmp_path / "demos", ignore=ignore)
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
-        cwd=ROOT, env=env, capture_output=True, text=True,
+        [sys.executable, str(demos / demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

@@ -18,7 +18,7 @@ from entdist import (
     w_vectors,
 )
 from entdist import verify
-from entdist.cli import bloch_tol
+from entdist.verify import bloch_tol
 from entdist.qstate import bloch_vectors
 
 from oracles import bilinears_extended, random_state
@@ -128,7 +128,7 @@ class TestBlochVectorOracle:
     @pytest.mark.parametrize("m", range(1, 11))
     def test_gap_stays_inside_the_derived_threshold(self, m):
         """``verify``'s derived Bloch threshold refuses no valid state.  The
-        largest gap seen is 1/12 of ``cli.bloch_tol``, at m = 1 (u against 12 u)."""
+        largest gap seen is 1/12 of ``verify.bloch_tol``, at m = 1 (u against 12 u)."""
         rng = np.random.default_rng(205 + m)
         states = [StateVector(m, random_state(m, rng)) for _ in range(12)]
         if m >= 2:
@@ -140,7 +140,7 @@ class TestBlochVectorOracle:
 
     @pytest.mark.parametrize("m", [12, 16])
     def test_pairwise_oracle_error_within_its_depth(self, m):
-        """The oracle's share of ``cli.bloch_tol``: a pairwise sum of depth at most
+        """The oracle's share of ``verify.bloch_tol``: a pairwise sum of depth at most
         m + 20 is off by at most (m + 23) u from an extended-precision reference."""
         s = brs_state(m, 0.3)
         w_minus, w_3 = bilinears_extended(s.amplitudes, m)
