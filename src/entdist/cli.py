@@ -9,7 +9,6 @@ floats are written with 17 significant digits so values round-trip exactly.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -17,24 +16,30 @@ from pathlib import Path
 
 import numpy as np
 
+from . import qstate
 from .families import (
     FAMILY_ANGLES,
     FAMILY_TAGS,
     THREEQ,
     FamilySpec,
+    family_amplitudes,
     family_state,
     three_qubit_amplitudes,
 )
 from .metric import (
     DEFAULT_RANK_TOL,
+    check_metrics,
     entanglement_metric,
     measure_from_bilinears,
+    metric_matrices,
+    optimal_directions,
     spectrum,
 )
 from .qstate import (
     StateFileError,
     StateVector,
     bilinears,
+    bloch_vectors,
     read_state_file,
     validate_amplitudes,
 )
@@ -89,20 +94,40 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _chunk_points(m: int) -> int:
+    """Points per sweep batch: their applied stack, P M 2^M amplitudes, fills at most 2**ROW_BITS."""
+    return max(1, (1 << qstate.ROW_BITS) // (m << m))
+
+
 def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
-    """Compute sweep rows (x, E, E/M, eigenvalues descending)."""
+    """Compute sweep rows (x, E, E/M, eigenvalues descending).
+
+    The grid runs through the array-first pipeline in chunks of
+    ``_chunk_points(M)`` points.  A chunk is one (P, 2^M) family batch,
+    validated row-wise, then one bilinear pass, one direction call, one
+    ``metric_matrices`` call and one ``check_metrics`` call, whose batched
+    eigvalsh gives the P spectra.  Every row has the bits that
+    ``entanglement_metric`` and ``spectrum`` give its point alone, and the
+    working memory is that of one chunk, however many points there are.
+    """
     m = spec.family.m
     header = ["x", "E", "E_over_M"] + [f"eig_{i}" for i in range(1, m + 1)]
-    divisor = _ABSCISSA_DIVISOR[spec.parameter]
-    rows = []
-    for value in np.linspace(spec.start, spec.stop, spec.points):
-        fam = dataclasses.replace(spec.family, **{spec.parameter: float(value)})
-        em = entanglement_metric(family_state(fam))
-        eigs = spectrum(em).eigenvalues
+    values = np.linspace(spec.start, spec.stop, spec.points)
+    chunk = _chunk_points(m)
+    blocks = []
+    for lo in range(0, spec.points, chunk):
+        grid = values[lo : lo + chunk]
+        amps = family_amplitudes(spec.family, spec.parameter, grid)
+        validate_amplitudes(amps)
+        w_minus, w_3 = bilinears(amps)
+        measure = measure_from_bilinears(w_minus, w_3)
+        g = metric_matrices(amps, optimal_directions(bloch_vectors(w_minus, w_3)))
+        eigs = check_metrics(g, measure, at=(spec.parameter, grid))
         if spec.normalize:
             eigs = eigs / m
-        rows.append([float(value) / divisor, em.measure, em.measure / m, *map(float, eigs)])
-    return header, rows
+        x = grid / _ABSCISSA_DIVISOR[spec.parameter]
+        blocks.append(np.column_stack([x, measure, measure / m, eigs]))
+    return header, np.concatenate(blocks).tolist()
 
 
 def run_surface(

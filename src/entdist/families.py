@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,22 +105,35 @@ def _n01_counts(m: int) -> np.ndarray:
     return np.bitwise_count((~k & (k >> 1)) & np.uint32((1 << (m - 1)) - 1))
 
 
+def _brs_amplitudes(m: int, phis) -> np.ndarray:
+    """Chain-phase amplitudes (len(phis), 2**m), indexed from m // 2 + 1 values per phi."""
+    table = np.exp(-1j * np.asarray(phis, dtype=float)[:, None] * np.arange(m // 2 + 1))
+    # table[:, counts] is F-ordered for several phis, and F-ordered rows skip BLAS
+    return np.ascontiguousarray((table * (2.0 ** (-m / 2.0)))[:, _n01_counts(m)])
+
+
+def _ghzl_amplitudes(m: int, thetas, phases) -> np.ndarray:
+    """GHZ-like amplitudes, one row per angle pair; ``thetas`` and ``phases`` broadcast."""
+    cos, sin = (np.array([f(t) for t in thetas]) for f in (math.cos, math.sin))
+    top = sin * np.exp(1j * np.asarray(phases, dtype=float))
+    amps = np.zeros((max(cos.size, top.size), 1 << m), dtype=np.complex128)
+    amps[:, 0] = cos
+    amps[:, -1] = top
+    return amps
+
+
 def brs_state(m: int, phi: float) -> StateVector:
     """Chain-phase state c_k = 2^{-m/2} e^{-i phi n(k)}, indexed from its m // 2 + 1 values."""
     if not 2 <= m <= MAX_QUBITS:
         raise ValueError(f"m must be in [2, {MAX_QUBITS}], got {m}")
-    table = np.exp(-1j * phi * np.arange(m // 2 + 1)) * (2.0 ** (-m / 2.0))
-    return StateVector(m, table[_n01_counts(m)])
+    return StateVector(m, _brs_amplitudes(m, [phi])[0])
 
 
 def ghzl_state(m: int, theta: float, phase: float = 0.0) -> StateVector:
     """GHZ-like state cos(theta)|0...0> + sin(theta) e^{i phase}|1...1>."""
     if not 2 <= m <= MAX_QUBITS:
         raise ValueError(f"m must be in [2, {MAX_QUBITS}], got {m}")
-    amps = np.zeros(1 << m, dtype=np.complex128)
-    amps[0] = math.cos(theta)
-    amps[-1] = math.sin(theta) * np.exp(1j * phase)
-    return StateVector(m, amps)
+    return StateVector(m, _ghzl_amplitudes(m, [theta], [phase])[0])
 
 
 def three_qubit_amplitudes(gammas, taus) -> np.ndarray:
@@ -157,6 +170,29 @@ def family_state(spec: FamilySpec) -> StateVector:
     if spec.tag == GHZL:
         return ghzl_state(spec.m, spec.theta, spec.phase)
     return three_qubit_state(spec.gamma, spec.tau)
+
+
+def family_amplitudes(spec: FamilySpec, parameter: str, values) -> np.ndarray:
+    """C-contiguous amplitudes (len(values), 2**m) of ``spec`` with ``parameter`` at each value.
+
+    Row i holds the amplitudes, bit for bit, that ``family_state`` gives
+    for the spec with that angle set to ``values[i]``; a non-finite value
+    is rejected as FamilySpec rejects it.  The rows are not validated.
+    """
+    values = [float(v) for v in values]
+    if parameter not in FAMILY_ANGLES[spec.tag]:
+        raise ValueError(f"family {spec.tag!r} has no angle {parameter!r}")
+    # the spec with the first non-finite value, if any, raises FamilySpec's error
+    replace(spec, **{parameter: next((v for v in values if not math.isfinite(v)), 0.0)})
+    angles = {
+        name: values if name == parameter else [getattr(spec, name)]
+        for name in FAMILY_ANGLES[spec.tag]
+    }
+    if spec.tag == BRS:
+        return _brs_amplitudes(spec.m, angles["phi"])
+    if spec.tag == GHZL:
+        return _ghzl_amplitudes(spec.m, angles["theta"], angles["phase"])
+    return three_qubit_amplitudes(angles["gamma"], angles["tau"])
 
 
 def closed_form_E(spec: FamilySpec) -> ClosedForm:

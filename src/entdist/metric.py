@@ -12,27 +12,32 @@ qubit by v^nu = b^nu / |b^nu|, which gives the entanglement measure
     E = (1/4) (M - sum_nu |b^nu|^2),   0 <= E <= M/4.
 
 The Bloch vector is assembled from the amplitude bilinears of each qubit:
-b = (2 Re w_minus, -2 Im w_minus, w_3), so E needs nothing else.  One
-array-first kernel, ``qstate.bilinears``, computes them for amplitudes of
-shape (..., 2**M): a single state, or a whole batch in one pass (the
-three-qubit surface evaluates all of its grid points in one call), and
-``measure_from_bilinears`` turns them into E.  ``entanglement_metric``
-computes them once per state (``w_vectors``) and passes the same arrays to
-the directions, through ``qstate.bloch_vectors``, and to E.  The metric is
-diagonalised once, when the ``EntanglementMetric`` is built; ``spectrum``
-and the JSON record read that one set of eigenvalues.
+b = (2 Re w_minus, -2 Im w_minus, w_3), so E needs nothing else.
 
-Both passes over the state, the bilinears and ``metric_matrix``, walk it
-by ``qstate.row_walk`` in rows of 2**ROW_BITS amplitudes (256 KiB), so
-every sum is blocked, of depth ``qstate.row_depth(M)`` rather than 2^M,
-and ``trace_tol`` bounds the rounding by that depth.  ``metric_matrix``
-builds the M applied states A_nu|s> one row at a time, so its working
-memory is the state plus M rows.  Up to ROW_BITS qubits there is one row
-and the arithmetic is that of the whole-vector products.
+The pipeline is array-first: each stage takes a batch of states
+(..., 2**M) as readily as one.  ``qstate.bilinears`` gives the
+bilinears, ``measure_from_bilinears`` E, ``optimal_directions`` the
+(..., M, 3) fields, ``metric_matrices`` the (..., M, M) metrics, and
+``check_metrics`` checks them and takes their spectra with one batched
+eigvalsh; ``cli.run_sweep`` runs its grid through them in chunks.  The
+single-state functions are the case of one state: ``entanglement_metric``
+computes the bilinears once (``w_vectors``) for the directions, through
+``qstate.bloch_vectors``, and for E, and the ``EntanglementMetric`` runs
+``check_metrics`` once, at construction, so ``spectrum`` and the JSON
+record read that one set of eigenvalues.  A state gets the same bits
+alone or in a batch.
+
+Both passes over the states, the bilinears and ``metric_matrices``, walk
+them by ``qstate.row_walk`` in rows of 2**ROW_BITS amplitudes (256 KiB),
+so every sum is blocked, of depth ``qstate.row_depth(M)`` rather than
+2^M, and ``trace_tol`` bounds the rounding by that depth.
+``metric_matrices`` builds the M applied states A_nu|s> one row at a
+time, so its working memory is the states plus M rows per state.  Up to
+ROW_BITS qubits there is one row and the arithmetic is that of the
+whole-vector products.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +55,9 @@ from .qstate import (
 
 DEGENERATE_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-8
+SYMMETRY_TOL = 1e-12  # on max |g - g^T|
+DIAGONAL_TOL = 1e-12  # on how far a diagonal entry lies outside [0, 1/4]
+PSD_TOL = 1e-10  # on how far the smallest eigenvalue lies below 0
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -76,6 +84,54 @@ def trace_tol(m: int) -> float:
     return 2.0 * m * (row_depth(m) + m) * _UNIT_ROUNDOFF
 
 
+def check_metrics(g: np.ndarray, measure, at: tuple[str, np.ndarray] | None = None) -> np.ndarray:
+    """Check metrics ``(..., M, M)`` against measures ``(...)``; return the spectra, descending.
+
+    Each g must be symmetric within SYMMETRY_TOL, have its diagonal in
+    [0, 1/4] within DIAGONAL_TOL and its trace within ``trace_tol(M)`` of E;
+    one batched eigvalsh of the symmetric parts gives every spectrum, whose
+    smallest eigenvalue must not fall below -PSD_TOL.  A failed check raises
+    ValueError with the measured value and its bound; for a batch taken
+    over a grid, ``at = (name, values)`` adds the grid value of the first
+    point that fails.
+    """
+    *batch, m, _ = g.shape
+    g = g.reshape(-1, m, m)
+    gt = np.swapaxes(g, -1, -2)
+
+    def check(value: np.ndarray, bound: float, message: str) -> None:
+        failed = ~(value <= bound)  # also true for NaN
+        if np.any(failed):
+            i = int(np.argmax(failed))
+            where = f" at {at[0]} = {float(at[1][i])!r}" if at is not None else ""
+            raise ValueError(message.format(value[i], bound) + where)
+
+    check(
+        np.max(np.abs(g - gt), axis=(-2, -1)),
+        SYMMETRY_TOL,
+        "metric matrix must be symmetric: max |g - g^T| = {:.3e} exceeds {:.0e}",
+    )
+    diag = np.diagonal(g, axis1=-2, axis2=-1)
+    check(
+        np.maximum(-diag, diag - 0.25).max(axis=-1),
+        DIAGONAL_TOL,
+        "metric diagonal entries must lie in [0, 1/4]: one lies {:.3e} outside, more than {:.0e}",
+    )
+    check(
+        np.abs(np.reshape(measure, -1) - np.trace(g, axis1=-2, axis2=-1)),
+        trace_tol(m),
+        "measure must equal the matrix trace: |tr g - E| = {:.3e} exceeds the rounding bound "
+        f"{{:.3e}} for {m} qubits",
+    )
+    eigs = np.linalg.eigvalsh(0.5 * (g + gt))[:, ::-1].copy()
+    check(
+        -eigs[:, -1],
+        PSD_TOL,
+        "metric matrix must be positive semidefinite: smallest eigenvalue -{:.3e} is below -{:.0e}",
+    )
+    return eigs.reshape(*batch, m)
+
+
 @dataclass(frozen=True, eq=False)
 class EntanglementMetric:
     """Metric evaluated at the minimizing direction field.
@@ -99,21 +155,7 @@ class EntanglementMetric:
         if g.shape != (self.size, self.size):
             raise ValueError(f"expected a {self.size}x{self.size} matrix, got {g.shape}")
         dirs = validate_directions(self.directions, self.size).copy()
-        if np.max(np.abs(g - g.T), initial=0.0) > 1e-12:
-            raise ValueError("metric matrix must be symmetric")
-        diag = np.diagonal(g)
-        if np.any(diag < -1e-12) or np.any(diag > 0.25 + 1e-12):
-            raise ValueError("metric diagonal entries must lie in [0, 1/4]")
-        gap = abs(self.measure - float(np.trace(g)))
-        tol = trace_tol(self.size)
-        if not gap <= tol:
-            raise ValueError(
-                f"measure must equal the matrix trace: |tr g - E| = {gap:.3e} exceeds "
-                f"the rounding bound {tol:.3e} for {self.size} qubits"
-            )
-        eigs = np.linalg.eigvalsh(0.5 * (g + g.T))[::-1].copy()
-        if float(eigs[-1]) < -1e-10:
-            raise ValueError("metric matrix must be positive semidefinite")
+        eigs = check_metrics(g, self.measure)
         for a in (g, dirs, eigs):
             a.flags.writeable = False
         object.__setattr__(self, "matrix", g)
@@ -174,33 +216,27 @@ def measure_from_bilinears(w_minus: np.ndarray, w_3: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 0.25 * (m - total))
 
 
-def _canonicalize(v: np.ndarray) -> np.ndarray:
-    """Flip the overall sign so the first component above 1e-12 is positive."""
-    for x in v:
-        if abs(x) > 1e-12:
-            return -v if x < 0.0 else v
-    return v
-
-
 def optimal_directions(bloch: np.ndarray) -> np.ndarray:
-    """Directions minimizing the metric trace, one unit row per row of the (M, 3) Bloch array.
+    """Directions minimizing the metric trace, one unit row per row of a (..., M, 3) Bloch array.
 
     The trace term (v . b)^2 is maximized by the unit vector along the
     Bloch vector b; when |b| falls below DEGENERATE_TOL every direction is
-    minimizing and the z axis is returned.  Signs are canonicalized (first
-    nonzero component positive), which leaves (v . b)^2 and the measure
-    unchanged.  The norm is taken row by row: np.linalg.norm(..., axis=1)
-    rounds differently and would move the bits of the directions.
+    minimizing and the z axis is returned.  Signs are canonicalized (the
+    first component above 1e-12 in magnitude made positive), which leaves
+    (v . b)^2 and the measure unchanged.  Each norm is sqrt(vecdot(b, b)):
+    vecdot takes one BLAS dot per row, the one np.linalg.norm takes of a
+    row alone, so a row gets the same bits alone or in a batch;
+    np.linalg.norm(..., axis=-1) sums the squares in numpy's own loop and
+    would move the bits of the directions.
     """
-    dirs = np.empty((len(bloch), 3))
-    for nu, b in enumerate(bloch):
-        norm = float(np.linalg.norm(b))
-        if norm < DEGENERATE_TOL:
-            dirs[nu] = (0.0, 0.0, 1.0)
-            continue
-        v = _canonicalize(b / norm)
-        dirs[nu] = v / np.linalg.norm(v)
-    return dirs
+    bloch = np.asarray(bloch, dtype=float)
+    norm = np.sqrt(np.vecdot(bloch, bloch))[..., None]
+    degenerate = norm < DEGENERATE_TOL
+    v = bloch / np.where(degenerate, 1.0, norm)
+    big = np.abs(v) > 1e-12
+    first = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)
+    v = np.where(degenerate, (0.0, 0.0, 1.0), np.where(first < 0.0, -v, v))
+    return v / np.sqrt(np.vecdot(v, v))[..., None]
 
 
 def entanglement_measure(state: StateVector) -> float:
@@ -208,43 +244,58 @@ def entanglement_measure(state: StateVector) -> float:
     return float(measure_from_bilinears(*bilinears(state.amplitudes)))
 
 
-def metric_matrix(state: StateVector, dirs: np.ndarray) -> np.ndarray:
-    """Adapted metric at an (M, 3) direction field, in O(2^M) working memory.
+def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Adapted metrics (..., M, M) of states ``(..., 2**M)`` at direction fields ``(..., M, 3)``.
 
     Entries: g[mu, nu] = (<A_mu A_nu> - <A_mu><A_nu>) / 4 off the diagonal
     and g[mu, mu] = (1 - <A_mu>^2) / 4, with A_nu = v^nu . sigma^nu.
 
-    The state is walked by ``qstate.row_walk`` in rows of 2^k amplitudes.
+    The states are walked by ``qstate.row_walk`` in rows of 2^k amplitudes.
     A qubit below k acts within a row; a higher qubit mixes the row with its
     partner row, the one whose index differs in that qubit's bit.  Per row
-    the M applied row vectors give row sums of <A_mu> and <A_mu A_nu>, which
-    are added across rows.  For M <= ROW_BITS there is one row.
+    the M applied rows form one (M, ..., 2^k) stack, and ``np.vecdot``
+    takes the row sums of <A_mu> in one call and those of <A_mu A_nu> in
+    one call per mu against every nu > mu; the row sums are added across
+    rows.  vecdot takes the BLAS dot per vector that np.vdot takes, so a
+    state gets the same bits alone or in a batch.  The diagonal squares
+    <A_mu> with Python's float power: numpy's square differs from it in the
+    last bit of some values.  Working memory is the states plus the stack;
+    for M <= ROW_BITS there is one row.
     """
-    m = state.num_qubits
-    ops = [_operator(*v) for v in validate_directions(dirs, m).tolist()]
-    k, walk = row_walk(state.amplitudes)
-    applied = list(np.empty((m, 1 << k), dtype=np.complex128))  # reused for every row
-    partner_term = np.empty(1 << k, dtype=np.complex128)
-    pairs = list(itertools.combinations(range(m), 2))
-    expectations = np.zeros(m)
-    cross = np.zeros(len(pairs))
+    batch = amps.shape[:-1]
+    m = dirs.shape[-2]
+    ops = _operator(*np.moveaxis(dirs, -1, 0))  # (..., M, 2, 2)
+    k, walk = row_walk(amps)
+    applied = np.empty((m,) + batch + (1 << k,), dtype=np.complex128)  # reused for every row
+    partner_term = np.empty(batch + (1 << k,), dtype=np.complex128)
+    expectations = np.zeros((m,) + batch)
+    mu, nu = np.triu_indices(m, 1)  # the pairs mu < nu, mu-major
+    cross = np.zeros(mu.shape + batch)
+    blocks = np.split(cross, np.cumsum(range(m - 1, 1, -1)))  # views: each mu's pairs
     for h, row, partners in walk:
-        for nu in range(k):
-            _apply_one_qubit_matrix(row, k, nu, ops[nu], out=applied[nu])
-        for nu, partner in enumerate(partners, k):
-            b = (h >> (nu - k)) & 1  # row h holds the |b> half of qubit nu's pairs
-            np.multiply(ops[nu][b, b], row, out=applied[nu])
-            np.multiply(ops[nu][b, 1 - b], partner, out=partner_term)
-            applied[nu] += partner_term
-        expectations += [np.vdot(row, t).real for t in applied]
-        cross += [np.vdot(applied[mu], applied[nu]).real for mu, nu in pairs]
-    e = expectations.tolist()
-    g = np.zeros((m, m))
-    for mu in range(m):
-        g[mu, mu] = 0.25 * max(0.0, 1.0 - e[mu] ** 2)
-    for (mu, nu), c in zip(pairs, cross.tolist()):
-        g[mu, nu] = g[nu, mu] = 0.25 * (c - e[mu] * e[nu])
+        for q in range(k):
+            _apply_one_qubit_matrix(row, k, q, ops[..., q, :, :], out=applied[q])
+        for q, partner in enumerate(partners, k):
+            b = (h >> (q - k)) & 1  # row h holds the |b> half of qubit q's pairs
+            np.multiply(ops[..., q, b, b, None], row, out=applied[q])
+            np.multiply(ops[..., q, b, 1 - b, None], partner, out=partner_term)
+            applied[q] += partner_term
+        expectations += np.vecdot(row, applied).real
+        for q, block in enumerate(blocks):
+            block += np.vecdot(applied[q], applied[q + 1 :]).real
+    g = np.empty(batch + (m, m))
+    g[..., mu, nu] = g[..., nu, mu] = np.moveaxis(
+        0.25 * (cross - expectations[mu] * expectations[nu]), 0, -1
+    )
+    e = np.moveaxis(expectations, 0, -1)
+    diag = [0.25 * max(0.0, 1.0 - x**2) for x in e.ravel().tolist()]
+    g[..., range(m), range(m)] = np.reshape(diag, e.shape)
     return g
+
+
+def metric_matrix(state: StateVector, dirs: np.ndarray) -> np.ndarray:
+    """Adapted metric of one state at an (M, 3) direction field: ``metric_matrices`` for P = 1."""
+    return metric_matrices(state.amplitudes, validate_directions(dirs, state.num_qubits))
 
 
 def entanglement_metric(state: StateVector) -> EntanglementMetric:

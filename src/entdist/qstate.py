@@ -135,8 +135,10 @@ class LocalUnitary:
         object.__setattr__(self, "matrix", u)
 
 
-def _operator(v1: float, v2: float, v3: float) -> np.ndarray:
-    return np.array([[v3, v1 - 1j * v2], [v1 + 1j * v2, -v3]], dtype=complex)
+def _operator(v1, v2, v3) -> np.ndarray:
+    """v . sigma = [[v3, v1 - i v2], [v1 + i v2, -v3]], shape (..., 2, 2), for components (...)."""
+    ops = np.array([[v3, v1 - 1j * v2], [v1 + 1j * v2, -v3]], dtype=complex)
+    return np.moveaxis(ops, (0, 1), (-2, -1))
 
 
 def make_basis_state(m: int, k: int) -> StateVector:
@@ -153,19 +155,20 @@ def make_basis_state(m: int, k: int) -> StateVector:
 def _apply_one_qubit_matrix(
     amps: np.ndarray, m: int, qubit: int, mat: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Mix amplitude pairs (k, k + 2**qubit) by an arbitrary 2x2 matrix.
+    """Mix amplitude pairs (k, k + 2**qubit) of states ``(..., 2**m)`` by matrices ``(..., 2, 2)``.
 
     The result goes to ``out`` (a new array if None), a contiguous array of
-    2**m amplitudes.  Each output entry is the same two-term sum whatever
-    the iteration order, so the bits do not depend on it; for qubits below
-    4 the short innermost axis 2**qubit would make einsum's inner loop
-    tiny, so the long outer axis is iterated innermost instead.
+    the states' shape.  Each output entry is the same two-term sum whatever
+    the iteration order, so the bits do not depend on it, nor on the batch;
+    for qubits below 4 the short innermost axis 2**qubit would make
+    einsum's inner loop tiny, so the long outer axes are iterated innermost
+    instead.
     """
-    shape = (1 << (m - 1 - qubit), 2, 1 << qubit)
+    shape = amps.shape[:-1] + (1 << (m - 1 - qubit), 2, 1 << qubit)
     if out is None:
-        out = np.empty(1 << m, dtype=np.complex128)
+        out = np.empty(amps.shape, dtype=np.complex128)
     order = "F" if qubit < 4 else "K"
-    np.einsum("ij,ajb->aib", mat, amps.reshape(shape), out=out.reshape(shape), order=order)
+    np.einsum("...ij,...ajb->...aib", mat, amps.reshape(shape), out=out.reshape(shape), order=order)
     return out
 
 

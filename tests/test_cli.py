@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import entdist.cli
 import entdist.metric
 from entdist import FamilySpec, brs_state, ghzl_state, write_state_file
 from entdist.cli import SweepSpec, main, run_sweep
@@ -99,14 +100,20 @@ class TestMeasure:
         assert captured.err.startswith("error: internal: measure must equal")
 
     def test_each_metric_is_diagonalised_once(self, capsys, monkeypatch):
-        calls = []
+        """Counts the matrices passed to eigvalsh: a sweep passes its points in batches."""
+        matrices = []
         eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+
+        def counting(a):
+            matrices.append(np.reshape(a, (-1,) + a.shape[-2:]).shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         code, _ = run_cli(["measure", "--family", "brs", "--m", "4", "--phi", "1"], capsys)
         assert code == 0
-        assert len(calls) == 1
+        assert sum(matrices) == 1
         run_sweep(SweepSpec(FamilySpec("brs", m=4), "phi", 0.0, 1.0, 10))
-        assert len(calls) == 11
+        assert sum(matrices) == 11
 
     def test_requires_state_source(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -179,6 +186,24 @@ def test_argument_errors_show_the_subcommand_usage(args, usage, capsys):
 
 
 class TestSweep:
+    def test_broken_check_exits_4_naming_the_point(self, capsys, monkeypatch):
+        """A metric that fails a check mid-sweep is an internal error at its grid value."""
+        kernel = entdist.cli.metric_matrices
+
+        def broken(amps, dirs):
+            g = kernel(amps, dirs)
+            g[3, 0, 0] += 1e-6
+            return g
+
+        monkeypatch.setattr(entdist.cli, "metric_matrices", broken)
+        args = ["sweep", "--family", "brs", "--m", "3", "--parameter", "phi",
+                "--start", "0", "--stop", "1", "--points", "5"]
+        assert main(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: measure must equal the matrix trace")
+        assert captured.err.endswith(" at phi = 0.75\n")
+
     def test_chain_phase_header_and_midpoint(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
         code, _ = run_cli(

@@ -25,7 +25,8 @@ from entdist import (
     w_vectors,
 )
 from entdist import qstate
-from entdist.metric import DEGENERATE_TOL, trace_tol
+from entdist.families import FAMILY_ANGLES, FamilySpec, family_amplitudes
+from entdist.metric import DEGENERATE_TOL, check_metrics, metric_matrices, trace_tol
 from entdist.qstate import _haar_unitary, _operator, bloch_vectors
 
 from oracles import (
@@ -309,6 +310,21 @@ class TestRowBlockedMetric:
                 ):
                     assert metric_matrix(s, dirs).tobytes() == _whole_vector_metric(s, dirs).tobytes()
 
+    @pytest.mark.parametrize(
+        "tag, parameter",
+        [("brs", "phi"), ("ghzl", "theta"), ("ghzl", "phase"), ("threeq", "gamma"), ("threeq", "tau")],
+    )
+    def test_batch_is_bit_identical_to_whole_vector_loop(self, tag, parameter):
+        """Sweep-like batches of 201 points at m = 2-9, point by point."""
+        rng = np.random.default_rng(len(tag) + len(parameter))
+        for m in [3] if tag == "threeq" else range(2, 10):
+            angles = {name: rng.uniform(-7.0, 7.0) for name in FAMILY_ANGLES[tag]}
+            fam = FamilySpec(tag, m=m, **angles)
+            amps = family_amplitudes(fam, parameter, rng.uniform(-7.0, 7.0, 201))
+            dirs = optimal_directions(bloch_vectors(*qstate.bilinears(amps)))
+            for g, a, d in zip(metric_matrices(amps, dirs), amps, dirs):
+                assert g.tobytes() == _whole_vector_metric(StateVector(m, a), d).tobytes()
+
     def test_working_memory_below_twice_the_state(self):
         """At M = 20 the whole-vector loop peaked at 320 MiB for a 16 MiB state."""
         s = brs_state(20, 0.3)
@@ -402,6 +418,70 @@ class TestEntanglementMetric:
         em = entanglement_metric(StateVector(3, amps))
         assert em.measure == 0.0
         np.testing.assert_allclose(em.matrix, np.zeros((3, 3)), atol=1e-12)
+
+
+class TestCheckMetrics:
+    """Each invariant of ``check_metrics`` rejects a planted defect, naming its value and bound."""
+
+    AT = ("phi", np.array([0.5, 1.5, 2.5]))
+
+    def _batch(self) -> tuple[np.ndarray, np.ndarray, list]:
+        ems = [entanglement_metric(brs_state(4, phi)) for phi in self.AT[1]]
+        return np.array([em.matrix for em in ems]), np.array([em.measure for em in ems]), ems
+
+    def test_valid_batch_gives_each_spectrum(self):
+        g, measure, ems = self._batch()
+        eigs = check_metrics(g, measure, at=self.AT)
+        assert eigs.shape == (3, 4)
+        for row, em in zip(eigs, ems):
+            assert row.tobytes() == em.eigenvalues.tobytes()
+
+    def test_asymmetry(self):
+        g, measure, _ = self._batch()
+        g[1, 0, 2] += 3e-12
+        g[2, 0, 2] += 1.0
+        with pytest.raises(
+            ValueError, match=r"symmetric: max \|g - g\^T\| = 3.000e-12 exceeds 1e-12 at phi = 1.5$"
+        ):
+            check_metrics(g, measure, at=self.AT)
+
+    @pytest.mark.parametrize("entry, outside", [(0.25 + 5e-12, "5.000e-12"), (-2e-12, "2.000e-12")])
+    def test_diagonal_outside_range(self, entry, outside):
+        g, measure, _ = self._batch()
+        g[2, 3, 3] = entry
+        with pytest.raises(
+            ValueError,
+            match=rf"\[0, 1/4\]: one lies {outside} outside, more than 1e-12 at phi = 2.5$",
+        ):
+            check_metrics(g, measure, at=self.AT)
+
+    def test_trace_gap(self):
+        g, measure, _ = self._batch()
+        g[1, 2, 2] += 1e-9
+        g[2, 2, 2] += 1e-9
+        tol = trace_tol(4)
+        with pytest.raises(
+            ValueError,
+            match=rf"\|tr g - E\| = 1.000e-09 exceeds the rounding bound {tol:.3e} "
+            r"for 4 qubits at phi = 1.5$",
+        ):
+            check_metrics(g, measure, at=self.AT)
+
+    def test_negative_eigenvalue(self):
+        """Symmetric, diagonal in range, trace equal to E, but indefinite at the middle point."""
+        g = np.array(
+            [[[0.1, 0.05], [0.05, 0.1]], [[0.1, 0.2], [0.2, 0.1]], [[0.2, 0.0], [0.0, 0.0]]]
+        )
+        measure = np.array([0.2, 0.2, 0.2])
+        with pytest.raises(
+            ValueError,
+            match=r"semidefinite: smallest eigenvalue -1.000e-01 is below -1e-10 at phi = 1.5$",
+        ):
+            check_metrics(g, measure, at=self.AT)
+
+    def test_single_metric_message_has_no_grid_value(self):
+        with pytest.raises(ValueError, match=r"smallest eigenvalue -1.000e-01 is below -1e-10$"):
+            EntanglementMetric(2, np.array([[0.1, 0.2], [0.2, 0.1]]), np.array([Z, Z]), 0.2)
 
 
 class TestSpectrum:
