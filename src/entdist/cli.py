@@ -84,6 +84,10 @@ class SweepSpec:
             raise ValueError(
                 f"family {self.family.tag!r} has no sweep angle {self.parameter!r}"
             )
+        if not np.isfinite([self.start, self.stop]).all():
+            raise ValueError(
+                f"sweep range must be finite, got start = {self.start!r}, stop = {self.stop!r}"
+            )
         if not self.start < self.stop:
             raise ValueError("sweep requires start < stop")
         if self.points < 2:
@@ -95,18 +99,25 @@ def _fmt(x: float) -> str:
 
 
 def _chunk_points(m: int) -> int:
-    """Points per sweep batch: their applied stack, P M 2^M amplitudes, fills at most 2**ROW_BITS."""
-    return max(1, (1 << qstate.ROW_BITS) // (m << m))
+    """Points per sweep batch, P = 2^(ROW_BITS - M) and at least 1: one row of the row walk.
+
+    The P states of a batch hold 2**ROW_BITS amplitudes together, as one
+    row of a larger state does, so ``metric_matrices`` holds the same stack
+    of M applied rows for the batch as for a state of more than ROW_BITS
+    qubits.  From M = ROW_BITS on a batch is one state.
+    """
+    return max(1, (1 << qstate.ROW_BITS) >> m)
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
     """Compute sweep rows (x, E, E/M, eigenvalues descending).
 
-    The grid runs through the array-first pipeline in chunks of
-    ``_chunk_points(M)`` points.  A chunk is one (P, 2^M) family batch,
-    validated row-wise, then one bilinear pass, one direction call, one
-    ``metric_matrices`` call and one ``check_metrics`` call, whose batched
-    eigvalsh gives the P spectra.  Every row has the bits that
+    The grid runs through the array-first pipeline in chunks of P =
+    ``_chunk_points(M)`` points, 2**ROW_BITS amplitudes together (32 points
+    at M = 9, one from M = ROW_BITS on).  A chunk is one (P, 2^M) family
+    batch, validated row-wise, then one bilinear pass, one direction call,
+    one ``metric_matrices`` call and one ``check_metrics`` call, whose
+    batched eigvalsh gives the P spectra.  Every row has the bits that
     ``entanglement_metric`` and ``spectrum`` give its point alone, and the
     working memory is that of one chunk, however many points there are.
     """

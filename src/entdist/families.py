@@ -88,14 +88,25 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Closed-form measure value together with the formula it came from."""
+    """Closed-form measure value together with the formula it came from.
+
+    A negative value is rejected with no tolerance: every formula in
+    ``closed_form_E`` is >= 0 in floating point, not just in exact
+    arithmetic.  A computed sine lies in [-1, 1], so each computed square
+    s^2 lies in [0, 1], and rounding is monotone.  Hence (m - 2) s^2 <= m - 2
+    and 2m - 2 - (m - 2) s^2 >= m for the chain-phase family, 1 - sin^2(2 tau)
+    >= 0 for the three-qubit family, and each value is a sum of products of
+    non-negative factors.
+    """
 
     value: float
     source: str
 
     def __post_init__(self) -> None:
-        if self.value < -1e-12:
-            raise ValueError(f"closed-form measure cannot be negative: {self.value!r}")
+        if self.value < 0.0:
+            raise ValueError(
+                f"closed-form measure cannot be negative: {self.value!r} from {self.source}"
+            )
 
 
 def _n01_counts(m: int) -> np.ndarray:

@@ -259,15 +259,19 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     rows.  vecdot takes the BLAS dot per vector that np.vdot takes, so a
     state gets the same bits alone or in a batch.  The diagonal squares
     <A_mu> with Python's float power: numpy's square differs from it in the
-    last bit of some values.  Working memory is the states plus the stack;
-    for M <= ROW_BITS there is one row.
+    last bit of some values.  Working memory is the states, the stack of M
+    applied rows and, when the states have partner rows (M > ROW_BITS), one
+    row for the partner products.  For M <= ROW_BITS a state is one row;
+    ``cli.run_sweep`` batches 2^(ROW_BITS - M) of them, so the stack holds
+    M 2^ROW_BITS amplitudes, as it does for one state of more qubits.
     """
     batch = amps.shape[:-1]
     m = dirs.shape[-2]
     ops = _operator(*np.moveaxis(dirs, -1, 0))  # (..., M, 2, 2)
     k, walk = row_walk(amps)
     applied = np.empty((m,) + batch + (1 << k,), dtype=np.complex128)  # reused for every row
-    partner_term = np.empty(batch + (1 << k,), dtype=np.complex128)
+    # a partner row product only for qubits at or above k: none when the state is one row
+    partner_term = np.empty(batch + (1 << k,), dtype=np.complex128) if k < m else None
     expectations = np.zeros((m,) + batch)
     mu, nu = np.triu_indices(m, 1)  # the pairs mu < nu, mu-major
     cross = np.zeros(mu.shape + batch)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import entdist.cli
 from entdist import (
     FamilySpec,
     entanglement_metric,
@@ -56,6 +57,32 @@ def test_sweep_is_byte_equal_to_per_point_rows(fam, parameter):
     spec = _seeded_spec(fam, parameter, seed=fam.m + len(parameter))
     _, rows = run_sweep(spec)
     assert np.array(rows).tobytes() == _per_point_rows(spec).tobytes()
+
+
+@pytest.mark.parametrize("m", [8, 9])
+@pytest.mark.parametrize(
+    "chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)], ids=["P-1", "P", "P+1", "2P+1"]
+)
+def test_sweep_rows_across_chunk_boundaries(m, chunks, extra):
+    """Grids that end just short of, on and just past a chunk boundary give per-point rows."""
+    points = chunks * _chunk_points(m) + extra
+    spec = _seeded_spec(FamilySpec("brs", m=m), "phi", seed=points, points=points)
+    _, rows = run_sweep(spec)
+    assert np.array(rows).tobytes() == _per_point_rows(spec).tobytes()
+
+
+def test_sweep_builds_one_batch_per_row_walk_row(monkeypatch):
+    """At M = 9 a batch is one 2^ROW_BITS-amplitude row of 32 states: 201 points take 7."""
+    assert _chunk_points(9) == 32 and _chunk_points(7) == 128 and _chunk_points(14) == 1
+    sizes = []
+
+    def counting(spec, parameter, values):
+        sizes.append(len(values))
+        return family_amplitudes(spec, parameter, values)
+
+    monkeypatch.setattr(entdist.cli, "family_amplitudes", counting)
+    run_sweep(SweepSpec(FamilySpec("brs", m=9), "phi", 0.0, 2.0 * np.pi, 201))
+    assert sizes == [32] * 6 + [9]
 
 
 def test_several_rows_one_state_per_chunk():

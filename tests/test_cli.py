@@ -270,6 +270,28 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "bounds, named",
+        [
+            (["--start", "0", "--stop", "inf"], "start = 0.0, stop = inf"),
+            (["--start=-inf", "--stop", "1"], "start = -inf, stop = 1.0"),
+            (["--start", "nan", "--stop", "1"], "start = nan, stop = 1.0"),
+        ],
+        ids=["stop-inf", "start-minus-inf", "start-nan"],
+    )
+    def test_non_finite_range_is_bad_input(self, bounds, named, capsys):
+        """A non-finite bound exits 2 naming both bounds, before any grid is computed."""
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--family", "ghzl", "--m", "3", "--parameter", "theta",
+                  *bounds, "--points", "3"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, message = captured.err.splitlines()[0], captured.err.splitlines()[-1]
+        assert usage.startswith("usage: entdist sweep")
+        assert message == f"entdist sweep: error: sweep range must be finite, got {named}"
+
     @pytest.mark.parametrize(
         "flag", [["--state-file", "/nonexistent.json"], ["--family-json", '{"family": "threeq"}']]
     )

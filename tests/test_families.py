@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from entdist import (
+    ClosedForm,
     FamilySpec,
     StateVector,
     brs_state,
@@ -183,6 +184,24 @@ class TestClosedForms:
         for gamma in [0.0, 0.4, 1.3]:
             cf = closed_form_E(FamilySpec("threeq", gamma=gamma, tau=np.pi / 4))
             assert cf.value == pytest.approx(0.5, abs=1e-14)
+
+    def test_closed_forms_are_non_negative_in_floating_point(self):
+        """Every family's closed form is >= 0 on a dense grid, so ClosedForm needs no tolerance."""
+        special = [0.0, np.pi / 4, np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi]
+        angles = [float(a) for a in np.concatenate([special, np.linspace(-7.0, 13.0, 2001)])]
+        for m in (2, 3, 9, 26):
+            for angle in angles:
+                assert closed_form_E(FamilySpec("brs", m=m, phi=angle)).value >= 0.0
+                assert closed_form_E(FamilySpec("ghzl", m=m, theta=angle)).value >= 0.0
+        coarse = angles[: len(special)] + angles[len(special) :: 20]
+        for gamma in coarse:
+            for tau in coarse:
+                assert closed_form_E(FamilySpec("threeq", gamma=gamma, tau=tau)).value >= 0.0
+
+    def test_a_negative_closed_form_is_rejected_with_its_value(self):
+        with pytest.raises(ValueError, match=r"cannot be negative: -5e-324 from E"):
+            ClosedForm(-5e-324, "E")
+        assert ClosedForm(-0.0, "E").value == 0.0
 
     def test_sources_name_their_formulas(self):
         assert "sin" in closed_form_E(FamilySpec("brs", m=2, phi=1.0)).source
