@@ -9,32 +9,33 @@ from pathlib import Path
 
 import numpy as np
 
-from entdist import brs_state, entanglement_metric, ghzl_state, spectrum
-from entdist.cli import _csv_text
+from entdist import FamilySpec
+from entdist.cli import SweepSpec, _csv_text, run_sweep
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
 M = 7
 
-# chain-phase eigenvalues over the full angle range
-rows = []
-for phi in np.linspace(0.0, 2.0 * np.pi, 201):
-    eigs = spectrum(entanglement_metric(brs_state(M, phi))).eigenvalues
-    rows.append([phi / (2.0 * np.pi), *map(float, eigs)])
-header = ["x"] + [f"eig_{i}" for i in range(1, M + 1)]
-(OUT / "chain_phase_m7_eigs.csv").write_text(_csv_text(header, rows))
 
+def eigenvalue_sweep(tag, parameter, stop, name):
+    """Sweep one angle of the M-qubit family from 0 to ``stop`` in 201 points.
+
+    Writes the x and eig_1..eig_M columns to ``name`` and returns them.
+    """
+    header, rows = run_sweep(SweepSpec(FamilySpec(tag, m=M), parameter, 0.0, stop, 201))
+    rows = [row[:1] + row[3:] for row in rows]
+    (OUT / name).write_text(_csv_text(header[:1] + header[3:], rows))
+    return rows
+
+
+# chain-phase eigenvalues over the full angle range
+rows = eigenvalue_sweep("brs", "phi", 2.0 * np.pi, "chain_phase_m7_eigs.csv")
 interior = [row for row in rows if 0.0 < row[0] < 1.0]
 smallest = min(min(row[1:]) for row in interior)
 print(f"chain-phase M={M}: smallest interior eigenvalue = {smallest:.3e} (> 0)")
 
 # GHZ-like: only the top eigenvalue is nonzero
-rows = []
-for theta in np.linspace(0.0, np.pi / 2.0, 201):
-    eigs = spectrum(entanglement_metric(ghzl_state(M, theta))).eigenvalues
-    rows.append([2.0 * theta / np.pi, *map(float, eigs)])
-(OUT / "ghz_like_m7_eigs.csv").write_text(_csv_text(header, rows))
-
+rows = eigenvalue_sweep("ghzl", "theta", np.pi / 2.0, "ghz_like_m7_eigs.csv")
 mid = rows[100]  # theta = pi/4
 print(f"GHZ-like M={M} at the maximum: top eigenvalue = {mid[1]:.4f} (= M/4),"
       f" second = {mid[2]:.1e}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,7 +85,8 @@ class SweepSpec:
             raise ValueError(
                 f"family {self.family.tag!r} has no sweep angle {self.parameter!r}"
             )
-        if not np.isfinite([self.start, self.stop]).all():
+        # the span is finite only if both ends are and their difference does not overflow
+        if not math.isfinite(float(self.stop) - float(self.start)):
             raise ValueError(
                 f"sweep range must be finite, got start = {self.start!r}, stop = {self.stop!r}"
             )
@@ -147,18 +149,19 @@ def run_surface(
     """Row-major (gamma outer, tau inner) grid of E/3 for the three-qubit family.
 
     The whole grid is one (points^2, 8) amplitude array, validated row-wise
-    and measured in a single kernel call.
+    and measured in a single kernel call.  A range whose span is not
+    finite, overflowing ones included, is refused with FamilySpec's message
+    for that angle before any grid is computed.
     """
     if points < 2:
         raise ValueError("surface requires at least 2 points per axis")
     if not (gamma_range[0] < gamma_range[1] and tau_range[0] < tau_range[1]):
         raise ValueError("surface ranges require start < stop")
+    for name, (start, stop) in (("gamma", gamma_range), ("tau", tau_range)):
+        if not math.isfinite(float(stop) - float(start)):
+            raise ValueError(f"angle {name!r} must be finite")
     gammas = np.linspace(*gamma_range, points)
     taus = np.linspace(*tau_range, points)
-    # FamilySpec rejects the first non-finite angle in row-major order:
-    # along the first row, then down the first column
-    FamilySpec(THREEQ, gamma=float(gammas[0]), tau=float(taus[np.argmin(np.isfinite(taus))]))
-    FamilySpec(THREEQ, gamma=float(gammas[np.argmin(np.isfinite(gammas))]), tau=float(taus[0]))
     amps = three_qubit_amplitudes(gammas, taus)
     validate_amplitudes(amps)
     e = measure_from_bilinears(*bilinears(amps))
@@ -241,13 +244,11 @@ def _spec_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def _family_from_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FamilySpec:
-    if args.family == THREEQ:
-        return FamilySpec(tag=THREEQ, m=3, gamma=args.gamma, tau=args.tau)
-    if args.m is None:
+    m = 3 if args.m is None and args.family == THREEQ else args.m
+    if m is None:
         parser.error(f"--family {args.family} requires --m")
-    if args.family == "brs":
-        return FamilySpec(tag="brs", m=args.m, phi=args.phi)
-    return FamilySpec(tag="ghzl", m=args.m, theta=args.theta, phase=args.phase)
+    angles = {name: getattr(args, name) for name in FAMILY_ANGLES[args.family]}
+    return FamilySpec(args.family, m, **angles)
 
 
 def _cmd_measure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

@@ -69,15 +69,7 @@ class FamilySpec:
         tag = payload["family"]
         if tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {tag!r}; expected one of {FAMILY_TAGS}")
-        kwargs = {"tag": tag}
-        if "m" in payload:
-            kwargs["m"] = payload["m"]
-        elif tag == THREEQ:
-            kwargs["m"] = 3
-        for name in FAMILY_ANGLES[tag]:
-            if name in payload:
-                kwargs[name] = payload[name]
-        return cls(**kwargs)
+        return cls(tag, **{k: payload[k] for k in ("m", *FAMILY_ANGLES[tag]) if k in payload})
 
     def to_dict(self) -> dict:
         out = {"family": self.tag, "m": self.m}
@@ -135,16 +127,12 @@ def _ghzl_amplitudes(m: int, thetas, phases) -> np.ndarray:
 
 def brs_state(m: int, phi: float) -> StateVector:
     """Chain-phase state c_k = 2^{-m/2} e^{-i phi n(k)}, indexed from its m // 2 + 1 values."""
-    if not 2 <= m <= MAX_QUBITS:
-        raise ValueError(f"m must be in [2, {MAX_QUBITS}], got {m}")
-    return StateVector(m, _brs_amplitudes(m, [phi])[0])
+    return family_state(FamilySpec(BRS, m, phi=phi))
 
 
 def ghzl_state(m: int, theta: float, phase: float = 0.0) -> StateVector:
     """GHZ-like state cos(theta)|0...0> + sin(theta) e^{i phase}|1...1>."""
-    if not 2 <= m <= MAX_QUBITS:
-        raise ValueError(f"m must be in [2, {MAX_QUBITS}], got {m}")
-    return StateVector(m, _ghzl_amplitudes(m, [theta], [phase])[0])
+    return family_state(FamilySpec(GHZL, m, theta=theta, phase=phase))
 
 
 def three_qubit_amplitudes(gammas, taus) -> np.ndarray:
@@ -171,24 +159,22 @@ def three_qubit_state(gamma: float, tau: float) -> StateVector:
 
     See ``three_qubit_amplitudes`` for the amplitudes.
     """
-    return StateVector(3, three_qubit_amplitudes([gamma], [tau])[0])
+    return family_state(FamilySpec(THREEQ, gamma=gamma, tau=tau))
 
 
 def family_state(spec: FamilySpec) -> StateVector:
-    """Generate the state described by a FamilySpec."""
-    if spec.tag == BRS:
-        return brs_state(spec.m, spec.phi)
-    if spec.tag == GHZL:
-        return ghzl_state(spec.m, spec.theta, spec.phase)
-    return three_qubit_state(spec.gamma, spec.tau)
+    """Generate the state described by a FamilySpec: the one-row case of ``family_amplitudes``."""
+    angle = FAMILY_ANGLES[spec.tag][0]
+    return StateVector(spec.m, family_amplitudes(spec, angle, [getattr(spec, angle)])[0])
 
 
 def family_amplitudes(spec: FamilySpec, parameter: str, values) -> np.ndarray:
     """C-contiguous amplitudes (len(values), 2**m) of ``spec`` with ``parameter`` at each value.
 
-    Row i holds the amplitudes, bit for bit, that ``family_state`` gives
-    for the spec with that angle set to ``values[i]``; a non-finite value
+    Row i holds the amplitudes of the spec with that angle set to
+    ``values[i]``; ``family_state`` is the one-row case.  A non-finite value
     is rejected as FamilySpec rejects it.  The rows are not validated.
+    This is the one place that dispatches on the family tag.
     """
     values = [float(v) for v in values]
     if parameter not in FAMILY_ANGLES[spec.tag]:

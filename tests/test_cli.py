@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,15 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def run_cli_process(args):
+    """Run ``entdist`` as its own process, under Python's default warning filters."""
+    src = str(Path(entdist.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "entdist.cli", *args], env=env, capture_output=True, text=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +98,23 @@ class TestMeasure:
             '{"family": "brs", "m": true}',
             '{"family": "ghzl", "m": 3, "theta": null}',
             '{"family": "ghzl", "m": 3, "theta": "0.3"}',
+            '{"family": ["brs"]}',
         ],
     )
     def test_family_json_wrong_types_exit_2(self, spec, capsys):
         assert main(["measure", "--family-json", spec]) == 2
         assert "invalid --family-json" in capsys.readouterr().err
+
+    def test_threeq_m_flag(self, capsys):
+        """--m 3 is the threeq default and prints the same bytes; any other m exits 2."""
+        flags = ["measure", "--family", "threeq", "--gamma", "0.8", "--tau", "0.3"]
+        assert run_cli(flags + ["--m", "3"], capsys) == run_cli(flags, capsys)
+        with pytest.raises(SystemExit) as err:
+            main(flags + ["--m", "5"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith("m fixed at 3")
 
     def test_broken_invariant_exits_4(self, capsys, monkeypatch):
         """A ValueError after the state was validated is an internal error, not bad input."""
@@ -277,8 +302,9 @@ class TestSweep:
             (["--start", "0", "--stop", "inf"], "start = 0.0, stop = inf"),
             (["--start=-inf", "--stop", "1"], "start = -inf, stop = 1.0"),
             (["--start", "nan", "--stop", "1"], "start = nan, stop = 1.0"),
+            (["--start=-1e308", "--stop=1e308"], "start = -1e+308, stop = 1e+308"),
         ],
-        ids=["stop-inf", "start-minus-inf", "start-nan"],
+        ids=["stop-inf", "start-minus-inf", "start-nan", "span-overflows"],
     )
     def test_non_finite_range_is_bad_input(self, bounds, named, capsys):
         """A non-finite bound exits 2 naming both bounds, before any grid is computed."""
@@ -361,6 +387,22 @@ class TestSurface:
         with pytest.raises(SystemExit) as err:
             main(["surface", *flags])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--gamma-stop", "inf"], ["--gamma-start=-1e308", "--gamma-stop=1e308"]],
+        ids=["stop-inf", "span-overflows"],
+    )
+    def test_non_finite_range_prints_only_usage_and_error(self, flags):
+        """The range is refused before numpy computes a grid, so no warning reaches stderr."""
+        usage = run_cli_process(["surface", "--points", "1"]).stderr.splitlines()[:-1]
+        out = run_cli_process(["surface", "--points", "3", *flags])
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert usage[0].startswith("usage: entdist surface")
+        assert out.stderr.splitlines() == [
+            *usage, "entdist surface: error: angle 'gamma' must be finite"
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,28 @@ class TestFamilySpec:
             FamilySpec("brs", m=2, phi=float("nan"))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: brs_state(1, 0.5), r"m must be in \[2, 26\] for family 'brs'"),
+        (lambda: brs_state(27, 0.5), r"m must be in \[2, 26\] for family 'brs'"),
+        (lambda: brs_state(3, np.nan), "angle 'phi' must be finite"),
+        (lambda: ghzl_state(1, 0.5), r"m must be in \[2, 26\] for family 'ghzl'"),
+        (lambda: ghzl_state(27, 0.5), r"m must be in \[2, 26\] for family 'ghzl'"),
+        (lambda: ghzl_state(3, np.nan), "angle 'theta' must be finite"),
+        (lambda: ghzl_state(3, 0.5, np.nan), "angle 'phase' must be finite"),
+        (lambda: three_qubit_state(np.nan, 0.5), "angle 'gamma' must be finite"),
+        (lambda: three_qubit_state(0.5, np.nan), "angle 'tau' must be finite"),
+    ],
+    ids=["brs-m1", "brs-m27", "brs-nan", "ghzl-m1", "ghzl-m27", "ghzl-nan-theta",
+         "ghzl-nan-phase", "threeq-nan-gamma", "threeq-nan-tau"],
+)
+def test_state_builders_reject_what_family_spec_rejects(build, message):
+    """Each named builder is family_state of a FamilySpec and fails with FamilySpec's message."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # reference metric forms (m = 2, 3)
 # ---------------------------------------------------------------------------

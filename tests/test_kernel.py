@@ -190,7 +190,6 @@ def test_surface_equals_per_point_measure():
     assert rows == expected
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.linspace on an infinite range
 @pytest.mark.parametrize(
     "gamma_range, tau_range, angle",
     [
