@@ -21,7 +21,6 @@ from . import qstate
 from .families import (
     FAMILY_ANGLES,
     FAMILY_TAGS,
-    THREEQ,
     FamilySpec,
     family_amplitudes,
     family_state,
@@ -150,16 +149,16 @@ def run_surface(
 
     The whole grid is one (points^2, 8) amplitude array, validated row-wise
     and measured in a single kernel call.  A range whose span is not
-    finite, overflowing ones included, is refused with FamilySpec's message
-    for that angle before any grid is computed.
+    finite, a NaN bound and an overflowing span included, is refused naming
+    its angle, before the order check and before any grid is computed.
     """
     if points < 2:
         raise ValueError("surface requires at least 2 points per axis")
-    if not (gamma_range[0] < gamma_range[1] and tau_range[0] < tau_range[1]):
-        raise ValueError("surface ranges require start < stop")
     for name, (start, stop) in (("gamma", gamma_range), ("tau", tau_range)):
         if not math.isfinite(float(stop) - float(start)):
             raise ValueError(f"angle {name!r} must be finite")
+    if not (gamma_range[0] < gamma_range[1] and tau_range[0] < tau_range[1]):
+        raise ValueError("surface ranges require start < stop")
     gammas = np.linspace(*gamma_range, points)
     taus = np.linspace(*tau_range, points)
     amps = three_qubit_amplitudes(gammas, taus)
@@ -182,35 +181,26 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+_FAMILY_FLAGS = ("m", *(name for angles in FAMILY_ANGLES.values() for name in angles))
+
+
 def _add_family_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", choices=FAMILY_TAGS, help="generate a family state")
-    parser.add_argument("--m", type=int, help="number of qubits (brs/ghzl)")
-    parser.add_argument("--phi", type=float, default=0.0, help="brs phase angle")
-    parser.add_argument("--theta", type=float, default=0.0, help="ghzl mixing angle")
-    parser.add_argument("--phase", type=float, default=0.0, help="ghzl relative phase")
-    parser.add_argument("--gamma", type=float, default=0.0, help="threeq angle")
-    parser.add_argument("--tau", type=float, default=0.0, help="threeq angle")
+    parser.add_argument("--m", type=int, help="number of qubits (3 for threeq)")
+    for tag, angles in FAMILY_ANGLES.items():
+        for name in angles:
+            parser.add_argument(f"--{name}", type=float, help=f"{tag} angle (default 0)")
 
 
 def _add_state_source(parser: argparse.ArgumentParser) -> None:
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", choices=FAMILY_TAGS, help="generate a family state")
+    source.add_argument("--family-json", help="family spec as a JSON object string")
+    source.add_argument("--state-file", help='JSON state file {"m", "re", "im"}')
     _add_family_flags(parser)
-    parser.add_argument("--family-json", help="family spec as a JSON object string")
-    parser.add_argument("--state-file", help='JSON state file {"m", "re", "im"}')
 
 
-def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    parser.add_argument("--out", help="output path (default: stdout)")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="JSON output")
-    group.add_argument("--csv", action="store_true", help="CSV output")
-    parser.set_defaults(_formats=formats, _parser=parser)
-
-
-def _resolve_format(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
-    requested = "json" if args.json else "csv" if args.csv else args._formats[0]
-    if requested not in args._formats:
-        parser.error(f"{args.command} supports only {'/'.join(args._formats)} output")
-    return requested
+def _given_family_flags(args: argparse.Namespace) -> dict:
+    return {name: getattr(args, name) for name in _FAMILY_FLAGS if getattr(args, name) is not None}
 
 
 def _state_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> StateVector:
@@ -219,6 +209,9 @@ def _state_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     Argparse-level errors exit 2 and unreadable input raises StateFileError;
     a state that fails validation raises InvalidStateError.
     """
+    given = _given_family_flags(args)
+    if args.family is None and given:
+        parser.error(f"--{next(iter(given))} applies only with --family")
     try:
         if args.state_file is not None:
             return read_state_file(args.state_file)
@@ -235,24 +228,17 @@ def _spec_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             return FamilySpec.from_dict(json.loads(args.family_json))
         except (json.JSONDecodeError, ValueError) as exc:
             raise StateFileError(f"invalid --family-json: {exc}") from exc
-    if args.family is None:
-        parser.error("provide one of --family, --family-json or --state-file")
+    return _family_from_flags(args, parser)
+
+
+def _family_from_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FamilySpec:
     try:
-        return _family_from_flags(args, parser)
+        return FamilySpec(args.family, **_given_family_flags(args))
     except ValueError as exc:
         parser.error(str(exc))
 
 
-def _family_from_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FamilySpec:
-    m = 3 if args.m is None and args.family == THREEQ else args.m
-    if m is None:
-        parser.error(f"--family {args.family} requires --m")
-    angles = {name: getattr(args, name) for name in FAMILY_ANGLES[args.family]}
-    return FamilySpec(args.family, m, **angles)
-
-
 def _cmd_measure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _resolve_format(args, parser)
     record = entanglement_metric(_state_from_args(args, parser)).to_dict()
     _emit(json.dumps(record) + "\n", args.out)
     return EXIT_OK
@@ -262,10 +248,12 @@ def _cmd_eigs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if not (np.isfinite(args.rank_tol) and args.rank_tol >= 0.0):
         parser.error(f"--rank-tol must be finite and non-negative, got {args.rank_tol!r}")
     state = _state_from_args(args, parser)
-    fmt = _resolve_format(args, parser)
     spec = spectrum(entanglement_metric(state), rank_tol=args.rank_tol)
     eigs = [float(x) for x in spec.eigenvalues]
-    if fmt == "json":
+    if args.csv:
+        header = [f"eig_{i}" for i in range(1, state.num_qubits + 1)]
+        _emit(_csv_text(header, [eigs]), args.out)
+    else:
         payload = {
             "m": state.num_qubits,
             "rank_tol": spec.rank_tol,
@@ -273,18 +261,14 @@ def _cmd_eigs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "nonnull_count": spec.nonnull_count,
         }
         _emit(json.dumps(payload) + "\n", args.out)
-    else:
-        header = [f"eig_{i}" for i in range(1, state.num_qubits + 1)]
-        _emit(_csv_text(header, [eigs]), args.out)
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _resolve_format(args, parser)
-    if args.family is None:
-        parser.error("sweep requires --family")
+    if getattr(args, args.parameter) is not None:
+        parser.error(f"--{args.parameter} is the swept angle; its range is --start to --stop")
+    template = _family_from_flags(args, parser)
     try:
-        template = _family_from_flags(args, parser)
         spec = SweepSpec(
             family=template,
             parameter=args.parameter,
@@ -301,7 +285,6 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_surface(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _resolve_format(args, parser)
     try:
         header, rows = run_surface(
             (args.gamma_start, args.gamma_stop), (args.tau_start, args.tau_stop), args.points
@@ -313,7 +296,6 @@ def _cmd_surface(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _resolve_format(args, parser)
     for name in ("trials", "restarts"):
         if getattr(args, name) < 1:
             parser.error(f"--{name} must be at least 1")
@@ -323,6 +305,13 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return EXIT_OK if payload["passed"] else EXIT_VERIFY_FAILED
 
 
+def _subcommand(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.set_defaults(func=func, _parser=parser)
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entdist",
@@ -330,20 +319,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_measure = sub.add_parser("measure", help="E, directions, metric and eigenvalues")
+    p_measure = _subcommand(sub, "measure", _cmd_measure, "E, directions, metric and eigenvalues")
     _add_state_source(p_measure)
-    _add_common(p_measure, formats=("json",))
-    p_measure.set_defaults(func=_cmd_measure)
 
-    p_eigs = sub.add_parser("eigs", help="eigenvalue spectrum of the metric")
+    p_eigs = _subcommand(sub, "eigs", _cmd_eigs, "eigenvalue spectrum of the metric")
     _add_state_source(p_eigs)
-    _add_common(p_eigs, formats=("json", "csv"))
+    p_eigs.add_argument("--csv", action="store_true", help="CSV output (default: JSON)")
     p_eigs.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
-    p_eigs.set_defaults(func=_cmd_eigs)
 
-    p_sweep = sub.add_parser("sweep", help="sweep a family angle, emit figure CSV")
+    p_sweep = _subcommand(sub, "sweep", _cmd_sweep, "sweep a family angle, emit figure CSV")
+    p_sweep.add_argument("--family", required=True, choices=FAMILY_TAGS)
     _add_family_flags(p_sweep)
-    _add_common(p_sweep, formats=("csv",))
     p_sweep.add_argument("--parameter", required=True, choices=sorted(_ABSCISSA_DIVISOR))
     p_sweep.add_argument("--start", type=float, required=True)
     p_sweep.add_argument("--stop", type=float, required=True)
@@ -351,24 +337,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--normalize", action="store_true", help="divide eigenvalue columns by M"
     )
-    p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_surface = sub.add_parser("surface", help="E/3 grid for the three-qubit family")
-    _add_common(p_surface, formats=("csv",))
+    p_surface = _subcommand(sub, "surface", _cmd_surface, "E/3 grid for the three-qubit family")
     p_surface.add_argument("--gamma-start", type=float, default=0.0)
     p_surface.add_argument("--gamma-stop", type=float, default=float(np.pi))
     p_surface.add_argument("--tau-start", type=float, default=0.0)
     p_surface.add_argument("--tau-stop", type=float, default=float(np.pi))
     p_surface.add_argument("--points", type=int, required=True)
-    p_surface.set_defaults(func=_cmd_surface)
 
-    p_verify = sub.add_parser("verify", help="run the numeric oracle harness")
+    p_verify = _subcommand(sub, "verify", _cmd_verify, "run the numeric oracle harness")
     _add_state_source(p_verify)
-    _add_common(p_verify, formats=("json",))
     p_verify.add_argument("--seed", type=int, default=0, help="seed for the random checks")
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    p_verify.set_defaults(func=_cmd_verify)
 
     return parser
 

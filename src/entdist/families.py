@@ -33,10 +33,14 @@ FAMILY_ANGLES = {BRS: ("phi",), GHZL: ("theta", "phase"), THREEQ: ("gamma", "tau
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Tagged parameter record for state generation and closed forms."""
+    """Tagged parameter record for state generation and closed forms.
+
+    ``m = None`` means 3 for the three-qubit family and is refused for the
+    others.  An angle that belongs to another family must stay 0.
+    """
 
     tag: str
-    m: int = 3
+    m: int | None = None
     phi: float = 0.0
     theta: float = 0.0
     phase: float = 0.0
@@ -46,6 +50,10 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {self.tag!r}; expected one of {FAMILY_TAGS}")
+        if self.m is None:
+            if self.tag != THREEQ:
+                raise ValueError(f"family {self.tag!r} requires m")
+            object.__setattr__(self, "m", 3)
         if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
             raise ValueError(f"m must be an integer, got {self.m!r}")
         if self.tag == THREEQ:
@@ -53,6 +61,10 @@ class FamilySpec:
                 raise ValueError("the three-qubit family has m fixed at 3")
         elif not 2 <= self.m <= MAX_QUBITS:
             raise ValueError(f"m must be in [2, {MAX_QUBITS}] for family {self.tag!r}")
+        for tag, angles in FAMILY_ANGLES.items():
+            for name in angles:
+                if tag != self.tag and getattr(self, name) != 0.0:
+                    raise ValueError(f"family {self.tag!r} has no angle {name!r}")
         for name in FAMILY_ANGLES[self.tag]:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -63,13 +75,17 @@ class FamilySpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FamilySpec":
-        """Build from JSON {"family": tag, "m": ..., <angles>}."""
+        """Build from JSON {"family": tag, "m": ..., <angles>}; any other key is refused."""
         if not isinstance(payload, dict) or "family" not in payload:
             raise ValueError('family spec must be an object with a "family" key')
         tag = payload["family"]
         if tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {tag!r}; expected one of {FAMILY_TAGS}")
-        return cls(tag, **{k: payload[k] for k in ("m", *FAMILY_ANGLES[tag]) if k in payload})
+        params = {k: v for k, v in payload.items() if k != "family"}
+        for key in params:
+            if key not in ("m", *FAMILY_ANGLES[tag]):
+                raise ValueError(f"family {tag!r} has no key {key!r}")
+        return cls(tag, **params)
 
     def to_dict(self) -> dict:
         out = {"family": self.tag, "m": self.m}
@@ -179,8 +195,9 @@ def family_amplitudes(spec: FamilySpec, parameter: str, values) -> np.ndarray:
     values = [float(v) for v in values]
     if parameter not in FAMILY_ANGLES[spec.tag]:
         raise ValueError(f"family {spec.tag!r} has no angle {parameter!r}")
-    # the spec with the first non-finite value, if any, raises FamilySpec's error
-    replace(spec, **{parameter: next((v for v in values if not math.isfinite(v)), 0.0)})
+    bad = next((v for v in values if not math.isfinite(v)), None)
+    if bad is not None:
+        replace(spec, **{parameter: bad})  # raises FamilySpec's error for that value
     angles = {
         name: values if name == parameter else [getattr(spec, name)]
         for name in FAMILY_ANGLES[spec.tag]

@@ -105,6 +105,31 @@ class TestMeasure:
         assert main(["measure", "--family-json", spec]) == 2
         assert "invalid --family-json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ('{"family": "brs", "m": 5, "Phi": 2.1}', "family 'brs' has no key 'Phi'"),
+            ('{"family": "brs"}', "family 'brs' requires m"),
+        ],
+        ids=["mistyped-key", "brs-without-m"],
+    )
+    def test_family_json_refuses_what_it_would_drop(self, spec, message, capsys):
+        """A mistyped key or a missing m exits 2 instead of falling back to a default."""
+        assert main(["measure", "--family-json", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid --family-json: {message}\n"
+
+    def test_angle_of_another_family_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["measure", "--family", "brs", "--m", "3", "--theta", "0.5"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "entdist measure: error: family 'brs' has no angle 'theta'"
+        )
+
     def test_threeq_m_flag(self, capsys):
         """--m 3 is the threeq default and prints the same bytes; any other m exits 2."""
         flags = ["measure", "--family", "threeq", "--gamma", "0.8", "--tau", "0.3"]
@@ -203,6 +228,63 @@ def test_argument_errors_show_the_subcommand_usage(args, usage, capsys):
         main(args)
     assert err.value.code == 2
     assert capsys.readouterr().err.startswith(usage)
+
+
+@pytest.mark.parametrize("command", ["measure", "eigs", "verify"])
+@pytest.mark.parametrize(
+    "sources",
+    [
+        ["--family", "brs", "--m", "3", "--family-json", '{"family": "brs", "m": 3}'],
+        ["--family", "brs", "--m", "3", "--state-file", "STATE"],
+        ["--family-json", '{"family": "brs", "m": 3}', "--state-file", "STATE"],
+    ],
+    ids=["family-and-json", "family-and-file", "json-and-file"],
+)
+def test_two_state_sources_exit_2(command, sources, tmp_path, capsys):
+    """Exactly one state source: a second one is refused, not silently ignored."""
+    path = tmp_path / "state.json"
+    write_state_file(path, ghzl_state(3, 0.4))
+    with pytest.raises(SystemExit) as err:
+        main([command, *(str(path) if a == "STATE" else a for a in sources)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("flag", [["--m", "5"], ["--phi", "0.3"], ["--tau", "1.0"]])
+@pytest.mark.parametrize("source", ["--family-json", "--state-file"])
+def test_family_flag_without_family_exits_2(flag, source, tmp_path, capsys):
+    """--m and the angle flags describe a --family state; with another source they exit 2."""
+    path = tmp_path / "state.json"
+    write_state_file(path, ghzl_state(3, 0.4))
+    value = '{"family": "brs", "m": 3}' if source == "--family-json" else str(path)
+    with pytest.raises(SystemExit) as err:
+        main(["measure", source, value, *flag])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"entdist measure: error: {flag[0]} applies only with --family"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, "--json") for c in ["measure", "eigs", "sweep", "surface", "verify"]]
+    + [(c, "--csv") for c in ["measure", "sweep", "surface", "verify"]],
+)
+def test_only_eigs_takes_a_format_flag(command, flag, capsys):
+    """Output is JSON or CSV by subcommand; ``eigs --csv`` is the one format flag."""
+    args = {
+        "sweep": ["--family", "brs", "--m", "3", "--parameter", "phi",
+                  "--start", "0", "--stop", "1", "--points", "3"],
+        "surface": ["--points", "3"],
+    }.get(command, ["--family", "brs", "--m", "3"])
+    with pytest.raises(SystemExit) as err:
+        main([command, *args, flag])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +400,18 @@ class TestSweep:
         assert usage.startswith("usage: entdist sweep")
         assert message == f"entdist sweep: error: sweep range must be finite, got {named}"
 
+    def test_swept_angle_flag_exits_2(self, capsys):
+        """The swept angle takes its values from the grid, so its own flag is refused."""
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--family", "brs", "--m", "3", "--parameter", "phi",
+                  "--start", "0", "--stop", "1", "--points", "3", "--phi", "5"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "entdist sweep: error: --phi is the swept angle; its range is --start to --stop"
+        )
+
     @pytest.mark.parametrize(
         "flag", [["--state-file", "/nonexistent.json"], ["--family-json", '{"family": "threeq"}']]
     )
@@ -390,8 +484,12 @@ class TestSurface:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--gamma-stop", "inf"], ["--gamma-start=-1e308", "--gamma-stop=1e308"]],
-        ids=["stop-inf", "span-overflows"],
+        [
+            ["--gamma-stop", "inf"],
+            ["--gamma-start=-1e308", "--gamma-stop=1e308"],
+            ["--gamma-start", "nan"],
+        ],
+        ids=["stop-inf", "span-overflows", "start-nan"],
     )
     def test_non_finite_range_prints_only_usage_and_error(self, flags):
         """The range is refused before numpy computes a grid, so no warning reaches stderr."""

@@ -260,6 +260,32 @@ class TestFamilySpec:
         with pytest.raises(ValueError, match="family"):
             FamilySpec.from_dict({"family": "w-state"})
 
+    def test_from_dict_refuses_keys_it_would_drop(self):
+        """Only "family", "m" and the family's own angles are read; any other key raises."""
+        for key in ["Phi", "theta", "tag", "M"]:
+            with pytest.raises(ValueError, match=f"^family 'brs' has no key '{key}'$"):
+                FamilySpec.from_dict({"family": "brs", "m": 3, "phi": 0.5, key: 0.0})
+
+    def test_m_defaults_only_for_threeq(self):
+        assert FamilySpec("threeq").m == 3
+        assert FamilySpec.from_dict({"family": "threeq"}) == FamilySpec("threeq", m=3)
+        for tag in ["brs", "ghzl"]:
+            with pytest.raises(ValueError, match=f"^family '{tag}' requires m$"):
+                FamilySpec(tag)
+            with pytest.raises(ValueError, match=f"^family '{tag}' requires m$"):
+                FamilySpec.from_dict({"family": tag})
+
+    @pytest.mark.parametrize(
+        "tag, angle, value",
+        [("brs", "theta", 0.5), ("brs", "tau", -1.0), ("ghzl", "phi", float("nan")),
+         ("threeq", "phase", 2.0)],
+    )
+    def test_angle_of_another_family_is_refused(self, tag, angle, value):
+        """A non-zero angle the family does not use raises; 0, the field default, is accepted."""
+        with pytest.raises(ValueError, match=f"^family '{tag}' has no angle '{angle}'$"):
+            FamilySpec(tag, m=3, **{angle: value})
+        assert FamilySpec(tag, m=3, **{angle: 0.0}) == FamilySpec(tag, m=3)
+
     def test_threeq_m_fixed(self):
         with pytest.raises(ValueError):
             FamilySpec("threeq", m=4)

@@ -198,10 +198,11 @@ def test_surface_equals_per_point_measure():
         ((0.0, np.inf), (0.0, np.inf), "gamma"),
         ((-1e308, 1e308), (0.0, 1.0), "gamma"),
         ((0.0, 1.0), (-np.inf, 0.0), "tau"),
+        ((np.nan, 1.0), (0.0, 1.0), "gamma"),
     ],
 )
 def test_surface_rejects_non_finite_range(gamma_range, tau_range, angle):
-    """The first non-finite angle of the grid is refused as FamilySpec refuses it."""
+    """The first range whose span is not finite, a NaN bound included, is refused by angle."""
     with pytest.raises(ValueError, match=f"^angle '{angle}' must be finite$"):
         run_surface(gamma_range, tau_range, 4)
 
