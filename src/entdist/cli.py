@@ -1,16 +1,17 @@
 """Command-line front end: measure states, sweep families, emit figure data.
 
 Subcommands: ``measure``, ``eigs``, ``sweep``, ``surface``, ``verify``.
-Exit codes: 0 ok, 1 verification failure, 2 I/O, parse or argument error,
-3 invalid input state, 4 internal error (a broken invariant after the state
-was validated).  Identical invocations produce byte-identical output; CSV
-floats are written with 17 significant digits so values round-trip exactly.
+Exit codes: 0 ok, 1 verification failure, 2 I/O, parse or argument error
+or out of memory, 3 invalid input state, 4 internal error (a broken
+invariant after the state was validated).  Identical invocations produce
+byte-identical output; CSV floats carry 17 significant digits and round-trip exactly.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,16 +55,6 @@ EXIT_PARSE = 2
 EXIT_INVALID_STATE = 3
 EXIT_INTERNAL = 4
 
-# figure abscissa per swept angle: x = angle / divisor
-_ABSCISSA_DIVISOR = {
-    "phi": 2.0 * np.pi,
-    "theta": np.pi / 2.0,
-    "phase": 2.0 * np.pi,
-    "gamma": np.pi,
-    "tau": np.pi,
-}
-
-
 class InvalidStateError(Exception):
     """The input state failed validation."""
 
@@ -84,15 +75,22 @@ class SweepSpec:
             raise ValueError(
                 f"family {self.family.tag!r} has no sweep angle {self.parameter!r}"
             )
-        # the span is finite only if both ends are and their difference does not overflow
-        if not math.isfinite(float(self.stop) - float(self.start)):
-            raise ValueError(
-                f"sweep range must be finite, got start = {self.start!r}, stop = {self.stop!r}"
-            )
-        if not self.start < self.stop:
-            raise ValueError("sweep requires start < stop")
-        if self.points < 2:
-            raise ValueError("sweep requires at least 2 points")
+        _check_grid(self.parameter, self.start, self.stop, self.points)
+
+
+def _check_grid(angle: str, start: float, stop: float, points: int) -> None:
+    """One grid rule for sweep and surface: finite span, start < stop, integer points >= 2."""
+    # the span is finite only if both ends are and their difference does not overflow
+    if not math.isfinite(float(stop) - float(start)):
+        raise ValueError(
+            f"angle {angle!r} range must be finite, got start = {start!r}, stop = {stop!r}"
+        )
+    if not start < stop:
+        raise ValueError(f"angle {angle!r} range requires start < stop")
+    if not (isinstance(points, numbers.Integral) and points >= 2):
+        raise ValueError(
+            f"angle {angle!r} grid requires an integer of at least 2 points, got {points!r}"
+        )
 
 
 def _fmt(x: float) -> str:
@@ -126,6 +124,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
     header = ["x", "E", "E_over_M"] + [f"eig_{i}" for i in range(1, m + 1)]
     values = np.linspace(spec.start, spec.stop, spec.points)
     chunk = _chunk_points(m)
+    unit = FAMILY_ANGLES[spec.family.tag][spec.parameter]
     blocks = []
     for lo in range(0, spec.points, chunk):
         grid = values[lo : lo + chunk]
@@ -137,8 +136,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
         eigs = check_metrics(g, measure, at=(spec.parameter, grid))
         if spec.normalize:
             eigs = eigs / m
-        x = grid / _ABSCISSA_DIVISOR[spec.parameter]
-        blocks.append(np.column_stack([x, measure, measure / m, eigs]))
+        blocks.append(np.column_stack([grid / unit, measure, measure / m, eigs]))
     return header, np.concatenate(blocks).tolist()
 
 
@@ -148,17 +146,11 @@ def run_surface(
     """Row-major (gamma outer, tau inner) grid of E/3 for the three-qubit family.
 
     The whole grid is one (points^2, 8) amplitude array, validated row-wise
-    and measured in a single kernel call.  A range whose span is not
-    finite, a NaN bound and an overflowing span included, is refused naming
-    its angle, before the order check and before any grid is computed.
+    and measured in a single kernel call.  Each axis passes ``_check_grid``,
+    gamma first, before any grid is computed.
     """
-    if points < 2:
-        raise ValueError("surface requires at least 2 points per axis")
-    for name, (start, stop) in (("gamma", gamma_range), ("tau", tau_range)):
-        if not math.isfinite(float(stop) - float(start)):
-            raise ValueError(f"angle {name!r} must be finite")
-    if not (gamma_range[0] < gamma_range[1] and tau_range[0] < tau_range[1]):
-        raise ValueError("surface ranges require start < stop")
+    _check_grid("gamma", *gamma_range, points)
+    _check_grid("tau", *tau_range, points)
     gammas = np.linspace(*gamma_range, points)
     taus = np.linspace(*tau_range, points)
     amps = three_qubit_amplitudes(gammas, taus)
@@ -181,7 +173,8 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-_FAMILY_FLAGS = ("m", *(name for angles in FAMILY_ANGLES.values() for name in angles))
+_ANGLES = tuple(name for angles in FAMILY_ANGLES.values() for name in angles)
+_FAMILY_FLAGS = ("m", *_ANGLES)
 
 
 def _add_family_flags(parser: argparse.ArgumentParser) -> None:
@@ -330,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = _subcommand(sub, "sweep", _cmd_sweep, "sweep a family angle, emit figure CSV")
     p_sweep.add_argument("--family", required=True, choices=FAMILY_TAGS)
     _add_family_flags(p_sweep)
-    p_sweep.add_argument("--parameter", required=True, choices=sorted(_ABSCISSA_DIVISOR))
+    p_sweep.add_argument("--parameter", required=True, choices=sorted(_ANGLES))
     p_sweep.add_argument("--start", type=float, required=True)
     p_sweep.add_argument("--stop", type=float, required=True)
     p_sweep.add_argument("--points", type=int, required=True)
@@ -359,11 +352,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, args._parser)
-    except StateFileError as exc:
+    except (StateFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InvalidStateError as exc:
         print(f"error: invalid state: {exc}", file=sys.stderr)

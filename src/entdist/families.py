@@ -27,8 +27,12 @@ GHZL = "ghzl"
 THREEQ = "threeq"
 FAMILY_TAGS = (BRS, GHZL, THREEQ)
 
-# angle parameters accepted per family, also the JSON schema
-FAMILY_ANGLES = {BRS: ("phi",), GHZL: ("theta", "phase"), THREEQ: ("gamma", "tau")}
+# each family's angles (also the JSON schema) and their figure units: sweep x = angle / unit
+FAMILY_ANGLES = {
+    BRS: {"phi": 2.0 * math.pi},
+    GHZL: {"theta": math.pi / 2.0, "phase": 2.0 * math.pi},
+    THREEQ: {"gamma": math.pi, "tau": math.pi},
+}
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,7 @@ def three_qubit_state(gamma: float, tau: float) -> StateVector:
 
 def family_state(spec: FamilySpec) -> StateVector:
     """Generate the state described by a FamilySpec: the one-row case of ``family_amplitudes``."""
-    angle = FAMILY_ANGLES[spec.tag][0]
+    angle = next(iter(FAMILY_ANGLES[spec.tag]))
     return StateVector(spec.m, family_amplitudes(spec, angle, [getattr(spec, angle)])[0])
 
 

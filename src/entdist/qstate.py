@@ -261,10 +261,13 @@ def read_state_file(path: str | Path) -> StateVector:
     re, im = payload["re"], payload["im"]
     if not isinstance(re, list) or not isinstance(im, list) or len(re) != 2**m or len(im) != 2**m:
         raise StateFileError(f'state file {path}: "re" and "im" must be arrays of length 2**m')
+    # only JSON numbers: numpy would also parse strings such as "1" or "nan" and booleans
+    if not {*map(type, re), *map(type, im)} <= {int, float}:
+        raise StateFileError(f"state file {path}: amplitude entries are not numbers")
     try:
         amps = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise StateFileError(f"state file {path}: amplitude entries are not numbers") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise StateFileError(f"state file {path}: {exc}") from exc
     return StateVector(m, amps)
 
 

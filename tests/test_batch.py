@@ -16,8 +16,8 @@ from entdist import (
     spectrum,
 )
 from entdist import qstate
-from entdist.cli import _ABSCISSA_DIVISOR, SweepSpec, _chunk_points, run_sweep
-from entdist.families import family_amplitudes
+from entdist.cli import SweepSpec, _chunk_points, run_sweep
+from entdist.families import FAMILY_ANGLES, family_amplitudes
 
 
 def _per_point_rows(spec: SweepSpec) -> np.ndarray:
@@ -30,7 +30,7 @@ def _per_point_rows(spec: SweepSpec) -> np.ndarray:
         eigs = spectrum(em).eigenvalues
         if spec.normalize:
             eigs = eigs / m
-        x = float(value) / _ABSCISSA_DIVISOR[spec.parameter]
+        x = float(value) / FAMILY_ANGLES[fam.tag][spec.parameter]
         rows.append([x, em.measure, em.measure / m, *map(float, eigs)])
     return np.array(rows)
 

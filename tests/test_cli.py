@@ -13,7 +13,7 @@ import pytest
 import entdist.cli
 import entdist.metric
 from entdist import FamilySpec, brs_state, ghzl_state, write_state_file
-from entdist.cli import SweepSpec, main, run_sweep
+from entdist.cli import SweepSpec, main, run_surface, run_sweep
 from entdist.metric import trace_tol
 from entdist.verify import bloch_tol, verify_state
 
@@ -230,6 +230,30 @@ def test_argument_errors_show_the_subcommand_usage(args, usage, capsys):
     assert capsys.readouterr().err.startswith(usage)
 
 
+@pytest.mark.parametrize(
+    "args, stage",
+    [
+        (["measure", "--family", "brs", "--m", "3"], "entanglement_metric"),
+        (["sweep", "--family", "brs", "--m", "3", "--parameter", "phi",
+          "--start", "0", "--stop", "1", "--points", "3"], "family_amplitudes"),
+        (["surface", "--points", "3"], "three_qubit_amplitudes"),
+        (["verify", "--family", "brs", "--m", "3"], "verify_state"),
+    ],
+    ids=["measure", "sweep", "surface", "verify"],
+)
+def test_out_of_memory_exits_2(args, stage, capsys, monkeypatch):
+    """A failed allocation is a resource error (exit 2), not a verification failure (exit 1)."""
+
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 1.16 TiB for an array")
+
+    monkeypatch.setattr(entdist.cli, stage, exhausted)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 1.16 TiB for an array\n"
+
+
 @pytest.mark.parametrize("command", ["measure", "eigs", "verify"])
 @pytest.mark.parametrize(
     "sources",
@@ -398,7 +422,7 @@ class TestSweep:
         assert captured.out == ""
         usage, message = captured.err.splitlines()[0], captured.err.splitlines()[-1]
         assert usage.startswith("usage: entdist sweep")
-        assert message == f"entdist sweep: error: sweep range must be finite, got {named}"
+        assert message == f"entdist sweep: error: angle 'theta' range must be finite, got {named}"
 
     def test_swept_angle_flag_exits_2(self, capsys):
         """The swept angle takes its values from the grid, so its own flag is refused."""
@@ -483,15 +507,15 @@ class TestSurface:
         assert err.value.code == 2
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, named",
         [
-            ["--gamma-stop", "inf"],
-            ["--gamma-start=-1e308", "--gamma-stop=1e308"],
-            ["--gamma-start", "nan"],
+            (["--gamma-stop", "inf"], "start = 0.0, stop = inf"),
+            (["--gamma-start=-1e308", "--gamma-stop=1e308"], "start = -1e+308, stop = 1e+308"),
+            (["--gamma-start", "nan"], "start = nan, stop = 3.141592653589793"),
         ],
         ids=["stop-inf", "span-overflows", "start-nan"],
     )
-    def test_non_finite_range_prints_only_usage_and_error(self, flags):
+    def test_non_finite_range_prints_only_usage_and_error(self, flags, named):
         """The range is refused before numpy computes a grid, so no warning reaches stderr."""
         usage = run_cli_process(["surface", "--points", "1"]).stderr.splitlines()[:-1]
         out = run_cli_process(["surface", "--points", "3", *flags])
@@ -499,8 +523,69 @@ class TestSurface:
         assert out.stdout == ""
         assert usage[0].startswith("usage: entdist surface")
         assert out.stderr.splitlines() == [
-            *usage, "entdist surface: error: angle 'gamma' must be finite"
+            *usage, f"entdist surface: error: angle 'gamma' range must be finite, got {named}"
         ]
+
+
+# ---------------------------------------------------------------------------
+# the grid rule of sweep and surface
+# ---------------------------------------------------------------------------
+
+_BRS3 = FamilySpec("brs", m=3)
+_POINTS = "grid requires an integer of at least 2 points, got"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SweepSpec(_BRS3, "theta", 0.0, 1.0, 3), "family 'brs' has no sweep angle 'theta'"),
+        (lambda: SweepSpec(_BRS3, "phi", 1.0, 1.0, 3), "angle 'phi' range requires start < stop"),
+        (lambda: SweepSpec(_BRS3, "phi", 0.0, 1.0, 1), f"angle 'phi' {_POINTS} 1"),
+        (lambda: SweepSpec(_BRS3, "phi", 0.0, 1.0, 2.5), f"angle 'phi' {_POINTS} 2.5"),
+        (lambda: run_surface((0.0, 1.0), (2.0, 1.0), 3), "angle 'tau' range requires start < stop"),
+        (lambda: run_surface((0.0, 1.0), (0.0, 1.0), 1), f"angle 'gamma' {_POINTS} 1"),
+        (lambda: run_surface((0.0, 1.0), (0.0, 1.0), 2.5), f"angle 'gamma' {_POINTS} 2.5"),
+    ],
+    ids=[
+        "sweep-other-family", "sweep-order", "sweep-one-point", "sweep-fractional-points",
+        "surface-order", "surface-one-point", "surface-fractional-points",
+    ],
+)
+def test_grid_rule_names_the_angle(build, message):
+    """SweepSpec and run_surface refuse a bad grid with the same rule, naming the angle."""
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+_SWEEP_BRS3 = ["sweep", "--family", "brs", "--m", "3"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ([*_SWEEP_BRS3, "--parameter", "theta", "--start", "0", "--stop", "1", "--points", "3"],
+         "entdist sweep: error: family 'brs' has no sweep angle 'theta'"),
+        ([*_SWEEP_BRS3, "--parameter", "phi", "--start", "1", "--stop", "1", "--points", "3"],
+         "entdist sweep: error: angle 'phi' range requires start < stop"),
+        ([*_SWEEP_BRS3, "--parameter", "phi", "--start", "0", "--stop", "1", "--points", "1"],
+         f"entdist sweep: error: angle 'phi' {_POINTS} 1"),
+        (["surface", "--points", "3", "--tau-start", "2", "--tau-stop", "1"],
+         "entdist surface: error: angle 'tau' range requires start < stop"),
+        (["surface", "--points", "1"], f"entdist surface: error: angle 'gamma' {_POINTS} 1"),
+    ],
+    ids=[
+        "sweep-other-family", "sweep-order", "sweep-one-point", "surface-order", "surface-one-point",
+    ],
+)
+def test_bad_grid_exits_2_naming_the_angle(args, message, capsys):
+    """The CLI prints the grid rule's message after the subcommand usage."""
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == message
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,25 @@ class TestStateFiles:
         with pytest.raises(StateFileError):
             read_state_file(path)
 
+    @pytest.mark.parametrize(
+        "re, im",
+        [('["1", 0]', "[0, 0]"), ("[true, 0]", "[false, 0]"), ('["nan", 0]', "[0, 0]"),
+         ("[[1], [0]]", "[0, 0]")],
+        ids=["string", "boolean", "string-nan", "nested"],
+    )
+    def test_entries_must_be_json_numbers(self, re, im, tmp_path):
+        """numpy would parse these entries; a state file takes JSON numbers only."""
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"m": 1, "re": {re}, "im": {im}}}')
+        with pytest.raises(StateFileError, match="amplitude entries are not numbers$"):
+            read_state_file(path)
+
+    def test_integer_beyond_float_range(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"m": 1, "re": [1{"0" * 400}, 0], "im": [0, 0]}}')
+        with pytest.raises(StateFileError, match="int too large to convert to float$"):
+            read_state_file(path)
+
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"m": 1, "re": [1.0, 0.0]}')

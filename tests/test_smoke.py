@@ -1,6 +1,7 @@
 """Smoke checks: the public names resolve and every demo runs."""
 from __future__ import annotations
 
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -17,6 +18,22 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_every_exported_name_resolves():
     missing = [name for name in entdist.__all__ if not hasattr(entdist, name)]
     assert missing == []
+
+
+def test_benchmark_trace_targets_resolve():
+    """Each name the traced benchmark run wraps exists, and each class keeps its own __post_init__.
+
+    ``perfbench/tracing.py`` imports only the standard library, so it loads by path.
+    """
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    broken = []
+    for module, attr in tracing.TARGETS:
+        target = getattr(importlib.import_module(module), attr, None)
+        if target is None or (isinstance(target, type) and "__post_init__" not in vars(target)):
+            broken.append(f"{module}.{attr}")
+    assert tracing.TARGETS and broken == []
 
 
 DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
