@@ -101,9 +101,10 @@ def _chunk_points(m: int) -> int:
     """Points per sweep batch, P = 2^(ROW_BITS - M) and at least 1: one row of the row walk.
 
     The P states of a batch hold 2**ROW_BITS amplitudes together, as one
-    row of a larger state does, so ``metric_matrices`` holds the same stack
-    of M applied rows for the batch as for a state of more than ROW_BITS
-    qubits.  From M = ROW_BITS on a batch is one state.
+    row of a larger state does, so ``metric_matrices`` holds a stack of M
+    applied rows of that size for the batch.  From M = ROW_BITS on a batch
+    is one state, and from M = ROW_BITS + 1 on the direction-frame kernel
+    takes it, in a working memory of two blocks of rows.
     """
     return max(1, (1 << qstate.ROW_BITS) >> m)
 

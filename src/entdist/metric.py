@@ -27,14 +27,17 @@ computes the bilinears once (``w_vectors``) for the directions, through
 record read that one set of eigenvalues.  A state gets the same bits
 alone or in a batch.
 
-Both passes over the states, the bilinears and ``metric_matrices``, walk
-them by ``qstate.row_walk`` in rows of 2**ROW_BITS amplitudes (256 KiB),
-so every sum is blocked, of depth ``qstate.row_depth(M)`` rather than
-2^M, and ``trace_tol`` bounds the rounding by that depth.
-``metric_matrices`` builds the M applied states A_nu|s> one row at a
-time, so its working memory is the states plus M rows per state.  Up to
-ROW_BITS qubits there is one row and the arithmetic is that of the
-whole-vector products.
+Both passes over the states, the bilinears and ``metric_matrices``, read
+them by the rows of ``qstate.row_walk``, 2**ROW_BITS amplitudes (256 KiB)
+each, so every sum is blocked, of depth ``qstate.row_depth(M)`` rather
+than 2^M, and ``trace_tol`` bounds the rounding by that depth.  Up to
+ROW_BITS qubits a state is one row: ``metric_matrices`` builds the M
+applied states A_nu|s> and takes their inner products, the arithmetic of
+the whole-vector products.  A state of more qubits goes to the
+direction-frame kernel, ``_frame_metric``: each qubit is rotated so that
+its A_nu becomes Z, and g is the covariance of M +-1 spins under the
+rotated probabilities, read a block of rows at a time, in a working
+memory of two blocks whatever M.
 """
 from __future__ import annotations
 
@@ -58,6 +61,7 @@ DEFAULT_RANK_TOL = 1e-8
 SYMMETRY_TOL = 1e-12  # on max |g - g^T|
 DIAGONAL_TOL = 1e-12  # on how far a diagonal entry lies outside [0, 1/4]
 PSD_TOL = 1e-10  # on how far the smallest eigenvalue lies below 0
+BLOCK_BITS = 3  # a direction-frame block holds 2**BLOCK_BITS rows; at most 4, one Kronecker factor
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -65,21 +69,33 @@ def trace_tol(m: int) -> float:
     """Largest rounding gap |tr g - E| that an m-qubit metric can show.
 
     E and tr g are two different sums per qubit over the 2^m amplitudes:
-    the bilinears w_minus, w_3 for E, the expectation <s|A_nu|s> for the
-    diagonal of g.  Error model (Higham, Accuracy and Stability of
+    the bilinears w_minus, w_3 for E, the expectation e = <s|A_nu|s> for
+    the diagonal of g.  Error model (Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 4): a sum of n terms whose magnitudes add up
     to S, accumulated in turn, is off by at most gamma_n S ~ n u S, with
-    u = 2^-53 the unit roundoff.  Both passes walk the state by rows
+    u = 2^-53 the unit roundoff.  The bilinears walk the state by rows
     (``qstate.row_walk``): 2^(m-r) row sums of 2^r terms each, r =
     min(m, ROW_BITS), added in row order, so n is the blocked depth
     ``row_depth(m)`` = 2^r + 2^(m-r) - 1, which is 2^m up to ROW_BITS
-    qubits.  For a normalized state S <= 1 (Cauchy-Schwarz), so per qubit
-    the diagonal entry (1 - e^2)/4 is off by at most 0.71 n u and the term
+    qubits, where the metric takes the same whole-row sums.  For a
+    normalized state S <= 1 (Cauchy-Schwarz), so per qubit the diagonal
+    entry (1 - e^2)/4 is off by at most 0.71 n u and the term
     (w_3^2 + 4 |w_minus|^2)/4 of E by 0.61 n u; the two sums over the m
-    qubits add m^2 u / 2.  The bound 2 m (n + m) u covers the sum with room
-    to spare: at m = 20 it is 7.3e-11, and the largest gap measured on
-    chain-phase, GHZ-like and Haar states at m = 15-24 is 1.1e-13, 1.3e-3
-    of the bound.
+    qubits add m^2 u / 2.
+
+    Above ROW_BITS qubits e is a signed sum of p = |phi|^2, phi the state
+    rotated by the direction-frame kernel's row pass through G =
+    ceil(r/4) + 1 Kronecker factors (16 terms per output each, G <= 5).  A
+    16 x 16 unitary factor K moves a vector by at most gamma_18 || |K| ||_2
+    <= 72 u of its 2-norm (|| |K| ||_F = 4), so p loses at most 144 G u of
+    its unit mass.  Its sums add the 2^(m-r-|J|) blocks of a pass in turn,
+    then at most 2^8 + 2^9 terms in ``_spin_moments`` (r + |J| <= ROW_BITS
+    + BLOCK_BITS = 17 bits, split in halves), a depth below n.  So the
+    diagonal entry is off by at most 0.71 (n + 144 G) u, which adds at
+    most 511 u per qubit, below 0.04 n u.  The bound 2 m (n + m) u covers the sum in both cases with
+    room to spare: at m = 20 it is 7.3e-11.  The largest gap measured on
+    chain-phase, GHZ-like and Haar states at m = 15-24 is 6.3e-14 (chain
+    phase, m = 18 and 23), and no gap exceeds 9.6e-4 of its bound.
     """
     return 2.0 * m * (row_depth(m) + m) * _UNIT_ROUNDOFF
 
@@ -244,49 +260,199 @@ def entanglement_measure(state: StateVector) -> float:
     return float(measure_from_bilinears(*bilinears(state.amplitudes)))
 
 
+def _frame_unitaries(dirs: np.ndarray) -> np.ndarray:
+    """Unitaries U (..., M, 2, 2) with U (v . sigma) U^dagger = Z, one per unit row v of ``dirs``.
+
+    The rows of U are the conjugated +1 and -1 eigenvectors of v . sigma in
+    closed form, scaled by 1 / sqrt(2 (1 + |v_3|)).  The form follows the
+    sign of v_3, so 1 + |v_3| >= 1 never cancels: v = +z (a degenerate
+    qubit's direction) gives U = I exactly and v = -z gives U = X.
+    """
+    v1, v2, v3 = np.moveaxis(np.asarray(dirs, dtype=float), -1, 0)
+    a = 1.0 + np.abs(v3)
+    plus, minus = v1 + 1j * v2, v1 - 1j * v2
+    north = np.array([[a, minus], [-plus, a]])
+    south = np.array([[plus, a], [a, -minus]])
+    u = np.where(v3 >= 0.0, north, south) / np.sqrt(2.0 * a)
+    return np.moveaxis(u, (0, 1), (-2, -1))
+
+
+def _kron_factors(u: np.ndarray, qubits: list[int]) -> list[np.ndarray]:
+    """Kronecker products of the unitaries of ``qubits`` four at a time: qubits[0:4], qubits[4:8], ...
+
+    Only the last factor may be short; each is 16 x 16 or smaller, with its
+    group's highest qubit as the most significant bit.
+    """
+    factors = []
+    for lo in range(0, len(qubits), 4):
+        f = np.ones((1, 1))
+        for q in reversed(qubits[lo : lo + 4]):
+            f = np.kron(f, u[q])
+        factors.append(f)
+    return factors
+
+
+def _rotate(x: np.ndarray, factors: list[np.ndarray], buffers: list[np.ndarray]) -> np.ndarray:
+    """Apply ``factors`` to the trailing groups of bits of the index of ``x``, lowest group first.
+
+    Each step is one gemm: the d x d factor times the transpose of the
+    contiguous input seen as (rest, d), written (d, rest) to the next of
+    the two ``buffers``.  So the group's bits move to the front of the
+    index and the next group trails.  The small factor is the left operand,
+    which keeps the BLAS packing buffers small.
+    """
+    for i, f in enumerate(factors):
+        out = buffers[i % 2][: x.size].reshape(len(f), -1)
+        np.matmul(f, x.reshape(-1, len(f)).T, out=out)
+        x = out
+    return x
+
+
+def _signs(n: int) -> np.ndarray:
+    """(2^n, n) spins s_t(i) = +1 or -1 as bit t of i is clear or set."""
+    return 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+
+
+def _spin_moments(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second moments <s_t> (n,) and <s_t s_u> (n, n) of the bits of a 2^n distribution.
+
+    The index splits into its high and low halves of bits: the marginal of
+    each half gives that half's moments, and the signed sum S_hi^T P S_lo of
+    the (2^hi, 2^lo) array gives the pairs across.  No sum runs over more
+    than 2^hi + 2^lo terms in turn.
+    """
+    n = p.size.bit_length() - 1
+    hi, lo = n // 2, n - n // 2
+    table = p.reshape(1 << hi, 1 << lo)
+    s_hi, s_lo = _signs(hi), _signs(lo)
+    p_hi, p_lo = table.sum(axis=1), table.sum(axis=0)
+    e = np.concatenate([p_lo @ s_lo, p_hi @ s_hi])
+    cross = s_hi.T @ table @ s_lo
+    c_lo = s_lo.T @ (p_lo[:, None] * s_lo)
+    c_hi = s_hi.T @ (p_hi[:, None] * s_hi)
+    return e, np.block([[c_lo, cross.T], [cross, c_hi]])
+
+
+def _frame_metric(amps: np.ndarray, dirs: np.ndarray, k: int) -> np.ndarray:
+    """Adapted metric (M, M) of one state of M > k qubits, in the direction frame.
+
+    With U_nu (v^nu . sigma) U_nu^dagger = Z (``_frame_unitaries``) and
+    phi = (U_{M-1} x ... x U_0)|s>, every A_nu becomes Z_nu, so <A_nu> and
+    <A_mu A_nu> are the first and second moments of the M spins s_nu = +-1
+    (bit nu clear or set) under p = |phi|^2.  phi would take 2^M amplitudes;
+    the state, rows of 2^k amplitudes (``qstate.row_walk``) over the M - k
+    high qubits, is instead read in blocks of at most 2^BLOCK_BITS rows,
+    and never written:
+
+    * Row passes.  The high qubits split into ceil((M - k) / BLOCK_BITS)
+      runs J of consecutive qubits, each taken by one pass.  A block holds
+      the 2^|J| rows that differ only in J; one gemm rotates it in J, and
+      ``_rotate`` in the k low qubits, in groups of four qubits (a 16 x 16
+      Kronecker factor each); |.|^2 of the result is added into a
+      2^(k+|J|) accumulator.  That is the joint distribution of the rotated
+      low and J spins, and ``_spin_moments`` gives its moments once, at the
+      end of the pass: the low block, the low-J block and the J block.
+    * When there is more than one run, one column pass gives the pairs of
+      high qubits in different runs: strips of columns of the (2^(M-k),
+      2^k) array of rows, copied transposed and rotated in every high
+      qubit, accumulate the distribution of the 2^(M-k) high spins.  The
+      first moments of the high spins come from their row passes, with
+      their low-J pairs.
+
+    Working memory is two blocks of 2^(k+BLOCK_BITS) amplitudes and one
+    accumulator of as many floats, whatever M.
+    """
+    m = len(dirs)
+    high = m - k
+    u = _frame_unitaries(dirs)
+    low_factors = _kron_factors(u, list(range(k)))
+    passes = -(-high // BLOCK_BITS)
+    size = 1 << (k + min(high, BLOCK_BITS))
+    n = max(size, 1 << high)
+    # one allocation for the two blocks and the sums: three separate ones were mapped afresh,
+    # page by page, on every call at M = 16
+    work = np.empty(5 * n // 2, dtype=np.complex128)
+    buffers = [work[:n], work[n : 2 * n]]
+    sums = work[2 * n :].view(float)  # each pass's accumulator is a prefix of it
+    rows = amps.reshape(1 << high, 1 << k)
+    e = np.empty(m)
+    c = np.empty((m, m))
+
+    def accumulate(total: np.ndarray, y: np.ndarray) -> None:
+        """Add |y|^2 to ``total``: y's real and imaginary parts, squared in place."""
+        squares = y.reshape(-1).view(float)
+        np.square(squares, out=squares)
+        total += squares[0::2]
+        total += squares[1::2]
+
+    bounds = [k + high * i // passes for i in range(passes + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        run = list(range(start, stop))  # J: the block's rows differ in these qubits
+        (run_factor,) = _kron_factors(u, run)
+        blocks = rows.reshape(1 << (m - stop), 1 << len(run), 1 << (start - k), 1 << k)
+        rotated = buffers[0][: 1 << (k + len(run))].reshape(1 << len(run), -1)
+        total = sums[: rotated.size]
+        total.fill(0.0)
+        for outer in range(blocks.shape[0]):
+            for inner in range(blocks.shape[2]):
+                np.matmul(run_factor, blocks[outer, :, inner, :], out=rotated)
+                accumulate(total, _rotate(rotated, low_factors, buffers[::-1]))  # (2^k, 2^|J|)
+        qubits = run + list(range(k))
+        e[qubits], c[np.ix_(qubits, qubits)] = _spin_moments(total)
+    if passes > 1:
+        qubits = list(range(k, m))
+        factors = _kron_factors(u, qubits)
+        width = len(buffers[0]) >> high  # columns per strip
+        strip = buffers[0].reshape(width, 1 << high)
+        total = sums
+        total.fill(0.0)
+        for col in range(0, 1 << k, width):
+            np.copyto(strip, rows[:, col : col + width].T)
+            accumulate(total, _rotate(strip, factors, buffers[::-1]))  # (2^(M-k), width)
+        c[np.ix_(qubits, qubits)] = _spin_moments(total.reshape(1 << high, width).sum(axis=1))[1]
+    g = np.triu(0.25 * (c - e[:, None] * e[None, :]), 1)
+    g += g.T
+    g[range(m), range(m)] = 0.25 * np.maximum(0.0, 1.0 - e * e)
+    return g
+
+
 def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Adapted metrics (..., M, M) of states ``(..., 2**M)`` at direction fields ``(..., M, 3)``.
 
     Entries: g[mu, nu] = (<A_mu A_nu> - <A_mu><A_nu>) / 4 off the diagonal
     and g[mu, mu] = (1 - <A_mu>^2) / 4, with A_nu = v^nu . sigma^nu.
 
-    The states are walked by ``qstate.row_walk`` in rows of 2^k amplitudes.
-    A qubit below k acts within a row; a higher qubit mixes the row with its
-    partner row, the one whose index differs in that qubit's bit.  Per row
-    the M applied rows form one (M, ..., 2^k) stack, and ``np.vecdot``
-    takes the row sums of <A_mu> in one call and those of <A_mu A_nu> in
-    one call per mu against every nu > mu; the row sums are added across
-    rows.  vecdot takes the BLAS dot per vector that np.vdot takes, so a
-    state gets the same bits alone or in a batch.  The diagonal squares
-    <A_mu> with Python's float power: numpy's square differs from it in the
-    last bit of some values.  Working memory is the states, the stack of M
-    applied rows and, when the states have partner rows (M > ROW_BITS), one
-    row for the partner products.  For M <= ROW_BITS a state is one row;
-    ``cli.run_sweep`` batches 2^(ROW_BITS - M) of them, so the stack holds
-    M 2^ROW_BITS amplitudes, as it does for one state of more qubits.
+    A state of more than ROW_BITS qubits, several rows of ``qstate.row_walk``,
+    goes to ``_frame_metric``, one state at a time, so a state gets the
+    same bits alone or in a batch.  A state of M <= ROW_BITS qubits is one
+    row: the M applied rows A_nu|s> form one (M, ..., 2^M) stack, built by
+    einsum, and ``np.vecdot`` takes the <A_mu> in one call and the
+    <A_mu A_nu> in one call per mu against every nu > mu.  vecdot takes the
+    BLAS dot per vector that np.vdot takes, so a state gets the same bits
+    alone or in a batch.  The diagonal squares <A_mu> with Python's float
+    power: numpy's square differs from it in the last bit of some values.
+    ``cli.run_sweep`` batches 2^(ROW_BITS - M) such states, so the stack
+    holds M 2^ROW_BITS amplitudes.
     """
     batch = amps.shape[:-1]
     m = dirs.shape[-2]
+    k, _ = row_walk(amps)
+    if k < m:
+        g = np.empty(batch + (m, m))
+        for i in np.ndindex(batch):
+            g[i] = _frame_metric(amps[i], dirs[i], k)
+        return g
     ops = _operator(*np.moveaxis(dirs, -1, 0))  # (..., M, 2, 2)
-    k, walk = row_walk(amps)
-    applied = np.empty((m,) + batch + (1 << k,), dtype=np.complex128)  # reused for every row
-    # a partner row product only for qubits at or above k: none when the state is one row
-    partner_term = np.empty(batch + (1 << k,), dtype=np.complex128) if k < m else None
-    expectations = np.zeros((m,) + batch)
+    applied = np.empty((m,) + amps.shape, dtype=np.complex128)
     mu, nu = np.triu_indices(m, 1)  # the pairs mu < nu, mu-major
     cross = np.zeros(mu.shape + batch)
     blocks = np.split(cross, np.cumsum(range(m - 1, 1, -1)))  # views: each mu's pairs
-    for h, row, partners in walk:
-        for q in range(k):
-            _apply_one_qubit_matrix(row, k, q, ops[..., q, :, :], out=applied[q])
-        for q, partner in enumerate(partners, k):
-            b = (h >> (q - k)) & 1  # row h holds the |b> half of qubit q's pairs
-            np.multiply(ops[..., q, b, b, None], row, out=applied[q])
-            np.multiply(ops[..., q, b, 1 - b, None], partner, out=partner_term)
-            applied[q] += partner_term
-        expectations += np.vecdot(row, applied).real
-        for q, block in enumerate(blocks):
-            block += np.vecdot(applied[q], applied[q + 1 :]).real
+    for q in range(m):
+        _apply_one_qubit_matrix(amps, m, q, ops[..., q, :, :], out=applied[q])
+    expectations = np.zeros((m,) + batch)
+    expectations += np.vecdot(amps, applied).real
+    for q, block in enumerate(blocks):
+        block += np.vecdot(applied[q], applied[q + 1 :]).real
     g = np.empty(batch + (m, m))
     g[..., mu, nu] = g[..., nu, mu] = np.moveaxis(
         0.25 * (cross - expectations[mu] * expectations[nu]), 0, -1

@@ -1,8 +1,8 @@
 """Spot checks at 20-24 qubits, marked slow; run them with ``pytest -m slow``.
 
-At these sizes ``metric_matrix`` walks the state in many rows, and every
-sum runs over 2^20 or more amplitude products, so rounding is at its
-largest.  A separate pass over the whole vectors checks a few entries.
+At these sizes ``metric_matrix`` reads the state in many blocks of rows,
+and every sum runs over 2^20 or more amplitude products, so rounding is
+at its largest.  A separate pass over the whole vectors checks a few entries.
 """
 from __future__ import annotations
 
@@ -48,8 +48,9 @@ def test_metric_at_20_and_22_qubits(kind, m):
     eig_tol = m * EPS * em.measure
     assert np.linalg.eigvalsh(g)[0] >= -eig_tol
     assert abs(float(np.sum(em.eigenvalues)) - em.measure) <= trace_tol(m) + eig_tol
-    # pairs within the first row, across the row boundary and between partner rows
-    for mu, nu in [(0, 1), (0, m - 1), (ROW_BITS - 1, ROW_BITS), (m - 2, m - 1)]:
+    # pairs within the first row, across the row boundary, among the high qubits of
+    # one row pass and, (ROW_BITS, m - 1), of two, which the column pass gives
+    for mu, nu in [(0, 1), (0, m - 1), (ROW_BITS - 1, ROW_BITS), (m - 2, m - 1), (ROW_BITS, m - 1)]:
         reference = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
         assert abs(g[mu, nu] - reference) <= 1e-13
 

@@ -26,10 +26,11 @@ from entdist import (
 )
 from entdist import qstate
 from entdist.families import FAMILY_ANGLES, FamilySpec, family_amplitudes
-from entdist.metric import DEGENERATE_TOL, check_metrics, metric_matrices, trace_tol
+from entdist.metric import DEGENERATE_TOL, _frame_unitaries, check_metrics, metric_matrices, trace_tol
 from entdist.qstate import _haar_unitary, _operator, bloch_vectors
 
 from oracles import (
+    covariance_entry_pairwise,
     covariance_metric_dense,
     jacobi_eigenvalues,
     permute_qubits,
@@ -284,10 +285,14 @@ def _whole_vector_metric(state, dirs) -> np.ndarray:
 class TestRowBlockedMetric:
     """``metric_matrix`` walks the state in rows of 2**min(M, ROW_BITS) amplitudes."""
 
-    @pytest.mark.parametrize("row_bits", [1, 2, 3])
+    @pytest.mark.parametrize("row_bits", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
     def test_short_rows_match_dense_oracle(self, monkeypatch, row_bits, m):
-        """Rows of 2, 4 and 8 amplitudes run every partner-row pattern."""
+        """Rows of 2 to 32 amplitudes run the direction-frame kernel.
+
+        They give it one row pass or several, with and without the column
+        pass, and full and partial 4-qubit groups in the rows and the runs.
+        """
         rng = np.random.default_rng(1000 * row_bits + m)
         s = StateVector(m, random_state(m, rng))
         dirs = _random_directions(rng, m)
@@ -335,6 +340,62 @@ class TestRowBlockedMetric:
         finally:
             tracemalloc.stop()
         assert peak < 2 * s.amplitudes.nbytes
+
+
+def _frame_entry_tol(m: int) -> float:
+    """Rounding bound on an entry of the direction-frame metric of m > ROW_BITS qubits.
+
+    The kernel rotates the state by G = ceil(k/4) + ceil((m-k)/4) Kronecker
+    factors, k = ROW_BITS, each output a 16-term complex sum.  A factor K
+    moves a vector by at most gamma_18 || |K| ||_2 <= 18 u * 4 in 2-norm
+    (|| |K| ||_F = 4 for a 16 x 16 unitary), so p = |phi|^2 loses at most
+    2 * 72 G u of its unit mass.  Its signed sums run no deeper than
+    ``row_depth(m)`` (see ``trace_tol``), so every <s_mu> and <s_mu s_nu>
+    is within delta = (row_depth(m) + 144 G) u, and g = (C - e_mu e_nu) / 4
+    within 3 delta / 4.  The pairwise oracle adds (128 + m) u at most.
+    """
+    k = qstate.ROW_BITS
+    groups = -(-k // 4) + -(-(m - k) // 4)
+    u = np.finfo(float).eps / 2.0
+    return (0.75 * (qstate.row_depth(m) + 144 * groups) + 128 + m) * u
+
+
+class TestDirectionFrameMetric:
+    """States of more than ROW_BITS qubits: the metric as spin moments in the direction frame."""
+
+    AXES = np.vstack([np.eye(3), -np.eye(3)])  # +x, +y, +z, -x, -y, -z
+
+    def test_frame_unitaries_rotate_each_direction_to_z(self):
+        rng = np.random.default_rng(1400)
+        vz = -1.0 + 2.0**-52
+        dirs = np.vstack([self.AXES, [(np.sqrt(1.0 - vz * vz), 0.0, vz)], _random_directions(rng, 1000)])
+        u = _frame_unitaries(dirs)
+        uh = np.conj(np.swapaxes(u, -1, -2))
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(u @ _operator(*dirs.T) @ uh - np.diag([1.0, -1.0]))) <= 4 * eps
+        assert np.max(np.abs(u @ uh - np.eye(2))) <= 4 * eps
+
+    def test_plus_z_and_degenerate_qubits_get_the_identity(self):
+        dirs = optimal_directions(np.array([[0.0, 0.0, 0.5], [1e-13, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        assert (_frame_unitaries(dirs) == np.eye(2)).all()
+        assert (_frame_unitaries(self.AXES[5]) == [[0.0, 1.0], [1.0, 0.0]]).all()
+
+    @pytest.mark.parametrize("m", [15, 16, 17, 18])
+    def test_entries_match_pairwise_oracle(self, m):
+        """Entries inside the rows, across their boundary and among the high qubits.
+
+        At M = 18 the high qubits form two runs, so (k, m - 1) comes from the
+        column pass.
+        """
+        rng = np.random.default_rng(1500 + m)
+        k = qstate.ROW_BITS
+        tol = _frame_entry_tol(m)
+        for s in (brs_state(m, 0.3), ghzl_state(m, 0.7), StateVector(m, random_state(m, rng))):
+            for dirs in (optimal_directions(bloch_vectors(*w_vectors(s))), _random_directions(rng, m)):
+                g = metric_matrix(s, dirs)
+                for mu, nu in [(0, 1), (0, m - 1), (k - 1, k), (k, m - 1), (m - 2, m - 1), (m - 1, m - 1)]:
+                    ref = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
+                    assert abs(g[mu, nu] - ref) <= tol, (mu, nu, g[mu, nu] - ref, tol)
 
 
 # ---------------------------------------------------------------------------
