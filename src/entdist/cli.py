@@ -98,7 +98,7 @@ def _fmt(x: float) -> str:
 
 
 def _chunk_points(m: int) -> int:
-    """Points per sweep batch, P = 2^(ROW_BITS - M) and at least 1: one row of the row walk.
+    """Points per sweep batch, P = 2^(ROW_BITS - M) and at least 1: one row of ``qstate.row_view``.
 
     The P states of a batch hold 2**ROW_BITS amplitudes together, as one
     row of a larger state does, so ``metric_matrices`` holds a stack of M

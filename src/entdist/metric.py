@@ -28,7 +28,7 @@ record read that one set of eigenvalues.  A state gets the same bits
 alone or in a batch.
 
 Both passes over the states, the bilinears and ``metric_matrices``, read
-them by the rows of ``qstate.row_walk``, 2**ROW_BITS amplitudes (256 KiB)
+them by the rows of ``qstate.row_view``, 2**ROW_BITS amplitudes (256 KiB)
 each, so every sum is blocked, of depth ``qstate.row_depth(M)`` rather
 than 2^M, and ``trace_tol`` bounds the rounding by that depth.  Up to
 ROW_BITS qubits a state is one row: ``metric_matrices`` builds the M
@@ -52,7 +52,7 @@ from .qstate import (
     bilinears,
     bloch_vectors,
     row_depth,
-    row_walk,
+    row_view,
     validate_directions,
 )
 
@@ -73,8 +73,8 @@ def trace_tol(m: int) -> float:
     the diagonal of g.  Error model (Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 4): a sum of n terms whose magnitudes add up
     to S, accumulated in turn, is off by at most gamma_n S ~ n u S, with
-    u = 2^-53 the unit roundoff.  The bilinears walk the state by rows
-    (``qstate.row_walk``): 2^(m-r) row sums of 2^r terms each, r =
+    u = 2^-53 the unit roundoff.  The bilinears read the state by rows
+    (``qstate.row_view``): 2^(m-r) row sums of 2^r terms each, r =
     min(m, ROW_BITS), added in row order, so n is the blocked depth
     ``row_depth(m)`` = 2^r + 2^(m-r) - 1, which is 2^m up to ROW_BITS
     qubits, where the metric takes the same whole-row sums.  For a
@@ -333,16 +333,17 @@ def _spin_moments(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, np.block([[c_lo, cross.T], [cross, c_hi]])
 
 
-def _frame_metric(amps: np.ndarray, dirs: np.ndarray, k: int) -> np.ndarray:
-    """Adapted metric (M, M) of one state of M > k qubits, in the direction frame.
+def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Adapted metric (M, M) of one state of M > k qubits, in the direction frame, from its rows.
 
     With U_nu (v^nu . sigma) U_nu^dagger = Z (``_frame_unitaries``) and
     phi = (U_{M-1} x ... x U_0)|s>, every A_nu becomes Z_nu, so <A_nu> and
     <A_mu A_nu> are the first and second moments of the M spins s_nu = +-1
     (bit nu clear or set) under p = |phi|^2.  phi would take 2^M amplitudes;
-    the state, rows of 2^k amplitudes (``qstate.row_walk``) over the M - k
-    high qubits, is instead read in blocks of at most 2^BLOCK_BITS rows,
-    and never written:
+    ``rows``, the state's (2^(M-k), 2^k) ``qstate.row_view`` (k is read
+    from its width), rows of 2^k amplitudes indexed by the M - k high
+    qubits, are instead read in blocks of at most 2^BLOCK_BITS rows, and
+    never written:
 
     * Row passes.  The high qubits split into ceil((M - k) / BLOCK_BITS)
       runs J of consecutive qubits, each taken by one pass.  A block holds
@@ -363,6 +364,7 @@ def _frame_metric(amps: np.ndarray, dirs: np.ndarray, k: int) -> np.ndarray:
     accumulator of as many floats, whatever M.
     """
     m = len(dirs)
+    k = rows.shape[-1].bit_length() - 1
     high = m - k
     u = _frame_unitaries(dirs)
     low_factors = _kron_factors(u, list(range(k)))
@@ -374,7 +376,6 @@ def _frame_metric(amps: np.ndarray, dirs: np.ndarray, k: int) -> np.ndarray:
     work = np.empty(5 * n // 2, dtype=np.complex128)
     buffers = [work[:n], work[n : 2 * n]]
     sums = work[2 * n :].view(float)  # each pass's accumulator is a prefix of it
-    rows = amps.reshape(1 << high, 1 << k)
     e = np.empty(m)
     c = np.empty((m, m))
 
@@ -422,7 +423,7 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     Entries: g[mu, nu] = (<A_mu A_nu> - <A_mu><A_nu>) / 4 off the diagonal
     and g[mu, mu] = (1 - <A_mu>^2) / 4, with A_nu = v^nu . sigma^nu.
 
-    A state of more than ROW_BITS qubits, several rows of ``qstate.row_walk``,
+    A state of more than ROW_BITS qubits, several rows of ``qstate.row_view``,
     goes to ``_frame_metric``, one state at a time, so a state gets the
     same bits alone or in a batch.  A state of M <= ROW_BITS qubits is one
     row: the M applied rows A_nu|s> form one (M, ..., 2^M) stack, built by
@@ -436,11 +437,11 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """
     batch = amps.shape[:-1]
     m = dirs.shape[-2]
-    k, _ = row_walk(amps)
-    if k < m:
+    rows = row_view(amps)
+    if rows.shape[-2] > 1:
         g = np.empty(batch + (m, m))
         for i in np.ndindex(batch):
-            g[i] = _frame_metric(amps[i], dirs[i], k)
+            g[i] = _frame_metric(rows[i], dirs[i])
         return g
     ops = _operator(*np.moveaxis(dirs, -1, 0))  # (..., M, 2, 2)
     applied = np.empty((m,) + amps.shape, dtype=np.complex128)

@@ -8,19 +8,18 @@ significant bit.  All operations are pure functions on immutable inputs.
 The per-qubit amplitude bilinears, from which every Bloch vector and the
 entanglement measure follow, come from one array-first kernel,
 ``bilinears``, for a single state or a batch of shape (..., 2**M).  Every
-pass over a state walks it in cache-sized rows, by ``row_walk``.
+pass over a state reads it in cache-sized rows, by ``row_view``.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 MAX_QUBITS = 26  # 1 GiB of complex128 amplitudes; every pass streams over them in cache-sized rows
-ROW_BITS = 14  # row_walk walks a state in rows of 2**ROW_BITS amplitudes (256 KiB)
+ROW_BITS = 14  # row_view splits a state into rows of 2**ROW_BITS amplitudes (256 KiB)
 NORM_TOL = 1e-12
 UNIT_TOL = 1e-12
 
@@ -29,23 +28,21 @@ class StateFileError(ValueError):
     """Raised when a state file cannot be parsed into amplitude arrays."""
 
 
-def row_walk(amps: np.ndarray) -> tuple[int, Iterable[tuple[int, np.ndarray, list[np.ndarray]]]]:
-    """k = min(M, ROW_BITS) and the rows of 2**k amplitudes of ``(..., 2**M)`` states, in order.
+def row_view(amps: np.ndarray) -> np.ndarray:
+    """States ``(..., 2**M)`` as a ``(..., 2**(M-k), 2**k)`` view of their rows, k = min(M, ROW_BITS).
 
-    The rows come as ``(h, row, partners)``, views of shape (..., 2**k).
     Row h holds basis indices h 2^k .. (h + 1) 2^k - 1, so a qubit nu < k
-    pairs amplitudes within a row, and a qubit nu >= k pairs the row with
-    ``partners[nu - k]``, row h ^ 2^(nu - k).  For M <= ROW_BITS there is
-    one row, the whole state, with no partners.
+    pairs amplitudes within a row, and a qubit nu >= k pairs row h with row
+    h ^ 2^(nu - k).  For M <= ROW_BITS there is one row, the whole state.
+    Splitting the last axis never copies.
     """
     m = amps.shape[-1].bit_length() - 1
-    k = min(m, ROW_BITS)
-    rows = amps.reshape(amps.shape[:-1] + (-1, 1 << k))
-    walk = (
-        (h, rows[..., h, :], [rows[..., h ^ (1 << j), :] for j in range(m - k)])
-        for h in range(rows.shape[-2])
-    )
-    return k, walk
+    return amps.reshape(amps.shape[:-1] + (-1, 1 << min(m, ROW_BITS)))
+
+
+def _is_index(x) -> bool:
+    """The rule for a count or index argument: an int or a numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def row_depth(m: int) -> int:
@@ -61,7 +58,7 @@ def validate_amplitudes(amps: np.ndarray) -> None:
     the first row that is not.  A non-finite entry makes its row's norm
     non-finite, so the entries are scanned only on that error path.
     """
-    norm_sq = sum(np.sum(np.abs(row) ** 2, axis=-1) for _, row, _ in row_walk(amps)[1])
+    norm_sq = sum(np.sum(np.abs(row) ** 2, axis=-1) for row in np.moveaxis(row_view(amps), -2, 0))
     bad = ~(np.abs(norm_sq - 1.0) <= NORM_TOL)  # also true for a NaN gap
     if np.any(bad):
         if not np.all(np.isfinite(amps)):
@@ -86,7 +83,7 @@ class StateVector:
 
     def __post_init__(self) -> None:
         m = self.num_qubits
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_QUBITS:
+        if not _is_index(m) or not 1 <= m <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be an integer in [1, {MAX_QUBITS}], got {m!r}")
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**m,):
@@ -126,10 +123,12 @@ class LocalUnitary:
         u = np.array(self.matrix, dtype=np.complex128, order="C")
         if u.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
+        if not np.isfinite(u).all():
+            raise ValueError("matrix contains non-finite entries")
         defect = np.max(np.abs(u.conj().T @ u - np.eye(2)))
-        if defect > UNIT_TOL:
+        if not defect <= UNIT_TOL:
             raise ValueError(f"matrix is not unitary: max |U^H U - I| = {defect!r}")
-        if abs(abs(np.linalg.det(u)) - 1.0) > UNIT_TOL:
+        if not abs(abs(np.linalg.det(u)) - 1.0) <= UNIT_TOL:
             raise ValueError("matrix determinant does not have modulus 1")
         u.flags.writeable = False
         object.__setattr__(self, "matrix", u)
@@ -143,10 +142,10 @@ def _operator(v1, v2, v3) -> np.ndarray:
 
 def make_basis_state(m: int, k: int) -> StateVector:
     """Computational basis state |k> of m qubits."""
-    if not 1 <= m <= MAX_QUBITS:
-        raise ValueError(f"m must be in [1, {MAX_QUBITS}], got {m}")
-    if not 0 <= k < (1 << m):
-        raise ValueError(f"basis index must satisfy 0 <= k < 2**{m}, got {k}")
+    if not _is_index(m) or not 1 <= m <= MAX_QUBITS:
+        raise ValueError(f"m must be an integer in [1, {MAX_QUBITS}], got {m!r}")
+    if not _is_index(k) or not 0 <= k < (1 << m):
+        raise ValueError(f"basis index k must be an integer with 0 <= k < 2**{m}, got {k!r}")
     amps = np.zeros(1 << m, dtype=np.complex128)
     amps[k] = 1.0
     return StateVector(m, amps)
@@ -173,8 +172,8 @@ def _apply_one_qubit_matrix(
 
 
 def _check_qubit(qubit: int, m: int) -> None:
-    if not 0 <= qubit < m:
-        raise ValueError(f"qubit index must satisfy 0 <= qubit < {m}, got {qubit}")
+    if not _is_index(qubit) or not 0 <= qubit < m:
+        raise ValueError(f"qubit index must be an integer with 0 <= qubit < {m}, got {qubit!r}")
 
 
 def apply_local_unitary(state: StateVector, qubit: int, u: LocalUnitary) -> StateVector:
@@ -192,13 +191,13 @@ def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     clear and w_3 is the signed probability sum (-1)^{bit nu of k} |c_k|^2;
     the third bilinear, w_plus, is conj(w_minus).  O(M 2^M) per state.
 
-    Each ``row_walk`` row adds its partial sums to the totals, in row order:
-    for a qubit below k one einsum and two sums within the row, for a
-    higher qubit nu the pairwise sum of the conjugated partner row times
-    the row (on rows with bit nu clear; a threaded BLAS dot can stall for
-    milliseconds waking its threads) and plus or minus the row's
-    probability sum.  No temporary is larger than a row, and a sum's depth
-    is at most ``row_depth(M)``.  For M <= ROW_BITS the one row is the
+    Each row of ``row_view`` adds its partial sums to the totals, in row
+    order: for a qubit below k one einsum and two sums within the row, for
+    a higher qubit nu the pairwise sum of the conjugated partner row h ^
+    2^(nu - k) times row h (on rows with bit nu clear; a threaded BLAS dot
+    can stall for milliseconds waking its threads) and plus or minus the
+    row's probability sum.  No temporary is larger than a row, and a sum's
+    depth is at most ``row_depth(M)``.  For M <= ROW_BITS the one row is the
     whole state.  A batch row gives the same bits as the row alone.
     """
     amps = np.asarray(amps, dtype=np.complex128)
@@ -206,17 +205,19 @@ def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = amps.shape[-1].bit_length() - 1
     if amps.shape[-1] != 1 << m:
         raise ValueError(f"expected 2**M amplitudes per state, got {amps.shape[-1]}")
-    k, walk = row_walk(amps)
-    for h, row, partners in walk:
+    rows = row_view(amps)
+    k = rows.shape[-1].bit_length() - 1
+    for h, row in enumerate(np.moveaxis(rows, -2, 0)):
         probs = np.abs(row)
         np.square(probs, out=probs)  # the bits of np.abs(row) ** 2, one temporary fewer
         dw_minus = np.empty(batch + (m,), dtype=np.complex128)
         dw_3 = np.empty(batch + (m,))
-        row_prob = probs.sum(axis=-1) if partners else None
+        row_prob = probs.sum(axis=-1) if m > k else None
         for nu in range(m):
             if nu >= k:
                 clear = not (h >> (nu - k)) & 1
-                dw_minus[..., nu] = (np.conj(partners[nu - k]) * row).sum(axis=-1) if clear else 0.0
+                partner = rows[..., h ^ (1 << (nu - k)), :]
+                dw_minus[..., nu] = (np.conj(partner) * row).sum(axis=-1) if clear else 0.0
                 dw_3[..., nu] = row_prob if clear else -row_prob
                 continue
             shape = batch + (1 << (k - 1 - nu), 2, 1 << nu)

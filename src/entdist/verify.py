@@ -81,7 +81,7 @@ def minimize_trace_numeric(
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    if tol <= 0.0:
+    if not tol > 0.0:  # also true for NaN
         raise ValueError("tol must be positive")
     bloch = bloch_vectors(*bilinears(state.amplitudes))  # (m, 3)
     lipschitz = 2.0 * np.sum(bloch * bloch, axis=1)

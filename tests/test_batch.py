@@ -10,14 +10,17 @@ import pytest
 import entdist.cli
 from entdist import (
     FamilySpec,
+    StateVector,
     entanglement_metric,
     family_state,
+    metric_matrix,
     optimal_directions,
     spectrum,
 )
 from entdist import qstate
 from entdist.cli import SweepSpec, _chunk_points, run_sweep
 from entdist.families import FAMILY_ANGLES, family_amplitudes
+from entdist.metric import metric_matrices
 
 
 def _per_point_rows(spec: SweepSpec) -> np.ndarray:
@@ -57,6 +60,32 @@ def test_sweep_is_byte_equal_to_per_point_rows(fam, parameter):
     spec = _seeded_spec(fam, parameter, seed=fam.m + len(parameter))
     _, rows = run_sweep(spec)
     assert np.array(rows).tobytes() == _per_point_rows(spec).tobytes()
+
+
+@pytest.mark.parametrize("row_bits", [2, 3])
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_multi_row_batch_is_byte_equal_to_states_alone(monkeypatch, m, row_bits):
+    """A batch of three states of several rows each takes the direction-frame kernel.
+
+    Each state's metric, at its optimal and at a random direction field,
+    has the bits of that state measured alone.
+    """
+    monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
+    rng = np.random.default_rng(10 * m + row_bits)
+    haar = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+    amps = np.stack(
+        [
+            family_state(FamilySpec("brs", m=m, phi=0.3)).amplitudes,
+            family_state(FamilySpec("ghzl", m=m, theta=0.7, phase=0.4)).amplitudes,
+            haar / np.linalg.norm(haar),
+        ]
+    )
+    random = rng.normal(size=(3, m, 3))
+    random /= np.linalg.norm(random, axis=-1, keepdims=True)
+    for dirs in (optimal_directions(qstate.bloch_vectors(*qstate.bilinears(amps))), random):
+        g = metric_matrices(amps, dirs)
+        for i in range(3):
+            assert g[i].tobytes() == metric_matrix(StateVector(m, amps[i]), dirs[i]).tobytes()
 
 
 @pytest.mark.parametrize("m", [8, 9])

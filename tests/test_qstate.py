@@ -57,10 +57,20 @@ class TestStateVector:
         s = make_basis_state(3, 5)  # |101>: qubit 0 and qubit 2 set
         assert s.amplitudes[5] == 1.0
         assert np.count_nonzero(s.amplitudes) == 1
+        np.testing.assert_array_equal(make_basis_state(np.int64(3), np.uint8(5)).amplitudes, s.amplitudes)
 
     @pytest.mark.parametrize("m,k", [(0, 0), (27, 0), (2, -1), (2, 4), (True, 0)])
     def test_basis_state_range_errors(self, m, k):
         with pytest.raises(ValueError):
+            make_basis_state(m, k)
+
+    @pytest.mark.parametrize(
+        "m,k,argument",
+        [(3.0, 0, "m"), (3, True, "basis index k"), (3, np.True_, "basis index k"), (3, 1.0, "basis index k")],
+    )
+    def test_basis_state_integer_rule(self, m, k, argument):
+        """An int or a numpy integer, not a bool: k = True once set all 8 amplitudes by mask."""
+        with pytest.raises(ValueError, match=f"^{argument} must be an integer"):
             make_basis_state(m, k)
 
     def test_rejects_unnormalized(self):
@@ -115,6 +125,14 @@ class TestLocalUnitary:
         with pytest.raises(ValueError, match="unitary"):
             LocalUnitary(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, entry):
+        """The matrix is blamed, before any arithmetic on it can warn."""
+        u = np.array(HADAMARD, dtype=np.complex128)
+        u[1, 0] = entry
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            LocalUnitary(u)
+
     def test_caller_array_stays_writeable(self):
         u = np.array(HADAMARD, dtype=np.complex128)
         lu = LocalUnitary(u)
@@ -149,6 +167,17 @@ class TestApplyLocalUnitary:
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError):
             apply_local_unitary(make_basis_state(2, 0), 2, LocalUnitary(SX))
+
+    @pytest.mark.parametrize("qubit", [True, np.False_, 1.0])
+    def test_qubit_integer_rule(self, qubit):
+        """StateVector's integer rule: True once acted on qubit 1, and 1.0 raised TypeError."""
+        with pytest.raises(ValueError, match="qubit index must be an integer"):
+            apply_local_unitary(make_basis_state(2, 0), qubit, LocalUnitary(SX))
+
+    def test_numpy_integer_qubit(self):
+        s = make_basis_state(2, 0)
+        out = apply_local_unitary(s, np.int32(1), LocalUnitary(SX))
+        np.testing.assert_array_equal(out.amplitudes, make_basis_state(2, 2).amplitudes)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_matches_dense_operator(self, m):

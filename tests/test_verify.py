@@ -87,8 +87,9 @@ class TestMinimizeTraceNumeric:
         s = make_basis_state(2, 0)
         with pytest.raises(ValueError):
             minimize_trace_numeric(s, restarts=0)
-        with pytest.raises(ValueError):
-            minimize_trace_numeric(s, tol=0.0)
+        for tol in (0.0, np.nan):  # NaN once stopped every row at once, "converged"
+            with pytest.raises(ValueError, match="tol must be positive"):
+                minimize_trace_numeric(s, tol=tol)
 
 
 class TestBlochVectorOracle:
