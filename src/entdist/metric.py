@@ -29,7 +29,7 @@ alone or in a batch.
 
 Both passes over the states, the bilinears and ``metric_matrices``, read
 them by the rows of ``qstate.row_view``, 2**ROW_BITS amplitudes (256 KiB)
-each, so every sum is blocked, of depth ``qstate.row_depth(M)`` rather
+each, so every sum is blocked, of depth at most ``qstate.row_depth(M)`` rather
 than 2^M, and ``trace_tol`` bounds the rounding by that depth.  Up to
 ROW_BITS qubits a state is one row: ``metric_matrices`` builds the M
 applied states A_nu|s> and takes their inner products, the arithmetic of
@@ -49,6 +49,7 @@ from .qstate import (
     StateVector,
     _apply_one_qubit_matrix,
     _operator,
+    _spin_halves,
     bilinears,
     bloch_vectors,
     row_depth,
@@ -73,15 +74,36 @@ def trace_tol(m: int) -> float:
     the diagonal of g.  Error model (Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 4): a sum of n terms whose magnitudes add up
     to S, accumulated in turn, is off by at most gamma_n S ~ n u S, with
-    u = 2^-53 the unit roundoff.  The bilinears read the state by rows
-    (``qstate.row_view``): 2^(m-r) row sums of 2^r terms each, r =
-    min(m, ROW_BITS), added in row order, so n is the blocked depth
-    ``row_depth(m)`` = 2^r + 2^(m-r) - 1, which is 2^m up to ROW_BITS
-    qubits, where the metric takes the same whole-row sums.  For a
-    normalized state S <= 1 (Cauchy-Schwarz), so per qubit the diagonal
-    entry (1 - e^2)/4 is off by at most 0.71 n u and the term
-    (w_3^2 + 4 |w_minus|^2)/4 of E by 0.61 n u; the two sums over the m
-    qubits add m^2 u / 2.
+    u = 2^-53 the unit roundoff; a term that passes through d additions
+    is off by at most gamma_d of its size, so n can be any bound on the d of
+    every term.  The bilinears read the state by the rows of
+    ``qstate.row_view``, 2^(m-r) rows of 2^r amplitudes, r = min(m,
+    ROW_BITS), and n is the blocked depth ``row_depth(m)`` = 2^r + 2^(m-r)
+    - 1.  Up to ROW_BITS qubits the state is one row, each bilinear a
+    whole-row sum of at most 2^m terms, and the metric takes the same
+    whole-row sums.  Above it (``qstate._row_bilinears``) each term passes
+    through at most 2^r + 2^(m-r) - 2 = n - 1 additions, the rows' partial
+    sums added in row order:
+
+    * w_minus of a low qubit nu < r: one einsum over the row's 2^(r-1)
+      pairs, or for nu >= 6 a vecdot of 2^nu pairs and a sum of the
+      2^(r-1-nu) results, 2^nu + 2^(r-1-nu) - 2 <= 2^(r-1) - 1 additions;
+      then 2^(m-r) - 1 over the rows.
+    * w_minus of a high qubit: two vecdots of 2^(r-1) pairs and their sum,
+      2^(r-1) additions, then 2^(m-r) - 1 over the rows, half of them of an
+      exact zero.
+    * w_3 of a low qubit: 2^(m-r) - 1 additions into the marginal, then in
+      ``qstate._spin_halves`` a half marginal and a signed dot, 2^hi +
+      2^lo - 2 <= 2^r - 1 for the r = hi + lo bits (hi, lo = 7 at
+      ROW_BITS = 14, so 254, far below 2^14 - 1).
+    * w_3 of a high qubit: the row total, a sum of 2^r terms, then the
+      signed dot of the 2^(m-r) totals, 2^r + 2^(m-r) - 2 additions.
+
+    Any pairing or blocking inside np.sum, einsum or a BLAS dot only
+    shortens a path.  For a normalized state S <= 1 (Cauchy-Schwarz), so
+    per qubit the diagonal entry (1 - e^2)/4 is off by at most 0.71 n u and
+    the term (w_3^2 + 4 |w_minus|^2)/4 of E by 0.61 n u; the two sums over
+    the m qubits add m^2 u / 2.
 
     Above ROW_BITS qubits e is a signed sum of p = |phi|^2, phi the state
     rotated by the direction-frame kernel's row pass through G =
@@ -92,10 +114,11 @@ def trace_tol(m: int) -> float:
     then at most 2^8 + 2^9 terms in ``_spin_moments`` (r + |J| <= ROW_BITS
     + BLOCK_BITS = 17 bits, split in halves), a depth below n.  So the
     diagonal entry is off by at most 0.71 (n + 144 G) u, which adds at
-    most 511 u per qubit, below 0.04 n u.  The bound 2 m (n + m) u covers the sum in both cases with
-    room to spare: at m = 20 it is 7.3e-11.  The largest gap measured on
-    chain-phase, GHZ-like and Haar states at m = 15-24 is 6.3e-14 (chain
-    phase, m = 18 and 23), and no gap exceeds 9.6e-4 of its bound.
+    most 511 u per qubit, below 0.04 n u.  The bound 2 m (n + m) u covers
+    the sum in both cases with room to spare: at m = 20 it is 7.3e-11.  The
+    largest gap measured on chain-phase (phi = 0.3), GHZ-like (theta = 0.7,
+    phase 0.2) and Haar states at m = 15-24 is 5.5e-14 (chain phase, m =
+    24), and no gap exceeds 7.9e-4 of its bound.
     """
     return 2.0 * m * (row_depth(m) + m) * _UNIT_ROUNDOFF
 
@@ -308,25 +331,16 @@ def _rotate(x: np.ndarray, factors: list[np.ndarray], buffers: list[np.ndarray])
     return x
 
 
-def _signs(n: int) -> np.ndarray:
-    """(2^n, n) spins s_t(i) = +1 or -1 as bit t of i is clear or set."""
-    return 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
-
-
 def _spin_moments(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments <s_t> (n,) and <s_t s_u> (n, n) of the bits of a 2^n distribution.
 
-    The index splits into its high and low halves of bits: the marginal of
-    each half gives that half's moments, and the signed sum S_hi^T P S_lo of
-    the (2^hi, 2^lo) array gives the pairs across.  No sum runs over more
-    than 2^hi + 2^lo terms in turn.
+    The index splits into its high and low halves of bits
+    (``qstate._spin_halves``): the marginal of each half gives that half's
+    moments, and the signed sum S_hi^T P S_lo of the (2^hi, 2^lo) table P
+    gives the pairs across.  No sum runs over more than 2^hi + 2^lo terms
+    in turn.
     """
-    n = p.size.bit_length() - 1
-    hi, lo = n // 2, n - n // 2
-    table = p.reshape(1 << hi, 1 << lo)
-    s_hi, s_lo = _signs(hi), _signs(lo)
-    p_hi, p_lo = table.sum(axis=1), table.sum(axis=0)
-    e = np.concatenate([p_lo @ s_lo, p_hi @ s_hi])
+    e, table, (p_lo, s_lo), (p_hi, s_hi) = _spin_halves(p)
     cross = s_hi.T @ table @ s_lo
     c_lo = s_lo.T @ (p_lo[:, None] * s_lo)
     c_hi = s_hi.T @ (p_hi[:, None] * s_hi)
@@ -433,10 +447,16 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     alone or in a batch.  The diagonal squares <A_mu> with Python's float
     power: numpy's square differs from it in the last bit of some values.
     ``cli.run_sweep`` batches 2^(ROW_BITS - M) such states, so the stack
-    holds M 2^ROW_BITS amplitudes.
+    holds M 2^ROW_BITS amplitudes.  States of 2^M amplitudes take fields
+    of M rows, batch by batch; any other pair of shapes raises ValueError.
     """
     batch = amps.shape[:-1]
-    m = dirs.shape[-2]
+    m = amps.shape[-1].bit_length() - 1
+    if amps.shape[-1] != 1 << m or dirs.shape != batch + (m, 3):
+        raise ValueError(
+            f"amplitudes of shape {amps.shape} do not match directions of shape {dirs.shape}: "
+            "states (..., 2**M) take fields (..., M, 3)"
+        )
     rows = row_view(amps)
     if rows.shape[-2] > 1:
         g = np.empty(batch + (m, m))

@@ -8,7 +8,12 @@ significant bit.  All operations are pure functions on immutable inputs.
 The per-qubit amplitude bilinears, from which every Bloch vector and the
 entanglement measure follow, come from one array-first kernel,
 ``bilinears``, for a single state or a batch of shape (..., 2**M).  Every
-pass over a state reads it in cache-sized rows, by ``row_view``.
+pass over a state reads it in cache-sized rows, by ``row_view``.  A state
+of one row takes whole-row sums; a state of several rows goes through
+``_row_bilinears``, one pass per state that keeps a probability marginal
+of the low qubits and a total per row, from which the signed probability
+sums w_3 follow by the split-halves sign products of ``_spin_halves``,
+which the direction-frame metric kernel also uses for its first moments.
 """
 from __future__ import annotations
 
@@ -125,6 +130,10 @@ class LocalUnitary:
             raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
         if not np.isfinite(u).all():
             raise ValueError("matrix contains non-finite entries")
+        # a unitary's entries have modulus at most 1; a huge one would overflow U^H U
+        largest = np.max(np.abs(u))
+        if not largest <= 1.0 + UNIT_TOL:
+            raise ValueError(f"matrix is not unitary: max |u_ij| = {largest!r} exceeds 1")
         defect = np.max(np.abs(u.conj().T @ u - np.eye(2)))
         if not defect <= UNIT_TOL:
             raise ValueError(f"matrix is not unitary: max |U^H U - I| = {defect!r}")
@@ -183,6 +192,74 @@ def apply_local_unitary(state: StateVector, qubit: int, u: LocalUnitary) -> Stat
     return StateVector(state.num_qubits, out)
 
 
+def _signs(n: int) -> np.ndarray:
+    """(2^n, n) spins s_t(i) = +1 or -1 as bit t of i is clear or set."""
+    return 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+
+
+def _spin_halves(p: np.ndarray) -> tuple:
+    """First moments <s_t> (n,) of the bits of a 2^n distribution, by the halves of its index.
+
+    The index splits into its high and low halves of bits, hi = n // 2 and
+    lo = n - hi.  Returns the moments, in bit order, with the (2^hi, 2^lo)
+    table of p and each half's marginal and spins, low half first: the
+    moments are the products marginal @ spins, so no sum runs over more than
+    2^hi + 2^lo terms in turn.
+    """
+    n = p.size.bit_length() - 1
+    hi, lo = n // 2, n - n // 2
+    table = p.reshape(1 << hi, 1 << lo)
+    s_hi, s_lo = _signs(hi), _signs(lo)
+    p_hi, p_lo = table.sum(axis=1), table.sum(axis=0)
+    return np.concatenate([p_lo @ s_lo, p_hi @ s_hi]), table, (p_lo, s_lo), (p_hi, s_hi)
+
+
+def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinears ``(w_minus, w_3)`` (M,) of one state of M > k qubits from its ``row_view``.
+
+    One pass over the (2^(M-k), 2^k) rows, one row at a time.  Each row's
+    probabilities |c|^2 are added into a 2^k marginal of the k low qubits
+    and their sum is kept as the row's total; w_3 then comes from these, the
+    low qubits by ``_spin_halves`` of the marginal and the high qubits as
+    the totals times ``_signs(M - k)``.  For a low qubit nu < 6 w_minus is
+    one einsum within the row, which is conjugated once for them (a vecdot
+    per run of 2^nu pairs costs more while the runs are short); for
+    6 <= nu < k a vecdot of the row's (2^(k-1-nu), 2^nu) halves; and for a
+    high qubit nu, on rows with bit nu clear, a vecdot of the two halves of
+    the partner row h ^ 2^(nu - k) with the row's two halves.  No BLAS dot
+    runs over a whole row: a threaded dot of 2^14 amplitudes stalled for
+    most of a second waking its threads, one of at most 2^13 never did.
+    The rows' partial sums are added in row order.
+    """
+    n_rows, width = rows.shape
+    k = width.bit_length() - 1
+    high = n_rows.bit_length() - 1
+    marginal = np.zeros(width)
+    totals = np.empty(n_rows)
+    parts = np.zeros((n_rows, k + high), dtype=np.complex128)
+    probs = np.empty(width)
+    conj_row = np.empty(width, dtype=np.complex128)
+    for h, row in enumerate(rows):
+        np.abs(row, out=probs)
+        np.square(probs, out=probs)
+        marginal += probs
+        totals[h] = probs.sum()
+        np.conj(row, out=conj_row)
+        for nu in range(k):
+            shape = (1 << (k - 1 - nu), 2, 1 << nu)
+            view = row.reshape(shape)
+            if nu < 6:
+                parts[h, nu] = np.einsum("ab,ab->", conj_row.reshape(shape)[:, 1, :], view[:, 0, :])
+            else:
+                parts[h, nu] = np.vecdot(view[:, 1, :], view[:, 0, :]).sum()
+        halves = row.reshape(2, -1)
+        for nu in range(k, k + high):
+            if not (h >> (nu - k)) & 1:
+                parts[h, nu] = np.vecdot(rows[h ^ (1 << (nu - k))].reshape(2, -1), halves).sum()
+    w_3 = np.concatenate([_spin_halves(marginal)[0], totals @ _signs(high)])
+    return parts.sum(axis=0), w_3
+
+
 def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-qubit amplitude bilinears of states with amplitudes ``(..., 2**M)``.
 
@@ -191,14 +268,12 @@ def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     clear and w_3 is the signed probability sum (-1)^{bit nu of k} |c_k|^2;
     the third bilinear, w_plus, is conj(w_minus).  O(M 2^M) per state.
 
-    Each row of ``row_view`` adds its partial sums to the totals, in row
-    order: for a qubit below k one einsum and two sums within the row, for
-    a higher qubit nu the pairwise sum of the conjugated partner row h ^
-    2^(nu - k) times row h (on rows with bit nu clear; a threaded BLAS dot
-    can stall for milliseconds waking its threads) and plus or minus the
-    row's probability sum.  No temporary is larger than a row, and a sum's
-    depth is at most ``row_depth(M)``.  For M <= ROW_BITS the one row is the
-    whole state.  A batch row gives the same bits as the row alone.
+    A state of more than ROW_BITS qubits, several rows of ``row_view``, goes
+    to ``_row_bilinears`` one state at a time, so no temporary is larger
+    than a row.  A state of M <= ROW_BITS qubits is one row, and the batch
+    takes per qubit one einsum and two sums over the whole state.  A sum's
+    depth is at most ``row_depth(M)`` (see ``metric.trace_tol``), and a
+    state gets the same bits alone or in a batch.
     """
     amps = np.asarray(amps, dtype=np.complex128)
     batch = amps.shape[:-1]
@@ -206,27 +281,20 @@ def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if amps.shape[-1] != 1 << m:
         raise ValueError(f"expected 2**M amplitudes per state, got {amps.shape[-1]}")
     rows = row_view(amps)
-    k = rows.shape[-1].bit_length() - 1
-    for h, row in enumerate(np.moveaxis(rows, -2, 0)):
-        probs = np.abs(row)
-        np.square(probs, out=probs)  # the bits of np.abs(row) ** 2, one temporary fewer
-        dw_minus = np.empty(batch + (m,), dtype=np.complex128)
-        dw_3 = np.empty(batch + (m,))
-        row_prob = probs.sum(axis=-1) if m > k else None
-        for nu in range(m):
-            if nu >= k:
-                clear = not (h >> (nu - k)) & 1
-                partner = rows[..., h ^ (1 << (nu - k)), :]
-                dw_minus[..., nu] = (np.conj(partner) * row).sum(axis=-1) if clear else 0.0
-                dw_3[..., nu] = row_prob if clear else -row_prob
-                continue
-            shape = batch + (1 << (k - 1 - nu), 2, 1 << nu)
-            view = row.reshape(shape)
-            pview = probs.reshape(shape)
-            dw_minus[..., nu] = np.einsum("...ab,...ab->...", np.conj(view[..., 1, :]), view[..., 0, :])
-            dw_3[..., nu] = pview[..., 0, :].sum(axis=(-2, -1)) - pview[..., 1, :].sum(axis=(-2, -1))
-        w_minus = dw_minus if h == 0 else w_minus + dw_minus
-        w_3 = dw_3 if h == 0 else w_3 + dw_3
+    w_minus = np.empty(batch + (m,), dtype=np.complex128)
+    w_3 = np.empty(batch + (m,))
+    if rows.shape[-2] > 1:
+        for i in np.ndindex(batch):
+            w_minus[i], w_3[i] = _row_bilinears(rows[i])
+        return w_minus, w_3
+    probs = np.abs(amps)
+    np.square(probs, out=probs)  # the bits of np.abs(amps) ** 2, one temporary fewer
+    for nu in range(m):
+        shape = batch + (1 << (m - 1 - nu), 2, 1 << nu)
+        view = amps.reshape(shape)
+        pview = probs.reshape(shape)
+        w_minus[..., nu] = np.einsum("...ab,...ab->...", np.conj(view[..., 1, :]), view[..., 0, :])
+        w_3[..., nu] = pview[..., 0, :].sum(axis=(-2, -1)) - pview[..., 1, :].sum(axis=(-2, -1))
     return w_minus, w_3
 
 

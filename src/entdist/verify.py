@@ -141,7 +141,9 @@ def bloch_tol(m: int) -> float:
     to at most 1 for a normalized state (Cauchy-Schwarz), so a sum of depth
     n is off by at most gamma_n + sqrt(2) gamma_2 ~ (n + 3) u, u = 2^-53
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).  The
-    depth is ``row_depth(m)`` for ``qstate.bilinears``.  The oracle's
+    depth is at most ``row_depth(m)`` for ``qstate.bilinears``, whose sums
+    ``metric.trace_tol`` takes one by one; the signs of w_3 multiply
+    exactly.  The oracle's
     ``np.sum`` of N = 2^(m-1) terms is pairwise: depth at most 25 within a
     block of 128 (eight accumulators of 16 terms, three levels, 7 leftover
     terms), one more per halving of a longer array (at most m - 6) and one

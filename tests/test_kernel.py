@@ -16,7 +16,9 @@ from entdist import (
     FamilySpec,
     StateVector,
     brs_state,
+    closed_form_E,
     entanglement_measure,
+    entanglement_metric,
     family_state,
     ghzl_state,
     w_vectors,
@@ -90,6 +92,9 @@ def _whole_vector_bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w_minus, w_3
 
 
+_SHORT_ROWS = [(m, row_bits) for m in range(3, 9) for row_bits in (1, 2, 3)] + [(8, 7), (9, 7)]
+
+
 class TestRowWalkedKernel:
     """``bilinears`` walks the state in rows of 2**min(M, ROW_BITS) amplitudes."""
 
@@ -101,10 +106,11 @@ class TestRowWalkedKernel:
             for got, expected in zip(bilinears(amps), _whole_vector_bilinears(amps)):
                 assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("row_bits", [1, 2, 3])
-    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize(
+        "m, row_bits", _SHORT_ROWS, ids=[f"{m}-{row_bits}" for m, row_bits in _SHORT_ROWS]
+    )
     def test_short_rows_match_literal_sums(self, monkeypatch, row_bits, m):
-        """Rows of 2, 4 and 8 amplitudes run every partner-row pattern."""
+        """Rows of 2, 4 and 8 amplitudes run every partner-row pattern, rows of 128 the vecdot halves."""
         monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
         batch = _stacked_batch(m, np.random.default_rng(700 + 10 * row_bits + m))
         w_minus, w_3 = bilinears(batch)
@@ -134,9 +140,9 @@ class TestRowWalkedKernel:
             tracemalloc.stop()
         assert peak < 4 * (1 << qstate.ROW_BITS) * 16  # four rows of complex128
 
-    @pytest.mark.parametrize("m", [15, 16])
+    @pytest.mark.parametrize("m", [15, 16, 17, 18])
     def test_many_rows_match_extended_precision(self, m):
-        """At 15 and 16 qubits the kernel walks 2 and 4 rows of 2^14 amplitudes.
+        """At 15 to 18 qubits the kernel walks 2 to 16 rows of 2^14 amplitudes.
 
         Each bilinear is a sum whose terms add up to at most 1 in magnitude,
         so its rounding is at most (row_depth(m) + 3) u (see ``verify.bloch_tol``),
@@ -152,6 +158,13 @@ class TestRowWalkedKernel:
             assert float(np.max(np.abs(w_3 - ref_3))) <= bound
             ref_e = 0.25 * (m - np.sum(ref_3**2 + 4 * np.abs(ref_minus) ** 2))
             assert abs(entanglement_measure(s) - float(ref_e)) <= 2 * m * bound
+
+    def test_degenerate_state_gets_z_and_the_closed_form(self):
+        """GHZ (ghzl theta = pi/4) at 16 qubits: every Bloch vector vanishes across 4 rows."""
+        spec = FamilySpec("ghzl", m=16, theta=np.pi / 4)
+        em = entanglement_metric(family_state(spec))
+        np.testing.assert_array_equal(em.directions, np.tile([0.0, 0.0, 1.0], (16, 1)))
+        assert em.measure == closed_form_E(spec).value
 
 
 @pytest.mark.parametrize("m", [3, 7, 9])

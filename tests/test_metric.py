@@ -259,6 +259,20 @@ class TestMetricMatrix:
         with pytest.raises(ValueError, match="shape"):
             metric_matrix(make_basis_state(2, 0), Z[None, :])
 
+    @pytest.mark.parametrize(
+        "amps_shape, dirs_shape",
+        [((8,), (2, 3)), ((8,), (4, 3)), ((2, 8), (3, 3)), ((2, 8), (3, 3, 3)), ((6,), (3, 3))],
+    )
+    def test_batch_entry_names_both_shapes(self, amps_shape, dirs_shape):
+        """8 amplitudes with a (2, 3) field raised numpy's reshape error, naming neither."""
+        amps = np.zeros(amps_shape, dtype=np.complex128)
+        with pytest.raises(ValueError) as err:
+            metric_matrices(amps, np.zeros(dirs_shape))
+        assert str(err.value) == (
+            f"amplitudes of shape {amps_shape} do not match directions of shape {dirs_shape}: "
+            "states (..., 2**M) take fields (..., M, 3)"
+        )
+
 
 def _whole_vector_metric(state, dirs) -> np.ndarray:
     """Reference for a state that is one row: M whole applied copies of it.

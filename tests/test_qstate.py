@@ -133,6 +133,12 @@ class TestLocalUnitary:
         with pytest.raises(ValueError, match="matrix contains non-finite entries"):
             LocalUnitary(u)
 
+    @pytest.mark.parametrize("entry", [1e200, -1e200j, 1e155, 2.0])
+    def test_rejects_large_entries_before_the_product(self, entry):
+        """An entry beyond modulus 1 is refused by its size; 1e200 overflowed U^H U first."""
+        with pytest.raises(ValueError, match=r"not unitary: max \|u_ij\| = .* exceeds 1"):
+            LocalUnitary([[entry, 0.0], [0.0, 1.0]])
+
     def test_caller_array_stays_writeable(self):
         u = np.array(HADAMARD, dtype=np.complex128)
         lu = LocalUnitary(u)
