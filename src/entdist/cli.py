@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,10 +86,7 @@ def _check_grid(angle: str, start: float, stop: float, points: int) -> None:
         )
     if not start < stop:
         raise ValueError(f"angle {angle!r} range requires start < stop")
-    if not (isinstance(points, numbers.Integral) and points >= 2):
-        raise ValueError(
-            f"angle {angle!r} grid requires an integer of at least 2 points, got {points!r}"
-        )
+    qstate.validate_count(f"angle {angle!r} grid points", points, 2)
 
 
 def _fmt(x: float) -> str:
@@ -239,10 +235,12 @@ def _cmd_measure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_eigs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if not (np.isfinite(args.rank_tol) and args.rank_tol >= 0.0):
-        parser.error(f"--rank-tol must be finite and non-negative, got {args.rank_tol!r}")
     state = _state_from_args(args, parser)
-    spec = spectrum(entanglement_metric(state), rank_tol=args.rank_tol)
+    em = entanglement_metric(state)
+    try:
+        spec = spectrum(em, rank_tol=args.rank_tol)
+    except ValueError as exc:
+        parser.error(f"--rank-tol: {exc}")
     eigs = [float(x) for x in spec.eigenvalues]
     if args.csv:
         header = [f"eig_{i}" for i in range(1, state.num_qubits + 1)]
@@ -290,9 +288,11 @@ def _cmd_surface(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    for name in ("trials", "restarts"):
-        if getattr(args, name) < 1:
-            parser.error(f"--{name} must be at least 1")
+    for name, lo in (("trials", 1), ("restarts", 1), ("seed", 0)):
+        try:
+            qstate.validate_count(f"--{name}", getattr(args, name), lo)
+        except ValueError as exc:
+            parser.error(str(exc))
     state = _state_from_args(args, parser)
     payload = verify_state(state, args.trials, args.restarts, args.seed)
     _emit(json.dumps(payload) + "\n", args.out)

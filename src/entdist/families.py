@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qstate import MAX_QUBITS, StateVector
+from .qstate import MAX_QUBITS, StateVector, validate_count
 
 BRS = "brs"
 GHZL = "ghzl"
@@ -54,17 +54,13 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {self.tag!r}; expected one of {FAMILY_TAGS}")
-        if self.m is None:
-            if self.tag != THREEQ:
-                raise ValueError(f"family {self.tag!r} requires m")
-            object.__setattr__(self, "m", 3)
-        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
-            raise ValueError(f"m must be an integer, got {self.m!r}")
-        if self.tag == THREEQ:
-            if self.m != 3:
-                raise ValueError("the three-qubit family has m fixed at 3")
-        elif not 2 <= self.m <= MAX_QUBITS:
-            raise ValueError(f"m must be in [2, {MAX_QUBITS}] for family {self.tag!r}")
+        if self.m is None and self.tag != THREEQ:
+            raise ValueError(f"family {self.tag!r} requires m")
+        m = 3 if self.m is None else self.m
+        m = validate_count(f"m for family {self.tag!r}", m, 2, MAX_QUBITS)
+        if self.tag == THREEQ and m != 3:
+            raise ValueError("the three-qubit family has m fixed at 3")
+        object.__setattr__(self, "m", m)
         for tag, angles in FAMILY_ANGLES.items():
             for name in angles:
                 if tag != self.tag and getattr(self, name) != 0.0:

@@ -218,12 +218,18 @@ class EntanglementMetric:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues of an entanglement metric, sorted descending, as a read-only copy."""
+    """Eigenvalues of an entanglement metric, sorted descending, as a read-only copy.
+
+    ``rank_tol`` must be finite and non-negative: ``nonnull_count`` counts
+    the eigenvalues above it, and a NaN would silently count none.
+    """
 
     eigenvalues: np.ndarray
     rank_tol: float
 
     def __post_init__(self) -> None:
+        if not (np.isfinite(self.rank_tol) and self.rank_tol >= 0.0):
+            raise ValueError(f"rank_tol must be finite and non-negative, got {self.rank_tol!r}")
         eigs = np.array(self.eigenvalues, dtype=float, order="C")
         eigs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eigs)

@@ -27,11 +27,11 @@ from .metric import (
 from .qstate import (
     StateVector,
     _apply_one_qubit_matrix,
-    _check_qubit,
     _haar_unitary,
     bilinears,
     bloch_vectors,
     row_depth,
+    validate_count,
     validate_directions,
 )
 
@@ -79,8 +79,8 @@ def minimize_trace_numeric(
     (``iterations`` counts them).  Deterministic for a fixed seed; the
     best restart wins.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    restarts = validate_count("restarts", restarts, 1)
+    seed = validate_count("seed", seed, 0)
     if not tol > 0.0:  # also true for NaN
         raise ValueError("tol must be positive")
     bloch = bloch_vectors(*bilinears(state.amplitudes))  # (m, 3)
@@ -125,7 +125,7 @@ def reduced_density_matrix(state: StateVector, qubit: int) -> np.ndarray:
     qubit's two half-views; no temporary is larger than the state.
     """
     m = state.num_qubits
-    _check_qubit(qubit, m)
+    qubit = validate_count("qubit index", qubit, 0, m - 1)
     psi = state.amplitudes.reshape(1 << (m - 1 - qubit), 2, 1 << qubit)
     half0, half1 = psi[:, 0, :], psi[:, 1, :]
     rho01 = np.sum(half0 * np.conj(half1))
@@ -162,8 +162,8 @@ def invariance_check(state: StateVector, trials: int, seed: int = 0) -> float:
     result; a unitary keeps the norm, so the dressed array is not
     revalidated.  Deterministic for a fixed seed.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = validate_count("trials", trials, 1)
+    seed = validate_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     m = state.num_qubits
     base = entanglement_measure(state)

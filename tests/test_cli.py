@@ -207,7 +207,7 @@ class TestEigs:
         with pytest.raises(SystemExit) as err:
             main(["eigs", "--family", "brs", "--m", "3", f"--rank-tol={rank_tol}"])
         assert err.value.code == 2
-        assert "--rank-tol must be finite and non-negative" in capsys.readouterr().err
+        assert "--rank-tol: rank_tol must be finite and non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -532,7 +532,7 @@ class TestSurface:
 # ---------------------------------------------------------------------------
 
 _BRS3 = FamilySpec("brs", m=3)
-_POINTS = "grid requires an integer of at least 2 points, got"
+_POINTS = "grid points must be an integer >= 2, got"
 
 
 @pytest.mark.parametrize(

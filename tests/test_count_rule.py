@@ -1,0 +1,145 @@
+"""One count rule: every count or index argument passes ``qstate.validate_count``.
+
+Each site takes an int or a numpy integer, not a bool, in its range, and
+refuses anything else with a ValueError that names the argument; the CLI
+exits 2.  A valid numpy integer is stored as a Python int, so the records
+built from it serialise to JSON.
+"""
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+from entdist import FamilySpec, entanglement_metric
+from entdist.cli import SweepSpec, main, run_surface
+from entdist.qstate import (
+    LocalUnitary,
+    StateVector,
+    apply_local_unitary,
+    make_basis_state,
+    read_state_file,
+    validate_count,
+)
+from entdist.verify import (
+    invariance_check,
+    minimize_trace_numeric,
+    reduced_density_matrix,
+    verify_state,
+)
+
+_BELL = StateVector(2, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+_BRS3 = FamilySpec("brs", m=3)
+_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def _state_file(tmp_path, m):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"m": m, "re": [1.0, 0.0], "im": [0.0, 0.0]}))
+    return read_state_file(path)
+
+
+# (site, call with the value, argument name in the message, out-of-range values)
+_SITES = [
+    ("StateVector", lambda v: StateVector(v, [1.0, 0.0]), "num_qubits", [0, 27]),
+    ("make_basis_state-m", lambda v: make_basis_state(v, 0), "m", [0, 27]),
+    ("make_basis_state-k", lambda v: make_basis_state(2, v), "basis index k", [-1, 4]),
+    ("apply_local_unitary", lambda v: apply_local_unitary(_BELL, v, LocalUnitary(_H)),
+     "qubit index", [-1, 2]),
+    ("read_state_file", None, '"m"', [0, 27]),
+    ("FamilySpec", lambda v: FamilySpec("brs", m=v), "m for family 'brs'", [1, 27]),
+    ("SweepSpec", lambda v: SweepSpec(_BRS3, "phi", 0.0, 1.0, v), "angle 'phi' grid points", [1]),
+    ("run_surface", lambda v: run_surface((0.0, 1.0), (0.0, 1.0), v), "angle 'gamma' grid points",
+     [1]),
+    ("minimize-restarts", lambda v: minimize_trace_numeric(_BELL, restarts=v), "restarts", [0]),
+    ("minimize-seed", lambda v: minimize_trace_numeric(_BELL, seed=v), "seed", [-1]),
+    ("invariance-trials", lambda v: invariance_check(_BELL, trials=v), "trials", [0]),
+    ("invariance-seed", lambda v: invariance_check(_BELL, trials=1, seed=v), "seed", [-1]),
+    ("reduced_density_matrix", lambda v: reduced_density_matrix(_BELL, v), "qubit index",
+     [-1, 2]),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        pytest.param(call, name, value, id=f"{site}-{value!r}")
+        for site, call, name, outside in _SITES
+        for value in [True, 2.5, "3", *outside]
+    ],
+)
+def test_library_sites_refuse_what_is_not_a_count_in_range(call, name, value, tmp_path):
+    """A bool, a float, a string or a value just outside the range raises a ValueError naming it."""
+    with pytest.raises(ValueError) as err:
+        _state_file(tmp_path, value) if call is None else call(value)
+    message = str(err.value)
+    assert f"{name} must be an integer " in message
+    assert message.endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "--family", "brs", "--m", "3", "--trials", "0"],
+         "--trials must be an integer >= 1, got 0"),
+        (["verify", "--family", "brs", "--m", "3", "--restarts", "0"],
+         "--restarts must be an integer >= 1, got 0"),
+        (["verify", "--family", "brs", "--m", "3", "--seed", "-1"],
+         "--seed must be an integer >= 0, got -1"),
+        (["measure", "--family", "brs", "--m", "1"],
+         "m for family 'brs' must be an integer in [2, 26], got 1"),
+        (["measure", "--family", "brs", "--m", "27"],
+         "m for family 'brs' must be an integer in [2, 26], got 27"),
+        (["sweep", "--family", "brs", "--m", "3", "--parameter", "phi", "--start", "0",
+          "--stop", "1", "--points", "1"],
+         "angle 'phi' grid points must be an integer >= 2, got 1"),
+        (["surface", "--points", "1"], "angle 'gamma' grid points must be an integer >= 2, got 1"),
+        (["verify", "--family", "brs", "--m", "3", "--seed", "2.5"],
+         "argument --seed: invalid int value: '2.5'"),
+    ],
+    ids=["trials", "restarts", "seed", "m-low", "m-high", "sweep-points", "surface-points",
+         "seed-not-int"],
+)
+def test_cli_count_errors_exit_2_naming_the_flag(args, message, capsys):
+    """A count out of range exits 2 through the subcommand's usage, not 4 as an internal error."""
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("m", [0, 27, True, 2.5, "3"])
+def test_cli_state_file_m_exits_2_naming_the_file(m, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"m": m, "re": [1.0, 0.0], "im": [0.0, 0.0]}))
+    assert main(["measure", "--state-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f'error: state file {path}: "m" must be an integer in [1, 26], got ')
+
+
+def test_numpy_integers_give_json_records():
+    """A valid numpy integer is stored as a Python int: the records serialise."""
+    state = StateVector(np.int64(2), _BELL.amplitudes)
+    spec = FamilySpec("brs", m=np.int64(3))
+    assert type(state.num_qubits) is int and type(spec.m) is int
+    json.dumps(entanglement_metric(state).to_dict())
+    json.dumps(spec.to_dict())
+    json.dumps(verify_state(state, trials=np.int64(2), restarts=np.int64(2), seed=np.int64(1)))
+
+
+@pytest.mark.parametrize(
+    "value, lo, hi, expected",
+    [(np.uint8(5), 0, 7, 5), (np.int64(-1), -1, None, -1), (10**30, 0, None, 10**30)],
+)
+def test_validate_count_returns_a_python_int(value, lo, hi, expected):
+    out = validate_count("n", value, lo, hi)
+    assert type(out) is int and out == expected
+
+
+@pytest.mark.parametrize("value", [np.True_, np.float64(3.0), None, 3 + 0j])
+def test_validate_count_refuses_non_integers(value):
+    with pytest.raises(ValueError, match=r"^n must be an integer in \[0, 7\], got "):
+        validate_count("n", value, 0, 7)

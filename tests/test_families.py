@@ -299,14 +299,17 @@ class TestFamilySpec:
             FamilySpec("brs", m=2, phi=float("nan"))
 
 
+_M_RANGE = r"must be an integer in \[2, 26\], got"
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: brs_state(1, 0.5), r"m must be in \[2, 26\] for family 'brs'"),
-        (lambda: brs_state(27, 0.5), r"m must be in \[2, 26\] for family 'brs'"),
+        (lambda: brs_state(1, 0.5), rf"m for family 'brs' {_M_RANGE} 1"),
+        (lambda: brs_state(27, 0.5), rf"m for family 'brs' {_M_RANGE} 27"),
         (lambda: brs_state(3, np.nan), "angle 'phi' must be finite"),
-        (lambda: ghzl_state(1, 0.5), r"m must be in \[2, 26\] for family 'ghzl'"),
-        (lambda: ghzl_state(27, 0.5), r"m must be in \[2, 26\] for family 'ghzl'"),
+        (lambda: ghzl_state(1, 0.5), rf"m for family 'ghzl' {_M_RANGE} 1"),
+        (lambda: ghzl_state(27, 0.5), rf"m for family 'ghzl' {_M_RANGE} 27"),
         (lambda: ghzl_state(3, np.nan), "angle 'theta' must be finite"),
         (lambda: ghzl_state(3, 0.5, np.nan), "angle 'phase' must be finite"),
         (lambda: three_qubit_state(np.nan, 0.5), "angle 'gamma' must be finite"),

@@ -568,6 +568,13 @@ class TestSpectrum:
         eigs[0] = 1.0
         assert sp.eigenvalues[0] == 0.5
 
+    @pytest.mark.parametrize("rank_tol", [np.nan, np.inf, -1e-8])
+    def test_rejects_a_rank_tol_that_is_not_finite_and_non_negative(self, rank_tol):
+        """A NaN tolerance once made nonnull_count read 0 whatever the eigenvalues."""
+        em = entanglement_metric(ghzl_state(3, np.pi / 4))
+        with pytest.raises(ValueError, match="^rank_tol must be finite and non-negative, got "):
+            spectrum(em, rank_tol=rank_tol)
+
     def test_ghz_rank_one(self):
         sp = spectrum(entanglement_metric(ghzl_state(7, np.pi / 4)))
         assert sp.eigenvalues[0] == pytest.approx(7 / 4, abs=1e-12)
