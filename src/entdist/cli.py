@@ -28,6 +28,7 @@ from .families import (
 )
 from .metric import (
     DEFAULT_RANK_TOL,
+    Spectrum,
     check_metrics,
     entanglement_metric,
     measure_from_bilinears,
@@ -235,12 +236,12 @@ def _cmd_measure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_eigs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    state = _state_from_args(args, parser)
-    em = entanglement_metric(state)
     try:
-        spec = spectrum(em, rank_tol=args.rank_tol)
+        Spectrum((), args.rank_tol)  # the rank_tol rule, before any state is built
     except ValueError as exc:
         parser.error(f"--rank-tol: {exc}")
+    state = _state_from_args(args, parser)
+    spec = spectrum(entanglement_metric(state), rank_tol=args.rank_tol)
     eigs = [float(x) for x in spec.eigenvalues]
     if args.csv:
         header = [f"eig_{i}" for i in range(1, state.num_qubits + 1)]

@@ -193,7 +193,7 @@ class EntanglementMetric:
         g = np.array(self.matrix, dtype=float, order="C")
         if g.shape != (self.size, self.size):
             raise ValueError(f"expected a {self.size}x{self.size} matrix, got {g.shape}")
-        dirs = validate_directions(self.directions, self.size).copy()
+        dirs = validate_directions(self.directions, (self.size, 3)).copy()
         eigs = check_metrics(g, self.measure)
         for a in (g, dirs, eigs):
             a.flags.writeable = False
@@ -453,22 +453,20 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     alone or in a batch.  The diagonal squares <A_mu> with Python's float
     power: numpy's square differs from it in the last bit of some values.
     ``cli.run_sweep`` batches 2^(ROW_BITS - M) such states, so the stack
-    holds M 2^ROW_BITS amplitudes.  States of 2^M amplitudes take fields
-    of M rows, batch by batch; any other pair of shapes raises ValueError.
+    holds M 2^ROW_BITS amplitudes.  M and the rows come from
+    ``qstate.row_view``, and the fields pass ``qstate.validate_directions``
+    at shape (..., M, 3), so a field of non-unit or non-finite rows is
+    refused.
     """
-    batch = amps.shape[:-1]
-    m = amps.shape[-1].bit_length() - 1
-    if amps.shape[-1] != 1 << m or dirs.shape != batch + (m, 3):
-        raise ValueError(
-            f"amplitudes of shape {amps.shape} do not match directions of shape {dirs.shape}: "
-            "states (..., 2**M) take fields (..., M, 3)"
-        )
-    rows = row_view(amps)
+    m, rows = row_view(amps)
+    batch = rows.shape[:-2]
+    dirs = validate_directions(dirs, batch + (m, 3))
     if rows.shape[-2] > 1:
         g = np.empty(batch + (m, m))
         for i in np.ndindex(batch):
             g[i] = _frame_metric(rows[i], dirs[i])
         return g
+    amps = rows[..., 0, :]
     ops = _operator(*np.moveaxis(dirs, -1, 0))  # (..., M, 2, 2)
     applied = np.empty((m,) + amps.shape, dtype=np.complex128)
     mu, nu = np.triu_indices(m, 1)  # the pairs mu < nu, mu-major
@@ -492,7 +490,7 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 def metric_matrix(state: StateVector, dirs: np.ndarray) -> np.ndarray:
     """Adapted metric of one state at an (M, 3) direction field: ``metric_matrices`` for P = 1."""
-    return metric_matrices(state.amplitudes, validate_directions(dirs, state.num_qubits))
+    return metric_matrices(state.amplitudes, dirs)
 
 
 def entanglement_metric(state: StateVector) -> EntanglementMetric:
@@ -515,7 +513,7 @@ def distance_density(state: StateVector, dirs: np.ndarray) -> float:
     Only the diagonal contributes to the trace, so this runs in O(M 2^M)
     without assembling the full matrix.
     """
-    dirs = validate_directions(dirs, state.num_qubits).tolist()
+    dirs = validate_directions(dirs, (state.num_qubits, 3)).tolist()
     total = 0.0
     for (v1, v2, v3), (e1, e2, e3) in zip(dirs, bloch_vectors(*w_vectors(state))):
         e = float(np.clip(v1 * e1 + v2 * e2 + v3 * e3, -1.0, 1.0))

@@ -33,16 +33,24 @@ class StateFileError(ValueError):
     """Raised when a state file cannot be parsed into amplitude arrays."""
 
 
-def row_view(amps: np.ndarray) -> np.ndarray:
-    """States ``(..., 2**M)`` as a ``(..., 2**(M-k), 2**k)`` view of their rows, k = min(M, ROW_BITS).
+def row_view(amps) -> tuple[int, np.ndarray]:
+    """M, and states ``(..., 2**M)`` as rows ``(..., 2**(M-k), 2**k)``, k = min(M, ROW_BITS).
 
-    Row h holds basis indices h 2^k .. (h + 1) 2^k - 1, so a qubit nu < k
-    pairs amplitudes within a row, and a qubit nu >= k pairs row h with row
-    h ^ 2^(nu - k).  For M <= ROW_BITS there is one row, the whole state.
-    Splitting the last axis never copies.
+    The one rule for a state array: its last axis must hold 2^M amplitudes
+    with 1 <= M <= MAX_QUBITS, and any other shape raises a ValueError that
+    names it.  The rows are C-contiguous complex128, a view of the input
+    itself when it has that layout and of a copy otherwise, so each state
+    of a batch is read as it would be alone.  Row h holds basis indices
+    h 2^k .. (h + 1) 2^k - 1, so a qubit nu < k pairs amplitudes within a
+    row, and a qubit nu >= k pairs row h with row h ^ 2^(nu - k).  For M
+    <= ROW_BITS there is one row, the whole state.
     """
-    m = amps.shape[-1].bit_length() - 1
-    return amps.reshape(amps.shape[:-1] + (-1, 1 << min(m, ROW_BITS)))
+    amps = np.asarray(amps, dtype=np.complex128, order="C")
+    n = amps.shape[-1] if amps.ndim else 0
+    m = n.bit_length() - 1
+    if not (1 <= m <= MAX_QUBITS and n == 1 << m):
+        raise ValueError(f"expected 2**M amplitudes, 1 <= M <= {MAX_QUBITS}, got shape {amps.shape}")
+    return m, amps.reshape(amps.shape[:-1] + (max(1, n >> ROW_BITS), min(n, 1 << ROW_BITS)))
 
 
 def validate_count(name: str, value, lo: int, hi: int | None = None) -> int:
@@ -66,16 +74,18 @@ def row_depth(m: int) -> int:
 
 
 def validate_amplitudes(amps: np.ndarray) -> None:
-    """Reject non-finite or unnormalized states, row-wise over ``(..., 2**M)``.
+    """Reject non-finite or unnormalized states, row-wise over ``(..., 2**M)`` (see ``row_view``).
 
-    Each row's squared norm must be 1 within ``NORM_TOL``; the error names
-    the first row that is not.  A non-finite entry makes its row's norm
-    non-finite, so the entries are scanned only on that error path.
+    Each row's squared norm, summed as re^2 + im^2, must be 1 within
+    ``NORM_TOL``; the error names the first row that is not.  A non-finite
+    entry makes its row's norm non-finite, so the entries are scanned only
+    on that error path.
     """
-    norm_sq = sum(np.sum(np.abs(row) ** 2, axis=-1) for row in np.moveaxis(row_view(amps), -2, 0))
+    rows = np.moveaxis(row_view(amps)[1], -2, 0)
+    norm_sq = sum(np.sum(np.square(r.real) + np.square(r.imag), axis=-1) for r in rows)
     bad = ~(np.abs(norm_sq - 1.0) <= NORM_TOL)  # also true for a NaN gap
     if np.any(bad):
-        if not np.all(np.isfinite(amps)):
+        if not np.all(np.isfinite(rows)):
             raise ValueError("amplitudes contain non-finite entries")
         raise ValueError(f"state is not normalized: sum |c_k|^2 = {float(norm_sq[bad][0])!r}")
 
@@ -107,15 +117,15 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def validate_directions(dirs: np.ndarray, m: int) -> np.ndarray:
-    """A direction field as a float array of m real unit rows, shape (m, 3).
+def validate_directions(dirs: np.ndarray, shape: tuple) -> np.ndarray:
+    """The one rule for a direction field: a float array of ``shape`` (..., M, 3) of real unit rows.
 
     Each row's squared norm must be 1 within ``UNIT_TOL``; the error gives
     the squared norm of the first row that is not.
     """
     v = np.asarray(dirs, dtype=float)
-    if v.shape != (m, 3):
-        raise ValueError(f"expected directions of shape {(m, 3)}, got shape {v.shape}")
+    if v.shape != shape:
+        raise ValueError(f"expected directions of shape {shape}, got shape {v.shape}")
     norm_sq = (v * v).sum(axis=-1)
     gap = abs(norm_sq - 1.0)
     if not gap.max(initial=0.0) <= UNIT_TOL:  # also true for a NaN gap
@@ -271,6 +281,7 @@ def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``(..., M)``.  w_minus sums c*_{k+2^nu} c_k over indices with qubit nu
     clear and w_3 is the signed probability sum (-1)^{bit nu of k} |c_k|^2;
     the third bilinear, w_plus, is conj(w_minus).  O(M 2^M) per state.
+    M and the rows come from ``row_view``, which refuses any other shape.
 
     A state of more than ROW_BITS qubits, several rows of ``row_view``, goes
     to ``_row_bilinears`` one state at a time, so no temporary is larger
@@ -279,18 +290,15 @@ def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     depth is at most ``row_depth(M)`` (see ``metric.trace_tol``), and a
     state gets the same bits alone or in a batch.
     """
-    amps = np.asarray(amps, dtype=np.complex128)
-    batch = amps.shape[:-1]
-    m = amps.shape[-1].bit_length() - 1
-    if amps.shape[-1] != 1 << m:
-        raise ValueError(f"expected 2**M amplitudes per state, got {amps.shape[-1]}")
-    rows = row_view(amps)
+    m, rows = row_view(amps)
+    batch = rows.shape[:-2]
     w_minus = np.empty(batch + (m,), dtype=np.complex128)
     w_3 = np.empty(batch + (m,))
     if rows.shape[-2] > 1:
         for i in np.ndindex(batch):
             w_minus[i], w_3[i] = _row_bilinears(rows[i])
         return w_minus, w_3
+    amps = rows[..., 0, :]
     probs = np.abs(amps)
     np.square(probs, out=probs)  # the bits of np.abs(amps) ** 2, one temporary fewer
     for nu in range(m):

@@ -209,6 +209,18 @@ class TestEigs:
         assert err.value.code == 2
         assert "--rank-tol: rank_tol must be finite and non-negative" in capsys.readouterr().err
 
+    def test_bad_rank_tol_exits_before_the_metric(self, monkeypatch, capsys):
+        """The threshold was checked only after the metric: 9 s and 1.1 GiB at M = 26."""
+
+        def no_metric(state):
+            raise AssertionError("the metric was computed for a refused --rank-tol")
+
+        monkeypatch.setattr(entdist.cli, "entanglement_metric", no_metric)
+        with pytest.raises(SystemExit) as err:
+            main(["eigs", "--family", "brs", "--m", "3", "--rank-tol", "nan"])
+        assert err.value.code == 2
+        assert "--rank-tol: rank_tol must be finite and non-negative" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "args, usage",

@@ -264,14 +264,24 @@ class TestMetricMatrix:
         [((8,), (2, 3)), ((8,), (4, 3)), ((2, 8), (3, 3)), ((2, 8), (3, 3, 3)), ((6,), (3, 3))],
     )
     def test_batch_entry_names_both_shapes(self, amps_shape, dirs_shape):
-        """8 amplitudes with a (2, 3) field raised numpy's reshape error, naming neither."""
+        """8 amplitudes with a (2, 3) field raised numpy's reshape error, naming neither.
+
+        A field that does not fit the states is refused with its shape and
+        the one the states take; states of other than 2**M amplitudes are
+        refused, before the field is read, with their own shape.
+        """
         amps = np.zeros(amps_shape, dtype=np.complex128)
         with pytest.raises(ValueError) as err:
             metric_matrices(amps, np.zeros(dirs_shape))
-        assert str(err.value) == (
-            f"amplitudes of shape {amps_shape} do not match directions of shape {dirs_shape}: "
-            "states (..., 2**M) take fields (..., M, 3)"
-        )
+        if amps_shape[-1] == 8:
+            fits = amps_shape[:-1] + (3, 3)
+            expected = f"expected directions of shape {fits}, got shape {dirs_shape}"
+        else:
+            expected = (
+                f"expected 2**M amplitudes, 1 <= M <= {qstate.MAX_QUBITS}, "
+                f"got shape {amps_shape}"
+            )
+        assert str(err.value) == expected
 
 
 def _whole_vector_metric(state, dirs) -> np.ndarray:
