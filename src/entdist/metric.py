@@ -36,8 +36,11 @@ applied states A_nu|s> and takes their inner products, the arithmetic of
 the whole-vector products.  A state of more qubits goes to the
 direction-frame kernel, ``_frame_metric``: each qubit is rotated so that
 its A_nu becomes Z, and g is the covariance of M +-1 spins under the
-rotated probabilities, read a block of rows at a time, in a working
-memory of two blocks whatever M.
+rotated probabilities, read a block at a time, in a working memory of two
+blocks whatever M.  ``_frame_runs`` splits the qubits by M into L <=
+ROW_BITS low ones and runs of high ones, one row pass per run, for the
+fewest passes whose blocks and column strips fit 2**(ROW_BITS +
+BLOCK_BITS) amplitudes.
 """
 from __future__ import annotations
 
@@ -62,7 +65,7 @@ DEFAULT_RANK_TOL = 1e-8
 SYMMETRY_TOL = 1e-12  # on max |g - g^T|
 DIAGONAL_TOL = 1e-12  # on how far a diagonal entry lies outside [0, 1/4]
 PSD_TOL = 1e-10  # on how far the smallest eigenvalue lies below 0
-BLOCK_BITS = 3  # a direction-frame block holds 2**BLOCK_BITS rows; at most 4, one Kronecker factor
+BLOCK_BITS = 3  # a direction-frame block holds at most 2**(ROW_BITS + BLOCK_BITS) amplitudes
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -106,19 +109,24 @@ def trace_tol(m: int) -> float:
     the m qubits add m^2 u / 2.
 
     Above ROW_BITS qubits e is a signed sum of p = |phi|^2, phi the state
-    rotated by the direction-frame kernel's row pass through G =
-    ceil(r/4) + 1 Kronecker factors (16 terms per output each, G <= 5).  A
-    16 x 16 unitary factor K moves a vector by at most gamma_18 || |K| ||_2
-    <= 72 u of its 2-norm (|| |K| ||_F = 4), so p loses at most 144 G u of
-    its unit mass.  Its sums add the 2^(m-r-|J|) blocks of a pass in turn,
-    then at most 2^8 + 2^9 terms in ``_spin_moments`` (r + |J| <= ROW_BITS
-    + BLOCK_BITS = 17 bits, split in halves), a depth below n.  So the
-    diagonal entry is off by at most 0.71 (n + 144 G) u, which adds at
-    most 511 u per qubit, below 0.04 n u.  The bound 2 m (n + m) u covers
-    the sum in both cases with room to spare: at m = 20 it is 7.3e-11.  The
-    largest gap measured on chain-phase (phi = 0.3), GHZ-like (theta = 0.7,
-    phase 0.2) and Haar states at m = 15-24 is 5.5e-14 (chain phase, m =
-    24), and no gap exceeds 7.9e-4 of its bound.
+    rotated by one row pass of the direction-frame kernel, over its L low
+    qubits and one run J of high ones (``_frame_runs``), through G =
+    ceil(L/4) + ceil(|J|/4) Kronecker factors (16 terms per output each).
+    The split keeps L + |J| <= ROW_BITS + BLOCK_BITS = 17, and G = 5 at
+    every m from 15 to MAX_QUBITS: (L, |J|) is (14, 3 or less) up to m =
+    20, (13, 4) at 21, (12, 5), (11, 6), (10, 7) and (9, 8) at 22-25, and
+    (12, 5 or less) at 26.  A 16 x 16 unitary factor K moves a vector by
+    at most gamma_18 || |K| ||_2 <= 72 u of its 2-norm (|| |K| ||_F = 4),
+    so p loses at most 144 G u of its unit mass.  Its sums add the
+    2^(m-L-|J|) blocks of a pass in turn, at most 2^10 (m = 26), then at
+    most 2^8 + 2^9 terms in ``_spin_moments`` (L + |J| <= 17 bits, split
+    in halves), a depth below 2^11 < n.  So the diagonal entry is off by
+    at most 0.71 (n + 144 G) u, which adds at most 511 u per qubit, below
+    0.04 n u.  The bound 2 m (n + m) u covers the sum in both cases with
+    room to spare: at m = 20 it is 7.3e-11.  The largest gap measured on
+    chain-phase (phi = 0.3), GHZ-like (theta = 0.7, phase 0.2) and Haar
+    states at m = 15-24 is 5.1e-14 (chain phase, m = 18), and no gap
+    exceeds 7.9e-4 of its bound.
     """
     return 2.0 * m * (row_depth(m) + m) * _UNIT_ROUNDOFF
 
@@ -321,18 +329,31 @@ def _kron_factors(u: np.ndarray, qubits: list[int]) -> list[np.ndarray]:
     return factors
 
 
-def _rotate(x: np.ndarray, factors: list[np.ndarray], buffers: list[np.ndarray]) -> np.ndarray:
-    """Apply ``factors`` to the trailing groups of bits of the index of ``x``, lowest group first.
+def _rotate(
+    x: np.ndarray, high: list[np.ndarray], low: list[np.ndarray], buffers: list[np.ndarray]
+) -> np.ndarray:
+    """Apply Kronecker factors to ``x`` (2^a, 2^b): ``high`` to its row bits, then ``low`` to its column bits.
 
-    Each step is one gemm: the d x d factor times the transpose of the
-    contiguous input seen as (rest, d), written (d, rest) to the next of
-    the two ``buffers``.  So the group's bits move to the front of the
-    index and the next group trails.  The small factor is the left operand,
-    which keeps the BLAS packing buffers small.
+    Each step is one matmul, written to the next of the two ``buffers``,
+    lowest group of bits first in each list.  A row-bit factor f of size d
+    multiplies x seen as (rest, d, below) from the left, which keeps the
+    index order, so ``x`` may be a strided slice of a state's rows, read in
+    place.  A column-bit factor multiplies the transpose of the contiguous
+    input seen as (rest, d), written (d, rest), so the group's bits move to
+    the front of the index and the next group trails; after all of them the
+    column bits lead, in order, and the row bits trail.  The small factor
+    is the left operand throughout, which keeps the BLAS packing buffers
+    small.
     """
-    for i, f in enumerate(factors):
-        out = buffers[i % 2][: x.size].reshape(len(f), -1)
-        np.matmul(f, x.reshape(-1, len(f)).T, out=out)
+    below = x.shape[-1]
+    for i, f in enumerate(high + low):
+        d = len(f)
+        out = buffers[i % 2][: x.size]
+        if i < len(high):
+            np.matmul(f, x.reshape(-1, d, below), out=out.reshape(-1, d, below))
+            below *= d
+        else:
+            np.matmul(f, x.reshape(-1, d).T, out=out.reshape(d, -1))
         x = out
     return x
 
@@ -353,6 +374,31 @@ def _spin_moments(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, np.block([[c_lo, cross.T], [cross, c_hi]])
 
 
+def _frame_runs(m: int, k: int) -> list[int]:
+    """Bounds [L, ..., M] of the direction-frame kernel's runs for M > k qubits in rows of 2^k.
+
+    Qubits below L are the low qubits, rotated in every row pass; run i,
+    qubits bounds[i] .. bounds[i + 1] - 1, is one row pass's high qubits J,
+    the runs as even as they divide.  A block, L low bits and the longest
+    run, must fit in the block budget of k + BLOCK_BITS bits, and so must a
+    column strip, all M - L high bits, when there is more than one run.
+    The split takes the fewest passes for which some L <= k fits, and among
+    those the largest L: at k = ROW_BITS = 14, (L, passes) is (14, 1) at M
+    = 15-17, (14, 2) at 18-20, (13, 2) at 21, (12, 2) at 22, down to (9, 2)
+    at 25, and (12, 3) at 26.  Only rows shorter than M - k - BLOCK_BITS
+    bits, which M <= MAX_QUBITS never gives at k = ROW_BITS, leave no L
+    whose strip fits; the strip then holds the M - k high bits.
+    """
+    budget = k + BLOCK_BITS
+    strip = max(budget, m - k)
+    for passes in range(1, m - k):
+        for low in range(k, 0, -1):
+            run = -(-(m - low) // passes)  # the longest run
+            if low + run <= budget and (passes == 1 or m - low <= strip):
+                return [low + (m - low) * i // passes for i in range(passes + 1)]
+    return list(range(k, m + 1))  # one qubit per run, which always fits
+
+
 def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Adapted metric (M, M) of one state of M > k qubits, in the direction frame, from its rows.
 
@@ -361,36 +407,35 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     <A_mu A_nu> are the first and second moments of the M spins s_nu = +-1
     (bit nu clear or set) under p = |phi|^2.  phi would take 2^M amplitudes;
     ``rows``, the state's (2^(M-k), 2^k) ``qstate.row_view`` (k is read
-    from its width), rows of 2^k amplitudes indexed by the M - k high
-    qubits, are instead read in blocks of at most 2^BLOCK_BITS rows, and
-    never written:
+    from its width), are instead read as (2^(M-L), 2^L) rows of the L low
+    qubits, L <= k from ``_frame_runs``, in blocks that fit the budget of
+    2^(k+BLOCK_BITS) amplitudes, and never written:
 
-    * Row passes.  The high qubits split into ceil((M - k) / BLOCK_BITS)
-      runs J of consecutive qubits, each taken by one pass.  A block holds
-      the 2^|J| rows that differ only in J; one gemm rotates it in J, and
-      ``_rotate`` in the k low qubits, in groups of four qubits (a 16 x 16
-      Kronecker factor each); |.|^2 of the result is added into a
-      2^(k+|J|) accumulator.  That is the joint distribution of the rotated
-      low and J spins, and ``_spin_moments`` gives its moments once, at the
-      end of the pass: the low block, the low-J block and the J block.
+    * Row passes.  The M - L high qubits split into the runs J of
+      ``_frame_runs``, each taken by one pass.  A block holds the 2^|J|
+      rows that differ only in J, a strided slice of the rows; ``_rotate``
+      turns it in J and in the L low qubits, in groups of four qubits (a
+      16 x 16 Kronecker factor each), and |.|^2 of the result is added into
+      a 2^(L+|J|) accumulator.  That is the joint distribution of the
+      rotated low and J spins, and ``_spin_moments`` gives its moments once,
+      at the end of the pass: the low block, the low-J block and the J block.
     * When there is more than one run, one column pass gives the pairs of
-      high qubits in different runs: strips of columns of the (2^(M-k),
-      2^k) array of rows, copied transposed and rotated in every high
-      qubit, accumulate the distribution of the 2^(M-k) high spins.  The
-      first moments of the high spins come from their row passes, with
-      their low-J pairs.
+      high qubits in different runs: strips of columns of the (2^(M-L),
+      2^L) rows, read in place and rotated in every high qubit, accumulate
+      the distribution of the M - L high spins.  The first moments of the
+      high spins come from their row passes, with their low-J pairs.
 
-    Working memory is two blocks of 2^(k+BLOCK_BITS) amplitudes and one
-    accumulator of as many floats, whatever M.
+    Working memory is two blocks of at most 2^(k+BLOCK_BITS) amplitudes and
+    one accumulator of as many floats, whatever M.
     """
     m = len(dirs)
     k = rows.shape[-1].bit_length() - 1
-    high = m - k
+    bounds = _frame_runs(m, k)
+    low, high = bounds[0], m - bounds[0]
+    rows = rows.reshape(-1, 1 << low)
     u = _frame_unitaries(dirs)
-    low_factors = _kron_factors(u, list(range(k)))
-    passes = -(-high // BLOCK_BITS)
-    size = 1 << (k + min(high, BLOCK_BITS))
-    n = max(size, 1 << high)
+    low_factors = _kron_factors(u, list(range(low)))
+    n = 1 << min(m, max(k + BLOCK_BITS, high))  # the whole state in one pass; else the budget
     # one allocation for the two blocks and the sums: three separate ones were mapped afresh,
     # page by page, on every call at M = 16
     work = np.empty(5 * n // 2, dtype=np.complex128)
@@ -406,30 +451,26 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         total += squares[0::2]
         total += squares[1::2]
 
-    bounds = [k + high * i // passes for i in range(passes + 1)]
     for start, stop in zip(bounds, bounds[1:]):
         run = list(range(start, stop))  # J: the block's rows differ in these qubits
-        (run_factor,) = _kron_factors(u, run)
-        blocks = rows.reshape(1 << (m - stop), 1 << len(run), 1 << (start - k), 1 << k)
-        rotated = buffers[0][: 1 << (k + len(run))].reshape(1 << len(run), -1)
-        total = sums[: rotated.size]
+        run_factors = _kron_factors(u, run)
+        blocks = rows.reshape(1 << (m - stop), 1 << len(run), 1 << (start - low), 1 << low)
+        total = sums[: 1 << (low + len(run))]
         total.fill(0.0)
         for outer in range(blocks.shape[0]):
             for inner in range(blocks.shape[2]):
-                np.matmul(run_factor, blocks[outer, :, inner, :], out=rotated)
-                accumulate(total, _rotate(rotated, low_factors, buffers[::-1]))  # (2^k, 2^|J|)
-        qubits = run + list(range(k))
+                block = blocks[outer, :, inner, :]
+                accumulate(total, _rotate(block, run_factors, low_factors, buffers))  # (2^L, 2^|J|)
+        qubits = run + list(range(low))
         e[qubits], c[np.ix_(qubits, qubits)] = _spin_moments(total)
-    if passes > 1:
-        qubits = list(range(k, m))
+    if len(bounds) > 2:
+        qubits = list(range(low, m))
         factors = _kron_factors(u, qubits)
-        width = len(buffers[0]) >> high  # columns per strip
-        strip = buffers[0].reshape(width, 1 << high)
+        width = n >> high  # columns per strip
         total = sums
         total.fill(0.0)
-        for col in range(0, 1 << k, width):
-            np.copyto(strip, rows[:, col : col + width].T)
-            accumulate(total, _rotate(strip, factors, buffers[::-1]))  # (2^(M-k), width)
+        for col in range(0, 1 << low, width):
+            accumulate(total, _rotate(rows[:, col : col + width], factors, [], buffers))  # (2^(M-L), width)
         c[np.ix_(qubits, qubits)] = _spin_moments(total.reshape(1 << high, width).sum(axis=1))[1]
     g = np.triu(0.25 * (c - e[:, None] * e[None, :]), 1)
     g += g.T
@@ -452,6 +493,8 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     BLAS dot per vector that np.vdot takes, so a state gets the same bits
     alone or in a batch.  The diagonal squares <A_mu> with Python's float
     power: numpy's square differs from it in the last bit of some values.
+    A negative 1 - <A_mu>^2 is clamped to 0 and a NaN kept, as the
+    direction-frame kernel's np.maximum keeps it.
     ``cli.run_sweep`` batches 2^(ROW_BITS - M) such states, so the stack
     holds M 2^ROW_BITS amplitudes.  M and the rows come from
     ``qstate.row_view``, and the fields pass ``qstate.validate_directions``
@@ -483,7 +526,8 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         0.25 * (cross - expectations[mu] * expectations[nu]), 0, -1
     )
     e = np.moveaxis(expectations, 0, -1)
-    diag = [0.25 * max(0.0, 1.0 - x**2) for x in e.ravel().tolist()]
+    gaps = [1.0 - x**2 for x in e.ravel().tolist()]
+    diag = [0.25 * (0.0 if d < 0.0 else d) for d in gaps]  # max(0.0, d) would turn a NaN into 0.0
     g[..., range(m), range(m)] = np.reshape(diag, e.shape)
     return g
 

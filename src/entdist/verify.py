@@ -54,7 +54,7 @@ class OptimizerReport:
     iterations: int
 
     def __post_init__(self) -> None:
-        dirs = validate_directions(self.directions, (len(self.directions), 3)).copy()
+        dirs = validate_directions(self.directions, np.shape(self.directions)[:1] + (3,)).copy()
         dirs.flags.writeable = False
         object.__setattr__(self, "directions", dirs)
 

@@ -2,11 +2,13 @@
 
 At these sizes ``metric_matrix`` reads the state in many blocks of rows,
 and every sum runs over 2^20 or more amplitude products, so rounding is
-at its largest.  A separate pass over the whole vectors checks a few entries.
+at its largest.  A separate pass over the whole vectors checks the entries
+that each part of the kernel's split gives.
 """
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +18,16 @@ from entdist import (
     brs_state,
     entanglement_metric,
     ghzl_state,
+    metric_matrix,
+    optimal_directions,
+    w_vectors,
 )
 from entdist.cli import main
-from entdist.metric import trace_tol
-from entdist.qstate import ROW_BITS
+from entdist.metric import BLOCK_BITS, trace_tol
+from entdist.qstate import ROW_BITS, bloch_vectors
 
 from oracles import covariance_entry_pairwise, random_state
+from test_metric import frame_pairs
 
 pytestmark = pytest.mark.slow
 
@@ -36,9 +42,9 @@ def _state(kind: str, m: int) -> StateVector:
     return StateVector(m, random_state(m, np.random.default_rng(m)))
 
 
-@pytest.mark.parametrize("m", [20, 22])
+@pytest.mark.parametrize("m", [20, 21, 22])
 @pytest.mark.parametrize("kind", ["brs", "ghzl", "haar"])
-def test_metric_at_20_and_22_qubits(kind, m):
+def test_metric_at_20_to_22_qubits(kind, m):
     s = _state(kind, m)
     em = entanglement_metric(s)
     g, dirs = em.matrix, em.directions
@@ -48,9 +54,8 @@ def test_metric_at_20_and_22_qubits(kind, m):
     eig_tol = m * EPS * em.measure
     assert np.linalg.eigvalsh(g)[0] >= -eig_tol
     assert abs(float(np.sum(em.eigenvalues)) - em.measure) <= trace_tol(m) + eig_tol
-    # pairs within the first row, across the row boundary, among the high qubits of
-    # one row pass and, (ROW_BITS, m - 1), of two, which the column pass gives
-    for mu, nu in [(0, 1), (0, m - 1), (ROW_BITS - 1, ROW_BITS), (m - 2, m - 1), (ROW_BITS, m - 1)]:
+    # M = 21 is the first size whose split takes fewer than ROW_BITS low qubits
+    for mu, nu in frame_pairs(m):
         reference = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
         assert abs(g[mu, nu] - reference) <= 1e-13
 
@@ -59,6 +64,29 @@ def test_metric_at_24_qubits_completes():
     em = entanglement_metric(brs_state(24, 0.3))
     assert em.matrix.shape == (24, 24)
     assert abs(np.trace(em.matrix) - em.measure) <= trace_tol(24)
+
+
+@pytest.mark.parametrize("m", [22, 24])
+def test_frame_kernel_memory_is_two_blocks_and_the_accumulator(m):
+    """Traced peak of ``metric_matrix`` beyond the state, whatever the split.
+
+    Two blocks of 2^(ROW_BITS + BLOCK_BITS) amplitudes and an accumulator
+    of as many floats, 5 MiB; 5% more covers the (M, M) arrays, the sign
+    tables and marginals of ``_spin_moments`` and the column pass's 2^(M-L)
+    marginal (4.0% measured at M = 24).  A copy of one column strip, 2 MiB,
+    would exceed it.
+    """
+    s = brs_state(m, 0.3)
+    dirs = optimal_directions(bloch_vectors(*w_vectors(s)))
+    metric_matrix(s, dirs)
+    tracemalloc.start()
+    try:
+        metric_matrix(s, dirs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = 1 << (ROW_BITS + BLOCK_BITS)
+    assert peak <= 1.05 * (2 * 16 * budget + 8 * budget)
 
 
 VERIFY_M20 = ["verify", "--family", "brs", "--m", "20", "--phi", "0.3", "--trials", "1",

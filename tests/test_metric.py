@@ -24,9 +24,16 @@ from entdist import (
     spectrum,
     w_vectors,
 )
-from entdist import qstate
+from entdist import metric, qstate
 from entdist.families import FAMILY_ANGLES, FamilySpec, family_amplitudes
-from entdist.metric import DEGENERATE_TOL, _frame_unitaries, check_metrics, metric_matrices, trace_tol
+from entdist.metric import (
+    DEGENERATE_TOL,
+    _frame_runs,
+    _frame_unitaries,
+    check_metrics,
+    metric_matrices,
+    trace_tol,
+)
 from entdist.qstate import _haar_unitary, _operator, bloch_vectors
 
 from oracles import (
@@ -326,6 +333,34 @@ class TestRowBlockedMetric:
         np.testing.assert_allclose(rows, covariance_metric_dense(s.amplitudes, m, dirs), atol=1e-12)
         np.testing.assert_allclose(rows, one_row, rtol=0, atol=1e-15)
 
+    def test_short_rows_reach_several_passes_and_the_column_pass(self, monkeypatch):
+        """The grid above runs the kernel in one pass, in two and in three, with the column pass."""
+        rotate = metric._rotate
+        calls = []
+
+        def spy(x, high, low, buffers):
+            calls.append("row" if low else "column")
+            return rotate(x, high, low, buffers)
+
+        monkeypatch.setattr(metric, "_rotate", spy)
+        reached = set()
+        for row_bits in [1, 2, 3, 4, 5]:
+            monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
+            for m in range(max(3, row_bits + 1), 9):
+                calls.clear()
+                metric_matrix(StateVector(m, random_state(m, np.random.default_rng(m))), np.tile(Z, (m, 1)))
+                reached.add((len(_frame_runs(m, row_bits)) - 1, "column" in calls))
+        assert reached == {(1, False), (2, True), (3, True)}
+
+    @pytest.mark.parametrize("m", [3, 15])
+    def test_nan_amplitude_gives_a_nan_diagonal(self, m):
+        """Both paths keep a NaN expectation on the diagonal; max(0.0, nan) made it 0.0 at M <= 14."""
+        amps = np.zeros(1 << m, dtype=np.complex128)
+        amps[0] = 1.0
+        amps[5] = np.nan
+        g = metric_matrices(amps, np.tile(Z, (m, 1)))
+        assert np.isnan(np.diagonal(g)).all()
+
     def test_one_row_is_bit_identical_to_whole_vector_loop(self):
         rng = np.random.default_rng(1100)
         for m in range(1, qstate.ROW_BITS + 1):
@@ -369,19 +404,40 @@ class TestRowBlockedMetric:
 def _frame_entry_tol(m: int) -> float:
     """Rounding bound on an entry of the direction-frame metric of m > ROW_BITS qubits.
 
-    The kernel rotates the state by G = ceil(k/4) + ceil((m-k)/4) Kronecker
-    factors, k = ROW_BITS, each output a 16-term complex sum.  A factor K
+    The kernel rotates each amplitude through G Kronecker factors, each
+    output a sum of at most 16 complex terms: ceil(L/4) + ceil(|J|/4) in a
+    row pass over the L low qubits and a run J, ceil((m - L)/4) in the
+    column pass; G is the larger, 5 at every m <= MAX_QUBITS.  A factor K
     moves a vector by at most gamma_18 || |K| ||_2 <= 18 u * 4 in 2-norm
     (|| |K| ||_F = 4 for a 16 x 16 unitary), so p = |phi|^2 loses at most
-    2 * 72 G u of its unit mass.  Its signed sums run no deeper than
+    2 * 72 G u of its unit mass.  Its signed sums, the blocks or strips of
+    a pass in turn and then ``_spin_moments``, run no deeper than
     ``row_depth(m)`` (see ``trace_tol``), so every <s_mu> and <s_mu s_nu>
     is within delta = (row_depth(m) + 144 G) u, and g = (C - e_mu e_nu) / 4
     within 3 delta / 4.  The pairwise oracle adds (128 + m) u at most.
     """
-    k = qstate.ROW_BITS
-    groups = -(-k // 4) + -(-(m - k) // 4)
+    bounds = _frame_runs(m, qstate.ROW_BITS)
+    low = bounds[0]
+    groups = max(-(-low // 4) + -(-(stop - start) // 4) for start, stop in zip(bounds, bounds[1:]))
+    if len(bounds) > 2:
+        groups = max(groups, -(-(m - low) // 4))
     u = np.finfo(float).eps / 2.0
     return (0.75 * (qstate.row_depth(m) + 144 * groups) + 128 + m) * u
+
+
+def frame_pairs(m: int) -> list[tuple[int, int]]:
+    """Entries of an m-qubit metric that each part of the direction-frame kernel gives.
+
+    From the kernel's split (``_frame_runs``) into L low qubits and runs of
+    high ones: a pair of low qubits, the pair across the low/high boundary,
+    a pair inside the last run, a low qubit with the last qubit, a diagonal
+    entry and, when there are several runs, a pair across runs, which the
+    column pass gives.
+    """
+    bounds = _frame_runs(m, qstate.ROW_BITS)
+    low = bounds[0]
+    pairs = [(0, 1), (low - 1, low), (bounds[-2], m - 1), (0, m - 1), (m - 1, m - 1)]
+    return pairs + [(low, m - 1)] if len(bounds) > 2 else pairs
 
 
 class TestDirectionFrameMetric:
@@ -406,20 +462,35 @@ class TestDirectionFrameMetric:
 
     @pytest.mark.parametrize("m", [15, 16, 17, 18])
     def test_entries_match_pairwise_oracle(self, m):
-        """Entries inside the rows, across their boundary and among the high qubits.
-
-        At M = 18 the high qubits form two runs, so (k, m - 1) comes from the
-        column pass.
-        """
+        """Entries inside the rows, across their boundary, inside a run and, at M = 18, across runs."""
         rng = np.random.default_rng(1500 + m)
-        k = qstate.ROW_BITS
         tol = _frame_entry_tol(m)
         for s in (brs_state(m, 0.3), ghzl_state(m, 0.7), StateVector(m, random_state(m, rng))):
             for dirs in (optimal_directions(bloch_vectors(*w_vectors(s))), _random_directions(rng, m)):
                 g = metric_matrix(s, dirs)
-                for mu, nu in [(0, 1), (0, m - 1), (k - 1, k), (k, m - 1), (m - 2, m - 1), (m - 1, m - 1)]:
+                for mu, nu in frame_pairs(m):
                     ref = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
                     assert abs(g[mu, nu] - ref) <= tol, (mu, nu, g[mu, nu] - ref, tol)
+
+    @pytest.mark.parametrize("m, row_bits, bounds", [(12, 5, [4, 8, 12]), (15, 7, [5, 10, 15])])
+    def test_split_below_the_row_width(self, monkeypatch, m, row_bits, bounds):
+        """Short rows that make the kernel take L < ROW_BITS low qubits, as M = 21-26 do.
+
+        At (15, 7) each run has five qubits, two Kronecker factors.  The
+        whole metric must agree with the one taken in rows of 2^14.
+        """
+        rng = np.random.default_rng(1600 + m)
+        s = StateVector(m, random_state(m, rng))
+        dirs = _random_directions(rng, m)
+        whole = metric_matrix(s, dirs)
+        monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
+        assert _frame_runs(m, row_bits) == bounds
+        g = metric_matrix(s, dirs)
+        tol = _frame_entry_tol(m)
+        np.testing.assert_allclose(g, whole, rtol=0, atol=tol)
+        for mu, nu in frame_pairs(m):
+            ref = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
+            assert abs(g[mu, nu] - ref) <= tol, (mu, nu, g[mu, nu] - ref, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,12 @@ class TestDirectionValidation:
         with pytest.raises(ValueError, match=problem):
             _TAKES_DIRECTIONS[entry](make_basis_state(2, 0), _BAD_FIELDS[problem])
 
+    @pytest.mark.parametrize("entry", sorted(_TAKES_DIRECTIONS))
+    def test_scalar_field_rejected(self, entry):
+        """A scalar is refused by its shape; OptimizerReport raised TypeError from len()."""
+        with pytest.raises(ValueError, match=r"^expected directions of shape .*, got shape \(\)$"):
+            _TAKES_DIRECTIONS[entry](make_basis_state(2, 0), 1.0)
+
 
 class TestLocalUnitary:
     def test_rejects_nonunitary(self):
