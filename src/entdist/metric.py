@@ -40,7 +40,9 @@ rotated probabilities, read a block at a time, in a working memory of two
 blocks whatever M.  ``_frame_runs`` splits the qubits by M into L <=
 ROW_BITS low ones and runs of high ones, one row pass per run, for the
 fewest passes whose blocks and column strips fit 2**(ROW_BITS +
-BLOCK_BITS) amplitudes.
+BLOCK_BITS) amplitudes.  Both kernels produce only the moments <A_mu> and
+<A_mu A_nu>; ``_metric_from_moments`` assembles g from them, with the
+diagonal of ``_diagonal``, for both.
 """
 from __future__ import annotations
 
@@ -49,14 +51,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qstate import (
+    MAX_QUBITS,
     StateVector,
     _apply_one_qubit_matrix,
     _operator,
-    _spin_halves,
+    _spin_moments,
     bilinears,
     bloch_vectors,
     row_depth,
     row_view,
+    validate_count,
     validate_directions,
 )
 
@@ -96,7 +100,7 @@ def trace_tol(m: int) -> float:
       2^(r-1) additions, then 2^(m-r) - 1 over the rows, half of them of an
       exact zero.
     * w_3 of a low qubit: 2^(m-r) - 1 additions into the marginal, then in
-      ``qstate._spin_halves`` a half marginal and a signed dot, 2^hi +
+      ``qstate._spin_moments`` a half marginal and a signed dot, 2^hi +
       2^lo - 2 <= 2^r - 1 for the r = hi + lo bits (hi, lo = 7 at
       ROW_BITS = 14, so 254, far below 2^14 - 1).
     * w_3 of a high qubit: the row total, a sum of 2^r terms, then the
@@ -119,8 +123,8 @@ def trace_tol(m: int) -> float:
     at most gamma_18 || |K| ||_2 <= 72 u of its 2-norm (|| |K| ||_F = 4),
     so p loses at most 144 G u of its unit mass.  Its sums add the
     2^(m-L-|J|) blocks of a pass in turn, at most 2^10 (m = 26), then at
-    most 2^8 + 2^9 terms in ``_spin_moments`` (L + |J| <= 17 bits, split
-    in halves), a depth below 2^11 < n.  So the diagonal entry is off by
+    most 2^8 + 2^9 terms in ``qstate._spin_moments`` (L + |J| <= 17 bits,
+    split in halves), a depth below 2^11 < n.  So the diagonal entry is off by
     at most 0.71 (n + 144 G) u, which adds at most 511 u per qubit, below
     0.04 n u.  The bound 2 m (n + m) u covers the sum in both cases with
     room to spare: at m = 20 it is 7.3e-11.  The largest gap measured on
@@ -183,12 +187,13 @@ def check_metrics(g: np.ndarray, measure, at: tuple[str, np.ndarray] | None = No
 class EntanglementMetric:
     """Metric evaluated at the minimizing direction field.
 
-    ``matrix`` is real symmetric positive semidefinite with diagonal in
-    [0, 1/4] and trace equal to ``measure``, stored as a read-only copy of
-    the array passed in.  ``directions`` is a read-only copy of the
-    (size, 3) direction field, one unit row per qubit.  ``eigenvalues`` is
-    its spectrum, sorted descending and read-only, taken once at
-    construction.
+    ``size`` passes ``qstate.validate_count`` and is stored as a Python
+    int, so the ``to_dict`` record serialises.  ``matrix`` is real
+    symmetric positive semidefinite with diagonal in [0, 1/4] and trace
+    equal to ``measure``, stored as a read-only copy of the array passed
+    in.  ``directions`` is a read-only copy of the (size, 3) direction
+    field, one unit row per qubit.  ``eigenvalues`` is its spectrum, sorted
+    descending and read-only, taken once at construction.
     """
 
     size: int
@@ -198,13 +203,15 @@ class EntanglementMetric:
     eigenvalues: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        m = validate_count("size", self.size, 1, MAX_QUBITS)
         g = np.array(self.matrix, dtype=float, order="C")
-        if g.shape != (self.size, self.size):
-            raise ValueError(f"expected a {self.size}x{self.size} matrix, got {g.shape}")
-        dirs = validate_directions(self.directions, (self.size, 3)).copy()
+        if g.shape != (m, m):
+            raise ValueError(f"expected a {m}x{m} matrix, got {g.shape}")
+        dirs = validate_directions(self.directions, (m, 3)).copy()
         eigs = check_metrics(g, self.measure)
         for a in (g, dirs, eigs):
             a.flags.writeable = False
+        object.__setattr__(self, "size", m)
         object.__setattr__(self, "matrix", g)
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "eigenvalues", eigs)
@@ -358,22 +365,6 @@ def _rotate(
     return x
 
 
-def _spin_moments(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second moments <s_t> (n,) and <s_t s_u> (n, n) of the bits of a 2^n distribution.
-
-    The index splits into its high and low halves of bits
-    (``qstate._spin_halves``): the marginal of each half gives that half's
-    moments, and the signed sum S_hi^T P S_lo of the (2^hi, 2^lo) table P
-    gives the pairs across.  No sum runs over more than 2^hi + 2^lo terms
-    in turn.
-    """
-    e, table, (p_lo, s_lo), (p_hi, s_hi) = _spin_halves(p)
-    cross = s_hi.T @ table @ s_lo
-    c_lo = s_lo.T @ (p_lo[:, None] * s_lo)
-    c_hi = s_hi.T @ (p_hi[:, None] * s_hi)
-    return e, np.block([[c_lo, cross.T], [cross, c_hi]])
-
-
 def _frame_runs(m: int, k: int) -> list[int]:
     """Bounds [L, ..., M] of the direction-frame kernel's runs for M > k qubits in rows of 2^k.
 
@@ -391,12 +382,11 @@ def _frame_runs(m: int, k: int) -> list[int]:
     """
     budget = k + BLOCK_BITS
     strip = max(budget, m - k)
-    for passes in range(1, m - k):
+    for passes in range(1, m - k + 1):  # at m - k passes, one qubit per run, L = k always fits
         for low in range(k, 0, -1):
             run = -(-(m - low) // passes)  # the longest run
             if low + run <= budget and (passes == 1 or m - low <= strip):
                 return [low + (m - low) * i // passes for i in range(passes + 1)]
-    return list(range(k, m + 1))  # one qubit per run, which always fits
 
 
 def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -472,9 +462,32 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         for col in range(0, 1 << low, width):
             accumulate(total, _rotate(rows[:, col : col + width], factors, [], buffers))  # (2^(M-L), width)
         c[np.ix_(qubits, qubits)] = _spin_moments(total.reshape(1 << high, width).sum(axis=1))[1]
-    g = np.triu(0.25 * (c - e[:, None] * e[None, :]), 1)
-    g += g.T
-    g[range(m), range(m)] = 0.25 * np.maximum(0.0, 1.0 - e * e)
+    return _metric_from_moments(e, c)
+
+
+def _diagonal(e) -> np.ndarray:
+    """Diagonal entries (1 - e^2)/4 of a metric at expectations e = <A_nu> (...).
+
+    e is squared by Python's float power, which the committed one-row
+    output was made with (numpy's square differs from it in the last bit of
+    some values); a negative 1 - e^2, which rounding in |e| can give, is
+    clamped to 0, and a NaN is kept (max(0.0, d) would make it 0.0).
+    """
+    gaps = [1.0 - x**2 for x in np.ravel(e).tolist()]
+    return np.reshape([0.25 * (0.0 if d < 0.0 else d) for d in gaps], np.shape(e))
+
+
+def _metric_from_moments(e: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Metrics (..., M, M) from the moments <A_mu> (..., M) and <A_mu A_nu> (..., M, M).
+
+    The one assembly of g: g[mu, nu] = (c[mu, nu] - e_mu e_nu) / 4 from the
+    upper triangle of c, mu < nu, mirrored below it, and ``_diagonal`` on
+    the diagonal; c's diagonal and lower triangle do not reach g.
+    """
+    m = e.shape[-1]
+    g = np.triu(0.25 * (c - e[..., :, None] * e[..., None, :]), 1)
+    g += np.swapaxes(g, -1, -2)
+    g[..., range(m), range(m)] = _diagonal(e)
     return g
 
 
@@ -488,13 +501,12 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     goes to ``_frame_metric``, one state at a time, so a state gets the
     same bits alone or in a batch.  A state of M <= ROW_BITS qubits is one
     row: the M applied rows A_nu|s> form one (M, ..., 2^M) stack, built by
-    einsum, and ``np.vecdot`` takes the <A_mu> in one call and the
-    <A_mu A_nu> in one call per mu against every nu > mu.  vecdot takes the
-    BLAS dot per vector that np.vdot takes, so a state gets the same bits
-    alone or in a batch.  The diagonal squares <A_mu> with Python's float
-    power: numpy's square differs from it in the last bit of some values.
-    A negative 1 - <A_mu>^2 is clamped to 0 and a NaN kept, as the
-    direction-frame kernel's np.maximum keeps it.
+    einsum, and ``np.vecdot`` takes the <A_mu> in one call and the upper
+    triangle of <A_mu A_nu> in one call per mu against every nu > mu.
+    vecdot takes the BLAS dot per vector that np.vdot takes, so a state
+    gets the same bits alone or in a batch.  Both paths hand their moments
+    to ``_metric_from_moments``, the one assembly of g, whose diagonal
+    (``_diagonal``) clamps a negative 1 - <A_mu>^2 to 0 and keeps a NaN.
     ``cli.run_sweep`` batches 2^(ROW_BITS - M) such states, so the stack
     holds M 2^ROW_BITS amplitudes.  M and the rows come from
     ``qstate.row_view``, and the fields pass ``qstate.validate_directions``
@@ -512,24 +524,13 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     amps = rows[..., 0, :]
     ops = _operator(*np.moveaxis(dirs, -1, 0))  # (..., M, 2, 2)
     applied = np.empty((m,) + amps.shape, dtype=np.complex128)
-    mu, nu = np.triu_indices(m, 1)  # the pairs mu < nu, mu-major
-    cross = np.zeros(mu.shape + batch)
-    blocks = np.split(cross, np.cumsum(range(m - 1, 1, -1)))  # views: each mu's pairs
     for q in range(m):
         _apply_one_qubit_matrix(amps, m, q, ops[..., q, :, :], out=applied[q])
-    expectations = np.zeros((m,) + batch)
-    expectations += np.vecdot(amps, applied).real
-    for q, block in enumerate(blocks):
-        block += np.vecdot(applied[q], applied[q + 1 :]).real
-    g = np.empty(batch + (m, m))
-    g[..., mu, nu] = g[..., nu, mu] = np.moveaxis(
-        0.25 * (cross - expectations[mu] * expectations[nu]), 0, -1
-    )
-    e = np.moveaxis(expectations, 0, -1)
-    gaps = [1.0 - x**2 for x in e.ravel().tolist()]
-    diag = [0.25 * (0.0 if d < 0.0 else d) for d in gaps]  # max(0.0, d) would turn a NaN into 0.0
-    g[..., range(m), range(m)] = np.reshape(diag, e.shape)
-    return g
+    e = np.moveaxis(np.vecdot(amps, applied).real, 0, -1)
+    c = np.zeros(batch + (m, m))  # only the upper triangle is read
+    for q in range(m - 1):
+        c[..., q, q + 1 :] = np.moveaxis(np.vecdot(applied[q], applied[q + 1 :]).real, 0, -1)
+    return _metric_from_moments(e, c)
 
 
 def metric_matrix(state: StateVector, dirs: np.ndarray) -> np.ndarray:
@@ -555,11 +556,13 @@ def distance_density(state: StateVector, dirs: np.ndarray) -> float:
     """Metric trace ds^2/dr^2 at an (M, 3) direction field; bounded below by E.
 
     Only the diagonal contributes to the trace, so this runs in O(M 2^M)
-    without assembling the full matrix.
+    without assembling the full matrix: <A_nu> = v^nu . b^nu, and the
+    diagonal entries ``_diagonal`` gives are added in qubit order.
     """
     dirs = validate_directions(dirs, (state.num_qubits, 3)).tolist()
+    bloch = bloch_vectors(*w_vectors(state)).tolist()
+    e = [v1 * b1 + v2 * b2 + v3 * b3 for (v1, v2, v3), (b1, b2, b3) in zip(dirs, bloch)]
     total = 0.0
-    for (v1, v2, v3), (e1, e2, e3) in zip(dirs, bloch_vectors(*w_vectors(state))):
-        e = float(np.clip(v1 * e1 + v2 * e2 + v3 * e3, -1.0, 1.0))
-        total += 1.0 - e * e
-    return 0.25 * total
+    for d in _diagonal(e).tolist():
+        total += d
+    return total

@@ -12,8 +12,9 @@ pass over a state reads it in cache-sized rows, by ``row_view``.  A state
 of one row takes whole-row sums; a state of several rows goes through
 ``_row_bilinears``, one pass per state that keeps a probability marginal
 of the low qubits and a total per row, from which the signed probability
-sums w_3 follow by the split-halves sign products of ``_spin_halves``,
-which the direction-frame metric kernel also uses for its first moments.
+sums w_3 follow: the low qubits' by ``_spin_moments``, the one helper for
+the spin moments of a distribution, which the direction-frame metric
+kernel also uses for its moments, and the high qubits' by ``_signs``.
 """
 from __future__ import annotations
 
@@ -208,21 +209,24 @@ def _signs(n: int) -> np.ndarray:
     return 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
 
 
-def _spin_halves(p: np.ndarray) -> tuple:
-    """First moments <s_t> (n,) of the bits of a 2^n distribution, by the halves of its index.
+def _spin_moments(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second moments <s_t> (n,) and <s_t s_u> (n, n) of the bits of a 2^n distribution.
 
     The index splits into its high and low halves of bits, hi = n // 2 and
-    lo = n - hi.  Returns the moments, in bit order, with the (2^hi, 2^lo)
-    table of p and each half's marginal and spins, low half first: the
-    moments are the products marginal @ spins, so no sum runs over more than
-    2^hi + 2^lo terms in turn.
+    lo = n - hi, and p into their (2^hi, 2^lo) table P.  The marginal of
+    each half gives that half's moments, marginal @ spins and spins^T
+    (marginal * spins), and the signed sum S_hi^T P S_lo the pairs across,
+    so no sum runs over more than 2^hi + 2^lo terms in turn.
     """
     n = p.size.bit_length() - 1
     hi, lo = n // 2, n - n // 2
     table = p.reshape(1 << hi, 1 << lo)
     s_hi, s_lo = _signs(hi), _signs(lo)
     p_hi, p_lo = table.sum(axis=1), table.sum(axis=0)
-    return np.concatenate([p_lo @ s_lo, p_hi @ s_hi]), table, (p_lo, s_lo), (p_hi, s_hi)
+    cross = s_hi.T @ table @ s_lo
+    c_lo = s_lo.T @ (p_lo[:, None] * s_lo)
+    c_hi = s_hi.T @ (p_hi[:, None] * s_hi)
+    return np.concatenate([p_lo @ s_lo, p_hi @ s_hi]), np.block([[c_lo, cross.T], [cross, c_hi]])
 
 
 def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +235,7 @@ def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     One pass over the (2^(M-k), 2^k) rows, one row at a time.  Each row's
     probabilities |c|^2 = re^2 + im^2 are added into a 2^k marginal of the k
     low qubits and their sum is kept as the row's total; w_3 then comes from
-    these, the low qubits by ``_spin_halves`` of the marginal and the high
+    these, the low qubits by ``_spin_moments`` of the marginal and the high
     qubits as the totals times ``_signs(M - k)``.  For a low qubit nu < 6 w_minus is
     one einsum within the row, which is conjugated once for them (a vecdot
     per run of 2^nu pairs costs more while the runs are short); for
@@ -270,7 +274,7 @@ def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for nu in range(k, k + high):
             if not (h >> (nu - k)) & 1:
                 parts[h, nu] = np.vecdot(rows[h ^ (1 << (nu - k))].reshape(2, -1), halves).sum()
-    w_3 = np.concatenate([_spin_halves(marginal)[0], totals @ _signs(high)])
+    w_3 = np.concatenate([_spin_moments(marginal)[0], totals @ _signs(high)])
     return parts.sum(axis=0), w_3
 
 

@@ -95,7 +95,7 @@ def minimize_trace_numeric(
             break
         moved = v[active] + grad[active] / lipschitz[active.nonzero()[1], None]
         v[active] = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
-    # clipped as in ``distance_density``: rounding in |b| can push (v . b)^2 past 1
+    # clipped, as ``distance_density`` clamps 1 - e^2 at 0: rounding in |b| can push (v . b)^2 past 1
     values = 0.25 * np.sum(1.0 - np.clip(proj[..., 0], -1.0, 1.0) ** 2, axis=-1)
     best = int(np.argmin(values))
     return OptimizerReport(float(values[best]), v[best], not active.any(), steps)

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from entdist import FamilySpec, entanglement_metric
+from entdist import EntanglementMetric, FamilySpec, brs_state, entanglement_metric
 from entdist.cli import SweepSpec, main, run_surface
 from entdist.qstate import (
     LocalUnitary,
@@ -58,6 +58,8 @@ _SITES = [
     ("invariance-seed", lambda v: invariance_check(_BELL, trials=1, seed=v), "seed", [-1]),
     ("reduced_density_matrix", lambda v: reduced_density_matrix(_BELL, v), "qubit index",
      [-1, 2]),
+    ("EntanglementMetric", lambda v: EntanglementMetric(v, np.zeros((1, 1)), [[0.0, 0.0, 1.0]], 0.0),
+     "size", [0, 27]),
 ]
 
 
@@ -128,6 +130,18 @@ def test_numpy_integers_give_json_records():
     json.dumps(entanglement_metric(state).to_dict())
     json.dumps(spec.to_dict())
     json.dumps(verify_state(state, trials=np.int64(2), restarts=np.int64(2), seed=np.int64(1)))
+
+
+def test_entanglement_metric_size_is_stored_as_a_python_int():
+    """np.int64(3) gives "m": 3 in the record; 3.0 and True were taken as sizes before the rule."""
+    em = entanglement_metric(brs_state(3, 0.3))
+    record = EntanglementMetric(np.int64(3), em.matrix, em.directions, em.measure)
+    assert type(record.size) is int
+    assert json.loads(json.dumps(record.to_dict()))["m"] == 3
+    with pytest.raises(ValueError, match=r"^size must be an integer in \[1, 26\], got 3\.0$"):
+        EntanglementMetric(3.0, em.matrix, em.directions, em.measure)
+    with pytest.raises(ValueError, match=r"^size must be an integer in \[1, 26\], got True$"):
+        EntanglementMetric(True, np.zeros((1, 1)), [[0.0, 0.0, 1.0]], 0.0)
 
 
 @pytest.mark.parametrize(

@@ -27,9 +27,12 @@ from entdist import (
 from entdist import metric, qstate
 from entdist.families import FAMILY_ANGLES, FamilySpec, family_amplitudes
 from entdist.metric import (
+    BLOCK_BITS,
     DEGENERATE_TOL,
+    _diagonal,
     _frame_runs,
     _frame_unitaries,
+    _metric_from_moments,
     check_metrics,
     metric_matrices,
     trace_tol,
@@ -472,6 +475,32 @@ class TestDirectionFrameMetric:
                     ref = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
                     assert abs(g[mu, nu] - ref) <= tol, (mu, nu, g[mu, nu] - ref, tol)
 
+    @pytest.mark.parametrize("k", range(1, qstate.ROW_BITS + 1))
+    def test_split_keeps_its_invariants(self, k):
+        """The split ``_frame_runs`` documents, for rows of 2^k and every M from k + 1 to 26.
+
+        L <= k low qubits, runs that differ in length by one at most, a block
+        of L low bits and the longest run within the budget of k +
+        BLOCK_BITS bits, and, with several runs, a column strip of the M - L
+        high bits within it or within the M - k bits of a row's index.
+        """
+        for m in range(k + 1, qstate.MAX_QUBITS + 1):
+            bounds = _frame_runs(m, k)
+            low, runs = bounds[0], np.diff(bounds)
+            assert 1 <= low <= k and bounds[-1] == m, (m, bounds)
+            assert runs.min() >= 1 and runs.max() - runs.min() <= 1, (m, bounds)
+            assert low + runs.max() <= k + BLOCK_BITS, (m, bounds)
+            if len(runs) > 1:
+                assert m - low <= max(k + BLOCK_BITS, m - k), (m, bounds)
+
+    def test_split_at_row_bits_is_the_documented_table(self):
+        """(L, passes) at k = ROW_BITS = 14 for M = 15-26, as the ``_frame_runs`` docstring gives it."""
+        table = {15: (14, 1), 16: (14, 1), 17: (14, 1), 18: (14, 2), 19: (14, 2), 20: (14, 2),
+                 21: (13, 2), 22: (12, 2), 23: (11, 2), 24: (10, 2), 25: (9, 2), 26: (12, 3)}
+        assert qstate.ROW_BITS == 14
+        split = {m: (bounds[0], len(bounds) - 1) for m in table for bounds in [_frame_runs(m, 14)]}
+        assert split == table
+
     @pytest.mark.parametrize("m, row_bits, bounds", [(12, 5, [4, 8, 12]), (15, 7, [5, 10, 15])])
     def test_split_below_the_row_width(self, monkeypatch, m, row_bits, bounds):
         """Short rows that make the kernel take L < ROW_BITS low qubits, as M = 21-26 do.
@@ -491,6 +520,46 @@ class TestDirectionFrameMetric:
         for mu, nu in frame_pairs(m):
             ref = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
             assert abs(g[mu, nu] - ref) <= tol, (mu, nu, g[mu, nu] - ref, tol)
+
+
+class TestMomentAssembly:
+    """``_metric_from_moments`` and ``_diagonal``, the one assembly of g for both metric kernels."""
+
+    def test_diagonal_clamps_past_one_and_keeps_a_nan(self):
+        past = 1.0 + 2.0**-52  # squares to 1 + 2^-51, so 1 - e^2 < 0
+        d = _diagonal(np.array([past, -past, np.nan]))
+        assert d[:2].tobytes() == np.zeros(2).tobytes()  # +0.0, not -0.0
+        assert np.isnan(d[2])
+
+    def test_matrix_equals_its_transpose_byte_for_byte(self):
+        rng = np.random.default_rng(1700)
+        for m in [1, 2, 5, 14]:
+            e = rng.uniform(-1.0, 1.0, m)
+            c = rng.uniform(-1.0, 1.0, (m, m))
+            g = _metric_from_moments(e, c)
+            assert g.tobytes() == np.ascontiguousarray(g.T).tobytes()
+
+    def test_only_the_upper_triangle_of_c_reaches_g(self):
+        rng = np.random.default_rng(1701)
+        m = 6
+        e = rng.uniform(-1.0, 1.0, m)
+        c = rng.uniform(-1.0, 1.0, (m, m))
+        below = np.tril(np.full((m, m), np.nan))  # the diagonal and lower triangle
+        g = _metric_from_moments(e, np.triu(c, 1) + below)
+        assert g.tobytes() == _metric_from_moments(e, np.triu(c, 1)).tobytes()
+        mu, nu = np.triu_indices(m, 1)
+        assert (g[mu, nu] == 0.25 * (c[mu, nu] - e[mu] * e[nu])).all()
+        assert g.diagonal().tobytes() == _diagonal(e).tobytes()
+
+    def test_batch_rows_get_the_bytes_they_get_alone(self):
+        rng = np.random.default_rng(1702)
+        p, m = 7, 5
+        e = rng.uniform(-1.0, 1.0, (p, m))
+        c = rng.uniform(-1.0, 1.0, (p, m, m))
+        g = _metric_from_moments(e, c)
+        assert g.shape == (p, m, m)
+        for i in range(p):
+            assert g[i].tobytes() == _metric_from_moments(e[i], c[i]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -723,10 +792,12 @@ class TestDistanceDensity:
                 dirs = _random_directions(rng, m)
                 assert distance_density(s, dirs) >= e - 1e-12
 
-    def test_trace_of_metric_matrix(self):
+    @pytest.mark.parametrize("m", [3, 15])
+    def test_trace_of_metric_matrix(self, m):
+        """One row at M = 3; the direction-frame kernel at M = 15."""
         rng = np.random.default_rng(93)
-        s = StateVector(3, random_state(3, rng))
-        dirs = _random_directions(rng, 3)
+        s = StateVector(m, random_state(m, rng))
+        dirs = _random_directions(rng, m)
         assert distance_density(s, dirs) == pytest.approx(
             float(np.trace(metric_matrix(s, dirs))), abs=1e-13
         )

@@ -41,14 +41,17 @@ DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo, tmp_path):
-    """Each demo runs from a copy of demos/, so its CSVs land under tmp_path."""
+    """Each demo runs from a copy of demos/, so its CSVs land under tmp_path.
+
+    A numpy RuntimeWarning fails the demo, as ``pyproject.toml`` makes it fail the suite.
+    """
     ignore = shutil.ignore_patterns("output")
     demos = shutil.copytree(ROOT / "demos", tmp_path / "demos", ignore=ignore)
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
     proc = subprocess.run(
-        [sys.executable, str(demos / demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demos / demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
