@@ -14,13 +14,14 @@ The closed forms give the measure E only.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qstate import MAX_QUBITS, StateVector, validate_count
+from .qstate import MAX_QUBITS, StateVector, row_view, validate_count
 
 BRS = "brs"
 GHZL = "ghzl"
@@ -117,18 +118,42 @@ class ClosedForm:
             )
 
 
-def _n01_counts(m: int) -> np.ndarray:
-    """n(k) for every basis index k of m qubits: the count of adjacent pairs (j, j+1)
-    with qubit j clear and qubit j+1 set, the exponent of the phase e^{-i phi n(k)}."""
-    k = np.arange(1 << m, dtype=np.uint32)
-    return np.bitwise_count((~k & (k >> 1)) & np.uint32((1 << (m - 1)) - 1))
+@functools.lru_cache(maxsize=None)
+def _n01_template(k: int) -> np.ndarray:
+    """(2, 2^k) read-only uint8 counts n(i) of the k low qubits of a row, for both kinds of row.
+
+    n(i) counts the adjacent pairs (j, j + 1), j + 1 < k, with qubit j clear
+    and qubit j + 1 set.  Row 1 adds the boundary pair (k - 1, k), for a row
+    whose qubit k is set.  Up to 2^k indices, row 0 is n itself for any
+    number of qubits, since the bits above them are clear.
+    """
+    i = np.arange(1 << k, dtype=np.uint32)
+    plain = np.bitwise_count((~i & (i >> 1)) & np.uint32((1 << (k - 1)) - 1))
+    template = np.stack([plain, plain + ((~i >> (k - 1)) & 1)]).astype(np.uint8)
+    template.flags.writeable = False
+    return template
 
 
 def _brs_amplitudes(m: int, phis) -> np.ndarray:
-    """Chain-phase amplitudes (len(phis), 2**m), indexed from m // 2 + 1 values per phi."""
+    """Chain-phase amplitudes (len(phis), 2**m), indexed from m // 2 + 1 values per phi.
+
+    Built by the rows of ``row_view``: row h's counts are the template of
+    its k low qubits (with the boundary pair when h is odd, its qubit k
+    set) plus n(h) of its m - k high qubits, so no temporary is larger
+    than a row.
+    """
     table = np.exp(-1j * np.asarray(phis, dtype=float)[:, None] * np.arange(m // 2 + 1))
-    # table[:, counts] is F-ordered for several phis, and F-ordered rows skip BLAS
-    return np.ascontiguousarray((table * (2.0 ** (-m / 2.0)))[:, _n01_counts(m)])
+    table *= 2.0 ** (-m / 2.0)
+    amps = np.empty((len(table), 1 << m), dtype=np.complex128)
+    rows = row_view(amps)[1]
+    n_rows, width = rows.shape[-2:]
+    low = _n01_template(width.bit_length() - 1)
+    high = _n01_template(max(1, n_rows.bit_length() - 1))[0]
+    counts = np.empty(width, dtype=np.intp)  # np.take's index type: one buffer, no cast per row
+    for h in range(n_rows):
+        np.add(low[h & 1], high[h], out=counts)
+        np.take(table, counts, axis=1, out=rows[:, h], mode="clip")  # every count is in range
+    return amps
 
 
 def _ghzl_amplitudes(m: int, thetas, phases) -> np.ndarray:

@@ -37,15 +37,19 @@ the whole-vector products.  A state of more qubits goes to the
 direction-frame kernel, ``_frame_metric``: each qubit is rotated so that
 its A_nu becomes Z, and g is the covariance of M +-1 spins under the
 rotated probabilities, read a block at a time, in a working memory of two
-blocks whatever M.  ``_frame_runs`` splits the qubits by M into L <=
-ROW_BITS low ones and runs of high ones, one row pass per run, for the
-fewest passes whose blocks and column strips fit 2**(ROW_BITS +
-BLOCK_BITS) amplitudes.  Both kernels produce only the moments <A_mu> and
+blocks whatever M.  ``_frame_runs`` splits the qubits by M.  A state
+that fits one block of 2**(ROW_BITS + BLOCK_BITS) amplitudes takes one
+pass as one row, turned in ceil(M/4) Kronecker factors; a larger one
+splits into L <= ROW_BITS low qubits and runs of high ones, one row pass
+per run, for the fewest passes whose blocks and column strips fit the
+block.  Both kernels produce only the moments <A_mu> and
 <A_mu A_nu>; ``_metric_from_moments`` assembles g from them, with the
 diagonal of ``_diagonal``, for both.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,10 +120,11 @@ def trace_tol(m: int) -> float:
     rotated by one row pass of the direction-frame kernel, over its L low
     qubits and one run J of high ones (``_frame_runs``), through G =
     ceil(L/4) + ceil(|J|/4) Kronecker factors (16 terms per output each).
-    The split keeps L + |J| <= ROW_BITS + BLOCK_BITS = 17, and G = 5 at
-    every m from 15 to MAX_QUBITS: (L, |J|) is (14, 3 or less) up to m =
-    20, (13, 4) at 21, (12, 5), (11, 6), (10, 7) and (9, 8) at 22-25, and
-    (12, 5 or less) at 26.  A 16 x 16 unitary factor K moves a vector by
+    The split keeps L + |J| <= ROW_BITS + BLOCK_BITS = 17, and G <= 5 at
+    every m from 15 to MAX_QUBITS: (L, |J|) is (m, 0) at m = 15-17, one
+    pass over the whole state with G = ceil(m/4), (14, 3 or less) at
+    18-20, (13, 4) at 21, (12, 5), (11, 6), (10, 7) and (9, 8) at 22-25,
+    and (12, 5 or less) at 26.  A 16 x 16 unitary factor K moves a vector by
     at most gamma_18 || |K| ||_2 <= 72 u of its 2-norm (|| |K| ||_F = 4),
     so p loses at most 144 G u of its unit mass.  Its sums add the
     2^(m-L-|J|) blocks of a pass in turn, at most 2^10 (m = 26), then at
@@ -188,7 +193,10 @@ class EntanglementMetric:
     """Metric evaluated at the minimizing direction field.
 
     ``size`` passes ``qstate.validate_count`` and is stored as a Python
-    int, so the ``to_dict`` record serialises.  ``matrix`` is real
+    int, and ``measure`` must be a finite real number, not a bool, and is
+    stored as a Python float, so the ``to_dict`` record serialises.  A 0-d
+    array, a string, a bool, NaN or an infinity raises a ValueError that
+    names ``measure``.  ``matrix`` is real
     symmetric positive semidefinite with diagonal in [0, 1/4] and trace
     equal to ``measure``, stored as a read-only copy of the array passed
     in.  ``directions`` is a read-only copy of the (size, 3) direction
@@ -204,14 +212,18 @@ class EntanglementMetric:
 
     def __post_init__(self) -> None:
         m = validate_count("size", self.size, 1, MAX_QUBITS)
+        measure = self.measure
+        if isinstance(measure, bool) or not isinstance(measure, numbers.Real) or not math.isfinite(measure):
+            raise ValueError(f"measure must be a finite real number, got {measure!r}")
         g = np.array(self.matrix, dtype=float, order="C")
         if g.shape != (m, m):
             raise ValueError(f"expected a {m}x{m} matrix, got {g.shape}")
         dirs = validate_directions(self.directions, (m, 3)).copy()
-        eigs = check_metrics(g, self.measure)
+        eigs = check_metrics(g, float(measure))
         for a in (g, dirs, eigs):
             a.flags.writeable = False
         object.__setattr__(self, "size", m)
+        object.__setattr__(self, "measure", float(measure))
         object.__setattr__(self, "matrix", g)
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "eigenvalues", eigs)
@@ -325,14 +337,20 @@ def _kron_factors(u: np.ndarray, qubits: list[int]) -> list[np.ndarray]:
     """Kronecker products of the unitaries of ``qubits`` four at a time: qubits[0:4], qubits[4:8], ...
 
     Only the last factor may be short; each is 16 x 16 or smaller, with its
-    group's highest qubit as the most significant bit.
+    group's highest qubit as the most significant bit.  Every full group's
+    factor comes from one einsum over the groups' (G, 4, 2, 2) unitaries,
+    f[g, (i k m o), (j l n p)] = u3[i, j] u2[k, l] u1[m, n] u0[o, p]; only
+    a short last group takes np.kron.
     """
-    factors = []
-    for lo in range(0, len(qubits), 4):
-        f = np.ones((1, 1))
-        for q in reversed(qubits[lo : lo + 4]):
-            f = np.kron(f, u[q])
-        factors.append(f)
+    full = len(qubits) // 4 * 4
+    groups = u[qubits[:full]].reshape(-1, 4, 2, 2)
+    f = np.einsum("gij,gkl,gmn,gop->gikmojlnp", groups[:, 3], groups[:, 2], groups[:, 1], groups[:, 0])
+    factors = list(f.reshape(-1, 16, 16))
+    if full < len(qubits):
+        last = np.ones((1, 1))
+        for q in reversed(qubits[full:]):
+            last = np.kron(last, u[q])
+        factors.append(last)
     return factors
 
 
@@ -372,15 +390,20 @@ def _frame_runs(m: int, k: int) -> list[int]:
     qubits bounds[i] .. bounds[i + 1] - 1, is one row pass's high qubits J,
     the runs as even as they divide.  A block, L low bits and the longest
     run, must fit in the block budget of k + BLOCK_BITS bits, and so must a
-    column strip, all M - L high bits, when there is more than one run.
-    The split takes the fewest passes for which some L <= k fits, and among
-    those the largest L: at k = ROW_BITS = 14, (L, passes) is (14, 1) at M
-    = 15-17, (14, 2) at 18-20, (13, 2) at 21, (12, 2) at 22, down to (9, 2)
-    at 25, and (12, 3) at 26.  Only rows shorter than M - k - BLOCK_BITS
-    bits, which M <= MAX_QUBITS never gives at k = ROW_BITS, leave no L
-    whose strip fits; the strip then holds the M - k high bits.
+    column strip, all M - L high bits, when there is more than one run.  A
+    state that fits one block, M <= k + BLOCK_BITS, is one pass of one
+    row, [M, M]: L = M and an empty run, so the pass turns the whole state
+    in ceil(M/4) Kronecker factors.  A larger state takes the fewest passes
+    for which some L <= k fits, and among those the largest L: at k =
+    ROW_BITS = 14, (L, passes) is (M, 1) at M = 15-17, (14, 2) at 18-20,
+    (13, 2) at 21, (12, 2) at 22, down to (9, 2) at 25, and (12, 3) at 26.
+    Only rows shorter than M - k - BLOCK_BITS bits, which M <= MAX_QUBITS
+    never gives at k = ROW_BITS, leave no L whose strip fits; the strip
+    then holds the M - k high bits.
     """
     budget = k + BLOCK_BITS
+    if m <= budget:
+        return [m, m]
     strip = max(budget, m - k)
     for passes in range(1, m - k + 1):  # at m - k passes, one qubit per run, L = k always fits
         for low in range(k, 0, -1):
@@ -398,8 +421,10 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     (bit nu clear or set) under p = |phi|^2.  phi would take 2^M amplitudes;
     ``rows``, the state's (2^(M-k), 2^k) ``qstate.row_view`` (k is read
     from its width), are instead read as (2^(M-L), 2^L) rows of the L low
-    qubits, L <= k from ``_frame_runs``, in blocks that fit the budget of
-    2^(k+BLOCK_BITS) amplitudes, and never written:
+    qubits, L from ``_frame_runs``, in blocks that fit the budget of
+    2^(k+BLOCK_BITS) amplitudes, and never written.  A state that fits
+    one block has L = M: it is one row, and one pass with an empty run J
+    turns it whole.
 
     * Row passes.  The M - L high qubits split into the runs J of
       ``_frame_runs``, each taken by one pass.  A block holds the 2^|J|

@@ -18,6 +18,7 @@ kernel also uses for its moments, and the high qubits' by ``_signs``.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -204,9 +205,12 @@ def apply_local_unitary(state: StateVector, qubit: int, u: LocalUnitary) -> Stat
     return StateVector(state.num_qubits, out)
 
 
+@functools.lru_cache(maxsize=None)
 def _signs(n: int) -> np.ndarray:
-    """(2^n, n) spins s_t(i) = +1 or -1 as bit t of i is clear or set."""
-    return 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    """(2^n, n) spins s_t(i) = +1 or -1 as bit t of i is clear or set, built once per n, read-only."""
+    signs = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    signs.flags.writeable = False
+    return signs
 
 
 def _spin_moments(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@
 Everything here recomputes quantities by a route the library does not use:
 dense kron-built operators, literal per-index sums, a hand-rolled cyclic
 Jacobi eigensolver, the projector-product construction of the diagonal
-chain-phase operator, a pair-by-pair adjacent-pair count and the analytic
+chain-phase operator, pair-by-pair adjacent-pair counts and the analytic
 two- and three-qubit chain-phase metric forms.  Basis convention matches
 the library: bit nu of the index k is qubit nu, composite kron order is
 qubit M-1 (MSB) first.
@@ -165,6 +165,20 @@ def brs_n01(k: int, m: int) -> int:
     if not 0 <= k < (1 << m):
         raise ValueError(f"basis index must satisfy 0 <= k < 2**{m}, got {k}")
     return sum(1 for j in range(m - 1) if not (k >> j) & 1 and (k >> (j + 1)) & 1)
+
+
+def brs_n01_counts(m: int) -> np.ndarray:
+    """``brs_n01`` of every basis index of m qubits, as uint8: one adjacent pair at a time.
+
+    Each pair (j, j+1) adds 1 where bit j of the index is clear and bit j+1
+    set, over all 2^m indices at once; no row template and no word-wide
+    bit trick.
+    """
+    k = np.arange(1 << m)
+    counts = np.zeros(1 << m, dtype=np.uint8)
+    for j in range(m - 1):
+        counts += ((k >> j) & 1 == 0) & ((k >> (j + 1)) & 1 == 1)
+    return counts
 
 
 def brs_reference_metric(m: int, phi: float) -> np.ndarray:

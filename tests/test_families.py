@@ -1,6 +1,8 @@
 """State families: generators, closed forms, convention regressions."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,13 @@ from entdist import (
     three_qubit_state,
 )
 
+from entdist import qstate
+from entdist.families import family_amplitudes
+
 from oracles import (
     bit_reversed_state,
     brs_n01,
+    brs_n01_counts,
     brs_reference_metric,
     n01_string_reading,
     phase_chain_operator,
@@ -99,6 +105,35 @@ class TestBrsState:
         for phi in [0.3, 1.1, 5.9, -2.0, np.pi]:
             direct = np.exp(-1j * phi * counts) * (2.0 ** (-m / 2.0))
             assert brs_state(m, phi).amplitudes.tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("row_bits, ms", [(2, range(2, 10)), (3, range(2, 10)), (14, range(2, 19))])
+    def test_rows_give_the_bits_of_the_per_index_count(self, monkeypatch, row_bits, ms):
+        """The builder works by the rows of ``row_view``, from a template of the low qubits' counts.
+
+        Rows of 4, 8 and 2^14 amplitudes, one state and a batch: every
+        amplitude has the bits of the direct formula on the pair-by-pair
+        count, across the row boundary and in the high qubits too.
+        """
+        monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
+        phis = np.array([0.3, -2.0, np.pi])
+        for m in ms:
+            direct = np.exp(-1j * phis[:, None] * brs_n01_counts(m)) * (2.0 ** (-m / 2.0))
+            amps = family_amplitudes(FamilySpec("brs", m=m), "phi", phis)
+            assert amps.flags.c_contiguous
+            assert amps.tobytes() == direct.tobytes()
+            assert family_amplitudes(FamilySpec("brs", m=m), "phi", phis[:1]).tobytes() == direct[0].tobytes()
+
+    def test_builder_holds_no_more_than_a_row_beyond_the_state(self):
+        """At M = 20 the whole-state count array, 1 MiB of uint8, lived beside the amplitudes."""
+        m = 20
+        family_amplitudes(FamilySpec("brs", m=m), "phi", [0.3])  # the templates are built once
+        tracemalloc.start()
+        try:
+            amps = family_amplitudes(FamilySpec("brs", m=m), "phi", [0.3])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - amps.nbytes < 16 << qstate.ROW_BITS
 
     def test_bit_reflection_leaves_measure_and_spectrum_alone(self):
         """The opposite reading of 'adjacent 01 pairs' (printed-string order)

@@ -26,7 +26,7 @@ from entdist.cli import main
 from entdist.metric import BLOCK_BITS, trace_tol
 from entdist.qstate import ROW_BITS, bloch_vectors
 
-from oracles import covariance_entry_pairwise, random_state
+from oracles import brs_n01_counts, covariance_entry_pairwise, random_state
 from test_metric import frame_pairs
 
 pytestmark = pytest.mark.slow
@@ -58,6 +58,13 @@ def test_metric_at_20_to_22_qubits(kind, m):
     for mu, nu in frame_pairs(m):
         reference = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
         assert abs(g[mu, nu] - reference) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [20, 22])
+def test_chain_phase_rows_give_the_bits_of_the_per_index_count(m):
+    """The row-wise builder at 2^6 and 2^8 rows of 2^14, against the pair-by-pair count."""
+    direct = np.exp(-0.3j * brs_n01_counts(m)) * (2.0 ** (-m / 2.0))
+    assert brs_state(m, 0.3).amplitudes.tobytes() == direct.tobytes()
 
 
 def test_metric_at_24_qubits_completes():

@@ -1,6 +1,7 @@
 """Entanglement measure, metric, spectrum: oracles and invariants."""
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -410,7 +411,8 @@ def _frame_entry_tol(m: int) -> float:
     The kernel rotates each amplitude through G Kronecker factors, each
     output a sum of at most 16 complex terms: ceil(L/4) + ceil(|J|/4) in a
     row pass over the L low qubits and a run J, ceil((m - L)/4) in the
-    column pass; G is the larger, 5 at every m <= MAX_QUBITS.  A factor K
+    column pass; G is the larger, ceil(m/4) for a state that fits one
+    block (L = m, |J| = 0: 4 at m = 15-16, 5 at 17) and 5 above it.  A factor K
     moves a vector by at most gamma_18 || |K| ||_2 <= 18 u * 4 in 2-norm
     (|| |K| ||_F = 4 for a 16 x 16 unitary), so p = |phi|^2 loses at most
     2 * 72 G u of its unit mass.  Its signed sums, the blocks or strips of
@@ -432,14 +434,17 @@ def frame_pairs(m: int) -> list[tuple[int, int]]:
     """Entries of an m-qubit metric that each part of the direction-frame kernel gives.
 
     From the kernel's split (``_frame_runs``) into L low qubits and runs of
-    high ones: a pair of low qubits, the pair across the low/high boundary,
-    a pair inside the last run, a low qubit with the last qubit, a diagonal
-    entry and, when there are several runs, a pair across runs, which the
-    column pass gives.
+    high ones: a pair of low qubits, a pair across two Kronecker factors, a
+    low qubit with the last qubit and a diagonal entry; when L < m, the
+    pair across the low/high boundary and a pair inside the last run; and,
+    when there are several runs, a pair across runs, which the column pass
+    gives.  A state that fits one block (L = m) is one pass of low qubits.
     """
     bounds = _frame_runs(m, qstate.ROW_BITS)
     low = bounds[0]
-    pairs = [(0, 1), (low - 1, low), (bounds[-2], m - 1), (0, m - 1), (m - 1, m - 1)]
+    pairs = [(0, 1), (3, 4), (0, m - 1), (m - 1, m - 1)]
+    if low < m:
+        pairs += [(low - 1, low), (bounds[-2], m - 1)]
     return pairs + [(low, m - 1)] if len(bounds) > 2 else pairs
 
 
@@ -479,13 +484,18 @@ class TestDirectionFrameMetric:
     def test_split_keeps_its_invariants(self, k):
         """The split ``_frame_runs`` documents, for rows of 2^k and every M from k + 1 to 26.
 
-        L <= k low qubits, runs that differ in length by one at most, a block
-        of L low bits and the longest run within the budget of k +
-        BLOCK_BITS bits, and, with several runs, a column strip of the M - L
-        high bits within it or within the M - k bits of a row's index.
+        A state that fits one block, M <= k + BLOCK_BITS, is one pass with L
+        = M and an empty run.  A larger one has L <= k low qubits, runs that
+        differ in length by one at most, a block of L low bits and the
+        longest run within the budget of k + BLOCK_BITS bits, and, with
+        several runs, a column strip of the M - L high bits within it or
+        within the M - k bits of a row's index.
         """
         for m in range(k + 1, qstate.MAX_QUBITS + 1):
             bounds = _frame_runs(m, k)
+            if m <= k + BLOCK_BITS:
+                assert bounds == [m, m], (m, bounds)
+                continue
             low, runs = bounds[0], np.diff(bounds)
             assert 1 <= low <= k and bounds[-1] == m, (m, bounds)
             assert runs.min() >= 1 and runs.max() - runs.min() <= 1, (m, bounds)
@@ -495,11 +505,41 @@ class TestDirectionFrameMetric:
 
     def test_split_at_row_bits_is_the_documented_table(self):
         """(L, passes) at k = ROW_BITS = 14 for M = 15-26, as the ``_frame_runs`` docstring gives it."""
-        table = {15: (14, 1), 16: (14, 1), 17: (14, 1), 18: (14, 2), 19: (14, 2), 20: (14, 2),
+        table = {15: (15, 1), 16: (16, 1), 17: (17, 1), 18: (14, 2), 19: (14, 2), 20: (14, 2),
                  21: (13, 2), 22: (12, 2), 23: (11, 2), 24: (10, 2), 25: (9, 2), 26: (12, 3)}
         assert qstate.ROW_BITS == 14
         split = {m: (bounds[0], len(bounds) - 1) for m in table for bounds in [_frame_runs(m, 14)]}
         assert split == table
+
+    @pytest.mark.parametrize("m", [15, 16, 17])
+    def test_a_state_that_fits_one_block_is_one_rotation(self, monkeypatch, m):
+        """One ``_rotate`` call per state, in ceil(M/4) column factors and no row-bit factor."""
+        rotate = metric._rotate
+        calls = []
+
+        def spy(x, high, low, buffers):
+            calls.append((x.shape, len(high), [len(f) for f in low]))
+            return rotate(x, high, low, buffers)
+
+        monkeypatch.setattr(metric, "_rotate", spy)
+        metric_matrix(StateVector(m, random_state(m, np.random.default_rng(m))), np.tile(X, (m, 1)))
+        sizes = [16] * (m // 4) + ([1 << (m % 4)] if m % 4 else [])
+        assert calls == [((1, 1 << m), 0, sizes)]
+        assert len(sizes) == -(-m // 4)
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_kron_factors_match_the_kron_chain(self, n):
+        """The einsum-built 16 x 16 factors and the short last one, against np.kron of each group."""
+        u = _frame_unitaries(_random_directions(np.random.default_rng(1450 + n), n))
+        qubits = list(np.random.default_rng(n).permutation(n))
+        factors = metric._kron_factors(u, qubits)
+        assert len(factors) == -(-n // 4)
+        for lo, f in zip(range(0, n, 4), factors):
+            chain = np.ones((1, 1))
+            for q in reversed(qubits[lo : lo + 4]):
+                chain = np.kron(chain, u[q])
+            assert f.shape == chain.shape
+            assert np.max(np.abs(f - chain)) <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("m, row_bits, bounds", [(12, 5, [4, 8, 12]), (15, 7, [5, 10, 15])])
     def test_split_below_the_row_width(self, monkeypatch, m, row_bits, bounds):
@@ -623,6 +663,20 @@ class TestEntanglementMetric:
         dirs[0] = X
         assert em.matrix[0, 0] == 0.0
         np.testing.assert_array_equal(em.directions, [Z, Z])
+
+    @pytest.mark.parametrize(
+        "measure", [np.array(0.0), False, np.bool_(False), "0", None, np.nan, np.inf, -np.inf, 0.0j]
+    )
+    def test_measure_must_be_a_finite_real_number(self, measure):
+        """A 0-d array failed json.dumps, False was written as false and '0' raised numpy's UFuncTypeError."""
+        with pytest.raises(ValueError, match="^measure must be a finite real number, got "):
+            EntanglementMetric(1, np.zeros((1, 1)), [Z], measure)
+
+    @pytest.mark.parametrize("measure", [0, np.int64(0), np.float32(0.0), np.float64(0.0)])
+    def test_measure_is_stored_as_a_python_float(self, measure):
+        em = EntanglementMetric(1, np.zeros((1, 1)), [Z], measure)
+        assert type(em.measure) is float and em.measure == 0.0
+        assert json.loads(json.dumps(em.to_dict()))["measure"] == 0.0
 
     def test_invariants_enforced(self):
         bad = np.array([[0.1, 0.2], [0.3, 0.1]])  # asymmetric

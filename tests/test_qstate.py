@@ -19,7 +19,7 @@ from entdist import (
     read_state_file,
     write_state_file,
 )
-from entdist.qstate import _haar_unitary, bilinears, bloch_vectors
+from entdist.qstate import _haar_unitary, _signs, bilinears, bloch_vectors
 
 from oracles import HADAMARD, SX, dense_direction_operator, dense_qubit_operator, random_state
 
@@ -333,6 +333,20 @@ class TestRandomLocalUnitary:
         rng = np.random.default_rng(2024)
         samples = np.array([abs(_haar_unitary(rng)[0, 0]) ** 2 for _ in range(10_000)])
         assert abs(samples.mean() - 0.5) < 0.02
+
+
+class TestSpinSigns:
+    """``_signs``, the sign tables of ``_spin_moments``, built once per size."""
+
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_the_same_read_only_table_on_a_second_call(self, n):
+        table = _signs(n)
+        assert _signs(n) is table
+        assert not table.flags.writeable
+        expected = [[-1.0 if (i >> t) & 1 else 1.0 for t in range(n)] for i in range(1 << n)]
+        assert table.tolist() == expected
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = -1.0
 
 
 # ---------------------------------------------------------------------------
