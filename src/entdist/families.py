@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qstate import MAX_QUBITS, StateVector, row_view, validate_count
+from .qstate import MAX_QUBITS, StateVector, row_view, validate_count, validate_real
 
 BRS = "brs"
 GHZL = "ghzl"
@@ -41,7 +40,9 @@ class FamilySpec:
     """Tagged parameter record for state generation and closed forms.
 
     ``m = None`` means 3 for the three-qubit family and is refused for the
-    others.  An angle that belongs to another family must stay 0.
+    others.  An angle that belongs to another family must stay 0, and each
+    of the family's own passes ``qstate.validate_real`` and is stored as a
+    Python float.
     """
 
     tag: str
@@ -67,12 +68,7 @@ class FamilySpec:
                 if tag != self.tag and getattr(self, name) != 0.0:
                     raise ValueError(f"family {self.tag!r} has no angle {name!r}")
         for name in FAMILY_ANGLES[self.tag]:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"angle {name!r} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"angle {name!r} must be finite")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, validate_real(f"angle {name!r}", getattr(self, name)))
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FamilySpec":

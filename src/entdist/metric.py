@@ -48,8 +48,6 @@ diagonal of ``_diagonal``, for both.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +64,7 @@ from .qstate import (
     row_view,
     validate_count,
     validate_directions,
+    validate_real,
 )
 
 DEGENERATE_TOL = 1e-12
@@ -96,10 +95,14 @@ def trace_tol(m: int) -> float:
     through at most 2^r + 2^(m-r) - 2 = n - 1 additions, the rows' partial
     sums added in row order:
 
-    * w_minus of a low qubit nu < r: one einsum over the row's 2^(r-1)
-      pairs, or for nu >= 6 a vecdot of 2^nu pairs and a sum of the
-      2^(r-1-nu) results, 2^nu + 2^(r-1-nu) - 2 <= 2^(r-1) - 1 additions;
-      then 2^(m-r) - 1 over the rows.
+    * w_minus of a low qubit nu < r: a vecdot per run of pairs and a sum
+      of the runs' results.  The row's index splits into hi = r // 2 high
+      and lo = r - hi low bits, and a qubit nu < lo is read from the row's
+      transposed copy, in 2^(lo-1-nu) runs of 2^(hi+nu) pairs: 2^(hi+nu)
+      + 2^(lo-1-nu) - 2 additions.  A qubit lo <= nu < r is read in
+      2^(r-1-nu) runs of 2^nu pairs: 2^nu + 2^(r-1-nu) - 2.  Both counts
+      are x + y - 2 with x y = 2^(r-1), at most 2^(r-1) - 1; then 2^(m-r)
+      - 1 over the rows.
     * w_minus of a high qubit: two vecdots of 2^(r-1) pairs and their sum,
       2^(r-1) additions, then 2^(m-r) - 1 over the rows, half of them of an
       exact zero.
@@ -193,10 +196,10 @@ class EntanglementMetric:
     """Metric evaluated at the minimizing direction field.
 
     ``size`` passes ``qstate.validate_count`` and is stored as a Python
-    int, and ``measure`` must be a finite real number, not a bool, and is
-    stored as a Python float, so the ``to_dict`` record serialises.  A 0-d
-    array, a string, a bool, NaN or an infinity raises a ValueError that
-    names ``measure``.  ``matrix`` is real
+    int, and ``measure`` passes ``qstate.validate_real`` and is stored as a
+    Python float, so the ``to_dict`` record serialises.  A 0-d array, a
+    string, a bool, NaN or an infinity raises a ValueError that names
+    ``measure``.  ``matrix`` is real
     symmetric positive semidefinite with diagonal in [0, 1/4] and trace
     equal to ``measure``, stored as a read-only copy of the array passed
     in.  ``directions`` is a read-only copy of the (size, 3) direction
@@ -212,18 +215,16 @@ class EntanglementMetric:
 
     def __post_init__(self) -> None:
         m = validate_count("size", self.size, 1, MAX_QUBITS)
-        measure = self.measure
-        if isinstance(measure, bool) or not isinstance(measure, numbers.Real) or not math.isfinite(measure):
-            raise ValueError(f"measure must be a finite real number, got {measure!r}")
+        measure = validate_real("measure", self.measure)
         g = np.array(self.matrix, dtype=float, order="C")
         if g.shape != (m, m):
             raise ValueError(f"expected a {m}x{m} matrix, got {g.shape}")
         dirs = validate_directions(self.directions, (m, 3)).copy()
-        eigs = check_metrics(g, float(measure))
+        eigs = check_metrics(g, measure)
         for a in (g, dirs, eigs):
             a.flags.writeable = False
         object.__setattr__(self, "size", m)
-        object.__setattr__(self, "measure", float(measure))
+        object.__setattr__(self, "measure", measure)
         object.__setattr__(self, "matrix", g)
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "eigenvalues", eigs)
@@ -247,16 +248,17 @@ class EntanglementMetric:
 class Spectrum:
     """Eigenvalues of an entanglement metric, sorted descending, as a read-only copy.
 
-    ``rank_tol`` must be finite and non-negative: ``nonnull_count`` counts
-    the eigenvalues above it, and a NaN would silently count none.
+    ``rank_tol`` passes ``qstate.validate_real`` with a bound of 0 and is
+    stored as a Python float, so the ``eigs`` record serialises:
+    ``nonnull_count`` counts the eigenvalues above it, and a NaN would
+    silently count none.
     """
 
     eigenvalues: np.ndarray
     rank_tol: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.rank_tol) and self.rank_tol >= 0.0):
-            raise ValueError(f"rank_tol must be finite and non-negative, got {self.rank_tol!r}")
+        object.__setattr__(self, "rank_tol", validate_real("rank_tol", self.rank_tol, 0.0))
         eigs = np.array(self.eigenvalues, dtype=float, order="C")
         eigs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eigs)

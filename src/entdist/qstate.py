@@ -12,14 +12,19 @@ pass over a state reads it in cache-sized rows, by ``row_view``.  A state
 of one row takes whole-row sums; a state of several rows goes through
 ``_row_bilinears``, one pass per state that keeps a probability marginal
 of the low qubits and a total per row, from which the signed probability
-sums w_3 follow: the low qubits' by ``_spin_moments``, the one helper for
-the spin moments of a distribution, which the direction-frame metric
-kernel also uses for its moments, and the high qubits' by ``_signs``.
+sums w_3 follow: the low qubits' by ``_spin_means``, the first moments of
+``_spin_moments``, the one helper for the spin moments of a distribution,
+which the direction-frame metric kernel also uses for its moments, and
+the high qubits' by ``_signs``.  Its w_minus are vecdots over runs of at
+least 2^(k//2) pairs of a row of 2^k amplitudes: the low qubits' from one
+transposed copy of the row, the others' from the row itself.
 """
 from __future__ import annotations
 
 import functools
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +72,25 @@ def validate_count(name: str, value, lo: int, hi: int | None = None) -> int:
             return int(value)
     bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
     raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def validate_real(name: str, value, lo: float | None = None) -> float:
+    """The one rule for a real-number argument, returned as a Python float.
+
+    It must be a ``numbers.Real`` (a Python or numpy int or float), not a
+    bool, finite, and at least ``lo`` unless that is None.  Anything else,
+    a 0-d array or a string included, raises a ValueError that names the
+    argument and the bound.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x) and (lo is None or x >= lo):
+            return x
+    bound = "" if lo is None else f" >= {lo:g}"
+    raise ValueError(f"{name} must be a finite real number{bound}, got {value!r}")
 
 
 def row_depth(m: int) -> int:
@@ -213,24 +237,38 @@ def _signs(n: int) -> np.ndarray:
     return signs
 
 
-def _spin_moments(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second moments <s_t> (n,) and <s_t s_u> (n, n) of the bits of a 2^n distribution.
+def _spin_means(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First moments <s_t> (n,) of the bits of a 2^n distribution, and the marginals they come from.
 
     The index splits into its high and low halves of bits, hi = n // 2 and
-    lo = n - hi, and p into their (2^hi, 2^lo) table P.  The marginal of
-    each half gives that half's moments, marginal @ spins and spins^T
-    (marginal * spins), and the signed sum S_hi^T P S_lo the pairs across,
-    so no sum runs over more than 2^hi + 2^lo terms in turn.
+    lo = n - hi, and p into their (2^hi, 2^lo) table.  Each half's moments
+    are its marginal @ spins; the marginals (p_lo, p_hi) are returned too,
+    for ``_spin_moments`` to reuse.
     """
     n = p.size.bit_length() - 1
     hi, lo = n // 2, n - n // 2
     table = p.reshape(1 << hi, 1 << lo)
-    s_hi, s_lo = _signs(hi), _signs(lo)
     p_hi, p_lo = table.sum(axis=1), table.sum(axis=0)
-    cross = s_hi.T @ table @ s_lo
+    return np.concatenate([p_lo @ _signs(lo), p_hi @ _signs(hi)]), p_lo, p_hi
+
+
+def _spin_moments(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second moments <s_t> (n,) and <s_t s_u> (n, n) of the bits of a 2^n distribution.
+
+    The first moments and the half marginals come from ``_spin_means``, with
+    the index split into hi = n // 2 high and lo = n - hi low bits and p
+    into their (2^hi, 2^lo) table P.  Each half's second moments are
+    spins^T (marginal * spins), and the signed sum S_hi^T P S_lo gives the
+    pairs across, so no sum runs over more than 2^hi + 2^lo terms in turn.
+    """
+    n = p.size.bit_length() - 1
+    hi, lo = n // 2, n - n // 2
+    e, p_lo, p_hi = _spin_means(p)
+    s_hi, s_lo = _signs(hi), _signs(lo)
+    cross = s_hi.T @ p.reshape(1 << hi, 1 << lo) @ s_lo
     c_lo = s_lo.T @ (p_lo[:, None] * s_lo)
     c_hi = s_hi.T @ (p_hi[:, None] * s_hi)
-    return np.concatenate([p_lo @ s_lo, p_hi @ s_hi]), np.block([[c_lo, cross.T], [cross, c_hi]])
+    return e, np.block([[c_lo, cross.T], [cross, c_hi]])
 
 
 def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,26 +277,32 @@ def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     One pass over the (2^(M-k), 2^k) rows, one row at a time.  Each row's
     probabilities |c|^2 = re^2 + im^2 are added into a 2^k marginal of the k
     low qubits and their sum is kept as the row's total; w_3 then comes from
-    these, the low qubits by ``_spin_moments`` of the marginal and the high
-    qubits as the totals times ``_signs(M - k)``.  For a low qubit nu < 6 w_minus is
-    one einsum within the row, which is conjugated once for them (a vecdot
-    per run of 2^nu pairs costs more while the runs are short); for
-    6 <= nu < k a vecdot of the row's (2^(k-1-nu), 2^nu) halves; and for a
-    high qubit nu, on rows with bit nu clear, a vecdot of the two halves of
-    the partner row h ^ 2^(nu - k) with the row's two halves.  No BLAS dot
-    runs over a whole row: a threaded dot of 2^14 amplitudes stalled for
-    most of a second waking its threads, one of at most 2^13 never did.
-    The rows' partial sums are added in row order.
+    these, the low qubits by ``_spin_means`` of the marginal and the high
+    qubits as the totals times ``_signs(M - k)``.  Every w_minus is one
+    formula: a vecdot of the two halves of each run of pairs, summed over
+    the runs.  The row's index splits as ``_spin_means`` splits one, into
+    hi = k // 2 high and lo = k - hi low bits, and the row seen as (2^hi,
+    2^lo) is copied, transposed, into one reused buffer, where a low qubit
+    nu < lo sits at bit hi + nu: its runs are the copy's (2^(lo-1-nu), 2,
+    2^(hi+nu)).  A qubit lo <= nu < k takes the row's own (2^(k-1-nu), 2,
+    2^nu), and a high qubit nu, on rows with bit nu clear, pairs the halves
+    of the partner row h ^ 2^(nu - k) with the row's halves.  No run is
+    shorter than 2^hi pairs (a vecdot per run of a few pairs costs more
+    than the pairs it reads) nor longer than 2^(k-1): a threaded BLAS dot
+    of a whole row, 2^14 amplitudes, stalled for most of a second waking
+    its threads, and one of at most 2^13 never did.  The rows' partial sums
+    are added in row order.
     """
     n_rows, width = rows.shape
     k = width.bit_length() - 1
     high = n_rows.bit_length() - 1
+    hi, lo = k // 2, k - k // 2
     marginal = np.zeros(width)
     totals = np.empty(n_rows)
     parts = np.zeros((n_rows, k + high), dtype=np.complex128)
     probs = np.empty(width)
     im_sq = np.empty(width)
-    conj_row = np.empty(width, dtype=np.complex128)
+    flip = np.empty(width, dtype=np.complex128)
     for h, row in enumerate(rows):
         # |c|^2 as re^2 + im^2 of the float views: np.abs is a hypot, four times the time
         np.square(row.real, out=probs)
@@ -266,19 +310,18 @@ def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         probs += im_sq
         marginal += probs
         totals[h] = probs.sum()
-        np.conj(row, out=conj_row)
+        np.copyto(flip.reshape(1 << lo, 1 << hi), row.reshape(1 << hi, 1 << lo).T)
         for nu in range(k):
-            shape = (1 << (k - 1 - nu), 2, 1 << nu)
-            view = row.reshape(shape)
-            if nu < 6:
-                parts[h, nu] = np.einsum("ab,ab->", conj_row.reshape(shape)[:, 1, :], view[:, 0, :])
+            if nu < lo:
+                view = flip.reshape(1 << (lo - 1 - nu), 2, 1 << (hi + nu))
             else:
-                parts[h, nu] = np.vecdot(view[:, 1, :], view[:, 0, :]).sum()
+                view = row.reshape(1 << (k - 1 - nu), 2, 1 << nu)
+            parts[h, nu] = np.vecdot(view[:, 1, :], view[:, 0, :]).sum()
         halves = row.reshape(2, -1)
         for nu in range(k, k + high):
             if not (h >> (nu - k)) & 1:
                 parts[h, nu] = np.vecdot(rows[h ^ (1 << (nu - k))].reshape(2, -1), halves).sum()
-    w_3 = np.concatenate([_spin_moments(marginal)[0], totals @ _signs(high)])
+    w_3 = np.concatenate([_spin_means(marginal)[0], totals @ _signs(high)])
     return parts.sum(axis=0), w_3
 
 

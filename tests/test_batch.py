@@ -176,7 +176,7 @@ def test_batch_builder_equals_family_state(fam, parameter):
 
 
 def test_batch_builder_rejects_what_family_spec_rejects():
-    with pytest.raises(ValueError, match="angle 'phi' must be finite"):
+    with pytest.raises(ValueError, match="^angle 'phi' must be a finite real number, got nan$"):
         family_amplitudes(FamilySpec("brs", m=3), "phi", [0.1, np.nan, 0.2])
     with pytest.raises(ValueError, match="no angle 'theta'"):
         family_amplitudes(FamilySpec("brs", m=3), "theta", [0.1])

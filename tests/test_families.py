@@ -342,13 +342,13 @@ _M_RANGE = r"must be an integer in \[2, 26\], got"
     [
         (lambda: brs_state(1, 0.5), rf"m for family 'brs' {_M_RANGE} 1"),
         (lambda: brs_state(27, 0.5), rf"m for family 'brs' {_M_RANGE} 27"),
-        (lambda: brs_state(3, np.nan), "angle 'phi' must be finite"),
+        (lambda: brs_state(3, np.nan), "angle 'phi' must be a finite real number, got nan"),
         (lambda: ghzl_state(1, 0.5), rf"m for family 'ghzl' {_M_RANGE} 1"),
         (lambda: ghzl_state(27, 0.5), rf"m for family 'ghzl' {_M_RANGE} 27"),
-        (lambda: ghzl_state(3, np.nan), "angle 'theta' must be finite"),
-        (lambda: ghzl_state(3, 0.5, np.nan), "angle 'phase' must be finite"),
-        (lambda: three_qubit_state(np.nan, 0.5), "angle 'gamma' must be finite"),
-        (lambda: three_qubit_state(0.5, np.nan), "angle 'tau' must be finite"),
+        (lambda: ghzl_state(3, np.nan), "angle 'theta' must be a finite real number, got nan"),
+        (lambda: ghzl_state(3, 0.5, np.nan), "angle 'phase' must be a finite real number, got nan"),
+        (lambda: three_qubit_state(np.nan, 0.5), "angle 'gamma' must be a finite real number, got nan"),
+        (lambda: three_qubit_state(0.5, np.nan), "angle 'tau' must be a finite real number, got nan"),
     ],
     ids=["brs-m1", "brs-m27", "brs-nan", "ghzl-m1", "ghzl-m27", "ghzl-nan-theta",
          "ghzl-nan-phase", "threeq-nan-gamma", "threeq-nan-tau"],

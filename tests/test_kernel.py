@@ -92,7 +92,11 @@ def _whole_vector_bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w_minus, w_3
 
 
-_SHORT_ROWS = [(m, row_bits) for m in range(3, 9) for row_bits in (1, 2, 3)] + [(8, 7), (9, 7)]
+_SHORT_ROWS = (
+    [(m, row_bits) for m in range(3, 9) for row_bits in (1, 2, 3)]
+    + [(m, row_bits) for row_bits in (4, 5, 6) for m in (row_bits + 1, row_bits + 3)]
+    + [(8, 7), (9, 7)]
+)
 
 
 class TestRowWalkedKernel:
@@ -110,11 +114,21 @@ class TestRowWalkedKernel:
         "m, row_bits", _SHORT_ROWS, ids=[f"{m}-{row_bits}" for m, row_bits in _SHORT_ROWS]
     )
     def test_short_rows_match_literal_sums(self, monkeypatch, row_bits, m):
-        """Rows of 2, 4 and 8 amplitudes run every partner-row pattern, rows of 128 the vecdot halves."""
+        """Rows of 2, 4 and 8 amplitudes run every partner-row pattern, rows of 16 to 128 the runs.
+
+        A row of k bits is copied transposed at its split hi = k // 2, lo =
+        k - hi: rows of 4, 16 and 64 amplitudes split evenly, rows of 2, 8, 32
+        and 128 do not, so the low qubits' runs in the copy and the row's
+        own runs meet at both kinds of split.  Each state is read alone and
+        in the batch.
+        """
         monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
         batch = _stacked_batch(m, np.random.default_rng(700 + 10 * row_bits + m))
         w_minus, w_3 = bilinears(batch)
         for i, amps in enumerate(batch):
+            wm_i, w3_i = bilinears(amps)
+            assert w_minus[i].tobytes() == wm_i.tobytes()
+            assert w_3[i].tobytes() == w3_i.tobytes()
             for nu, (wm, _, w3) in enumerate(w_triples_literal(amps, m)):
                 assert abs(w_minus[i, nu] - wm) <= 1e-15
                 assert abs(w_3[i, nu] - w3) <= 1e-15

@@ -24,9 +24,9 @@ from entdist import (
 )
 from entdist.cli import main
 from entdist.metric import BLOCK_BITS, trace_tol
-from entdist.qstate import ROW_BITS, bloch_vectors
+from entdist.qstate import ROW_BITS, bilinears, bloch_vectors, row_depth
 
-from oracles import brs_n01_counts, covariance_entry_pairwise, random_state
+from oracles import bilinears_extended, brs_n01_counts, covariance_entry_pairwise, random_state
 from test_metric import frame_pairs
 
 pytestmark = pytest.mark.slow
@@ -58,6 +58,23 @@ def test_metric_at_20_to_22_qubits(kind, m):
     for mu, nu in frame_pairs(m):
         reference = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
         assert abs(g[mu, nu] - reference) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [20, 22])
+@pytest.mark.parametrize("kind", ["brs", "haar"])
+def test_bilinears_match_extended_precision(kind, m):
+    """2^6 and 2^8 rows of 2^14: each bilinear within (row_depth(m) + 3) u of extended precision.
+
+    The same bound as at 15-18 qubits in ``tests/test_kernel.py``: each
+    bilinear is a sum whose terms add up to at most 1 in magnitude, of depth
+    at most row_depth(m) (see ``metric.trace_tol``).
+    """
+    s = _state(kind, m)
+    w_minus, w_3 = bilinears(s.amplitudes)
+    ref_minus, ref_3 = bilinears_extended(s.amplitudes, m)
+    bound = (row_depth(m) + 3) * EPS / 2
+    assert float(np.max(np.abs(w_minus - ref_minus))) <= bound
+    assert float(np.max(np.abs(w_3 - ref_3))) <= bound
 
 
 @pytest.mark.parametrize("m", [20, 22])

@@ -776,7 +776,7 @@ class TestSpectrum:
     def test_rejects_a_rank_tol_that_is_not_finite_and_non_negative(self, rank_tol):
         """A NaN tolerance once made nonnull_count read 0 whatever the eigenvalues."""
         em = entanglement_metric(ghzl_state(3, np.pi / 4))
-        with pytest.raises(ValueError, match="^rank_tol must be finite and non-negative, got "):
+        with pytest.raises(ValueError, match="^rank_tol must be a finite real number >= 0, got "):
             spectrum(em, rank_tol=rank_tol)
 
     def test_ghz_rank_one(self):

@@ -1,0 +1,82 @@
+"""One real-number rule: every real argument passes ``qstate.validate_real``.
+
+The sites are the family angles, ``EntanglementMetric.measure`` and
+``Spectrum.rank_tol``, which also has a lower bound of 0.  Each takes a
+``numbers.Real``, not a bool, that is finite, and refuses anything else
+with a ValueError that names the argument.  A valid value is stored as a
+Python float, so the records built from it serialise to JSON.
+"""
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from entdist import EntanglementMetric, FamilySpec, Spectrum
+from entdist.qstate import validate_real
+
+_Z = [0.0, 0.0, 1.0]
+
+# (site, call with the value, argument name in the message)
+_SITES = [
+    ("phi", lambda v: FamilySpec("brs", m=3, phi=v), "angle 'phi'"),
+    ("theta", lambda v: FamilySpec("ghzl", m=3, theta=v), "angle 'theta'"),
+    ("phase", lambda v: FamilySpec("ghzl", m=3, phase=v), "angle 'phase'"),
+    ("gamma", lambda v: FamilySpec("threeq", gamma=v), "angle 'gamma'"),
+    ("tau", lambda v: FamilySpec("threeq", tau=v), "angle 'tau'"),
+    ("measure", lambda v: EntanglementMetric(1, np.zeros((1, 1)), [_Z], v), "measure"),
+    ("rank_tol", lambda v: Spectrum([0.25, 0.0], v), "rank_tol"),
+]
+_NOT_REAL = {
+    "bool": True, "numpy-bool": np.bool_(False), "0-d-array": np.array(0.5), "str": "0.5",
+    "str-exp": "1e-8", "None": None, "complex": 1j, "nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+    "huge-int": 10**400,
+}
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        pytest.param(call, name, value, id=f"{site}-{label}")
+        for site, call, name in _SITES
+        for label, value in _NOT_REAL.items()
+    ],
+)
+def test_sites_refuse_what_is_not_a_finite_real(call, name, value):
+    """A bool, a 0-d array, a string, None, a complex, a non-finite or a huge int raises a ValueError naming it."""
+    with pytest.raises(ValueError) as err:
+        call(value)
+    message = str(err.value)
+    assert message.startswith(f"{name} must be a finite real number")
+    assert message.endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize("value", [-1e-8, -np.float32(1.0), -1], ids=["float", "float32", "int"])
+def test_rank_tol_keeps_its_lower_bound(value):
+    with pytest.raises(ValueError, match=r"^rank_tol must be a finite real number >= 0, got "):
+        Spectrum([0.25, 0.0], value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0, np.int64(1), np.float32(0.5), np.float64(0.25), Fraction(1, 4), 10**300],
+    ids=["int", "int64", "float32", "float64", "fraction", "big-int"],
+)
+def test_valid_reals_are_stored_as_python_floats(value):
+    """np.float32 and a 0-d array once reached the eigs record and failed json.dumps."""
+    spec = FamilySpec("brs", m=3, phi=value)
+    spectrum = Spectrum([0.25, 0.0], value)
+    assert type(spec.phi) is float and type(spectrum.rank_tol) is float
+    assert spec.phi == spectrum.rank_tol == float(value)
+    json.dumps({"spec": spec.to_dict(), "rank_tol": spectrum.rank_tol})
+    em = EntanglementMetric(1, np.zeros((1, 1)), [_Z], 0 * value)
+    assert type(em.measure) is float
+
+
+def test_rule_returns_a_python_float_at_its_bound():
+    assert validate_real("x", np.float32(0.0), 0.0) == 0.0
+    assert type(validate_real("x", np.int64(3))) is float
+    with pytest.raises(ValueError, match=r"^x must be a finite real number >= 0.5, got 0.25$"):
+        validate_real("x", 0.25, 0.5)
