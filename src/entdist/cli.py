@@ -75,19 +75,32 @@ class SweepSpec:
             raise ValueError(
                 f"family {self.family.tag!r} has no sweep angle {self.parameter!r}"
             )
-        _check_grid(self.parameter, self.start, self.stop, self.points)
+        start, stop = _check_grid(self.parameter, self.start, self.stop, self.points)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "stop", stop)
 
 
-def _check_grid(angle: str, start: float, stop: float, points: int) -> None:
-    """One grid rule for sweep and surface: finite span, start < stop, integer points >= 2."""
+def _check_grid(angle: str, start: float, stop: float, points: int) -> tuple[float, float]:
+    """One grid rule for sweep and surface: real ends, a finite span, start < stop, integer points >= 2.
+
+    Each end passes ``qstate.validate_real``, as ``angle '<name>' start`` or
+    ``stop``, and the ends are returned as Python floats; a float infinity
+    or NaN is left to the span check, whose message names both ends.
+    """
+    start, stop = (
+        float(x) if isinstance(x, float) and not math.isfinite(x)
+        else qstate.validate_real(f"angle {angle!r} {end}", x)
+        for end, x in (("start", start), ("stop", stop))
+    )
     # the span is finite only if both ends are and their difference does not overflow
-    if not math.isfinite(float(stop) - float(start)):
+    if not math.isfinite(stop - start):
         raise ValueError(
             f"angle {angle!r} range must be finite, got start = {start!r}, stop = {stop!r}"
         )
     if not start < stop:
         raise ValueError(f"angle {angle!r} range requires start < stop")
     qstate.validate_count(f"angle {angle!r} grid points", points, 2)
+    return start, stop
 
 
 def _fmt(x: float) -> str:
@@ -147,8 +160,8 @@ def run_surface(
     and measured in a single kernel call.  Each axis passes ``_check_grid``,
     gamma first, before any grid is computed.
     """
-    _check_grid("gamma", *gamma_range, points)
-    _check_grid("tau", *tau_range, points)
+    gamma_range = _check_grid("gamma", *gamma_range, points)
+    tau_range = _check_grid("tau", *tau_range, points)
     gammas = np.linspace(*gamma_range, points)
     taus = np.linspace(*tau_range, points)
     amps = three_qubit_amplitudes(gammas, taus)

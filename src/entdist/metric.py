@@ -37,14 +37,11 @@ the whole-vector products.  A state of more qubits goes to the
 direction-frame kernel, ``_frame_metric``: each qubit is rotated so that
 its A_nu becomes Z, and g is the covariance of M +-1 spins under the
 rotated probabilities, read a block at a time, in a working memory of two
-blocks whatever M.  ``_frame_runs`` splits the qubits by M.  A state
-that fits one block of 2**(ROW_BITS + BLOCK_BITS) amplitudes takes one
-pass as one row, turned in ceil(M/4) Kronecker factors; a larger one
-splits into L <= ROW_BITS low qubits and runs of high ones, one row pass
-per run, for the fewest passes whose blocks and column strips fit the
-block.  Both kernels produce only the moments <A_mu> and
-<A_mu A_nu>; ``_metric_from_moments`` assembles g from them, with the
-diagonal of ``_diagonal``, for both.
+blocks whatever M.  ``_frame_passes`` plans its passes, each naming the
+qubits it turns as the row bits and the column bits of its blocks, and
+every block fits 2**(ROW_BITS + BLOCK_BITS) amplitudes.  Both kernels
+produce only the moments <A_mu> and <A_mu A_nu>; ``_metric_from_moments``
+assembles g from them, with the diagonal of ``_diagonal``, for both.
 """
 from __future__ import annotations
 
@@ -120,25 +117,25 @@ def trace_tol(m: int) -> float:
     the m qubits add m^2 u / 2.
 
     Above ROW_BITS qubits e is a signed sum of p = |phi|^2, phi the state
-    rotated by one row pass of the direction-frame kernel, over its L low
-    qubits and one run J of high ones (``_frame_runs``), through G =
-    ceil(L/4) + ceil(|J|/4) Kronecker factors (16 terms per output each).
-    The split keeps L + |J| <= ROW_BITS + BLOCK_BITS = 17, and G <= 5 at
-    every m from 15 to MAX_QUBITS: (L, |J|) is (m, 0) at m = 15-17, one
-    pass over the whole state with G = ceil(m/4), (14, 3 or less) at
-    18-20, (13, 4) at 21, (12, 5), (11, 6), (10, 7) and (9, 8) at 22-25,
-    and (12, 5 or less) at 26.  A 16 x 16 unitary factor K moves a vector by
-    at most gamma_18 || |K| ||_2 <= 72 u of its 2-norm (|| |K| ||_F = 4),
-    so p loses at most 144 G u of its unit mass.  Its sums add the
-    2^(m-L-|J|) blocks of a pass in turn, at most 2^10 (m = 26), then at
-    most 2^8 + 2^9 terms in ``qstate._spin_moments`` (L + |J| <= 17 bits,
-    split in halves), a depth below 2^11 < n.  So the diagonal entry is off by
-    at most 0.71 (n + 144 G) u, which adds at most 511 u per qubit, below
-    0.04 n u.  The bound 2 m (n + m) u covers the sum in both cases with
-    room to spare: at m = 20 it is 7.3e-11.  The largest gap measured on
-    chain-phase (phi = 0.3), GHZ-like (theta = 0.7, phase 0.2) and Haar
-    states at m = 15-24 is 5.1e-14 (chain phase, m = 18), and no gap
-    exceeds 7.9e-4 of its bound.
+    rotated by one pass of the direction-frame kernel (``_frame_passes``),
+    in groups of four qubits, one Kronecker factor each (16 terms per
+    output).  Every block of the plan fits ROW_BITS + BLOCK_BITS = 17 bits,
+    and so no amplitude passes through more than G = 5 factors: a block of L
+    column and |J| row bits, L + |J| <= 17, takes ceil(L/4) + ceil(|J|/4) <=
+    5, and the column pass, a strip of H <= 17 high bits, ceil(H/4) <= 5.  A
+    16 x 16 unitary factor K moves a vector by at most gamma_18 || |K| ||_2
+    <= 72 u of its 2-norm (|| |K| ||_F = 4), so p loses at most 144 G u of
+    its unit mass.  Its sums add the blocks of a pass in turn, 2^m over the
+    block size: the rule fills the longest block to 17 bits and its runs
+    differ by one qubit at most, so a block holds at least 2^16 amplitudes,
+    and there are at most 2^10 blocks (m = 26).  ``qstate._spin_moments``
+    then adds at most 2^8 + 2^9 terms (17 bits, split in halves), a depth
+    below 2^11 < n.  So the diagonal entry is off by at most 0.71 (n + 144 G)
+    u, which adds at most 511 u per qubit, below 0.04 n u.  The bound 2 m (n
+    + m) u covers the sum in both cases with room to spare: at m = 20 it is
+    7.3e-11.  The largest gap measured on chain-phase (phi = 0.3), GHZ-like
+    (theta = 0.7, phase 0.2) and Haar states at m = 15-24 is 6.2e-14 (chain
+    phase, m = 22), and no gap exceeds 7.9e-4 of its bound.
     """
     return 2.0 * m * (row_depth(m) + m) * _UNIT_ROUNDOFF
 
@@ -385,33 +382,31 @@ def _rotate(
     return x
 
 
-def _frame_runs(m: int, k: int) -> list[int]:
-    """Bounds [L, ..., M] of the direction-frame kernel's runs for M > k qubits in rows of 2^k.
+def _frame_passes(m: int, k: int) -> list[tuple[range, range]]:
+    """The direction-frame kernel's plan for M > k qubits in rows of 2^k: (row bits, column bits) per pass.
 
-    Qubits below L are the low qubits, rotated in every row pass; run i,
-    qubits bounds[i] .. bounds[i + 1] - 1, is one row pass's high qubits J,
-    the runs as even as they divide.  A block, L low bits and the longest
-    run, must fit in the block budget of k + BLOCK_BITS bits, and so must a
-    column strip, all M - L high bits, when there is more than one run.  A
-    state that fits one block, M <= k + BLOCK_BITS, is one pass of one
-    row, [M, M]: L = M and an empty run, so the pass turns the whole state
-    in ceil(M/4) Kronecker factors.  A larger state takes the fewest passes
-    for which some L <= k fits, and among those the largest L: at k =
-    ROW_BITS = 14, (L, passes) is (M, 1) at M = 15-17, (14, 2) at 18-20,
-    (13, 2) at 21, (12, 2) at 22, down to (9, 2) at 25, and (12, 3) at 26.
-    Only rows shorter than M - k - BLOCK_BITS bits, which M <= MAX_QUBITS
-    never gives at k = ROW_BITS, leave no L whose strip fits; the strip
-    then holds the M - k high bits.
+    A pass turns the qubits it names, its row bits as the rows of its
+    blocks and its column bits as their columns, and gives their moments.
+    The high qubits, L to M - 1, split into runs as even as they divide,
+    and each run J is one row pass, (J, the L low qubits).  With several
+    runs, the column pass, (every high qubit, none), gives the pairs across
+    runs, from strips of columns; it comes first, and the kernel keeps a
+    qubit's or a pair's moments from the last pass that turns it, so the
+    row passes give the first moments and the pairs inside a run.  The
+    rule: the fewest passes, then the largest L <= min(M, k + BLOCK_BITS),
+    for which every block, L + |J| bits, fits k + BLOCK_BITS and the column
+    strip, M - L high bits, fits max(k + BLOCK_BITS, M - k).  So a state
+    that fits one block is one pass, (none, all M qubits), turned as one
+    row in ceil(M/4) Kronecker factors.
     """
     budget = k + BLOCK_BITS
-    if m <= budget:
-        return [m, m]
-    strip = max(budget, m - k)
     for passes in range(1, m - k + 1):  # at m - k passes, one qubit per run, L = k always fits
-        for low in range(k, 0, -1):
+        for low in range(min(m, budget), 0, -1):
             run = -(-(m - low) // passes)  # the longest run
-            if low + run <= budget and (passes == 1 or m - low <= strip):
-                return [low + (m - low) * i // passes for i in range(passes + 1)]
+            if low + run <= budget and m - low <= max(budget, m - k):
+                bounds = [low + (m - low) * i // passes for i in range(passes + 1)]
+                plan = [(range(start, stop), range(low)) for start, stop in zip(bounds, bounds[1:])]
+                return plan if passes == 1 else [(range(low, m), range(0))] + plan
 
 
 def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -421,38 +416,30 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     phi = (U_{M-1} x ... x U_0)|s>, every A_nu becomes Z_nu, so <A_nu> and
     <A_mu A_nu> are the first and second moments of the M spins s_nu = +-1
     (bit nu clear or set) under p = |phi|^2.  phi would take 2^M amplitudes;
-    ``rows``, the state's (2^(M-k), 2^k) ``qstate.row_view`` (k is read
-    from its width), are instead read as (2^(M-L), 2^L) rows of the L low
-    qubits, L from ``_frame_runs``, in blocks that fit the budget of
-    2^(k+BLOCK_BITS) amplitudes, and never written.  A state that fits
-    one block has L = M: it is one row, and one pass with an empty run J
-    turns it whole.
+    the state, from ``rows``, its (2^(M-k), 2^k) ``qstate.row_view`` (k is
+    read from its width), is instead read in place, never written, a block
+    at a time, in the passes of ``_frame_passes``.
 
-    * Row passes.  The M - L high qubits split into the runs J of
-      ``_frame_runs``, each taken by one pass.  A block holds the 2^|J|
-      rows that differ only in J, a strided slice of the rows; ``_rotate``
-      turns it in J and in the L low qubits, in groups of four qubits (a
-      16 x 16 Kronecker factor each), and |.|^2 of the result is added into
-      a 2^(L+|J|) accumulator.  That is the joint distribution of the
-      rotated low and J spins, and ``_spin_moments`` gives its moments once,
-      at the end of the pass: the low block, the low-J block and the J block.
-    * When there is more than one run, one column pass gives the pairs of
-      high qubits in different runs: strips of columns of the (2^(M-L),
-      2^L) rows, read in place and rotated in every high qubit, accumulate
-      the distribution of the M - L high spins.  The first moments of the
-      high spins come from their row passes, with their low-J pairs.
+    A pass with row bits J and column bits C reads blocks of the 2^|J|
+    rows that differ only in J, a strided slice of the state, and of 2^w
+    columns: C, or in the column pass as many low qubits as fill the work
+    buffer.  ``_rotate`` turns each block in J and C, in groups of four
+    qubits (a 16 x 16 Kronecker factor each), and |.|^2 of the result is
+    added into one accumulator.  That is the joint distribution of the
+    turned spins, once the column pass has added up the columns it does
+    not turn, and ``_spin_moments`` gives their moments at the end of the
+    pass.
 
-    Working memory is two blocks of at most 2^(k+BLOCK_BITS) amplitudes and
-    one accumulator of as many floats, whatever M.
+    Working memory is two blocks of the plan's largest, at most
+    2^(k+BLOCK_BITS) amplitudes unless a row's index has more bits, and one
+    accumulator of as many floats, whatever M.
     """
     m = len(dirs)
     k = rows.shape[-1].bit_length() - 1
-    bounds = _frame_runs(m, k)
-    low, high = bounds[0], m - bounds[0]
-    rows = rows.reshape(-1, 1 << low)
+    passes = _frame_passes(m, k)
+    bits = max(len(row_bits) + len(col_bits) for row_bits, col_bits in passes)
     u = _frame_unitaries(dirs)
-    low_factors = _kron_factors(u, list(range(low)))
-    n = 1 << min(m, max(k + BLOCK_BITS, high))  # the whole state in one pass; else the budget
+    n = 1 << bits
     # one allocation for the two blocks and the sums: three separate ones were mapped afresh,
     # page by page, on every call at M = 16
     work = np.empty(5 * n // 2, dtype=np.complex128)
@@ -460,35 +447,24 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     sums = work[2 * n :].view(float)  # each pass's accumulator is a prefix of it
     e = np.empty(m)
     c = np.empty((m, m))
-
-    def accumulate(total: np.ndarray, y: np.ndarray) -> None:
-        """Add |y|^2 to ``total``: y's real and imaginary parts, squared in place."""
-        squares = y.reshape(-1).view(float)
-        np.square(squares, out=squares)
-        total += squares[0::2]
-        total += squares[1::2]
-
-    for start, stop in zip(bounds, bounds[1:]):
-        run = list(range(start, stop))  # J: the block's rows differ in these qubits
-        run_factors = _kron_factors(u, run)
-        blocks = rows.reshape(1 << (m - stop), 1 << len(run), 1 << (start - low), 1 << low)
-        total = sums[: 1 << (low + len(run))]
+    for row_bits, col_bits in passes:
+        j = len(row_bits)
+        w = len(col_bits) or bits - j  # the block's columns; the column pass fills the buffer with them
+        blocks = rows.reshape(1 << (m - row_bits.stop), 1 << j, 1 << (row_bits.start - w), 1 << w)
+        row_factors, col_factors = _kron_factors(u, list(row_bits)), _kron_factors(u, list(col_bits))
+        total = sums[: 1 << (j + w)]
         total.fill(0.0)
         for outer in range(blocks.shape[0]):
             for inner in range(blocks.shape[2]):
-                block = blocks[outer, :, inner, :]
-                accumulate(total, _rotate(block, run_factors, low_factors, buffers))  # (2^L, 2^|J|)
-        qubits = run + list(range(low))
+                y = _rotate(blocks[outer, :, inner, :], row_factors, col_factors, buffers)
+                squares = y.reshape(-1).view(float)  # |y|^2: its real and imaginary parts, squared in place
+                np.square(squares, out=squares)
+                total += squares[0::2]
+                total += squares[1::2]
+        if not col_bits:  # the column pass: add up the strip's columns, which trail its row bits
+            total = total.reshape(1 << j, 1 << w).sum(axis=1)
+        qubits = list(row_bits) + list(col_bits)  # the turned block's index: J's bits low, C's high
         e[qubits], c[np.ix_(qubits, qubits)] = _spin_moments(total)
-    if len(bounds) > 2:
-        qubits = list(range(low, m))
-        factors = _kron_factors(u, qubits)
-        width = n >> high  # columns per strip
-        total = sums
-        total.fill(0.0)
-        for col in range(0, 1 << low, width):
-            accumulate(total, _rotate(rows[:, col : col + width], factors, [], buffers))  # (2^(M-L), width)
-        c[np.ix_(qubits, qubits)] = _spin_moments(total.reshape(1 << high, width).sum(axis=1))[1]
     return _metric_from_moments(e, c)
 
 

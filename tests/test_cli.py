@@ -545,6 +545,7 @@ class TestSurface:
 
 _BRS3 = FamilySpec("brs", m=3)
 _POINTS = "grid points must be an integer >= 2, got"
+_REAL = "must be a finite real number, got"
 
 
 @pytest.mark.parametrize(
@@ -557,10 +558,17 @@ _POINTS = "grid points must be an integer >= 2, got"
         (lambda: run_surface((0.0, 1.0), (2.0, 1.0), 3), "angle 'tau' range requires start < stop"),
         (lambda: run_surface((0.0, 1.0), (0.0, 1.0), 1), f"angle 'gamma' {_POINTS} 1"),
         (lambda: run_surface((0.0, 1.0), (0.0, 1.0), 2.5), f"angle 'gamma' {_POINTS} 2.5"),
+        (lambda: SweepSpec(_BRS3, "phi", False, True, 3), f"angle 'phi' start {_REAL} False"),
+        (lambda: SweepSpec(_BRS3, "phi", "0", "1", 3), f"angle 'phi' start {_REAL} '0'"),
+        (lambda: SweepSpec(_BRS3, "phi", 0, "1", 3), f"angle 'phi' stop {_REAL} '1'"),
+        (lambda: SweepSpec(_BRS3, "phi", 10**400, 10**401, 3), f"angle 'phi' start {_REAL} {10**400}"),
+        (lambda: run_surface((0.0, 1.0), (0.0, True), 3), f"angle 'tau' stop {_REAL} True"),
     ],
     ids=[
         "sweep-other-family", "sweep-order", "sweep-one-point", "sweep-fractional-points",
         "surface-order", "surface-one-point", "surface-fractional-points",
+        "sweep-bool-ends", "sweep-string-ends", "sweep-string-stop", "sweep-int-beyond-float",
+        "surface-bool-stop",
     ],
 )
 def test_grid_rule_names_the_angle(build, message):
@@ -568,6 +576,13 @@ def test_grid_rule_names_the_angle(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_grid_ends_are_stored_as_python_floats():
+    """An int or a numpy float end passes the real-number rule and is kept as a Python float."""
+    spec = SweepSpec(_BRS3, "phi", 0, np.float64(1.5), 3)
+    assert (type(spec.start), type(spec.stop)) == (float, float)
+    assert (spec.start, spec.stop) == (0.0, 1.5)
 
 
 _SWEEP_BRS3 = ["sweep", "--family", "brs", "--m", "3"]

@@ -3,7 +3,7 @@
 At these sizes ``metric_matrix`` reads the state in many blocks of rows,
 and every sum runs over 2^20 or more amplitude products, so rounding is
 at its largest.  A separate pass over the whole vectors checks the entries
-that each part of the kernel's split gives.
+that each pass of the kernel's plan gives.
 """
 from __future__ import annotations
 
@@ -54,7 +54,6 @@ def test_metric_at_20_to_22_qubits(kind, m):
     eig_tol = m * EPS * em.measure
     assert np.linalg.eigvalsh(g)[0] >= -eig_tol
     assert abs(float(np.sum(em.eigenvalues)) - em.measure) <= trace_tol(m) + eig_tol
-    # M = 21 is the first size whose split takes fewer than ROW_BITS low qubits
     for mu, nu in frame_pairs(m):
         reference = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
         assert abs(g[mu, nu] - reference) <= 1e-13

@@ -31,7 +31,7 @@ from entdist.metric import (
     BLOCK_BITS,
     DEGENERATE_TOL,
     _diagonal,
-    _frame_runs,
+    _frame_passes,
     _frame_unitaries,
     _metric_from_moments,
     check_metrics,
@@ -338,7 +338,7 @@ class TestRowBlockedMetric:
         np.testing.assert_allclose(rows, one_row, rtol=0, atol=1e-15)
 
     def test_short_rows_reach_several_passes_and_the_column_pass(self, monkeypatch):
-        """The grid above runs the kernel in one pass, in two and in three, with the column pass."""
+        """The grid above runs plans of one pass, and of two and three row passes with the column pass."""
         rotate = metric._rotate
         calls = []
 
@@ -353,8 +353,8 @@ class TestRowBlockedMetric:
             for m in range(max(3, row_bits + 1), 9):
                 calls.clear()
                 metric_matrix(StateVector(m, random_state(m, np.random.default_rng(m))), np.tile(Z, (m, 1)))
-                reached.add((len(_frame_runs(m, row_bits)) - 1, "column" in calls))
-        assert reached == {(1, False), (2, True), (3, True)}
+                reached.add((len(_frame_passes(m, row_bits)), "column" in calls))
+        assert reached == {(1, False), (3, True), (4, True)}
 
     @pytest.mark.parametrize("m", [3, 15])
     def test_nan_amplitude_gives_a_nan_diagonal(self, m):
@@ -409,10 +409,10 @@ def _frame_entry_tol(m: int) -> float:
     """Rounding bound on an entry of the direction-frame metric of m > ROW_BITS qubits.
 
     The kernel rotates each amplitude through G Kronecker factors, each
-    output a sum of at most 16 complex terms: ceil(L/4) + ceil(|J|/4) in a
-    row pass over the L low qubits and a run J, ceil((m - L)/4) in the
-    column pass; G is the larger, ceil(m/4) for a state that fits one
-    block (L = m, |J| = 0: 4 at m = 15-16, 5 at 17) and 5 above it.  A factor K
+    output a sum of at most 16 complex terms: ceil(|R|/4) + ceil(|C|/4) in
+    a pass of ``_frame_passes`` with row bits R and column bits C, and G
+    the largest over the plan, at most 5, since every block fits
+    ROW_BITS + BLOCK_BITS = 17 bits.  A factor K
     moves a vector by at most gamma_18 || |K| ||_2 <= 18 u * 4 in 2-norm
     (|| |K| ||_F = 4 for a 16 x 16 unitary), so p = |phi|^2 loses at most
     2 * 72 G u of its unit mass.  Its signed sums, the blocks or strips of
@@ -421,31 +421,28 @@ def _frame_entry_tol(m: int) -> float:
     is within delta = (row_depth(m) + 144 G) u, and g = (C - e_mu e_nu) / 4
     within 3 delta / 4.  The pairwise oracle adds (128 + m) u at most.
     """
-    bounds = _frame_runs(m, qstate.ROW_BITS)
-    low = bounds[0]
-    groups = max(-(-low // 4) + -(-(stop - start) // 4) for start, stop in zip(bounds, bounds[1:]))
-    if len(bounds) > 2:
-        groups = max(groups, -(-(m - low) // 4))
+    plan = _frame_passes(m, qstate.ROW_BITS)
+    groups = max(-(-len(row_bits) // 4) + -(-len(col_bits) // 4) for row_bits, col_bits in plan)
     u = np.finfo(float).eps / 2.0
     return (0.75 * (qstate.row_depth(m) + 144 * groups) + 128 + m) * u
 
 
 def frame_pairs(m: int) -> list[tuple[int, int]]:
-    """Entries of an m-qubit metric that each part of the direction-frame kernel gives.
+    """Entries of an m-qubit metric that each pass of the direction-frame kernel gives.
 
-    From the kernel's split (``_frame_runs``) into L low qubits and runs of
-    high ones: a pair of low qubits, a pair across two Kronecker factors, a
-    low qubit with the last qubit and a diagonal entry; when L < m, the
-    pair across the low/high boundary and a pair inside the last run; and,
-    when there are several runs, a pair across runs, which the column pass
-    gives.  A state that fits one block (L = m) is one pass of low qubits.
+    Two qubits in one Kronecker factor and two across factors, the first
+    and the last qubit and a diagonal entry; then, from each pass of
+    ``_frame_passes`` that has row bits, the pair of its first and last row
+    bit (across runs, in the column pass) and the pair of its last column
+    bit and first row bit.
     """
-    bounds = _frame_runs(m, qstate.ROW_BITS)
-    low = bounds[0]
-    pairs = [(0, 1), (3, 4), (0, m - 1), (m - 1, m - 1)]
-    if low < m:
-        pairs += [(low - 1, low), (bounds[-2], m - 1)]
-    return pairs + [(low, m - 1)] if len(bounds) > 2 else pairs
+    pairs = {(0, 1), (3, 4), (0, m - 1), (m - 1, m - 1)}
+    for row_bits, col_bits in _frame_passes(m, qstate.ROW_BITS):
+        if row_bits:
+            pairs.add((row_bits[0], row_bits[-1]))
+        if row_bits and col_bits:
+            pairs.add((col_bits[-1], row_bits[0]))
+    return sorted(pairs)
 
 
 class TestDirectionFrameMetric:
@@ -482,38 +479,42 @@ class TestDirectionFrameMetric:
 
     @pytest.mark.parametrize("k", range(1, qstate.ROW_BITS + 1))
     def test_split_keeps_its_invariants(self, k):
-        """The split ``_frame_runs`` documents, for rows of 2^k and every M from k + 1 to 26.
+        """``_frame_passes`` for rows of 2^k and every M from k + 1 to 26: every pair, blocks that fit.
 
-        A state that fits one block, M <= k + BLOCK_BITS, is one pass with L
-        = M and an empty run.  A larger one has L <= k low qubits, runs that
-        differ in length by one at most, a block of L low bits and the
-        longest run within the budget of k + BLOCK_BITS bits, and, with
-        several runs, a column strip of the M - L high bits within it or
-        within the M - k bits of a row's index.
+        Every pair mu <= nu of qubits is turned together by some pass, so
+        the kernel gives every moment.  Every row pass's block, its column
+        bits and its run of row bits, fits k + BLOCK_BITS bits, and with
+        several passes the column pass's strip of high bits fits the larger
+        of k + BLOCK_BITS and the M - k bits of a row's index.
         """
         for m in range(k + 1, qstate.MAX_QUBITS + 1):
-            bounds = _frame_runs(m, k)
-            if m <= k + BLOCK_BITS:
-                assert bounds == [m, m], (m, bounds)
-                continue
-            low, runs = bounds[0], np.diff(bounds)
-            assert 1 <= low <= k and bounds[-1] == m, (m, bounds)
-            assert runs.min() >= 1 and runs.max() - runs.min() <= 1, (m, bounds)
-            assert low + runs.max() <= k + BLOCK_BITS, (m, bounds)
-            if len(runs) > 1:
-                assert m - low <= max(k + BLOCK_BITS, m - k), (m, bounds)
+            plan = _frame_passes(m, k)
+            together = np.zeros((m, m), dtype=bool)
+            for row_bits, col_bits in plan:
+                qubits = list(row_bits) + list(col_bits)
+                together[np.ix_(qubits, qubits)] = True
+                if col_bits:
+                    assert len(row_bits) + len(col_bits) <= k + BLOCK_BITS, (m, plan)
+                elif len(plan) > 1:
+                    assert len(row_bits) <= max(k + BLOCK_BITS, m - k), (m, plan)
+            assert together.all(), (m, plan)
 
     def test_split_at_row_bits_is_the_documented_table(self):
-        """(L, passes) at k = ROW_BITS = 14 for M = 15-26, as the ``_frame_runs`` docstring gives it."""
-        table = {15: (15, 1), 16: (16, 1), 17: (17, 1), 18: (14, 2), 19: (14, 2), 20: (14, 2),
+        """(L, row passes) at k = ROW_BITS = 14 for M = 15-26: L column bits in every row pass."""
+        table = {15: (15, 1), 16: (16, 1), 17: (17, 1), 18: (16, 2), 19: (15, 2), 20: (14, 2),
                  21: (13, 2), 22: (12, 2), 23: (11, 2), 24: (10, 2), 25: (9, 2), 26: (12, 3)}
         assert qstate.ROW_BITS == 14
-        split = {m: (bounds[0], len(bounds) - 1) for m in table for bounds in [_frame_runs(m, 14)]}
+        split = {}
+        for m in table:
+            row_passes = [col_bits for _, col_bits in _frame_passes(m, 14) if col_bits]
+            assert len(set(row_passes)) == 1, (m, row_passes)
+            split[m] = (len(row_passes[0]), len(row_passes))
         assert split == table
 
     @pytest.mark.parametrize("m", [15, 16, 17])
     def test_a_state_that_fits_one_block_is_one_rotation(self, monkeypatch, m):
-        """One ``_rotate`` call per state, in ceil(M/4) column factors and no row-bit factor."""
+        """A one-pass plan that turns all M qubits as column bits: one ``_rotate`` call, ceil(M/4) factors."""
+        assert _frame_passes(m, qstate.ROW_BITS) == [(range(m, m), range(m))]
         rotate = metric._rotate
         calls = []
 
@@ -541,8 +542,14 @@ class TestDirectionFrameMetric:
             assert f.shape == chain.shape
             assert np.max(np.abs(f - chain)) <= 4 * np.finfo(float).eps
 
-    @pytest.mark.parametrize("m, row_bits, bounds", [(12, 5, [4, 8, 12]), (15, 7, [5, 10, 15])])
-    def test_split_below_the_row_width(self, monkeypatch, m, row_bits, bounds):
+    @pytest.mark.parametrize(
+        "m, row_bits, plan",
+        [
+            (12, 5, [(range(4, 12), range(0)), (range(4, 8), range(4)), (range(8, 12), range(4))]),
+            (15, 7, [(range(5, 15), range(0)), (range(5, 10), range(5)), (range(10, 15), range(5))]),
+        ],
+    )
+    def test_split_below_the_row_width(self, monkeypatch, m, row_bits, plan):
         """Short rows that make the kernel take L < ROW_BITS low qubits, as M = 21-26 do.
 
         At (15, 7) each run has five qubits, two Kronecker factors.  The
@@ -553,7 +560,7 @@ class TestDirectionFrameMetric:
         dirs = _random_directions(rng, m)
         whole = metric_matrix(s, dirs)
         monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
-        assert _frame_runs(m, row_bits) == bounds
+        assert _frame_passes(m, row_bits) == plan
         g = metric_matrix(s, dirs)
         tol = _frame_entry_tol(m)
         np.testing.assert_allclose(g, whole, rtol=0, atol=tol)
