@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,7 +81,9 @@ def validate_real(name: str, value, lo: float | None = None) -> float:
     It must be a ``numbers.Real`` (a Python or numpy int or float), not a
     bool, finite, and at least ``lo`` unless that is None.  Anything else,
     a 0-d array or a string included, raises a ValueError that names the
-    argument and the bound.
+    argument and the bound.  The message quotes the value by
+    ``reprlib.repr``, which keeps an ordinary value's ``repr`` and cuts a
+    long one, such as 10**400, to a few dozen characters.
     """
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
@@ -90,7 +93,7 @@ def validate_real(name: str, value, lo: float | None = None) -> float:
         if math.isfinite(x) and (lo is None or x >= lo):
             return x
     bound = "" if lo is None else f" >= {lo:g}"
-    raise ValueError(f"{name} must be a finite real number{bound}, got {value!r}")
+    raise ValueError(f"{name} must be a finite real number{bound}, got {reprlib.repr(value)}")
 
 
 def row_depth(m: int) -> int:

@@ -10,10 +10,15 @@ Three cross checks, none of which use the analytic minimizer v = b/|b|:
   single-qubit rotations.
 
 ``verify_state`` runs all three on one state against their thresholds and
-returns the ``entdist verify`` record.
+returns the ``entdist verify`` record.  It holds the state, one copy for
+the dressings and blocks of at most 2^DRESS_BITS amplitudes, whatever M:
+the partial trace reads the state in chunks, and each dressing turns the
+copy in place.
 """
 from __future__ import annotations
 
+import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,18 +31,20 @@ from .metric import (
 )
 from .qstate import (
     StateVector,
-    _apply_one_qubit_matrix,
     _haar_unitary,
     bilinears,
     bloch_vectors,
     row_depth,
     validate_count,
     validate_directions,
+    validate_real,
 )
 
 DEFAULT_RESTARTS = 8
 DEFAULT_TOL = 1e-8
 MAX_STEPS = 100  # ascent steps before minimize_trace_numeric reports no convergence
+CHUNK_BITS = 14  # the partial trace sums at most 2**CHUNK_BITS pairs of its half-views at a time (256 KiB)
+DRESS_BITS = 17  # a dressing turns at most 2**DRESS_BITS amplitudes per matmul
 
 # thresholds that verify_state enforces; the Bloch one is bloch_tol(M)
 INVARIANCE_TOL = 1e-9
@@ -76,14 +83,24 @@ def minimize_trace_numeric(
     on Matrix Manifolds, 2008).  Only rows whose gradient norm is at least
     ``tol`` move, which keeps a vanishing L out of the division; the ascent
     stops when none does (``converged``) or after ``MAX_STEPS`` steps
-    (``iterations`` counts them).  Deterministic for a fixed seed; the
-    best restart wins.
+    (``iterations`` counts them).  ``tol`` passes ``qstate.validate_real``
+    and must be positive.  Deterministic for a fixed seed; the best
+    restart wins.
     """
+    return _minimize_trace(state, restarts, tol, seed, None)
+
+
+def _minimize_trace(
+    state: StateVector, restarts: int, tol: float, seed: int, bloch: np.ndarray | None
+) -> OptimizerReport:
+    """``minimize_trace_numeric`` from the state's (M, 3) Bloch vectors, or from its bilinears if None."""
     restarts = validate_count("restarts", restarts, 1)
     seed = validate_count("seed", seed, 0)
-    if not tol > 0.0:  # also true for NaN
+    tol = validate_real("tol", tol)
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
-    bloch = bloch_vectors(*bilinears(state.amplitudes))  # (m, 3)
+    if bloch is None:
+        bloch = bloch_vectors(*bilinears(state.amplitudes))
     lipschitz = 2.0 * np.sum(bloch * bloch, axis=1)
     v = np.random.default_rng(seed).normal(size=(restarts,) + bloch.shape)
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
@@ -120,18 +137,50 @@ def bloch_vector_oracle(state: StateVector, qubit: int) -> np.ndarray:
 def reduced_density_matrix(state: StateVector, qubit: int) -> np.ndarray:
     """One-qubit reduced density matrix from the partial-trace oracle.
 
-    rho_ij sums psi_i conj(psi_j) over the other qubits' indices by
-    ``np.sum``, pairwise (see ``bloch_tol``), over products of the
-    qubit's two half-views; no temporary is larger than the state.
+    rho_ij sums psi_i conj(psi_j) over the other qubits' indices, psi_0 and
+    psi_1 the qubit's two half-views of the state.  The sums run over
+    chunks of 2^c pairs, c = min(M - 1, CHUNK_BITS): a chunk is whole
+    2^qubit runs of the half-views for a qubit below c, and a piece of one
+    run above it.  A chunk's products psi_0 conj(psi_1), and the squares of
+    the real and imaginary parts of psi_0 and of psi_1, go to contiguous
+    buffers that ``np.sum`` adds pairwise, and one more pairwise ``np.sum``
+    adds the chunks' partials (see ``bloch_tol``).  The state is read in
+    place, never copied: no temporary is larger than a chunk, 2^c complex
+    entries.
     """
     m = state.num_qubits
     qubit = validate_count("qubit index", qubit, 0, m - 1)
-    psi = state.amplitudes.reshape(1 << (m - 1 - qubit), 2, 1 << qubit)
-    half0, half1 = psi[:, 0, :], psi[:, 1, :]
-    rho01 = np.sum(half0 * np.conj(half1))
-    rho00 = np.sum(np.abs(half0) ** 2)
-    rho11 = np.sum(np.abs(half1) ** 2)
-    return np.array([[rho00, rho01], [np.conj(rho01), rho11]])
+    chunk = 1 << min(m - 1, CHUNK_BITS)
+    inner = 1 << qubit
+    width = min(inner, chunk)
+    shape = (-1, chunk // width, 2, inner // width, width)  # (row groups, rows, half, runs, width)
+    psi = state.amplitudes.reshape(shape)
+    floats = state.amplitudes.view(np.float64).reshape(psi.shape[:-1] + (2 * width,))
+    groups, runs = psi.shape[0], psi.shape[3]
+    off = np.empty(groups * runs, dtype=np.complex128)
+    diag = np.empty((2, groups * runs))
+    prod = np.empty((psi.shape[1], width), dtype=np.complex128)
+    squares = np.empty((psi.shape[1], 2 * width))
+    for i, (g, r) in enumerate(np.ndindex(groups, runs)):
+        for h in (0, 1):
+            np.square(floats[g, :, h, r], out=squares)
+            diag[h, i] = np.sum(squares)
+        np.conjugate(psi[g, :, 1, r], out=prod)
+        prod *= psi[g, :, 0, r]
+        off[i] = np.sum(prod)
+    rho01 = np.sum(off)
+    return np.array([[np.sum(diag[0]), rho01], [np.conj(rho01), np.sum(diag[1])]])
+
+
+def _sum_depth(bits: int) -> int:
+    """Rounding depth of a pairwise ``np.sum`` of 2^bits contiguous terms (see ``bloch_tol``)."""
+    return min(1 << bits, bits + 21)
+
+
+def _oracle_depth(m: int) -> int:
+    """Rounding depth of the partial trace's nested sums at m qubits: a chunk's 2^(c+1) squares, then the partials."""
+    c = min(m - 1, CHUNK_BITS)
+    return _sum_depth(c + 1) + (_sum_depth(m - 1 - c) if m - 1 > c else 0)
 
 
 def bloch_tol(m: int) -> float:
@@ -143,54 +192,119 @@ def bloch_tol(m: int) -> float:
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).  The
     depth is at most ``row_depth(m)`` for ``qstate.bilinears``, whose sums
     ``metric.trace_tol`` takes one by one; the signs of w_3 multiply
-    exactly.  The oracle's
-    ``np.sum`` of N = 2^(m-1) terms is pairwise: depth at most 25 within a
-    block of 128 (eight accumulators of 16 terms, three levels, 7 leftover
-    terms), one more per halving of a longer array (at most m - 6) and one
-    for the start value, so at most m + 20, and never more than N.  The
-    bound 2 (n_kernel + n_oracle + 3) u covers the sum of the two errors:
-    3.7e-12 at m = 20, 3.3e-15 at m = 3.
+    exactly.
+
+    The oracle nests two pairwise ``np.sum`` calls over contiguous arrays,
+    and a nested sum's depth is the sum of the two depths.  A pairwise sum
+    of 2^j terms has depth at most 25 within a block of 128 (eight
+    accumulators of 16 terms, three levels, 7 leftover terms), one more
+    per halving of a longer array (at most j - 5) and one for the start
+    value, so at most j + 21, and never more than 2^j.  A chunk of 2^c
+    pairs, c = min(m - 1, CHUNK_BITS), sums 2^c products for rho_01 and
+    2^(c+1) squares, each exact but for one rounding, for rho_00 or
+    rho_11: depth at most j + 21 with j = c + 1.  The sum of the
+    2^(m - 1 - c) partials adds j + 21 more with j = m - 1 - c when there
+    are several, and nothing when there is one.  So the oracle's depth is
+    min(2^m, m + 21) up to m = CHUNK_BITS + 1, and 36 + min(2^(m-15),
+    m + 6) above it: 62 at m = 20 and 68 at m = 26.  The bound
+    2 (n_kernel + n_oracle + 3) u covers the sum of the two errors:
+    4.2e-15 at m = 3, 3.7e-12 at m = 20 and 4.6e-12 at m = 26.
     """
-    return 2.0 * (row_depth(m) + min(1 << (m - 1), m + 20) + 3) * _UNIT_ROUNDOFF
+    return 2.0 * (row_depth(m) + _oracle_depth(m) + 3) * _UNIT_ROUNDOFF
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two square matrices, the same products without np.kron's general-shape overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
+def _dress(work: np.ndarray, unitaries: list[np.ndarray], buf: np.ndarray) -> None:
+    """Apply u_{M-1} x ... x u_0 to the 2^M amplitudes ``work`` in place, four qubits at a time.
+
+    Qubits 4g .. 4g + 3 (fewer in the last group) act as one Kronecker
+    product f of size d <= 16, its highest qubit the most significant bit.
+    Seen as (outer, d, 2^(4g)), ``work`` is turned in blocks of at most
+    ``buf.size`` amplitudes, whole (rows, d, 2^(4g)) slabs or a piece of
+    one: each block's product with f goes to ``buf`` by one matmul and is
+    copied back.  The lowest group, whose d amplitudes are adjacent, takes
+    its block as (rows, d) times f^T, one gemm.
+    """
+    block = buf.size
+    for lo in range(0, len(unitaries), 4):
+        f = functools.reduce(_kron, unitaries[lo : lo + 4][::-1])
+        d, inner = len(f), 1 << lo
+        width = min(inner, block // d)
+        view = work.reshape(-1, block // (d * width), d, inner // width, width)
+        out = buf.reshape(view.shape[1], d, width)
+        for g, r in np.ndindex(view.shape[0], view.shape[3]):
+            x = view[g, :, :, r]
+            if inner == 1:
+                np.matmul(x[..., 0], f.T, out=out[..., 0])
+            else:
+                np.matmul(f, x, out=out)
+            x[...] = out
+
+
+def _dressings(state: StateVector, trials: int, seed: int) -> Iterator[np.ndarray]:
+    """Yield ``trials`` Haar-random local dressings of ``state``, each in the same reused array.
+
+    Each trial draws one Haar unitary per qubit, qubit 0 first, and applies
+    them by ``_dress`` to a fresh copy of the amplitudes, so the state is
+    copied into one buffer for all trials.  A yielded array is overwritten
+    by the next trial.
+    """
+    rng = np.random.default_rng(seed)
+    m = state.num_qubits
+    work = np.empty(1 << m, dtype=np.complex128)
+    buf = np.empty(min(1 << DRESS_BITS, 1 << m), dtype=np.complex128)
+    for _ in range(trials):
+        unitaries = [_haar_unitary(rng) for _ in range(m)]
+        np.copyto(work, state.amplitudes)
+        _dress(work, unitaries, buf)
+        yield work
 
 
 def invariance_check(state: StateVector, trials: int, seed: int = 0) -> float:
     """Max |E(dressed) - E(state)| over Haar-random local dressings.
 
-    Each trial applies an independent Haar unitary to every qubit of the
-    amplitude array, as ``apply_local_unitary`` would, and takes E of the
-    result; a unitary keeps the norm, so the dressed array is not
-    revalidated.  Deterministic for a fixed seed.
+    Each trial draws an independent Haar unitary for every qubit, qubit 0
+    first, and applies them all to a copy of the amplitudes, the dressing
+    that M ``apply_local_unitary`` calls would give, but in place, four
+    qubits per matmul (``_dressings``); it takes E of the result.  A
+    unitary keeps the norm, so the dressed array is not revalidated.
+    Deterministic for a fixed seed.
     """
+    return _invariance_check(state, trials, seed, None)
+
+
+def _invariance_check(state: StateVector, trials: int, seed: int, base: float | None) -> float:
+    """``invariance_check`` against E of the state, ``base``, or E from its bilinears if None."""
     trials = validate_count("trials", trials, 1)
     seed = validate_count("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    m = state.num_qubits
-    base = entanglement_measure(state)
-    worst = 0.0
-    for _ in range(trials):
-        dressed = state.amplitudes
-        for qubit in range(m):
-            dressed = _apply_one_qubit_matrix(dressed, m, qubit, _haar_unitary(rng))
-        worst = max(worst, abs(float(measure_from_bilinears(*bilinears(dressed))) - base))
-    return worst
+    if base is None:
+        base = entanglement_measure(state)
+    return max(
+        abs(float(measure_from_bilinears(*bilinears(dressed))) - base)
+        for dressed in _dressings(state, trials, seed)
+    )
 
 
 def verify_state(state: StateVector, trials: int, restarts: int, seed: int) -> dict:
     """The ``entdist verify`` record: E and the three oracle checks against their thresholds.
 
-    E and the Bloch vectors come from one ``w_vectors`` call.  The
+    E, the ascent's Bloch vectors and the Bloch check's come from one
+    ``w_vectors`` call, the one bilinear pass over the state itself.  The
     invariance dressings are drawn from ``seed`` and the ascent starts from
     ``seed + 1``.  A check fails unless its gap is below its threshold;
     ``failed_checks`` names the failures in the order of ``thresholds``.
     """
     w_minus, w_3 = w_vectors(state)
     analytic = float(measure_from_bilinears(w_minus, w_3))
-    deviation = invariance_check(state, trials=trials, seed=seed)
-    report = minimize_trace_numeric(state, restarts=restarts, seed=seed + 1)
+    bloch = bloch_vectors(w_minus, w_3)
+    deviation = _invariance_check(state, trials, seed, analytic)
+    report = _minimize_trace(state, restarts, DEFAULT_TOL, seed + 1, bloch)
     bloch_gap = max(
-        float(np.max(np.abs(b - bloch_vector_oracle(state, nu))))
-        for nu, b in enumerate(bloch_vectors(w_minus, w_3))
+        float(np.max(np.abs(b - bloch_vector_oracle(state, nu)))) for nu, b in enumerate(bloch)
     )
     gaps = {"invariance": deviation, "optimizer": abs(report.value - analytic), "bloch": bloch_gap}
     thresholds = {"invariance": INVARIANCE_TOL, "optimizer": OPTIMIZER_TOL}

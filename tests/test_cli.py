@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 import subprocess
 import sys
 from pathlib import Path
@@ -561,7 +562,7 @@ _REAL = "must be a finite real number, got"
         (lambda: SweepSpec(_BRS3, "phi", False, True, 3), f"angle 'phi' start {_REAL} False"),
         (lambda: SweepSpec(_BRS3, "phi", "0", "1", 3), f"angle 'phi' start {_REAL} '0'"),
         (lambda: SweepSpec(_BRS3, "phi", 0, "1", 3), f"angle 'phi' stop {_REAL} '1'"),
-        (lambda: SweepSpec(_BRS3, "phi", 10**400, 10**401, 3), f"angle 'phi' start {_REAL} {10**400}"),
+        (lambda: SweepSpec(_BRS3, "phi", 10**400, 10**401, 3), f"angle 'phi' start {_REAL} {reprlib.repr(10**400)}"),
         (lambda: run_surface((0.0, 1.0), (0.0, True), 3), f"angle 'tau' stop {_REAL} True"),
     ],
     ids=[

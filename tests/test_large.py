@@ -117,7 +117,7 @@ VERIFY_M20 = ["verify", "--family", "brs", "--m", "20", "--phi", "0.3", "--trial
 
 
 def test_verify_passes_a_valid_20_qubit_state(capsys):
-    """The kernel and the partial-trace oracle differ by rounding alone: 5.3e-14
+    """The kernel and the partial-trace oracle differ by rounding alone: 4.7e-15
     here, mostly the kernel's row-blocked sums (the pairwise oracle is within
     1e-16 of extended precision), inside the derived Bloch threshold of
     3.7e-12.  An absolute 1e-12 on a sequential oracle failed it."""

@@ -1,16 +1,20 @@
-"""``entdist measure`` at MAX_QUBITS = 26 as a whole process; run with ``-m max_qubits``.
+"""``entdist measure`` and ``verify`` at MAX_QUBITS = 26 as whole processes; run with ``-m max_qubits``.
 
-The state alone is 1 GiB of complex128 amplitudes.  The run is held to the
-targets set for this size: 35 s of wall time and 1.3 GiB peak resident
+The state alone is 1 GiB of complex128 amplitudes.  ``measure`` is held to
+the targets set for this size: 35 s of wall time and 1.3 GiB peak resident
 memory, so that the state's construction and the passes over it may add
-no more than 0.3 GiB to it.  The peak is the largest ``ru_maxrss`` among
-this test process's children, so run the marker on its own.
+no more than 0.3 GiB to it.  ``verify`` with one dressing holds the state,
+one copy for the dressing and blocks: 2.2 GiB, and at most
+VERIFY_WALL_FACTOR times ``measure``'s wall-time limit.  On a 2-core host
+``measure`` took 9-12 s and 1.04 GiB, and ``verify`` 21-24 s and 2.04 GiB,
+2.0-2.2 times as long, so both limits leave ``verify`` the headroom they
+leave ``measure``.  Each peak is its own child's ``ru_maxrss``, read by
+``os.wait4`` when the child is reaped, so the tests may run in any order.
 """
 from __future__ import annotations
 
 import json
 import os
-import resource
 import subprocess
 import sys
 import time
@@ -21,27 +25,39 @@ import pytest
 
 import entdist
 from entdist.metric import trace_tol
+from entdist.verify import INVARIANCE_TOL, OPTIMIZER_TOL, bloch_tol
 
 pytestmark = pytest.mark.max_qubits
 
 M = 26
 WALL_LIMIT_S = 35.0
 PEAK_RSS_LIMIT = 1.3 * 2**30
+VERIFY_WALL_FACTOR = 2.0
+VERIFY_PEAK_RSS_LIMIT = 2.2 * 2**30
 
 
-def test_measure_chain_phase_state_at_max_qubits():
+def _run_cli(args: list[str], tmp_path: Path) -> tuple[int, str, str, float, int]:
+    """Run ``entdist <args>`` as a child: exit code, stdout, stderr, wall seconds and peak RSS bytes."""
     src = str(Path(entdist.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    cmd = [
-        sys.executable, "-c", "import sys; from entdist.cli import main; sys.exit(main())",
-        "measure", "--family", "brs", "--m", str(M), "--phi", "0.3",
-    ]
-    start = time.perf_counter()
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    wall = time.perf_counter() - start
-    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024  # KiB on Linux
-    assert proc.returncode == 0, proc.stderr
-    record = json.loads(proc.stdout)
+    cmd = [sys.executable, "-c", "import sys; from entdist.cli import main; sys.exit(main())", *args]
+    out_path, err_path = tmp_path / "stdout", tmp_path / "stderr"
+    with open(out_path, "wb") as out, open(err_path, "wb") as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(cmd, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen must not wait again
+    peak = usage.ru_maxrss * 1024  # KiB on Linux
+    return proc.returncode, out_path.read_text(), err_path.read_text(), wall, peak
+
+
+def test_measure_chain_phase_state_at_max_qubits(tmp_path):
+    code, out, err, wall, peak = _run_cli(
+        ["measure", "--family", "brs", "--m", str(M), "--phi", "0.3"], tmp_path
+    )
+    assert code == 0, err
+    record = json.loads(out)
     trace = float(np.trace(np.reshape(record["matrix"], (M, M))))
     assert record["m"] == M
     assert 0.0 < record["measure"] <= M / 4
@@ -49,4 +65,18 @@ def test_measure_chain_phase_state_at_max_qubits():
     assert wall <= WALL_LIMIT_S and peak <= PEAK_RSS_LIMIT, (
         f"wall time {wall:.1f} s (limit {WALL_LIMIT_S:.0f} s), "
         f"peak RSS {peak / 2**30:.2f} GiB (limit {PEAK_RSS_LIMIT / 2**30:.1f} GiB)"
+    )
+
+
+def test_verify_chain_phase_state_at_max_qubits(tmp_path):
+    """One dressing, the ascent and the partial trace of every qubit, in bounded memory."""
+    code, out, err, wall, peak = _run_cli(["verify", "--family", "brs", "--m", str(M), "--trials", "1"], tmp_path)
+    assert code == 0, err
+    record = json.loads(out)
+    assert record["m"] == M and record["passed"] is True
+    assert record["thresholds"] == {"invariance": INVARIANCE_TOL, "optimizer": OPTIMIZER_TOL, "bloch": bloch_tol(M)}
+    wall_limit = VERIFY_WALL_FACTOR * WALL_LIMIT_S
+    assert wall <= wall_limit and peak <= VERIFY_PEAK_RSS_LIMIT, (
+        f"wall time {wall:.1f} s (limit {wall_limit:.0f} s), "
+        f"peak RSS {peak / 2**30:.2f} GiB (limit {VERIFY_PEAK_RSS_LIMIT / 2**30:.1f} GiB)"
     )

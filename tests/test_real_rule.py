@@ -1,20 +1,25 @@
 """One real-number rule: every real argument passes ``qstate.validate_real``.
 
-The sites are the family angles, ``EntanglementMetric.measure`` and
-``Spectrum.rank_tol``, which also has a lower bound of 0.  Each takes a
-``numbers.Real``, not a bool, that is finite, and refuses anything else
-with a ValueError that names the argument.  A valid value is stored as a
-Python float, so the records built from it serialise to JSON.
+The sites are the family angles, ``EntanglementMetric.measure``,
+``Spectrum.rank_tol``, which also has a lower bound of 0, the ascent's
+``tol`` in ``minimize_trace_numeric`` and the ends of a sweep grid.  Each
+takes a ``numbers.Real``, not a bool, that is finite, and refuses anything
+else with a ValueError that names the argument and quotes the value by
+``reprlib.repr``, so a huge value cannot flood the message.  A valid value
+is stored as a Python float, so the records built from it serialise to
+JSON.
 """
 from __future__ import annotations
 
 import json
+import reprlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from entdist import EntanglementMetric, FamilySpec, Spectrum
+from entdist import EntanglementMetric, FamilySpec, Spectrum, make_basis_state, minimize_trace_numeric
+from entdist.cli import SweepSpec
 from entdist.qstate import validate_real
 
 _Z = [0.0, 0.0, 1.0]
@@ -28,6 +33,14 @@ _SITES = [
     ("tau", lambda v: FamilySpec("threeq", tau=v), "angle 'tau'"),
     ("measure", lambda v: EntanglementMetric(1, np.zeros((1, 1)), [_Z], v), "measure"),
     ("rank_tol", lambda v: Spectrum([0.25, 0.0], v), "rank_tol"),
+    # True and inf once stopped the ascent at step 0, "converged" with a wrong value
+    # (0.4976 against 0.3725 on brs(4, 1.1)), and "1e-8" raised a TypeError
+    ("tol", lambda v: minimize_trace_numeric(make_basis_state(2, 0), tol=v), "tol"),
+]
+# a sweep grid's ends: a float infinity or NaN goes to the span check instead
+_GRID_SITES = [
+    ("start", lambda v: SweepSpec(FamilySpec("brs", m=3), "phi", v, 1.0, 3), "angle 'phi' start"),
+    ("stop", lambda v: SweepSpec(FamilySpec("brs", m=3), "phi", 0.0, v, 3), "angle 'phi' stop"),
 ]
 _NOT_REAL = {
     "bool": True, "numpy-bool": np.bool_(False), "0-d-array": np.array(0.5), "str": "0.5",
@@ -50,7 +63,27 @@ def test_sites_refuse_what_is_not_a_finite_real(call, name, value):
         call(value)
     message = str(err.value)
     assert message.startswith(f"{name} must be a finite real number")
-    assert message.endswith(f", got {value!r}")
+    assert message.endswith(f", got {reprlib.repr(value)}")
+    if len(repr(value)) <= 30:  # an ordinary value is quoted whole
+        assert message.endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        pytest.param(call, name, value, id=f"{site}-{label}")
+        for site, call, name in _SITES + _GRID_SITES
+        for label, value in {"huge-int": 10**400, "long-str": "9" * 1000}.items()
+    ],
+)
+def test_a_huge_value_is_quoted_in_short(call, name, value):
+    """10**400 once made a 447-character message; the quote keeps both ends of the value."""
+    with pytest.raises(ValueError) as err:
+        call(value)
+    message = str(err.value)
+    assert message.startswith(f"{name} must be a finite real number")
+    assert len(message) <= len(name) + 80  # the wording, a bound and a 40-character quote
+    assert "..." in message
 
 
 @pytest.mark.parametrize("value", [-1e-8, -np.float32(1.0), -1], ids=["float", "float32", "int"])

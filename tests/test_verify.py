@@ -1,6 +1,9 @@
 """Numeric oracles: trace descent, partial-trace Bloch vectors, invariance."""
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,8 +21,8 @@ from entdist import (
     w_vectors,
 )
 from entdist import verify
-from entdist.verify import bloch_tol
-from entdist.qstate import bloch_vectors
+from entdist.verify import CHUNK_BITS, _dress, _dressings, _oracle_depth, bloch_tol
+from entdist.qstate import _apply_one_qubit_matrix, _haar_unitary, bloch_vectors
 
 from oracles import bilinears_extended, random_state
 
@@ -87,9 +90,12 @@ class TestMinimizeTraceNumeric:
         s = make_basis_state(2, 0)
         with pytest.raises(ValueError):
             minimize_trace_numeric(s, restarts=0)
-        for tol in (0.0, np.nan):  # NaN once stopped every row at once, "converged"
-            with pytest.raises(ValueError, match="tol must be positive"):
+        for tol in (0.0, -1e-8):
+            with pytest.raises(ValueError, match="^tol must be positive$"):
                 minimize_trace_numeric(s, tol=tol)
+        # NaN once stopped every row at once, "converged"
+        with pytest.raises(ValueError, match="^tol must be a finite real number, got nan$"):
+            minimize_trace_numeric(s, tol=np.nan)
 
 
 class TestBlochVectorOracle:
@@ -129,7 +135,7 @@ class TestBlochVectorOracle:
     @pytest.mark.parametrize("m", range(1, 11))
     def test_gap_stays_inside_the_derived_threshold(self, m):
         """``verify``'s derived Bloch threshold refuses no valid state.  The
-        largest gap seen is 1/12 of ``verify.bloch_tol``, at m = 1 (u against 12 u)."""
+        largest gap seen is 3/14 of ``verify.bloch_tol``, at m = 1 (3 u against 14 u)."""
         rng = np.random.default_rng(205 + m)
         states = [StateVector(m, random_state(m, rng)) for _ in range(12)]
         if m >= 2:
@@ -139,16 +145,40 @@ class TestBlochVectorOracle:
             for nu, b in enumerate(bloch_vectors(*w_vectors(s))):
                 assert np.max(np.abs(b - bloch_vector_oracle(s, nu))) <= bloch_tol(m)
 
-    @pytest.mark.parametrize("m", [12, 16])
-    def test_pairwise_oracle_error_within_its_depth(self, m):
-        """The oracle's share of ``verify.bloch_tol``: a pairwise sum of depth at most
-        m + 20 is off by at most (m + 23) u from an extended-precision reference."""
-        s = brs_state(m, 0.3)
+    @pytest.mark.parametrize(
+        "m, qubits",
+        [(12, range(12)), (16, range(16)), (18, [0, CHUNK_BITS - 1, CHUNK_BITS, CHUNK_BITS + 1, 16, 17])],
+        ids=["12", "16", "18-chunk-boundaries"],
+    )
+    def test_pairwise_oracle_error_within_its_depth(self, m, qubits):
+        """The oracle's share of ``verify.bloch_tol``: its nested pairwise sums, of depth
+        n = ``_oracle_depth(m)``, are off by at most (n + 3) u from an extended-precision
+        reference.  At m = 18 the half-views are chunked by whole runs below qubit
+        CHUNK_BITS = 14, by one run at it and by pieces of runs above it, and 8 chunk
+        partials are summed; at m = 16 there are 2, at m = 12 one."""
+        s = StateVector(m, random_state(m, np.random.default_rng(206 + m)))
         w_minus, w_3 = bilinears_extended(s.amplitudes, m)
         reference = np.stack([2 * w_minus.real, -2 * w_minus.imag, w_3], axis=-1)
-        for nu in range(m):
+        for nu in qubits:
             gap = np.max(np.abs(bloch_vector_oracle(s, nu) - reference[nu]))
-            assert float(gap) <= (m + 23) * U
+            assert float(gap) <= (_oracle_depth(m) + 3) * U
+
+    def test_oracle_holds_no_more_than_a_chunk(self):
+        """At M = 20 the partial trace reads the 16 MiB state in place: its chunk
+        buffers, 2^14 complex products and 2^15 squares, take 0.5 MiB (0.50-0.63 MiB
+        measured).  Half-state temporaries took 8 MiB each."""
+        s = brs_state(20, 0.3)
+        reduced_density_matrix(s, 0)
+        tracemalloc.start()
+        try:
+            peaks = []
+            for nu in [0, 3, CHUNK_BITS - 1, CHUNK_BITS, 19]:
+                tracemalloc.reset_peak()
+                reduced_density_matrix(s, nu)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) <= 2**20
 
     def test_purity_identity(self):
         """1 - |b|^2 = 2 (1 - tr rho^2) for the one-qubit reduced state."""
@@ -179,3 +209,70 @@ class TestInvarianceCheck:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             invariance_check(make_basis_state(2, 0), trials=0)
+
+
+def _chain(amps: np.ndarray, m: int, unitaries: list[np.ndarray]) -> np.ndarray:
+    """The dressing as one two-term einsum pass per qubit, as ``apply_local_unitary`` takes it."""
+    for qubit, u in enumerate(unitaries):
+        amps = _apply_one_qubit_matrix(amps, m, qubit, u)
+    return amps
+
+
+def _gamma(n: int) -> float:
+    return n * U / (1 - n * U)
+
+
+def dressing_gap_bound(m: int) -> float:
+    """Bound on ||dressing - chain||_2 for a unit vector, from the rounding of each route.
+
+    However its 2n real products are ordered or fused, a complex inner
+    product of n terms is off by at most 2 gamma_2n sum |a_i| |b_i| (Higham,
+    ch. 3), so a pass x -> F x by a d x d unitary adds at most 2 gamma_2d
+    || |F| |x| ||_2 <= 2 gamma_2d sqrt(d) to the error, |F| having 2-norm at
+    most ||F||_F = sqrt(d).  A unitary pass carries the earlier error with
+    it unchanged, so the passes' errors add.  The chain takes M passes with
+    d = 2.  The dressing's factor for d = 2^b is a product of b unitary
+    entries, b - 1 complex products each within 2 gamma_2 relatively, so
+    it is off by at most 2 (b - 1) gamma_2 sqrt(d) in the 2-norm as well.
+    """
+    chain = m * 2 * _gamma(4) * math.sqrt(2)
+    dressing = 0.0
+    for lo in range(0, m, 4):
+        b = min(4, m - lo)
+        d = 1 << b
+        dressing += (2 * (b - 1) * _gamma(2) + 2 * _gamma(2 * d)) * math.sqrt(d)
+    return chain + dressing
+
+
+class TestDressing:
+    """The in-place dressing by four-qubit Kronecker factors against the per-qubit chain."""
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_matches_the_chain_within_its_bound(self, m):
+        """The largest gap seen, 4.2e-16 at M = 12, is under 1/100 of the bound, as at every M."""
+        rng = np.random.default_rng(300 + m)
+        amps = random_state(m, rng)
+        unitaries = [_haar_unitary(rng) for _ in range(m)]
+        for block_bits in [2, 4, m]:  # blocks of pieces of slabs, of whole slabs, the whole state
+            work = amps.copy()
+            _dress(work, unitaries, np.empty(1 << min(block_bits + 4, m), dtype=np.complex128))
+            assert np.linalg.norm(work - _chain(amps, m, unitaries)) <= dressing_gap_bound(m)
+
+    @pytest.mark.parametrize("m", [3, 5, 9])
+    def test_draws_one_unitary_per_qubit_from_qubit_0(self, m):
+        """Each trial's dressing is the chain of the next M Haar draws of ``seed``'s generator."""
+        s = StateVector(m, random_state(m, np.random.default_rng(m)))
+        rng = np.random.default_rng(17)
+        for dressed in _dressings(s, 3, 17):
+            expected = _chain(s.amplitudes, m, [_haar_unitary(rng) for _ in range(m)])
+            assert np.linalg.norm(dressed - expected) <= dressing_gap_bound(m)
+
+    @pytest.mark.slow
+    def test_matches_the_chain_at_20_qubits(self):
+        """Blocks of 2^17 amplitudes: pieces of the top groups' slabs, rows of the lowest."""
+        m = 20
+        s = brs_state(m, 0.3)
+        rng = np.random.default_rng(20)
+        (dressed,) = _dressings(s, 1, 20)
+        expected = _chain(s.amplitudes, m, [_haar_unitary(rng) for _ in range(m)])
+        assert np.linalg.norm(dressed - expected) <= dressing_gap_bound(m)
