@@ -18,6 +18,14 @@ which the direction-frame metric kernel also uses for its moments, and
 the high qubits' by ``_signs``.  Its w_minus are vecdots over runs of at
 least 2^(k//2) pairs of a row of 2^k amplitudes: the low qubits' from one
 transposed copy of the row, the others' from the row itself.
+
+A ``StateVector`` records its support, which rows hold a non-zero
+amplitude, from the row sums that ``validate_amplitudes`` takes; a row
+whose |c|^2 sum is 0.0 is dead only if no entry is non-zero, so a row of
+subnormal or underflowing amplitudes stays live.  The state-level passes of
+``metric`` hand the support to ``_row_bilinears``, which skips the dead rows
+and a high qubit's pairs with a dead partner; a skipped row adds exactly
++0.0, so the bytes are those of ``bilinears``, which reads every row.
 """
 from __future__ import annotations
 
@@ -26,7 +34,7 @@ import json
 import math
 import numbers
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -66,13 +74,15 @@ def validate_count(name: str, value, lo: int, hi: int | None = None) -> int:
 
     It must be an int or a numpy integer, not a bool, in [lo, hi]; ``hi =
     None`` leaves it unbounded above.  Anything else raises a ValueError
-    that names the argument and the range.
+    that names the argument and the range, and quotes the value by
+    ``reprlib.repr``, as ``validate_real`` does, so 10**400 takes a few
+    dozen characters, not 401 digits.
     """
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         if lo <= value and (hi is None or value <= hi):
             return int(value)
     bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    raise ValueError(f"{name} must be an integer {bound}, got {reprlib.repr(value)}")
 
 
 def validate_real(name: str, value, lo: float | None = None) -> float:
@@ -102,21 +112,36 @@ def row_depth(m: int) -> int:
     return (1 << k) + (1 << (m - k)) - 1
 
 
-def validate_amplitudes(amps: np.ndarray) -> None:
+def validate_amplitudes(amps: np.ndarray) -> np.ndarray:
     """Reject non-finite or unnormalized states, row-wise over ``(..., 2**M)`` (see ``row_view``).
 
     Each row's squared norm, summed as re^2 + im^2, must be 1 within
     ``NORM_TOL``; the error names the first row that is not.  A non-finite
     entry makes its row's norm non-finite, so the entries are scanned only
     on that error path.
+
+    Returns the states' support, bool ``(..., 2**(M-k))``: which rows of
+    ``row_view`` hold a non-zero amplitude.  A row whose |c|^2 sum is
+    positive is live; a row whose sum is 0.0 is dead only if ``row.any()``
+    is false, checked while the row is still in cache, so a row of
+    amplitudes whose squares underflow, such as 1e-170, stays live, and a
+    row of -0.0 is dead.
     """
     rows = np.moveaxis(row_view(amps)[1], -2, 0)
-    norm_sq = sum(np.sum(np.square(r.real) + np.square(r.imag), axis=-1) for r in rows)
+    live = np.empty(rows.shape[1:-1] + rows.shape[:1], dtype=bool)
+    norm_sq = 0.0
+    for h, r in enumerate(rows):
+        mass = np.sum(np.square(r.real) + np.square(r.imag), axis=-1)
+        norm_sq = norm_sq + mass
+        live[..., h] = mass > 0.0
+        if not live[..., h].all():
+            live[..., h] |= r.any(axis=-1)
     bad = ~(np.abs(norm_sq - 1.0) <= NORM_TOL)  # also true for a NaN gap
     if np.any(bad):
         if not np.all(np.isfinite(rows)):
             raise ValueError("amplitudes contain non-finite entries")
         raise ValueError(f"state is not normalized: sum |c_k|^2 = {float(norm_sq[bad][0])!r}")
+    return live
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,21 +154,45 @@ class StateVector:
     read-only view that shares the caller's buffer, so writing to that
     buffer afterwards changes the state.  The caller's array itself stays
     writeable.
+
+    The state also records its support, the rows of ``row_view`` that hold
+    a non-zero amplitude, from the row sums that ``validate_amplitudes``
+    takes: one byte per row, 2^(M - ROW_BITS) bytes for M > ROW_BITS.  The
+    state-level passes, ``metric.w_vectors`` and ``metric.metric_matrix``
+    and everything built on them, skip the dead rows, which add exactly
+    +0.0 to every sum, so they give the bytes of the array-first kernels;
+    the frame kernel's column pass, whose strips span every row from M = 20
+    up, is read whole there.  The support is taken at construction: a state whose buffer is written
+    afterwards must be constructed again.
     """
 
     num_qubits: int
     amplitudes: np.ndarray
+    _live_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = validate_count("num_qubits", self.num_qubits, 1, MAX_QUBITS)
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**m,):
             raise ValueError(f"expected {2**m} amplitudes for {m} qubits, got shape {amps.shape}")
-        validate_amplitudes(amps)
+        live = validate_amplitudes(amps)
         amps = amps.view()
-        amps.flags.writeable = False
+        for a in (amps, live):
+            a.flags.writeable = False
         object.__setattr__(self, "num_qubits", m)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_live_rows", live)
+
+
+def _state_rows(state: StateVector) -> tuple[np.ndarray, np.ndarray | None]:
+    """A state's ``row_view`` rows and its support, bool (rows,), for the state-level passes.
+
+    A support recorded under another ``ROW_BITS`` does not describe these
+    rows; it is given as None, which takes every row as live.
+    """
+    rows = row_view(state.amplitudes)[1]
+    live = state._live_rows
+    return rows, live if live.shape == rows.shape[:1] else None
 
 
 def validate_directions(dirs: np.ndarray, shape: tuple) -> np.ndarray:
@@ -274,7 +323,7 @@ def _spin_moments(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, np.block([[c_lo, cross.T], [cross, c_hi]])
 
 
-def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_bilinears(rows: np.ndarray, live: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Bilinears ``(w_minus, w_3)`` (M,) of one state of M > k qubits from its ``row_view``.
 
     One pass over the (2^(M-k), 2^k) rows, one row at a time.  Each row's
@@ -295,18 +344,28 @@ def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of a whole row, 2^14 amplitudes, stalled for most of a second waking
     its threads, and one of at most 2^13 never did.  The rows' partial sums
     are added in row order.
+
+    ``live``, bool (2^(M-k),), is the state's support (see
+    ``StateVector``); None takes every row as live.  A dead row is not
+    read, and neither is a high qubit's pair with a dead partner: their
+    totals and partial sums stay +0.0, which is what reading them gives
+    (every sum of products of zeros, -0.0 ones included, starts from +0.0
+    and stays there), so the bytes do not depend on the support.
     """
     n_rows, width = rows.shape
     k = width.bit_length() - 1
     high = n_rows.bit_length() - 1
     hi, lo = k // 2, k - k // 2
+    live = [True] * n_rows if live is None else live.tolist()
     marginal = np.zeros(width)
-    totals = np.empty(n_rows)
+    totals = np.zeros(n_rows)
     parts = np.zeros((n_rows, k + high), dtype=np.complex128)
     probs = np.empty(width)
     im_sq = np.empty(width)
     flip = np.empty(width, dtype=np.complex128)
     for h, row in enumerate(rows):
+        if not live[h]:
+            continue
         # |c|^2 as re^2 + im^2 of the float views: np.abs is a hypot, four times the time
         np.square(row.real, out=probs)
         np.square(row.imag, out=im_sq)
@@ -322,8 +381,9 @@ def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             parts[h, nu] = np.vecdot(view[:, 1, :], view[:, 0, :]).sum()
         halves = row.reshape(2, -1)
         for nu in range(k, k + high):
-            if not (h >> (nu - k)) & 1:
-                parts[h, nu] = np.vecdot(rows[h ^ (1 << (nu - k))].reshape(2, -1), halves).sum()
+            partner = h ^ (1 << (nu - k))
+            if partner > h and live[partner]:
+                parts[h, nu] = np.vecdot(rows[partner].reshape(2, -1), halves).sum()
     w_3 = np.concatenate([_spin_means(marginal)[0], totals @ _signs(high)])
     return parts.sum(axis=0), w_3
 
@@ -342,7 +402,9 @@ def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     than a row.  A state of M <= ROW_BITS qubits is one row, and the batch
     takes per qubit one einsum and two sums over the whole state.  A sum's
     depth is at most ``row_depth(M)`` (see ``metric.trace_tol``), and a
-    state gets the same bits alone or in a batch.
+    state gets the same bits alone or in a batch.  Every row is read: an
+    array carries no support, and ``metric.w_vectors`` skips a
+    ``StateVector``'s dead rows with these bytes.
     """
     m, rows = row_view(amps)
     batch = rows.shape[:-2]

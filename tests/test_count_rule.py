@@ -157,3 +157,13 @@ def test_validate_count_returns_a_python_int(value, lo, hi, expected):
 def test_validate_count_refuses_non_integers(value):
     with pytest.raises(ValueError, match=r"^n must be an integer in \[0, 7\], got "):
         validate_count("n", value, 0, 7)
+
+
+def test_a_huge_count_is_quoted_short():
+    """``make_basis_state(10**400, 0)`` once raised a 438-character message; the quote is cut."""
+    with pytest.raises(ValueError) as info:
+        make_basis_state(10**400, 0)
+    message = str(info.value)
+    assert message.startswith("m must be an integer in [1, 26], got 1000")
+    assert "..." in message
+    assert len(message) <= 80  # the wording, the range and a 40-character quote

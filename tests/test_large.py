@@ -28,6 +28,7 @@ from entdist.qstate import ROW_BITS, bilinears, bloch_vectors, row_depth
 
 from oracles import bilinears_extended, brs_n01_counts, covariance_entry_pairwise, random_state
 from test_metric import frame_pairs
+from test_support import w_state
 
 pytestmark = pytest.mark.slow
 
@@ -57,6 +58,28 @@ def test_metric_at_20_to_22_qubits(kind, m):
     for mu, nu in frame_pairs(m):
         reference = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
         assert abs(g[mu, nu] - reference) <= 1e-13
+
+
+def _closed_form_spectrum(em, expected: list[float]) -> None:
+    """Eigenvalues within the bound of ``test_metric_at_20_to_22_qubits``: trace_tol(m) + m eps E."""
+    m = em.size
+    tol = trace_tol(m) + m * EPS * em.measure
+    assert abs(em.measure - sum(expected)) <= trace_tol(m)
+    np.testing.assert_allclose(em.eigenvalues, expected, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("m", [20, 22, 24])
+def test_ghzl_spectrum_is_its_closed_form(m):
+    """cos t |0...0> + e^(i p) sin t |1...1> has g = (sin^2 2t / 4) J: one eigenvalue M sin^2 2t / 4."""
+    em = entanglement_metric(ghzl_state(m, 0.7, 0.2))
+    _closed_form_spectrum(em, [m * np.sin(1.4) ** 2 / 4.0] + [0.0] * (m - 1))
+
+
+@pytest.mark.parametrize("m", [20, 22, 24])
+def test_w_spectrum_is_its_closed_form(m):
+    """The W state has g = I / M - J / M^2: 1/M with multiplicity M - 1 and one 0, E = (M - 1)/M."""
+    em = entanglement_metric(w_state(m))
+    _closed_form_spectrum(em, [1.0 / m] * (m - 1) + [0.0])
 
 
 @pytest.mark.parametrize("m", [20, 22])
