@@ -43,14 +43,14 @@ every block fits 2**(ROW_BITS + BLOCK_BITS) amplitudes.  Both kernels
 produce only the moments <A_mu> and <A_mu A_nu>; ``_metric_from_moments``
 assembles g from them, with the diagonal of ``_diagonal``, for both.
 
-The state-level entry points, ``w_vectors``, ``entanglement_measure`` and
-``metric_matrix``, and through them ``entanglement_metric``, hand the
-kernels the support a ``StateVector`` records, which rows hold a non-zero
-amplitude: the row pass of the bilinears skips the dead rows, and
-``_frame_metric`` every block whose rows are all dead.  A skipped row or
-block adds exactly +0.0 to every sum, so the output keeps its bytes.  The
-column pass's strips span every row from M = 20 up, so it reads them all.
-The array-first ``bilinears`` and ``metric_matrices`` read every row.
+The passes over a state of several rows skip what holds no amplitude,
+by the zero test ``not (x[0] or x.any())``: ``qstate._row_bilinears`` a
+row, tested before its pass, and ``_frame_metric`` a block of a row pass
+or a strip of the column pass, tested as it is read.  A dense block costs
+one element read; a skipped one adds exactly +0.0 to every sum, so the
+output keeps its bytes.  The state-level entry points, ``w_vectors`` and
+``metric_matrix``, are the one-state calls of ``bilinears`` and
+``metric_matrices``, so a ``StateVector`` and its array take one path.
 """
 from __future__ import annotations
 
@@ -63,9 +63,7 @@ from .qstate import (
     StateVector,
     _apply_one_qubit_matrix,
     _operator,
-    _row_bilinears,
     _spin_moments,
-    _state_rows,
     bilinears,
     bloch_vectors,
     row_depth,
@@ -279,14 +277,8 @@ class Spectrum:
 def w_vectors(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude bilinears ``(w_minus, w_3)``, each of shape (M,), in O(M 2^M).
 
-    w_plus, the third bilinear, is conj(w_minus); see ``qstate.bilinears``,
-    whose bytes they are.  A state of more than ROW_BITS qubits goes to
-    ``qstate._row_bilinears`` with its support, which skips the rows that
-    hold no amplitude.
+    w_plus, the third bilinear, is conj(w_minus); see ``qstate.bilinears``.
     """
-    rows, live = _state_rows(state)
-    if len(rows) > 1:
-        return _row_bilinears(rows, live)
     return bilinears(state.amplitudes)
 
 
@@ -426,26 +418,7 @@ def _frame_passes(m: int, k: int) -> list[tuple[range, range]]:
                 return plan if passes == 1 else [(range(low, m), range(0))] + plan
 
 
-def _live_blocks(live: np.ndarray, k: int, m: int, row_bits: range, w: int) -> np.ndarray:
-    """Which blocks (outer, inner) of a ``_frame_metric`` pass cover a live row, bool.
-
-    The pass's blocks split the index bits, from the top, into the outer
-    bits [J.stop, M), the row bits J, the inner bits [w, J.start) and the
-    block's 2^w columns [0, w).  The rows' index is bits [k, M), so the
-    support, one entry per row, splits into the row-index bits of the same
-    four fields; a block is live if any row it covers is, whatever its
-    row-index bits in J and in the columns.  An outer or inner bit below k
-    picks no row, so each entry is repeated over those bits.
-    """
-    fields = [(row_bits.stop, m), (row_bits.start, row_bits.stop), (w, row_bits.start), (0, w)]
-    above = [max(0, stop - max(start, k)) for start, stop in fields]
-    table = live.reshape([1 << n for n in above]).any(axis=(1, 3))
-    below_outer = m - row_bits.stop - above[0]
-    below_inner = row_bits.start - w - above[2]
-    return table.repeat(1 << below_outer, axis=0).repeat(1 << below_inner, axis=1)
-
-
-def _frame_metric(rows: np.ndarray, dirs: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
+def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Adapted metric (M, M) of one state of M > k qubits, in the direction frame, from its rows.
 
     With U_nu (v^nu . sigma) U_nu^dagger = Z (``_frame_unitaries``) and
@@ -466,15 +439,12 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray, live: np.ndarray | None = 
     not turn, and ``_spin_moments`` gives their moments at the end of the
     pass.
 
-    ``live``, bool (2^(M-k),), is the state's support (see
-    ``qstate.StateVector``); None takes every row as live.  A block whose
-    rows are all dead is skipped (``_live_blocks``): turned, it would be
-    exact zeros, whose squares add exactly +0.0 to the accumulator, so the
-    bytes do not depend on the support.  A block wider than a row, the one
-    pass of a state that fits one block (M = 15-17) or a row pass whose L
-    exceeds k (M = 18-19), tests every row it covers.  The column pass's
-    strips span every row from M = 20 up, so that pass reads every block
-    there.
+    A block that holds no amplitude, ``not (blk[0, 0] or blk.any())``, is
+    skipped, in every pass, the column pass's strips included: turned, it
+    would be exact zeros, whose squares add exactly +0.0 to the
+    accumulator, so the test does not move the bytes.  The first entry
+    makes the test of a dense block one element read; ``any()`` is false
+    for a block of -0.0 and true for one of 1e-170.
 
     Working memory is two blocks of the plan's largest, at most
     2^(k+BLOCK_BITS) amplitudes unless a row's index has more bits, and one
@@ -482,8 +452,6 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray, live: np.ndarray | None = 
     """
     m = len(dirs)
     k = rows.shape[-1].bit_length() - 1
-    if live is None:
-        live = np.ones(len(rows), dtype=bool)
     passes = _frame_passes(m, k)
     bits = max(len(row_bits) + len(col_bits) for row_bits, col_bits in passes)
     u = _frame_unitaries(dirs)
@@ -502,8 +470,11 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray, live: np.ndarray | None = 
         row_factors, col_factors = _kron_factors(u, list(row_bits)), _kron_factors(u, list(col_bits))
         total = sums[: 1 << (j + w)]
         total.fill(0.0)
-        for outer, inner in np.argwhere(_live_blocks(live, k, m, row_bits, w)).tolist():
-            y = _rotate(blocks[outer, :, inner, :], row_factors, col_factors, buffers)
+        for outer, inner in np.ndindex(blocks.shape[0], blocks.shape[2]):
+            blk = blocks[outer, :, inner, :]
+            if not (blk[0, 0] or blk.any()):
+                continue
+            y = _rotate(blk, row_factors, col_factors, buffers)
             squares = y.reshape(-1).view(float)  # |y|^2: its real and imaginary parts, squared in place
             np.square(squares, out=squares)
             total += squares[0::2]
@@ -584,15 +555,7 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 
 def metric_matrix(state: StateVector, dirs: np.ndarray) -> np.ndarray:
-    """Adapted metric of one state at an (M, 3) direction field: ``metric_matrices`` for P = 1.
-
-    A state of more than ROW_BITS qubits goes to ``_frame_metric`` with its
-    support, which skips the blocks that hold no amplitude; the bytes are
-    those of ``metric_matrices``.
-    """
-    rows, live = _state_rows(state)
-    if len(rows) > 1:
-        return _frame_metric(rows, validate_directions(dirs, (state.num_qubits, 3)), live)
+    """Adapted metric of one state at an (M, 3) direction field: ``metric_matrices`` for P = 1."""
     return metric_matrices(state.amplitudes, dirs)
 
 

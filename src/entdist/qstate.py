@@ -19,13 +19,14 @@ the high qubits' by ``_signs``.  Its w_minus are vecdots over runs of at
 least 2^(k//2) pairs of a row of 2^k amplitudes: the low qubits' from one
 transposed copy of the row, the others' from the row itself.
 
-A ``StateVector`` records its support, which rows hold a non-zero
-amplitude, from the row sums that ``validate_amplitudes`` takes; a row
-whose |c|^2 sum is 0.0 is dead only if no entry is non-zero, so a row of
-subnormal or underflowing amplitudes stays live.  The state-level passes of
-``metric`` hand the support to ``_row_bilinears``, which skips the dead rows
-and a high qubit's pairs with a dead partner; a skipped row adds exactly
-+0.0, so the bytes are those of ``bilinears``, which reads every row.
+``_row_bilinears`` tests each row before it reads it: a row that holds
+no amplitude, ``not (row[0] or row.any())``, is skipped, and so is a high
+qubit's pair with such a partner row.  The first entry makes the test of
+a dense row one element read; ``any()`` is false for a row of -0.0 and
+true for a row of 1e-170, whose squares underflow.  A skipped row adds
+exactly +0.0, so the bytes are those of reading it.  Nothing about a
+state is recorded beyond its amplitudes, so ``metric.w_vectors`` of a
+``StateVector`` is ``bilinears`` of its array.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import json
 import math
 import numbers
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -112,36 +113,21 @@ def row_depth(m: int) -> int:
     return (1 << k) + (1 << (m - k)) - 1
 
 
-def validate_amplitudes(amps: np.ndarray) -> np.ndarray:
+def validate_amplitudes(amps: np.ndarray) -> None:
     """Reject non-finite or unnormalized states, row-wise over ``(..., 2**M)`` (see ``row_view``).
 
     Each row's squared norm, summed as re^2 + im^2, must be 1 within
     ``NORM_TOL``; the error names the first row that is not.  A non-finite
     entry makes its row's norm non-finite, so the entries are scanned only
     on that error path.
-
-    Returns the states' support, bool ``(..., 2**(M-k))``: which rows of
-    ``row_view`` hold a non-zero amplitude.  A row whose |c|^2 sum is
-    positive is live; a row whose sum is 0.0 is dead only if ``row.any()``
-    is false, checked while the row is still in cache, so a row of
-    amplitudes whose squares underflow, such as 1e-170, stays live, and a
-    row of -0.0 is dead.
     """
     rows = np.moveaxis(row_view(amps)[1], -2, 0)
-    live = np.empty(rows.shape[1:-1] + rows.shape[:1], dtype=bool)
-    norm_sq = 0.0
-    for h, r in enumerate(rows):
-        mass = np.sum(np.square(r.real) + np.square(r.imag), axis=-1)
-        norm_sq = norm_sq + mass
-        live[..., h] = mass > 0.0
-        if not live[..., h].all():
-            live[..., h] |= r.any(axis=-1)
+    norm_sq = sum(np.sum(np.square(r.real) + np.square(r.imag), axis=-1) for r in rows)
     bad = ~(np.abs(norm_sq - 1.0) <= NORM_TOL)  # also true for a NaN gap
     if np.any(bad):
         if not np.all(np.isfinite(rows)):
             raise ValueError("amplitudes contain non-finite entries")
         raise ValueError(f"state is not normalized: sum |c_k|^2 = {float(norm_sq[bad][0])!r}")
-    return live
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,44 +141,24 @@ class StateVector:
     buffer afterwards changes the state.  The caller's array itself stays
     writeable.
 
-    The state also records its support, the rows of ``row_view`` that hold
-    a non-zero amplitude, from the row sums that ``validate_amplitudes``
-    takes: one byte per row, 2^(M - ROW_BITS) bytes for M > ROW_BITS.  The
-    state-level passes, ``metric.w_vectors`` and ``metric.metric_matrix``
-    and everything built on them, skip the dead rows, which add exactly
-    +0.0 to every sum, so they give the bytes of the array-first kernels;
-    the frame kernel's column pass, whose strips span every row from M = 20
-    up, is read whole there.  The support is taken at construction: a state whose buffer is written
-    afterwards must be constructed again.
+    The norm is checked once, at construction, so a write afterwards is not
+    checked.  Nothing else is recorded: every pass over the state reads the
+    amplitudes as they stand, so no recorded data can go stale.
     """
 
     num_qubits: int
     amplitudes: np.ndarray
-    _live_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = validate_count("num_qubits", self.num_qubits, 1, MAX_QUBITS)
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**m,):
             raise ValueError(f"expected {2**m} amplitudes for {m} qubits, got shape {amps.shape}")
-        live = validate_amplitudes(amps)
+        validate_amplitudes(amps)
         amps = amps.view()
-        for a in (amps, live):
-            a.flags.writeable = False
+        amps.flags.writeable = False
         object.__setattr__(self, "num_qubits", m)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "_live_rows", live)
-
-
-def _state_rows(state: StateVector) -> tuple[np.ndarray, np.ndarray | None]:
-    """A state's ``row_view`` rows and its support, bool (rows,), for the state-level passes.
-
-    A support recorded under another ``ROW_BITS`` does not describe these
-    rows; it is given as None, which takes every row as live.
-    """
-    rows = row_view(state.amplitudes)[1]
-    live = state._live_rows
-    return rows, live if live.shape == rows.shape[:1] else None
 
 
 def validate_directions(dirs: np.ndarray, shape: tuple) -> np.ndarray:
@@ -323,7 +289,7 @@ def _spin_moments(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, np.block([[c_lo, cross.T], [cross, c_hi]])
 
 
-def _row_bilinears(rows: np.ndarray, live: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bilinears ``(w_minus, w_3)`` (M,) of one state of M > k qubits from its ``row_view``.
 
     One pass over the (2^(M-k), 2^k) rows, one row at a time.  Each row's
@@ -345,18 +311,18 @@ def _row_bilinears(rows: np.ndarray, live: np.ndarray | None = None) -> tuple[np
     its threads, and one of at most 2^13 never did.  The rows' partial sums
     are added in row order.
 
-    ``live``, bool (2^(M-k),), is the state's support (see
-    ``StateVector``); None takes every row as live.  A dead row is not
-    read, and neither is a high qubit's pair with a dead partner: their
+    A row that holds no amplitude, ``not (row[0] or row.any())``, is not
+    read, and neither is a high qubit's pair with such a partner: their
     totals and partial sums stay +0.0, which is what reading them gives
     (every sum of products of zeros, -0.0 ones included, starts from +0.0
-    and stays there), so the bytes do not depend on the support.
+    and stays there), so the test does not move the bytes.  Each row is
+    tested once, before the pass; a dense row's test reads its first entry.
     """
     n_rows, width = rows.shape
     k = width.bit_length() - 1
     high = n_rows.bit_length() - 1
     hi, lo = k // 2, k - k // 2
-    live = [True] * n_rows if live is None else live.tolist()
+    live = [bool(row[0] or row.any()) for row in rows]
     marginal = np.zeros(width)
     totals = np.zeros(n_rows)
     parts = np.zeros((n_rows, k + high), dtype=np.complex128)
@@ -402,9 +368,7 @@ def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     than a row.  A state of M <= ROW_BITS qubits is one row, and the batch
     takes per qubit one einsum and two sums over the whole state.  A sum's
     depth is at most ``row_depth(M)`` (see ``metric.trace_tol``), and a
-    state gets the same bits alone or in a batch.  Every row is read: an
-    array carries no support, and ``metric.w_vectors`` skips a
-    ``StateVector``'s dead rows with these bytes.
+    state gets the same bits alone or in a batch.
     """
     m, rows = row_view(amps)
     batch = rows.shape[:-2]
