@@ -136,7 +136,9 @@ def _brs_amplitudes(m: int, phis) -> np.ndarray:
     Built by the rows of ``row_view``: row h's counts are the template of
     its k low qubits (with the boundary pair when h is odd, its qubit k
     set) plus n(h) of its m - k high qubits, so no temporary is larger
-    than a row.
+    than a row.  A row is fixed by its parity and n(h), so each distinct
+    row is gathered once, the first time it occurs, and copied to the rows
+    that repeat it.
     """
     table = np.exp(-1j * np.asarray(phis, dtype=float)[:, None] * np.arange(m // 2 + 1))
     table *= 2.0 ** (-m / 2.0)
@@ -146,7 +148,12 @@ def _brs_amplitudes(m: int, phis) -> np.ndarray:
     low = _n01_template(width.bit_length() - 1)
     high = _n01_template(max(1, n_rows.bit_length() - 1))[0]
     counts = np.empty(width, dtype=np.intp)  # np.take's index type: one buffer, no cast per row
+    first = {}  # (parity, n(h)) -> the first row h with them
     for h in range(n_rows):
+        seen = first.setdefault((h & 1, int(high[h])), h)
+        if seen < h:
+            rows[:, h] = rows[:, seen]
+            continue
         np.add(low[h & 1], high[h], out=counts)
         np.take(table, counts, axis=1, out=rows[:, h], mode="clip")  # every count is in range
     return amps

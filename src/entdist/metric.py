@@ -48,9 +48,15 @@ by the zero test ``not (x[0] or x.any())``: ``qstate._row_bilinears`` a
 row, tested before its pass, and ``_frame_metric`` a block of a row pass
 or a strip of the column pass, tested as it is read.  A dense block costs
 one element read; a skipped one adds exactly +0.0 to every sum, so the
-output keeps its bytes.  The state-level entry points, ``w_vectors`` and
-``metric_matrix``, are the one-state calls of ``bilinears`` and
-``metric_matrices``, so a ``StateVector`` and its array take one path.
+output keeps its bytes.  Beside the zero test stands the identity rule: a
+pass of ``_frame_metric`` whose qubits all have the direction exactly +z,
+whose frames ``_frame_unitaries`` makes exactly I, is not turned, and its
+blocks are squared as they stand, the values the identity factors would
+give.  So a GHZ-like, W or basis state at its optimal directions, every
+qubit on +z, runs no gemm, and the bytes do not move.  The state-level
+entry points, ``w_vectors`` and ``metric_matrix``, are the one-state
+calls of ``bilinears`` and ``metric_matrices``, so a ``StateVector`` and
+its array take one path.
 """
 from __future__ import annotations
 
@@ -446,6 +452,17 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     makes the test of a dense block one element read; ``any()`` is false
     for a block of -0.0 and true for one of 1e-170.
 
+    A pass whose qubits all have the direction exactly (0, 0, 1), whose U
+    is exactly I, is not turned: a turn by identity factors gives each
+    amplitude back as it is, so each block's |x|^2 is squared straight
+    from the state into the idle block buffer.  Such a block keeps the
+    state's index order, C's bits low and J's high, the reverse of a turned
+    block's, so a row pass's sums are copied, transposed, into the idle
+    buffer at its end: ``_spin_moments`` then reads the very array the
+    turned pass gives, and the bytes do not move.  The column pass, whose
+    turned blocks keep that order too, needs no copy.  A direction off +z
+    by one ulp is turned, even where its U rounds to I.
+
     Working memory is two blocks of the plan's largest, at most
     2^(k+BLOCK_BITS) amplitudes unless a row's index has more bits, and one
     accumulator of as many floats, whatever M.
@@ -455,6 +472,7 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     passes = _frame_passes(m, k)
     bits = max(len(row_bits) + len(col_bits) for row_bits, col_bits in passes)
     u = _frame_unitaries(dirs)
+    still = (dirs == (0.0, 0.0, 1.0)).all(axis=-1)  # the qubits whose U is exactly I
     n = 1 << bits
     # one allocation for the two blocks and the sums: three separate ones were mapped afresh,
     # page by page, on every call at M = 16
@@ -467,21 +485,30 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         j = len(row_bits)
         w = len(col_bits) or bits - j  # the block's columns; the column pass fills the buffer with them
         blocks = rows.reshape(1 << (m - row_bits.stop), 1 << j, 1 << (row_bits.start - w), 1 << w)
-        row_factors, col_factors = _kron_factors(u, list(row_bits)), _kron_factors(u, list(col_bits))
+        qubits = list(row_bits) + list(col_bits)  # the turned block's index: J's bits low, C's high
+        turned = not still[qubits].all()
+        if turned:
+            row_factors, col_factors = _kron_factors(u, list(row_bits)), _kron_factors(u, list(col_bits))
         total = sums[: 1 << (j + w)]
         total.fill(0.0)
         for outer, inner in np.ndindex(blocks.shape[0], blocks.shape[2]):
             blk = blocks[outer, :, inner, :]
             if not (blk[0, 0] or blk.any()):
                 continue
-            y = _rotate(blk, row_factors, col_factors, buffers)
-            squares = y.reshape(-1).view(float)  # |y|^2: its real and imaginary parts, squared in place
-            np.square(squares, out=squares)
+            if turned:
+                squares = _rotate(blk, row_factors, col_factors, buffers).reshape(-1).view(float)
+                np.square(squares, out=squares)  # |y|^2: its real and imaginary parts, squared in place
+            else:
+                squares = buffers[0][: blk.size].view(float)
+                np.square(blk.view(float), out=squares.reshape(1 << j, -1))
             total += squares[0::2]
             total += squares[1::2]
         if not col_bits:  # the column pass: add up the strip's columns, which trail its row bits
             total = total.reshape(1 << j, 1 << w).sum(axis=1)
-        qubits = list(row_bits) + list(col_bits)  # the turned block's index: J's bits low, C's high
+        elif not turned:  # the sums of blocks as they stand, C's bits low: put J's bits low
+            moved = buffers[0].view(float)[: total.size]
+            np.copyto(moved.reshape(1 << w, 1 << j), total.reshape(1 << j, 1 << w).T)
+            total = moved
         e[qubits], c[np.ix_(qubits, qubits)] = _spin_moments(total)
     return _metric_from_moments(e, c)
 

@@ -114,15 +114,20 @@ def row_depth(m: int) -> int:
 
 
 def validate_amplitudes(amps: np.ndarray) -> None:
-    """Reject non-finite or unnormalized states, row-wise over ``(..., 2**M)`` (see ``row_view``).
+    """Reject non-finite or unnormalized states ``(..., 2**M)`` (see ``row_view``).
 
-    Each row's squared norm, summed as re^2 + im^2, must be 1 within
-    ``NORM_TOL``; the error names the first row that is not.  A non-finite
-    entry makes its row's norm non-finite, so the entries are scanned only
-    on that error path.
+    Each state's squared norm, the sum of re^2 + im^2, must be 1 within
+    ``NORM_TOL``; the error names the first state that is not.  It is
+    taken by ``np.vecdot`` of the float view with itself over runs of at
+    most 2^13 terms, the cap of the bilinears' dots (``_row_bilinears``):
+    OpenBLAS threads only dots of more than 10000 terms, so these never
+    wake its threads.  A non-finite entry makes its state's norm
+    non-finite, so the entries are scanned only on that error path.
     """
-    rows = np.moveaxis(row_view(amps)[1], -2, 0)
-    norm_sq = sum(np.sum(np.square(r.real) + np.square(r.imag), axis=-1) for r in rows)
+    rows = row_view(amps)[1]
+    floats = rows.view(float)
+    runs = floats.reshape(rows.shape[:-2] + (-1, min(floats.shape[-1], 1 << 13)))
+    norm_sq = np.vecdot(runs, runs).sum(axis=-1)
     bad = ~(np.abs(norm_sq - 1.0) <= NORM_TOL)  # also true for a NaN gap
     if np.any(bad):
         if not np.all(np.isfinite(rows)):

@@ -1,0 +1,131 @@
+"""Direction frames that are the identity: a pass whose qubits all have the direction exactly +z is not turned.
+
+``_frame_unitaries`` gives +z exactly U = I, so ``metric._frame_metric``
+squares such a pass's blocks straight from the state and puts their sums
+into a turned block's index order.  It must give the bytes of the same
+pass turned by identity factors, and match the pairwise oracle.  At their
+optimal directions GHZ-like, W, basis and Dicke states (the last dense on
++z) have every qubit on +z.  The two mixed states hold some passes still
+and turn others: |0...0> on the high qubits with a Haar state on the low
+ten turns every row pass and holds the column pass still; a Haar qubit
+M - 1 with |0...0> below turns only the passes that name it.  M = 15-19
+runs in tier-1, M = 20-22 under ``slow``.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from entdist import StateVector, ghzl_state, make_basis_state, metric_matrix, optimal_directions, w_vectors
+from entdist.metric import _frame_metric, _frame_passes, _frame_unitaries
+from entdist.qstate import ROW_BITS, bloch_vectors, row_view
+
+from oracles import covariance_entry_pairwise, random_state
+from test_metric import _frame_entry_tol, frame_pairs
+from test_support import SIZES, _blocks_with_amplitude, rotations, w_state  # noqa: F401 (a fixture)
+
+Z = (0.0, 0.0, 1.0)
+
+
+def low_haar_state(m: int) -> StateVector:
+    """|0...0> on qubits 10 to M - 1 and a Haar state on qubits 0-9."""
+    amps = np.zeros(1 << m, dtype=np.complex128)
+    amps[: 1 << 10] = random_state(10, np.random.default_rng(m))
+    return StateVector(m, amps)
+
+
+def top_haar_state(m: int) -> StateVector:
+    """A Haar state of qubit M - 1 and |0...0> on the qubits below it."""
+    amps = np.zeros(1 << m, dtype=np.complex128)
+    amps[[0, 1 << (m - 1)]] = random_state(1, np.random.default_rng(m))
+    return StateVector(m, amps)
+
+
+def dicke_state(m: int, k: int = 3) -> StateVector:
+    """Equal amplitudes on every basis index with k bits set."""
+    amps = (np.bitwise_count(np.arange(1 << m)) == k).astype(np.complex128)
+    return StateVector(m, amps / math.sqrt(math.comb(m, k)))
+
+
+# each kind's state, and the passes (row bits, column bits) that its optimal directions hold still
+STATES = {
+    "ghzl": (lambda m: ghzl_state(m, 0.7, 0.2), lambda m, rows, cols: True),
+    "w": (w_state, lambda m, rows, cols: True),
+    "basis": (lambda m: make_basis_state(m, (1 << m) // 3), lambda m, rows, cols: True),
+    "dicke-3": (dicke_state, lambda m, rows, cols: True),
+    "low-haar": (low_haar_state, lambda m, rows, cols: not cols),
+    "top-haar": (top_haar_state, lambda m, rows, cols: m - 1 not in rows and m - 1 not in cols),
+}
+
+
+class _Turned(np.ndarray):
+    """A direction field none of whose rows compares equal to +z, so the kernel turns every pass."""
+
+    def __eq__(self, other):
+        return np.zeros(self.shape, dtype=bool)
+
+
+def _optimal(s: StateVector) -> np.ndarray:
+    return optimal_directions(bloch_vectors(*w_vectors(s)))
+
+
+@pytest.mark.parametrize("m", SIZES)
+@pytest.mark.parametrize("kind", sorted(STATES))
+def test_held_passes_have_the_bytes_of_a_forced_rotation(rotations, kind, m):
+    """The metric at the optimal directions is the metric whose every pass is turned, to the byte."""
+    s = STATES[kind][0](m)
+    rows, dirs = row_view(s.amplitudes)[1], _optimal(s)
+    g = _frame_metric(rows, dirs)
+    rotations.clear()
+    forced = _frame_metric(rows, dirs.view(_Turned))
+    x_field = np.tile((1.0, 0.0, 0.0), (m, 1))  # a field that holds no pass still
+    assert len(rotations) == _blocks_with_amplitude(s.amplitudes, m, x_field)
+    assert g.tobytes() == forced.tobytes()
+
+
+@pytest.mark.parametrize("m", SIZES)
+@pytest.mark.parametrize("kind", sorted(STATES))
+def test_held_passes_match_the_pairwise_oracle(kind, m):
+    s = STATES[kind][0](m)
+    dirs = _optimal(s)
+    g = metric_matrix(s, dirs)
+    tol = _frame_entry_tol(m)
+    for mu, nu in frame_pairs(m):
+        ref = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
+        assert abs(g[mu, nu] - ref) <= tol, (mu, nu, g[mu, nu] - ref, tol)
+
+
+@pytest.mark.parametrize("m", SIZES)
+@pytest.mark.parametrize("kind", sorted(STATES))
+def test_rotate_runs_only_in_the_turned_passes(rotations, kind, m):
+    """No ``_rotate`` call for a state on +z; for the mixed states, one per block with amplitude in a turned pass."""
+    build, holds_still = STATES[kind]
+    s = build(m)
+    dirs = _optimal(s)
+    plan = _frame_passes(m, ROW_BITS)
+    still = [all(tuple(dirs[q]) == Z for q in [*rows, *cols]) for rows, cols in plan]
+    assert still == [holds_still(m, rows, cols) for rows, cols in plan]
+    metric_matrix(s, dirs)
+    assert len(rotations) == _blocks_with_amplitude(s.amplitudes, m, dirs)
+    assert (len(rotations) == 0) == all(still)
+
+
+@pytest.mark.parametrize("m", [16, 18, 19, pytest.param(22, marks=pytest.mark.slow)])
+def test_a_direction_one_ulp_off_z_is_turned(rotations, m):
+    """v = (0, 0, 1 - 2^-53) is turned, in every pass that names it, though its U rounds to I exactly.
+
+    The rule is on the direction, not on U, so the bytes are those of the
+    field on +z.
+    """
+    s = ghzl_state(m, 0.7, 0.2)
+    on_z = _optimal(s)
+    dirs = on_z.copy()
+    dirs[m - 1, 2] = np.nextafter(1.0, 0.0)
+    assert (_frame_unitaries(dirs)[m - 1] == np.eye(2)).all()
+    g = metric_matrix(s, dirs)
+    assert len(rotations) == _blocks_with_amplitude(s.amplitudes, m, dirs) > 0
+    rotations.clear()
+    assert g.tobytes() == metric_matrix(s, on_z).tobytes()
+    assert not rotations

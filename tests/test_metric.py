@@ -338,7 +338,11 @@ class TestRowBlockedMetric:
         np.testing.assert_allclose(rows, one_row, rtol=0, atol=1e-15)
 
     def test_short_rows_reach_several_passes_and_the_column_pass(self, monkeypatch):
-        """The grid above runs plans of one pass, and of two and three row passes with the column pass."""
+        """The grid above runs plans of one pass, and of two and three row passes with the column pass.
+
+        The field is a random unit one, as the grid's is: a Z field's frames
+        are all the identity, which the kernel leaves unturned.
+        """
         rotate = metric._rotate
         calls = []
 
@@ -352,7 +356,8 @@ class TestRowBlockedMetric:
             monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
             for m in range(max(3, row_bits + 1), 9):
                 calls.clear()
-                metric_matrix(StateVector(m, random_state(m, np.random.default_rng(m))), np.tile(Z, (m, 1)))
+                rng = np.random.default_rng(m)
+                metric_matrix(StateVector(m, random_state(m, rng)), _random_directions(rng, m))
                 reached.add((len(_frame_passes(m, row_bits)), "column" in calls))
         assert reached == {(1, False), (3, True), (4, True)}
 

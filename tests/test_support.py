@@ -99,8 +99,9 @@ def _unit_rows(rng: np.random.Generator, m: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _blocks_with_amplitude(amps: np.ndarray, m: int) -> int:
-    """Blocks of ``_frame_metric``'s passes that hold a non-zero amplitude, from the indices of those amplitudes.
+def _blocks_with_amplitude(amps: np.ndarray, m: int, dirs: np.ndarray) -> int:
+    """Blocks that ``_frame_metric`` turns at ``dirs``: those that hold a non-zero amplitude, from the indices of
+    those amplitudes, in the passes that name a qubit whose direction is not exactly +z.
 
     A pass with row bits J and column bits C reads blocks of 2^w columns,
     w = |C|, or in the column pass as many low bits as fill the largest
@@ -111,8 +112,11 @@ def _blocks_with_amplitude(amps: np.ndarray, m: int) -> int:
     passes = _frame_passes(m, ROW_BITS)
     bits = max(len(row_bits) + len(col_bits) for row_bits, col_bits in passes)
     index = np.flatnonzero(amps)
+    off_z = [tuple(v) != (0.0, 0.0, 1.0) for v in np.asarray(dirs).tolist()]
     count = 0
     for row_bits, col_bits in passes:
+        if not any(off_z[q] for q in [*row_bits, *col_bits]):
+            continue
         w = len(col_bits) or bits - len(row_bits)
         inner = (index >> w) & ((1 << (row_bits.start - w)) - 1)
         count += len(set(zip((index >> row_bits.stop).tolist(), inner.tolist())))
@@ -160,8 +164,9 @@ def test_rotate_turns_the_blocks_that_hold_amplitude(rotations, kind, m):
     skipped and the 1e-170 block is turned.
     """
     s = STATES[kind](m)
-    metric_matrix(s, _unit_rows(np.random.default_rng(m), m))
-    assert len(rotations) == _blocks_with_amplitude(s.amplitudes, m)
+    dirs = _unit_rows(np.random.default_rng(m), m)
+    metric_matrix(s, dirs)
+    assert len(rotations) == _blocks_with_amplitude(s.amplitudes, m, dirs)
 
 
 @pytest.mark.parametrize("m", [15, 16])
