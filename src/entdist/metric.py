@@ -84,7 +84,8 @@ DEFAULT_RANK_TOL = 1e-8
 SYMMETRY_TOL = 1e-12  # on max |g - g^T|
 DIAGONAL_TOL = 1e-12  # on how far a diagonal entry lies outside [0, 1/4]
 PSD_TOL = 1e-10  # on how far the smallest eigenvalue lies below 0
-BLOCK_BITS = 3  # a direction-frame block holds at most 2**(ROW_BITS + BLOCK_BITS) amplitudes
+# a direction-frame block, and a block of verify's dressings, holds at most 2**(ROW_BITS + BLOCK_BITS) amplitudes
+BLOCK_BITS = 3
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 

@@ -119,14 +119,15 @@ def validate_amplitudes(amps: np.ndarray) -> None:
     Each state's squared norm, the sum of re^2 + im^2, must be 1 within
     ``NORM_TOL``; the error names the first state that is not.  It is
     taken by ``np.vecdot`` of the float view with itself over runs of at
-    most 2^13 terms, the cap of the bilinears' dots (``_row_bilinears``):
-    OpenBLAS threads only dots of more than 10000 terms, so these never
-    wake its threads.  A non-finite entry makes its state's norm
-    non-finite, so the entries are scanned only on that error path.
+    most 2^(ROW_BITS - 1) terms, the cap of the bilinears' dots
+    (``_row_bilinears``): OpenBLAS threads only dots of more than 10000
+    terms, so these never wake its threads.  A non-finite entry makes its
+    state's norm non-finite, so the entries are scanned only on that error
+    path.
     """
     rows = row_view(amps)[1]
     floats = rows.view(float)
-    runs = floats.reshape(rows.shape[:-2] + (-1, min(floats.shape[-1], 1 << 13)))
+    runs = floats.reshape(rows.shape[:-2] + (-1, min(floats.shape[-1], 1 << (ROW_BITS - 1))))
     norm_sq = np.vecdot(runs, runs).sum(axis=-1)
     bad = ~(np.abs(norm_sq - 1.0) <= NORM_TOL)  # also true for a NaN gap
     if np.any(bad):

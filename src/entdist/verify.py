@@ -11,25 +11,29 @@ Three cross checks, none of which use the analytic minimizer v = b/|b|:
 
 ``verify_state`` runs all three on one state against their thresholds and
 returns the ``entdist verify`` record.  It holds the state, one copy for
-the dressings and blocks of at most 2^DRESS_BITS amplitudes, whatever M:
-the partial trace reads the state in chunks, and each dressing turns the
-copy in place.
+the dressings and blocks of at most 2^(ROW_BITS + BLOCK_BITS) amplitudes,
+the direction-frame kernel's block budget, whatever M: the partial trace
+reads the state in chunks of 2^ROW_BITS pairs, and each dressing turns the
+copy in place by the frame kernel's Kronecker factors
+(``metric._kron_factors``).
 """
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metric import (
+    BLOCK_BITS,
     _UNIT_ROUNDOFF,
+    _kron_factors,
     entanglement_measure,
     measure_from_bilinears,
     w_vectors,
 )
 from .qstate import (
+    ROW_BITS,
     StateVector,
     _haar_unitary,
     bilinears,
@@ -43,8 +47,6 @@ from .qstate import (
 DEFAULT_RESTARTS = 8
 DEFAULT_TOL = 1e-8
 MAX_STEPS = 100  # ascent steps before minimize_trace_numeric reports no convergence
-CHUNK_BITS = 14  # the partial trace sums at most 2**CHUNK_BITS pairs of its half-views at a time (256 KiB)
-DRESS_BITS = 17  # a dressing turns at most 2**DRESS_BITS amplitudes per matmul
 
 # thresholds that verify_state enforces; the Bloch one is bloch_tol(M)
 INVARIANCE_TOL = 1e-9
@@ -139,7 +141,7 @@ def reduced_density_matrix(state: StateVector, qubit: int) -> np.ndarray:
 
     rho_ij sums psi_i conj(psi_j) over the other qubits' indices, psi_0 and
     psi_1 the qubit's two half-views of the state.  The sums run over
-    chunks of 2^c pairs, c = min(M - 1, CHUNK_BITS): a chunk is whole
+    chunks of 2^c pairs, c = min(M - 1, ROW_BITS): a chunk is whole
     2^qubit runs of the half-views for a qubit below c, and a piece of one
     run above it.  A chunk's products psi_0 conj(psi_1), and the squares of
     the real and imaginary parts of psi_0 and of psi_1, go to contiguous
@@ -150,7 +152,7 @@ def reduced_density_matrix(state: StateVector, qubit: int) -> np.ndarray:
     """
     m = state.num_qubits
     qubit = validate_count("qubit index", qubit, 0, m - 1)
-    chunk = 1 << min(m - 1, CHUNK_BITS)
+    chunk = 1 << min(m - 1, ROW_BITS)
     inner = 1 << qubit
     width = min(inner, chunk)
     shape = (-1, chunk // width, 2, inner // width, width)  # (row groups, rows, half, runs, width)
@@ -179,7 +181,7 @@ def _sum_depth(bits: int) -> int:
 
 def _oracle_depth(m: int) -> int:
     """Rounding depth of the partial trace's nested sums at m qubits: a chunk's 2^(c+1) squares, then the partials."""
-    c = min(m - 1, CHUNK_BITS)
+    c = min(m - 1, ROW_BITS)
     return _sum_depth(c + 1) + (_sum_depth(m - 1 - c) if m - 1 > c else 0)
 
 
@@ -200,12 +202,12 @@ def bloch_tol(m: int) -> float:
     accumulators of 16 terms, three levels, 7 leftover terms), one more
     per halving of a longer array (at most j - 5) and one for the start
     value, so at most j + 21, and never more than 2^j.  A chunk of 2^c
-    pairs, c = min(m - 1, CHUNK_BITS), sums 2^c products for rho_01 and
+    pairs, c = min(m - 1, ROW_BITS), sums 2^c products for rho_01 and
     2^(c+1) squares, each exact but for one rounding, for rho_00 or
     rho_11: depth at most j + 21 with j = c + 1.  The sum of the
     2^(m - 1 - c) partials adds j + 21 more with j = m - 1 - c when there
     are several, and nothing when there is one.  So the oracle's depth is
-    min(2^m, m + 21) up to m = CHUNK_BITS + 1, and 36 + min(2^(m-15),
+    min(2^m, m + 21) up to m = ROW_BITS + 1, and 36 + min(2^(m-15),
     m + 6) above it: 62 at m = 20 and 68 at m = 26.  The bound
     2 (n_kernel + n_oracle + 3) u covers the sum of the two errors:
     4.2e-15 at m = 3, 3.7e-12 at m = 20 and 4.6e-12 at m = 26.
@@ -213,16 +215,11 @@ def bloch_tol(m: int) -> float:
     return 2.0 * (row_depth(m) + _oracle_depth(m) + 3) * _UNIT_ROUNDOFF
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b) of two square matrices, the same products without np.kron's general-shape overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
-
-
 def _dress(work: np.ndarray, unitaries: list[np.ndarray], buf: np.ndarray) -> None:
     """Apply u_{M-1} x ... x u_0 to the 2^M amplitudes ``work`` in place, four qubits at a time.
 
-    Qubits 4g .. 4g + 3 (fewer in the last group) act as one Kronecker
-    product f of size d <= 16, its highest qubit the most significant bit.
+    Qubits 4g .. 4g + 3 act as one Kronecker product f of size d <= 16,
+    the g-th factor of ``metric._kron_factors``, which owns the group rule.
     Seen as (outer, d, 2^(4g)), ``work`` is turned in blocks of at most
     ``buf.size`` amplitudes, whole (rows, d, 2^(4g)) slabs or a piece of
     one: each block's product with f goes to ``buf`` by one matmul and is
@@ -230,14 +227,13 @@ def _dress(work: np.ndarray, unitaries: list[np.ndarray], buf: np.ndarray) -> No
     its block as (rows, d) times f^T, one gemm.
     """
     block = buf.size
-    for lo in range(0, len(unitaries), 4):
-        f = functools.reduce(_kron, unitaries[lo : lo + 4][::-1])
-        d, inner = len(f), 1 << lo
+    for g, f in enumerate(_kron_factors(np.asarray(unitaries), list(range(len(unitaries))))):
+        d, inner = len(f), 1 << (4 * g)
         width = min(inner, block // d)
         view = work.reshape(-1, block // (d * width), d, inner // width, width)
         out = buf.reshape(view.shape[1], d, width)
-        for g, r in np.ndindex(view.shape[0], view.shape[3]):
-            x = view[g, :, :, r]
+        for o, r in np.ndindex(view.shape[0], view.shape[3]):
+            x = view[o, :, :, r]
             if inner == 1:
                 np.matmul(x[..., 0], f.T, out=out[..., 0])
             else:
@@ -250,13 +246,14 @@ def _dressings(state: StateVector, trials: int, seed: int) -> Iterator[np.ndarra
 
     Each trial draws one Haar unitary per qubit, qubit 0 first, and applies
     them by ``_dress`` to a fresh copy of the amplitudes, so the state is
-    copied into one buffer for all trials.  A yielded array is overwritten
-    by the next trial.
+    copied into one buffer for all trials, and turned in blocks of at most
+    2^(ROW_BITS + BLOCK_BITS) amplitudes, the direction-frame kernel's
+    block budget.  A yielded array is overwritten by the next trial.
     """
     rng = np.random.default_rng(seed)
     m = state.num_qubits
     work = np.empty(1 << m, dtype=np.complex128)
-    buf = np.empty(min(1 << DRESS_BITS, 1 << m), dtype=np.complex128)
+    buf = np.empty(min(1 << (ROW_BITS + BLOCK_BITS), 1 << m), dtype=np.complex128)
     for _ in range(trials):
         unitaries = [_haar_unitary(rng) for _ in range(m)]
         np.copyto(work, state.amplitudes)

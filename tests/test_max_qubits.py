@@ -11,6 +11,9 @@ the dressing and blocks: 2.2 GiB, and at most VERIFY_WALL_FACTOR times
 ``measure``'s wall-time limit.  On a 2-core host ``measure`` took 9-12 s
 and 1.04 GiB, and ``verify`` 21-24 s and 2.04 GiB, 2.0-2.2 times as long,
 so both limits leave ``verify`` the headroom they leave ``measure``.
+The interleaved product of two 13-qubit Haar states is measured in a child
+held to ``measure``'s limits and checked entry by entry against its
+factors, as ``test_products`` checks M = 15-24; it took 10-12 s and 1.04 GiB.
 Each peak is its own child's ``ru_maxrss``, read by
 ``os.wait4`` when the child is reaped, so the tests may run in any order.
 """
@@ -31,6 +34,10 @@ import entdist
 from entdist.metric import trace_tol
 from entdist.verify import INVARIANCE_TOL, OPTIMIZER_TOL, bloch_tol
 
+from oracles import jacobi_eigenvalues, random_state
+from test_metric import _frame_entry_tol
+from test_products import _factor_oracle
+
 pytestmark = pytest.mark.max_qubits
 
 M = 26
@@ -39,13 +46,35 @@ PEAK_RSS_LIMIT = 1.3 * 2**30
 SPARSE_WALL_LIMIT_S = 6.0
 VERIFY_WALL_FACTOR = 2.0
 VERIFY_PEAK_RSS_LIMIT = 2.2 * 2**30
+PRODUCT_SEED = 2626
+
+# Run with the seed and n: two n-qubit Haar states of the seed's generator, A and B, with
+# A's qubit i on position 2i + 1 and B's on 2i, built by one einsum straight into the
+# (2,) * 2n order, so the child holds the state once; prints the ``measure`` record.
+_PRODUCT_CHILD = """
+import json, sys
+import numpy as np
+from entdist import StateVector, entanglement_metric
+from oracles import random_state
+seed, n = map(int, sys.argv[1:])
+rng = np.random.default_rng(seed)
+a, b = random_state(n, rng), random_state(n, rng)
+hi, lo = "ABCDEFGHIJKLM"[:n], "abcdefghijklm"[:n]
+amps = np.empty((2,) * (2 * n), dtype=np.complex128)
+np.einsum(f"{hi},{lo}->{''.join(map(''.join, zip(hi, lo)))}", a.reshape((2,) * n), b.reshape((2,) * n), out=amps)
+print(json.dumps(entanglement_metric(StateVector(2 * n, amps.reshape(-1))).to_dict()))
+"""
 
 
-def _run_cli(args: list[str], tmp_path: Path) -> tuple[int, str, str, float, int]:
-    """Run ``entdist <args>`` as a child: exit code, stdout, stderr, wall seconds and peak RSS bytes."""
+def _run_child(code: str, args: list[str], tmp_path: Path) -> tuple[int, str, str, float, int]:
+    """Run ``python -c code args`` with entdist and the tests importable.
+
+    Returns the exit code, stdout, stderr, wall seconds and peak RSS bytes.
+    """
     src = str(Path(entdist.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    cmd = [sys.executable, "-c", "import sys; from entdist.cli import main; sys.exit(main())", *args]
+    path = [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    cmd = [sys.executable, "-c", code, *args]
     out_path, err_path = tmp_path / "stdout", tmp_path / "stderr"
     with open(out_path, "wb") as out, open(err_path, "wb") as err:
         start = time.perf_counter()
@@ -55,6 +84,11 @@ def _run_cli(args: list[str], tmp_path: Path) -> tuple[int, str, str, float, int
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen must not wait again
     peak = usage.ru_maxrss * 1024  # KiB on Linux
     return proc.returncode, out_path.read_text(), err_path.read_text(), wall, peak
+
+
+def _run_cli(args: list[str], tmp_path: Path) -> tuple[int, str, str, float, int]:
+    """Run ``entdist <args>`` as a child, as ``_run_child`` does."""
+    return _run_child("import sys; from entdist.cli import main; sys.exit(main())", args, tmp_path)
 
 
 def test_measure_chain_phase_state_at_max_qubits(tmp_path):
@@ -109,4 +143,39 @@ def test_verify_chain_phase_state_at_max_qubits(tmp_path):
     assert wall <= wall_limit and peak <= VERIFY_PEAK_RSS_LIMIT, (
         f"wall time {wall:.1f} s (limit {wall_limit:.0f} s), "
         f"peak RSS {peak / 2**30:.2f} GiB (limit {VERIFY_PEAK_RSS_LIMIT / 2**30:.1f} GiB)"
+    )
+
+
+def test_interleaved_product_at_max_qubits(tmp_path):
+    """The product of two 13-qubit Haar states, A on the odd positions, splits into its factors.
+
+    The checks of ``test_products``: E = E_A + E_B, g on A's and on B's
+    qubits against the factors' pairwise metrics, 0 between them, and the
+    spectrum the union of the factors' spectra.  M = 26 is the only plan
+    with three row passes besides the column pass, and a dense state skips
+    no block.  The child is held to ``measure``'s limits; the oracles run
+    here, on the 2^13 amplitudes of each factor.
+    """
+    n = M // 2
+    code, out, err, wall, peak = _run_child(_PRODUCT_CHILD, [str(PRODUCT_SEED), str(n)], tmp_path)
+    assert code == 0, err
+    record = json.loads(out)
+    g = np.reshape(record["matrix"], (M, M))
+    directions = np.array(record["directions"])
+    rng = np.random.default_rng(PRODUCT_SEED)
+    a, b = random_state(n, rng), random_state(n, rng)
+    a_pos, b_pos = list(range(1, M, 2)), list(range(0, M, 2))
+    e_a, g_a = _factor_oracle(a, directions[a_pos])
+    e_b, g_b = _factor_oracle(b, directions[b_pos])
+    tol = _frame_entry_tol(M)
+    assert abs(record["measure"] - (e_a + e_b)) <= trace_tol(M)
+    assert np.max(np.abs(g[np.ix_(a_pos, a_pos)] - g_a)) <= tol
+    assert np.max(np.abs(g[np.ix_(b_pos, b_pos)] - g_b)) <= tol
+    assert np.max(np.abs(g[np.ix_(a_pos, b_pos)])) <= tol
+    # Weyl: each eigenvalue moves by at most ||g - diag(g_A, g_B)||_2 <= M max |entry|
+    union = np.sort(np.concatenate([jacobi_eigenvalues(g_a), jacobi_eigenvalues(g_b)]))[::-1]
+    assert np.max(np.abs(np.array(record["eigenvalues"]) - union)) <= M * tol
+    assert wall <= WALL_LIMIT_S and peak <= PEAK_RSS_LIMIT, (
+        f"wall time {wall:.1f} s (limit {WALL_LIMIT_S:.0f} s), "
+        f"peak RSS {peak / 2**30:.2f} GiB (limit {PEAK_RSS_LIMIT / 2**30:.1f} GiB)"
     )

@@ -21,8 +21,8 @@ from entdist import (
     w_vectors,
 )
 from entdist import verify
-from entdist.verify import CHUNK_BITS, _dress, _dressings, _oracle_depth, bloch_tol
-from entdist.qstate import _apply_one_qubit_matrix, _haar_unitary, bloch_vectors
+from entdist.verify import _dress, _dressings, _oracle_depth, bloch_tol
+from entdist.qstate import ROW_BITS, _apply_one_qubit_matrix, _haar_unitary, bloch_vectors
 
 from oracles import bilinears_extended, random_state
 
@@ -147,14 +147,14 @@ class TestBlochVectorOracle:
 
     @pytest.mark.parametrize(
         "m, qubits",
-        [(12, range(12)), (16, range(16)), (18, [0, CHUNK_BITS - 1, CHUNK_BITS, CHUNK_BITS + 1, 16, 17])],
+        [(12, range(12)), (16, range(16)), (18, [0, ROW_BITS - 1, ROW_BITS, ROW_BITS + 1, 16, 17])],
         ids=["12", "16", "18-chunk-boundaries"],
     )
     def test_pairwise_oracle_error_within_its_depth(self, m, qubits):
         """The oracle's share of ``verify.bloch_tol``: its nested pairwise sums, of depth
         n = ``_oracle_depth(m)``, are off by at most (n + 3) u from an extended-precision
         reference.  At m = 18 the half-views are chunked by whole runs below qubit
-        CHUNK_BITS = 14, by one run at it and by pieces of runs above it, and 8 chunk
+        ROW_BITS = 14, by one run at it and by pieces of runs above it, and 8 chunk
         partials are summed; at m = 16 there are 2, at m = 12 one."""
         s = StateVector(m, random_state(m, np.random.default_rng(206 + m)))
         w_minus, w_3 = bilinears_extended(s.amplitudes, m)
@@ -172,7 +172,7 @@ class TestBlochVectorOracle:
         tracemalloc.start()
         try:
             peaks = []
-            for nu in [0, 3, CHUNK_BITS - 1, CHUNK_BITS, 19]:
+            for nu in [0, 3, ROW_BITS - 1, ROW_BITS, 19]:
                 tracemalloc.reset_peak()
                 reduced_density_matrix(s, nu)
                 peaks.append(tracemalloc.get_traced_memory()[1])
@@ -266,6 +266,15 @@ class TestDressing:
         for dressed in _dressings(s, 3, 17):
             expected = _chain(s.amplitudes, m, [_haar_unitary(rng) for _ in range(m)])
             assert np.linalg.norm(dressed - expected) <= dressing_gap_bound(m)
+
+    @pytest.mark.parametrize("m", [17, 18])
+    def test_matches_the_chain_at_the_default_budget(self, m):
+        """``_dressings``' own buffer, 2^(ROW_BITS + BLOCK_BITS) = 2^17 amplitudes: one block at M = 17, two at 18."""
+        s = StateVector(m, random_state(m, np.random.default_rng(400 + m)))
+        rng = np.random.default_rng(m)
+        (dressed,) = _dressings(s, 1, m)
+        expected = _chain(s.amplitudes, m, [_haar_unitary(rng) for _ in range(m)])
+        assert np.linalg.norm(dressed - expected) <= dressing_gap_bound(m)
 
     @pytest.mark.slow
     def test_matches_the_chain_at_20_qubits(self):
