@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,16 +216,14 @@ def family_amplitudes(spec: FamilySpec, parameter: str, values) -> np.ndarray:
     """C-contiguous amplitudes (len(values), 2**m) of ``spec`` with ``parameter`` at each value.
 
     Row i holds the amplitudes of the spec with that angle set to
-    ``values[i]``; ``family_state`` is the one-row case.  A non-finite value
-    is rejected as FamilySpec rejects it.  The rows are not validated.
+    ``values[i]``; ``family_state`` is the one-row case.  Each value passes
+    ``qstate.validate_real``, the rule and the message of FamilySpec's
+    angles.  The rows are not validated.
     This is the one place that dispatches on the family tag.
     """
-    values = [float(v) for v in values]
     if parameter not in FAMILY_ANGLES[spec.tag]:
         raise ValueError(f"family {spec.tag!r} has no angle {parameter!r}")
-    bad = next((v for v in values if not math.isfinite(v)), None)
-    if bad is not None:
-        replace(spec, **{parameter: bad})  # raises FamilySpec's error for that value
+    values = [validate_real(f"angle {parameter!r}", v) for v in values]
     angles = {
         name: values if name == parameter else [getattr(spec, name)]
         for name in FAMILY_ANGLES[spec.tag]

@@ -39,27 +39,30 @@ its A_nu becomes Z, and g is the covariance of M +-1 spins under the
 rotated probabilities, read a block at a time, in a working memory of two
 blocks whatever M.  ``_frame_passes`` plans its passes, each naming the
 qubits it turns as the row bits and the column bits of its blocks, and
-every block fits 2**(ROW_BITS + BLOCK_BITS) amplitudes.  Both kernels
+every block fits 2**(ROW_BITS + BLOCK_BITS) amplitudes.  ``_turns`` is
+the one block loop of a Kronecker turn, and ``_rotate`` the one turn of a
+block, for this kernel and for ``verify``'s dressings.  Both kernels
 produce only the moments <A_mu> and <A_mu A_nu>; ``_metric_from_moments``
 assembles g from them, with the diagonal of ``_diagonal``, for both.
 
 The passes over a state of several rows skip what holds no amplitude,
 by the zero test ``not (x[0] or x.any())``: ``qstate._row_bilinears`` a
 row, tested before its pass, and ``_frame_metric`` a block of a row pass
-or a strip of the column pass, tested as it is read.  A dense block costs
-one element read; a skipped one adds exactly +0.0 to every sum, so the
-output keeps its bytes.  Beside the zero test stands the identity rule: a
-pass of ``_frame_metric`` whose qubits all have the direction exactly +z,
-whose frames ``_frame_unitaries`` makes exactly I, is not turned, and its
-blocks are squared as they stand, the values the identity factors would
-give.  So a GHZ-like, W or basis state at its optimal directions, every
-qubit on +z, runs no gemm, and the bytes do not move.  The state-level
-entry points, ``w_vectors`` and ``metric_matrix``, are the one-state
-calls of ``bilinears`` and ``metric_matrices``, so a ``StateVector`` and
-its array take one path.
+or a strip of the column pass, tested by ``_turns`` as it is read.  A
+dense block costs one element read; a skipped one adds exactly +0.0 to
+every sum, so the output keeps its bytes.  Beside the zero test stands
+the identity rule: a pass of ``_frame_metric`` whose qubits all have the
+direction exactly +z, whose frames ``_frame_unitaries`` makes exactly I,
+is not turned, and its blocks are squared as they stand, the values the
+identity factors would give.  So a GHZ-like, W or basis state at its
+optimal directions, every qubit on +z, runs no gemm, and the bytes do not
+move.  The state-level entry points, ``w_vectors`` and ``metric_matrix``,
+are the one-state calls of ``bilinears`` and ``metric_matrices``, so a
+``StateVector`` and its array take one path.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -398,6 +401,35 @@ def _rotate(
     return x
 
 
+def _turns(
+    state: np.ndarray, row_bits: range, col_bits: range, w: int, u: np.ndarray | None,
+    buffers: list[np.ndarray],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The one block loop of a Kronecker turn: (block, turned block) per block that holds amplitude.
+
+    ``state`` holds 2^M amplitudes in any C-contiguous shape.  A pass with
+    row bits J, a run of qubits above the w lowest, reads blocks of the
+    2^|J| rows of 2^w amplitudes that differ only in J: a (2^|J|, 2^w)
+    strided slice of the state, read in place.  ``_rotate`` turns a block
+    by the Kronecker factors (``_kron_factors``) of the unitaries ``u``
+    (M, 2, 2) of J and of the column bits C, either range(w) or none; a
+    pass the identity rule holds still, ``u`` None, yields the block as it
+    stands.  A turned block lies in one of the two ``buffers``, each of at
+    least a block, until the next is turned.  The blocks of a pass split
+    the state, so a pass turns each amplitude once.  A block that holds no
+    amplitude, ``not (blk[0, 0] or blk.any())``, is skipped: the first
+    entry makes the test of a dense block one element read, and ``any()``
+    is false for a block of -0.0 and true for one of 1e-170.
+    """
+    blocks = state.reshape(-1, 1 << len(row_bits), 1 << (row_bits.start - w), 1 << w)
+    if u is not None:
+        factors = _kron_factors(u, list(row_bits)), _kron_factors(u, list(col_bits))
+    for outer, inner in np.ndindex(blocks.shape[0], blocks.shape[2]):
+        blk = blocks[outer, :, inner, :]
+        if blk[0, 0] or blk.any():
+            yield blk, blk if u is None else _rotate(blk, *factors, buffers)
+
+
 def _frame_passes(m: int, k: int) -> list[tuple[range, range]]:
     """The direction-frame kernel's plan for M > k qubits in rows of 2^k: (row bits, column bits) per pass.
 
@@ -436,22 +468,18 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     read from its width), is instead read in place, never written, a block
     at a time, in the passes of ``_frame_passes``.
 
-    A pass with row bits J and column bits C reads blocks of the 2^|J|
-    rows that differ only in J, a strided slice of the state, and of 2^w
-    columns: C, or in the column pass as many low qubits as fill the work
-    buffer.  ``_rotate`` turns each block in J and C, in groups of four
-    qubits (a 16 x 16 Kronecker factor each), and |.|^2 of the result is
-    added into one accumulator.  That is the joint distribution of the
-    turned spins, once the column pass has added up the columns it does
-    not turn, and ``_spin_moments`` gives their moments at the end of the
-    pass.
-
-    A block that holds no amplitude, ``not (blk[0, 0] or blk.any())``, is
-    skipped, in every pass, the column pass's strips included: turned, it
-    would be exact zeros, whose squares add exactly +0.0 to the
-    accumulator, so the test does not move the bytes.  The first entry
-    makes the test of a dense block one element read; ``any()`` is false
-    for a block of -0.0 and true for one of 1e-170.
+    A pass with row bits J and column bits C runs ``_turns``, the one
+    block loop, over blocks of the 2^|J| rows that differ only in J and of
+    2^w columns: C, or in the column pass as many low qubits as fill the
+    work buffer.  Each block is turned in J and C by ``_rotate``, in groups
+    of four qubits (a 16 x 16 Kronecker factor each), and |.|^2 of the
+    result is added into one accumulator.  That is the joint distribution
+    of the turned spins, once the column pass has added up the columns it
+    does not turn, and ``_spin_moments`` gives their moments at the end of
+    the pass.  A block that holds no amplitude, the column pass's strips
+    included, is skipped by ``_turns``' zero test: turned, it would be
+    exact zeros, whose squares add exactly +0.0 to the accumulator, so the
+    test does not move the bytes.
 
     A pass whose qubits all have the direction exactly (0, 0, 1), whose U
     is exactly I, is not turned: a turn by identity factors gives each
@@ -485,23 +513,14 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     for row_bits, col_bits in passes:
         j = len(row_bits)
         w = len(col_bits) or bits - j  # the block's columns; the column pass fills the buffer with them
-        blocks = rows.reshape(1 << (m - row_bits.stop), 1 << j, 1 << (row_bits.start - w), 1 << w)
         qubits = list(row_bits) + list(col_bits)  # the turned block's index: J's bits low, C's high
         turned = not still[qubits].all()
-        if turned:
-            row_factors, col_factors = _kron_factors(u, list(row_bits)), _kron_factors(u, list(col_bits))
         total = sums[: 1 << (j + w)]
         total.fill(0.0)
-        for outer, inner in np.ndindex(blocks.shape[0], blocks.shape[2]):
-            blk = blocks[outer, :, inner, :]
-            if not (blk[0, 0] or blk.any()):
-                continue
-            if turned:
-                squares = _rotate(blk, row_factors, col_factors, buffers).reshape(-1).view(float)
-                np.square(squares, out=squares)  # |y|^2: its real and imaginary parts, squared in place
-            else:
-                squares = buffers[0][: blk.size].view(float)
-                np.square(blk.view(float), out=squares.reshape(1 << j, -1))
+        for _, y in _turns(rows, row_bits, col_bits, w, u if turned else None, buffers):
+            parts = y.view(float)  # |y|^2 is the sum of its real and imaginary parts' squares
+            squares = y.reshape(-1).view(float) if turned else buffers[0][: y.size].view(float)
+            np.square(parts, out=squares.reshape(parts.shape))  # in place for a turned block
             total += squares[0::2]
             total += squares[1::2]
         if not col_bits:  # the column pass: add up the strip's columns, which trail its row bits

@@ -11,11 +11,12 @@ Three cross checks, none of which use the analytic minimizer v = b/|b|:
 
 ``verify_state`` runs all three on one state against their thresholds and
 returns the ``entdist verify`` record.  It holds the state, one copy for
-the dressings and blocks of at most 2^(ROW_BITS + BLOCK_BITS) amplitudes,
-the direction-frame kernel's block budget, whatever M: the partial trace
-reads the state in chunks of 2^ROW_BITS pairs, and each dressing turns the
-copy in place by the frame kernel's Kronecker factors
-(``metric._kron_factors``).
+the dressings and two blocks of at most 2^(ROW_BITS + BLOCK_BITS)
+amplitudes, the direction-frame kernel's block budget, whatever M: the
+partial trace reads the state in chunks of 2^ROW_BITS pairs, and each
+dressing turns the copy in place through the frame kernel's block loop,
+``metric._turns``, and its ``_rotate``, each qubit once, in at most two
+passes over the copy.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 from .metric import (
     BLOCK_BITS,
     _UNIT_ROUNDOFF,
-    _kron_factors,
+    _turns,
     entanglement_measure,
     measure_from_bilinears,
     w_vectors,
@@ -89,15 +90,14 @@ def minimize_trace_numeric(
     and must be positive.  Deterministic for a fixed seed; the best
     restart wins.
     """
+    restarts, seed = validate_count("restarts", restarts, 1), validate_count("seed", seed, 0)
     return _minimize_trace(state, restarts, tol, seed, None)
 
 
 def _minimize_trace(
     state: StateVector, restarts: int, tol: float, seed: int, bloch: np.ndarray | None
 ) -> OptimizerReport:
-    """``minimize_trace_numeric`` from the state's (M, 3) Bloch vectors, or from its bilinears if None."""
-    restarts = validate_count("restarts", restarts, 1)
-    seed = validate_count("seed", seed, 0)
+    """``minimize_trace_numeric`` of valid counts, from the (M, 3) Bloch vectors or, if None, the bilinears."""
     tol = validate_real("tol", tol)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -215,30 +215,25 @@ def bloch_tol(m: int) -> float:
     return 2.0 * (row_depth(m) + _oracle_depth(m) + 3) * _UNIT_ROUNDOFF
 
 
-def _dress(work: np.ndarray, unitaries: list[np.ndarray], buf: np.ndarray) -> None:
-    """Apply u_{M-1} x ... x u_0 to the 2^M amplitudes ``work`` in place, four qubits at a time.
+def _dress(work: np.ndarray, u: np.ndarray, buffers: list[np.ndarray]) -> None:
+    """Apply u_{M-1} x ... x u_0, ``u`` (M, 2, 2), to the 2^M amplitudes ``work`` in place, each qubit once.
 
-    Qubits 4g .. 4g + 3 act as one Kronecker product f of size d <= 16,
-    the g-th factor of ``metric._kron_factors``, which owns the group rule.
-    Seen as (outer, d, 2^(4g)), ``work`` is turned in blocks of at most
-    ``buf.size`` amplitudes, whole (rows, d, 2^(4g)) slabs or a piece of
-    one: each block's product with f goes to ``buf`` by one matmul and is
-    copied back.  The lowest group, whose d amplitudes are adjacent, takes
-    its block as (rows, d) times f^T, one gemm.
+    A plan over ``metric._turns``, the frame kernel's block loop, in
+    blocks of 2^b amplitudes, the size of each of the two ``buffers``: one
+    pass turns the low L = min(M, b) qubits as column bits, a contiguous
+    row of 2^L at a time, and one pass each run of at most b higher qubits
+    as row bits.  Neither kind of pass mixes row and column
+    bits, so ``metric._rotate`` gives each block back in its own index
+    order, and it is copied back in place.  A block that holds no
+    amplitude is skipped and stays as it is.
     """
-    block = buf.size
-    for g, f in enumerate(_kron_factors(np.asarray(unitaries), list(range(len(unitaries))))):
-        d, inner = len(f), 1 << (4 * g)
-        width = min(inner, block // d)
-        view = work.reshape(-1, block // (d * width), d, inner // width, width)
-        out = buf.reshape(view.shape[1], d, width)
-        for o, r in np.ndindex(view.shape[0], view.shape[3]):
-            x = view[o, :, :, r]
-            if inner == 1:
-                np.matmul(x[..., 0], f.T, out=out[..., 0])
-            else:
-                np.matmul(f, x, out=out)
-            x[...] = out
+    m, b = work.size.bit_length() - 1, buffers[0].size.bit_length() - 1
+    low = min(m, b)
+    runs = [range(s, min(s + b, m)) for s in range(low, m, b)]
+    for row_bits, col_bits in [(range(low, low), range(low))] + [(run, range(0)) for run in runs]:
+        w = len(col_bits) or b - len(row_bits)
+        for blk, turned in _turns(work, row_bits, col_bits, w, u, buffers):
+            blk[...] = turned.reshape(blk.shape)
 
 
 def _dressings(state: StateVector, trials: int, seed: int) -> Iterator[np.ndarray]:
@@ -246,18 +241,20 @@ def _dressings(state: StateVector, trials: int, seed: int) -> Iterator[np.ndarra
 
     Each trial draws one Haar unitary per qubit, qubit 0 first, and applies
     them by ``_dress`` to a fresh copy of the amplitudes, so the state is
-    copied into one buffer for all trials, and turned in blocks of at most
+    copied into one array for all trials, and turned in blocks of at most
     2^(ROW_BITS + BLOCK_BITS) amplitudes, the direction-frame kernel's
-    block budget.  A yielded array is overwritten by the next trial.
+    block budget, through two buffers of a block each: at most two passes
+    over the copy for every M <= 26.  A yielded array is overwritten by the
+    next trial.
     """
     rng = np.random.default_rng(seed)
     m = state.num_qubits
     work = np.empty(1 << m, dtype=np.complex128)
-    buf = np.empty(min(1 << (ROW_BITS + BLOCK_BITS), 1 << m), dtype=np.complex128)
+    buffers = list(np.empty((2, min(1 << (ROW_BITS + BLOCK_BITS), 1 << m)), dtype=np.complex128))
     for _ in range(trials):
-        unitaries = [_haar_unitary(rng) for _ in range(m)]
+        u = np.array([_haar_unitary(rng) for _ in range(m)])
         np.copyto(work, state.amplitudes)
-        _dress(work, unitaries, buf)
+        _dress(work, u, buffers)
         yield work
 
 
@@ -266,18 +263,18 @@ def invariance_check(state: StateVector, trials: int, seed: int = 0) -> float:
 
     Each trial draws an independent Haar unitary for every qubit, qubit 0
     first, and applies them all to a copy of the amplitudes, the dressing
-    that M ``apply_local_unitary`` calls would give, but in place, four
-    qubits per matmul (``_dressings``); it takes E of the result.  A
-    unitary keeps the norm, so the dressed array is not revalidated.
+    that M ``apply_local_unitary`` calls would give, but in place, by the
+    direction-frame kernel's Kronecker turns of four qubits at a time
+    (``_dressings``); it takes E of the result.  A unitary keeps the norm,
+    so the dressed array is not revalidated.
     Deterministic for a fixed seed.
     """
+    trials, seed = validate_count("trials", trials, 1), validate_count("seed", seed, 0)
     return _invariance_check(state, trials, seed, None)
 
 
 def _invariance_check(state: StateVector, trials: int, seed: int, base: float | None) -> float:
-    """``invariance_check`` against E of the state, ``base``, or E from its bilinears if None."""
-    trials = validate_count("trials", trials, 1)
-    seed = validate_count("seed", seed, 0)
+    """``invariance_check`` of valid counts against E of the state, ``base``, or its bilinears' E if None."""
     if base is None:
         base = entanglement_measure(state)
     return max(
@@ -294,7 +291,12 @@ def verify_state(state: StateVector, trials: int, restarts: int, seed: int) -> d
     invariance dressings are drawn from ``seed`` and the ascent starts from
     ``seed + 1``.  A check fails unless its gap is below its threshold;
     ``failed_checks`` names the failures in the order of ``thresholds``.
+    ``trials``, ``restarts`` and ``seed`` pass ``qstate.validate_count``
+    before any pass over the state.
     """
+    trials = validate_count("trials", trials, 1)
+    restarts = validate_count("restarts", restarts, 1)
+    seed = validate_count("seed", seed, 0)
     w_minus, w_3 = w_vectors(state)
     analytic = float(measure_from_bilinears(w_minus, w_3))
     bloch = bloch_vectors(w_minus, w_3)

@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+import entdist.verify
 from entdist import EntanglementMetric, FamilySpec, brs_state, entanglement_metric
 from entdist.cli import SweepSpec, main, run_surface
 from entdist.qstate import (
@@ -58,6 +59,12 @@ _SITES = [
     ("invariance-seed", lambda v: invariance_check(_BELL, trials=1, seed=v), "seed", [-1]),
     ("reduced_density_matrix", lambda v: reduced_density_matrix(_BELL, v), "qubit index",
      [-1, 2]),
+    ("verify_state-trials", lambda v: verify_state(_BELL, trials=v, restarts=1, seed=0), "trials",
+     [0]),
+    ("verify_state-restarts", lambda v: verify_state(_BELL, trials=1, restarts=v, seed=0),
+     "restarts", [0]),
+    ("verify_state-seed", lambda v: verify_state(_BELL, trials=1, restarts=1, seed=v), "seed",
+     [-1]),
     ("EntanglementMetric", lambda v: EntanglementMetric(v, np.zeros((1, 1)), [[0.0, 0.0, 1.0]], 0.0),
      "size", [0, 27]),
 ]
@@ -120,6 +127,23 @@ def test_cli_state_file_m_exits_2_naming_the_file(m, tmp_path, capsys):
     assert main(["measure", "--state-file", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f'error: state file {path}: "m" must be an integer in [1, 26], got ')
+
+
+@pytest.mark.parametrize(
+    "counts, name",
+    [((0, 1, 0), "trials"), ((1, 0, 0), "restarts"), ((1, 1, -1), "seed")],
+    ids=["trials", "restarts", "seed"],
+)
+def test_verify_state_checks_its_counts_before_any_pass(counts, name, monkeypatch):
+    """``restarts=0`` at M = 22 was once refused only after the bilinear pass and the dressings, 1.7 s."""
+
+    def no_pass(state):
+        raise AssertionError("verify_state read the state before checking its counts")
+
+    monkeypatch.setattr(entdist.verify, "w_vectors", no_pass)
+    trials, restarts, seed = counts
+    with pytest.raises(ValueError, match=f"^{name} must be an integer "):
+        verify_state(_BELL, trials=trials, restarts=restarts, seed=seed)
 
 
 def test_numpy_integers_give_json_records():

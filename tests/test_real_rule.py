@@ -1,6 +1,7 @@
 """One real-number rule: every real argument passes ``qstate.validate_real``.
 
-The sites are the family angles, ``EntanglementMetric.measure``,
+The sites are the family angles, in ``FamilySpec`` and in the batch
+builder ``family_amplitudes``, ``EntanglementMetric.measure``,
 ``Spectrum.rank_tol``, which also has a lower bound of 0, the ascent's
 ``tol`` in ``minimize_trace_numeric`` and the ends of a sweep grid.  Each
 takes a ``numbers.Real``, not a bool, that is finite, and refuses anything
@@ -20,6 +21,7 @@ import pytest
 
 from entdist import EntanglementMetric, FamilySpec, Spectrum, make_basis_state, minimize_trace_numeric
 from entdist.cli import SweepSpec
+from entdist.families import family_amplitudes
 from entdist.qstate import validate_real
 
 _Z = [0.0, 0.0, 1.0]
@@ -31,6 +33,9 @@ _SITES = [
     ("phase", lambda v: FamilySpec("ghzl", m=3, phase=v), "angle 'phase'"),
     ("gamma", lambda v: FamilySpec("threeq", gamma=v), "angle 'gamma'"),
     ("tau", lambda v: FamilySpec("threeq", tau=v), "angle 'tau'"),
+    # "0.5", True and a 0-d array once passed as angles here, and 10**400 raised an OverflowError
+    ("family_amplitudes", lambda v: family_amplitudes(FamilySpec("brs", m=3), "phi", [0.1, v]),
+     "angle 'phi'"),
     ("measure", lambda v: EntanglementMetric(1, np.zeros((1, 1)), [_Z], v), "measure"),
     ("rank_tol", lambda v: Spectrum([0.25, 0.0], v), "rank_tol"),
     # True and inf once stopped the ascent at step 0, "converged" with a wrong value

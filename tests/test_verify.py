@@ -22,9 +22,11 @@ from entdist import (
 )
 from entdist import verify
 from entdist.verify import _dress, _dressings, _oracle_depth, bloch_tol
+from entdist.metric import BLOCK_BITS
 from entdist.qstate import ROW_BITS, _apply_one_qubit_matrix, _haar_unitary, bloch_vectors
 
 from oracles import bilinears_extended, random_state
+from test_identity_frames import top_haar_state
 
 U = np.finfo(float).eps / 2
 
@@ -222,7 +224,22 @@ def _gamma(n: int) -> float:
     return n * U / (1 - n * U)
 
 
-def dressing_gap_bound(m: int) -> float:
+def _factors_gap(passes: list[int]) -> float:
+    """The factors' share of ``dressing_gap_bound``: each pass of n qubits turned in fours from its lowest.
+
+    math.fsum adds the groups' terms exactly rounded, so two plans with the
+    same groups in another order give the same bound.
+    """
+    terms = []
+    for n in passes:
+        for lo in range(0, n, 4):
+            b = min(4, n - lo)
+            d = 1 << b
+            terms.append((2 * (b - 1) * _gamma(2) + 2 * _gamma(2 * d)) * math.sqrt(d))
+    return math.fsum(terms)
+
+
+def dressing_gap_bound(m: int, block_bits: int = ROW_BITS + BLOCK_BITS) -> float:
     """Bound on ||dressing - chain||_2 for a unit vector, from the rounding of each route.
 
     However its 2n real products are ordered or fused, a complex inner
@@ -234,29 +251,47 @@ def dressing_gap_bound(m: int) -> float:
     d = 2.  The dressing's factor for d = 2^b is a product of b unitary
     entries, b - 1 complex products each within 2 gamma_2 relatively, so
     it is off by at most 2 (b - 1) gamma_2 sqrt(d) in the 2-norm as well.
+    Its groups are the plan's, in blocks of 2^block_bits amplitudes: the low
+    L = min(M, block_bits) qubits in fours from qubit 0, then each run of at
+    most block_bits higher qubits in fours from its lowest.
     """
     chain = m * 2 * _gamma(4) * math.sqrt(2)
-    dressing = 0.0
-    for lo in range(0, m, 4):
-        b = min(4, m - lo)
-        d = 1 << b
-        dressing += (2 * (b - 1) * _gamma(2) + 2 * _gamma(2 * d)) * math.sqrt(d)
-    return chain + dressing
+    low = min(m, block_bits)
+    return chain + _factors_gap([low] + [min(block_bits, m - s) for s in range(low, m, block_bits)])
+
+
+def _dress_in_blocks(amps: np.ndarray, unitaries: list[np.ndarray], block_bits: int) -> np.ndarray:
+    """``_dress`` of a copy of ``amps`` through two buffers of 2^block_bits amplitudes."""
+    work = amps.copy()
+    n = min(1 << block_bits, work.size)
+    _dress(work, np.array(unitaries), list(np.empty((2, n), dtype=np.complex128)))
+    return work
 
 
 class TestDressing:
-    """The in-place dressing by four-qubit Kronecker factors against the per-qubit chain."""
+    """The in-place dressing, a low pass of column bits and runs of row bits over
+    ``metric._turns``' blocks, against the per-qubit chain."""
 
     @pytest.mark.parametrize("m", range(3, 13))
     def test_matches_the_chain_within_its_bound(self, m):
-        """The largest gap seen, 4.2e-16 at M = 12, is under 1/100 of the bound, as at every M."""
+        """Blocks of 2^2 (runs of two row bits), 2^5 (one or two runs) and the whole state
+        (the low pass alone).  The largest gap seen is 4.3e-16, at M = 12; the largest
+        share of its bound is 1/42, at M = 3 in blocks of 2^2."""
         rng = np.random.default_rng(300 + m)
         amps = random_state(m, rng)
         unitaries = [_haar_unitary(rng) for _ in range(m)]
-        for block_bits in [2, 4, m]:  # blocks of pieces of slabs, of whole slabs, the whole state
-            work = amps.copy()
-            _dress(work, unitaries, np.empty(1 << min(block_bits + 4, m), dtype=np.complex128))
-            assert np.linalg.norm(work - _chain(amps, m, unitaries)) <= dressing_gap_bound(m)
+        expected = _chain(amps, m, unitaries)
+        for block_bits in [2, 5, m]:
+            dressed = _dress_in_blocks(amps, unitaries, block_bits)
+            assert np.linalg.norm(dressed - expected) <= dressing_gap_bound(m, block_bits)
+
+    @pytest.mark.parametrize("m", range(3, 27))
+    def test_the_plan_bound_is_no_looser_than_one_pass_of_fours(self, m):
+        """The plan's groups, at the default budget of 2^17, are never looser than the
+        fours from qubit 0 over the whole state, a group of four across the low pass's
+        edge splits into smaller ones: equal at M <= 17, 21 and 25, below them elsewhere."""
+        one_pass = m * 2 * _gamma(4) * math.sqrt(2) + _factors_gap([m])
+        assert dressing_gap_bound(m) <= one_pass
 
     @pytest.mark.parametrize("m", [3, 5, 9])
     def test_draws_one_unitary_per_qubit_from_qubit_0(self, m):
@@ -269,19 +304,64 @@ class TestDressing:
 
     @pytest.mark.parametrize("m", [17, 18])
     def test_matches_the_chain_at_the_default_budget(self, m):
-        """``_dressings``' own buffer, 2^(ROW_BITS + BLOCK_BITS) = 2^17 amplitudes: one block at M = 17, two at 18."""
+        """``_dressings``' own buffers, 2^(ROW_BITS + BLOCK_BITS) = 2^17 amplitudes each:
+        the low pass alone at M = 17; at 18 a low pass of two rows and a run of one qubit."""
         s = StateVector(m, random_state(m, np.random.default_rng(400 + m)))
         rng = np.random.default_rng(m)
         (dressed,) = _dressings(s, 1, m)
         expected = _chain(s.amplitudes, m, [_haar_unitary(rng) for _ in range(m)])
         assert np.linalg.norm(dressed - expected) <= dressing_gap_bound(m)
 
+    @pytest.mark.parametrize("kind", ["ghzl", "top-haar"])
+    @pytest.mark.parametrize("block_bits", [12, ROW_BITS + BLOCK_BITS])
+    def test_blocks_that_hold_no_amplitude_are_skipped(self, kind, block_bits, monkeypatch):
+        """At M = 18 a pass yields exactly the blocks that hold amplitude when it reads
+        them, and leaves every other block exactly zero.  In blocks of 2^12 the ghzl
+        state's low pass turns 2 of its 64 rows and the top-Haar one's 2 of 64, and the
+        run of six qubits all 64 blocks; at the default budget both low rows hold
+        amplitude, and both blocks of the run.  The dressing matches the chain."""
+        m = 18
+        state = ghzl_state(m, 0.7, 0.2) if kind == "ghzl" else top_haar_state(m)
+        turns = verify._turns
+        yielded = []
+
+        def spy(work, row_bits, col_bits, w, u, buffers):
+            shape = (1 << (m - row_bits.stop), 1 << len(row_bits), 1 << (row_bits.start - w), 1 << w)
+            blocks = work.reshape(shape).swapaxes(1, 2)  # one (rows, columns) block per (outer, inner)
+            held = blocks.any(axis=(2, 3))
+            yielded.append(0)
+            for blk, turned in turns(work, row_bits, col_bits, w, u, buffers):
+                assert blk.any()
+                yielded[-1] += 1
+                yield blk, turned
+            assert yielded[-1] == held.sum()
+            assert not blocks[~held].any()
+
+        monkeypatch.setattr(verify, "_turns", spy)
+        rng = np.random.default_rng(500)
+        unitaries = [_haar_unitary(rng) for _ in range(m)]
+        dressed = _dress_in_blocks(state.amplitudes, unitaries, block_bits)
+        expected = _chain(state.amplitudes, m, unitaries)
+        assert np.linalg.norm(dressed - expected) <= dressing_gap_bound(m, block_bits)
+        assert yielded == ([2, 64] if block_bits == 12 else [2, 2])  # the low pass, then the run
+
     @pytest.mark.slow
     def test_matches_the_chain_at_20_qubits(self):
-        """Blocks of 2^17 amplitudes: pieces of the top groups' slabs, rows of the lowest."""
+        """Blocks of 2^17 amplitudes: the low pass over eight rows, then a run of three qubits."""
         m = 20
         s = brs_state(m, 0.3)
         rng = np.random.default_rng(20)
         (dressed,) = _dressings(s, 1, 20)
+        expected = _chain(s.amplitudes, m, [_haar_unitary(rng) for _ in range(m)])
+        assert np.linalg.norm(dressed - expected) <= dressing_gap_bound(m)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("m", [22, 24])
+    def test_matches_the_chain_with_a_long_high_run(self, m):
+        """The run above the low pass's 17 qubits holds 5 qubits at M = 22 and 7 at 24,
+        one full group of four and a short one each."""
+        s = StateVector(m, random_state(m, np.random.default_rng(600 + m)))
+        rng = np.random.default_rng(m)
+        (dressed,) = _dressings(s, 1, m)
         expected = _chain(s.amplitudes, m, [_haar_unitary(rng) for _ in range(m)])
         assert np.linalg.norm(dressed - expected) <= dressing_gap_bound(m)
