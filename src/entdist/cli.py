@@ -1,10 +1,13 @@
 """Command-line front end: measure states, sweep families, emit figure data.
 
 Subcommands: ``measure``, ``eigs``, ``sweep``, ``surface``, ``verify``.
-Exit codes: 0 ok, 1 verification failure, 2 I/O, parse or argument error
-or out of memory, 3 invalid input state, 4 internal error (a broken
-invariant after the state was validated).  Identical invocations produce
-byte-identical output; CSV floats carry 17 significant digits and round-trip exactly.
+Exit codes: 0 ok; 1 verification failure; 2 an argument, I/O or parse
+error, or out of memory; 3 a --state-file state fails validation; 4 any
+fault after the inputs are accepted, a family state that fails validation
+included.  Every command-line value refused by an input rule exits 2
+through ``_accept``.  Identical invocations produce byte-identical output
+with the same numpy, BLAS build and BLAS thread count; CSV floats carry
+17 significant digits and round-trip exactly.
 """
 from __future__ import annotations
 
@@ -56,7 +59,7 @@ EXIT_INVALID_STATE = 3
 EXIT_INTERNAL = 4
 
 class InvalidStateError(Exception):
-    """The input state failed validation."""
+    """A --state-file state failed validation (exit 3); a family state that fails is exit 4."""
 
 
 @dataclass(frozen=True)
@@ -207,19 +210,34 @@ def _given_family_flags(args: argparse.Namespace) -> dict:
     return {name: getattr(args, name) for name in _FAMILY_FLAGS if getattr(args, name) is not None}
 
 
+def _accept(parser: argparse.ArgumentParser, rule, /, *args, prefix: str = "", **kwargs):
+    """``rule(*args, **kwargs)``, the one owner of an input rule, applied to command-line values.
+
+    A refusal (ValueError) exits 2 through ``parser.error``, with the
+    subcommand's usage and the rule's message after ``prefix``.
+    """
+    try:
+        return rule(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(f"{prefix}{exc}")
+
+
 def _state_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> StateVector:
     """Build the input state.
 
-    Argparse-level errors exit 2 and unreadable input raises StateFileError;
-    a state that fails validation raises InvalidStateError.
+    Argparse-level errors and refused family flags exit 2, and unreadable
+    input or a refused --family-json raises StateFileError.  Only a
+    --state-file state that fails validation raises InvalidStateError; a
+    family state that fails it after its spec was accepted is a broken
+    invariant, and its ValueError reaches ``main`` as an internal error.
     """
     given = _given_family_flags(args)
     if args.family is None and given:
         parser.error(f"--{next(iter(given))} applies only with --family")
-    try:
-        if args.state_file is not None:
-            return read_state_file(args.state_file)
+    if args.state_file is None:
         return family_state(_spec_from_args(args, parser))
+    try:
+        return read_state_file(args.state_file)
     except StateFileError:
         raise
     except ValueError as exc:
@@ -236,10 +254,7 @@ def _spec_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def _family_from_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FamilySpec:
-    try:
-        return FamilySpec(args.family, **_given_family_flags(args))
-    except ValueError as exc:
-        parser.error(str(exc))
+    return _accept(parser, FamilySpec, args.family, **_given_family_flags(args))
 
 
 def _cmd_measure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -249,10 +264,7 @@ def _cmd_measure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_eigs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        Spectrum((), args.rank_tol)  # the rank_tol rule, before any state is built
-    except ValueError as exc:
-        parser.error(f"--rank-tol: {exc}")
+    _accept(parser, Spectrum, (), args.rank_tol, prefix="--rank-tol: ")  # before any state is built
     state = _state_from_args(args, parser)
     spec = spectrum(entanglement_metric(state), rank_tol=args.rank_tol)
     eigs = [float(x) for x in spec.eigenvalues]
@@ -273,40 +285,26 @@ def _cmd_eigs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if getattr(args, args.parameter) is not None:
         parser.error(f"--{args.parameter} is the swept angle; its range is --start to --stop")
-    template = _family_from_flags(args, parser)
-    try:
-        spec = SweepSpec(
-            family=template,
-            parameter=args.parameter,
-            start=args.start,
-            stop=args.stop,
-            points=args.points,
-            normalize=args.normalize,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    spec = _accept(
+        parser, SweepSpec, _family_from_flags(args, parser), args.parameter,
+        start=args.start, stop=args.stop, points=args.points, normalize=args.normalize,
+    )
     header, rows = run_sweep(spec)
     _emit(_csv_text(header, rows), args.out)
     return EXIT_OK
 
 
 def _cmd_surface(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        header, rows = run_surface(
-            (args.gamma_start, args.gamma_stop), (args.tau_start, args.tau_stop), args.points
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    gamma = _accept(parser, _check_grid, "gamma", args.gamma_start, args.gamma_stop, args.points)
+    tau = _accept(parser, _check_grid, "tau", args.tau_start, args.tau_stop, args.points)
+    header, rows = run_surface(gamma, tau, args.points)
     _emit(_csv_text(header, rows), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     for name, lo in (("trials", 1), ("restarts", 1), ("seed", 0)):
-        try:
-            qstate.validate_count(f"--{name}", getattr(args, name), lo)
-        except ValueError as exc:
-            parser.error(str(exc))
+        _accept(parser, qstate.validate_count, f"--{name}", getattr(args, name), lo)
     state = _state_from_args(args, parser)
     payload = verify_state(state, args.trials, args.restarts, args.seed)
     _emit(json.dumps(payload) + "\n", args.out)

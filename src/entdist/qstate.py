@@ -96,6 +96,9 @@ def validate_real(name: str, value, lo: float | None = None) -> float:
     ``reprlib.repr``, which keeps an ordinary value's ``repr`` and cuts a
     long one, such as 10**400, to a few dozen characters.
     """
+    # a Python float or np.float64 (a float subclass) skips the numbers.Real ABC check
+    if isinstance(value, float) and math.isfinite(value) and (lo is None or value >= lo):
+        return float(value)
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             x = float(value)

@@ -3,10 +3,11 @@
 Everything here recomputes quantities by a route the library does not use:
 dense kron-built operators, literal per-index sums, a hand-rolled cyclic
 Jacobi eigensolver, the projector-product construction of the diagonal
-chain-phase operator, pair-by-pair adjacent-pair counts and the analytic
-two- and three-qubit chain-phase metric forms.  Basis convention matches
-the library: bit nu of the index k is qubit nu, composite kron order is
-qubit M-1 (MSB) first.
+chain-phase operator, pair-by-pair adjacent-pair counts, the analytic
+two- and three-qubit chain-phase metric forms and the metric of a
+permutation-symmetric state from (M + 1) x (M + 1) collective-spin
+matrices.  Basis convention matches the library: bit nu of the index k is
+qubit nu, composite kron order is qubit M-1 (MSB) first.
 """
 from __future__ import annotations
 
@@ -244,3 +245,61 @@ def random_product_state(m: int, rng: np.random.Generator) -> np.ndarray:
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
         amps = np.kron(amps, z / np.linalg.norm(z))
     return amps
+
+
+def collective_spin(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_x, S_y, S_z of S = sum_mu sigma^mu / 2 on the Dicke basis |D(m, k)>, k = 0 .. m.
+
+    |D(m, k)> has k qubits in |1> (sigma_z = -1), so S_z = m/2 - k, and
+    S_+ = S_x + i S_y takes k to k - 1 with the spin-j ladder factor
+    sqrt(j (j + 1) - m_z (m_z + 1)), j = m/2, m_z = j - k.
+    """
+    j = m / 2.0
+    mz = j - np.arange(m + 1)
+    raise_ = np.diag(np.sqrt(j * (j + 1.0) - mz[1:] * (mz[1:] + 1.0)), 1).astype(complex)
+    return (raise_ + raise_.T) / 2.0, (raise_ - raise_.T) / 2.0j, np.diag(mz).astype(complex)
+
+
+def symmetric_amplitudes(c) -> np.ndarray:
+    """2^M amplitudes of sum_k c_k |D(M, k)> (c normalized here), M = len(c) - 1.
+
+    Index i holds c_k / sqrt(C(M, k)) with k = popcount(i), filled by rows
+    of at most 2^14 indices with ``np.bitwise_count`` on each row's
+    indices, so no popcount of all 2^M indices is held at once.
+    """
+    c = np.asarray(c, dtype=complex)
+    c = c / np.linalg.norm(c)
+    m = c.size - 1
+    per_index = c / np.sqrt([float(math.comb(m, k)) for k in range(m + 1)])
+    width = 1 << min(m, 14)
+    amps = np.empty(1 << m, dtype=complex)
+    for start in range(0, 1 << m, width):
+        amps[start : start + width] = per_index[np.bitwise_count(np.arange(start, start + width))]
+    return amps
+
+
+def symmetric_metric(c) -> np.ndarray:
+    """The (M, M) entanglement metric of sum_k c_k |D(M, k)>, M >= 2, at its optimal directions.
+
+    Every qubit has the Bloch vector b = 2 <S> / M, so one direction v =
+    b / |b| serves them all, the z axis when |b| < 1e-12 (b = 0: every
+    direction minimizes the trace).  With A = v . sigma on each qubit,
+    <A_mu^2> = 1 and S_v = v . S = sum_mu A_mu / 2, so for mu != nu
+    <A_mu A_nu> = (4 <S_v^2> - M) / (M (M - 1)), and g = a I + o (J - I)
+    with a = (1 - (v . b)^2) / 4 and o = (<A_mu A_nu> - (v . b)^2) / 4.
+    Its eigenvalues are a + (M - 1) o = Var(S_v) / M, once, and a - o, M - 1
+    times.  All of it comes from (M + 1) x (M + 1) matrices, in O(M^2).
+    """
+    c = np.asarray(c, dtype=complex)
+    c = c / np.linalg.norm(c)
+    m = c.size - 1
+    spins = collective_spin(m)
+    b = np.array([2.0 * float(np.vdot(c, s @ c).real) / m for s in spins])
+    norm = float(np.sqrt(b @ b))
+    v = b / norm if norm >= 1e-12 else np.array([0.0, 0.0, 1.0])
+    s_v = sum(vi * s for vi, s in zip(v, spins))
+    spin_sq = float(np.vdot(s_v @ c, s_v @ c).real)  # <S_v^2>, S_v Hermitian
+    vb = float(v @ b)
+    a = (1.0 - vb**2) / 4.0
+    o = ((4.0 * spin_sq - m) / (m * (m - 1)) - vb**2) / 4.0
+    return a * np.eye(m) + o * (np.ones((m, m)) - np.eye(m))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import entdist.cli
+import entdist.families
 import entdist.metric
 from entdist import FamilySpec, brs_state, ghzl_state, write_state_file
 from entdist.cli import SweepSpec, main, run_surface, run_sweep
@@ -322,6 +323,92 @@ def test_only_eigs_takes_a_format_flag(command, flag, capsys):
         main([command, *args, flag])
     assert err.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# exit codes: one table for every subcommand
+# ---------------------------------------------------------------------------
+
+_BRS_FLAGS = ["--family", "brs", "--m", "3", "--phi", "0.3"]
+_BRS_JSON = ["--family-json", '{"family": "brs", "m": 3, "phi": 0.3}']
+_SWEEP_ARGS = ["sweep", "--family", "brs", "--m", "3", "--parameter", "phi",
+               "--start", "0", "--stop", "1"]
+_UNNORMALIZED = '{"m": 2, "re": [1.0, 1.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0, 0.0]}'
+
+
+def _doubled_brs(monkeypatch):
+    brs = entdist.families._brs_amplitudes
+    monkeypatch.setattr(entdist.families, "_brs_amplitudes", lambda m, phis: 2.0 * brs(m, phis))
+
+
+def _failing_validation(monkeypatch):
+    def fail(amps):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(entdist.cli, "validate_amplitudes", fail)
+
+
+_PLANTED = "error: internal: planted\n"
+_DOUBLED = "error: internal: state is not normalized: sum |c_k|^2 = 4.0\n"
+_INVALID = "error: invalid state: state is not normalized: sum |c_k|^2 = 2.0\n"
+
+
+@pytest.mark.parametrize(
+    "args, plant, code, err",
+    [
+        # an argument refusal: exit 2, the usage, then the input rule's message
+        (["measure", "--family", "brs", "--m", "3", "--theta", "0.5"], None, 2,
+         "entdist measure: error: family 'brs' has no angle 'theta'\n"),
+        (["eigs", *_BRS_FLAGS, "--rank-tol", "nan"], None, 2,
+         "entdist eigs: error: --rank-tol: rank_tol must be a finite real number >= 0, got nan\n"),
+        ([*_SWEEP_ARGS, "--points", "1"], None, 2,
+         "entdist sweep: error: angle 'phi' grid points must be an integer >= 2, got 1\n"),
+        (["surface", "--points", "3", "--tau-start", "2", "--tau-stop", "1"], None, 2,
+         "entdist surface: error: angle 'tau' range requires start < stop\n"),
+        (["verify", *_BRS_FLAGS, "--trials", "0"], None, 2,
+         "entdist verify: error: --trials must be an integer >= 1, got 0\n"),
+        # a state file whose state fails validation: exit 3
+        (["measure", "--state-file", "STATE"], None, 3, _INVALID),
+        (["eigs", "--state-file", "STATE", "--csv"], None, 3, _INVALID),
+        (["verify", "--state-file", "STATE"], None, 3, _INVALID),
+        # a fault after the inputs were accepted: exit 4
+        (["measure", *_BRS_FLAGS], _doubled_brs, 4, _DOUBLED),
+        (["measure", *_BRS_JSON], _doubled_brs, 4, _DOUBLED),
+        (["eigs", *_BRS_FLAGS], _doubled_brs, 4, _DOUBLED),
+        (["eigs", *_BRS_JSON, "--csv"], _doubled_brs, 4, _DOUBLED),
+        (["verify", *_BRS_FLAGS], _doubled_brs, 4, _DOUBLED),
+        (["verify", *_BRS_JSON], _doubled_brs, 4, _DOUBLED),
+        ([*_SWEEP_ARGS, "--points", "3"], _failing_validation, 4, _PLANTED),
+        (["surface", "--points", "3"], _failing_validation, 4, _PLANTED),
+    ],
+    ids=[
+        "measure-refused", "eigs-refused", "sweep-refused", "surface-refused", "verify-refused",
+        "measure-file", "eigs-file", "verify-file",
+        "measure-family", "measure-json", "eigs-family", "eigs-json", "verify-family",
+        "verify-json", "sweep", "surface",
+    ],
+)
+def test_exit_code_table(args, plant, code, err, tmp_path, capsys, monkeypatch):
+    """Exit 2 for a refused value, 3 only for a state file's state, 4 for any later fault.
+
+    A family state that fails validation after its spec was accepted is a
+    broken invariant, not bad input, whichever flag gave the spec.
+    """
+    path = tmp_path / "state.json"
+    path.write_text(_UNNORMALIZED)
+    args = [str(path) if a == "STATE" else a for a in args]
+    if code == 2:  # argparse's usage lines, taken from the subcommand run without arguments
+        with pytest.raises(SystemExit):
+            main(args[:1])
+        err = "".join(capsys.readouterr().err.splitlines(keepends=True)[:-1]) + err
+    if plant is not None:
+        plant(monkeypatch)
+    try:
+        exit_code = main(args)
+    except SystemExit as exc:
+        exit_code = exc.code
+    captured = capsys.readouterr()
+    assert (exit_code, captured.out, captured.err) == (code, "", err)
 
 
 # ---------------------------------------------------------------------------

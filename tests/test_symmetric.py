@@ -1,0 +1,106 @@
+"""Permutation-symmetric states against the collective-spin oracle, at every M.
+
+A state sum_k c_k |D(M, k)> over the Dicke states is dense and, for a
+generic c, entangled, with one direction off every axis on all qubits: so
+every pass of the direction-frame kernel turns with full factors and no
+block is skipped.  ``oracles.symmetric_metric`` gives its exact metric from
+(M + 1) x (M + 1) spin matrices, by a route that shares nothing with the
+kernels.  The GHZ state (c on k = 0 and M) and D(M, M/2) have b = 0, so
+the z axis; c on k = 0 and 2, or on M - 2 and M, puts b on +z or -z; and
+|c_k| = |c_(M-k)| puts it in the x-y plane.  M = 2-18 run in tier-1;
+M = 20-24, where the kernel plans a column pass, under ``slow``.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from entdist import StateVector, entanglement_metric
+from entdist.metric import trace_tol
+from entdist.qstate import ROW_BITS
+
+from oracles import symmetric_amplitudes, symmetric_metric
+from test_metric import _frame_entry_tol
+
+EPS = np.finfo(float).eps
+
+
+def _coefficients(kind: str, m: int) -> np.ndarray:
+    rng = np.random.default_rng(1700 + m)
+    c = np.zeros(m + 1, dtype=complex)
+    if kind == "random":
+        c = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
+    elif kind == "ghz":
+        c[0], c[m] = 1.0, np.exp(0.4j)
+    elif kind == "dicke-half":
+        c[m // 2] = 1.0
+    elif kind in ("plus-z", "minus-z"):  # S_x and S_y join only neighbouring k
+        lo, hi = (0, 2) if kind == "plus-z" else (m, m - 2)
+        c[lo], c[hi] = 0.8 * np.exp(0.3j), 0.6 * np.exp(-1.1j)
+    else:  # "xy-plane": |c_k| = |c_(M-k)|, so <S_z> = 0
+        magnitudes = rng.random(m + 1) + 0.1
+        c = (magnitudes + magnitudes[::-1]) * np.exp(2j * np.pi * rng.random(m + 1))
+    return c
+
+
+def _check(kind: str, m: int) -> None:
+    """Entries, E and eigenvalues of ``entanglement_metric`` against the oracle.
+
+    An entry is held to ``trace_tol(m)`` up to ROW_BITS qubits, where every
+    moment is one whole-row sum, and to ``_frame_entry_tol(m)`` above it.
+    The eigenvalues are held to trace_tol(m) + m eps E, the bound of
+    ``test_large._closed_form_spectrum``: a + (M - 1) o once and a - o
+    M - 1 times, from the oracle's diagonal a and off-diagonal o.
+    """
+    c = _coefficients(kind, m)
+    em = entanglement_metric(StateVector(m, symmetric_amplitudes(c)))
+    g = symmetric_metric(c)
+    if kind == "xy-plane":
+        assert np.max(np.abs(em.directions[:, 2])) <= 1e-12
+    elif kind != "random":
+        assert np.array_equal(em.directions, np.tile((0.0, 0.0, 1.0), (m, 1)))
+    entry_tol = _frame_entry_tol(m) if m > ROW_BITS else trace_tol(m)
+    assert np.max(np.abs(em.matrix - g)) <= entry_tol
+    assert abs(em.measure - float(np.trace(g))) <= trace_tol(m)
+    a, o = g[0, 0], g[0, 1]
+    expected = np.sort([a + (m - 1) * o] + [a - o] * (m - 1))[::-1]
+    eig_tol = trace_tol(m) + m * EPS * em.measure
+    np.testing.assert_allclose(em.eigenvalues, expected, rtol=0, atol=eig_tol)
+
+
+KINDS = ["random", "ghz", "plus-z", "minus-z", "xy-plane"]
+
+
+@pytest.mark.parametrize("m", range(2, 19))
+@pytest.mark.parametrize("kind", KINDS)
+def test_symmetric_state_matches_the_spin_oracle(kind, m):
+    _check(kind, m)
+
+
+@pytest.mark.parametrize("m", range(2, 19, 2))
+def test_half_filled_dicke_state_matches_the_spin_oracle(m):
+    """D(M, M/2) has b = 0, so the z axis, and g = I/4 - (J - I)/(4 (M - 1))."""
+    _check("dicke-half", m)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", range(20, 25))
+@pytest.mark.parametrize("kind", ["random", "xy-plane"])
+def test_symmetric_state_matches_the_spin_oracle_at_20_to_24_qubits(kind, m):
+    _check(kind, m)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", [20, 22, 24])
+def test_half_filled_dicke_state_matches_the_spin_oracle_at_20_to_24_qubits(m):
+    _check("dicke-half", m)
+
+
+def test_embedding_is_the_sum_over_dicke_states():
+    """Index i holds c_k / sqrt(C(M, k)), k = popcount(i), read here bit by bit."""
+    m = 5
+    c = _coefficients("random", m)
+    c = c / np.linalg.norm(c)
+    expected = [c[k] / np.sqrt(np.sum([bin(j).count("1") == k for j in range(1 << m)]))
+                for k in (bin(i).count("1") for i in range(1 << m))]
+    np.testing.assert_allclose(symmetric_amplitudes(c), expected, rtol=1e-15, atol=0)
