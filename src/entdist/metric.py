@@ -32,8 +32,8 @@ them by the rows of ``qstate.row_view``, 2**ROW_BITS amplitudes (256 KiB)
 each, so every sum is blocked, of depth at most ``qstate.row_depth(M)`` rather
 than 2^M, and ``trace_tol`` bounds the rounding by that depth.  Up to
 ROW_BITS qubits a state is one row: ``metric_matrices`` builds the M
-applied states A_nu|s> and takes their inner products, the arithmetic of
-the whole-vector products.  A state of more qubits goes to the
+applied states A_nu|s> and takes their inner products by ``qstate._dot``,
+in runs of at most 2^(ROW_BITS - 1) terms.  A state of more qubits goes to the
 direction-frame kernel, ``_frame_metric``: each qubit is rotated so that
 its A_nu becomes Z, and g is the covariance of M +-1 spins under the
 rotated probabilities, read a block at a time, in a working memory of two
@@ -71,6 +71,7 @@ from .qstate import (
     MAX_QUBITS,
     StateVector,
     _apply_one_qubit_matrix,
+    _dot,
     _operator,
     _spin_moments,
     bilinears,
@@ -105,11 +106,13 @@ def trace_tol(m: int) -> float:
     every term.  The bilinears read the state by the rows of
     ``qstate.row_view``, 2^(m-r) rows of 2^r amplitudes, r = min(m,
     ROW_BITS), and n is the blocked depth ``row_depth(m)`` = 2^r + 2^(m-r)
-    - 1.  Up to ROW_BITS qubits the state is one row, each bilinear a
-    whole-row sum of at most 2^m terms, and the metric takes the same
-    whole-row sums.  Above it (``qstate._row_bilinears``) each term passes
-    through at most 2^r + 2^(m-r) - 2 = n - 1 additions, the rows' partial
-    sums added in row order:
+    - 1.  Up to ROW_BITS qubits the state is one row, and each bilinear is
+    a whole-row sum of at most 2^m terms.  The metric takes each moment by
+    ``qstate._dot``, the one owner of the dots over amplitudes: runs of at
+    most 2^(r-1) terms, then the sum of the runs, a depth of at most
+    2^(r-1) + 1 <= 2^r, within n.  Above it (``qstate._row_bilinears``)
+    each term passes through at most 2^r + 2^(m-r) - 2 = n - 1 additions,
+    the rows' partial sums added in row order:
 
     * w_minus of a low qubit nu < r: a vecdot per run of pairs and a sum
       of the runs' results.  The row's index splits into hi = r // 2 high
@@ -119,7 +122,8 @@ def trace_tol(m: int) -> float:
       2^(r-1-nu) runs of 2^nu pairs: 2^nu + 2^(r-1-nu) - 2.  Both counts
       are x + y - 2 with x y = 2^(r-1), at most 2^(r-1) - 1; then 2^(m-r)
       - 1 over the rows.
-    * w_minus of a high qubit: two vecdots of 2^(r-1) pairs and their sum,
+    * w_minus of a high qubit: ``qstate._dot`` of the partner row with the
+      row, two vecdots of 2^(r-1) pairs and their sum,
       2^(r-1) additions, then 2^(m-r) - 1 over the rows, half of them of an
       exact zero.
     * w_3 of a low qubit: 2^(m-r) - 1 additions into the marginal, then in
@@ -572,10 +576,11 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     goes to ``_frame_metric``, one state at a time, so a state gets the
     same bits alone or in a batch.  A state of M <= ROW_BITS qubits is one
     row: the M applied rows A_nu|s> form one (M, ..., 2^M) stack, built by
-    einsum, and ``np.vecdot`` takes the <A_mu> in one call and the upper
-    triangle of <A_mu A_nu> in one call per mu against every nu > mu.
-    vecdot takes the BLAS dot per vector that np.vdot takes, so a state
-    gets the same bits alone or in a batch.  Both paths hand their moments
+    einsum, and ``qstate._dot`` takes the <A_mu> in one call and the upper
+    triangle of <A_mu A_nu> in one call per mu against every nu > mu: a
+    BLAS dot per vector, the one np.vdot takes, over runs of at most
+    2^(ROW_BITS - 1) terms, so a state gets the same bits alone or in a
+    batch and at any BLAS thread count.  Both paths hand their moments
     to ``_metric_from_moments``, the one assembly of g, whose diagonal
     (``_diagonal``) clamps a negative 1 - <A_mu>^2 to 0 and keeps a NaN.
     ``cli.run_sweep`` batches 2^(ROW_BITS - M) such states, so the stack
@@ -597,10 +602,10 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     applied = np.empty((m,) + amps.shape, dtype=np.complex128)
     for q in range(m):
         _apply_one_qubit_matrix(amps, m, q, ops[..., q, :, :], out=applied[q])
-    e = np.moveaxis(np.vecdot(amps, applied).real, 0, -1)
+    e = np.moveaxis(_dot(amps, applied).real, 0, -1)
     c = np.zeros(batch + (m, m))  # only the upper triangle is read
     for q in range(m - 1):
-        c[..., q, q + 1 :] = np.moveaxis(np.vecdot(applied[q], applied[q + 1 :]).real, 0, -1)
+        c[..., q, q + 1 :] = np.moveaxis(_dot(applied[q], applied[q + 1 :]).real, 0, -1)
     return _metric_from_moments(e, c)
 
 

@@ -19,6 +19,13 @@ the high qubits' by ``_signs``.  Its w_minus are vecdots over runs of at
 least 2^(k//2) pairs of a row of 2^k amplitudes: the low qubits' from one
 transposed copy of the row, the others' from the row itself.
 
+Every BLAS dot over amplitudes that could be longer than 2^(ROW_BITS - 1)
+terms goes through ``_dot``, the one owner of the short-dot rule: the
+norm of ``validate_amplitudes``, the high qubits' pairs of
+``_row_bilinears`` and the one-row moments of ``metric.metric_matrices``.
+So no dot is long enough for OpenBLAS to thread, and no output byte
+depends on the BLAS thread count.
+
 ``_row_bilinears`` tests each row before it reads it: a row that holds
 no amplitude, ``not (row[0] or row.any())``, is skipped, and so is a high
 qubit's pair with such a partner row.  The first entry makes the test of
@@ -116,22 +123,39 @@ def row_depth(m: int) -> int:
     return (1 << k) + (1 << (m - k)) - 1
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.vecdot(a, b)`` over the last axis, in runs of at most 2^(ROW_BITS - 1) terms, then the runs' sum.
+
+    The one owner of the short-dot rule, for every BLAS dot over
+    amplitudes: OpenBLAS threads a dot of more than 10000 terms, and the
+    split of its sum follows the thread count, so a longer dot would make
+    the last bits of an output depend on how many threads BLAS runs.  A
+    run of 2^13 terms is never threaded, and the runs' results are added
+    by one ``np.sum`` over the last axis, whatever the thread count.  A dot
+    that fits one run is one ``np.vecdot`` call.  A row of 2^ROW_BITS
+    terms is two runs, a depth of 2^(ROW_BITS - 1) + 1 (see
+    ``metric.trace_tol``).
+    """
+    run = 1 << (ROW_BITS - 1)
+    if a.shape[-1] <= run:
+        return np.vecdot(a, b)
+    return np.vecdot(a.reshape(a.shape[:-1] + (-1, run)), b.reshape(b.shape[:-1] + (-1, run))).sum(axis=-1)
+
+
 def validate_amplitudes(amps: np.ndarray) -> None:
     """Reject non-finite or unnormalized states ``(..., 2**M)`` (see ``row_view``).
 
     Each state's squared norm, the sum of re^2 + im^2, must be 1 within
     ``NORM_TOL``; the error names the first state that is not.  It is
-    taken by ``np.vecdot`` of the float view with itself over runs of at
-    most 2^(ROW_BITS - 1) terms, the cap of the bilinears' dots
-    (``_row_bilinears``): OpenBLAS threads only dots of more than 10000
-    terms, so these never wake its threads.  A non-finite entry makes its
-    state's norm non-finite, so the entries are scanned only on that error
-    path.
+    ``_dot`` of the state's float view with itself, in short runs.  A
+    norm past the float range is refused as inf with no numpy warning.  A
+    non-finite entry makes its state's norm non-finite, so the entries are
+    scanned only on that error path.
     """
     rows = row_view(amps)[1]
-    floats = rows.view(float)
-    runs = floats.reshape(rows.shape[:-2] + (-1, min(floats.shape[-1], 1 << (ROW_BITS - 1))))
-    norm_sq = np.vecdot(runs, runs).sum(axis=-1)
+    floats = rows.reshape(rows.shape[:-2] + (-1,)).view(float)
+    with np.errstate(over="ignore"):
+        norm_sq = _dot(floats, floats)
     bad = ~(np.abs(norm_sq - 1.0) <= NORM_TOL)  # also true for a NaN gap
     if np.any(bad):
         if not np.all(np.isfinite(rows)):
@@ -312,13 +336,13 @@ def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2^lo) is copied, transposed, into one reused buffer, where a low qubit
     nu < lo sits at bit hi + nu: its runs are the copy's (2^(lo-1-nu), 2,
     2^(hi+nu)).  A qubit lo <= nu < k takes the row's own (2^(k-1-nu), 2,
-    2^nu), and a high qubit nu, on rows with bit nu clear, pairs the halves
-    of the partner row h ^ 2^(nu - k) with the row's halves.  No run is
-    shorter than 2^hi pairs (a vecdot per run of a few pairs costs more
-    than the pairs it reads) nor longer than 2^(k-1): a threaded BLAS dot
-    of a whole row, 2^14 amplitudes, stalled for most of a second waking
-    its threads, and one of at most 2^13 never did.  The rows' partial sums
-    are added in row order.
+    2^nu), and a high qubit nu, on rows with bit nu clear, takes ``_dot``
+    of the partner row h ^ 2^(nu - k) with the row, in runs of 2^(k-1).  No
+    run is shorter than 2^hi pairs (a vecdot per run of a few pairs costs
+    more than the pairs it reads) nor longer than 2^(k-1), the cap of
+    ``_dot``: a threaded BLAS dot of a whole row, 2^14 amplitudes, stalled
+    for most of a second waking its threads, and one of at most 2^13 never
+    did.  The rows' partial sums are added in row order.
 
     A row that holds no amplitude, ``not (row[0] or row.any())``, is not
     read, and neither is a high qubit's pair with such a partner: their
@@ -354,11 +378,10 @@ def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             else:
                 view = row.reshape(1 << (k - 1 - nu), 2, 1 << nu)
             parts[h, nu] = np.vecdot(view[:, 1, :], view[:, 0, :]).sum()
-        halves = row.reshape(2, -1)
         for nu in range(k, k + high):
             partner = h ^ (1 << (nu - k))
             if partner > h and live[partner]:
-                parts[h, nu] = np.vecdot(rows[partner].reshape(2, -1), halves).sum()
+                parts[h, nu] = _dot(rows[partner], row)
     w_3 = np.concatenate([_spin_means(marginal)[0], totals @ _signs(high)])
     return parts.sum(axis=0), w_3
 

@@ -91,18 +91,14 @@ def minimize_trace_numeric(
     restart wins.
     """
     restarts, seed = validate_count("restarts", restarts, 1), validate_count("seed", seed, 0)
-    return _minimize_trace(state, restarts, tol, seed, None)
-
-
-def _minimize_trace(
-    state: StateVector, restarts: int, tol: float, seed: int, bloch: np.ndarray | None
-) -> OptimizerReport:
-    """``minimize_trace_numeric`` of valid counts, from the (M, 3) Bloch vectors or, if None, the bilinears."""
     tol = validate_real("tol", tol)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if bloch is None:
-        bloch = bloch_vectors(*bilinears(state.amplitudes))
+    return _minimize_trace(bloch_vectors(*w_vectors(state)), restarts, tol, seed)
+
+
+def _minimize_trace(bloch: np.ndarray, restarts: int, tol: float, seed: int) -> OptimizerReport:
+    """``minimize_trace_numeric`` of valid arguments, from the state's (M, 3) Bloch vectors."""
     lipschitz = 2.0 * np.sum(bloch * bloch, axis=1)
     v = np.random.default_rng(seed).normal(size=(restarts,) + bloch.shape)
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
@@ -270,13 +266,11 @@ def invariance_check(state: StateVector, trials: int, seed: int = 0) -> float:
     Deterministic for a fixed seed.
     """
     trials, seed = validate_count("trials", trials, 1), validate_count("seed", seed, 0)
-    return _invariance_check(state, trials, seed, None)
+    return _invariance_check(state, trials, seed, entanglement_measure(state))
 
 
-def _invariance_check(state: StateVector, trials: int, seed: int, base: float | None) -> float:
-    """``invariance_check`` of valid counts against E of the state, ``base``, or its bilinears' E if None."""
-    if base is None:
-        base = entanglement_measure(state)
+def _invariance_check(state: StateVector, trials: int, seed: int, base: float) -> float:
+    """``invariance_check`` of valid counts against ``base``, E of the state."""
     return max(
         abs(float(measure_from_bilinears(*bilinears(dressed))) - base)
         for dressed in _dressings(state, trials, seed)
@@ -301,7 +295,7 @@ def verify_state(state: StateVector, trials: int, restarts: int, seed: int) -> d
     analytic = float(measure_from_bilinears(w_minus, w_3))
     bloch = bloch_vectors(w_minus, w_3)
     deviation = _invariance_check(state, trials, seed, analytic)
-    report = _minimize_trace(state, restarts, DEFAULT_TOL, seed + 1, bloch)
+    report = _minimize_trace(bloch, restarts, DEFAULT_TOL, seed + 1)
     bloch_gap = max(
         float(np.max(np.abs(b - bloch_vector_oracle(state, nu)))) for nu, b in enumerate(bloch)
     )

@@ -26,12 +26,12 @@ def run_cli(args, capsys):
     return code, out
 
 
-def run_cli_process(args):
-    """Run ``entdist`` as its own process, under Python's default warning filters."""
+def run_cli_process(args, python_flags=()):
+    """Run ``entdist`` as its own process, under Python's default warning filters and ``python_flags``."""
     src = str(Path(entdist.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-m", "entdist.cli", *args], env=env, capture_output=True, text=True
+        [sys.executable, *python_flags, "-m", "entdist.cli", *args], env=env, capture_output=True, text=True
     )
 
 
@@ -409,6 +409,20 @@ def test_exit_code_table(args, plant, code, err, tmp_path, capsys, monkeypatch):
         exit_code = exc.code
     captured = capsys.readouterr()
     assert (exit_code, captured.out, captured.err) == (code, "", err)
+
+
+@pytest.mark.parametrize("python_flags", [(), ("-W", "error::RuntimeWarning")], ids=["default", "error"])
+def test_overflowing_state_file_exits_3_with_one_line(python_flags, tmp_path):
+    """A squared norm past the float range is refused as inf, with no numpy warning above the error.
+
+    Under ``-W error::RuntimeWarning`` an overflow warning would escape
+    ``main`` as a traceback, exit 1.
+    """
+    path = tmp_path / "huge.json"
+    path.write_text('{"m": 1, "re": [1e308, 1e308], "im": [0.0, 0.0]}')
+    proc = run_cli_process(["measure", "--state-file", str(path)], python_flags)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: invalid state: state is not normalized: sum |c_k|^2 = inf\n"
 
 
 # ---------------------------------------------------------------------------

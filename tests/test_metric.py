@@ -295,11 +295,25 @@ class TestMetricMatrix:
         assert str(err.value) == expected
 
 
+def _run_vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """np.vdot in runs of at most 2^(ROW_BITS - 1) terms, the runs' results added in turn.
+
+    OpenBLAS threads a dot of more than 10^4 terms and splits its sum by
+    the thread count, so a whole-row vdot at M = ROW_BITS = 14 gives other
+    bits on one thread than on two.  Runs of 2^13 terms are never threaded.
+    The runs change the summation depth of an entry from 2^14 to at most
+    2^13 + 1, within row_depth(14) = 2^14, so ``trace_tol`` holds as it is.
+    """
+    run = 1 << (qstate.ROW_BITS - 1)
+    parts = [np.vdot(a[i : i + run], b[i : i + run]) for i in range(0, a.size, run)]
+    return sum(parts[1:], parts[0])
+
+
 def _whole_vector_metric(state, dirs) -> np.ndarray:
     """Reference for a state that is one row: M whole applied copies of it.
 
-    One einsum per qubit and one vdot per entry, the arithmetic that
-    ``metric_matrix`` must reproduce bit for bit when M <= ROW_BITS.
+    One einsum per qubit and one ``_run_vdot`` per entry, the arithmetic
+    that ``metric_matrix`` must reproduce bit for bit when M <= ROW_BITS.
     """
     m = state.num_qubits
     amps = state.amplitudes
@@ -307,12 +321,12 @@ def _whole_vector_metric(state, dirs) -> np.ndarray:
     for nu, v in enumerate(dirs):
         view = amps.reshape(1 << (m - 1 - nu), 2, 1 << nu)
         applied.append(np.einsum("ij,ajb->aib", _operator(*v), view).reshape(-1))
-    expectations = np.array([np.vdot(amps, t).real for t in applied])
+    expectations = np.array([_run_vdot(amps, t).real for t in applied])
     g = np.zeros((m, m))
     for mu in range(m):
         g[mu, mu] = 0.25 * max(0.0, 1.0 - expectations[mu] ** 2)
         for nu in range(mu + 1, m):
-            cross = np.vdot(applied[mu], applied[nu]).real
+            cross = _run_vdot(applied[mu], applied[nu]).real
             g[mu, nu] = g[nu, mu] = 0.25 * (cross - expectations[mu] * expectations[nu])
     return g
 

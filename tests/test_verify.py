@@ -213,6 +213,31 @@ class TestInvarianceCheck:
             invariance_check(make_basis_state(2, 0), trials=0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: minimize_trace_numeric(s, restarts=0), "restarts must be an integer >= 1, got 0"),
+        (lambda s: minimize_trace_numeric(s, seed=-1), "seed must be an integer >= 0, got -1"),
+        (lambda s: minimize_trace_numeric(s, tol=0.0), "tol must be positive"),
+        (lambda s: minimize_trace_numeric(s, tol=np.inf), "tol must be a finite real number, got inf"),
+        (lambda s: invariance_check(s, trials=0), "trials must be an integer >= 1, got 0"),
+        (lambda s: invariance_check(s, trials=1, seed=-1), "seed must be an integer >= 0, got -1"),
+    ],
+    ids=["restarts", "minimize-seed", "tol", "tol-inf", "trials", "invariance-seed"],
+)
+def test_refusals_come_before_any_pass_over_the_state(call, message, monkeypatch):
+    """The public checks validate every argument before they read the state for its E or Bloch vectors."""
+
+    def no_pass(*args):
+        raise AssertionError("a pass over the state before the arguments were checked")
+
+    for name in ("w_vectors", "bilinears", "entanglement_measure", "_dressings"):
+        monkeypatch.setattr(verify, name, no_pass)
+    with pytest.raises(ValueError) as err:
+        call(make_basis_state(2, 0))
+    assert str(err.value) == message
+
+
 def _chain(amps: np.ndarray, m: int, unitaries: list[np.ndarray]) -> np.ndarray:
     """The dressing as one two-term einsum pass per qubit, as ``apply_local_unitary`` takes it."""
     for qubit, u in enumerate(unitaries):
