@@ -31,7 +31,7 @@ for m in (3, 4, 7, 9):
     header, rows = run_sweep(spec)
     path = OUT / f"chain_phase_m{m}.csv"
     path.write_text(_csv_text(header, rows))
-    peak = max(row[2] for row in rows)
+    peak = rows[:, 2].max()
     print(f"chain-phase M={m}: wrote {path.name}, peak E/M = {peak:.6f}")
 
 # GHZ-like curve: E/M = sin^2(2 theta) / 4, peaking at 2 theta/pi = 0.5.
@@ -45,7 +45,7 @@ spec = SweepSpec(
 header, rows = run_sweep(spec)
 path = OUT / "ghz_like_m3.csv"
 path.write_text(_csv_text(header, rows))
-print(f"GHZ-like M=3: wrote {path.name}, peak E/M = {max(r[2] for r in rows):.6f}")
+print(f"GHZ-like M=3: wrote {path.name}, peak E/M = {rows[:, 2].max():.6f}")
 
 print("\nColumns:", ",".join(header))
 print("Both families reach the same ceiling E/M = 1/4 at their maxima.")

@@ -20,18 +20,20 @@ M = 7
 def eigenvalue_sweep(tag, parameter, stop, name):
     """Sweep one angle of the M-qubit family from 0 to ``stop`` in 201 points.
 
-    Writes the x and eig_1..eig_M columns to ``name`` and returns them.
+    Writes the x and eig_1..eig_M columns to ``name`` and returns them, an
+    array of 201 rows.
     """
     header, rows = run_sweep(SweepSpec(FamilySpec(tag, m=M), parameter, 0.0, stop, 201))
-    rows = [row[:1] + row[3:] for row in rows]
-    (OUT / name).write_text(_csv_text(header[:1] + header[3:], rows))
+    columns = [0, *range(3, 3 + M)]  # x, then the eigenvalues; E and E/M dropped
+    rows = rows[:, columns]
+    (OUT / name).write_text(_csv_text([header[i] for i in columns], rows))
     return rows
 
 
 # chain-phase eigenvalues over the full angle range
 rows = eigenvalue_sweep("brs", "phi", 2.0 * np.pi, "chain_phase_m7_eigs.csv")
-interior = [row for row in rows if 0.0 < row[0] < 1.0]
-smallest = min(min(row[1:]) for row in interior)
+interior = rows[(rows[:, 0] > 0.0) & (rows[:, 0] < 1.0)]
+smallest = interior[:, 1:].min()
 print(f"chain-phase M={M}: smallest interior eigenvalue = {smallest:.3e} (> 0)")
 
 # GHZ-like: only the top eigenvalue is nonzero

@@ -8,6 +8,10 @@ included.  Every command-line value refused by an input rule exits 2
 through ``_accept``.  Identical invocations produce byte-identical output
 with the same numpy, BLAS build and BLAS thread count; CSV floats carry
 17 significant digits and round-trip exactly.
+
+The figure drivers ``run_sweep`` and ``run_surface`` return a header and
+one C-contiguous float64 array of rows; ``_csv_text`` turns that array
+into Python floats, by one ``.tolist()``, only where it writes CSV text.
 """
 from __future__ import annotations
 
@@ -122,15 +126,17 @@ def _chunk_points(m: int) -> int:
     return max(1, (1 << qstate.ROW_BITS) >> m)
 
 
-def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
-    """Compute sweep rows (x, E, E/M, eigenvalues descending).
+def run_sweep(spec: SweepSpec) -> tuple[list[str], np.ndarray]:
+    """The sweep's header and rows (x, E, E/M, eigenvalues descending), one row per point.
 
+    The rows are one C-contiguous float64 array of shape (points, 3 + M).
     The grid runs through the array-first pipeline in chunks of P =
     ``_chunk_points(M)`` points, 2**ROW_BITS amplitudes together (32 points
     at M = 9, one from M = ROW_BITS on).  A chunk is one (P, 2^M) family
     batch, validated row-wise, then one bilinear pass, one direction call,
     one ``metric_matrices`` call and one ``check_metrics`` call, whose
-    batched eigvalsh gives the P spectra.  Every row has the bits that
+    batched eigvalsh gives the P spectra; its columns are written straight
+    into the chunk's P rows.  Every row has the bits that
     ``entanglement_metric`` and ``spectrum`` give its point alone, and the
     working memory is that of one chunk, however many points there are.
     """
@@ -139,7 +145,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
     values = np.linspace(spec.start, spec.stop, spec.points)
     chunk = _chunk_points(m)
     unit = FAMILY_ANGLES[spec.family.tag][spec.parameter]
-    blocks = []
+    rows = np.empty((spec.points, 3 + m))
     for lo in range(0, spec.points, chunk):
         grid = values[lo : lo + chunk]
         amps = family_amplitudes(spec.family, spec.parameter, grid)
@@ -148,20 +154,23 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
         measure = measure_from_bilinears(w_minus, w_3)
         g = metric_matrices(amps, optimal_directions(bloch_vectors(w_minus, w_3)))
         eigs = check_metrics(g, measure, at=(spec.parameter, grid))
-        if spec.normalize:
-            eigs = eigs / m
-        blocks.append(np.column_stack([grid / unit, measure, measure / m, eigs]))
-    return header, np.concatenate(blocks).tolist()
+        out = rows[lo : lo + chunk]
+        out[:, 0] = grid / unit
+        out[:, 1] = measure
+        out[:, 2] = measure / m
+        out[:, 3:] = eigs / m if spec.normalize else eigs
+    return header, rows
 
 
 def run_surface(
     gamma_range: tuple[float, float], tau_range: tuple[float, float], points: int
-) -> tuple[list[str], list[list[float]]]:
+) -> tuple[list[str], np.ndarray]:
     """Row-major (gamma outer, tau inner) grid of E/3 for the three-qubit family.
 
-    The whole grid is one (points^2, 8) amplitude array, validated row-wise
-    and measured in a single kernel call.  Each axis passes ``_check_grid``,
-    gamma first, before any grid is computed.
+    The rows (gamma, tau, E/3) are one C-contiguous float64 array of shape
+    (points^2, 3).  The whole grid is one (points^2, 8) amplitude array,
+    validated row-wise and measured in a single kernel call.  Each axis
+    passes ``_check_grid``, gamma first, before any grid is computed.
     """
     gamma_range = _check_grid("gamma", *gamma_range, points)
     tau_range = _check_grid("tau", *tau_range, points)
@@ -171,12 +180,20 @@ def run_surface(
     validate_amplitudes(amps)
     e = measure_from_bilinears(*bilinears(amps))
     grid = np.column_stack([np.repeat(gammas, points), np.tile(taus, points), e / 3.0])
-    return ["gamma", "tau", "E_over_3"], grid.tolist()
+    return ["gamma", "tau", "E_over_3"], grid
 
 
-def _csv_text(header: list[str], rows: list[list[float]]) -> str:
+def _csv_text(header: list[str], rows: np.ndarray | list[list[float]]) -> str:
+    """CSV text of a header line and one line per row, every value by ``_fmt``.
+
+    ``rows`` is a 2-D float64 array, such as ``run_sweep``'s and
+    ``run_surface``'s, or anything ``np.asarray`` reads as one.  This is the
+    one place where figure numbers become Python floats: one ``.tolist()``
+    of the whole array, so nested lists of the same values give the same
+    text.
+    """
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in np.asarray(rows, dtype=np.float64).tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -267,15 +284,14 @@ def _cmd_eigs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _accept(parser, Spectrum, (), args.rank_tol, prefix="--rank-tol: ")  # before any state is built
     state = _state_from_args(args, parser)
     spec = spectrum(entanglement_metric(state), rank_tol=args.rank_tol)
-    eigs = [float(x) for x in spec.eigenvalues]
     if args.csv:
         header = [f"eig_{i}" for i in range(1, state.num_qubits + 1)]
-        _emit(_csv_text(header, [eigs]), args.out)
+        _emit(_csv_text(header, spec.eigenvalues.reshape(1, -1)), args.out)
     else:
         payload = {
             "m": state.num_qubits,
             "rank_tol": spec.rank_tol,
-            "eigenvalues": eigs,
+            "eigenvalues": spec.eigenvalues.tolist(),
             "nonnull_count": spec.nonnull_count,
         }
         _emit(json.dumps(payload) + "\n", args.out)

@@ -19,7 +19,8 @@ The pipeline is array-first: each stage takes a batch of states
 bilinears, ``measure_from_bilinears`` E, ``optimal_directions`` the
 (..., M, 3) fields, ``metric_matrices`` the (..., M, M) metrics, and
 ``check_metrics`` checks them and takes their spectra with one batched
-eigvalsh; ``cli.run_sweep`` runs its grid through them in chunks.  The
+eigvalsh; ``cli.run_sweep`` runs its grid through them in chunks and
+writes each chunk's columns into one float64 array of rows.  The
 single-state functions are the case of one state: ``entanglement_metric``
 computes the bilinears once (``w_vectors``) for the directions, through
 ``qstate.bloch_vectors``, and for E, and the ``EntanglementMetric`` runs
@@ -252,15 +253,16 @@ class EntanglementMetric:
     def to_dict(self) -> dict:
         """The ``entdist measure`` record: m, E, E/M, directions, matrix, eigenvalues.
 
-        The matrix is flattened row-major and the eigenvalues run descending.
+        The matrix is flattened row-major and the eigenvalues run descending;
+        each array becomes Python floats by one ``.tolist()``.
         """
         return {
             "m": self.size,
             "measure": self.measure,
             "measure_over_m": self.measure / self.size,
             "directions": self.directions.tolist(),
-            "matrix": [float(x) for x in self.matrix.reshape(-1)],
-            "eigenvalues": [float(x) for x in self.eigenvalues],
+            "matrix": self.matrix.reshape(-1).tolist(),
+            "eigenvalues": self.eigenvalues.tolist(),
         }
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import reprlib
@@ -715,6 +716,77 @@ def test_bad_grid_exits_2_naming_the_angle(args, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == message
+
+
+# ---------------------------------------------------------------------------
+# figure data: the drivers' arrays and the one CSV writer
+# ---------------------------------------------------------------------------
+
+
+def _assert_rows_array(rows, shape):
+    assert type(rows) is np.ndarray
+    assert rows.dtype == np.float64 and rows.shape == shape
+    assert rows.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "m, points", [(9, 31), (9, 32), (9, 33), (9, 65), (15, 3)],
+    ids=["m9-P-1", "m9-P", "m9-P+1", "m9-2P+1", "m15-one-point-chunks"],
+)
+def test_sweep_rows_are_one_float64_array(m, points):
+    """(points, 3 + M) rows across chunk boundaries (P = 32 points at M = 9, one at M = 15).
+
+    x is the grid over the angle's unit, and --normalize divides the
+    eigenvalue columns alone by M.
+    """
+    assert (entdist.cli._chunk_points(9), entdist.cli._chunk_points(15)) == (32, 1)
+    spec = SweepSpec(FamilySpec("brs", m=m), "phi", 0.2, 2.9, points)
+    header, plain = run_sweep(spec)
+    _, normalized = run_sweep(dataclasses.replace(spec, normalize=True))
+    assert header == ["x", "E", "E_over_M"] + [f"eig_{i}" for i in range(1, m + 1)]
+    for rows in (plain, normalized):
+        _assert_rows_array(rows, (points, 3 + m))
+    unit = entdist.families.FAMILY_ANGLES["brs"]["phi"]
+    assert plain[:, 0].tobytes() == (np.linspace(0.2, 2.9, points) / unit).tobytes()
+    assert plain[:, 2].tobytes() == (plain[:, 1] / m).tobytes()
+    assert normalized[:, :3].tobytes() == plain[:, :3].tobytes()
+    assert normalized[:, 3:].tobytes() == (plain[:, 3:] / m).tobytes()
+
+
+@pytest.mark.parametrize("points", [2, 7])
+def test_surface_rows_are_one_float64_array(points):
+    """(points^2, 3) rows, gamma outer and tau inner."""
+    header, rows = run_surface((0.1, 2.9), (-0.4, 3.3), points)
+    assert header == ["gamma", "tau", "E_over_3"]
+    _assert_rows_array(rows, (points * points, 3))
+    grid = rows[:, :2].reshape(points, points, 2)
+    assert grid[:, 0, 0].tobytes() == np.linspace(0.1, 2.9, points).tobytes()
+    assert grid[0, :, 1].tobytes() == np.linspace(-0.4, 3.3, points).tobytes()
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [
+        # eigenvalues of rounding size (about 1e-17), negative ones among them
+        lambda: run_sweep(SweepSpec(FamilySpec("ghzl", m=3), "theta", 0.0, np.pi / 2.0, 41)),
+        lambda: run_sweep(SweepSpec(FamilySpec("brs", m=9), "phi", -1.0, 5.0, 40, normalize=True)),
+        lambda: run_surface((0.0, np.pi), (0.0, np.pi), 9),
+    ],
+    ids=["ghzl-m3", "brs-m9-normalized", "surface"],
+)
+def test_csv_text_of_an_array_is_that_of_its_lists_and_reads_back(drive):
+    """The writer turns the array into Python floats itself: the same text as from nested lists.
+
+    Every value is written with 17 significant digits, so the text reads
+    back to the array bit for bit.
+    """
+    header, rows = drive()
+    text = entdist.cli._csv_text(header, rows)
+    assert text == entdist.cli._csv_text(header, rows.tolist())
+    lines = text.splitlines()
+    assert lines[0] == ",".join(header)
+    back = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert back.tobytes() == rows.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,7 @@ def test_surface_equals_per_point_measure():
         for g in gammas
         for t in taus
     ]
-    assert rows == expected
+    assert rows.tolist() == expected
 
 
 @pytest.mark.parametrize(

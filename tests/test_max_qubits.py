@@ -14,6 +14,10 @@ so both limits leave ``verify`` the headroom they leave ``measure``.
 The interleaved product of two 13-qubit Haar states is measured in a child
 held to ``measure``'s limits and checked entry by entry against its
 factors, as ``test_products`` checks M = 15-24; it took 10-12 s and 1.04 GiB.
+A symmetric state of random coefficients is measured in a child held to
+the same limits and checked against the collective-spin oracle, as
+``test_symmetric`` checks M = 2-24; it took 9 s and 1.04 GiB, its entries
+within 3.6e-16 of the oracle's and its eigenvalues within 2.1e-15.
 Each peak is its own child's ``ru_maxrss``, read by
 ``os.wait4`` when the child is reaped, so the tests may run in any order.
 """
@@ -37,6 +41,7 @@ from entdist.verify import INVARIANCE_TOL, OPTIMIZER_TOL, bloch_tol
 from oracles import jacobi_eigenvalues, random_state
 from test_metric import _frame_entry_tol
 from test_products import _factor_oracle
+from test_symmetric import _coefficients, assert_matches_spin_oracle
 
 pytestmark = pytest.mark.max_qubits
 
@@ -63,6 +68,18 @@ hi, lo = "ABCDEFGHIJKLM"[:n], "abcdefghijklm"[:n]
 amps = np.empty((2,) * (2 * n), dtype=np.complex128)
 np.einsum(f"{hi},{lo}->{''.join(map(''.join, zip(hi, lo)))}", a.reshape((2,) * n), b.reshape((2,) * n), out=amps)
 print(json.dumps(entanglement_metric(StateVector(2 * n, amps.reshape(-1))).to_dict()))
+"""
+
+# Run with the coefficients as JSON [re, im]: the symmetric state sum_k c_k |D(M, k)>, built
+# by ``oracles.symmetric_amplitudes``; prints the ``measure`` record.
+_SYMMETRIC_CHILD = """
+import json, sys
+import numpy as np
+from entdist import StateVector, entanglement_metric
+from oracles import symmetric_amplitudes
+re, im = json.loads(sys.argv[1])
+c = np.array(re) + 1j * np.array(im)
+print(json.dumps(entanglement_metric(StateVector(len(c) - 1, symmetric_amplitudes(c))).to_dict()))
 """
 
 
@@ -175,6 +192,30 @@ def test_interleaved_product_at_max_qubits(tmp_path):
     # Weyl: each eigenvalue moves by at most ||g - diag(g_A, g_B)||_2 <= M max |entry|
     union = np.sort(np.concatenate([jacobi_eigenvalues(g_a), jacobi_eigenvalues(g_b)]))[::-1]
     assert np.max(np.abs(np.array(record["eigenvalues"]) - union)) <= M * tol
+    assert wall <= WALL_LIMIT_S and peak <= PEAK_RSS_LIMIT, (
+        f"wall time {wall:.1f} s (limit {WALL_LIMIT_S:.0f} s), "
+        f"peak RSS {peak / 2**30:.2f} GiB (limit {PEAK_RSS_LIMIT / 2**30:.1f} GiB)"
+    )
+
+
+def test_symmetric_state_at_max_qubits(tmp_path):
+    """A dense symmetric state of seeded random coefficients against the collective-spin oracle.
+
+    Its one direction lies off every axis, so every pass of the plan turns
+    full factors and no block is skipped.  The child is held to
+    ``measure``'s limits; the oracle, ``test_symmetric``'s, runs here on
+    the M + 1 coefficients: every entry within ``_frame_entry_tol(M)``,
+    E within ``trace_tol(M)`` and the eigenvalues within trace_tol(M) +
+    M eps E.
+    """
+    c = _coefficients("random", M)
+    code, out, err, wall, peak = _run_child(
+        _SYMMETRIC_CHILD, [json.dumps([c.real.tolist(), c.imag.tolist()])], tmp_path
+    )
+    assert code == 0, err
+    record = json.loads(out)
+    assert record["m"] == M
+    assert_matches_spin_oracle(c, np.reshape(record["matrix"], (M, M)), record["measure"], record["eigenvalues"])
     assert wall <= WALL_LIMIT_S and peak <= PEAK_RSS_LIMIT, (
         f"wall time {wall:.1f} s (limit {WALL_LIMIT_S:.0f} s), "
         f"peak RSS {peak / 2**30:.2f} GiB (limit {PEAK_RSS_LIMIT / 2**30:.1f} GiB)"

@@ -43,8 +43,8 @@ def _coefficients(kind: str, m: int) -> np.ndarray:
     return c
 
 
-def _check(kind: str, m: int) -> None:
-    """Entries, E and eigenvalues of ``entanglement_metric`` against the oracle.
+def assert_matches_spin_oracle(c, matrix, measure: float, eigenvalues) -> None:
+    """Entries, E and eigenvalues of the metric of sum_k c_k |D(M, k)> against the oracle.
 
     An entry is held to ``trace_tol(m)`` up to ROW_BITS qubits, where every
     moment is one whole-row sum, and to ``_frame_entry_tol(m)`` above it.
@@ -52,20 +52,26 @@ def _check(kind: str, m: int) -> None:
     ``test_large._closed_form_spectrum``: a + (M - 1) o once and a - o
     M - 1 times, from the oracle's diagonal a and off-diagonal o.
     """
+    m = len(c) - 1
+    g = symmetric_metric(c)
+    entry_tol = _frame_entry_tol(m) if m > ROW_BITS else trace_tol(m)
+    assert np.max(np.abs(np.asarray(matrix) - g)) <= entry_tol
+    assert abs(measure - float(np.trace(g))) <= trace_tol(m)
+    a, o = g[0, 0], g[0, 1]
+    expected = np.sort([a + (m - 1) * o] + [a - o] * (m - 1))[::-1]
+    eig_tol = trace_tol(m) + m * EPS * measure
+    np.testing.assert_allclose(eigenvalues, expected, rtol=0, atol=eig_tol)
+
+
+def _check(kind: str, m: int) -> None:
+    """``entanglement_metric`` of the state of kind ``kind``: its directions, then the oracle."""
     c = _coefficients(kind, m)
     em = entanglement_metric(StateVector(m, symmetric_amplitudes(c)))
-    g = symmetric_metric(c)
     if kind == "xy-plane":
         assert np.max(np.abs(em.directions[:, 2])) <= 1e-12
     elif kind != "random":
         assert np.array_equal(em.directions, np.tile((0.0, 0.0, 1.0), (m, 1)))
-    entry_tol = _frame_entry_tol(m) if m > ROW_BITS else trace_tol(m)
-    assert np.max(np.abs(em.matrix - g)) <= entry_tol
-    assert abs(em.measure - float(np.trace(g))) <= trace_tol(m)
-    a, o = g[0, 0], g[0, 1]
-    expected = np.sort([a + (m - 1) * o] + [a - o] * (m - 1))[::-1]
-    eig_tol = trace_tol(m) + m * EPS * em.measure
-    np.testing.assert_allclose(em.eigenvalues, expected, rtol=0, atol=eig_tol)
+    assert_matches_spin_oracle(c, em.matrix, em.measure, em.eigenvalues)
 
 
 KINDS = ["random", "ghz", "plus-z", "minus-z", "xy-plane"]
