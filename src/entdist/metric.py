@@ -33,12 +33,13 @@ them by the rows of ``qstate.row_view``, 2**ROW_BITS amplitudes (256 KiB)
 each, so every sum is blocked, of depth at most ``qstate.row_depth(M)`` rather
 than 2^M, and ``trace_tol`` bounds the rounding by that depth.  Up to
 ROW_BITS qubits a state is one row: ``metric_matrices`` builds the M
-applied states A_nu|s> and takes their inner products by ``qstate._dot``,
-in runs of at most 2^(ROW_BITS - 1) terms.  A state of more qubits goes to the
-direction-frame kernel, ``_frame_metric``: each qubit is rotated so that
-its A_nu becomes Z, and g is the covariance of M +-1 spins under the
-rotated probabilities, read a block at a time, in a working memory of two
-blocks whatever M.  ``_frame_passes`` plans its passes, each naming the
+applied states A_nu|s> by ``_applied_rows``, the low qubits on one
+transposed copy of the batch where their runs are long, and takes their
+inner products by ``qstate._dot``, in runs of at most 2^(ROW_BITS - 1)
+terms.  A state of more qubits goes to the direction-frame kernel,
+``_frame_metric``: each qubit is rotated so that its A_nu becomes Z, and
+g is the covariance of M +-1 spins under the rotated probabilities, read
+a block at a time, in a working memory of two blocks whatever M.  ``_frame_passes`` plans its passes, each naming the
 qubits it turns as the row bits and the column bits of its blocks, and
 every block fits 2**(ROW_BITS + BLOCK_BITS) amplitudes.  ``_turns`` is
 the one block loop of a Kronecker turn, and ``_rotate`` the one turn of a
@@ -70,6 +71,7 @@ import numpy as np
 
 from .qstate import (
     MAX_QUBITS,
+    SHORT_RUN_BITS,
     StateVector,
     _apply_one_qubit_matrix,
     _dot,
@@ -568,6 +570,46 @@ def _metric_from_moments(e: np.ndarray, c: np.ndarray) -> np.ndarray:
     return g
 
 
+def _applied_rows(amps: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """The stack (M, ..., 2^M) of rows A_q|s>, one-row states ``(..., 2**M)``, operators ``(..., M, 2, 2)``.
+
+    Each A_q is applied by ``qstate._apply_one_qubit_matrix``, into its
+    slot of the stack.  A qubit q < SHORT_RUN_BITS pairs amplitudes in runs
+    of 2^q, too short for einsum's inner loop, so the low qubits are
+    applied on a transposed copy of the batch instead.  The index splits
+    as ``qstate._row_bilinears`` splits a row, into hi = M // 2 high and lo
+    = M - hi low bits, and the batch seen as (..., 2^hi, 2^lo) is copied,
+    transposed, into the last slot of the stack, where a qubit q < lo sits
+    at bit hi + q.  Each q < lo with hi + q >= SHORT_RUN_BITS is applied
+    there, into the slot before it, and copied back, transposed, into its
+    own slot (a qubit that would land lower keeps short runs, and stays); the two borrowed slots' own qubits, M - 2 and M - 1 >= lo,
+    are applied last, in place, as every other qubit is.  So the flip
+    takes no memory beyond the stack, and from M = 8 on every q < lo is
+    flipped.  Each entry is the same two-term sum in either layout (see
+    ``_apply_one_qubit_matrix``), so the bytes are those of applying every
+    qubit in place.
+
+    Measured on one sweep chunk, 2^ROW_BITS amplitudes (numpy 2.4, 2-vCPU
+    x86-64): the M applies took 1717 -> 1141 us at M = 9 and 1714 -> 1431 us
+    at M = 14; at M = 5, where only q = 2 is flipped, 1448 against 1450 us.
+    """
+    m = ops.shape[-3]
+    batch = amps.shape[:-1]
+    applied = np.empty((m,) + amps.shape, dtype=np.complex128)
+    hi, lo = m // 2, m - m // 2
+    flipped = range(max(0, SHORT_RUN_BITS - hi), lo)  # empty for M <= 4
+    if flipped:
+        flip, turned = applied[-1], applied[-2]
+        by_rows, by_cols = batch + (1 << hi, 1 << lo), batch + (1 << lo, 1 << hi)
+        np.copyto(flip.reshape(by_cols), amps.reshape(by_rows).swapaxes(-1, -2))
+        for q in flipped:
+            _apply_one_qubit_matrix(flip, m, hi + q, ops[..., q, :, :], out=turned)
+            np.copyto(applied[q].reshape(by_rows), turned.reshape(by_cols).swapaxes(-1, -2))
+    for q in (q for q in range(m) if q not in flipped):
+        _apply_one_qubit_matrix(amps, m, q, ops[..., q, :, :], out=applied[q])
+    return applied
+
+
 def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Adapted metrics (..., M, M) of states ``(..., 2**M)`` at direction fields ``(..., M, 3)``.
 
@@ -578,18 +620,19 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     goes to ``_frame_metric``, one state at a time, so a state gets the
     same bits alone or in a batch.  A state of M <= ROW_BITS qubits is one
     row: the M applied rows A_nu|s> form one (M, ..., 2^M) stack, built by
-    einsum, and ``qstate._dot`` takes the <A_mu> in one call and the upper
-    triangle of <A_mu A_nu> in one call per mu against every nu > mu: a
-    BLAS dot per vector, the one np.vdot takes, over runs of at most
-    2^(ROW_BITS - 1) terms, so a state gets the same bits alone or in a
-    batch and at any BLAS thread count.  Both paths hand their moments
-    to ``_metric_from_moments``, the one assembly of g, whose diagonal
-    (``_diagonal``) clamps a negative 1 - <A_mu>^2 to 0 and keeps a NaN.
-    ``cli.run_sweep`` batches 2^(ROW_BITS - M) such states, so the stack
-    holds M 2^ROW_BITS amplitudes.  M and the rows come from
-    ``qstate.row_view``, and the fields pass ``qstate.validate_directions``
-    at shape (..., M, 3), so a field of non-unit or non-finite rows is
-    refused.
+    ``_applied_rows``, which applies the low qubits on a transposed copy of
+    the batch held in the stack itself, and ``qstate._dot`` takes the
+    <A_mu> in one call and the upper triangle of <A_mu A_nu> in one call
+    per mu against every nu > mu: a BLAS dot per vector, the one np.vdot
+    takes, over runs of at most 2^(ROW_BITS - 1) terms, so a state gets the
+    same bits alone or in a batch and at any BLAS thread count.  Both paths
+    hand their moments to ``_metric_from_moments``, the one assembly of g,
+    whose diagonal (``_diagonal``) clamps a negative 1 - <A_mu>^2 to 0 and
+    keeps a NaN.  ``cli.run_sweep`` batches 2^(ROW_BITS - M) such states,
+    so the stack holds M 2^ROW_BITS amplitudes, the flip's copy included.
+    M and the rows come from ``qstate.row_view``, and the fields pass
+    ``qstate.validate_directions`` at shape (..., M, 3), so a field of
+    non-unit or non-finite rows is refused.
     """
     m, rows = row_view(amps)
     batch = rows.shape[:-2]
@@ -600,10 +643,7 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
             g[i] = _frame_metric(rows[i], dirs[i])
         return g
     amps = rows[..., 0, :]
-    ops = _operator(*np.moveaxis(dirs, -1, 0))  # (..., M, 2, 2)
-    applied = np.empty((m,) + amps.shape, dtype=np.complex128)
-    for q in range(m):
-        _apply_one_qubit_matrix(amps, m, q, ops[..., q, :, :], out=applied[q])
+    applied = _applied_rows(amps, _operator(*np.moveaxis(dirs, -1, 0)))
     e = np.moveaxis(_dot(amps, applied).real, 0, -1)
     c = np.zeros(batch + (m, m))  # only the upper triangle is read
     for q in range(m - 1):

@@ -9,7 +9,8 @@ The per-qubit amplitude bilinears, from which every Bloch vector and the
 entanglement measure follow, come from one array-first kernel,
 ``bilinears``, for a single state or a batch of shape (..., 2**M).  Every
 pass over a state reads it in cache-sized rows, by ``row_view``.  A state
-of one row takes whole-row sums; a state of several rows goes through
+of one row takes whole-row sums, the w_minus from one conjugate of the
+whole batch; a state of several rows goes through
 ``_row_bilinears``, one pass per state that keeps a probability marginal
 of the low qubits and a total per row, from which the signed probability
 sums w_3 follow: the low qubits' by ``_spin_means``, the first moments of
@@ -49,6 +50,8 @@ import numpy as np
 
 MAX_QUBITS = 26  # 1 GiB of complex128 amplitudes; every pass streams over them in cache-sized rows
 ROW_BITS = 14  # row_view splits a state into rows of 2**ROW_BITS amplitudes (256 KiB)
+# a qubit below it pairs amplitudes in runs of fewer than 2**SHORT_RUN_BITS, too short for einsum's inner loop
+SHORT_RUN_BITS = 4
 NORM_TOL = 1e-12
 UNIT_TOL = 1e-12
 
@@ -260,15 +263,19 @@ def _apply_one_qubit_matrix(
 
     The result goes to ``out`` (a new array if None), a contiguous array of
     the states' shape.  Each output entry is the same two-term sum whatever
-    the iteration order, so the bits do not depend on it, nor on the batch;
-    for qubits below 4 the short innermost axis 2**qubit would make
-    einsum's inner loop tiny, so the long outer axes are iterated innermost
-    instead.
+    the iteration order or the layout of the pairs, so the bits do not
+    depend on either, nor on the batch: ``metric._applied_rows`` applies
+    the low qubits on a transposed copy of the states and gets the bytes
+    of applying them here in place.  For qubits below SHORT_RUN_BITS the
+    short innermost axis 2**qubit would make einsum's inner loop tiny, so
+    the outer axes are iterated innermost instead; with a batch the
+    innermost is then the batch axis, P states long, which is why
+    ``metric._applied_rows`` moves those qubits up.
     """
     shape = amps.shape[:-1] + (1 << (m - 1 - qubit), 2, 1 << qubit)
     if out is None:
         out = np.empty(amps.shape, dtype=np.complex128)
-    order = "F" if qubit < 4 else "K"
+    order = "F" if qubit < SHORT_RUN_BITS else "K"
     np.einsum("...ij,...ajb->...aib", mat, amps.reshape(shape), out=out.reshape(shape), order=order)
     return out
 
@@ -398,9 +405,13 @@ def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A state of more than ROW_BITS qubits, several rows of ``row_view``, goes
     to ``_row_bilinears`` one state at a time, so no temporary is larger
     than a row.  A state of M <= ROW_BITS qubits is one row, and the batch
-    takes per qubit one einsum and two sums over the whole state.  A sum's
-    depth is at most ``row_depth(M)`` (see ``metric.trace_tol``), and a
-    state gets the same bits alone or in a batch.
+    takes per qubit one einsum and two sums over the whole state.  The
+    batch is conjugated once, and each qubit's einsum reads its half from
+    that copy: the values of a conjugated copy of the half, in a layout
+    whose strides rank the reduction axes the same way, so einsum adds
+    them in the same order and the bytes are those of a copy per qubit.
+    A sum's depth is at most ``row_depth(M)`` (see ``metric.trace_tol``),
+    and a state gets the same bits alone or in a batch.
     """
     m, rows = row_view(amps)
     batch = rows.shape[:-2]
@@ -411,14 +422,17 @@ def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             w_minus[i], w_3[i] = _row_bilinears(rows[i])
         return w_minus, w_3
     amps = rows[..., 0, :]
+    shapes = [batch + (1 << (m - 1 - nu), 2, 1 << nu) for nu in range(m)]
     probs = np.abs(amps)
     np.square(probs, out=probs)  # the bits of np.abs(amps) ** 2, one temporary fewer
-    for nu in range(m):
-        shape = batch + (1 << (m - 1 - nu), 2, 1 << nu)
-        view = amps.reshape(shape)
+    for nu, shape in enumerate(shapes):
         pview = probs.reshape(shape)
-        w_minus[..., nu] = np.einsum("...ab,...ab->...", np.conj(view[..., 1, :]), view[..., 0, :])
         w_3[..., nu] = pview[..., 0, :].sum(axis=(-2, -1)) - pview[..., 1, :].sum(axis=(-2, -1))
+    del probs, pview  # the conjugate takes their place: one temporary of a batch's bytes at a time
+    conj = np.conj(amps)
+    for nu, shape in enumerate(shapes):
+        upper, lower = conj.reshape(shape)[..., 1, :], amps.reshape(shape)[..., 0, :]
+        w_minus[..., nu] = np.einsum("...ab,...ab->...", upper, lower)
     return w_minus, w_3
 
 

@@ -239,6 +239,21 @@ def random_state(m: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
+def signed_zero_batch(m: int, points: int, rng: np.random.Generator) -> np.ndarray:
+    """A (points, 2^m) batch of random amplitudes, about a third of its real and imaginary parts +-0.0.
+
+    Not normalized: for kernel stages that read amplitudes without
+    validating them, where the sign of a zero product is what could move.
+    """
+    parts = rng.normal(size=(2, points, 1 << m))
+    zeros = rng.integers(0, 6, size=parts.shape)  # 0: +0.0, 1: -0.0, otherwise kept
+    parts[zeros == 0] = 0.0
+    parts[zeros == 1] = -0.0
+    batch = np.empty((points, 1 << m), dtype=np.complex128)
+    batch.real, batch.imag = parts  # re + 1j * im would turn an imaginary -0.0 into +0.0
+    return batch
+
+
 def random_product_state(m: int, rng: np.random.Generator) -> np.ndarray:
     amps = np.ones(1, dtype=complex)
     for _ in range(m):  # kron order: qubit M-1 first

@@ -20,7 +20,9 @@ from entdist import (
 from entdist import qstate
 from entdist.cli import SweepSpec, _chunk_points, run_sweep
 from entdist.families import FAMILY_ANGLES, family_amplitudes
-from entdist.metric import metric_matrices
+from entdist.metric import _applied_rows, metric_matrices
+
+from oracles import signed_zero_batch
 
 
 def _per_point_rows(spec: SweepSpec) -> np.ndarray:
@@ -180,6 +182,33 @@ def test_batch_builder_rejects_what_family_spec_rejects():
         family_amplitudes(FamilySpec("brs", m=3), "phi", [0.1, np.nan, 0.2])
     with pytest.raises(ValueError, match="no angle 'theta'"):
         family_amplitudes(FamilySpec("brs", m=3), "theta", [0.1])
+
+
+@pytest.mark.parametrize("m", range(2, 15))
+def test_flipped_low_qubits_are_byte_equal_to_in_place(m):
+    """Every slot of ``_applied_rows`` has the bytes of ``_apply_one_qubit_matrix`` applied in place.
+
+    From M = 5 on, the low qubits q < lo = M - M // 2 whose runs the flip
+    lengthens are applied on a transposed copy of the batch and copied
+    back.  A sweep chunk of P = ``_chunk_points(M)`` states, about a third
+    of their amplitudes' parts +0.0 or -0.0, at random directions with a
+    third of the rows set to an exact +-x, +-y or +-z, so the operators
+    hold signed zeros too.  Read as a batch and the first state alone.
+    """
+    rng = np.random.default_rng(900 + m)
+    p = _chunk_points(m)
+    amps = signed_zero_batch(m, p, rng)
+    dirs = rng.normal(size=(p, m, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    on_axis = rng.random((p, m)) < 1 / 3
+    dirs[on_axis] = axes[rng.integers(0, 6, size=on_axis.sum())]
+    ops = qstate._operator(*np.moveaxis(dirs, -1, 0))
+    for a, o in ((amps, ops), (amps[0], ops[0])):
+        applied = _applied_rows(a, o)
+        for q in range(m):
+            in_place = qstate._apply_one_qubit_matrix(a, m, q, o[..., q, :, :])
+            assert applied[q].tobytes() == in_place.tobytes(), f"qubit {q}"
 
 
 @pytest.mark.parametrize("m, points", [(9, 201), (16, 3)])

@@ -25,10 +25,11 @@ from entdist import (
 )
 from entdist import qstate
 from entdist.cli import run_surface
+from entdist.families import three_qubit_amplitudes
 from entdist.metric import measure_from_bilinears
 from entdist.qstate import bilinears, row_depth, validate_amplitudes
 
-from oracles import bilinears_extended, random_state, w_triples_literal
+from oracles import bilinears_extended, random_state, signed_zero_batch, w_triples_literal
 
 U = np.finfo(float).eps / 2
 
@@ -78,7 +79,9 @@ def _whole_vector_bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One einsum and two sums per qubit over the whole state, in one pass each.
 
     The arithmetic that ``bilinears`` must reproduce bit for bit when the
-    state is one row, M <= ROW_BITS.
+    state is one row, M <= ROW_BITS.  Each qubit's einsum reads its own
+    conjugated copy of the upper half of its pairs, where ``bilinears``
+    conjugates the whole batch once.
     """
     m = amps.shape[-1].bit_length() - 1
     probs = np.abs(amps) ** 2
@@ -90,6 +93,14 @@ def _whole_vector_bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w_minus[..., nu] = np.einsum("...ab,...ab->...", np.conj(view[..., 1, :]), view[..., 0, :])
         w_3[..., nu] = np.sum(pview[..., 0, :], axis=(-2, -1)) - np.sum(pview[..., 1, :], axis=(-2, -1))
     return w_minus, w_3
+
+
+def test_one_conjugate_is_byte_equal_on_the_surface_grid():
+    """The 101 x 101 three-qubit grid of ``run_surface``, one batch of 10201 states."""
+    grid = np.linspace(0.0, np.pi, 101)
+    amps = three_qubit_amplitudes(grid, grid)
+    for got, expected in zip(bilinears(amps), _whole_vector_bilinears(amps)):
+        assert got.tobytes() == expected.tobytes()
 
 
 _SHORT_ROWS = (
@@ -104,9 +115,15 @@ class TestRowWalkedKernel:
 
     @pytest.mark.parametrize("m", range(1, 15))
     def test_one_row_is_bit_identical_to_whole_vector_einsum(self, m):
+        """Family and Haar states, alone and as a batch, and a sweep chunk's worth of states.
+
+        The chunk, 2^ROW_BITS amplitudes, has about a third of its parts
+        +0.0 or -0.0, and is read as a batch and its first state alone.
+        """
         rng = np.random.default_rng(600 + m)
         batch = _stacked_batch(m, rng)
-        for amps in [*batch, batch]:
+        chunk = signed_zero_batch(m, max(1, (1 << qstate.ROW_BITS) >> m), rng)
+        for amps in [*batch, batch, chunk[0], chunk]:
             for got, expected in zip(bilinears(amps), _whole_vector_bilinears(amps)):
                 assert got.tobytes() == expected.tobytes()
 
