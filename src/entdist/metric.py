@@ -69,6 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import qstate
 from .qstate import (
     MAX_QUBITS,
     SHORT_RUN_BITS,
@@ -142,28 +143,61 @@ def trace_tol(m: int) -> float:
     the term (w_3^2 + 4 |w_minus|^2)/4 of E by 0.61 n u; the two sums over
     the m qubits add m^2 u / 2.
 
-    Above ROW_BITS qubits e is a signed sum of p = |phi|^2, phi the state
-    rotated by one pass of the direction-frame kernel (``_frame_passes``),
-    in groups of four qubits, one Kronecker factor each (16 terms per
-    output).  Every block of the plan fits ROW_BITS + BLOCK_BITS = 17 bits,
-    and so no amplitude passes through more than G = 5 factors: a block of L
-    column and |J| row bits, L + |J| <= 17, takes ceil(L/4) + ceil(|J|/4) <=
-    5, and the column pass, a strip of H <= 17 high bits, ceil(H/4) <= 5.  A
-    16 x 16 unitary factor K moves a vector by at most gamma_18 || |K| ||_2
-    <= 72 u of its 2-norm (|| |K| ||_F = 4), so p loses at most 144 G u of
-    its unit mass.  Its sums add the blocks of a pass in turn, 2^m over the
-    block size: the rule fills the longest block to 17 bits and its runs
-    differ by one qubit at most, so a block holds at least 2^16 amplitudes,
-    and there are at most 2^10 blocks (m = 26).  ``qstate._spin_moments``
-    then adds at most 2^8 + 2^9 terms (17 bits, split in halves), a depth
-    below 2^11 < n.  So the diagonal entry is off by at most 0.71 (n + 144 G)
-    u, which adds at most 511 u per qubit, below 0.04 n u.  The bound 2 m (n
-    + m) u covers the sum in both cases with room to spare: at m = 20 it is
-    7.3e-11.  The largest gap measured on chain-phase (phi = 0.3), GHZ-like
-    (theta = 0.7, phase 0.2) and Haar states at m = 15-24 is 6.2e-14 (chain
-    phase, m = 22), and no gap exceeds 7.9e-4 of its bound.
+    Above ROW_BITS qubits a diagonal entry is off by at most ``entry_tol(m)``
+    <= 0.75 (n + 720) u (see there), which adds at most 540 u per qubit
+    above 0.75 n u, below 0.04 n u.  The bound 2 m (n + m) u covers the
+    sum in both cases with room to spare: at m = 20 it is 7.3e-11.  The
+    largest gap measured on chain-phase (phi = 0.3), GHZ-like (theta =
+    0.7, phase 0.2) and Haar states at m = 15-24 is 6.2e-14 (chain phase,
+    m = 22), and no gap exceeds 7.9e-4 of its bound.
     """
     return 2.0 * m * (row_depth(m) + m) * _UNIT_ROUNDOFF
+
+
+def entry_tol(m: int) -> float:
+    """Largest rounding gap of one entry of an m-qubit metric, from either kernel.
+
+    The error model of ``trace_tol``, for a normalized state at a field of
+    unit rows; a complex product or inner product of n terms takes
+    gamma_(n+2) for gamma_n (Higham, sec. 3.6).  If every moment <A_mu>
+    is within delta_e and every <A_mu A_nu> within delta_c, an entry
+    (c - e_mu e_nu)/4 is off by at most (delta_c + 2 delta_e + 2 u)/4,
+    and a diagonal entry (1 - e^2)/4 by at most (2 delta_e + 2 u)/4.
+
+    * Up to ROW_BITS qubits, one row: an entry of an applied row A_nu|s>
+      is a two-term sum, off by at most (2 sqrt 2 + 1) u of |A| |s|, and
+      || |A| ||_2 <= sqrt 2, so the row is off by at most 6 u in 2-norm.
+      Each moment is one ``qstate._dot``, runs of at most 2^(ROW_BITS-1)
+      terms and then their sum, a depth d of 2^m, or 2^(ROW_BITS-1) + 1 at
+      m = ROW_BITS.  So delta_e <= (d + 8) u and delta_c <= (d + 14) u,
+      and an entry is off by at most 0.75 (d + 11) u.
+    * Above ROW_BITS qubits, the direction-frame kernel: each amplitude
+      passes through G Kronecker factors, each output a sum of at most 16
+      complex terms: ceil(|J|/4) + ceil(|C|/4) in a pass of
+      ``_frame_passes`` with row bits J and column bits C, and G the
+      largest over the plan, at most 5, since every block fits
+      ROW_BITS + BLOCK_BITS = 17 bits.  A factor K moves a vector by at
+      most gamma_18 || |K| ||_2 <= 72 u in 2-norm (|| |K| ||_F = 4 for a
+      16 x 16 unitary), so p = |phi|^2 loses at most 144 G u of its unit
+      mass.  Its signed sums, the blocks or strips of a pass in turn and
+      then ``qstate._spin_moments``, run no deeper than ``row_depth(m)``
+      (see ``trace_tol``), so every <s_mu> and <s_mu s_nu> is within
+      delta = (row_depth(m) + 144 G) u, and an entry within 0.75 delta.
+
+    ROW_BITS is read at call time, as ``qstate.row_view`` reads it.  The
+    bound is 1.1e-15 at m = 1, 2.2e-14 at m = 8, 6.8e-13 at m = 14 and
+    1.4e-12 to 1.8e-12 at m = 15-26.  A check against an oracle adds the
+    oracle's own rounding (``tests/oracles.py``).  The largest gap
+    measured against the dense, pairwise and collective-spin oracles, at
+    m = 1-22, is 4.6% of that sum for the one-row kernel (1.1e-16 at m =
+    1) and 0.41% for the frame kernel (5.9e-15 at m = 18).
+    """
+    k = qstate.ROW_BITS
+    if m > k:
+        groups = max(-(-len(row_bits) // 4) + -(-len(col_bits) // 4) for row_bits, col_bits in _frame_passes(m, k))
+        return 0.75 * (row_depth(m) + 144 * groups) * _UNIT_ROUNDOFF
+    depth = 1 << m if m < k else (1 << (k - 1)) + 1  # one run of _dot, or two and their sum
+    return 0.75 * (depth + 11) * _UNIT_ROUNDOFF
 
 
 def check_metrics(g: np.ndarray, measure, at: tuple[str, np.ndarray] | None = None) -> np.ndarray:

@@ -6,8 +6,11 @@ Jacobi eigensolver, the projector-product construction of the diagonal
 chain-phase operator, pair-by-pair adjacent-pair counts, the analytic
 two- and three-qubit chain-phase metric forms and the metric of a
 permutation-symmetric state from (M + 1) x (M + 1) collective-spin
-matrices.  Basis convention matches the library: bit nu of the index k is
-qubit nu, composite kron order is qubit M-1 (MSB) first.
+matrices.  Beside each metric oracle stands its share of a check's bound,
+its own rounding (``dense_share``, ``pairwise_share``, ``spin_share``): a
+check holds a kernel's entry to ``metric.entry_tol(M)`` plus that share.
+Basis convention matches the library: bit nu of the index k is qubit nu,
+composite kron order is qubit M-1 (MSB) first.
 """
 from __future__ import annotations
 
@@ -88,6 +91,21 @@ def covariance_metric_dense(amps: np.ndarray, m: int, dirs) -> np.ndarray:
     return g
 
 
+def dense_share(m: int) -> float:
+    """Rounding bound of one entry of ``covariance_metric_dense``: 0.75 (2^m + 14) u, u = 2^-53.
+
+    The error model of ``metric.entry_tol``.  Each v . sigma has exact
+    entries (v_3, v_1 -+ i v_2), and a Kronecker product with identities
+    keeps them.  A row of A_nu holds two of them, and a row of A_mu A_nu
+    four products of them, each one complex product (two products and a
+    sum when mu = nu), so each applied vector is off by at most 6 u, and
+    (A_mu A_nu)|s> by at most 20 u, in 2-norm.  A zero term adds exactly.
+    ``np.vdot`` then sums 2^m terms, so <A_mu> is within (2^m + 8) u,
+    <A_mu A_nu> within (2^m + 22) u, and an entry within 0.75 (2^m + 14) u.
+    """
+    return 0.75 * ((1 << m) + 14) * np.finfo(float).eps / 2.0
+
+
 def covariance_entry_pairwise(amps: np.ndarray, m: int, mu: int, v_mu, nu: int, v_nu) -> float:
     """One off-diagonal metric entry from whole vectors, summed pairwise.
 
@@ -111,6 +129,19 @@ def covariance_entry_pairwise(amps: np.ndarray, m: int, mu: int, v_mu, nu: int, 
 
     a_mu, a_nu = apply(mu, v_mu), apply(nu, v_nu)
     return 0.25 * (inner(a_mu, a_nu) - inner(amps, a_mu) * inner(amps, a_nu))
+
+
+def pairwise_share(m: int) -> float:
+    """Rounding bound of one ``covariance_entry_pairwise`` entry of an m-qubit state: (128 + m) u, u = 2^-53.
+
+    numpy's pairwise sum adds blocks of at most 128 terms in turn and the
+    blocks' sums in pairs, a depth of at most 128 + m over the 2^m terms.
+    An applied vector is off by at most 6 u in 2-norm, as in
+    ``metric.entry_tol``, and each term of ``inner`` by 2 u of its size, so
+    a moment is within (128 + m + 14) u, and an entry within 0.75 (142 +
+    m) u <= (128 + m) u.
+    """
+    return (128 + m) * np.finfo(float).eps / 2.0
 
 
 def jacobi_eigenvalues(matrix: np.ndarray, max_sweeps: int = 60, tol: float = 1e-15) -> np.ndarray:
@@ -263,16 +294,17 @@ def random_product_state(m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def collective_spin(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S_x, S_y, S_z of S = sum_mu sigma^mu / 2 on the Dicke basis |D(m, k)>, k = 0 .. m.
+    """S_x, S_y, S_z of S = sum_mu sigma^mu / 2 on the Dicke basis |D(m, k)>, k = 0 .. m, in ``np.clongdouble``.
 
     |D(m, k)> has k qubits in |1> (sigma_z = -1), so S_z = m/2 - k, and
     S_+ = S_x + i S_y takes k to k - 1 with the spin-j ladder factor
-    sqrt(j (j + 1) - m_z (m_z + 1)), j = m/2, m_z = j - k.
+    sqrt(j (j + 1) - m_z (m_z + 1)), j = m/2, m_z = j - k.  Every entry is
+    exact but the square root's, rounded once in extended precision.
     """
-    j = m / 2.0
+    j = np.longdouble(m) / 2
     mz = j - np.arange(m + 1)
-    raise_ = np.diag(np.sqrt(j * (j + 1.0) - mz[1:] * (mz[1:] + 1.0)), 1).astype(complex)
-    return (raise_ + raise_.T) / 2.0, (raise_ - raise_.T) / 2.0j, np.diag(mz).astype(complex)
+    raise_ = np.diag(np.sqrt(j * (j + 1) - mz[1:] * (mz[1:] + 1)), 1).astype(np.clongdouble)
+    return (raise_ + raise_.T) / 2, (raise_ - raise_.T) / 2j, np.diag(mz).astype(np.clongdouble)
 
 
 def symmetric_amplitudes(c) -> np.ndarray:
@@ -293,28 +325,50 @@ def symmetric_amplitudes(c) -> np.ndarray:
     return amps
 
 
-def symmetric_metric(c) -> np.ndarray:
-    """The (M, M) entanglement metric of sum_k c_k |D(M, k)>, M >= 2, at its optimal directions.
+def symmetric_metric(c, dirs=None) -> np.ndarray:
+    """The (M, M) metric of sum_k c_k |D(M, k)>, M >= 2, at a field ``dirs`` (M, 3), or at its optimal directions.
 
-    Every qubit has the Bloch vector b = 2 <S> / M, so one direction v =
-    b / |b| serves them all, the z axis when |b| < 1e-12 (b = 0: every
-    direction minimizes the trace).  With A = v . sigma on each qubit,
-    <A_mu^2> = 1 and S_v = v . S = sum_mu A_mu / 2, so for mu != nu
-    <A_mu A_nu> = (4 <S_v^2> - M) / (M (M - 1)), and g = a I + o (J - I)
-    with a = (1 - (v . b)^2) / 4 and o = (<A_mu A_nu> - (v . b)^2) / 4.
-    Its eigenvalues are a + (M - 1) o = Var(S_v) / M, once, and a - o, M - 1
-    times.  All of it comes from (M + 1) x (M + 1) matrices, in O(M^2).
+    c is normalized as ``symmetric_amplitudes`` normalizes it, in float64,
+    and widened to ``np.clongdouble``, in which all the rest is computed.
+    Every qubit has the Bloch vector b = 2 <S> / M, and every pair mu !=
+    nu the correlation tensor T_ij = <sigma_i^mu sigma_j^nu>, since
+    <S_i S_j + S_j S_i> / 2 = (M <c|c> I + M (M - 1) T) / 4 and, S being
+    Hermitian, <S_i S_j + S_j S_i> / 2 = Re <S_i c, S_j c>.  So with e_mu =
+    v^mu . b, g[mu, nu] = (v^mu . T v^nu - e_mu e_nu) / 4 and g[mu, mu] =
+    (1 - e_mu^2) / 4: the moments of c as it stands, as the kernels take
+    those of the state.  Without a field, one direction v = b / |b| serves
+    every qubit, the z axis when |b| < 1e-12 (b = 0: every direction
+    minimizes the trace).  Then g = a I + o (J - I) with a = (1 - (v .
+    b)^2) / 4 and o = (v . T v - (v . b)^2) / 4, and its eigenvalues are
+    a + (M - 1) o = Var(S_v) / M, once, and a - o, M - 1 times.  All of
+    it comes from (M + 1) x (M + 1) matrices.
     """
     c = np.asarray(c, dtype=complex)
-    c = c / np.linalg.norm(c)
+    c = (c / np.linalg.norm(c)).astype(np.clongdouble)
     m = c.size - 1
-    spins = collective_spin(m)
-    b = np.array([2.0 * float(np.vdot(c, s @ c).real) / m for s in spins])
-    norm = float(np.sqrt(b @ b))
-    v = b / norm if norm >= 1e-12 else np.array([0.0, 0.0, 1.0])
-    s_v = sum(vi * s for vi, s in zip(v, spins))
-    spin_sq = float(np.vdot(s_v @ c, s_v @ c).real)  # <S_v^2>, S_v Hermitian
-    vb = float(v @ b)
-    a = (1.0 - vb**2) / 4.0
-    o = ((4.0 * spin_sq - m) / (m * (m - 1)) - vb**2) / 4.0
-    return a * np.eye(m) + o * (np.ones((m, m)) - np.eye(m))
+    applied = [s @ c for s in collective_spin(m)]
+    b = np.array([2 * np.vdot(c, x).real / m for x in applied])
+    if dirs is None:
+        norm = np.sqrt(b @ b)
+        dirs = np.tile(b / norm if norm >= 1e-12 else np.array([0.0, 0.0, 1.0]), (m, 1))
+    dirs = np.asarray(dirs, dtype=np.longdouble)
+    q = np.array([[np.vdot(x, y).real for y in applied] for x in applied])
+    t = (4 * q - m * np.vdot(c, c).real * np.eye(3)) / (m * (m - 1))
+    e = dirs @ b
+    g = (dirs @ t @ dirs.T - np.multiply.outer(e, e)) / 4
+    g[np.diag_indices(m)] = (1 - e**2) / 4
+    return g.astype(float)
+
+
+def spin_share(m: int) -> float:
+    """Rounding bound of one ``symmetric_metric`` entry against the state of ``symmetric_amplitudes``.
+
+    The error model of ``metric.entry_tol``.  ``symmetric_amplitudes``
+    rounds each amplitude c_k / sqrt(C(M, k)) twice, the root and the
+    quotient, so the state is off by at most 2 u in 2-norm from the one
+    whose moments ``symmetric_metric`` takes, and each moment by at most
+    4 u: an entry by at most 3.1 u.  The extended arithmetic, u_x = 2^-64
+    on x86-64, adds at most 3 (M + 14) u_x, and the cast to float64 0.5 u.
+    """
+    u = np.finfo(float).eps / 2.0
+    return 3.6 * u + 3 * (m + 14) * float(np.finfo(np.longdouble).eps) / 2.0

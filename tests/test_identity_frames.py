@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 from entdist import StateVector, ghzl_state, make_basis_state, metric_matrix, optimal_directions, w_vectors
-from entdist.metric import _frame_metric, _frame_passes, _frame_unitaries
+from entdist.metric import _frame_metric, _frame_passes, _frame_unitaries, entry_tol
 from entdist.qstate import ROW_BITS, bloch_vectors, row_view
 
-from oracles import covariance_entry_pairwise, random_state
-from test_metric import _frame_entry_tol, frame_pairs
+from oracles import pairwise_share, random_state
+from test_metric import assert_pairs_match_pairwise_oracle
 from test_support import SIZES, _blocks_with_amplitude, rotations, w_state  # noqa: F401 (a fixture)
 
 Z = (0.0, 0.0, 1.0)
@@ -89,12 +89,7 @@ def test_held_passes_have_the_bytes_of_a_forced_rotation(rotations, kind, m):
 @pytest.mark.parametrize("kind", sorted(STATES))
 def test_held_passes_match_the_pairwise_oracle(kind, m):
     s = STATES[kind][0](m)
-    dirs = _optimal(s)
-    g = metric_matrix(s, dirs)
-    tol = _frame_entry_tol(m)
-    for mu, nu in frame_pairs(m):
-        ref = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
-        assert abs(g[mu, nu] - ref) <= tol, (mu, nu, g[mu, nu] - ref, tol)
+    assert_pairs_match_pairwise_oracle(s.amplitudes, _optimal(s), entry_tol(m) + pairwise_share(m))
 
 
 @pytest.mark.parametrize("m", SIZES)

@@ -38,9 +38,8 @@ import entdist
 from entdist.metric import trace_tol
 from entdist.verify import INVARIANCE_TOL, OPTIMIZER_TOL, bloch_tol
 
-from oracles import jacobi_eigenvalues, random_state
-from test_metric import _frame_entry_tol
-from test_products import _factor_oracle
+from oracles import random_state
+from test_products import assert_splits_into_factors
 from test_symmetric import _coefficients, assert_matches_spin_oracle
 
 pytestmark = pytest.mark.max_qubits
@@ -117,7 +116,7 @@ def test_measure_chain_phase_state_at_max_qubits(tmp_path):
     trace = float(np.trace(np.reshape(record["matrix"], (M, M))))
     assert record["m"] == M
     assert 0.0 < record["measure"] <= M / 4
-    assert abs(record["measure"] - trace) <= trace_tol(M)
+    np.testing.assert_allclose(record["measure"], trace, rtol=0, atol=trace_tol(M))
     assert wall <= WALL_LIMIT_S and peak <= PEAK_RSS_LIMIT, (
         f"wall time {wall:.1f} s (limit {WALL_LIMIT_S:.0f} s), "
         f"peak RSS {peak / 2**30:.2f} GiB (limit {PEAK_RSS_LIMIT / 2**30:.1f} GiB)"
@@ -142,7 +141,7 @@ def test_measure_ghz_like_state_at_max_qubits(tmp_path):
     expected = np.zeros(M)
     expected[0] = M * math.sin(2.0 * theta) ** 2 / 4.0
     assert record["m"] == M
-    assert np.max(np.abs(np.array(record["eigenvalues"]) - expected)) <= trace_tol(M)
+    np.testing.assert_allclose(record["eigenvalues"], expected, rtol=0, atol=trace_tol(M))
     assert wall <= SPARSE_WALL_LIMIT_S and peak <= PEAK_RSS_LIMIT, (
         f"wall time {wall:.1f} s (limit {SPARSE_WALL_LIMIT_S:.0f} s), "
         f"peak RSS {peak / 2**30:.2f} GiB (limit {PEAK_RSS_LIMIT / 2**30:.1f} GiB)"
@@ -177,21 +176,11 @@ def test_interleaved_product_at_max_qubits(tmp_path):
     code, out, err, wall, peak = _run_child(_PRODUCT_CHILD, [str(PRODUCT_SEED), str(n)], tmp_path)
     assert code == 0, err
     record = json.loads(out)
-    g = np.reshape(record["matrix"], (M, M))
-    directions = np.array(record["directions"])
     rng = np.random.default_rng(PRODUCT_SEED)
     a, b = random_state(n, rng), random_state(n, rng)
-    a_pos, b_pos = list(range(1, M, 2)), list(range(0, M, 2))
-    e_a, g_a = _factor_oracle(a, directions[a_pos])
-    e_b, g_b = _factor_oracle(b, directions[b_pos])
-    tol = _frame_entry_tol(M)
-    assert abs(record["measure"] - (e_a + e_b)) <= trace_tol(M)
-    assert np.max(np.abs(g[np.ix_(a_pos, a_pos)] - g_a)) <= tol
-    assert np.max(np.abs(g[np.ix_(b_pos, b_pos)] - g_b)) <= tol
-    assert np.max(np.abs(g[np.ix_(a_pos, b_pos)])) <= tol
-    # Weyl: each eigenvalue moves by at most ||g - diag(g_A, g_B)||_2 <= M max |entry|
-    union = np.sort(np.concatenate([jacobi_eigenvalues(g_a), jacobi_eigenvalues(g_b)]))[::-1]
-    assert np.max(np.abs(np.array(record["eigenvalues"]) - union)) <= M * tol
+    g, directions = np.reshape(record["matrix"], (M, M)), np.array(record["directions"])
+    a_pos = list(range(1, M, 2))
+    assert_splits_into_factors(a, b, a_pos, g, directions, record["measure"], record["eigenvalues"])
     assert wall <= WALL_LIMIT_S and peak <= PEAK_RSS_LIMIT, (
         f"wall time {wall:.1f} s (limit {WALL_LIMIT_S:.0f} s), "
         f"peak RSS {peak / 2**30:.2f} GiB (limit {PEAK_RSS_LIMIT / 2**30:.1f} GiB)"
@@ -204,9 +193,9 @@ def test_symmetric_state_at_max_qubits(tmp_path):
     Its one direction lies off every axis, so every pass of the plan turns
     full factors and no block is skipped.  The child is held to
     ``measure``'s limits; the oracle, ``test_symmetric``'s, runs here on
-    the M + 1 coefficients: every entry within ``_frame_entry_tol(M)``,
-    E within ``trace_tol(M)`` and the eigenvalues within trace_tol(M) +
-    M eps E.
+    the M + 1 coefficients: every entry within ``entry_tol(M)`` plus the
+    oracle's share, E within ``trace_tol(M)`` and the eigenvalues within
+    trace_tol(M) + M eps E.
     """
     c = _coefficients("random", M)
     code, out, err, wall, peak = _run_child(
@@ -215,7 +204,8 @@ def test_symmetric_state_at_max_qubits(tmp_path):
     assert code == 0, err
     record = json.loads(out)
     assert record["m"] == M
-    assert_matches_spin_oracle(c, np.reshape(record["matrix"], (M, M)), record["measure"], record["eigenvalues"])
+    g = np.reshape(record["matrix"], (M, M))
+    assert_matches_spin_oracle(c, g, record["directions"], record["measure"], record["eigenvalues"])
     assert wall <= WALL_LIMIT_S and peak <= PEAK_RSS_LIMIT, (
         f"wall time {wall:.1f} s (limit {WALL_LIMIT_S:.0f} s), "
         f"peak RSS {peak / 2**30:.2f} GiB (limit {PEAK_RSS_LIMIT / 2**30:.1f} GiB)"

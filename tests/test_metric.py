@@ -35,6 +35,7 @@ from entdist.metric import (
     _frame_unitaries,
     _metric_from_moments,
     check_metrics,
+    entry_tol,
     metric_matrices,
     trace_tol,
 )
@@ -43,7 +44,9 @@ from entdist.qstate import _haar_unitary, _operator, bloch_vectors
 from oracles import (
     covariance_entry_pairwise,
     covariance_metric_dense,
+    dense_share,
     jacobi_eigenvalues,
+    pairwise_share,
     permute_qubits,
     random_product_state,
     random_state,
@@ -255,16 +258,14 @@ class TestMetricMatrix:
         g = metric_matrix(brs_state(2, np.pi), np.array([[0.0, -1.0, 0.0], [0.0, 1.0, 0.0]]))
         np.testing.assert_allclose(g, 0.25 * np.ones((2, 2)), atol=1e-14)
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", range(1, 9))
     def test_matches_dense_covariance(self, m):
+        """Every entry of the one-row metric within ``entry_tol`` plus the dense oracle's share."""
         rng = np.random.default_rng(62 + m)
         s = StateVector(m, random_state(m, rng))
         dirs = _random_directions(rng, m)
-        np.testing.assert_allclose(
-            metric_matrix(s, dirs),
-            covariance_metric_dense(s.amplitudes, m, dirs),
-            atol=1e-12,
-        )
+        dense = covariance_metric_dense(s.amplitudes, m, dirs)
+        np.testing.assert_allclose(metric_matrix(s, dirs), dense, rtol=0, atol=entry_tol(m) + dense_share(m))
 
     def test_wrong_direction_count(self):
         with pytest.raises(ValueError, match="shape"):
@@ -348,7 +349,8 @@ class TestRowBlockedMetric:
         one_row = metric_matrix(s, dirs)
         monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
         rows = metric_matrix(s, dirs)
-        np.testing.assert_allclose(rows, covariance_metric_dense(s.amplitudes, m, dirs), atol=1e-12)
+        tol = entry_tol(m) + dense_share(m)
+        np.testing.assert_allclose(rows, covariance_metric_dense(s.amplitudes, m, dirs), rtol=0, atol=tol)
         np.testing.assert_allclose(rows, one_row, rtol=0, atol=1e-15)
 
     def test_short_rows_reach_several_passes_and_the_column_pass(self, monkeypatch):
@@ -424,28 +426,6 @@ class TestRowBlockedMetric:
         assert peak < 2 * s.amplitudes.nbytes
 
 
-def _frame_entry_tol(m: int) -> float:
-    """Rounding bound on an entry of the direction-frame metric of m > ROW_BITS qubits.
-
-    The kernel rotates each amplitude through G Kronecker factors, each
-    output a sum of at most 16 complex terms: ceil(|R|/4) + ceil(|C|/4) in
-    a pass of ``_frame_passes`` with row bits R and column bits C, and G
-    the largest over the plan, at most 5, since every block fits
-    ROW_BITS + BLOCK_BITS = 17 bits.  A factor K
-    moves a vector by at most gamma_18 || |K| ||_2 <= 18 u * 4 in 2-norm
-    (|| |K| ||_F = 4 for a 16 x 16 unitary), so p = |phi|^2 loses at most
-    2 * 72 G u of its unit mass.  Its signed sums, the blocks or strips of
-    a pass in turn and then ``_spin_moments``, run no deeper than
-    ``row_depth(m)`` (see ``trace_tol``), so every <s_mu> and <s_mu s_nu>
-    is within delta = (row_depth(m) + 144 G) u, and g = (C - e_mu e_nu) / 4
-    within 3 delta / 4.  The pairwise oracle adds (128 + m) u at most.
-    """
-    plan = _frame_passes(m, qstate.ROW_BITS)
-    groups = max(-(-len(row_bits) // 4) + -(-len(col_bits) // 4) for row_bits, col_bits in plan)
-    u = np.finfo(float).eps / 2.0
-    return (0.75 * (qstate.row_depth(m) + 144 * groups) + 128 + m) * u
-
-
 def frame_pairs(m: int) -> list[tuple[int, int]]:
     """Entries of an m-qubit metric that each pass of the direction-frame kernel gives.
 
@@ -462,6 +442,16 @@ def frame_pairs(m: int) -> list[tuple[int, int]]:
         if row_bits and col_bits:
             pairs.add((col_bits[-1], row_bits[0]))
     return sorted(pairs)
+
+
+def assert_pairs_match_pairwise_oracle(amps: np.ndarray, dirs: np.ndarray, tol: float) -> np.ndarray:
+    """The metric of ``amps`` at ``dirs``, its ``frame_pairs`` entries checked against the pairwise oracle."""
+    m = len(dirs)
+    g = metric_matrices(amps, dirs)
+    for mu, nu in frame_pairs(m):
+        ref = covariance_entry_pairwise(amps, m, mu, dirs[mu], nu, dirs[nu])
+        np.testing.assert_allclose(g[mu, nu], ref, rtol=0, atol=tol, err_msg=f"entry ({mu}, {nu}) of {m} qubits")
+    return g
 
 
 class TestDirectionFrameMetric:
@@ -488,13 +478,10 @@ class TestDirectionFrameMetric:
     def test_entries_match_pairwise_oracle(self, m):
         """Entries inside the rows, across their boundary, inside a run and, at M = 18, across runs."""
         rng = np.random.default_rng(1500 + m)
-        tol = _frame_entry_tol(m)
+        tol = entry_tol(m) + pairwise_share(m)
         for s in (brs_state(m, 0.3), ghzl_state(m, 0.7), StateVector(m, random_state(m, rng))):
             for dirs in (optimal_directions(bloch_vectors(*w_vectors(s))), _random_directions(rng, m)):
-                g = metric_matrix(s, dirs)
-                for mu, nu in frame_pairs(m):
-                    ref = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
-                    assert abs(g[mu, nu] - ref) <= tol, (mu, nu, g[mu, nu] - ref, tol)
+                assert_pairs_match_pairwise_oracle(s.amplitudes, dirs, tol)
 
     @pytest.mark.parametrize("k", range(1, qstate.ROW_BITS + 1))
     def test_split_keeps_its_invariants(self, k):
@@ -580,12 +567,9 @@ class TestDirectionFrameMetric:
         whole = metric_matrix(s, dirs)
         monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
         assert _frame_passes(m, row_bits) == plan
-        g = metric_matrix(s, dirs)
-        tol = _frame_entry_tol(m)
+        tol = entry_tol(m) + pairwise_share(m)
+        g = assert_pairs_match_pairwise_oracle(s.amplitudes, dirs, tol)
         np.testing.assert_allclose(g, whole, rtol=0, atol=tol)
-        for mu, nu in frame_pairs(m):
-            ref = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
-            assert abs(g[mu, nu] - ref) <= tol, (mu, nu, g[mu, nu] - ref, tol)
 
 
 class TestMomentAssembly:

@@ -18,16 +18,16 @@ import numpy as np
 import pytest
 
 from entdist import StateVector, entanglement_metric
-from entdist.metric import trace_tol
+from entdist.metric import entry_tol, trace_tol
 
 from oracles import (
     bilinears_extended,
     covariance_entry_pairwise,
     jacobi_eigenvalues,
+    pairwise_share,
     permute_qubits,
     random_state,
 )
-from test_metric import _frame_entry_tol
 
 SIZES = [*range(15, 20), *(pytest.param(m, marks=pytest.mark.slow) for m in range(20, 25))]
 
@@ -60,6 +60,28 @@ def _factor_oracle(amps: np.ndarray, dirs: np.ndarray) -> tuple[float, np.ndarra
     return e, g
 
 
+def assert_splits_into_factors(a, b, a_pos, g, directions, measure, eigenvalues) -> None:
+    """The metric of |A> (x) |B>, A's qubits at ``a_pos``, splits into its factors' metrics.
+
+    E = E_A + E_B within trace_tol(M); g within entry_tol(M) plus the
+    pairwise oracle's share of diag(g_A, g_B), the factors' pairwise
+    metrics on A's and on B's qubits and 0 between them; and by Weyl's
+    inequality each eigenvalue within M times that of the union of the
+    factors' spectra, since ||g - diag(g_A, g_B)||_2 <= M max |entry|.
+    """
+    m = len(g)
+    b_pos = [p for p in range(m) if p not in a_pos]
+    e_a, g_a = _factor_oracle(a, directions[a_pos])
+    e_b, g_b = _factor_oracle(b, directions[b_pos])
+    np.testing.assert_allclose(measure, e_a + e_b, rtol=0, atol=trace_tol(m))
+    split = np.zeros((m, m))
+    split[np.ix_(a_pos, a_pos)], split[np.ix_(b_pos, b_pos)] = g_a, g_b
+    tol = entry_tol(m) + pairwise_share(m)
+    np.testing.assert_allclose(g, split, rtol=0, atol=tol)
+    union = np.sort(np.concatenate([jacobi_eigenvalues(g_a), jacobi_eigenvalues(g_b)]))[::-1]
+    np.testing.assert_allclose(eigenvalues, union, rtol=0, atol=m * tol)
+
+
 @pytest.mark.parametrize("m", SIZES)
 def test_interleaved_product_splits_into_its_factors(m):
     rng = np.random.default_rng(2700 + m)
@@ -68,16 +90,7 @@ def test_interleaved_product_splits_into_its_factors(m):
     a_pos, b_pos = list(range(1, m, 2)), list(range(0, m, 2))
     em = entanglement_metric(StateVector(m, interleave(a, b, a_pos)))
     g = em.matrix
-    e_a, g_a = _factor_oracle(a, em.directions[a_pos])
-    e_b, g_b = _factor_oracle(b, em.directions[b_pos])
-    tol = _frame_entry_tol(m)
-    assert abs(em.measure - (e_a + e_b)) <= trace_tol(m)
-    assert np.max(np.abs(g[np.ix_(a_pos, a_pos)] - g_a)) <= tol
-    assert np.max(np.abs(g[np.ix_(b_pos, b_pos)] - g_b)) <= tol
-    assert np.max(np.abs(g[np.ix_(a_pos, b_pos)])) <= tol
-    # Weyl: each eigenvalue moves by at most ||g - diag(g_A, g_B)||_2 <= M max |entry|
-    union = np.sort(np.concatenate([jacobi_eigenvalues(g_a), jacobi_eigenvalues(g_b)]))[::-1]
-    assert np.max(np.abs(em.eigenvalues - union)) <= m * tol
+    assert_splits_into_factors(a, b, a_pos, g, em.directions, em.measure, em.eigenvalues)
 
     # a second interleave of the same factors permutes g
     places = rng.permutation(m).tolist()
@@ -85,7 +98,8 @@ def test_interleaved_product_splits_into_its_factors(m):
     b_pos2 = sorted(places[m - mb :])
     g2 = entanglement_metric(StateVector(m, interleave(a, b, a_pos2))).matrix
     first, second = a_pos + b_pos, a_pos2 + b_pos2
-    assert np.max(np.abs(g2[np.ix_(second, second)] - g[np.ix_(first, first)])) <= tol
+    tol = entry_tol(m) + pairwise_share(m)
+    np.testing.assert_allclose(g2[np.ix_(second, second)], g[np.ix_(first, first)], rtol=0, atol=tol)
 
 
 def test_interleave_is_the_kron_product_with_its_qubits_permuted():

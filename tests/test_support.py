@@ -24,11 +24,11 @@ from entdist import (
     qstate,
     w_vectors,
 )
-from entdist.metric import _frame_metric, _frame_passes, measure_from_bilinears, metric_matrices
+from entdist.metric import _frame_metric, _frame_passes, entry_tol, measure_from_bilinears, metric_matrices
 from entdist.qstate import ROW_BITS, _row_bilinears, bilinears, row_depth, row_view
 
-from oracles import bilinears_extended, covariance_entry_pairwise, random_state
-from test_metric import _frame_entry_tol, frame_pairs
+from oracles import bilinears_extended, covariance_entry_pairwise, pairwise_share, random_state
+from test_metric import assert_pairs_match_pairwise_oracle
 
 SIZES = [*range(15, 20), *(pytest.param(m, marks=pytest.mark.slow) for m in range(20, 23))]
 U = np.finfo(float).eps / 2
@@ -130,9 +130,10 @@ def test_support_path_has_the_bytes_of_the_array_path(kind, m):
 
     That pass runs on the state's rows seen as ``_ReadAll``, whose blocks
     all pass the zero test.  Both match the oracles: a few entries of g
-    against ``covariance_entry_pairwise`` within ``_frame_entry_tol``, and,
-    up to M = 17 (the oracle takes 0.7 s at 19 qubits and 6 s at 22), the
-    bilinears against ``bilinears_extended`` within (row_depth + 3) u.
+    against ``covariance_entry_pairwise`` within ``entry_tol`` plus the
+    oracle's share, and, up to M = 17 (the oracle takes 0.7 s at 19 qubits
+    and 6 s at 22), the bilinears against ``bilinears_extended`` within
+    (row_depth + 3) u.
     """
     s = STATES[kind](m)
     rows = row_view(s.amplitudes)[1]
@@ -141,12 +142,8 @@ def test_support_path_has_the_bytes_of_the_array_path(kind, m):
     assert w_minus.tobytes() == ref_minus.tobytes()
     assert w_3.tobytes() == ref_3.tobytes()
     dirs = _unit_rows(np.random.default_rng(m), m)
-    g = metric_matrix(s, dirs)
+    g = assert_pairs_match_pairwise_oracle(s.amplitudes, dirs, entry_tol(m) + pairwise_share(m))
     assert g.tobytes() == _frame_metric(rows.view(_ReadAll), dirs).tobytes()
-    tol = _frame_entry_tol(m)
-    for mu, nu in frame_pairs(m):
-        ref = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
-        assert abs(g[mu, nu] - ref) <= tol, (mu, nu, g[mu, nu] - ref, tol)
     if m <= 17:
         ext_minus, ext_3 = bilinears_extended(s.amplitudes, m)
         bound = (row_depth(m) + 3) * U
@@ -227,7 +224,7 @@ def test_random_supports_under_short_rows(monkeypatch, row_bits):
     monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
     rng = np.random.default_rng(row_bits)
     for m in range(row_bits + 1, 11):
-        tol = _frame_entry_tol(m)
+        tol = entry_tol(m) + pairwise_share(m)
         for _ in range(4):
             amps = random_state(m, rng).reshape(-1, 1 << row_bits)
             amps[rng.random(len(amps)) < 0.75] = 0.0
@@ -241,7 +238,7 @@ def test_random_supports_under_short_rows(monkeypatch, row_bits):
             for mu in range(m):
                 for nu in range(mu, m):
                     ref = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
-                    assert abs(g[mu, nu] - ref) <= tol, (m, mu, nu, g[mu, nu] - ref, tol)
+                    np.testing.assert_allclose(g[mu, nu], ref, rtol=0, atol=tol, err_msg=f"entry ({mu}, {nu})")
 
 
 def test_a_written_buffer_is_read_as_written():

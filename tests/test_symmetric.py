@@ -16,11 +16,9 @@ import numpy as np
 import pytest
 
 from entdist import StateVector, entanglement_metric
-from entdist.metric import trace_tol
-from entdist.qstate import ROW_BITS
+from entdist.metric import entry_tol, trace_tol
 
-from oracles import symmetric_amplitudes, symmetric_metric
-from test_metric import _frame_entry_tol
+from oracles import spin_share, symmetric_amplitudes, symmetric_metric
 
 EPS = np.finfo(float).eps
 
@@ -43,20 +41,20 @@ def _coefficients(kind: str, m: int) -> np.ndarray:
     return c
 
 
-def assert_matches_spin_oracle(c, matrix, measure: float, eigenvalues) -> None:
+def assert_matches_spin_oracle(c, matrix, directions, measure: float, eigenvalues) -> None:
     """Entries, E and eigenvalues of the metric of sum_k c_k |D(M, k)> against the oracle.
 
-    An entry is held to ``trace_tol(m)`` up to ROW_BITS qubits, where every
-    moment is one whole-row sum, and to ``_frame_entry_tol(m)`` above it.
-    The eigenvalues are held to trace_tol(m) + m eps E, the bound of
+    An entry is held to the oracle's at the same field, ``directions``,
+    within ``entry_tol(m)`` plus ``spin_share(m)``.  E and the eigenvalues
+    are held to the oracle's at its own optimal directions, within
+    trace_tol(m) and trace_tol(m) + m eps E, the bound of
     ``test_large._closed_form_spectrum``: a + (M - 1) o once and a - o
     M - 1 times, from the oracle's diagonal a and off-diagonal o.
     """
     m = len(c) - 1
+    np.testing.assert_allclose(matrix, symmetric_metric(c, directions), rtol=0, atol=entry_tol(m) + spin_share(m))
     g = symmetric_metric(c)
-    entry_tol = _frame_entry_tol(m) if m > ROW_BITS else trace_tol(m)
-    assert np.max(np.abs(np.asarray(matrix) - g)) <= entry_tol
-    assert abs(measure - float(np.trace(g))) <= trace_tol(m)
+    np.testing.assert_allclose(measure, np.trace(g), rtol=0, atol=trace_tol(m))
     a, o = g[0, 0], g[0, 1]
     expected = np.sort([a + (m - 1) * o] + [a - o] * (m - 1))[::-1]
     eig_tol = trace_tol(m) + m * EPS * measure
@@ -71,7 +69,7 @@ def _check(kind: str, m: int) -> None:
         assert np.max(np.abs(em.directions[:, 2])) <= 1e-12
     elif kind != "random":
         assert np.array_equal(em.directions, np.tile((0.0, 0.0, 1.0), (m, 1)))
-    assert_matches_spin_oracle(c, em.matrix, em.measure, em.eigenvalues)
+    assert_matches_spin_oracle(c, em.matrix, em.directions, em.measure, em.eigenvalues)
 
 
 KINDS = ["random", "ghz", "plus-z", "minus-z", "xy-plane"]
