@@ -61,7 +61,7 @@ class TestMeasure:
         assert code == 0
         payload = json.loads(out)
         trace = float(np.trace(np.reshape(payload["matrix"], (20, 20))))
-        np.testing.assert_allclose(payload["measure"], trace, rtol=0, atol=trace_tol(20))
+        np.testing.assert_allclose(payload["measure"], trace, rtol=0, atol=trace_tol(20), equal_nan=False)
 
     def test_separable_chain_phase(self, capsys):
         code, out = run_cli(["measure", "--family", "brs", "--m", "2", "--phi", "0"], capsys)

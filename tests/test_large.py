@@ -49,12 +49,12 @@ def test_metric_at_20_to_22_qubits(kind, m):
     s = _state(kind, m)
     em = entanglement_metric(s)
     g, dirs = em.matrix, em.directions
-    np.testing.assert_allclose(np.trace(g), em.measure, rtol=0, atol=trace_tol(m))
+    np.testing.assert_allclose(np.trace(g), em.measure, rtol=0, atol=trace_tol(m), equal_nan=False)
     # eigvalsh is backward stable: each eigenvalue is off by a few m eps ||g||,
     # and ||g|| <= tr g for a positive semidefinite g
     eig_tol = m * EPS * em.measure
     assert np.linalg.eigvalsh(g)[0] >= -eig_tol
-    np.testing.assert_allclose(np.sum(em.eigenvalues), em.measure, rtol=0, atol=trace_tol(m) + eig_tol)
+    np.testing.assert_allclose(np.sum(em.eigenvalues), em.measure, rtol=0, atol=trace_tol(m) + eig_tol, equal_nan=False)
     for mu, nu in frame_pairs(m):
         reference = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
         assert abs(g[mu, nu] - reference) <= 1e-13
@@ -64,7 +64,7 @@ def _closed_form_spectrum(em, expected: list[float]) -> None:
     """Eigenvalues within the bound of ``test_metric_at_20_to_22_qubits``: trace_tol(m) + m eps E."""
     m = em.size
     tol = trace_tol(m) + m * EPS * em.measure
-    np.testing.assert_allclose(em.measure, sum(expected), rtol=0, atol=trace_tol(m))
+    np.testing.assert_allclose(em.measure, sum(expected), rtol=0, atol=trace_tol(m), equal_nan=False)
     np.testing.assert_allclose(em.eigenvalues, expected, rtol=0, atol=tol)
 
 
@@ -109,7 +109,7 @@ def test_chain_phase_rows_give_the_bits_of_the_per_index_count(m):
 def test_metric_at_24_qubits_completes():
     em = entanglement_metric(brs_state(24, 0.3))
     assert em.matrix.shape == (24, 24)
-    np.testing.assert_allclose(np.trace(em.matrix), em.measure, rtol=0, atol=trace_tol(24))
+    np.testing.assert_allclose(np.trace(em.matrix), em.measure, rtol=0, atol=trace_tol(24), equal_nan=False)
 
 
 @pytest.mark.parametrize("m", [22, 24])

@@ -265,7 +265,7 @@ class TestMetricMatrix:
         s = StateVector(m, random_state(m, rng))
         dirs = _random_directions(rng, m)
         dense = covariance_metric_dense(s.amplitudes, m, dirs)
-        np.testing.assert_allclose(metric_matrix(s, dirs), dense, rtol=0, atol=entry_tol(m) + dense_share(m))
+        np.testing.assert_allclose(metric_matrix(s, dirs), dense, rtol=0, atol=entry_tol(m) + dense_share(m), equal_nan=False)
 
     def test_wrong_direction_count(self):
         with pytest.raises(ValueError, match="shape"):
@@ -350,7 +350,7 @@ class TestRowBlockedMetric:
         monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
         rows = metric_matrix(s, dirs)
         tol = entry_tol(m) + dense_share(m)
-        np.testing.assert_allclose(rows, covariance_metric_dense(s.amplitudes, m, dirs), rtol=0, atol=tol)
+        np.testing.assert_allclose(rows, covariance_metric_dense(s.amplitudes, m, dirs), rtol=0, atol=tol, equal_nan=False)
         np.testing.assert_allclose(rows, one_row, rtol=0, atol=1e-15)
 
     def test_short_rows_reach_several_passes_and_the_column_pass(self, monkeypatch):
@@ -450,7 +450,7 @@ def assert_pairs_match_pairwise_oracle(amps: np.ndarray, dirs: np.ndarray, tol: 
     g = metric_matrices(amps, dirs)
     for mu, nu in frame_pairs(m):
         ref = covariance_entry_pairwise(amps, m, mu, dirs[mu], nu, dirs[nu])
-        np.testing.assert_allclose(g[mu, nu], ref, rtol=0, atol=tol, err_msg=f"entry ({mu}, {nu}) of {m} qubits")
+        np.testing.assert_allclose(g[mu, nu], ref, rtol=0, atol=tol, err_msg=f"entry ({mu}, {nu}) of {m} qubits", equal_nan=False)
     return g
 
 

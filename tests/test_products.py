@@ -73,13 +73,13 @@ def assert_splits_into_factors(a, b, a_pos, g, directions, measure, eigenvalues)
     b_pos = [p for p in range(m) if p not in a_pos]
     e_a, g_a = _factor_oracle(a, directions[a_pos])
     e_b, g_b = _factor_oracle(b, directions[b_pos])
-    np.testing.assert_allclose(measure, e_a + e_b, rtol=0, atol=trace_tol(m))
+    np.testing.assert_allclose(measure, e_a + e_b, rtol=0, atol=trace_tol(m), equal_nan=False)
     split = np.zeros((m, m))
     split[np.ix_(a_pos, a_pos)], split[np.ix_(b_pos, b_pos)] = g_a, g_b
     tol = entry_tol(m) + pairwise_share(m)
-    np.testing.assert_allclose(g, split, rtol=0, atol=tol)
+    np.testing.assert_allclose(g, split, rtol=0, atol=tol, equal_nan=False)
     union = np.sort(np.concatenate([jacobi_eigenvalues(g_a), jacobi_eigenvalues(g_b)]))[::-1]
-    np.testing.assert_allclose(eigenvalues, union, rtol=0, atol=m * tol)
+    np.testing.assert_allclose(eigenvalues, union, rtol=0, atol=m * tol, equal_nan=False)
 
 
 @pytest.mark.parametrize("m", SIZES)
@@ -99,7 +99,7 @@ def test_interleaved_product_splits_into_its_factors(m):
     g2 = entanglement_metric(StateVector(m, interleave(a, b, a_pos2))).matrix
     first, second = a_pos + b_pos, a_pos2 + b_pos2
     tol = entry_tol(m) + pairwise_share(m)
-    np.testing.assert_allclose(g2[np.ix_(second, second)], g[np.ix_(first, first)], rtol=0, atol=tol)
+    np.testing.assert_allclose(g2[np.ix_(second, second)], g[np.ix_(first, first)], rtol=0, atol=tol, equal_nan=False)
 
 
 def test_interleave_is_the_kron_product_with_its_qubits_permuted():

@@ -47,7 +47,7 @@ def test_measure_range_trace_and_spectrum(state):
     m = state.num_qubits
     em = entanglement_metric(state)
     assert 0.0 <= em.measure <= m / 4.0
-    np.testing.assert_allclose(np.trace(em.matrix), em.measure, rtol=0, atol=trace_tol(m))
+    np.testing.assert_allclose(np.trace(em.matrix), em.measure, rtol=0, atol=trace_tol(m), equal_nan=False)
     np.testing.assert_array_equal(em.eigenvalues, np.linalg.eigvalsh(em.matrix)[::-1])
     assert not em.eigenvalues.flags.writeable
     assert em.eigenvalues[-1] >= -1e-10
