@@ -20,6 +20,7 @@ passes over the copy.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -42,15 +43,13 @@ from .qstate import (
     row_depth,
     validate_count,
     validate_directions,
-    validate_real,
 )
 
 DEFAULT_RESTARTS = 8
 DEFAULT_TOL = 1e-8
 MAX_STEPS = 100  # ascent steps before minimize_trace_numeric reports no convergence
 
-# thresholds that verify_state enforces; the Bloch one is bloch_tol(M)
-INVARIANCE_TOL = 1e-9
+# the optimizer threshold of verify_state; the others are invariance_tol(M) and bloch_tol(M)
 OPTIMIZER_TOL = 1e-6
 
 
@@ -69,12 +68,7 @@ class OptimizerReport:
         object.__setattr__(self, "directions", dirs)
 
 
-def minimize_trace_numeric(
-    state: StateVector,
-    restarts: int = DEFAULT_RESTARTS,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-) -> OptimizerReport:
+def minimize_trace_numeric(state: StateVector, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> OptimizerReport:
     """Minimize the metric trace over direction fields by a sphere ascent.
 
     Each qubit contributes (1 - (v . b)^2) / 4 to the trace, b its Bloch
@@ -84,20 +78,16 @@ def minimize_trace_numeric(
     2 p (b - p v), L = 2 |b|^2, and renormalizes each row, the retraction
     onto the sphere (Absil, Mahony and Sepulchre, Optimization Algorithms
     on Matrix Manifolds, 2008).  Only rows whose gradient norm is at least
-    ``tol`` move, which keeps a vanishing L out of the division; the ascent
-    stops when none does (``converged``) or after ``MAX_STEPS`` steps
-    (``iterations`` counts them).  ``tol`` passes ``qstate.validate_real``
-    and must be positive.  Deterministic for a fixed seed; the best
-    restart wins.
+    ``DEFAULT_TOL`` move, which keeps a vanishing L out of the division;
+    the ascent stops when none does (``converged``) or after ``MAX_STEPS``
+    steps (``iterations`` counts them).  Deterministic for a fixed seed;
+    the best restart wins.
     """
     restarts, seed = validate_count("restarts", restarts, 1), validate_count("seed", seed, 0)
-    tol = validate_real("tol", tol)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    return _minimize_trace(bloch_vectors(*w_vectors(state)), restarts, tol, seed)
+    return _minimize_trace(bloch_vectors(*w_vectors(state)), restarts, seed)
 
 
-def _minimize_trace(bloch: np.ndarray, restarts: int, tol: float, seed: int) -> OptimizerReport:
+def _minimize_trace(bloch: np.ndarray, restarts: int, seed: int) -> OptimizerReport:
     """``minimize_trace_numeric`` of valid arguments, from the state's (M, 3) Bloch vectors."""
     lipschitz = 2.0 * np.sum(bloch * bloch, axis=1)
     v = np.random.default_rng(seed).normal(size=(restarts,) + bloch.shape)
@@ -105,7 +95,7 @@ def _minimize_trace(bloch: np.ndarray, restarts: int, tol: float, seed: int) -> 
     for steps in range(MAX_STEPS + 1):
         proj = np.sum(v * bloch, axis=-1, keepdims=True)
         grad = 2.0 * proj * (bloch - proj * v)
-        active = np.linalg.norm(grad, axis=-1) >= tol
+        active = np.linalg.norm(grad, axis=-1) >= DEFAULT_TOL
         if steps == MAX_STEPS or not active.any():
             break
         moved = v[active] + grad[active] / lipschitz[active.nonzero()[1], None]
@@ -211,22 +201,93 @@ def bloch_tol(m: int) -> float:
     return 2.0 * (row_depth(m) + _oracle_depth(m) + 3) * _UNIT_ROUNDOFF
 
 
+def invariance_tol(m: int) -> float:
+    """Largest rounding gap |E(dressed) - E(state)| that ``invariance_check`` can show at m qubits.
+
+    To first order in u = 2^-53, for a normalized state, as ``bloch_tol``.
+    A dressing multiplies the state by U = u_{M-1} x ... x u_0, the Haar
+    draws as computed.  Each draw is W P, W unitary and |P - I|_2 its
+    largest singular-value gap from 1.  Householder QR makes that gap a
+    small multiple of u whose constant Higham leaves open (Accuracy and
+    Stability of Numerical Algorithms, ch. 19); the largest of 2 10^6
+    draws, measured in extended precision, is 10.6 u, and the bound takes
+    16 u a draw (``tests/test_qstate.py`` holds the draws to it).  So U is
+    within 16 m u of the unitary W = W_{M-1} x ... x W_0 in the 2-norm.
+    The dressing computes U times the state within ``_dress_gap`` of its
+    plan at the dressings' block budget, so the dressed vector lies within
+    delta = ``_dress_gap`` + 16 m u of W times the state.
+
+    * The change in E: W turns each Bloch vector b_nu by a rotation, so E
+      of W times the state is E.  For a unit v, v . b_nu is the
+      expectation of an observable of norm 1, which a vector off by delta
+      moves by at most 2 delta; |b_nu| is the largest such v . b_nu, so it
+      moves by at most 2 delta too, and |b_nu|^2 <= 1 by at most 4 delta.
+      E = (m - sum_nu |b_nu|^2) / 4, clamped at 0, so it moves by at most
+      m delta.
+    * E's own rounding, for each of the two E values, both taken by
+      ``measure_from_bilinears`` of ``bilinears``: 0.61 n u per qubit, n =
+      ``row_depth(m)``, as ``metric.trace_tol`` derives for this route,
+      and m^2 u / 2 for the sum over the qubits, trace_tol's figure for
+      two such sums.
+
+    The bound m delta + m (1.22 n + m) u is 3.4e-15 at m = 1, 5.8e-14 at
+    m = 3, 3.8e-11 at m = 16, 4.8e-11 at m = 20 and 7.9e-11 at m = 26.
+    The dressing's share m delta is the larger up to m = 9, E's rounding
+    from m = 10 on: m delta is 2.6e-12 of the 3.8e-11 at m = 16.
+    """
+    delta = _dress_gap(_dress_passes(m, ROW_BITS + BLOCK_BITS)) + 16 * m * _UNIT_ROUNDOFF
+    return m * delta + m * (1.22 * row_depth(m) + m) * _UNIT_ROUNDOFF
+
+
+def _dress_passes(m: int, b: int) -> list[tuple[range, range]]:
+    """The dressing's plan for m qubits in blocks of 2^b amplitudes: (row bits, column bits) per pass.
+
+    One pass turns the low L = min(m, b) qubits as column bits, a
+    contiguous row of 2^L at a time, and one pass each run of at most b
+    higher qubits as row bits.  Neither kind of pass mixes row and column
+    bits, so ``metric._rotate`` gives each block back in its own index
+    order.
+    """
+    low = min(m, b)
+    return [(range(low, low), range(low))] + [(range(s, min(s + b, m)), range(0)) for s in range(low, m, b)]
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u)."""
+    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+
+
+def _dress_gap(passes: list[tuple[range, range]]) -> float:
+    """Bound on the 2-norm gap of a unit vector dressed by the plan ``passes`` from its exact dressing.
+
+    The exact dressing is by the unitaries as given.  However its 2n real
+    products are ordered or fused, a complex inner product of n terms is
+    off by at most 2 gamma_2n sum |a_i| |b_i| (Higham, ch. 3), so a turn
+    x -> F x by a d x d unitary adds at most 2 gamma_2d || |F| |x| ||_2 <=
+    2 gamma_2d sqrt(d) to the error, |F| having 2-norm at most ||F||_F =
+    sqrt(d).  A unitary turn carries the earlier error with it unchanged,
+    so the turns' errors add.  ``metric._kron_factors`` groups a pass's
+    row bits, and its column bits, in fours from the lowest; the factor of
+    a group of b qubits, d = 2^b, is a product of b unitary entries, b - 1
+    complex products each within 2 gamma_2 relatively, so it is off by at
+    most 2 (b - 1) gamma_2 sqrt(d) in the 2-norm as well.  math.fsum adds
+    the groups' terms exactly rounded, so two plans with the same groups in
+    another order give the same bound.
+    """
+    groups = [min(4, len(bits) - lo) for step in passes for bits in step for lo in range(0, len(bits), 4)]
+    return math.fsum((2 * (b - 1) * _gamma(2) + 2 * _gamma(2 << b)) * math.sqrt(1 << b) for b in groups)
+
+
 def _dress(work: np.ndarray, u: np.ndarray, buffers: list[np.ndarray]) -> None:
     """Apply u_{M-1} x ... x u_0, ``u`` (M, 2, 2), to the 2^M amplitudes ``work`` in place, each qubit once.
 
-    A plan over ``metric._turns``, the frame kernel's block loop, in
-    blocks of 2^b amplitudes, the size of each of the two ``buffers``: one
-    pass turns the low L = min(M, b) qubits as column bits, a contiguous
-    row of 2^L at a time, and one pass each run of at most b higher qubits
-    as row bits.  Neither kind of pass mixes row and column
-    bits, so ``metric._rotate`` gives each block back in its own index
-    order, and it is copied back in place.  A block that holds no
-    amplitude is skipped and stays as it is.
+    The plan ``_dress_passes`` over ``metric._turns``, the frame kernel's
+    block loop, in blocks of 2^b amplitudes, the size of each of the two
+    ``buffers``.  Each turned block is copied back in place.  A block that
+    holds no amplitude is skipped and stays as it is.
     """
     m, b = work.size.bit_length() - 1, buffers[0].size.bit_length() - 1
-    low = min(m, b)
-    runs = [range(s, min(s + b, m)) for s in range(low, m, b)]
-    for row_bits, col_bits in [(range(low, low), range(low))] + [(run, range(0)) for run in runs]:
+    for row_bits, col_bits in _dress_passes(m, b):
         w = len(col_bits) or b - len(row_bits)
         for blk, turned in _turns(work, row_bits, col_bits, w, u, buffers):
             blk[...] = turned.reshape(blk.shape)
@@ -295,16 +356,16 @@ def verify_state(state: StateVector, trials: int, restarts: int, seed: int) -> d
     analytic = float(measure_from_bilinears(w_minus, w_3))
     bloch = bloch_vectors(w_minus, w_3)
     deviation = _invariance_check(state, trials, seed, analytic)
-    report = _minimize_trace(bloch, restarts, DEFAULT_TOL, seed + 1)
+    report = _minimize_trace(bloch, restarts, seed + 1)
     bloch_gap = max(
         float(np.max(np.abs(b - bloch_vector_oracle(state, nu)))) for nu, b in enumerate(bloch)
     )
     gaps = {"invariance": deviation, "optimizer": abs(report.value - analytic), "bloch": bloch_gap}
-    thresholds = {"invariance": INVARIANCE_TOL, "optimizer": OPTIMIZER_TOL}
-    thresholds["bloch"] = bloch_tol(state.num_qubits)
+    m = state.num_qubits
+    thresholds = {"invariance": invariance_tol(m), "optimizer": OPTIMIZER_TOL, "bloch": bloch_tol(m)}
     failed = [name for name, tol in thresholds.items() if not gaps[name] < tol]
     return {
-        "m": state.num_qubits,
+        "m": m,
         "analytic_measure": analytic,
         "invariance_max_deviation": deviation,
         "optimizer_value": report.value,

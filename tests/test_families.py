@@ -58,36 +58,36 @@ class TestAdjacentPairCount:
         off_diagonal = u - np.diag(np.diagonal(u))
         assert np.max(np.abs(off_diagonal)) < 1e-14
         expected = np.exp(-1j * phi * np.array([brs_n01(k, m) for k in range(1 << m)]))
-        np.testing.assert_allclose(np.diagonal(u), expected, atol=1e-13)
+        np.testing.assert_allclose(np.diagonal(u), expected, rtol=0, atol=1e-13, equal_nan=False)
 
     def test_state_is_dressed_uniform_superposition(self):
         """brs_state equals the projector-product operator applied to the
         uniform superposition."""
         for m, phi in [(2, 1.1), (4, 2.7)]:
             expected = phase_chain_operator(m, phi) @ (np.full(1 << m, 2.0 ** (-m / 2)))
-            np.testing.assert_allclose(brs_state(m, phi).amplitudes, expected, atol=1e-13)
+            np.testing.assert_allclose(brs_state(m, phi).amplitudes, expected, rtol=0, atol=1e-13, equal_nan=False)
 
 
 class TestBrsState:
     def test_phi_zero_is_uniform(self):
-        np.testing.assert_allclose(brs_state(2, 0.0).amplitudes, np.full(4, 0.5), atol=0)
+        np.testing.assert_allclose(brs_state(2, 0.0).amplitudes, np.full(4, 0.5), rtol=0, atol=0, equal_nan=False)
 
     def test_phi_pi_sign_pattern(self):
         """Only k=2 (binary 10) carries one adjacent pair, hence the sign."""
         np.testing.assert_allclose(
-            brs_state(2, np.pi).amplitudes, np.array([1, 1, -1, 1]) / 2, atol=1e-15
+            brs_state(2, np.pi).amplitudes, np.array([1, 1, -1, 1]) / 2, rtol=0, atol=1e-15, equal_nan=False
         )
 
     def test_full_period_returns_to_separable(self):
         np.testing.assert_allclose(
-            brs_state(4, 2 * np.pi).amplitudes, brs_state(4, 0.0).amplitudes, atol=1e-13
+            brs_state(4, 2 * np.pi).amplitudes, brs_state(4, 0.0).amplitudes, rtol=0, atol=1e-13, equal_nan=False
         )
 
     def test_periodicity(self):
         for phi in [0.3, 1.7, 5.0]:
             np.testing.assert_allclose(
                 brs_state(3, phi).amplitudes, brs_state(3, phi + 2 * np.pi).amplitudes,
-                atol=1e-12,
+                rtol=0, atol=1e-12, equal_nan=False,
             )
 
     def test_separable_points(self):
@@ -143,13 +143,13 @@ class TestBrsState:
             counts = np.array([n01_string_reading(k, m) for k in range(1 << m)])
             other = StateVector(m, np.exp(-1j * phi * counts) * 2.0 ** (-m / 2))
             np.testing.assert_allclose(
-                other.amplitudes, bit_reversed_state(s.amplitudes, m), atol=1e-13
+                other.amplitudes, bit_reversed_state(s.amplitudes, m), rtol=0, atol=1e-13, equal_nan=False
             )
             assert abs(entanglement_measure(other) - entanglement_measure(s)) < 1e-12
             np.testing.assert_allclose(
                 spectrum(entanglement_metric(other)).eigenvalues,
                 spectrum(entanglement_metric(s)).eigenvalues,
-                atol=1e-12,
+                rtol=0, atol=1e-12, equal_nan=False,
             )
 
 
@@ -187,14 +187,14 @@ class TestThreeQubitState:
         s = three_qubit_state(np.pi / 4, 0.0)
         expected = np.zeros(8)
         expected[0] = expected[7] = 1 / np.sqrt(2)
-        np.testing.assert_allclose(s.amplitudes, expected, atol=1e-15)
+        np.testing.assert_allclose(s.amplitudes, expected, rtol=0, atol=1e-15, equal_nan=False)
 
     def test_biseparable_line(self):
         """tau = pi/4 with gamma = 0 factorizes as |0> x (|00>+|11>)/sqrt(2)."""
         s = three_qubit_state(0.0, np.pi / 4)
         expected = np.zeros(8)
         expected[0] = expected[3] = 1 / np.sqrt(2)
-        np.testing.assert_allclose(s.amplitudes, expected, atol=1e-15)
+        np.testing.assert_allclose(s.amplitudes, expected, rtol=0, atol=1e-15, equal_nan=False)
 
     def test_amplitude_slots(self):
         s = three_qubit_state(0.3, 0.8)
@@ -377,7 +377,7 @@ class TestReferenceMetricForms:
             computed = entanglement_metric(brs_state(m, float(phi))).matrix
             assert abs(np.trace(computed) - np.trace(reference)) < 1e-12
             np.testing.assert_allclose(
-                np.sort(np.diagonal(computed)), np.sort(np.diagonal(reference)), atol=1e-12
+                np.sort(np.diagonal(computed)), np.sort(np.diagonal(reference)), rtol=0, atol=1e-12, equal_nan=False
             )
             mask = ~np.eye(m, dtype=bool)
             worst_offdiag = max(worst_offdiag, float(np.max(np.abs(computed - reference)[mask])))
@@ -388,7 +388,7 @@ class TestReferenceMetricForms:
         the chain-phase metric into the all-ones GHZ form."""
         dirs = np.array([[1.0, 0, 0], [0, 0, 1.0], [-1.0, 0, 0]])
         g = metric_matrix(brs_state(3, np.pi), dirs)
-        np.testing.assert_allclose(g, 0.25 * np.ones((3, 3)), atol=1e-13)
+        np.testing.assert_allclose(g, 0.25 * np.ones((3, 3)), rtol=0, atol=1e-13, equal_nan=False)
 
     def test_reference_form_only_small_m(self):
         with pytest.raises(ValueError):

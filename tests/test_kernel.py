@@ -2,16 +2,11 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import entdist
 from entdist import (
     FamilySpec,
     StateVector,
@@ -29,6 +24,7 @@ from entdist.families import three_qubit_amplitudes
 from entdist.metric import measure_from_bilinears
 from entdist.qstate import bilinears, row_depth, validate_amplitudes
 
+from child import python_child
 from oracles import bilinears_extended, random_state, signed_zero_batch, w_triples_literal
 
 U = np.finfo(float).eps / 2
@@ -255,14 +251,8 @@ def test_surface_rejects_non_finite_range(gamma_range, tau_range, angle):
     )
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
-    src = str(Path(entdist.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-
-
 def test_import_does_not_load_scipy():
-    out = _run_python("import sys, entdist; print('scipy' in sys.modules)")
+    out = python_child(["-c", "import sys, entdist; print('scipy' in sys.modules)"], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
 
@@ -275,6 +265,6 @@ def test_verify_runs_without_scipy():
         "from entdist.cli import main\n"
         "sys.exit(main(['verify', '--family', 'brs', '--m', '5', '--trials', '5']))\n"
     )
-    out = _run_python(code)
+    out = python_child(["-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["passed"] is True

@@ -65,7 +65,7 @@ def _closed_form_spectrum(em, expected: list[float]) -> None:
     m = em.size
     tol = trace_tol(m) + m * EPS * em.measure
     np.testing.assert_allclose(em.measure, sum(expected), rtol=0, atol=trace_tol(m), equal_nan=False)
-    np.testing.assert_allclose(em.eigenvalues, expected, rtol=0, atol=tol)
+    np.testing.assert_allclose(em.eigenvalues, expected, rtol=0, atol=tol, equal_nan=False)
 
 
 @pytest.mark.parametrize("m", [20, 22, 24])

@@ -27,17 +27,16 @@ import json
 import math
 import os
 import subprocess
-import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import entdist
 from entdist.metric import trace_tol
-from entdist.verify import INVARIANCE_TOL, OPTIMIZER_TOL, bloch_tol
+from entdist.verify import OPTIMIZER_TOL, bloch_tol, invariance_tol
 
+from child import python_child
 from oracles import random_state
 from test_products import assert_splits_into_factors
 from test_symmetric import _coefficients, assert_matches_spin_oracle
@@ -87,14 +86,10 @@ def _run_child(code: str, args: list[str], tmp_path: Path) -> tuple[int, str, st
 
     Returns the exit code, stdout, stderr, wall seconds and peak RSS bytes.
     """
-    src = str(Path(entdist.__file__).resolve().parents[1])
-    path = [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    cmd = [sys.executable, "-c", code, *args]
     out_path, err_path = tmp_path / "stdout", tmp_path / "stderr"
     with open(out_path, "wb") as out, open(err_path, "wb") as err:
         start = time.perf_counter()
-        proc = subprocess.Popen(cmd, env=env, stdout=out, stderr=err)
+        proc = python_child(["-c", code, *args], start=subprocess.Popen, stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen must not wait again
@@ -154,7 +149,7 @@ def test_verify_chain_phase_state_at_max_qubits(tmp_path):
     assert code == 0, err
     record = json.loads(out)
     assert record["m"] == M and record["passed"] is True
-    assert record["thresholds"] == {"invariance": INVARIANCE_TOL, "optimizer": OPTIMIZER_TOL, "bloch": bloch_tol(M)}
+    assert record["thresholds"] == {"invariance": invariance_tol(M), "optimizer": OPTIMIZER_TOL, "bloch": bloch_tol(M)}
     wall_limit = VERIFY_WALL_FACTOR * WALL_LIMIT_S
     assert wall <= wall_limit and peak <= VERIFY_PEAK_RSS_LIMIT, (
         f"wall time {wall:.1f} s (limit {wall_limit:.0f} s), "

@@ -98,7 +98,7 @@ class TestWVectors:
     def test_all_zeros_state(self):
         w_minus, w_3 = w_vectors(make_basis_state(4, 0))
         assert np.all(w_minus == 0.0)
-        np.testing.assert_allclose(w_3, 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w_3, 1.0, rtol=0, atol=1e-15, equal_nan=False)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_matches_literal_sums(self, m):
@@ -224,7 +224,7 @@ class TestEntanglementMeasure:
         np.testing.assert_allclose(
             spectrum(entanglement_metric(s)).eigenvalues,
             spectrum(entanglement_metric(sp)).eigenvalues,
-            atol=1e-12,
+            rtol=0, atol=1e-12, equal_nan=False,
         )
 
 
@@ -244,19 +244,19 @@ class TestMetricMatrix:
             for nu in range(mu + 1, 3):
                 assert abs(g[mu, nu]) < 1e-14
         g_opt = metric_matrix(s, optimal_directions(bloch_vectors(*w_vectors(s))))
-        np.testing.assert_allclose(g_opt, np.zeros((3, 3)), atol=1e-14)
+        np.testing.assert_allclose(g_opt, np.zeros((3, 3)), rtol=0, atol=1e-14, equal_nan=False)
 
     @pytest.mark.parametrize("theta", [0.3, np.pi / 4, 1.1])
     def test_ghz_all_z_gives_ones_matrix(self, theta):
         m = 4
         g = metric_matrix(ghzl_state(m, theta), np.tile(Z, (m, 1)))
         expected = 0.25 * np.sin(2 * theta) ** 2 * np.ones((m, m))
-        np.testing.assert_allclose(g, expected, atol=1e-14)
+        np.testing.assert_allclose(g, expected, rtol=0, atol=1e-14, equal_nan=False)
 
     def test_two_qubit_chain_phase_all_ones_form(self):
         """At phi = pi the axes (0,-1,0)/(0,1,0) give the all-ones metric."""
         g = metric_matrix(brs_state(2, np.pi), np.array([[0.0, -1.0, 0.0], [0.0, 1.0, 0.0]]))
-        np.testing.assert_allclose(g, 0.25 * np.ones((2, 2)), atol=1e-14)
+        np.testing.assert_allclose(g, 0.25 * np.ones((2, 2)), rtol=0, atol=1e-14, equal_nan=False)
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_matches_dense_covariance(self, m):
@@ -351,7 +351,7 @@ class TestRowBlockedMetric:
         rows = metric_matrix(s, dirs)
         tol = entry_tol(m) + dense_share(m)
         np.testing.assert_allclose(rows, covariance_metric_dense(s.amplitudes, m, dirs), rtol=0, atol=tol, equal_nan=False)
-        np.testing.assert_allclose(rows, one_row, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rows, one_row, rtol=0, atol=1e-15, equal_nan=False)
 
     def test_short_rows_reach_several_passes_and_the_column_pass(self, monkeypatch):
         """The grid above runs plans of one pass, and of two and three row passes with the column pass.
@@ -569,7 +569,7 @@ class TestDirectionFrameMetric:
         assert _frame_passes(m, row_bits) == plan
         tol = entry_tol(m) + pairwise_share(m)
         g = assert_pairs_match_pairwise_oracle(s.amplitudes, dirs, tol)
-        np.testing.assert_allclose(g, whole, rtol=0, atol=tol)
+        np.testing.assert_allclose(g, whole, rtol=0, atol=tol, equal_nan=False)
 
 
 class TestMomentAssembly:
@@ -620,13 +620,13 @@ class TestMomentAssembly:
 class TestEntanglementMetric:
     def test_separable_state(self):
         em = entanglement_metric(make_basis_state(4, 0))
-        np.testing.assert_allclose(em.matrix, np.zeros((4, 4)), atol=1e-14)
+        np.testing.assert_allclose(em.matrix, np.zeros((4, 4)), rtol=0, atol=1e-14, equal_nan=False)
         assert em.measure == 0.0
 
     def test_ghz_seven_qubits(self):
         s = ghzl_state(7, np.pi / 4)
         em = entanglement_metric(s)
-        np.testing.assert_allclose(em.matrix, 0.25 * np.ones((7, 7)), atol=1e-13)
+        np.testing.assert_allclose(em.matrix, 0.25 * np.ones((7, 7)), rtol=0, atol=1e-13, equal_nan=False)
         assert em.measure == pytest.approx(7 / 4, abs=1e-13)
         # every Bloch vector vanishes, so every qubit gets the z axis
         assert np.all(np.linalg.norm(bloch_vectors(*w_vectors(s)), axis=1) < DEGENERATE_TOL)
@@ -657,7 +657,7 @@ class TestEntanglementMetric:
         assert record["eigenvalues"] == sorted(record["eigenvalues"], reverse=True)
         assert record["eigenvalues"] == em.eigenvalues.tolist()
         np.testing.assert_allclose(
-            np.asarray(record["matrix"]).reshape(3, 3), em.matrix, atol=0
+            np.asarray(record["matrix"]).reshape(3, 3), em.matrix, rtol=0, atol=0, equal_nan=False
         )
 
     def test_caller_array_stays_writeable(self):
@@ -706,7 +706,7 @@ class TestEntanglementMetric:
         amps[5] = np.sqrt(1.0 + 0.9e-12)
         em = entanglement_metric(StateVector(3, amps))
         assert em.measure == 0.0
-        np.testing.assert_allclose(em.matrix, np.zeros((3, 3)), atol=1e-12)
+        np.testing.assert_allclose(em.matrix, np.zeros((3, 3)), rtol=0, atol=1e-12, equal_nan=False)
 
 
 class TestCheckMetrics:
@@ -797,7 +797,7 @@ class TestSpectrum:
 
     def test_zero_matrix(self):
         sp = spectrum(entanglement_metric(make_basis_state(5, 0)))
-        np.testing.assert_allclose(sp.eigenvalues, np.zeros(5), atol=1e-14)
+        np.testing.assert_allclose(sp.eigenvalues, np.zeros(5), rtol=0, atol=1e-14, equal_nan=False)
         assert sp.nonnull_count == 0
 
     def test_chain_phase_full_rank_against_jacobi(self):
@@ -805,14 +805,14 @@ class TestSpectrum:
         em = entanglement_metric(brs_state(7, np.pi / 2))
         sp = spectrum(em)
         assert np.all(sp.eigenvalues > 1e-8)
-        np.testing.assert_allclose(sp.eigenvalues, jacobi_eigenvalues(em.matrix), atol=1e-11)
+        np.testing.assert_allclose(sp.eigenvalues, jacobi_eigenvalues(em.matrix), rtol=0, atol=1e-11, equal_nan=False)
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_random_states_against_jacobi(self, m):
         rng = np.random.default_rng(80 + m)
         em = entanglement_metric(StateVector(m, random_state(m, rng)))
         np.testing.assert_allclose(
-            spectrum(em).eigenvalues, jacobi_eigenvalues(em.matrix), atol=1e-11
+            spectrum(em).eigenvalues, jacobi_eigenvalues(em.matrix), rtol=0, atol=1e-11, equal_nan=False
         )
 
     def test_eigenvalue_sum_equals_measure(self):

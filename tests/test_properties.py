@@ -73,5 +73,5 @@ def test_permutation_covariance(data, state):
     em = entanglement_metric(state)
     ep = entanglement_metric(StateVector(m, permute_qubits(state.amplitudes, m, perm)))
     assert abs(ep.measure - em.measure) < 1e-12
-    np.testing.assert_allclose(ep.matrix[np.ix_(perm, perm)], em.matrix, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(ep.eigenvalues, em.eigenvalues, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ep.matrix[np.ix_(perm, perm)], em.matrix, rtol=0, atol=1e-12, equal_nan=False)
+    np.testing.assert_allclose(ep.eigenvalues, em.eigenvalues, rtol=0, atol=1e-12, equal_nan=False)

@@ -2,13 +2,12 @@
 
 The sites are the family angles, in ``FamilySpec`` and in the batch
 builder ``family_amplitudes``, ``EntanglementMetric.measure``,
-``Spectrum.rank_tol``, which also has a lower bound of 0, the ascent's
-``tol`` in ``minimize_trace_numeric`` and the ends of a sweep grid.  Each
-takes a ``numbers.Real``, not a bool, that is finite, and refuses anything
-else with a ValueError that names the argument and quotes the value by
-``reprlib.repr``, so a huge value cannot flood the message.  A valid value
-is stored as a Python float, so the records built from it serialise to
-JSON.
+``Spectrum.rank_tol``, which also has a lower bound of 0, and the ends
+of a sweep grid.  Each takes a ``numbers.Real``, not a bool, that is
+finite, and refuses anything else with a ValueError that names the
+argument and quotes the value by ``reprlib.repr``, so a huge value cannot
+flood the message.  A valid value is stored as a Python float, so the
+records built from it serialise to JSON.
 """
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entdist import EntanglementMetric, FamilySpec, Spectrum, make_basis_state, minimize_trace_numeric
+from entdist import EntanglementMetric, FamilySpec, Spectrum
 from entdist.cli import SweepSpec
 from entdist.families import family_amplitudes
 from entdist.qstate import validate_real
@@ -38,9 +37,6 @@ _SITES = [
      "angle 'phi'"),
     ("measure", lambda v: EntanglementMetric(1, np.zeros((1, 1)), [_Z], v), "measure"),
     ("rank_tol", lambda v: Spectrum([0.25, 0.0], v), "rank_tol"),
-    # True and inf once stopped the ascent at step 0, "converged" with a wrong value
-    # (0.4976 against 0.3725 on brs(4, 1.1)), and "1e-8" raised a TypeError
-    ("tol", lambda v: minimize_trace_numeric(make_basis_state(2, 0), tol=v), "tol"),
 ]
 # a sweep grid's ends: a float infinity or NaN goes to the span check instead
 _GRID_SITES = [

@@ -1,16 +1,16 @@
 """Smoke checks: the public names resolve and every demo runs."""
 from __future__ import annotations
 
+import ast
 import importlib.util
-import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import entdist
+
+from child import python_child
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,6 +36,22 @@ def test_benchmark_trace_targets_resolve():
     assert tracing.TARGETS and broken == []
 
 
+def test_every_allclose_check_passes_rtol_and_refuses_nan():
+    """Each ``assert_allclose`` call in ``tests/`` passes ``rtol`` and ``equal_nan=False``.
+
+    numpy's defaults, rtol = 1e-7 and equal_nan=True, let an atol=1e-14
+    check pass an entry 2.5e-8 off, and NaN against NaN.
+    """
+    bare = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "assert_allclose":
+                keywords = {k.arg: ast.unparse(k.value) for k in node.keywords}
+                if "rtol" not in keywords or keywords.get("equal_nan") != "False":
+                    bare.append(f"{path.name}:{node.lineno}")
+    assert bare == [], f"assert_allclose without rtol and equal_nan=False at {', '.join(bare)}"
+
+
 DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
 
 
@@ -47,11 +63,7 @@ def test_demo_runs(demo, tmp_path):
     """
     ignore = shutil.ignore_patterns("output")
     demos = shutil.copytree(ROOT / "demos", tmp_path / "demos", ignore=ignore)
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(demos / demo)],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
+    proc = python_child(
+        ["-W", "error::RuntimeWarning", str(demos / demo)], cwd=tmp_path, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr

@@ -67,7 +67,7 @@ def assert_matches_spin_oracle(c, matrix, directions, measure: float, eigenvalue
     a, o = g[0, 0], g[0, 1]
     expected = np.sort([a + (m - 1) * o] + [a - o] * (m - 1))[::-1]
     eig_tol = trace_tol(m) + m * EPS * measure
-    np.testing.assert_allclose(eigenvalues, expected, rtol=0, atol=eig_tol)
+    np.testing.assert_allclose(eigenvalues, expected, rtol=0, atol=eig_tol, equal_nan=False)
 
 
 def _check(kind: str, m: int) -> None:
@@ -116,4 +116,4 @@ def test_embedding_is_the_sum_over_dicke_states():
     c = c / np.linalg.norm(c)
     expected = [c[k] / np.sqrt(np.sum([bin(j).count("1") == k for j in range(1 << m)]))
                 for k in (bin(i).count("1") for i in range(1 << m))]
-    np.testing.assert_allclose(symmetric_amplitudes(c), expected, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(symmetric_amplitudes(c), expected, rtol=1e-15, atol=0, equal_nan=False)

@@ -12,10 +12,6 @@ environment variable does not set, both runs are the same run.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +21,7 @@ from entdist import qstate
 from entdist.metric import entanglement_metric, metric_matrices, optimal_directions
 from entdist.qstate import bilinears, bloch_vectors, validate_amplitudes
 
+from child import python_child
 from oracles import random_state
 
 _CHILD = """
@@ -40,12 +37,8 @@ for argv in json.loads(sys.argv[1]):
 
 def _outputs(cases: list[list[str]], threads: int) -> dict[str, tuple[int, str]]:
     """Exit code and stdout of each ``entdist`` invocation, run in one process on ``threads`` BLAS threads."""
-    src = str(Path(entdist.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    env["OPENBLAS_NUM_THREADS"] = str(threads)
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(cases)], env=env, capture_output=True, text=True
-    )
+    env = {"OPENBLAS_NUM_THREADS": str(threads)}
+    proc = python_child(["-c", _CHILD, json.dumps(cases)], env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     records = [json.loads(line) for line in proc.stdout.splitlines()]
     return {" ".join(argv): (code, out) for argv, code, out in records}
