@@ -39,31 +39,32 @@ inner products by ``qstate._dot``, in runs of at most 2^(ROW_BITS - 1)
 terms.  A state of more qubits goes to the direction-frame kernel,
 ``_frame_metric``: each qubit is rotated so that its A_nu becomes Z, and
 g is the covariance of M +-1 spins under the rotated probabilities, read
-a block at a time, in a working memory of two blocks whatever M.  ``_frame_passes`` plans its passes, each naming the
-qubits it turns as the row bits and the column bits of its blocks, and
-every block fits 2**(ROW_BITS + BLOCK_BITS) amplitudes.  ``_turns`` is
-the one block loop of a Kronecker turn, and ``_rotate`` the one turn of a
-block, for this kernel and for ``verify``'s dressings.  Both kernels
-produce only the moments <A_mu> and <A_mu A_nu>; ``_metric_from_moments``
-assembles g from them, with the diagonal of ``_diagonal``, for both.
+a block at a time, in a working memory of two blocks whatever M.
+``_frame_passes`` plans its passes, each naming the qubits it turns as
+the row bits and the column bits of its blocks, and every block fits the
+budget of ``_block_bits``.  ``_turns`` is the one block loop of a
+Kronecker turn, ``_rotate`` the one turn of a block and ``_kron_groups``
+the one grouping of its qubits into Kronecker factors, for this kernel
+and for ``verify``'s dressings.  Both kernels produce only the moments
+<A_mu> and <A_mu A_nu>; ``_metric_from_moments`` assembles g from them,
+with the diagonal of ``_diagonal``, for both.
 
-The passes over a state of several rows skip what holds no amplitude,
-by the zero test ``not (x[0] or x.any())``: ``qstate._row_bilinears`` a
-row, tested before its pass, and ``_frame_metric`` a block of a row pass
-or a strip of the column pass, tested by ``_turns`` as it is read.  A
-dense block costs one element read; a skipped one adds exactly +0.0 to
-every sum, so the output keeps its bytes.  Beside the zero test stands
-the identity rule: a pass of ``_frame_metric`` whose qubits all have the
-direction exactly +z, whose frames ``_frame_unitaries`` makes exactly I,
-is not turned, and its blocks are squared as they stand, the values the
-identity factors would give.  So a GHZ-like, W or basis state at its
-optimal directions, every qubit on +z, runs no gemm, and the bytes do not
-move.  The state-level entry points, ``w_vectors`` and ``metric_matrix``,
-are the one-state calls of ``bilinears`` and ``metric_matrices``, so a
-``StateVector`` and its array take one path.
+The passes over a state of several rows skip what fails the one zero
+test, ``qstate._holds_amplitude``: ``qstate._row_bilinears`` a row, and
+``_frame_metric`` a block of a row pass or a strip of the column pass,
+through ``_turns``.  Beside the zero test stands the identity rule: a
+pass of ``_frame_metric`` whose qubits all have the direction exactly +z,
+whose frames ``_frame_unitaries`` makes exactly I, is not turned, and its
+blocks are squared as they stand, the values the identity factors would
+give.  So a GHZ-like, W or basis state at its optimal directions, every
+qubit on +z, runs no gemm, and the bytes do not move.  The state-level
+entry points, ``w_vectors`` and ``metric_matrix``, are the one-state
+calls of ``bilinears`` and ``metric_matrices``, so a ``StateVector`` and
+its array take one path.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -76,6 +77,7 @@ from .qstate import (
     StateVector,
     _apply_one_qubit_matrix,
     _dot,
+    _holds_amplitude,
     _operator,
     _spin_moments,
     bilinears,
@@ -92,8 +94,8 @@ DEFAULT_RANK_TOL = 1e-8
 SYMMETRY_TOL = 1e-12  # on max |g - g^T|
 DIAGONAL_TOL = 1e-12  # on how far a diagonal entry lies outside [0, 1/4]
 PSD_TOL = 1e-10  # on how far the smallest eigenvalue lies below 0
-# a direction-frame block, and a block of verify's dressings, holds at most 2**(ROW_BITS + BLOCK_BITS) amplitudes
-BLOCK_BITS = 3
+BLOCK_BITS = 3  # a block holds at most 2**BLOCK_BITS rows' worth of amplitudes (see _block_bits)
+KRON_BITS = 4  # a Kronecker factor turns at most this many qubits (see _kron_groups)
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -172,17 +174,19 @@ def entry_tol(m: int) -> float:
       m = ROW_BITS.  So delta_e <= (d + 8) u and delta_c <= (d + 14) u,
       and an entry is off by at most 0.75 (d + 11) u.
     * Above ROW_BITS qubits, the direction-frame kernel: each amplitude
-      passes through G Kronecker factors, each output a sum of at most 16
-      complex terms: ceil(|J|/4) + ceil(|C|/4) in a pass of
-      ``_frame_passes`` with row bits J and column bits C, and G the
-      largest over the plan, at most 5, since every block fits
-      ROW_BITS + BLOCK_BITS = 17 bits.  A factor K moves a vector by at
-      most gamma_18 || |K| ||_2 <= 72 u in 2-norm (|| |K| ||_F = 4 for a
-      16 x 16 unitary), so p = |phi|^2 loses at most 144 G u of its unit
-      mass.  Its signed sums, the blocks or strips of a pass in turn and
-      then ``qstate._spin_moments``, run no deeper than ``row_depth(m)``
-      (see ``trace_tol``), so every <s_mu> and <s_mu s_nu> is within
-      delta = (row_depth(m) + 144 G) u, and an entry within 0.75 delta.
+      passes through G Kronecker factors, one per group of
+      ``_kron_groups`` of the row bits J and of the column bits C of a
+      pass of ``_frame_passes``, and G the largest count over the plan.
+      A factor K of dimension d <= 2^KRON_BITS sums at most d complex
+      terms per output, so it moves a vector by at most gamma_(d+2)
+      || |K| ||_2 <= (d + 2) sqrt(d) u in 2-norm (|| |K| ||_F = sqrt(d)
+      for a d x d unitary), and p = |phi|^2 loses at most 2 (d + 2)
+      sqrt(d) u of its unit mass, 144 u at d = 16.  Its signed sums, the
+      blocks or strips of a pass in turn and then
+      ``qstate._spin_moments``, run no deeper than ``row_depth(m)`` (see
+      ``trace_tol``), so every <s_mu> and <s_mu s_nu> is within delta =
+      (row_depth(m) + 2 (d + 2) sqrt(d) G) u at d = 2^KRON_BITS, and an
+      entry within 0.75 delta.
 
     ROW_BITS is read at call time, as ``qstate.row_view`` reads it.  The
     bound is 1.1e-15 at m = 1, 2.2e-14 at m = 8, 6.8e-13 at m = 14 and
@@ -194,8 +198,9 @@ def entry_tol(m: int) -> float:
     """
     k = qstate.ROW_BITS
     if m > k:
-        groups = max(-(-len(row_bits) // 4) + -(-len(col_bits) // 4) for row_bits, col_bits in _frame_passes(m, k))
-        return 0.75 * (row_depth(m) + 144 * groups) * _UNIT_ROUNDOFF
+        factors = max(len(_kron_groups(len(j))) + len(_kron_groups(len(c))) for j, c in _frame_passes(m, k))
+        d = 1 << KRON_BITS  # the largest factor's dimension
+        return 0.75 * (row_depth(m) + 2 * (d + 2) * math.sqrt(d) * factors) * _UNIT_ROUNDOFF
     depth = 1 << m if m < k else (1 << (k - 1)) + 1  # one run of _dot, or two and their sum
     return 0.75 * (depth + 11) * _UNIT_ROUNDOFF
 
@@ -396,19 +401,34 @@ def _frame_unitaries(dirs: np.ndarray) -> np.ndarray:
     return np.moveaxis(u, (0, 1), (-2, -1))
 
 
-def _kron_factors(u: np.ndarray, qubits: list[int]) -> list[np.ndarray]:
-    """Kronecker products of the unitaries of ``qubits`` four at a time: qubits[0:4], qubits[4:8], ...
+def _kron_groups(n: int) -> list[int]:
+    """The one grouping of a run of n qubits into Kronecker factors: each group's size, lowest first.
 
-    Only the last factor may be short; each is 16 x 16 or smaller, with its
-    group's highest qubit as the most significant bit.  Every full group's
-    factor comes from one einsum over the groups' (G, 4, 2, 2) unitaries,
-    f[g, (i k m o), (j l n p)] = u3[i, j] u2[k, l] u1[m, n] u0[o, p]; only
-    a short last group takes np.kron.
+    Groups of KRON_BITS qubits, and a short last one.  ``_kron_factors``
+    builds a factor per group, ``entry_tol`` counts them and
+    ``verify._dress_gap`` sums its bound over them.
     """
-    full = len(qubits) // 4 * 4
-    groups = u[qubits[:full]].reshape(-1, 4, 2, 2)
-    f = np.einsum("gij,gkl,gmn,gop->gikmojlnp", groups[:, 3], groups[:, 2], groups[:, 1], groups[:, 0])
-    factors = list(f.reshape(-1, 16, 16))
+    return [min(KRON_BITS, n - lo) for lo in range(0, n, KRON_BITS)]
+
+
+_ROWS, _COLS = "ikmoqsuw"[:KRON_BITS], "jlnprtvx"[:KRON_BITS]  # each unitary's row and column index
+# a full group's einsum, highest qubit first: "gij,gkl,gmn,gop->gikmojlnp" for groups of four, so
+# f[g, (i k m o), (j l n p)] = u3[i, j] u2[k, l] u1[m, n] u0[o, p]
+_KRON_SPEC = ",".join(f"g{i}{j}" for i, j in zip(_ROWS, _COLS)) + f"->g{_ROWS}{_COLS}"
+
+
+def _kron_factors(u: np.ndarray, qubits: list[int]) -> list[np.ndarray]:
+    """Kronecker products of the unitaries of ``qubits``, one per group of ``_kron_groups``, lowest first.
+
+    Each factor has its group's highest qubit as the most significant bit.
+    Every full group's factor comes from one einsum, ``_KRON_SPEC``, over
+    the groups' (G, KRON_BITS, 2, 2) unitaries; only a short last group
+    takes np.kron.
+    """
+    full = _kron_groups(len(qubits)).count(KRON_BITS) * KRON_BITS
+    groups = u[qubits[:full]].reshape(-1, KRON_BITS, 2, 2)
+    f = np.einsum(_KRON_SPEC, *(groups[:, q] for q in reversed(range(KRON_BITS))))
+    factors = list(f.reshape(-1, 1 << KRON_BITS, 1 << KRON_BITS))
     if full < len(qubits):
         last = np.ones((1, 1))
         for q in reversed(qubits[full:]):
@@ -461,18 +481,22 @@ def _turns(
     pass the identity rule holds still, ``u`` None, yields the block as it
     stands.  A turned block lies in one of the two ``buffers``, each of at
     least a block, until the next is turned.  The blocks of a pass split
-    the state, so a pass turns each amplitude once.  A block that holds no
-    amplitude, ``not (blk[0, 0] or blk.any())``, is skipped: the first
-    entry makes the test of a dense block one element read, and ``any()``
-    is false for a block of -0.0 and true for one of 1e-170.
+    the state, so a pass turns each amplitude once.  A block that fails
+    ``qstate._holds_amplitude`` is skipped.
     """
     blocks = state.reshape(-1, 1 << len(row_bits), 1 << (row_bits.start - w), 1 << w)
     if u is not None:
         factors = _kron_factors(u, list(row_bits)), _kron_factors(u, list(col_bits))
     for outer, inner in np.ndindex(blocks.shape[0], blocks.shape[2]):
         blk = blocks[outer, :, inner, :]
-        if blk[0, 0] or blk.any():
+        if _holds_amplitude(blk):
             yield blk, blk if u is None else _rotate(blk, *factors, buffers)
+
+
+def _block_bits(k: int) -> int:
+    """The block budget for rows of 2^k amplitudes: a block of the frame kernel, or of ``verify``'s
+    dressings at k = ROW_BITS, holds at most 2^(k + BLOCK_BITS) amplitudes."""
+    return k + BLOCK_BITS
 
 
 def _frame_passes(m: int, k: int) -> list[tuple[range, range]]:
@@ -486,13 +510,12 @@ def _frame_passes(m: int, k: int) -> list[tuple[range, range]]:
     runs, from strips of columns; it comes first, and the kernel keeps a
     qubit's or a pair's moments from the last pass that turns it, so the
     row passes give the first moments and the pairs inside a run.  The
-    rule: the fewest passes, then the largest L <= min(M, k + BLOCK_BITS),
-    for which every block, L + |J| bits, fits k + BLOCK_BITS and the column
-    strip, M - L high bits, fits max(k + BLOCK_BITS, M - k).  So a state
-    that fits one block is one pass, (none, all M qubits), turned as one
-    row in ceil(M/4) Kronecker factors.
+    rule, with b = ``_block_bits(k)``: the fewest passes, then the largest
+    L <= min(M, b), for which every block, L + |J| bits, fits b and the
+    column strip, M - L high bits, fits max(b, M - k).  So a state that
+    fits one block is one pass, (none, all M qubits), turned as one row.
     """
-    budget = k + BLOCK_BITS
+    budget = _block_bits(k)
     for passes in range(1, m - k + 1):  # at m - k passes, one qubit per run, L = k always fits
         for low in range(min(m, budget), 0, -1):
             run = -(-(m - low) // passes)  # the longest run
@@ -516,15 +539,13 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     A pass with row bits J and column bits C runs ``_turns``, the one
     block loop, over blocks of the 2^|J| rows that differ only in J and of
     2^w columns: C, or in the column pass as many low qubits as fill the
-    work buffer.  Each block is turned in J and C by ``_rotate``, in groups
-    of four qubits (a 16 x 16 Kronecker factor each), and |.|^2 of the
+    work buffer.  Each block is turned in J and C by ``_rotate``, a
+    Kronecker factor per group of ``_kron_groups``, and |.|^2 of the
     result is added into one accumulator.  That is the joint distribution
     of the turned spins, once the column pass has added up the columns it
     does not turn, and ``_spin_moments`` gives their moments at the end of
-    the pass.  A block that holds no amplitude, the column pass's strips
-    included, is skipped by ``_turns``' zero test: turned, it would be
-    exact zeros, whose squares add exactly +0.0 to the accumulator, so the
-    test does not move the bytes.
+    the pass.  ``_turns`` skips a block, the column pass's strips included,
+    that fails ``qstate._holds_amplitude``.
 
     A pass whose qubits all have the direction exactly (0, 0, 1), whose U
     is exactly I, is not turned: a turn by identity factors gives each
@@ -537,9 +558,9 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     turned blocks keep that order too, needs no copy.  A direction off +z
     by one ulp is turned, even where its U rounds to I.
 
-    Working memory is two blocks of the plan's largest, at most
-    2^(k+BLOCK_BITS) amplitudes unless a row's index has more bits, and one
-    accumulator of as many floats, whatever M.
+    Working memory is two blocks of the plan's largest, at most 2^b
+    amplitudes, b = ``_block_bits(k)``, unless a row's index has more
+    bits, and one accumulator of as many floats, whatever M.
     """
     m = len(dirs)
     k = rows.shape[-1].bit_length() - 1

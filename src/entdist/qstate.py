@@ -27,12 +27,9 @@ norm of ``validate_amplitudes``, the high qubits' pairs of
 So no dot is long enough for OpenBLAS to thread, and no output byte
 depends on the BLAS thread count.
 
-``_row_bilinears`` tests each row before it reads it: a row that holds
-no amplitude, ``not (row[0] or row.any())``, is skipped, and so is a high
-qubit's pair with such a partner row.  The first entry makes the test of
-a dense row one element read; ``any()`` is false for a row of -0.0 and
-true for a row of 1e-170, whose squares underflow.  A skipped row adds
-exactly +0.0, so the bytes are those of reading it.  Nothing about a
+``_holds_amplitude`` is the one zero test of the passes over a state:
+``_row_bilinears`` skips a row that fails it, and a high qubit's pair
+with such a partner row, and ``metric._turns`` a block.  Nothing about a
 state is recorded beyond its amplitudes, so ``metric.w_vectors`` of a
 ``StateVector`` is ``bilinears`` of its array.
 """
@@ -143,6 +140,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[-1] <= run:
         return np.vecdot(a, b)
     return np.vecdot(a.reshape(a.shape[:-1] + (-1, run)), b.reshape(b.shape[:-1] + (-1, run))).sum(axis=-1)
+
+
+def _holds_amplitude(x: np.ndarray) -> bool:
+    """The one zero test of a row or block: False exactly when ``x`` holds no amplitude.
+
+    The first entry makes the test of a dense ``x`` one element read;
+    ``any()`` is false for entries of -0.0 and true for one of 1e-170, whose
+    square underflows.  A pass that skips what fails it adds exactly +0.0
+    where reading it would (every sum of products of zeros, -0.0 ones
+    included, starts from +0.0 and stays there), so the test does not move
+    the bytes.
+    """
+    return bool(x.item(0) or x.any())
 
 
 def validate_amplitudes(amps: np.ndarray) -> None:
@@ -351,18 +361,15 @@ def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for most of a second waking its threads, and one of at most 2^13 never
     did.  The rows' partial sums are added in row order.
 
-    A row that holds no amplitude, ``not (row[0] or row.any())``, is not
-    read, and neither is a high qubit's pair with such a partner: their
-    totals and partial sums stay +0.0, which is what reading them gives
-    (every sum of products of zeros, -0.0 ones included, starts from +0.0
-    and stays there), so the test does not move the bytes.  Each row is
-    tested once, before the pass; a dense row's test reads its first entry.
+    A row that fails ``_holds_amplitude`` is not read, and neither is a
+    high qubit's pair with such a partner: their totals and partial sums
+    stay +0.0.  Each row is tested once, before the pass.
     """
     n_rows, width = rows.shape
     k = width.bit_length() - 1
     high = n_rows.bit_length() - 1
     hi, lo = k // 2, k - k // 2
-    live = [bool(row[0] or row.any()) for row in rows]
+    live = [_holds_amplitude(row) for row in rows]
     marginal = np.zeros(width)
     totals = np.zeros(n_rows)
     parts = np.zeros((n_rows, k + high), dtype=np.complex128)

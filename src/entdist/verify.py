@@ -11,12 +11,11 @@ Three cross checks, none of which use the analytic minimizer v = b/|b|:
 
 ``verify_state`` runs all three on one state against their thresholds and
 returns the ``entdist verify`` record.  It holds the state, one copy for
-the dressings and two blocks of at most 2^(ROW_BITS + BLOCK_BITS)
-amplitudes, the direction-frame kernel's block budget, whatever M: the
-partial trace reads the state in chunks of 2^ROW_BITS pairs, and each
-dressing turns the copy in place through the frame kernel's block loop,
-``metric._turns``, and its ``_rotate``, each qubit once, in at most two
-passes over the copy.
+the dressings and two blocks of the direction-frame kernel's budget
+(``metric._block_bits``), whatever M: the partial trace reads the state
+in chunks of 2^ROW_BITS pairs, and each dressing turns the copy in place
+through the frame kernel's block loop, ``metric._turns``, and its
+``_rotate``, each qubit once, in at most two passes over the copy.
 """
 from __future__ import annotations
 
@@ -27,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import (
-    BLOCK_BITS,
     _UNIT_ROUNDOFF,
+    _block_bits,
+    _kron_groups,
     _turns,
     entanglement_measure,
     measure_from_bilinears,
@@ -46,8 +46,10 @@ from .qstate import (
 )
 
 DEFAULT_RESTARTS = 8
-DEFAULT_TOL = 1e-8
+GRADIENT_TOL = 1e-8  # the ascent moves a row only while its gradient norm is at least this
 MAX_STEPS = 100  # ascent steps before minimize_trace_numeric reports no convergence
+# the largest singular-value gap from 1 that invariance_tol takes for one computed Haar draw
+HAAR_DRAW_GAP = 16 * _UNIT_ROUNDOFF
 
 # the optimizer threshold of verify_state; the others are invariance_tol(M) and bloch_tol(M)
 OPTIMIZER_TOL = 1e-6
@@ -78,9 +80,9 @@ def minimize_trace_numeric(state: StateVector, restarts: int = DEFAULT_RESTARTS,
     2 p (b - p v), L = 2 |b|^2, and renormalizes each row, the retraction
     onto the sphere (Absil, Mahony and Sepulchre, Optimization Algorithms
     on Matrix Manifolds, 2008).  Only rows whose gradient norm is at least
-    ``DEFAULT_TOL`` move, which keeps a vanishing L out of the division;
-    the ascent stops when none does (``converged``) or after ``MAX_STEPS``
-    steps (``iterations`` counts them).  Deterministic for a fixed seed;
+    ``GRADIENT_TOL``, a fixed threshold, move, which keeps a vanishing L
+    out of the division; the ascent stops when none does (``converged``)
+    or after ``MAX_STEPS`` steps (``iterations`` counts them).  Deterministic for a fixed seed;
     the best restart wins.
     """
     restarts, seed = validate_count("restarts", restarts, 1), validate_count("seed", seed, 0)
@@ -95,7 +97,7 @@ def _minimize_trace(bloch: np.ndarray, restarts: int, seed: int) -> OptimizerRep
     for steps in range(MAX_STEPS + 1):
         proj = np.sum(v * bloch, axis=-1, keepdims=True)
         grad = 2.0 * proj * (bloch - proj * v)
-        active = np.linalg.norm(grad, axis=-1) >= DEFAULT_TOL
+        active = np.linalg.norm(grad, axis=-1) >= GRADIENT_TOL
         if steps == MAX_STEPS or not active.any():
             break
         moved = v[active] + grad[active] / lipschitz[active.nonzero()[1], None]
@@ -211,11 +213,12 @@ def invariance_tol(m: int) -> float:
     small multiple of u whose constant Higham leaves open (Accuracy and
     Stability of Numerical Algorithms, ch. 19); the largest of 2 10^6
     draws, measured in extended precision, is 10.6 u, and the bound takes
-    16 u a draw (``tests/test_qstate.py`` holds the draws to it).  So U is
-    within 16 m u of the unitary W = W_{M-1} x ... x W_0 in the 2-norm.
-    The dressing computes U times the state within ``_dress_gap`` of its
-    plan at the dressings' block budget, so the dressed vector lies within
-    delta = ``_dress_gap`` + 16 m u of W times the state.
+    ``HAAR_DRAW_GAP`` = 16 u a draw (``tests/test_qstate.py`` holds the
+    draws to it).  So U is within m ``HAAR_DRAW_GAP`` of the unitary W =
+    W_{M-1} x ... x W_0 in the 2-norm.  The dressing computes U times the
+    state within ``_dress_gap`` of its plan at the dressings' block budget,
+    so the dressed vector lies within delta = ``_dress_gap`` + m
+    ``HAAR_DRAW_GAP`` of W times the state.
 
     * The change in E: W turns each Bloch vector b_nu by a rotation, so E
       of W times the state is E.  For a unit v, v . b_nu is the
@@ -235,7 +238,7 @@ def invariance_tol(m: int) -> float:
     The dressing's share m delta is the larger up to m = 9, E's rounding
     from m = 10 on: m delta is 2.6e-12 of the 3.8e-11 at m = 16.
     """
-    delta = _dress_gap(_dress_passes(m, ROW_BITS + BLOCK_BITS)) + 16 * m * _UNIT_ROUNDOFF
+    delta = _dress_gap(_dress_passes(m, _block_bits(ROW_BITS))) + m * HAAR_DRAW_GAP
     return m * delta + m * (1.22 * row_depth(m) + m) * _UNIT_ROUNDOFF
 
 
@@ -266,15 +269,15 @@ def _dress_gap(passes: list[tuple[range, range]]) -> float:
     x -> F x by a d x d unitary adds at most 2 gamma_2d || |F| |x| ||_2 <=
     2 gamma_2d sqrt(d) to the error, |F| having 2-norm at most ||F||_F =
     sqrt(d).  A unitary turn carries the earlier error with it unchanged,
-    so the turns' errors add.  ``metric._kron_factors`` groups a pass's
-    row bits, and its column bits, in fours from the lowest; the factor of
-    a group of b qubits, d = 2^b, is a product of b unitary entries, b - 1
-    complex products each within 2 gamma_2 relatively, so it is off by at
-    most 2 (b - 1) gamma_2 sqrt(d) in the 2-norm as well.  math.fsum adds
-    the groups' terms exactly rounded, so two plans with the same groups in
-    another order give the same bound.
+    so the turns' errors add.  ``metric._kron_factors`` takes one factor
+    per group of ``metric._kron_groups`` of a pass's row bits, and of its
+    column bits; the factor of a group of b qubits, d = 2^b, is a product
+    of b unitary entries, b - 1 complex products each within 2 gamma_2
+    relatively, so it is off by at most 2 (b - 1) gamma_2 sqrt(d) in the
+    2-norm as well.  math.fsum adds the groups' terms exactly rounded, so
+    two plans with the same groups in another order give the same bound.
     """
-    groups = [min(4, len(bits) - lo) for step in passes for bits in step for lo in range(0, len(bits), 4)]
+    groups = [b for step in passes for bits in step for b in _kron_groups(len(bits))]
     return math.fsum((2 * (b - 1) * _gamma(2) + 2 * _gamma(2 << b)) * math.sqrt(1 << b) for b in groups)
 
 
@@ -283,8 +286,8 @@ def _dress(work: np.ndarray, u: np.ndarray, buffers: list[np.ndarray]) -> None:
 
     The plan ``_dress_passes`` over ``metric._turns``, the frame kernel's
     block loop, in blocks of 2^b amplitudes, the size of each of the two
-    ``buffers``.  Each turned block is copied back in place.  A block that
-    holds no amplitude is skipped and stays as it is.
+    ``buffers``.  Each turned block is copied back in place; a block that
+    ``metric._turns`` skips stays as it is.
     """
     m, b = work.size.bit_length() - 1, buffers[0].size.bit_length() - 1
     for row_bits, col_bits in _dress_passes(m, b):
@@ -299,15 +302,15 @@ def _dressings(state: StateVector, trials: int, seed: int) -> Iterator[np.ndarra
     Each trial draws one Haar unitary per qubit, qubit 0 first, and applies
     them by ``_dress`` to a fresh copy of the amplitudes, so the state is
     copied into one array for all trials, and turned in blocks of at most
-    2^(ROW_BITS + BLOCK_BITS) amplitudes, the direction-frame kernel's
-    block budget, through two buffers of a block each: at most two passes
-    over the copy for every M <= 26.  A yielded array is overwritten by the
+    2^b amplitudes, b = ``metric._block_bits(ROW_BITS)``, the
+    direction-frame kernel's block budget, through two buffers of a block
+    each: at most two passes over the copy for every M <= 26.  A yielded array is overwritten by the
     next trial.
     """
     rng = np.random.default_rng(seed)
     m = state.num_qubits
     work = np.empty(1 << m, dtype=np.complex128)
-    buffers = list(np.empty((2, min(1 << (ROW_BITS + BLOCK_BITS), 1 << m)), dtype=np.complex128))
+    buffers = list(np.empty((2, min(1 << _block_bits(ROW_BITS), 1 << m)), dtype=np.complex128))
     for _ in range(trials):
         u = np.array([_haar_unitary(rng) for _ in range(m)])
         np.copyto(work, state.amplitudes)
@@ -321,8 +324,8 @@ def invariance_check(state: StateVector, trials: int, seed: int = 0) -> float:
     Each trial draws an independent Haar unitary for every qubit, qubit 0
     first, and applies them all to a copy of the amplitudes, the dressing
     that M ``apply_local_unitary`` calls would give, but in place, by the
-    direction-frame kernel's Kronecker turns of four qubits at a time
-    (``_dressings``); it takes E of the result.  A unitary keeps the norm,
+    direction-frame kernel's Kronecker turns (``_dressings``); it takes E
+    of the result.  A unitary keeps the norm,
     so the dressed array is not revalidated.
     Deterministic for a fixed seed.
     """

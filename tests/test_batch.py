@@ -218,7 +218,7 @@ def test_sweep_memory_follows_the_chunk_rule(m, points):
     A chunk of P = ``_chunk_points(M)`` states holds their amplitudes and
     the metric kernel's stack of M applied rows of 2^k amplitudes each, k =
     min(M, ROW_BITS); above ROW_BITS qubits the direction-frame kernel
-    holds less, two blocks of 2^(k + BLOCK_BITS) amplitudes and an
+    holds less, two blocks of 2^``metric._block_bits(k)`` amplitudes and an
     accumulator.  The bound allows the stack, twice the chunk's
     amplitudes (the states and one temporary of their size), 2^ROW_BITS
     amplitudes more (row temporaries and einsum's iteration buffers, at

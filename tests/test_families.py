@@ -22,7 +22,7 @@ from entdist import (
 )
 
 from entdist import qstate
-from entdist.families import family_amplitudes
+from entdist.families import FAMILY_TAGS, family_amplitudes
 
 from oracles import (
     bit_reversed_state,
@@ -294,6 +294,17 @@ class TestFamilySpec:
     def test_from_dict_validates_tag(self):
         with pytest.raises(ValueError, match="family"):
             FamilySpec.from_dict({"family": "w-state"})
+
+    def test_unknown_tag_is_refused(self):
+        """The constructor's own tag check, which ``from_dict``'s does not reach."""
+        with pytest.raises(ValueError) as err:
+            FamilySpec("w-state", m=3)
+        assert str(err.value) == f"unknown family tag 'w-state'; expected one of {FAMILY_TAGS}"
+
+    @pytest.mark.parametrize("payload", [["brs", 3], "brs", None, {"m": 3}], ids=["list", "str", "none", "no-family"])
+    def test_from_dict_refuses_what_is_not_an_object_with_a_family(self, payload):
+        with pytest.raises(ValueError, match='^family spec must be an object with a "family" key$'):
+            FamilySpec.from_dict(payload)
 
     def test_from_dict_refuses_keys_it_would_drop(self):
         """Only "family", "m" and the family's own angles are read; any other key raises."""

@@ -23,7 +23,7 @@ from entdist import (
     w_vectors,
 )
 from entdist.cli import main
-from entdist.metric import BLOCK_BITS, trace_tol
+from entdist.metric import _block_bits, trace_tol
 from entdist.qstate import ROW_BITS, bilinears, bloch_vectors, row_depth
 
 from oracles import bilinears_extended, brs_n01_counts, covariance_entry_pairwise, random_state
@@ -116,7 +116,7 @@ def test_metric_at_24_qubits_completes():
 def test_frame_kernel_memory_is_two_blocks_and_the_accumulator(m):
     """Traced peak of ``metric_matrix`` beyond the state, whatever the split.
 
-    Two blocks of 2^(ROW_BITS + BLOCK_BITS) amplitudes and an accumulator
+    Two blocks of 2^``_block_bits(ROW_BITS)`` amplitudes and an accumulator
     of as many floats, 5 MiB; 5% more covers the (M, M) arrays, the sign
     tables and marginals of ``_spin_moments`` and the column pass's 2^(M-L)
     marginal (4.0% measured at M = 24).  A copy of one column strip, 2 MiB,
@@ -131,7 +131,7 @@ def test_frame_kernel_memory_is_two_blocks_and_the_accumulator(m):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    budget = 1 << (ROW_BITS + BLOCK_BITS)
+    budget = 1 << _block_bits(ROW_BITS)
     assert peak <= 1.05 * (2 * 16 * budget + 8 * budget)
 
 

@@ -28,11 +28,13 @@ from entdist import (
 from entdist import metric, qstate
 from entdist.families import FAMILY_ANGLES, FamilySpec, family_amplitudes
 from entdist.metric import (
-    BLOCK_BITS,
     DEGENERATE_TOL,
+    KRON_BITS,
+    _block_bits,
     _diagonal,
     _frame_passes,
     _frame_unitaries,
+    _kron_groups,
     _metric_from_moments,
     check_metrics,
     entry_tol,
@@ -489,9 +491,9 @@ class TestDirectionFrameMetric:
 
         Every pair mu <= nu of qubits is turned together by some pass, so
         the kernel gives every moment.  Every row pass's block, its column
-        bits and its run of row bits, fits k + BLOCK_BITS bits, and with
+        bits and its run of row bits, fits ``_block_bits(k)`` bits, and with
         several passes the column pass's strip of high bits fits the larger
-        of k + BLOCK_BITS and the M - k bits of a row's index.
+        of those and the M - k bits of a row's index.
         """
         for m in range(k + 1, qstate.MAX_QUBITS + 1):
             plan = _frame_passes(m, k)
@@ -500,9 +502,9 @@ class TestDirectionFrameMetric:
                 qubits = list(row_bits) + list(col_bits)
                 together[np.ix_(qubits, qubits)] = True
                 if col_bits:
-                    assert len(row_bits) + len(col_bits) <= k + BLOCK_BITS, (m, plan)
+                    assert len(row_bits) + len(col_bits) <= _block_bits(k), (m, plan)
                 elif len(plan) > 1:
-                    assert len(row_bits) <= max(k + BLOCK_BITS, m - k), (m, plan)
+                    assert len(row_bits) <= max(_block_bits(k), m - k), (m, plan)
             assert together.all(), (m, plan)
 
     def test_split_at_row_bits_is_the_documented_table(self):
@@ -519,7 +521,7 @@ class TestDirectionFrameMetric:
 
     @pytest.mark.parametrize("m", [15, 16, 17])
     def test_a_state_that_fits_one_block_is_one_rotation(self, monkeypatch, m):
-        """A one-pass plan that turns all M qubits as column bits: one ``_rotate`` call, ceil(M/4) factors."""
+        """A one-pass plan that turns all M qubits as column bits: one ``_rotate`` call, a factor per group."""
         assert _frame_passes(m, qstate.ROW_BITS) == [(range(m, m), range(m))]
         rotate = metric._rotate
         calls = []
@@ -530,20 +532,27 @@ class TestDirectionFrameMetric:
 
         monkeypatch.setattr(metric, "_rotate", spy)
         metric_matrix(StateVector(m, random_state(m, np.random.default_rng(m))), np.tile(X, (m, 1)))
-        sizes = [16] * (m // 4) + ([1 << (m % 4)] if m % 4 else [])
-        assert calls == [((1, 1 << m), 0, sizes)]
-        assert len(sizes) == -(-m // 4)
+        assert calls == [((1, 1 << m), 0, [1 << b for b in _kron_groups(m)])]
+
+    @pytest.mark.parametrize("n", range(14))
+    def test_kron_groups_split_a_run_lowest_first(self, n):
+        """Groups of KRON_BITS qubits from the lowest, the last one short, that add up to the run."""
+        groups = _kron_groups(n)
+        assert sum(groups) == n
+        assert all(b == KRON_BITS for b in groups[:-1])
+        assert all(0 < b <= KRON_BITS for b in groups)
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_kron_factors_match_the_kron_chain(self, n):
-        """The einsum-built 16 x 16 factors and the short last one, against np.kron of each group."""
+        """The einsum-built full factors and the short last one, against np.kron of each group of ``_kron_groups``."""
         u = _frame_unitaries(_random_directions(np.random.default_rng(1450 + n), n))
         qubits = list(np.random.default_rng(n).permutation(n))
         factors = metric._kron_factors(u, qubits)
-        assert len(factors) == -(-n // 4)
-        for lo, f in zip(range(0, n, 4), factors):
+        groups = _kron_groups(n)
+        assert len(factors) == len(groups)
+        for lo, b, f in zip(np.cumsum([0] + groups), groups, factors):
             chain = np.ones((1, 1))
-            for q in reversed(qubits[lo : lo + 4]):
+            for q in reversed(qubits[lo : lo + b]):
                 chain = np.kron(chain, u[q])
             assert f.shape == chain.shape
             assert np.max(np.abs(f - chain)) <= 4 * np.finfo(float).eps
@@ -687,6 +696,12 @@ class TestEntanglementMetric:
         em = EntanglementMetric(1, np.zeros((1, 1)), [Z], measure)
         assert type(em.measure) is float and em.measure == 0.0
         assert json.loads(json.dumps(em.to_dict()))["measure"] == 0.0
+
+    @pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros((3, 3)), np.zeros(4), np.zeros((1, 2, 2))])
+    def test_matrix_of_another_shape_is_refused(self, matrix):
+        with pytest.raises(ValueError) as err:
+            EntanglementMetric(2, matrix, np.array([Z, Z]), 0.0)
+        assert str(err.value) == f"expected a 2x2 matrix, got {np.shape(matrix)}"
 
     def test_invariants_enforced(self):
         bad = np.array([[0.1, 0.2], [0.3, 0.1]])  # asymmetric

@@ -20,6 +20,7 @@ from entdist import (
     write_state_file,
 )
 from entdist.qstate import _haar_unitary, _signs, bilinears, bloch_vectors
+from entdist.verify import HAAR_DRAW_GAP
 
 from oracles import HADAMARD, SX, dense_direction_operator, dense_qubit_operator, random_state
 
@@ -144,6 +145,12 @@ class TestLocalUnitary:
         """An entry beyond modulus 1 is refused by its size; 1e200 overflowed U^H U first."""
         with pytest.raises(ValueError, match=r"not unitary: max \|u_ij\| = .* exceeds 1"):
             LocalUnitary([[entry, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("matrix", [np.eye(3), np.eye(2)[0], [[1.0]], np.eye(2)[None]])
+    def test_rejects_a_matrix_that_is_not_2x2(self, matrix):
+        with pytest.raises(ValueError) as err:
+            LocalUnitary(matrix)
+        assert str(err.value) == f"expected a 2x2 matrix, got shape {np.shape(matrix)}"
 
     def test_caller_array_stays_writeable(self):
         u = np.array(HADAMARD, dtype=np.complex128)
@@ -324,7 +331,7 @@ class TestRandomLocalUnitary:
         )
 
     def test_unitarity(self):
-        """Each draw's singular values lie within 16 u of 1, the gap ``verify.invariance_tol`` takes a draw.
+        """Each draw's singular values lie within ``verify.HAAR_DRAW_GAP`` of 1, the gap ``invariance_tol`` takes a draw.
 
         They come from u^H u in extended precision; the largest gap seen over 2 10^6 draws is 10.6 u.
         """
@@ -334,7 +341,7 @@ class TestRandomLocalUnitary:
         a, d, b = gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1]
         radius = np.sqrt(((a - d) / 2) ** 2 + b.real**2 + b.imag**2)
         singular = np.sqrt(np.concatenate([(a + d) / 2 - radius, (a + d) / 2 + radius]))
-        assert np.max(np.abs(singular - 1)) <= 16 * np.finfo(float).eps / 2
+        assert np.max(np.abs(singular - 1)) <= HAAR_DRAW_GAP
 
     def test_haar_first_moment(self):
         """|U00|^2 is uniform on [0, 1] under Haar, so its mean is 1/2."""
@@ -390,6 +397,19 @@ class TestStateFiles:
         path.write_text(f'{{"m": 1, "re": {re}, "im": {im}}}')
         with pytest.raises(StateFileError, match="amplitude entries are not numbers$"):
             read_state_file(path)
+
+    @pytest.mark.parametrize(
+        "re, im",
+        [("[1, 0, 0]", "[0, 0, 0]"), ("[1]", "[0]"), ("[1, 0]", "[0]"), ('{"0": 1, "1": 0}', "[0, 0]"),
+         ("1", "0")],
+        ids=["long", "short", "im-short", "object", "number"],
+    )
+    def test_re_and_im_must_be_arrays_of_2_to_the_m(self, re, im, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"m": 1, "re": {re}, "im": {im}}}')
+        with pytest.raises(StateFileError) as err:
+            read_state_file(path)
+        assert str(err.value) == f'state file {path}: "re" and "im" must be arrays of length 2**m'
 
     def test_integer_beyond_float_range(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -2,12 +2,12 @@
 
 ``qstate._row_bilinears`` skips a row, and a high qubit's pair with a
 partner row, and ``metric._frame_metric`` a block of a row pass or a strip
-of the column pass, when ``not (x[0] or x.any())``; nothing about the
-support is recorded.  A skipped block adds exactly +0.0, so the kernels
-must give the bytes of a pass that reads every block, and they must match
-the oracles of ``tests/oracles.py``.  M = 15-17 runs the one-block frame
-pass, M = 18-19 row passes wider than a row; M = 20-22, under ``slow``,
-plans with a column pass, whose strips span every row.
+of the column pass, when it fails ``qstate._holds_amplitude``; nothing
+about the support is recorded.  A skipped block adds exactly +0.0, so the
+kernels must give the bytes of a pass that reads every block, and they
+must match the oracles of ``tests/oracles.py``.  M = 15-17 runs the
+one-block frame pass, M = 18-19 row passes wider than a row; M = 20-22,
+under ``slow``, plans with a column pass, whose strips span every row.
 """
 from __future__ import annotations
 

@@ -21,7 +21,7 @@ from entdist import (
 )
 from entdist import verify
 from entdist.verify import _dress, _dress_gap, _dress_passes, _dressings, _oracle_depth, bloch_tol, invariance_tol
-from entdist.metric import BLOCK_BITS
+from entdist.metric import _block_bits
 from entdist.qstate import ROW_BITS, _apply_one_qubit_matrix, _haar_unitary, bloch_vectors
 
 from oracles import bilinears_extended, random_state
@@ -87,11 +87,6 @@ class TestMinimizeTraceNumeric:
         report = minimize_trace_numeric(ghzl_state(4, np.pi / 4), seed=4)
         assert report.converged and report.iterations == 0
         assert report.value == 1.0
-
-    def test_parameter_validation(self):
-        s = make_basis_state(2, 0)
-        with pytest.raises(ValueError):
-            minimize_trace_numeric(s, restarts=0)
 
 
 class TestBlochVectorOracle:
@@ -198,39 +193,33 @@ _INVARIANCE_STATES = {
 
 
 class TestInvarianceCheck:
-    def test_separable_state(self):
-        assert invariance_check(make_basis_state(4, 0), trials=50, seed=11) < invariance_tol(4)
-
-    def test_ghz_state(self):
-        assert invariance_check(ghzl_state(4, np.pi / 4), trials=100, seed=12) < invariance_tol(4)
-
-    def test_chain_phase_state(self):
-        assert invariance_check(brs_state(5, 1.3), trials=100, seed=13) < invariance_tol(5)
-
     @pytest.mark.parametrize(
-        "m, kind",
+        "m, build, trials, seed",
         [
-            pytest.param(m, kind, marks=[pytest.mark.slow] * (m > 16), id=f"{kind}-{m}")
+            pytest.param(
+                m, _INVARIANCE_STATES[kind], 10 if m <= 16 else 2, m, marks=[pytest.mark.slow] * (m > 16),
+                id=f"{kind}-{m}",
+            )
             for m in [*range(1, 17), 18, 20, 22, 24]
             for kind in _INVARIANCE_STATES
             if m > 1 or kind not in ("brs", "ghzl")
+        ]
+        + [
+            pytest.param(4, lambda m: make_basis_state(m, 0), 50, 11, id="separable-4"),
+            pytest.param(4, lambda m: ghzl_state(m, np.pi / 4), 100, 12, id="ghz-4"),
+            pytest.param(5, lambda m: brs_state(m, 1.3), 100, 13, id="chain-phase-5"),
         ],
     )
-    def test_deviation_stays_below_the_derived_threshold(self, m, kind):
+    def test_deviation_stays_below_the_derived_threshold(self, m, build, trials, seed):
         """``verify``'s derived invariance threshold refuses no valid state: 10 dressings
-        each up to M = 16, 2 at M = 18-24 (slow).  Over 50 dressings a case, the largest
-        deviation seen is 11% of the bound (3.6e-16 at M = 1, Haar), at most 2.0% from
-        M = 4 on and 0.07% at M = 18-24."""
-        trials = 10 if m <= 16 else 2
-        assert invariance_check(_INVARIANCE_STATES[kind](m), trials, seed=m) < invariance_tol(m)
+        each up to M = 16, 2 at M = 18-24 (slow), and 50 or 100 for |0000>, GHZ and a chain
+        phase state.  Over 50 dressings a case, the largest deviation seen is 11% of the
+        bound (3.6e-16 at M = 1, Haar), at most 2.0% from M = 4 on and 0.07% at M = 18-24."""
+        assert invariance_check(build(m), trials, seed) < invariance_tol(m)
 
     def test_deterministic_by_seed(self):
         s = brs_state(3, 2.2)
         assert invariance_check(s, trials=20, seed=7) == invariance_check(s, trials=20, seed=7)
-
-    def test_trials_validated(self):
-        with pytest.raises(ValueError):
-            invariance_check(make_basis_state(2, 0), trials=0)
 
 
 @pytest.mark.parametrize(
@@ -263,7 +252,7 @@ def _chain(amps: np.ndarray, m: int, unitaries: list[np.ndarray]) -> np.ndarray:
     return amps
 
 
-def _chain_bound(m: int, block_bits: int = ROW_BITS + BLOCK_BITS) -> float:
+def _chain_bound(m: int, block_bits: int = _block_bits(ROW_BITS)) -> float:
     """Bound on ||dressing - chain||_2 for a unit vector: the dressing's gap in blocks of
     2^block_bits, plus the chain's, one qubit a pass."""
     return _dress_gap(_dress_passes(m, block_bits)) + _dress_gap([(range(q, q + 1), range(0)) for q in range(m)])
@@ -299,7 +288,7 @@ class TestDressing:
         """The plan's groups, at the default budget of 2^17, are never looser than the
         fours from qubit 0 over the whole state, a group of four across the low pass's
         edge splits into smaller ones: equal at M <= 17, 21 and 25, below them elsewhere."""
-        assert _dress_gap(_dress_passes(m, ROW_BITS + BLOCK_BITS)) <= _dress_gap(_dress_passes(m, m))
+        assert _dress_gap(_dress_passes(m, _block_bits(ROW_BITS))) <= _dress_gap(_dress_passes(m, m))
 
     @pytest.mark.parametrize("m", [3, 5, 9])
     def test_draws_one_unitary_per_qubit_from_qubit_0(self, m):
@@ -312,7 +301,7 @@ class TestDressing:
 
     @pytest.mark.parametrize("m", [17, 18])
     def test_matches_the_chain_at_the_default_budget(self, m):
-        """``_dressings``' own buffers, 2^(ROW_BITS + BLOCK_BITS) = 2^17 amplitudes each:
+        """``_dressings``' own buffers, 2^``_block_bits(ROW_BITS)`` = 2^17 amplitudes each:
         the low pass alone at M = 17; at 18 a low pass of two rows and a run of one qubit."""
         s = StateVector(m, random_state(m, np.random.default_rng(400 + m)))
         rng = np.random.default_rng(m)
@@ -321,7 +310,7 @@ class TestDressing:
         assert np.linalg.norm(dressed - expected) <= _chain_bound(m)
 
     @pytest.mark.parametrize("kind", ["ghzl", "top-haar"])
-    @pytest.mark.parametrize("block_bits", [12, ROW_BITS + BLOCK_BITS])
+    @pytest.mark.parametrize("block_bits", [12, _block_bits(ROW_BITS)])
     def test_blocks_that_hold_no_amplitude_are_skipped(self, kind, block_bits, monkeypatch):
         """At M = 18 a pass yields exactly the blocks that hold amplitude when it reads
         them, and leaves every other block exactly zero.  In blocks of 2^12 the ghzl
