@@ -10,8 +10,7 @@ with the same numpy, BLAS build and BLAS thread count; CSV floats carry
 17 significant digits and round-trip exactly.
 
 The figure drivers ``run_sweep`` and ``run_surface`` return a header and
-one C-contiguous float64 array of rows; ``_csv_text`` turns that array
-into Python floats, by one ``.tolist()``, only where it writes CSV text.
+one float64 array of rows, which ``_csv_text`` alone turns into text.
 """
 from __future__ import annotations
 
@@ -119,9 +118,8 @@ def _chunk_points(m: int) -> int:
 
     The P states of a batch hold 2**ROW_BITS amplitudes together, as one
     row of a larger state does, so ``metric_matrices`` holds a stack of M
-    applied rows of that size for the batch.  From M = ROW_BITS on a batch
-    is one state, and from M = ROW_BITS + 1 on the direction-frame kernel
-    takes it, in a working memory of two blocks of rows.
+    applied rows of that size for the batch (32 points at M = 9).  From M
+    = ROW_BITS on a batch is one state.
     """
     return max(1, (1 << qstate.ROW_BITS) >> m)
 
@@ -131,12 +129,11 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], np.ndarray]:
 
     The rows are one C-contiguous float64 array of shape (points, 3 + M).
     The grid runs through the array-first pipeline in chunks of P =
-    ``_chunk_points(M)`` points, 2**ROW_BITS amplitudes together (32 points
-    at M = 9, one from M = ROW_BITS on).  A chunk is one (P, 2^M) family
-    batch, validated row-wise, then one bilinear pass, one direction call,
-    one ``metric_matrices`` call and one ``check_metrics`` call, whose
-    batched eigvalsh gives the P spectra; its columns are written straight
-    into the chunk's P rows.  Every row has the bits that
+    ``_chunk_points(M)`` points.  A chunk is one (P, 2^M) family batch,
+    validated row-wise, then one bilinear pass, one direction call, one
+    ``metric_matrices`` call and one ``check_metrics`` call, whose batched
+    eigvalsh gives the P spectra; its columns are written straight into
+    the chunk's P rows.  Every row has the bits that
     ``entanglement_metric`` and ``spectrum`` give its point alone, and the
     working memory is that of one chunk, however many points there are.
     """

@@ -14,53 +14,23 @@ qubit by v^nu = b^nu / |b^nu|, which gives the entanglement measure
 The Bloch vector is assembled from the amplitude bilinears of each qubit:
 b = (2 Re w_minus, -2 Im w_minus, w_3), so E needs nothing else.
 
-The pipeline is array-first: each stage takes a batch of states
-(..., 2**M) as readily as one.  ``qstate.bilinears`` gives the
-bilinears, ``measure_from_bilinears`` E, ``optimal_directions`` the
-(..., M, 3) fields, ``metric_matrices`` the (..., M, M) metrics, and
-``check_metrics`` checks them and takes their spectra with one batched
-eigvalsh; ``cli.run_sweep`` runs its grid through them in chunks and
-writes each chunk's columns into one float64 array of rows.  The
-single-state functions are the case of one state: ``entanglement_metric``
-computes the bilinears once (``w_vectors``) for the directions, through
-``qstate.bloch_vectors``, and for E, and the ``EntanglementMetric`` runs
-``check_metrics`` once, at construction, so ``spectrum`` and the JSON
-record read that one set of eigenvalues.  A state gets the same bits
-alone or in a batch.
+Each stage takes a batch of states (..., 2**M) as readily as one, and a
+state gets the same bits alone or in a batch.  The owners:
 
-Both passes over the states, the bilinears and ``metric_matrices``, read
-them by the rows of ``qstate.row_view``, 2**ROW_BITS amplitudes (256 KiB)
-each, so every sum is blocked, of depth at most ``qstate.row_depth(M)`` rather
-than 2^M, and ``trace_tol`` bounds the rounding by that depth.  Up to
-ROW_BITS qubits a state is one row: ``metric_matrices`` builds the M
-applied states A_nu|s> by ``_applied_rows``, the low qubits on one
-transposed copy of the batch where their runs are long, and takes their
-inner products by ``qstate._dot``, in runs of at most 2^(ROW_BITS - 1)
-terms.  A state of more qubits goes to the direction-frame kernel,
-``_frame_metric``: each qubit is rotated so that its A_nu becomes Z, and
-g is the covariance of M +-1 spins under the rotated probabilities, read
-a block at a time, in a working memory of two blocks whatever M.
-``_frame_passes`` plans its passes, each naming the qubits it turns as
-the row bits and the column bits of its blocks, and every block fits the
-budget of ``_block_bits``.  ``_turns`` is the one block loop of a
-Kronecker turn, ``_rotate`` the one turn of a block and ``_kron_groups``
-the one grouping of its qubits into Kronecker factors, for this kernel
-and for ``verify``'s dressings.  Both kernels produce only the moments
-<A_mu> and <A_mu A_nu>; ``_metric_from_moments`` assembles g from them,
-with the diagonal of ``_diagonal``, for both.
-
-The passes over a state of several rows skip what fails the one zero
-test, ``qstate._holds_amplitude``: ``qstate._row_bilinears`` a row, and
-``_frame_metric`` a block of a row pass or a strip of the column pass,
-through ``_turns``.  Beside the zero test stands the identity rule: a
-pass of ``_frame_metric`` whose qubits all have the direction exactly +z,
-whose frames ``_frame_unitaries`` makes exactly I, is not turned, and its
-blocks are squared as they stand, the values the identity factors would
-give.  So a GHZ-like, W or basis state at its optimal directions, every
-qubit on +z, runs no gemm, and the bytes do not move.  The state-level
-entry points, ``w_vectors`` and ``metric_matrix``, are the one-state
-calls of ``bilinears`` and ``metric_matrices``, so a ``StateVector`` and
-its array take one path.
+- ``measure_from_bilinears``: E, from the bilinears of ``qstate.bilinears``.
+- ``optimal_directions``: the minimizing direction fields (..., M, 3).
+- ``metric_matrices``: the metrics (..., M, M); the moments of a state of
+  one row by ``_applied_rows`` and ``qstate._dot``.
+- ``_frame_metric``: the direction-frame kernel, for a state of several
+  rows, and its identity rule; ``_frame_passes`` plans its passes, within
+  ``_block_bits``.
+- ``_turns``, ``_rotate``, ``_kron_factors`` and ``_kron_groups``: the
+  Kronecker turns of the frame kernel and of ``verify``'s dressings.
+- ``_metric_from_moments`` and ``_diagonal``: g from the moments, for both kernels.
+- ``check_metrics``: the checks and spectra of metrics; ``EntanglementMetric``
+  and ``spectrum`` read its one set of eigenvalues.
+- ``trace_tol`` and ``entry_tol``: the rounding bounds of tr g - E and of one entry.
+- ``entanglement_metric``, ``w_vectors``, ``metric_matrix``: the one-state calls.
 """
 from __future__ import annotations
 
@@ -114,11 +84,10 @@ def trace_tol(m: int) -> float:
     ROW_BITS), and n is the blocked depth ``row_depth(m)`` = 2^r + 2^(m-r)
     - 1.  Up to ROW_BITS qubits the state is one row, and each bilinear is
     a whole-row sum of at most 2^m terms.  The metric takes each moment by
-    ``qstate._dot``, the one owner of the dots over amplitudes: runs of at
-    most 2^(r-1) terms, then the sum of the runs, a depth of at most
-    2^(r-1) + 1 <= 2^r, within n.  Above it (``qstate._row_bilinears``)
-    each term passes through at most 2^r + 2^(m-r) - 2 = n - 1 additions,
-    the rows' partial sums added in row order:
+    ``qstate._dot``, of depth at most 2^r, within n.  Above it
+    (``qstate._row_bilinears``) each term passes through at most 2^r +
+    2^(m-r) - 2 = n - 1 additions, the rows' partial sums added in row
+    order:
 
     * w_minus of a low qubit nu < r: a vecdot per run of pairs and a sum
       of the runs' results.  The row's index splits into hi = r // 2 high
@@ -169,10 +138,9 @@ def entry_tol(m: int) -> float:
     * Up to ROW_BITS qubits, one row: an entry of an applied row A_nu|s>
       is a two-term sum, off by at most (2 sqrt 2 + 1) u of |A| |s|, and
       || |A| ||_2 <= sqrt 2, so the row is off by at most 6 u in 2-norm.
-      Each moment is one ``qstate._dot``, runs of at most 2^(ROW_BITS-1)
-      terms and then their sum, a depth d of 2^m, or 2^(ROW_BITS-1) + 1 at
-      m = ROW_BITS.  So delta_e <= (d + 8) u and delta_c <= (d + 14) u,
-      and an entry is off by at most 0.75 (d + 11) u.
+      Each moment is one ``qstate._dot``, of depth d = 2^m, or
+      2^(ROW_BITS-1) + 1 at m = ROW_BITS.  So delta_e <= (d + 8) u and
+      delta_c <= (d + 14) u, and an entry is off by at most 0.75 (d + 11) u.
     * Above ROW_BITS qubits, the direction-frame kernel: each amplitude
       passes through G Kronecker factors, one per group of
       ``_kron_groups`` of the row bits J and of the column bits C of a
@@ -259,14 +227,12 @@ class EntanglementMetric:
 
     ``size`` passes ``qstate.validate_count`` and is stored as a Python
     int, and ``measure`` passes ``qstate.validate_real`` and is stored as a
-    Python float, so the ``to_dict`` record serialises.  A 0-d array, a
-    string, a bool, NaN or an infinity raises a ValueError that names
-    ``measure``.  ``matrix`` is real
-    symmetric positive semidefinite with diagonal in [0, 1/4] and trace
-    equal to ``measure``, stored as a read-only copy of the array passed
-    in.  ``directions`` is a read-only copy of the (size, 3) direction
-    field, one unit row per qubit.  ``eigenvalues`` is its spectrum, sorted
-    descending and read-only, taken once at construction.
+    Python float, so the ``to_dict`` record serialises.  ``matrix``, a
+    read-only copy of the array passed in, passes ``check_metrics``
+    against ``measure``, once, at construction, and ``eigenvalues`` is the
+    spectrum that call gives, sorted descending and read-only; ``spectrum``
+    and ``to_dict`` read it.  ``directions`` is a read-only copy of the
+    (size, 3) direction field, one unit row per qubit.
     """
 
     size: int
@@ -332,9 +298,9 @@ class Spectrum:
 
 
 def w_vectors(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude bilinears ``(w_minus, w_3)``, each of shape (M,), in O(M 2^M).
+    """Amplitude bilinears ``(w_minus, w_3)`` (M,): ``qstate.bilinears`` of the state's array.
 
-    w_plus, the third bilinear, is conj(w_minus); see ``qstate.bilinears``.
+    So a ``StateVector`` and its array take one path.
     """
     return bilinears(state.amplitudes)
 
@@ -404,9 +370,7 @@ def _frame_unitaries(dirs: np.ndarray) -> np.ndarray:
 def _kron_groups(n: int) -> list[int]:
     """The one grouping of a run of n qubits into Kronecker factors: each group's size, lowest first.
 
-    Groups of KRON_BITS qubits, and a short last one.  ``_kron_factors``
-    builds a factor per group, ``entry_tol`` counts them and
-    ``verify._dress_gap`` sums its bound over them.
+    Groups of KRON_BITS qubits, and a short last one.
     """
     return [min(KRON_BITS, n - lo) for lo in range(0, n, KRON_BITS)]
 
@@ -442,16 +406,17 @@ def _rotate(
 ) -> np.ndarray:
     """Apply Kronecker factors to ``x`` (2^a, 2^b): ``high`` to its row bits, then ``low`` to its column bits.
 
-    Each step is one matmul, written to the next of the two ``buffers``,
-    lowest group of bits first in each list.  A row-bit factor f of size d
-    multiplies x seen as (rest, d, below) from the left, which keeps the
-    index order, so ``x`` may be a strided slice of a state's rows, read in
-    place.  A column-bit factor multiplies the transpose of the contiguous
-    input seen as (rest, d), written (d, rest), so the group's bits move to
-    the front of the index and the next group trails; after all of them the
-    column bits lead, in order, and the row bits trail.  The small factor
-    is the left operand throughout, which keeps the BLAS packing buffers
-    small.
+    The one turn of a block, for the frame kernel and ``verify``'s
+    dressings.  Each step is one matmul, written to the next of the two
+    ``buffers``, lowest group of bits first in each list.  A row-bit factor
+    f of size d multiplies x seen as (rest, d, below) from the left, which
+    keeps the index order, so ``x`` may be a strided slice of a state's
+    rows, read in place.  A column-bit factor multiplies the transpose of
+    the contiguous input seen as (rest, d), written (d, rest), so the
+    group's bits move to the front of the index and the next group trails;
+    after all of them the column bits lead, in order, and the row bits
+    trail.  The small factor is the left operand throughout, which keeps
+    the BLAS packing buffers small.
     """
     below = x.shape[-1]
     for i, f in enumerate(high + low):
@@ -536,27 +501,25 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     read from its width), is instead read in place, never written, a block
     at a time, in the passes of ``_frame_passes``.
 
-    A pass with row bits J and column bits C runs ``_turns``, the one
-    block loop, over blocks of the 2^|J| rows that differ only in J and of
-    2^w columns: C, or in the column pass as many low qubits as fill the
-    work buffer.  Each block is turned in J and C by ``_rotate``, a
-    Kronecker factor per group of ``_kron_groups``, and |.|^2 of the
-    result is added into one accumulator.  That is the joint distribution
-    of the turned spins, once the column pass has added up the columns it
-    does not turn, and ``_spin_moments`` gives their moments at the end of
-    the pass.  ``_turns`` skips a block, the column pass's strips included,
-    that fails ``qstate._holds_amplitude``.
+    A pass with row bits J and column bits C takes from ``_turns`` each
+    block, turned in J and C, of 2^w columns: C, or in the column pass as
+    many low qubits as fill the work buffer.  |.|^2 of each is added into
+    one accumulator.  That is the joint distribution of the turned spins,
+    once the column pass has added up the columns it does not turn, and
+    ``_spin_moments`` gives their moments at the end of the pass.
 
-    A pass whose qubits all have the direction exactly (0, 0, 1), whose U
-    is exactly I, is not turned: a turn by identity factors gives each
-    amplitude back as it is, so each block's |x|^2 is squared straight
-    from the state into the idle block buffer.  Such a block keeps the
-    state's index order, C's bits low and J's high, the reverse of a turned
-    block's, so a row pass's sums are copied, transposed, into the idle
-    buffer at its end: ``_spin_moments`` then reads the very array the
-    turned pass gives, and the bytes do not move.  The column pass, whose
-    turned blocks keep that order too, needs no copy.  A direction off +z
-    by one ulp is turned, even where its U rounds to I.
+    The identity rule: a pass whose qubits all have the direction exactly
+    (0, 0, 1), whose U is exactly I, is not turned, since identity factors
+    give each amplitude back as it is: each block's |x|^2 is squared
+    straight from the state into the idle block buffer.  Such a block
+    keeps the state's index order, C's bits low and J's high, the reverse
+    of a turned block's, so a row pass's sums are copied, transposed, into
+    the idle buffer at its end: ``_spin_moments`` then reads the very array
+    the turned pass gives, and the bytes do not move.  The column pass,
+    whose turned blocks keep that order too, needs no copy.  So a
+    GHZ-like, W or basis state at its optimal directions, every qubit on
+    +z, runs no gemm.  A direction off +z by one ulp is turned, even where
+    its U rounds to I.
 
     Working memory is two blocks of the plan's largest, at most 2^b
     amplitudes, b = ``_block_bits(k)``, unless a row's index has more
@@ -614,7 +577,8 @@ def _diagonal(e) -> np.ndarray:
 def _metric_from_moments(e: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Metrics (..., M, M) from the moments <A_mu> (..., M) and <A_mu A_nu> (..., M, M).
 
-    The one assembly of g: g[mu, nu] = (c[mu, nu] - e_mu e_nu) / 4 from the
+    The one assembly of g, for both kernels, which give only these
+    moments: g[mu, nu] = (c[mu, nu] - e_mu e_nu) / 4 from the
     upper triangle of c, mu < nu, mirrored below it, and ``_diagonal`` on
     the diagonal; c's diagonal and lower triangle do not reach g.
     """
@@ -637,12 +601,12 @@ def _applied_rows(amps: np.ndarray, ops: np.ndarray) -> np.ndarray:
     transposed, into the last slot of the stack, where a qubit q < lo sits
     at bit hi + q.  Each q < lo with hi + q >= SHORT_RUN_BITS is applied
     there, into the slot before it, and copied back, transposed, into its
-    own slot (a qubit that would land lower keeps short runs, and stays); the two borrowed slots' own qubits, M - 2 and M - 1 >= lo,
-    are applied last, in place, as every other qubit is.  So the flip
-    takes no memory beyond the stack, and from M = 8 on every q < lo is
-    flipped.  Each entry is the same two-term sum in either layout (see
-    ``_apply_one_qubit_matrix``), so the bytes are those of applying every
-    qubit in place.
+    own slot (a qubit that would land lower keeps short runs, and stays);
+    the two borrowed slots' own qubits, M - 2 and M - 1 >= lo, are applied
+    last, in place, as every other qubit is.  So the flip takes no memory
+    beyond the stack, and from M = 8 on every q < lo is flipped.  By
+    ``_apply_one_qubit_matrix``'s layout rule the bytes are those of
+    applying every qubit in place.
 
     Measured on one sweep chunk, 2^ROW_BITS amplitudes (numpy 2.4, 2-vCPU
     x86-64): the M applies took 1717 -> 1141 us at M = 9 and 1714 -> 1431 us
@@ -671,23 +635,13 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     Entries: g[mu, nu] = (<A_mu A_nu> - <A_mu><A_nu>) / 4 off the diagonal
     and g[mu, mu] = (1 - <A_mu>^2) / 4, with A_nu = v^nu . sigma^nu.
 
-    A state of more than ROW_BITS qubits, several rows of ``qstate.row_view``,
-    goes to ``_frame_metric``, one state at a time, so a state gets the
-    same bits alone or in a batch.  A state of M <= ROW_BITS qubits is one
-    row: the M applied rows A_nu|s> form one (M, ..., 2^M) stack, built by
-    ``_applied_rows``, which applies the low qubits on a transposed copy of
-    the batch held in the stack itself, and ``qstate._dot`` takes the
-    <A_mu> in one call and the upper triangle of <A_mu A_nu> in one call
-    per mu against every nu > mu: a BLAS dot per vector, the one np.vdot
-    takes, over runs of at most 2^(ROW_BITS - 1) terms, so a state gets the
-    same bits alone or in a batch and at any BLAS thread count.  Both paths
-    hand their moments to ``_metric_from_moments``, the one assembly of g,
-    whose diagonal (``_diagonal``) clamps a negative 1 - <A_mu>^2 to 0 and
-    keeps a NaN.  ``cli.run_sweep`` batches 2^(ROW_BITS - M) such states,
-    so the stack holds M 2^ROW_BITS amplitudes, the flip's copy included.
     M and the rows come from ``qstate.row_view``, and the fields pass
-    ``qstate.validate_directions`` at shape (..., M, 3), so a field of
-    non-unit or non-finite rows is refused.
+    ``qstate.validate_directions``.  A state of several rows goes to
+    ``_frame_metric``, one state at a time.  A state of one row, M <=
+    ROW_BITS, takes its M applied rows A_nu|s> from ``_applied_rows``, and
+    ``qstate._dot`` takes the <A_mu> in one call and the upper triangle of
+    <A_mu A_nu> in one call per mu against every nu > mu.  Both paths hand
+    their moments to ``_metric_from_moments``.
     """
     m, rows = row_view(amps)
     batch = rows.shape[:-2]
@@ -712,7 +666,10 @@ def metric_matrix(state: StateVector, dirs: np.ndarray) -> np.ndarray:
 
 
 def entanglement_metric(state: StateVector) -> EntanglementMetric:
-    """Metric at the minimizing directions, with E = trace attained."""
+    """Metric at the minimizing directions, with E = trace attained.
+
+    One ``w_vectors`` call gives the bilinears for both the directions and E.
+    """
     w_minus, w_3 = w_vectors(state)
     dirs = optimal_directions(bloch_vectors(w_minus, w_3))
     g = metric_matrix(state, dirs)

@@ -5,33 +5,18 @@ over the computational basis.  Qubit ``nu`` addresses binary digit ``nu``
 of the basis index ``k``, counting from the right: qubit 0 is the least
 significant bit.  All operations are pure functions on immutable inputs.
 
-The per-qubit amplitude bilinears, from which every Bloch vector and the
-entanglement measure follow, come from one array-first kernel,
-``bilinears``, for a single state or a batch of shape (..., 2**M).  Every
-pass over a state reads it in cache-sized rows, by ``row_view``.  A state
-of one row takes whole-row sums, the w_minus from one conjugate of the
-whole batch; a state of several rows goes through
-``_row_bilinears``, one pass per state that keeps a probability marginal
-of the low qubits and a total per row, from which the signed probability
-sums w_3 follow: the low qubits' by ``_spin_means``, the first moments of
-``_spin_moments``, the one helper for the spin moments of a distribution,
-which the direction-frame metric kernel also uses for its moments, and
-the high qubits' by ``_signs``.  Its w_minus are vecdots over runs of at
-least 2^(k//2) pairs of a row of 2^k amplitudes: the low qubits' from one
-transposed copy of the row, the others' from the row itself.
+The owners:
 
-Every BLAS dot over amplitudes that could be longer than 2^(ROW_BITS - 1)
-terms goes through ``_dot``, the one owner of the short-dot rule: the
-norm of ``validate_amplitudes``, the high qubits' pairs of
-``_row_bilinears`` and the one-row moments of ``metric.metric_matrices``.
-So no dot is long enough for OpenBLAS to thread, and no output byte
-depends on the BLAS thread count.
-
-``_holds_amplitude`` is the one zero test of the passes over a state:
-``_row_bilinears`` skips a row that fails it, and a high qubit's pair
-with such a partner row, and ``metric._turns`` a block.  Nothing about a
-state is recorded beyond its amplitudes, so ``metric.w_vectors`` of a
-``StateVector`` is ``bilinears`` of its array.
+- ``row_view``: the state-array rule and the rows every pass reads.
+- ``validate_count``, ``validate_real``, ``validate_directions`` and
+  ``validate_amplitudes``: the argument, field and state rules.
+- ``bilinears``: the per-qubit amplitude bilinears, from which every
+  Bloch vector (``bloch_vectors``) and E follow; ``_row_bilinears`` for
+  a state of several rows.
+- ``_spin_moments``: the spin moments of a distribution, and
+  ``_spin_means`` their first moments.
+- ``_dot``: every BLAS dot over amplitudes (the short-dot rule).
+- ``_holds_amplitude``: the zero test of the passes over a state.
 """
 from __future__ import annotations
 
@@ -62,9 +47,11 @@ def row_view(amps) -> tuple[int, np.ndarray]:
 
     The one rule for a state array: its last axis must hold 2^M amplitudes
     with 1 <= M <= MAX_QUBITS, and any other shape raises a ValueError that
-    names it.  The rows are C-contiguous complex128, a view of the input
-    itself when it has that layout and of a copy otherwise, so each state
-    of a batch is read as it would be alone.  Row h holds basis indices
+    names it.  Every pass over a state reads it by these rows, so every
+    sum over its amplitudes is blocked (``row_depth``).  The rows are
+    C-contiguous complex128, a view of the input itself when it has that
+    layout and of a copy otherwise, so each state of a batch is read as it
+    would be alone.  Row h holds basis indices
     h 2^k .. (h + 1) 2^k - 1, so a qubit nu < k pairs amplitudes within a
     row, and a qubit nu >= k pairs row h with row h ^ 2^(nu - k).  For M
     <= ROW_BITS there is one row, the whole state.
@@ -82,9 +69,8 @@ def validate_count(name: str, value, lo: int, hi: int | None = None) -> int:
 
     It must be an int or a numpy integer, not a bool, in [lo, hi]; ``hi =
     None`` leaves it unbounded above.  Anything else raises a ValueError
-    that names the argument and the range, and quotes the value by
-    ``reprlib.repr``, as ``validate_real`` does, so 10**400 takes a few
-    dozen characters, not 401 digits.
+    that names the argument and the range, and quotes the value as
+    ``validate_real`` does.
     """
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         if lo <= value and (hi is None or value <= hi):
@@ -131,8 +117,9 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     split of its sum follows the thread count, so a longer dot would make
     the last bits of an output depend on how many threads BLAS runs.  A
     run of 2^13 terms is never threaded, and the runs' results are added
-    by one ``np.sum`` over the last axis, whatever the thread count.  A dot
-    that fits one run is one ``np.vecdot`` call.  A row of 2^ROW_BITS
+    by one ``np.sum`` over the last axis, whatever the thread count.
+    ``np.vecdot`` takes one BLAS dot per vector, the one np.vdot takes, so
+    a vector gets the same bits alone or in a batch.  A row of 2^ROW_BITS
     terms is two runs, a depth of 2^(ROW_BITS - 1) + 1 (see
     ``metric.trace_tol``).
     """
@@ -181,7 +168,7 @@ class StateVector:
     """Normalized pure state of ``num_qubits`` qubits.
 
     Amplitudes are stored as a read-only complex128 array of length
-    ``2**num_qubits``; the squared norm must be 1 within ``NORM_TOL``.
+    ``2**num_qubits`` that passes ``validate_amplitudes``.
     A contiguous complex128 input is not copied: the stored array is a
     read-only view that shares the caller's buffer, so writing to that
     buffer afterwards changes the state.  The caller's array itself stays
@@ -245,8 +232,6 @@ class LocalUnitary:
         defect = np.max(np.abs(u.conj().T @ u - np.eye(2)))
         if not defect <= UNIT_TOL:
             raise ValueError(f"matrix is not unitary: max |U^H U - I| = {defect!r}")
-        if not abs(abs(np.linalg.det(u)) - 1.0) <= UNIT_TOL:
-            raise ValueError("matrix determinant does not have modulus 1")
         u.flags.writeable = False
         object.__setattr__(self, "matrix", u)
 
@@ -274,13 +259,11 @@ def _apply_one_qubit_matrix(
     The result goes to ``out`` (a new array if None), a contiguous array of
     the states' shape.  Each output entry is the same two-term sum whatever
     the iteration order or the layout of the pairs, so the bits do not
-    depend on either, nor on the batch: ``metric._applied_rows`` applies
-    the low qubits on a transposed copy of the states and gets the bytes
-    of applying them here in place.  For qubits below SHORT_RUN_BITS the
-    short innermost axis 2**qubit would make einsum's inner loop tiny, so
-    the outer axes are iterated innermost instead; with a batch the
-    innermost is then the batch axis, P states long, which is why
-    ``metric._applied_rows`` moves those qubits up.
+    depend on either, nor on the batch (``metric._applied_rows`` relies on
+    it).  For qubits below SHORT_RUN_BITS the short innermost axis
+    2**qubit would make einsum's inner loop tiny, so the outer axes are
+    iterated innermost instead; with a batch the innermost is then the
+    batch axis, P states long.
     """
     shape = amps.shape[:-1] + (1 << (m - 1 - qubit), 2, 1 << qubit)
     if out is None:
@@ -323,11 +306,12 @@ def _spin_means(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _spin_moments(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments <s_t> (n,) and <s_t s_u> (n, n) of the bits of a 2^n distribution.
 
-    The first moments and the half marginals come from ``_spin_means``, with
-    the index split into hi = n // 2 high and lo = n - hi low bits and p
-    into their (2^hi, 2^lo) table P.  Each half's second moments are
-    spins^T (marginal * spins), and the signed sum S_hi^T P S_lo gives the
-    pairs across, so no sum runs over more than 2^hi + 2^lo terms in turn.
+    The one helper for a distribution's spin moments, for the
+    direction-frame kernel.  The first moments, the half marginals and the
+    split of p into its (2^hi, 2^lo) table P are those of ``_spin_means``.
+    Each half's second moments are spins^T (marginal * spins), and the
+    signed sum S_hi^T P S_lo gives the pairs across, so no sum runs over
+    more than 2^hi + 2^lo terms in turn.
     """
     n = p.size.bit_length() - 1
     hi, lo = n // 2, n - n // 2
@@ -342,7 +326,8 @@ def _spin_moments(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bilinears ``(w_minus, w_3)`` (M,) of one state of M > k qubits from its ``row_view``.
 
-    One pass over the (2^(M-k), 2^k) rows, one row at a time.  Each row's
+    One pass over the (2^(M-k), 2^k) rows, one row at a time, so no
+    temporary is larger than a row.  Each row's
     probabilities |c|^2 = re^2 + im^2 are added into a 2^k marginal of the k
     low qubits and their sum is kept as the row's total; w_3 then comes from
     these, the low qubits by ``_spin_means`` of the marginal and the high
@@ -407,18 +392,16 @@ def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``(..., M)``.  w_minus sums c*_{k+2^nu} c_k over indices with qubit nu
     clear and w_3 is the signed probability sum (-1)^{bit nu of k} |c_k|^2;
     the third bilinear, w_plus, is conj(w_minus).  O(M 2^M) per state.
-    M and the rows come from ``row_view``, which refuses any other shape.
+    M and the rows come from ``row_view``.
 
-    A state of more than ROW_BITS qubits, several rows of ``row_view``, goes
-    to ``_row_bilinears`` one state at a time, so no temporary is larger
-    than a row.  A state of M <= ROW_BITS qubits is one row, and the batch
+    A state of several rows goes to ``_row_bilinears``, one state at a
+    time.  A state of M <= ROW_BITS qubits is one row, and the batch
     takes per qubit one einsum and two sums over the whole state.  The
     batch is conjugated once, and each qubit's einsum reads its half from
     that copy: the values of a conjugated copy of the half, in a layout
     whose strides rank the reduction axes the same way, so einsum adds
     them in the same order and the bytes are those of a copy per qubit.
-    A sum's depth is at most ``row_depth(M)`` (see ``metric.trace_tol``),
-    and a state gets the same bits alone or in a batch.
+    A state gets the same bits alone or in a batch.
     """
     m, rows = row_view(amps)
     batch = rows.shape[:-2]

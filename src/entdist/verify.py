@@ -9,13 +9,14 @@ Three cross checks, none of which use the analytic minimizer v = b/|b|:
 * a local-unitary invariance harness dressing states with Haar-random
   single-qubit rotations.
 
-``verify_state`` runs all three on one state against their thresholds and
-returns the ``entdist verify`` record.  It holds the state, one copy for
-the dressings and two blocks of the direction-frame kernel's budget
-(``metric._block_bits``), whatever M: the partial trace reads the state
-in chunks of 2^ROW_BITS pairs, and each dressing turns the copy in place
-through the frame kernel's block loop, ``metric._turns``, and its
-``_rotate``, each qubit once, in at most two passes over the copy.
+The owners:
+
+- ``verify_state``: the ``entdist verify`` record, each check against its threshold.
+- ``minimize_trace_numeric``: the ascent.
+- ``reduced_density_matrix``: the partial trace; ``bloch_tol`` its bound.
+- ``_dressings``: the dressings and their memory; ``_dress_passes`` plans
+  them, ``_dress_gap`` bounds the plan and ``invariance_tol`` holds
+  ``invariance_check`` to that bound.
 """
 from __future__ import annotations
 
@@ -82,8 +83,8 @@ def minimize_trace_numeric(state: StateVector, restarts: int = DEFAULT_RESTARTS,
     on Matrix Manifolds, 2008).  Only rows whose gradient norm is at least
     ``GRADIENT_TOL``, a fixed threshold, move, which keeps a vanishing L
     out of the division; the ascent stops when none does (``converged``)
-    or after ``MAX_STEPS`` steps (``iterations`` counts them).  Deterministic for a fixed seed;
-    the best restart wins.
+    or after ``MAX_STEPS`` steps (``iterations`` counts them).
+    Deterministic for a fixed seed; the best restart wins.
     """
     restarts, seed = validate_count("restarts", restarts, 1), validate_count("seed", seed, 0)
     return _minimize_trace(bloch_vectors(*w_vectors(state)), restarts, seed)
@@ -134,7 +135,7 @@ def reduced_density_matrix(state: StateVector, qubit: int) -> np.ndarray:
     run above it.  A chunk's products psi_0 conj(psi_1), and the squares of
     the real and imaginary parts of psi_0 and of psi_1, go to contiguous
     buffers that ``np.sum`` adds pairwise, and one more pairwise ``np.sum``
-    adds the chunks' partials (see ``bloch_tol``).  The state is read in
+    adds the chunks' partials (see ``_oracle_depth``).  The state is read in
     place, never copied: no temporary is larger than a chunk, 2^c complex
     entries.
     """
@@ -163,12 +164,27 @@ def reduced_density_matrix(state: StateVector, qubit: int) -> np.ndarray:
 
 
 def _sum_depth(bits: int) -> int:
-    """Rounding depth of a pairwise ``np.sum`` of 2^bits contiguous terms (see ``bloch_tol``)."""
+    """Rounding depth of a pairwise ``np.sum`` of 2^bits contiguous terms.
+
+    Within a block of 128 terms numpy keeps eight accumulators of 16 terms
+    and adds them in three levels: depth at most 25, with 7 leftover terms.
+    A longer array adds one per halving (at most bits - 5), and the start
+    value one more: at most bits + 21, and never more than 2^bits.
+    """
     return min(1 << bits, bits + 21)
 
 
 def _oracle_depth(m: int) -> int:
-    """Rounding depth of the partial trace's nested sums at m qubits: a chunk's 2^(c+1) squares, then the partials."""
+    """Rounding depth of ``reduced_density_matrix`` at m qubits: a chunk's sum, then the partials'.
+
+    A nested sum's depth is the sum of the two depths.  A chunk of 2^c
+    pairs, c = min(m - 1, ROW_BITS), sums 2^c products for rho_01 and
+    2^(c+1) squares, each exact but for one rounding, for rho_00 or
+    rho_11.  The sum of the 2^(m - 1 - c) partials adds its own depth when
+    there are several.  So the depth is min(2^m, m + 21) up to m = ROW_BITS
+    + 1, and 36 + min(2^(m-15), m + 6) above it: 62 at m = 20 and 68 at m
+    = 26.
+    """
     c = min(m - 1, ROW_BITS)
     return _sum_depth(c + 1) + (_sum_depth(m - 1 - c) if m - 1 > c else 0)
 
@@ -182,21 +198,7 @@ def bloch_tol(m: int) -> float:
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).  The
     depth is at most ``row_depth(m)`` for ``qstate.bilinears``, whose sums
     ``metric.trace_tol`` takes one by one; the signs of w_3 multiply
-    exactly.
-
-    The oracle nests two pairwise ``np.sum`` calls over contiguous arrays,
-    and a nested sum's depth is the sum of the two depths.  A pairwise sum
-    of 2^j terms has depth at most 25 within a block of 128 (eight
-    accumulators of 16 terms, three levels, 7 leftover terms), one more
-    per halving of a longer array (at most j - 5) and one for the start
-    value, so at most j + 21, and never more than 2^j.  A chunk of 2^c
-    pairs, c = min(m - 1, ROW_BITS), sums 2^c products for rho_01 and
-    2^(c+1) squares, each exact but for one rounding, for rho_00 or
-    rho_11: depth at most j + 21 with j = c + 1.  The sum of the
-    2^(m - 1 - c) partials adds j + 21 more with j = m - 1 - c when there
-    are several, and nothing when there is one.  So the oracle's depth is
-    min(2^m, m + 21) up to m = ROW_BITS + 1, and 36 + min(2^(m-15),
-    m + 6) above it: 62 at m = 20 and 68 at m = 26.  The bound
+    exactly.  The oracle's depth is ``_oracle_depth(m)``.  The bound
     2 (n_kernel + n_oracle + 3) u covers the sum of the two errors:
     4.2e-15 at m = 3, 3.7e-12 at m = 20 and 4.6e-12 at m = 26.
     """
@@ -300,12 +302,12 @@ def _dressings(state: StateVector, trials: int, seed: int) -> Iterator[np.ndarra
     """Yield ``trials`` Haar-random local dressings of ``state``, each in the same reused array.
 
     Each trial draws one Haar unitary per qubit, qubit 0 first, and applies
-    them by ``_dress`` to a fresh copy of the amplitudes, so the state is
-    copied into one array for all trials, and turned in blocks of at most
-    2^b amplitudes, b = ``metric._block_bits(ROW_BITS)``, the
+    them by ``_dress`` to a fresh copy of the amplitudes.  So the state is
+    copied into one array for all trials, and turned in place in blocks of
+    at most 2^b amplitudes, b = ``metric._block_bits(ROW_BITS)`` (17), the
     direction-frame kernel's block budget, through two buffers of a block
-    each: at most two passes over the copy for every M <= 26.  A yielded array is overwritten by the
-    next trial.
+    each, whatever M: at most two passes over the copy for every M <= 26.
+    A yielded array is overwritten by the next trial.
     """
     rng = np.random.default_rng(seed)
     m = state.num_qubits
@@ -321,13 +323,10 @@ def _dressings(state: StateVector, trials: int, seed: int) -> Iterator[np.ndarra
 def invariance_check(state: StateVector, trials: int, seed: int = 0) -> float:
     """Max |E(dressed) - E(state)| over Haar-random local dressings.
 
-    Each trial draws an independent Haar unitary for every qubit, qubit 0
-    first, and applies them all to a copy of the amplitudes, the dressing
-    that M ``apply_local_unitary`` calls would give, but in place, by the
-    direction-frame kernel's Kronecker turns (``_dressings``); it takes E
-    of the result.  A unitary keeps the norm,
-    so the dressed array is not revalidated.
-    Deterministic for a fixed seed.
+    Each trial takes E of one dressing of ``_dressings``, the dressing
+    that M ``apply_local_unitary`` calls would give.  A unitary keeps the
+    norm, so the dressed array is not revalidated.  Deterministic for a
+    fixed seed.
     """
     trials, seed = validate_count("trials", trials, 1), validate_count("seed", seed, 0)
     return _invariance_check(state, trials, seed, entanglement_measure(state))
@@ -350,7 +349,8 @@ def verify_state(state: StateVector, trials: int, restarts: int, seed: int) -> d
     ``seed + 1``.  A check fails unless its gap is below its threshold;
     ``failed_checks`` names the failures in the order of ``thresholds``.
     ``trials``, ``restarts`` and ``seed`` pass ``qstate.validate_count``
-    before any pass over the state.
+    before any pass over the state.  It holds the state and what
+    ``_dressings`` holds, whatever M.
     """
     trials = validate_count("trials", trials, 1)
     restarts = validate_count("restarts", restarts, 1)

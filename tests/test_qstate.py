@@ -1,6 +1,8 @@
 """State-vector core: basis bookkeeping, local operators, expectations."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from entdist import (
     read_state_file,
     write_state_file,
 )
-from entdist.qstate import _haar_unitary, _signs, bilinears, bloch_vectors
+from entdist.qstate import UNIT_TOL, _haar_unitary, _signs, bilinears, bloch_vectors
 from entdist.verify import HAAR_DRAW_GAP
 
 from oracles import HADAMARD, SX, dense_direction_operator, dense_qubit_operator, random_state
@@ -145,6 +147,17 @@ class TestLocalUnitary:
         """An entry beyond modulus 1 is refused by its size; 1e200 overflowed U^H U first."""
         with pytest.raises(ValueError, match=r"not unitary: max \|u_ij\| = .* exceeds 1"):
             LocalUnitary([[entry, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("delta", [UNIT_TOL / 2, 4 * UNIT_TOL])
+    def test_unitarity_is_held_at_its_bound(self, delta):
+        """U = [[1, delta], [0, 1]]: max |U^H U - I| = delta, no |u_ij| above 1, and det U = 1."""
+        u = np.array([[1.0, delta], [0.0, 1.0]])
+        if delta <= UNIT_TOL:
+            np.testing.assert_array_equal(LocalUnitary(u).matrix, u)
+        else:
+            message = rf"^matrix is not unitary: max \|U\^H U - I\| = .*{re.escape(repr(delta))}"
+            with pytest.raises(ValueError, match=message):
+                LocalUnitary(u)
 
     @pytest.mark.parametrize("matrix", [np.eye(3), np.eye(2)[0], [[1.0]], np.eye(2)[None]])
     def test_rejects_a_matrix_that_is_not_2x2(self, matrix):
