@@ -228,10 +228,10 @@ class LocalUnitary:
         # a unitary's entries have modulus at most 1; a huge one would overflow U^H U
         largest = np.max(np.abs(u))
         if not largest <= 1.0 + UNIT_TOL:
-            raise ValueError(f"matrix is not unitary: max |u_ij| = {largest!r} exceeds 1")
+            raise ValueError(f"matrix is not unitary: max |u_ij| = {float(largest)!r} exceeds 1")
         defect = np.max(np.abs(u.conj().T @ u - np.eye(2)))
         if not defect <= UNIT_TOL:
-            raise ValueError(f"matrix is not unitary: max |U^H U - I| = {defect!r}")
+            raise ValueError(f"matrix is not unitary: max |U^H U - I| = {float(defect)!r}")
         u.flags.writeable = False
         object.__setattr__(self, "matrix", u)
 

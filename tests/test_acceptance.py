@@ -212,4 +212,4 @@ def test_criterion_10_m4_forms_differ():
         brs_state(3, np.pi),
         np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
     )
-    assert np.max(np.abs(three - 0.25 * np.ones((3, 3)))) < 1e-12
+    assert np.max(np.abs(three - 0.25 * np.ones((3, 3)))) < 1e-13

@@ -100,15 +100,10 @@ def test_library_sites_refuse_what_is_not_a_count_in_range(call, name, value, tm
          "m for family 'brs' must be an integer in [2, 26], got 1"),
         (["measure", "--family", "brs", "--m", "27"],
          "m for family 'brs' must be an integer in [2, 26], got 27"),
-        (["sweep", "--family", "brs", "--m", "3", "--parameter", "phi", "--start", "0",
-          "--stop", "1", "--points", "1"],
-         "angle 'phi' grid points must be an integer >= 2, got 1"),
-        (["surface", "--points", "1"], "angle 'gamma' grid points must be an integer >= 2, got 1"),
         (["verify", "--family", "brs", "--m", "3", "--seed", "2.5"],
          "argument --seed: invalid int value: '2.5'"),
     ],
-    ids=["trials", "restarts", "seed", "m-low", "m-high", "sweep-points", "surface-points",
-         "seed-not-int"],
+    ids=["trials", "restarts", "seed", "m-low", "m-high", "seed-not-int"],
 )
 def test_cli_count_errors_exit_2_naming_the_flag(args, message, capsys):
     """A count out of range exits 2 through the subcommand's usage, not 4 as an internal error."""

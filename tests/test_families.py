@@ -16,7 +16,6 @@ from entdist import (
     entanglement_metric,
     family_state,
     ghzl_state,
-    metric_matrix,
     spectrum,
     three_qubit_state,
 )
@@ -393,13 +392,6 @@ class TestReferenceMetricForms:
             mask = ~np.eye(m, dtype=bool)
             worst_offdiag = max(worst_offdiag, float(np.max(np.abs(computed - reference)[mask])))
         print(f"[report] m={m} reference-form max off-diagonal gap: {worst_offdiag:.3e}")
-
-    def test_three_qubit_axis_substitution_matches_ghz_form(self):
-        """At the maximally entangled point the stated axis substitution turns
-        the chain-phase metric into the all-ones GHZ form."""
-        dirs = np.array([[1.0, 0, 0], [0, 0, 1.0], [-1.0, 0, 0]])
-        g = metric_matrix(brs_state(3, np.pi), dirs)
-        np.testing.assert_allclose(g, 0.25 * np.ones((3, 3)), rtol=0, atol=1e-13, equal_nan=False)
 
     def test_reference_form_only_small_m(self):
         with pytest.raises(ValueError):

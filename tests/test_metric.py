@@ -12,7 +12,6 @@ from entdist import (
     LocalUnitary,
     Spectrum,
     StateVector,
-    apply_local_unitary,
     brs_state,
     distance_density,
     entanglement_measure,
@@ -41,15 +40,17 @@ from entdist.metric import (
     metric_matrices,
     trace_tol,
 )
-from entdist.qstate import _haar_unitary, _operator, bloch_vectors
+from entdist.qstate import _operator, bloch_vectors
 
 from oracles import (
     covariance_entry_pairwise,
     covariance_metric_dense,
+    dense_direction_operator,
+    dense_qubit_operator,
     dense_share,
+    expectation_dense,
     jacobi_eigenvalues,
     pairwise_share,
-    permute_qubits,
     random_product_state,
     random_state,
     w_triples_literal,
@@ -75,7 +76,7 @@ def _random_directions(rng, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# w-vectors
+# w-vectors and Bloch vectors
 # ---------------------------------------------------------------------------
 
 
@@ -112,6 +113,23 @@ class TestWVectors:
             assert abs(w_minus - wm) < 1e-13
             assert abs(np.conj(w_minus) - wp) < 1e-13
             assert abs(w_3 - w3) < 1e-13
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bloch_vectors_match_dense_operators(self, m):
+        """Each qubit's (<X>, <Y>, <Z>) is <s|sigma|s> of the dense operator: pins <Y> = -2 Im w_minus.
+
+        The states are |0...0>, |1...1>, |+...+> and two Haar states.
+        """
+        rng = np.random.default_rng(30 + m)
+        n = 1 << m
+        states = [make_basis_state(m, 0), make_basis_state(m, n - 1), StateVector(m, np.full(n, n**-0.5))]
+        states += [StateVector(m, random_state(m, rng)) for _ in range(2)]
+        for s in states:
+            dense = [
+                [expectation_dense(s.amplitudes, dense_qubit_operator(m, q, dense_direction_operator(axis))) for axis in np.eye(3)]
+                for q in range(m)
+            ]
+            np.testing.assert_allclose(bloch_vectors(*w_vectors(s)), dense, rtol=0, atol=1e-15, equal_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +175,8 @@ class TestOptimalDirections:
 
 
 # ---------------------------------------------------------------------------
-# entanglement measure
+# entanglement measure; its range, local-unitary invariance and permutation
+# covariance are property tests, tests/test_properties.py
 # ---------------------------------------------------------------------------
 
 
@@ -179,24 +198,6 @@ class TestEntanglementMeasure:
             s = StateVector(m, random_product_state(m, rng))
             assert entanglement_measure(s) < 1e-12
 
-    def test_range_bound(self):
-        rng = np.random.default_rng(56)
-        for m in [2, 3, 4, 5, 6]:
-            s = StateVector(m, random_state(m, rng))
-            e = entanglement_measure(s)
-            assert 0.0 <= e <= m / 4 + 1e-12
-
-    def test_local_unitary_invariance(self):
-        rng = np.random.default_rng(57)
-        for m in [2, 4]:
-            s = StateVector(m, random_state(m, rng))
-            base = entanglement_measure(s)
-            for _ in range(10):
-                dressed = s
-                for qubit in range(m):
-                    dressed = apply_local_unitary(dressed, qubit, LocalUnitary(_haar_unitary(rng)))
-                assert abs(entanglement_measure(dressed) - base) < 1e-9
-
     def test_purity_identity(self):
         """E = (1/4) sum_nu (1 - |b_nu|^2) with b_nu from the partial-trace oracle."""
         from entdist import bloch_vector_oracle
@@ -209,25 +210,6 @@ class TestEntanglementMeasure:
                 for b in (bloch_vector_oracle(s, nu) for nu in range(m))
             )
             assert abs(entanglement_measure(s) - 0.25 * total) < 1e-12
-
-    def test_permutation_covariance(self):
-        """Relabeling qubits permutes the metric and leaves E and eigenvalues alone."""
-        rng = np.random.default_rng(59)
-        m = 4
-        s = StateVector(m, random_state(m, rng))
-        perm = [2, 0, 3, 1]
-        sp = StateVector(m, permute_qubits(s.amplitudes, m, perm))
-        assert abs(entanglement_measure(sp) - entanglement_measure(s)) < 1e-12
-        g = entanglement_metric(s).matrix
-        gp = entanglement_metric(sp).matrix
-        for mu in range(m):
-            for nu in range(m):
-                assert abs(gp[perm[mu], perm[nu]] - g[mu, nu]) < 1e-12
-        np.testing.assert_allclose(
-            spectrum(entanglement_metric(s)).eigenvalues,
-            spectrum(entanglement_metric(sp)).eigenvalues,
-            rtol=0, atol=1e-12, equal_nan=False,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +244,17 @@ class TestMetricMatrix:
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_matches_dense_covariance(self, m):
-        """Every entry of the one-row metric within ``entry_tol`` plus the dense oracle's share."""
+        """Every entry of the one-row metric within ``entry_tol`` plus the dense oracle's share.
+
+        The states are a Haar state and a product state, whose pair
+        correlations factorize, so its entries off the diagonal vanish.
+        """
         rng = np.random.default_rng(62 + m)
-        s = StateVector(m, random_state(m, rng))
-        dirs = _random_directions(rng, m)
-        dense = covariance_metric_dense(s.amplitudes, m, dirs)
-        np.testing.assert_allclose(metric_matrix(s, dirs), dense, rtol=0, atol=entry_tol(m) + dense_share(m), equal_nan=False)
+        for draw in (random_state, random_product_state):
+            s = StateVector(m, draw(m, rng))
+            dirs = _random_directions(rng, m)
+            dense = covariance_metric_dense(s.amplitudes, m, dirs)
+            np.testing.assert_allclose(metric_matrix(s, dirs), dense, rtol=0, atol=entry_tol(m) + dense_share(m), equal_nan=False)
 
     def test_wrong_direction_count(self):
         with pytest.raises(ValueError, match="shape"):
@@ -838,7 +825,7 @@ class TestSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# distance density
+# distance density; its bound trace >= E is acceptance criterion 8
 # ---------------------------------------------------------------------------
 
 
@@ -861,15 +848,6 @@ class TestDistanceDensity:
         for _ in range(20):
             dirs = _random_directions(rng, m)
             assert distance_density(s, dirs) >= m / 4 - 1e-12
-
-    def test_bounded_below_by_measure(self):
-        rng = np.random.default_rng(92)
-        for m in [2, 3, 5]:
-            s = StateVector(m, random_state(m, rng))
-            e = entanglement_measure(s)
-            for _ in range(200):
-                dirs = _random_directions(rng, m)
-                assert distance_density(s, dirs) >= e - 1e-12
 
     @pytest.mark.parametrize("m", [3, 15])
     def test_trace_of_metric_matrix(self, m):

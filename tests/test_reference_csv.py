@@ -1,41 +1,28 @@
 """The figure data in tests/reference is a regression reference.
 
 Each CSV is one that demos 02 and 04 write to demos/output, from
-run_sweep/run_surface; it is recomputed and compared value by value at
-1e-15 relative.  Byte equality is too strict: a different host can move
-the last digit of a few eigenvalues (rows 85 of chain_phase_m7 and
-chain_phase_m9 differ by up to 4.2e-16 relative).
-
-Run as a script on a directory of demo output, after the demos:
-
-    PYTHONPATH=src python tests/test_reference_csv.py demos/output
-
-it holds the demos' sweep and surface CSVs to the references under the
-same rule, and demo 03's chain_phase_m7_eigs.csv to the x and eigenvalue
-columns of chain_phase_m7.csv, byte for byte, since both come from the
-same sweep; it prints each fault and exits 1 if there is any.
+run_sweep/run_surface.  ``tests/test_smoke.py`` runs the demos in a copy
+of demos/ and holds what they write to the references with
+``demo_output_faults``: value by value at 1e-15 relative, since byte
+equality is too strict (a different host can move the last digit of a
+few eigenvalues: rows 85 of chain_phase_m7 and chain_phase_m9 differ by
+up to 4.2e-16 relative), and demo 03's chain_phase_m7_eigs.csv byte for
+byte against the x and eigenvalue columns of chain_phase_m7.csv, since
+both come from the same sweep.
 """
 from __future__ import annotations
 
-import sys
+import shutil
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from entdist import FamilySpec
-from entdist.cli import SweepSpec, _csv_text, run_sweep, run_surface
+from entdist.cli import _csv_text
 
 REFERENCE = Path(__file__).resolve().parent / "reference"
 RTOL = 1e-15
 
-SWEEPS = {
-    "chain_phase_m3": (FamilySpec("brs", m=3), "phi", 2.0 * np.pi),
-    "chain_phase_m4": (FamilySpec("brs", m=4), "phi", 2.0 * np.pi),
-    "chain_phase_m7": (FamilySpec("brs", m=7), "phi", 2.0 * np.pi),
-    "chain_phase_m9": (FamilySpec("brs", m=9), "phi", 2.0 * np.pi),
-    "ghz_like_m3": (FamilySpec("ghzl", m=3), "theta", np.pi / 2.0),
-}
+SWEEPS = ("chain_phase_m3", "chain_phase_m4", "chain_phase_m7", "chain_phase_m9", "ghz_like_m3")
 SURFACE = "three_qubit_surface"
 # demo 03's eigenvalue file holds the x and eig_* columns of this demo 02 sweep
 EIGS, EIGS_SWEEP = "chain_phase_m7_eigs", "chain_phase_m7"
@@ -57,14 +44,14 @@ def reference_mismatch(name: str, header: list[str], rows) -> str | None:
     bad = np.abs(got - ref) > RTOL * np.maximum(np.abs(got), np.abs(ref))
     if np.any(bad):
         row, col = np.argwhere(bad)[0]
-        return f"{name} row {row + 1} {header[col]}: {got[row, col]!r} != {ref[row, col]!r}"
+        return f"{name} row {row + 1} {header[col]}: {float(got[row, col])!r} != {float(ref[row, col])!r}"
     return None
 
 
 def demo_output_faults(directory: Path) -> list[str]:
     """Every fault of the demos' CSVs in ``directory``, as one message each."""
     faults = []
-    for name in [*sorted(SWEEPS), SURFACE]:
+    for name in [*SWEEPS, SURFACE]:
         fault = reference_mismatch(name, *_read_csv(directory / f"{name}.csv"))
         if fault is not None:
             faults.append(fault)
@@ -75,54 +62,26 @@ def demo_output_faults(directory: Path) -> list[str]:
     return faults
 
 
-@pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_matches_committed_csv(name):
-    family, parameter, stop = SWEEPS[name]
-    fault = reference_mismatch(name, *run_sweep(SweepSpec(family, parameter, 0.0, stop, 201)))
-    assert fault is None, fault
-
-
-def test_surface_matches_committed_csv():
-    fault = reference_mismatch(SURFACE, *run_surface((0.0, np.pi), (0.0, np.pi), 101))
-    assert fault is None, fault
-
-
-def _write_demo_output(directory: Path) -> None:
-    """The eight CSVs of demos 02-04, as those demos write them."""
-    for name, (family, parameter, stop) in SWEEPS.items():
-        header, rows = run_sweep(SweepSpec(family, parameter, 0.0, stop, 201))
-        (directory / f"{name}.csv").write_text(_csv_text(header, rows))
-        if name == EIGS_SWEEP:
-            columns = [0, *range(3, 3 + family.m)]
-            text = _csv_text([header[i] for i in columns], rows[:, columns])
-            (directory / f"{EIGS}.csv").write_text(text)
-    (directory / f"{SURFACE}.csv").write_text(_csv_text(*run_surface((0.0, np.pi), (0.0, np.pi), 101)))
-
-
 def test_demo_output_check_passes_the_demos_files_and_names_each_fault(tmp_path):
-    """The check run on demos/output after the demos: silent on their files, one message per fault.
+    """The check on files as the demos write them, silent, then one message per planted fault.
 
-    The planted faults are one value 4e-15 relative off its reference,
-    and the eigenvalue file built with element-wise addition, as
+    The files are copies of the references and the eigenvalue file cut
+    from chain_phase_m7.csv as demo 03 cuts it from the sweep's rows.  The
+    planted faults are one value 4e-15 relative off its reference, and
+    the eigenvalue file built with element-wise addition, as
     ``row[:1] + row[3:]`` builds it from an array row.
     """
-    _write_demo_output(tmp_path)
+    for path in REFERENCE.glob("*.csv"):
+        shutil.copy(path, tmp_path)
+    header, rows = _read_csv(tmp_path / f"{EIGS_SWEEP}.csv")
+    columns = [0, *range(3, len(header))]
+    (tmp_path / f"{EIGS}.csv").write_text(_csv_text([header[i] for i in columns], rows[:, columns]))
     assert demo_output_faults(tmp_path) == []
+    (tmp_path / f"{EIGS}.csv").write_text(_csv_text(header[:1] + header[3:], [row[:1] + row[3:] for row in rows]))
     header, rows = _read_csv(tmp_path / "chain_phase_m4.csv")
     rows[100, 1] *= 1.0 + 4e-15
     (tmp_path / "chain_phase_m4.csv").write_text(_csv_text(header, rows))
-    header, rows = _read_csv(tmp_path / "chain_phase_m7.csv")
-    (tmp_path / "chain_phase_m7_eigs.csv").write_text(
-        _csv_text(header[:1] + header[3:], [row[:1] + row[3:] for row in rows])
-    )
     faults = demo_output_faults(tmp_path)
     assert len(faults) == 2
     assert faults[0].startswith("chain_phase_m4 row 101 E: ")
     assert faults[1] == "chain_phase_m7_eigs: not the x and eig_* columns of chain_phase_m7.csv"
-
-
-if __name__ == "__main__":
-    found = demo_output_faults(Path(sys.argv[1]))
-    for fault in found:
-        print(fault, file=sys.stderr)
-    sys.exit(1 if found else 0)

@@ -1,4 +1,4 @@
-"""Smoke checks: the public names resolve and every demo runs."""
+"""Smoke checks: the public names resolve, and every demo runs and writes the reference figures."""
 from __future__ import annotations
 
 import ast
@@ -6,11 +6,10 @@ import importlib.util
 import shutil
 from pathlib import Path
 
-import pytest
-
 import entdist
 
 from child import python_child
+from test_reference_csv import demo_output_faults
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,18 +51,16 @@ def test_every_allclose_check_passes_rtol_and_refuses_nan():
     assert bare == [], f"assert_allclose without rtol and equal_nan=False at {', '.join(bare)}"
 
 
-DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
+def test_demos_run_and_write_the_reference_figures(tmp_path):
+    """Every demo runs, in order, from one copy of demos/, and writes the figure data of tests/reference.
 
-
-@pytest.mark.parametrize("demo", DEMOS)
-def test_demo_runs(demo, tmp_path):
-    """Each demo runs from a copy of demos/, so its CSVs land under tmp_path.
-
-    A numpy RuntimeWarning fails the demo, as ``pyproject.toml`` makes it fail the suite.
+    The CSVs land under the copy's output/, where
+    ``test_reference_csv.demo_output_faults`` finds no fault.  A numpy
+    RuntimeWarning fails the demo, as ``pyproject.toml`` makes it fail the
+    suite.
     """
-    ignore = shutil.ignore_patterns("output")
-    demos = shutil.copytree(ROOT / "demos", tmp_path / "demos", ignore=ignore)
-    proc = python_child(
-        ["-W", "error::RuntimeWarning", str(demos / demo)], cwd=tmp_path, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
+    demos = shutil.copytree(ROOT / "demos", tmp_path / "demos", ignore=shutil.ignore_patterns("output"))
+    for demo in sorted(demos.glob("*.py")):
+        proc = python_child(["-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, f"{demo.name}: {proc.stderr}"
+    assert demo_output_faults(demos / "output") == []
