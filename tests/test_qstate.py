@@ -1,8 +1,10 @@
-"""State-vector core: basis bookkeeping, validation, local operators, Haar draws, state files.
+"""State-vector core: basis bookkeeping, validation, local operators, expectations, Haar draws, state files.
 
 The Bloch vector of each qubit is checked against dense operators in
 ``test_metric.py::TestWVectors``, and the metric's pair correlations
-against the dense covariance in ``test_metric.py::TestMetricMatrix``.
+against the dense covariance in ``test_metric.py::TestMetricMatrix``;
+the cases here pin the eigenstates of one qubit and the factorization
+on product states.
 """
 from __future__ import annotations
 
@@ -23,10 +25,30 @@ from entdist import (
     read_state_file,
     write_state_file,
 )
-from entdist.qstate import UNIT_TOL, _haar_unitary, _signs
+from entdist.qstate import UNIT_TOL, _haar_unitary, _signs, bilinears, bloch_vectors
 from entdist.verify import HAAR_DRAW_GAP
 
-from oracles import HADAMARD, SX, dense_qubit_operator, random_state
+from oracles import HADAMARD, SX, dense_qubit_operator, random_product_state, random_state
+
+X = np.array([1.0, 0.0, 0.0])
+Z = np.array([0.0, 0.0, 1.0])
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
+def _expectation(state: StateVector, qubit: int, v: np.ndarray) -> float:
+    """<v . sigma^qubit> as the kernel's Bloch vector of the qubit dotted with v."""
+    return float(bloch_vectors(*bilinears(state.amplitudes))[qubit] @ v)
+
+
+def _pair_correlation(state: StateVector, qa: int, va: np.ndarray, qb: int, vb: np.ndarray):
+    """<(va . sigma^qa)(vb . sigma^qb)> = 4 g[qa, qb] + <A_qa><A_qb>, from the metric."""
+    dirs = np.tile(Z, (state.num_qubits, 1))
+    dirs[qa], dirs[qb] = va, vb
+    g = metric_matrix(state, dirs)
+    return 4.0 * g[qa, qb] + _expectation(state, qa, va) * _expectation(state, qb, vb)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +240,37 @@ class TestApplyLocalUnitary:
         ab = apply_local_unitary(apply_local_unitary(s, 0, ua), 2, ub)
         ba = apply_local_unitary(apply_local_unitary(s, 2, ub), 0, ua)
         np.testing.assert_allclose(ab.amplitudes, ba.amplitudes, rtol=0, atol=1e-12, equal_nan=False)
+
+
+# ---------------------------------------------------------------------------
+# expectations
+# ---------------------------------------------------------------------------
+
+
+class TestPauliExpectation:
+    """<v . sigma> of one qubit is the kernel's Bloch vector dotted with v."""
+
+    def test_sigma3_eigenstates(self):
+        assert _expectation(make_basis_state(1, 0), 0, Z) == pytest.approx(1.0, abs=1e-15)
+        assert _expectation(make_basis_state(1, 1), 0, Z) == pytest.approx(-1.0, abs=1e-15)
+
+    def test_sigma1_eigenstate(self):
+        plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
+        assert _expectation(plus, 0, X) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestPauliPairCorrelation:
+    """<(va . sigma^a)(vb . sigma^b)> from the metric's covariance entry."""
+
+    def test_factorizes_on_product_states(self):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            s = StateVector(3, random_product_state(3, rng))
+            va = _unit(rng.normal(size=3))
+            vb = _unit(rng.normal(size=3))
+            corr = _pair_correlation(s, 0, va, 2, vb)
+            product = _expectation(s, 0, va) * _expectation(s, 2, vb)
+            assert abs(corr - product) < 1e-12
 
 
 # ---------------------------------------------------------------------------

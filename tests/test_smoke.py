@@ -6,6 +6,8 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+import pytest
+
 import entdist
 
 from child import python_child
@@ -51,16 +53,33 @@ def test_every_allclose_check_passes_rtol_and_refuses_nan():
     assert bare == [], f"assert_allclose without rtol and equal_nan=False at {', '.join(bare)}"
 
 
-def test_demos_run_and_write_the_reference_figures(tmp_path):
-    """Every demo runs, in order, from one copy of demos/, and writes the figure data of tests/reference.
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
 
-    The CSVs land under the copy's output/, where
-    ``test_reference_csv.demo_output_faults`` finds no fault.  A numpy
-    RuntimeWarning fails the demo, as ``pyproject.toml`` makes it fail the
-    suite.
+
+@pytest.fixture(scope="module")
+def demo_runs(tmp_path_factory):
+    """Every demo run once, in order, from one copy of demos/: the copy's output/ and each demo's process.
+
+    A numpy RuntimeWarning fails the demo, as ``pyproject.toml`` makes it
+    fail the suite.
     """
+    tmp_path = tmp_path_factory.mktemp("demos")
     demos = shutil.copytree(ROOT / "demos", tmp_path / "demos", ignore=shutil.ignore_patterns("output"))
-    for demo in sorted(demos.glob("*.py")):
-        proc = python_child(["-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, capture_output=True, text=True)
-        assert proc.returncode == 0, f"{demo.name}: {proc.stderr}"
-    assert demo_output_faults(demos / "output") == []
+    procs = {
+        demo: python_child(["-W", "error::RuntimeWarning", str(demos / demo)], cwd=tmp_path, capture_output=True, text=True)
+        for demo in DEMOS
+    }
+    return demos / "output", procs
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, demo_runs):
+    proc = demo_runs[1][demo]
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_demos_write_the_reference_figures(demo_runs):
+    """The CSVs the demos write, where ``test_reference_csv.demo_output_faults`` finds no fault."""
+    output, procs = demo_runs
+    assert [demo for demo, proc in procs.items() if proc.returncode != 0] == []
+    assert demo_output_faults(output) == []
