@@ -24,8 +24,9 @@ state gets the same bits alone or in a batch.  The owners:
 - ``_frame_metric``: the direction-frame kernel, for a state of several
   rows, and its identity rule; ``_frame_passes`` plans its passes, within
   ``_block_bits``.
-- ``_turns``, ``_rotate``, ``_kron_factors`` and ``_kron_groups``: the
-  Kronecker turns of the frame kernel and of ``verify``'s dressings.
+- ``_turns``, ``_rotate``, ``_kron_factors``, ``_kron_spec`` and
+  ``_kron_groups``: the Kronecker turns of the frame kernel and of
+  ``verify``'s dressings.
 - ``_metric_from_moments`` and ``_diagonal``: g from the moments, for both kernels.
 - ``check_metrics``: the checks and spectra of metrics; ``EntanglementMetric``
   and ``spectrum`` read its one set of eigenvalues.
@@ -375,29 +376,31 @@ def _kron_groups(n: int) -> list[int]:
     return [min(KRON_BITS, n - lo) for lo in range(0, n, KRON_BITS)]
 
 
-_ROWS, _COLS = "ikmoqsuw"[:KRON_BITS], "jlnprtvx"[:KRON_BITS]  # each unitary's row and column index
-# a full group's einsum, highest qubit first: "gij,gkl,gmn,gop->gikmojlnp" for groups of four, so
-# f[g, (i k m o), (j l n p)] = u3[i, j] u2[k, l] u1[m, n] u0[o, p]
-_KRON_SPEC = ",".join(f"g{i}{j}" for i, j in zip(_ROWS, _COLS)) + f"->g{_ROWS}{_COLS}"
+def _kron_spec(b: int) -> str:
+    """The einsum of a group of b <= KRON_BITS qubits, highest first: "gij,gkl,gmn,gop->gikmojlnp" at b = 4.
+
+    So f[g, (i k m o), (j l n p)] = u3[i, j] u2[k, l] u1[m, n] u0[o, p],
+    and a shorter group's spec is this one cut to its b unitaries.
+    """
+    rows, cols = "ikmoqsuw"[:b], "jlnprtvx"[:b]  # each unitary's row and column index
+    return ",".join(f"g{i}{j}" for i, j in zip(rows, cols)) + f"->g{rows}{cols}"
 
 
 def _kron_factors(u: np.ndarray, qubits: list[int]) -> list[np.ndarray]:
     """Kronecker products of the unitaries of ``qubits``, one per group of ``_kron_groups``, lowest first.
 
     Each factor has its group's highest qubit as the most significant bit.
-    Every full group's factor comes from one einsum, ``_KRON_SPEC``, over
-    the groups' (G, KRON_BITS, 2, 2) unitaries; only a short last group
-    takes np.kron.
+    The groups of one size, the full ones and then a short last one, take
+    one einsum, ``_kron_spec`` of their size, over their (G, b, 2, 2)
+    unitaries.
     """
-    full = _kron_groups(len(qubits)).count(KRON_BITS) * KRON_BITS
-    groups = u[qubits[:full]].reshape(-1, KRON_BITS, 2, 2)
-    f = np.einsum(_KRON_SPEC, *(groups[:, q] for q in reversed(range(KRON_BITS))))
-    factors = list(f.reshape(-1, 1 << KRON_BITS, 1 << KRON_BITS))
-    if full < len(qubits):
-        last = np.ones((1, 1))
-        for q in reversed(qubits[full:]):
-            last = np.kron(last, u[q])
-        factors.append(last)
+    sizes, factors, lo = _kron_groups(len(qubits)), [], 0
+    for b in sorted(set(sizes), reverse=True):
+        n = sizes.count(b)
+        groups = u[qubits[lo : lo + n * b]].reshape(n, b, 2, 2)
+        f = np.einsum(_kron_spec(b), *(groups[:, q] for q in reversed(range(b))))
+        factors += list(f.reshape(n, 1 << b, 1 << b))
+        lo += n * b
     return factors
 
 

@@ -4,10 +4,12 @@ Everything here recomputes quantities by a route the library does not use:
 dense kron-built operators, literal per-index sums, a hand-rolled cyclic
 Jacobi eigensolver, the projector-product construction of the diagonal
 chain-phase operator, pair-by-pair adjacent-pair counts, the analytic
-two- and three-qubit chain-phase metric forms and the metric of a
+two- and three-qubit chain-phase metric forms, the metric of a
 permutation-symmetric state from (M + 1) x (M + 1) collective-spin
-matrices.  Beside each metric oracle stands its share of a check's bound,
-its own rounding (``dense_share``, ``pairwise_share``, ``spin_share``): a
+matrices and the metric of a graph state from its stabilizer group.
+Beside each metric oracle stands its share of a check's bound, its own
+rounding (``dense_share``, ``pairwise_share``, ``spin_share``,
+``graph_share``): a
 check holds a kernel's entry to ``metric.entry_tol(M)`` plus that share.
 Basis convention matches the library: bit nu of the index k is qubit nu,
 composite kron order is qubit M-1 (MSB) first.
@@ -372,3 +374,120 @@ def spin_share(m: int) -> float:
     """
     u = np.finfo(float).eps / 2.0
     return 3.6 * u + 3 * (m + 14) * float(np.finfo(np.longdouble).eps) / 2.0
+
+
+def graph_amplitudes(m: int, edges) -> np.ndarray:
+    """2^m amplitudes of the graph state |G> = prod_(i,j) CZ_ij |+>^m: <x|G> = (-1)^(sum_E x_i x_j) 2^(-m/2).
+
+    Filled by rows of at most 2^14 indices.  With x = (h, l), l the w low
+    bits of the index and h the high ones, the exponent is the sum over the
+    edges among the low qubits, one array over the 2^w values of l, plus,
+    per row h, the edges among the high qubits and l . c(h) over the
+    edges across, c(h) the low neighbours of the set high qubits: so no
+    index array longer than a row is held.
+    """
+    w = min(m, 14)
+    low = np.arange(1 << w)
+    low_parity = np.zeros(1 << w, dtype=np.int64)
+    cross = [0] * m  # for a high qubit, the mask of its low neighbours
+    high_edges = []
+    for i, j in edges:
+        i, j = min(i, j), max(i, j)
+        if j < w:
+            low_parity += (low >> i) & (low >> j) & 1
+        elif i < w:
+            cross[j] ^= 1 << i
+        else:
+            high_edges.append((i, j))
+    low_sign = 1.0 - 2.0 * (low_parity & 1)
+    scale = 0.5 ** (m // 2) * (math.sqrt(0.5) if m % 2 else 1.0)  # 2^(-m/2), rounded once
+    amps = np.empty(1 << m, dtype=complex)
+    for h in range(1 << (m - w)):
+        x = h << w
+        mask = 0
+        for j in range(w, m):
+            if (x >> j) & 1:
+                mask ^= cross[j]
+        flip = sum((x >> i) & (x >> j) & 1 for i, j in high_edges) & 1
+        sign = low_sign * (1.0 - 2.0 * (np.bitwise_count(low & mask) & 1))
+        amps[x : x + (1 << w)] = (-scale if flip else scale) * sign
+    return amps
+
+
+def _pauli_product(p, q):
+    """(x, z, k) of i^k X^x Z^z, qubit by qubit X first, for the product of two such triples.
+
+    Z^z1 X^x2 = (-1)^|z1 & x2| X^x2 Z^z1, so the phases add with 2 |z1 & x2|.
+    """
+    (x1, z1, k1), (x2, z2, k2) = p, q
+    return x1 ^ x2, z1 ^ z2, (k1 + k2 + 2 * bin(z1 & x2).count("1")) % 4
+
+
+def _graph_expectation(generators, pauli) -> int:
+    """<G|P|G> of a Pauli string P = i^k X^x Z^z, x and z bit masks: +1, -1 or 0.
+
+    The stabilizer group of |G> is generated by K_a = X_a Z_N(a) (Hein,
+    Eisert and Briegel, PRA 69, 062311 (2004)), and the product of the
+    K_a over a set A has X part A: so S_x, the product over the qubits of
+    x, is the one element that can equal +-P.  If its Z part is z, P =
+    i^(k - k_S) S_x and <P> = i^(k - k_S), a sign; otherwise P anticommutes
+    with some element of the group and <P> = 0.
+    """
+    x, z, k = pauli
+    s = (0, 0, 0)
+    for a, g in enumerate(generators):
+        if (x >> a) & 1:
+            s = _pauli_product(s, g)
+    if s[1] != z:
+        return 0
+    phase = (k - s[2]) % 4
+    assert phase in (0, 2), "a Hermitian Pauli string has a real expectation"
+    return 1 - phase  # i^0 = 1, i^2 = -1
+
+
+def graph_metric(m: int, edges, dirs) -> np.ndarray:
+    """The (m, m) metric of the graph state of ``edges`` at a field ``dirs`` (m, 3), from its stabilizer group.
+
+    Each <sigma_a^mu> and <sigma_a^mu sigma_b^nu> is +1, -1 or 0
+    (``_graph_expectation``), with sigma_x = X, sigma_y = i X Z and
+    sigma_z = Z.  With the Bloch vectors b and correlations T exact and
+    e_mu = v^mu . b^mu, g[mu, nu] = (v^mu . T^(mu nu) v^nu - e_mu e_nu) / 4
+    and g[mu, mu] = (1 - e_mu^2) / 4, the field's products taken in
+    ``np.longdouble`` and rounded once to float64.
+    """
+    nbrs = [0] * m
+    for i, j in edges:
+        nbrs[i] |= 1 << j
+        nbrs[j] |= 1 << i
+    generators = [(1 << a, nbrs[a], 0) for a in range(m)]
+    axes = [(1, 0, 0), (1, 1, 1), (0, 1, 0)]  # sigma_x, sigma_y, sigma_z as (x, z, k) on one qubit
+
+    def on(mu, axis):
+        x, z, k = axes[axis]
+        return x << mu, z << mu, k
+
+    b = np.array([[_graph_expectation(generators, on(mu, a)) for a in range(3)] for mu in range(m)])
+    v = np.asarray(dirs, dtype=np.longdouble)
+    e = np.sum(v * b, axis=1)
+    g = np.diag((1 - e**2) / 4)
+    for mu in range(m):
+        for nu in range(mu + 1, m):
+            t = np.array([[_graph_expectation(generators, _pauli_product(on(mu, a), on(nu, c))) for c in range(3)]
+                          for a in range(3)])
+            g[mu, nu] = g[nu, mu] = (v[mu] @ (t @ v[nu]) - e[mu] * e[nu]) / 4
+    return g.astype(float)
+
+
+def graph_share(m: int) -> float:
+    """Rounding bound of one ``graph_metric`` entry against the state of ``graph_amplitudes``.
+
+    The error model of ``metric.entry_tol``.  Every amplitude is the one
+    rounding of 2^(-m/2), so the state is off by at most u in 2-norm from
+    |G>, each moment of a +-1-valued product by at most 2 u, and an entry
+    (c - e_mu e_nu) / 4 by at most 1.5 u.  In ``np.longdouble``, u_x =
+    2^-64 on x86-64, a Bloch component and T's entries are exact, e is
+    within 3.5 u_x, v^mu . T v^nu within 15 u_x and e_mu e_nu within 8 u_x,
+    so an entry within 7 u_x; the cast to float64 adds u |g| <= u / 4.
+    """
+    u = np.finfo(float).eps / 2.0
+    return 1.75 * u + 7 * float(np.finfo(np.longdouble).eps) / 2.0

@@ -18,6 +18,11 @@ A symmetric state of random coefficients is measured in a child held to
 the same limits and checked against the collective-spin oracle, as
 ``test_symmetric`` checks M = 2-24; it took 9 s and 1.04 GiB, its entries
 within 3.6e-16 of the oracle's and its eigenvalues within 2.1e-15.
+A star graph state's metric at a random field is taken in a child held to
+the same limits and checked against the stabilizer oracle, as
+``test_graph_states`` checks M = 2-24: the gate on a dense state whose
+every qubit is turned; it took 9 s and 1.04 GiB, its entries within
+3.3e-16 of the oracle's.
 Each peak is its own child's ``ru_maxrss``, read by
 ``os.wait4`` when the child is reaped, so the tests may run in any order.
 """
@@ -38,6 +43,8 @@ from entdist.verify import OPTIMIZER_TOL, bloch_tol, invariance_tol
 
 from child import python_child
 from oracles import random_state
+from test_graph_states import assert_matches_graph_oracle, graph_edges
+from test_metric import _random_directions
 from test_products import assert_splits_into_factors
 from test_symmetric import _coefficients, assert_matches_spin_oracle
 
@@ -50,6 +57,7 @@ SPARSE_WALL_LIMIT_S = 6.0
 VERIFY_WALL_FACTOR = 2.0
 VERIFY_PEAK_RSS_LIMIT = 2.2 * 2**30
 PRODUCT_SEED = 2626
+GRAPH_SEED = 2627
 
 # Run with the seed and n: two n-qubit Haar states of the seed's generator, A and B, with
 # A's qubit i on position 2i + 1 and B's on 2i, built by one einsum straight into the
@@ -78,6 +86,17 @@ from oracles import symmetric_amplitudes
 re, im = json.loads(sys.argv[1])
 c = np.array(re) + 1j * np.array(im)
 print(json.dumps(entanglement_metric(StateVector(len(c) - 1, symmetric_amplitudes(c))).to_dict()))
+"""
+
+# Run with [m, edges, dirs] as JSON: the graph state of ``oracles.graph_amplitudes``; prints its
+# metric at the field dirs as JSON.
+_GRAPH_CHILD = """
+import json, sys
+import numpy as np
+from entdist import StateVector, metric_matrix
+from oracles import graph_amplitudes
+m, edges, dirs = json.loads(sys.argv[1])
+print(json.dumps(metric_matrix(StateVector(m, graph_amplitudes(m, edges)), np.array(dirs)).tolist()))
 """
 
 
@@ -202,6 +221,25 @@ def test_symmetric_state_at_max_qubits(tmp_path):
     assert record["m"] == M
     g = np.reshape(record["matrix"], (M, M))
     assert_matches_spin_oracle(c, g, record["directions"], record["measure"], record["eigenvalues"])
+    assert wall <= WALL_LIMIT_S and peak <= PEAK_RSS_LIMIT, (
+        f"wall time {wall:.1f} s (limit {WALL_LIMIT_S:.0f} s), "
+        f"peak RSS {peak / 2**30:.2f} GiB (limit {PEAK_RSS_LIMIT / 2**30:.1f} GiB)"
+    )
+
+
+def test_star_graph_state_at_max_qubits(tmp_path):
+    """A star graph state, its vertices relabelled, at a random field, against the stabilizer oracle.
+
+    Every amplitude is +-2^-13 and every direction lies off every axis,
+    so every pass of the plan turns full factors and no block is skipped.
+    The child is held to ``measure``'s limits; the oracle runs here: every
+    entry within ``entry_tol(M)`` plus ``graph_share(M)``.
+    """
+    rng = np.random.default_rng(GRAPH_SEED)
+    edges, dirs = graph_edges("star", M, rng), _random_directions(rng, M)
+    code, out, err, wall, peak = _run_child(_GRAPH_CHILD, [json.dumps([M, edges, dirs.tolist()])], tmp_path)
+    assert code == 0, err
+    assert_matches_graph_oracle(M, edges, dirs, np.array(json.loads(out)))
     assert wall <= WALL_LIMIT_S and peak <= PEAK_RSS_LIMIT, (
         f"wall time {wall:.1f} s (limit {WALL_LIMIT_S:.0f} s), "
         f"peak RSS {peak / 2**30:.2f} GiB (limit {PEAK_RSS_LIMIT / 2**30:.1f} GiB)"

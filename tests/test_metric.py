@@ -531,7 +531,7 @@ class TestDirectionFrameMetric:
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_kron_factors_match_the_kron_chain(self, n):
-        """The einsum-built full factors and the short last one, against np.kron of each group of ``_kron_groups``."""
+        """The einsum-built factors, full and short, against np.kron of each group of ``_kron_groups``."""
         u = _frame_unitaries(_random_directions(np.random.default_rng(1450 + n), n))
         qubits = list(np.random.default_rng(n).permutation(n))
         factors = metric._kron_factors(u, qubits)
