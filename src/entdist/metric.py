@@ -30,7 +30,9 @@ state gets the same bits alone or in a batch.  The owners:
 - ``_metric_from_moments`` and ``_diagonal``: g from the moments, for both kernels.
 - ``check_metrics``: the checks and spectra of metrics; ``EntanglementMetric``
   and ``spectrum`` read its one set of eigenvalues.
-- ``trace_tol`` and ``entry_tol``: the rounding bounds of tr g - E and of one entry.
+- ``measure_tol``, ``trace_tol``, ``entry_tol`` and ``eig_tol``: the rounding bounds of
+  E, of tr g - E, of one entry and of one eigenvalue; ``_turn_gap``: the gap
+  that a plan's Kronecker turns add, for ``entry_tol`` and ``verify``.
 - ``entanglement_metric``, ``w_vectors``, ``metric_matrix``: the one-state calls.
 """
 from __future__ import annotations
@@ -68,6 +70,52 @@ PSD_TOL = 1e-10  # on how far the smallest eigenvalue lies below 0
 BLOCK_BITS = 3  # a block holds at most 2**BLOCK_BITS rows' worth of amplitudes (see _block_bits)
 KRON_BITS = 4  # a Kronecker factor turns at most this many qubits (see _kron_groups)
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u)."""
+    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+
+
+def _turn_gap(passes: list[tuple[range, range]]) -> float:
+    """Bound on the 2-norm gap that the Kronecker turns of the plan ``passes`` add to a unit vector.
+
+    The one error model of a turn by ``_kron_factors`` and ``_rotate``,
+    against the exact turn by the 2 x 2 unitaries as given.  However its
+    2n real products are ordered or fused, a complex inner product of n
+    terms is off by at most 2 gamma_2n sum |a_i| |b_i| (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3), so a turn x -> F x by a
+    d x d unitary adds at most 2 gamma_2d || |F| |x| ||_2 <= 2 gamma_2d
+    sqrt(d) to the error, |F| having 2-norm at most ||F||_F = sqrt(d).  A
+    unitary turn carries the earlier error with it unchanged, so the
+    turns' errors add.  ``_kron_factors`` takes one factor per group of
+    ``_kron_groups`` of a pass's row bits, and of its column bits; the
+    factor of a group of b qubits, d = 2^b, is a product of b unitary
+    entries, b - 1 complex products each within 2 gamma_2 relatively, so
+    it is off by at most 2 (b - 1) gamma_2 sqrt(d) in the 2-norm as well:
+    304 u for a full group, b = 4.  math.fsum adds the groups' terms
+    exactly rounded, so two plans with the same groups in another order
+    give the same bound.  ``entry_tol`` takes it per pass of the frame
+    kernel, and ``verify.invariance_tol`` over the dressing's whole plan.
+    """
+    groups = [b for step in passes for bits in step for b in _kron_groups(len(bits))]
+    return math.fsum((2 * (b - 1) * _gamma(2) + 2 * _gamma(2 << b)) * math.sqrt(1 << b) for b in groups)
+
+
+def measure_tol(m: int) -> float:
+    """Largest rounding gap of E at m qubits, as ``measure_from_bilinears`` takes it from ``qstate.bilinears``.
+
+    The error model of ``trace_tol``, for a normalized state: each term
+    of a bilinear passes through at most n - 1 additions, n =
+    ``row_depth(m)``, and the magnitudes of a bilinear's terms add up to
+    at most 1 (Cauchy-Schwarz), so per qubit the term (w_3^2 + 4
+    |w_minus|^2)/4 of E is off by at most 0.61 n u.  The sum of the m
+    terms in turn, each at most 1, and its subtraction from m add at most
+    m^2 u / 4, which m^2 u / 2 covers twice over.  So E is within m (0.61
+    n + m/2) u: 1.9e-16 at m = 1, 1.4e-13 at m = 8 and 3.6e-11 at m =
+    26.  ``trace_tol`` and ``verify.invariance_tol`` take it.
+    """
+    return m * (0.61 * row_depth(m) + m / 2) * _UNIT_ROUNDOFF
 
 
 def trace_tol(m: int) -> float:
@@ -111,13 +159,13 @@ def trace_tol(m: int) -> float:
 
     Any pairing or blocking inside np.sum, einsum or a BLAS dot only
     shortens a path.  For a normalized state S <= 1 (Cauchy-Schwarz), so
-    per qubit the diagonal entry (1 - e^2)/4 is off by at most 0.71 n u and
-    the term (w_3^2 + 4 |w_minus|^2)/4 of E by 0.61 n u; the two sums over
-    the m qubits add m^2 u / 2.
+    per qubit the diagonal entry (1 - e^2)/4 is off by at most 0.71 n u,
+    and the sum of the m entries in turn adds m^2 u / 4; E is off by at
+    most ``measure_tol(m)`` = m (0.61 n + m/2) u.
 
     Above ROW_BITS qubits a diagonal entry is off by at most ``entry_tol(m)``
-    <= 0.75 (n + 720) u (see there), which adds at most 540 u per qubit
-    above 0.75 n u, below 0.04 n u.  The bound 2 m (n + m) u covers the
+    <= 0.75 (n + 2455) u (see there), which adds at most 1841 u per qubit
+    above 0.75 n u, below 0.12 n u.  The bound 2 m (n + m) u covers the
     sum in both cases with room to spare: at m = 20 it is 7.3e-11.  The
     largest gap measured on chain-phase (phi = 0.3), GHZ-like (theta =
     0.7, phase 0.2) and Haar states at m = 15-24 is 6.2e-14 (chain phase,
@@ -142,36 +190,58 @@ def entry_tol(m: int) -> float:
       Each moment is one ``qstate._dot``, of depth d = 2^m, or
       2^(ROW_BITS-1) + 1 at m = ROW_BITS.  So delta_e <= (d + 8) u and
       delta_c <= (d + 14) u, and an entry is off by at most 0.75 (d + 11) u.
-    * Above ROW_BITS qubits, the direction-frame kernel: each amplitude
-      passes through G Kronecker factors, one per group of
-      ``_kron_groups`` of the row bits J and of the column bits C of a
-      pass of ``_frame_passes``, and G the largest count over the plan.
-      A factor K of dimension d <= 2^KRON_BITS sums at most d complex
-      terms per output, so it moves a vector by at most gamma_(d+2)
-      || |K| ||_2 <= (d + 2) sqrt(d) u in 2-norm (|| |K| ||_F = sqrt(d)
-      for a d x d unitary), and p = |phi|^2 loses at most 2 (d + 2)
-      sqrt(d) u of its unit mass, 144 u at d = 16.  Its signed sums, the
-      blocks or strips of a pass in turn and then
-      ``qstate._spin_moments``, run no deeper than ``row_depth(m)`` (see
-      ``trace_tol``), so every <s_mu> and <s_mu s_nu> is within delta =
-      (row_depth(m) + 2 (d + 2) sqrt(d) G) u at d = 2^KRON_BITS, and an
-      entry within 0.75 delta.
+    * Above ROW_BITS qubits, the direction-frame kernel: each pass of
+      ``_frame_passes`` reads the state afresh and turns it, a block at a
+      time, by the Kronecker factors of its row bits and its column bits,
+      so its turned amplitudes phi lie within that pass's ``_turn_gap``
+      of their exact turn in the 2-norm, and p = |phi|^2 within twice that
+      of its unit mass.  Its signed sums, the blocks or strips of a pass
+      in turn and then ``qstate._spin_moments``, run no deeper than
+      ``row_depth(m)`` (see ``trace_tol``), so every <s_mu> and <s_mu
+      s_nu> is within delta = row_depth(m) u + 2 G, G the largest
+      ``_turn_gap`` of one pass of the plan, and an entry within 0.75
+      delta.
 
     ROW_BITS is read at call time, as ``qstate.row_view`` reads it.  The
     bound is 1.1e-15 at m = 1, 2.2e-14 at m = 8, 6.8e-13 at m = 14 and
-    1.4e-12 to 1.8e-12 at m = 15-26.  A check against an oracle adds the
+    1.5e-12 to 1.9e-12 at m = 15-26.  A check against an oracle adds the
     oracle's own rounding (``tests/oracles.py``).  The largest gap
     measured against the dense, pairwise and collective-spin oracles, at
     m = 1-22, is 4.6% of that sum for the one-row kernel (1.1e-16 at m =
-    1) and 0.41% for the frame kernel (5.9e-15 at m = 18).
+    1) and 0.37% for the frame kernel (5.9e-15 at m = 18).
     """
     k = qstate.ROW_BITS
     if m > k:
-        factors = max(len(_kron_groups(len(j))) + len(_kron_groups(len(c))) for j, c in _frame_passes(m, k))
-        d = 1 << KRON_BITS  # the largest factor's dimension
-        return 0.75 * (row_depth(m) + 2 * (d + 2) * math.sqrt(d) * factors) * _UNIT_ROUNDOFF
+        turn = max(_turn_gap([step]) for step in _frame_passes(m, k))
+        return 0.75 * (row_depth(m) * _UNIT_ROUNDOFF + 2.0 * turn)
     depth = 1 << m if m < k else (1 << (k - 1)) + 1  # one run of _dot, or two and their sum
     return 0.75 * (depth + 11) * _UNIT_ROUNDOFF
+
+
+def eig_tol(m: int) -> float:
+    """Largest rounding gap of one eigenvalue of an m-qubit metric, as ``check_metrics`` takes it.
+
+    Two shares, for a state normalized to working precision at a field of
+    unit rows.  Weyl's inequality: every entry of the computed g is within
+    ``entry_tol(m)`` of the exact one, so g is within m entry_tol(m) in
+    the 2-norm (||D||_2 <= m max |D_ij|), and so is each eigenvalue.
+    eigvalsh (LAPACK's syevd) is backward stable: its eigenvalues are the
+    exact ones of g + F, ||F||_2 <= p(m) u ||g||_2 with p a modestly
+    growing function of m (LAPACK Users' Guide, sec. 4.7), taken here as
+    4 m; and ||g||_2 <= tr g <= m/4, g being positive semidefinite with
+    its diagonal in [0, 1/4].  So each eigenvalue is within m (entry_tol(m)
+    + m u): 1.2e-15 at m = 1, 1.9e-13 at m = 8 and 5.0e-11 at m = 26, of
+    which eigvalsh's share is at most 17% (m = 3) and below 1% from m =
+    11 on.  A check against an oracle adds m times the oracle's share of
+    an entry, or its own rounding of a closed form.
+
+    The bound is for the rounding alone.  A state whose norm is off by
+    delta moves the moments by delta, and a product state's smallest
+    eigenvalue to -(m - 1) delta / 4: -1.6e-12 at m = 8 for the delta =
+    0.9e-12 that ``qstate.NORM_TOL`` accepts, against 1.9e-13.  So
+    ``check_metrics`` keeps its absolute ``PSD_TOL``.
+    """
+    return m * (entry_tol(m) + m * _UNIT_ROUNDOFF)
 
 
 def check_metrics(g: np.ndarray, measure, at: tuple[str, np.ndarray] | None = None) -> np.ndarray:
@@ -685,14 +755,25 @@ def spectrum(em: EntanglementMetric, rank_tol: float = DEFAULT_RANK_TOL) -> Spec
     return Spectrum(em.eigenvalues, rank_tol)
 
 
+def _field_traces(dirs: np.ndarray, bloch: np.ndarray) -> np.ndarray:
+    """Metric traces (...) at direction fields ``dirs`` (..., M, 3), the state's Bloch vectors ``bloch`` (..., M, 3).
+
+    The one formula of the trace at a field, for ``distance_density`` and
+    ``verify``'s ascent: e = v . b, its products added in component
+    order, then ``_diagonal`` of e, then the diagonal entries added in
+    qubit order.  So a field gets the bits that Python floats would give
+    it, alone or in a batch.
+    """
+    p = dirs * bloch
+    return np.add.accumulate(_diagonal(p[..., 0] + p[..., 1] + p[..., 2]), axis=-1)[..., -1]
+
+
 def distance_density(state: StateVector, dirs: np.ndarray) -> float:
     """Metric trace ds^2/dr^2 at an (M, 3) direction field; bounded below by E.
 
     Only the diagonal contributes to the trace, so this runs in O(M 2^M)
-    without assembling the full matrix: <A_nu> = v^nu . b^nu, and the
-    diagonal entries ``_diagonal`` gives are added in qubit order.
+    without assembling the full matrix: <A_nu> = v^nu . b^nu, and
+    ``_field_traces`` adds the diagonal entries.
     """
-    dirs = validate_directions(dirs, (state.num_qubits, 3)).tolist()
-    bloch = bloch_vectors(*w_vectors(state)).tolist()
-    e = [v1 * b1 + v2 * b2 + v3 * b3 for (v1, v2, v3), (b1, b2, b3) in zip(dirs, bloch)]
-    return float(np.add.accumulate(_diagonal(e))[-1])
+    dirs = validate_directions(dirs, (state.num_qubits, 3))
+    return float(_field_traces(dirs, bloch_vectors(*w_vectors(state))))

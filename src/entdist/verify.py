@@ -15,12 +15,11 @@ The owners:
 - ``minimize_trace_numeric``: the ascent.
 - ``reduced_density_matrix``: the partial trace; ``bloch_tol`` its bound.
 - ``_dressings``: the dressings and their memory; ``_dress_passes`` plans
-  them, ``_dress_gap`` bounds the plan and ``invariance_tol`` holds
+  them, ``metric._turn_gap`` bounds the plan and ``invariance_tol`` holds
   ``invariance_check`` to that bound.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -29,10 +28,12 @@ import numpy as np
 from .metric import (
     _UNIT_ROUNDOFF,
     _block_bits,
-    _kron_groups,
+    _field_traces,
+    _turn_gap,
     _turns,
     entanglement_measure,
     measure_from_bilinears,
+    measure_tol,
     w_vectors,
 )
 from .qstate import (
@@ -83,8 +84,9 @@ def minimize_trace_numeric(state: StateVector, restarts: int = DEFAULT_RESTARTS,
     on Matrix Manifolds, 2008).  Only rows whose gradient norm is at least
     ``GRADIENT_TOL``, a fixed threshold, move, which keeps a vanishing L
     out of the division; the ascent stops when none does (``converged``)
-    or after ``MAX_STEPS`` steps (``iterations`` counts them).
-    Deterministic for a fixed seed; the best restart wins.
+    or after ``MAX_STEPS`` steps (``iterations`` counts them).  Each
+    restart's trace is ``metric._field_traces``, ``distance_density``'s
+    formula.  Deterministic for a fixed seed; the best restart wins.
     """
     restarts, seed = validate_count("restarts", restarts, 1), validate_count("seed", seed, 0)
     return _minimize_trace(bloch_vectors(*w_vectors(state)), restarts, seed)
@@ -103,8 +105,7 @@ def _minimize_trace(bloch: np.ndarray, restarts: int, seed: int) -> OptimizerRep
             break
         moved = v[active] + grad[active] / lipschitz[active.nonzero()[1], None]
         v[active] = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
-    # clipped, as ``distance_density`` clamps 1 - e^2 at 0: rounding in |b| can push (v . b)^2 past 1
-    values = 0.25 * np.sum(1.0 - np.clip(proj[..., 0], -1.0, 1.0) ** 2, axis=-1)
+    values = _field_traces(v, bloch)
     best = int(np.argmin(values))
     return OptimizerReport(float(values[best]), v[best], not active.any(), steps)
 
@@ -218,9 +219,9 @@ def invariance_tol(m: int) -> float:
     ``HAAR_DRAW_GAP`` = 16 u a draw (``tests/test_qstate.py`` holds the
     draws to it).  So U is within m ``HAAR_DRAW_GAP`` of the unitary W =
     W_{M-1} x ... x W_0 in the 2-norm.  The dressing computes U times the
-    state within ``_dress_gap`` of its plan at the dressings' block budget,
-    so the dressed vector lies within delta = ``_dress_gap`` + m
-    ``HAAR_DRAW_GAP`` of W times the state.
+    state within ``metric._turn_gap`` of its plan at the dressings' block
+    budget, so the dressed vector lies within delta = ``metric._turn_gap``
+    + m ``HAAR_DRAW_GAP`` of W times the state.
 
     * The change in E: W turns each Bloch vector b_nu by a rotation, so E
       of W times the state is E.  For a unit v, v . b_nu is the
@@ -229,19 +230,16 @@ def invariance_tol(m: int) -> float:
       moves by at most 2 delta too, and |b_nu|^2 <= 1 by at most 4 delta.
       E = (m - sum_nu |b_nu|^2) / 4, clamped at 0, so it moves by at most
       m delta.
-    * E's own rounding, for each of the two E values, both taken by
-      ``measure_from_bilinears`` of ``bilinears``: 0.61 n u per qubit, n =
-      ``row_depth(m)``, as ``metric.trace_tol`` derives for this route,
-      and m^2 u / 2 for the sum over the qubits, trace_tol's figure for
-      two such sums.
+    * E's own rounding, ``metric.measure_tol(m)`` for each of the two E
+      values, both taken by ``measure_from_bilinears`` of ``bilinears``.
 
-    The bound m delta + m (1.22 n + m) u is 3.4e-15 at m = 1, 5.8e-14 at
+    The bound m delta + 2 measure_tol(m) is 3.4e-15 at m = 1, 5.8e-14 at
     m = 3, 3.8e-11 at m = 16, 4.8e-11 at m = 20 and 7.9e-11 at m = 26.
     The dressing's share m delta is the larger up to m = 9, E's rounding
     from m = 10 on: m delta is 2.6e-12 of the 3.8e-11 at m = 16.
     """
-    delta = _dress_gap(_dress_passes(m, _block_bits(ROW_BITS))) + m * HAAR_DRAW_GAP
-    return m * delta + m * (1.22 * row_depth(m) + m) * _UNIT_ROUNDOFF
+    delta = _turn_gap(_dress_passes(m, _block_bits(ROW_BITS))) + m * HAAR_DRAW_GAP
+    return m * delta + 2.0 * measure_tol(m)
 
 
 def _dress_passes(m: int, b: int) -> list[tuple[range, range]]:
@@ -255,32 +253,6 @@ def _dress_passes(m: int, b: int) -> list[tuple[range, range]]:
     """
     low = min(m, b)
     return [(range(low, low), range(low))] + [(range(s, min(s + b, m)), range(0)) for s in range(low, m, b)]
-
-
-def _gamma(n: int) -> float:
-    """Higham's gamma_n = n u / (1 - n u)."""
-    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
-
-
-def _dress_gap(passes: list[tuple[range, range]]) -> float:
-    """Bound on the 2-norm gap of a unit vector dressed by the plan ``passes`` from its exact dressing.
-
-    The exact dressing is by the unitaries as given.  However its 2n real
-    products are ordered or fused, a complex inner product of n terms is
-    off by at most 2 gamma_2n sum |a_i| |b_i| (Higham, ch. 3), so a turn
-    x -> F x by a d x d unitary adds at most 2 gamma_2d || |F| |x| ||_2 <=
-    2 gamma_2d sqrt(d) to the error, |F| having 2-norm at most ||F||_F =
-    sqrt(d).  A unitary turn carries the earlier error with it unchanged,
-    so the turns' errors add.  ``metric._kron_factors`` takes one factor
-    per group of ``metric._kron_groups`` of a pass's row bits, and of its
-    column bits; the factor of a group of b qubits, d = 2^b, is a product
-    of b unitary entries, b - 1 complex products each within 2 gamma_2
-    relatively, so it is off by at most 2 (b - 1) gamma_2 sqrt(d) in the
-    2-norm as well.  math.fsum adds the groups' terms exactly rounded, so
-    two plans with the same groups in another order give the same bound.
-    """
-    groups = [b for step in passes for bits in step for b in _kron_groups(len(bits))]
-    return math.fsum((2 * (b - 1) * _gamma(2) + 2 * _gamma(2 << b)) * math.sqrt(1 << b) for b in groups)
 
 
 def _dress(work: np.ndarray, u: np.ndarray, buffers: list[np.ndarray]) -> None:

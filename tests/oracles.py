@@ -9,8 +9,9 @@ permutation-symmetric state from (M + 1) x (M + 1) collective-spin
 matrices and the metric of a graph state from its stabilizer group.
 Beside each metric oracle stands its share of a check's bound, its own
 rounding (``dense_share``, ``pairwise_share``, ``spin_share``,
-``graph_share``): a
-check holds a kernel's entry to ``metric.entry_tol(M)`` plus that share.
+``graph_share``): a check holds a kernel's entry to ``metric.entry_tol(M)``
+plus that share, and an eigenvalue to ``metric.eig_tol(M)`` plus M times
+it, or plus ``closed_form_share(M)`` against a closed form.
 Basis convention matches the library: bit nu of the index k is qubit nu,
 composite kron order is qubit M-1 (MSB) first.
 """
@@ -83,29 +84,48 @@ def bilinears_extended(amps: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray
 
 
 def covariance_metric_dense(amps: np.ndarray, m: int, dirs) -> np.ndarray:
-    """Metric entries from dense operators: (<AB> - <A><B>) / 4."""
-    ops = [dense_qubit_operator(m, nu, dense_direction_operator(v)) for nu, v in enumerate(dirs)]
-    means = [expectation_dense(amps, op) for op in ops]
+    """Metric entries from dense operators: (<A_mu A_nu> - <A_mu><A_nu>) / 4.
+
+    Each A_nu is a dense kron-built 2^m x 2^m matrix, applied to the state
+    once; <A_mu A_nu> is the inner product of the applied vectors A_mu|s>
+    and A_nu|s>, A_mu being Hermitian, so no product of two dense
+    operators is formed.
+    """
+    applied = [dense_qubit_operator(m, nu, dense_direction_operator(v)) @ amps for nu, v in enumerate(dirs)]
+    means = [float(np.vdot(amps, a).real) for a in applied]
     g = np.zeros((m, m))
     for mu in range(m):
         for nu in range(m):
-            g[mu, nu] = 0.25 * (expectation_dense(amps, ops[mu] @ ops[nu]) - means[mu] * means[nu])
+            g[mu, nu] = 0.25 * (float(np.vdot(applied[mu], applied[nu]).real) - means[mu] * means[nu])
     return g
 
 
 def dense_share(m: int) -> float:
-    """Rounding bound of one entry of ``covariance_metric_dense``: 0.75 (2^m + 14) u, u = 2^-53.
+    """Rounding bound of one entry of ``covariance_metric_dense``: 0.75 (2^m + 11) u, u = 2^-53.
 
     The error model of ``metric.entry_tol``.  Each v . sigma has exact
     entries (v_3, v_1 -+ i v_2), and a Kronecker product with identities
-    keeps them.  A row of A_nu holds two of them, and a row of A_mu A_nu
-    four products of them, each one complex product (two products and a
-    sum when mu = nu), so each applied vector is off by at most 6 u, and
-    (A_mu A_nu)|s> by at most 20 u, in 2-norm.  A zero term adds exactly.
-    ``np.vdot`` then sums 2^m terms, so <A_mu> is within (2^m + 8) u,
-    <A_mu A_nu> within (2^m + 22) u, and an entry within 0.75 (2^m + 14) u.
+    keeps them.  A row of A_nu holds two of them, and a zero term adds
+    exactly, so each applied vector A_nu|s> is off by at most 6 u in
+    2-norm.  ``np.vdot`` then sums 2^m terms, within gamma_(2^m + 2) of
+    the product of the two vectors' norms, each 1 since A_nu is unitary.
+    So <A_mu> is within (2^m + 8) u and <A_mu A_nu> within (2^m + 14) u,
+    and an entry within (2^m + 14 + 2 (2^m + 8) + 2) u / 4 = 0.75 (2^m +
+    32/3) u.
     """
-    return 0.75 * ((1 << m) + 14) * np.finfo(float).eps / 2.0
+    return 0.75 * ((1 << m) + 11) * np.finfo(float).eps / 2.0
+
+
+def closed_form_share(m: int) -> float:
+    """Rounding bound of a closed-form eigenvalue of an m-qubit metric: 4 m u, u = 2^-53.
+
+    A check holds a computed eigenvalue to ``metric.eig_tol(m)`` plus this.
+    The closed forms of the tests (GHZ-like (m/4) sin^2(2 theta), W's 1/m,
+    0) are at most m/4 and take a few roundings, each within 2 u of that
+    scale: m u.  A theta rounded within 2 u relative, at most pi/2, moves
+    (m/4) sin^2(2 theta), whose slope is at most m/2, by at most pi m u / 2.
+    """
+    return 4 * m * np.finfo(float).eps / 2.0
 
 
 def covariance_entry_pairwise(amps: np.ndarray, m: int, mu: int, v_mu, nu: int, v_nu) -> float:

@@ -13,7 +13,7 @@ import entdist.families
 import entdist.metric
 from entdist import FamilySpec, brs_state, ghzl_state, write_state_file
 from entdist.cli import SweepSpec, main, run_surface, run_sweep
-from entdist.metric import trace_tol
+from entdist.metric import eig_tol, trace_tol
 from entdist.verify import bloch_tol, invariance_tol, verify_state
 
 from child import python_child
@@ -78,14 +78,23 @@ class TestMeasure:
         assert json.loads(out)["measure"] == pytest.approx(0.75, abs=1e-12)
 
     def test_near_normalized_state_file(self, tmp_path, capsys):
-        """A basis state with |c|^2 = 1 + 0.9e-12 is within NORM_TOL, so valid and separable."""
+        """A basis state with |c|^2 = 1 + delta, delta = 0.9e-12, is within NORM_TOL, so valid and separable.
+
+        Its metric is -delta (J - I) / 4 to first order, so its smallest
+        eigenvalue is -(M - 1) delta / 4, below -``eig_tol(M)`` at M = 3 and
+        8: a positive-semidefiniteness check at ``eig_tol`` would refuse it,
+        which is why ``check_metrics`` keeps ``PSD_TOL``.
+        """
         path = tmp_path / "near.json"
-        re = [0.0] * 8
-        re[5] = float(np.sqrt(1.0 + 0.9e-12))
-        path.write_text(json.dumps({"m": 3, "re": re, "im": [0.0] * 8}))
-        code, out = run_cli(["measure", "--state-file", str(path)], capsys)
-        assert code == 0
-        assert json.loads(out)["measure"] == 0.0
+        for m in (3, 8):
+            re = [0.0] * (1 << m)
+            re[5] = float(np.sqrt(1.0 + 0.9e-12))
+            path.write_text(json.dumps({"m": m, "re": re, "im": [0.0] * (1 << m)}))
+            code, out = run_cli(["measure", "--state-file", str(path)], capsys)
+            assert code == 0
+            record = json.loads(out)
+            assert record["measure"] == 0.0
+            assert min(record["eigenvalues"]) < -eig_tol(m)
 
     @pytest.mark.parametrize(
         "spec",

@@ -21,7 +21,9 @@ import numpy as np
 
 from entdist import FamilySpec
 from entdist.cli import SweepSpec, _csv_text, run_sweep
-from entdist.metric import entry_tol
+from entdist.metric import eig_tol
+
+from oracles import closed_form_share
 
 REFERENCE = Path(__file__).resolve().parent / "reference"
 RTOL = 1e-15
@@ -55,12 +57,12 @@ def reference_mismatch(name: str, header: list[str], rows) -> str | None:
 
 
 def ghz_eigs_fault(directory: Path) -> str | None:
-    """The first eigenvalue of ``GHZ_EIGS`` that is off the GHZ-like closed form by more than M entry_tol(M).
+    """The first eigenvalue of ``GHZ_EIGS`` that is off the GHZ-like closed form by more than its bound.
 
     The GHZ-like state is rank one at the z field: with theta = x pi/2,
     eig_1 = (M/4) sin^2(2 theta) and eig_2 ... eig_M = 0.  Each computed
-    eigenvalue is within ||Delta g||_2 <= M max |Delta g_ij| of the exact
-    one (Weyl), and each entry within ``entry_tol(M)``: 8.1e-14 at M = 7.
+    eigenvalue is within ``eig_tol(M)`` of the exact one, and the closed
+    form within ``closed_form_share(M)``: 9.0e-14 at M = 7.
     """
     header, rows = _read_csv(directory / f"{GHZ_EIGS}.csv")
     names = ["x", *(f"eig_{i}" for i in range(1, GHZ_M + 1))]
@@ -69,7 +71,7 @@ def ghz_eigs_fault(directory: Path) -> str | None:
     expected = np.zeros((len(rows), GHZ_M))
     expected[:, 0] = GHZ_M / 4 * np.sin(2 * rows[:, 0] * math.pi / 2) ** 2
     gap = np.abs(rows[:, 1:] - expected)
-    bound = GHZ_M * entry_tol(GHZ_M)
+    bound = eig_tol(GHZ_M) + closed_form_share(GHZ_M)
     if not np.all(gap <= bound):
         row, col = np.argwhere(~(gap <= bound))[0]
         return f"{GHZ_EIGS} row {row + 1} {header[col + 1]}: {float(gap[row, col]):.3e} off the closed form, above {bound:.3e}"
@@ -122,4 +124,4 @@ def test_demo_output_check_passes_the_demos_files_and_names_each_fault(tmp_path)
     assert len(faults) == 3
     assert faults[0].startswith("chain_phase_m4 row 101 E: ")
     assert faults[1] == "chain_phase_m7_eigs: not the x and eig_* columns of chain_phase_m7.csv"
-    assert faults[2].startswith("ghz_like_m7_eigs row 71 eig_4: 1.000e-12 off the closed form, above 8.1")
+    assert faults[2].startswith("ghz_like_m7_eigs row 71 eig_4: 1.000e-12 off the closed form, above 8.957e-14")

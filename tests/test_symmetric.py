@@ -53,9 +53,11 @@ def assert_matches_spin_oracle(c, matrix, directions, measure: float, eigenvalue
     check keeps the bound it had before ``entry_tol``, ``trace_tol(m)`` up
     to ROW_BITS and ``entry_tol(m)`` plus ``pairwise_share(m)`` above.  E
     and the eigenvalues are held to the oracle's at its own direction,
-    within trace_tol(m) and trace_tol(m) + m eps E, the bound of
-    ``test_large._closed_form_spectrum``: a + (M - 1) o once and a - o
-    M - 1 times, from the oracle's diagonal a and off-diagonal o.
+    within trace_tol(m) and trace_tol(m) + m eps E: a + (M - 1) o once
+    and a - o M - 1 times, from the oracle's diagonal a and off-diagonal
+    o.  The spectrum is at another field than the kernel's, so it keeps
+    the own-direction bound, not ``eig_tol``, which bounds the rounding
+    at one field alone.
     """
     m = len(c) - 1
     same_field = entry_tol(m) + spin_share(m)
@@ -66,8 +68,8 @@ def assert_matches_spin_oracle(c, matrix, directions, measure: float, eigenvalue
     np.testing.assert_allclose(measure, np.trace(g), rtol=0, atol=trace_tol(m), equal_nan=False)
     a, o = g[0, 0], g[0, 1]
     expected = np.sort([a + (m - 1) * o] + [a - o] * (m - 1))[::-1]
-    eig_tol = trace_tol(m) + m * EPS * measure
-    np.testing.assert_allclose(eigenvalues, expected, rtol=0, atol=eig_tol, equal_nan=False)
+    own_spectrum = trace_tol(m) + m * EPS * measure
+    np.testing.assert_allclose(eigenvalues, expected, rtol=0, atol=own_spectrum, equal_nan=False)
 
 
 def _check(kind: str, m: int) -> None:

@@ -20,8 +20,8 @@ from entdist import (
     w_vectors,
 )
 from entdist import verify
-from entdist.verify import _dress, _dress_gap, _dress_passes, _dressings, _oracle_depth, bloch_tol, invariance_tol
-from entdist.metric import _block_bits
+from entdist.verify import _dress, _dress_passes, _dressings, _oracle_depth, bloch_tol, invariance_tol
+from entdist.metric import _block_bits, _turn_gap
 from entdist.qstate import ROW_BITS, _apply_one_qubit_matrix, _haar_unitary, bloch_vectors
 
 from oracles import bilinears_extended, random_state
@@ -240,7 +240,7 @@ def _chain(amps: np.ndarray, m: int, unitaries: list[np.ndarray]) -> np.ndarray:
 def _chain_bound(m: int, block_bits: int = _block_bits(ROW_BITS)) -> float:
     """Bound on ||dressing - chain||_2 for a unit vector: the dressing's gap in blocks of
     2^block_bits, plus the chain's, one qubit a pass."""
-    return _dress_gap(_dress_passes(m, block_bits)) + _dress_gap([(range(q, q + 1), range(0)) for q in range(m)])
+    return _turn_gap(_dress_passes(m, block_bits)) + _turn_gap([(range(q, q + 1), range(0)) for q in range(m)])
 
 
 def _dress_in_blocks(amps: np.ndarray, unitaries: list[np.ndarray], block_bits: int) -> np.ndarray:
@@ -273,7 +273,7 @@ class TestDressing:
         """The plan's groups, at the default budget of 2^17, are never looser than the
         fours from qubit 0 over the whole state, a group of four across the low pass's
         edge splits into smaller ones: equal at M <= 17, 21 and 25, below them elsewhere."""
-        assert _dress_gap(_dress_passes(m, _block_bits(ROW_BITS))) <= _dress_gap(_dress_passes(m, m))
+        assert _turn_gap(_dress_passes(m, _block_bits(ROW_BITS))) <= _turn_gap(_dress_passes(m, m))
 
     @pytest.mark.parametrize("m", [3, 5, 9])
     def test_draws_one_unitary_per_qubit_from_qubit_0(self, m):
