@@ -33,8 +33,6 @@ from .families import (
     three_qubit_amplitudes,
 )
 from .metric import (
-    DEFAULT_RANK_TOL,
-    Spectrum,
     check_metrics,
     entanglement_metric,
     measure_from_bilinears,
@@ -74,7 +72,6 @@ class SweepSpec:
     start: float
     stop: float
     points: int
-    normalize: bool = False
 
     def __post_init__(self) -> None:
         if self.parameter not in FAMILY_ANGLES[self.family.tag]:
@@ -155,7 +152,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], np.ndarray]:
         out[:, 0] = grid / unit
         out[:, 1] = measure
         out[:, 2] = measure / m
-        out[:, 3:] = eigs / m if spec.normalize else eigs
+        out[:, 3:] = eigs
     return header, rows
 
 
@@ -224,16 +221,16 @@ def _given_family_flags(args: argparse.Namespace) -> dict:
     return {name: getattr(args, name) for name in _FAMILY_FLAGS if getattr(args, name) is not None}
 
 
-def _accept(parser: argparse.ArgumentParser, rule, /, *args, prefix: str = "", **kwargs):
+def _accept(parser: argparse.ArgumentParser, rule, /, *args, **kwargs):
     """``rule(*args, **kwargs)``, the one owner of an input rule, applied to command-line values.
 
     A refusal (ValueError) exits 2 through ``parser.error``, with the
-    subcommand's usage and the rule's message after ``prefix``.
+    subcommand's usage and the rule's message.
     """
     try:
         return rule(*args, **kwargs)
     except ValueError as exc:
-        parser.error(f"{prefix}{exc}")
+        parser.error(str(exc))
 
 
 def _state_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> StateVector:
@@ -278,9 +275,8 @@ def _cmd_measure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_eigs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _accept(parser, Spectrum, (), args.rank_tol, prefix="--rank-tol: ")  # before any state is built
     state = _state_from_args(args, parser)
-    spec = spectrum(entanglement_metric(state), rank_tol=args.rank_tol)
+    spec = spectrum(entanglement_metric(state))
     if args.csv:
         header = [f"eig_{i}" for i in range(1, state.num_qubits + 1)]
         _emit(_csv_text(header, spec.eigenvalues.reshape(1, -1)), args.out)
@@ -300,7 +296,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(f"--{args.parameter} is the swept angle; its range is --start to --stop")
     spec = _accept(
         parser, SweepSpec, _family_from_flags(args, parser), args.parameter,
-        start=args.start, stop=args.stop, points=args.points, normalize=args.normalize,
+        start=args.start, stop=args.stop, points=args.points,
     )
     header, rows = run_sweep(spec)
     _emit(_csv_text(header, rows), args.out)
@@ -344,7 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eigs = _subcommand(sub, "eigs", _cmd_eigs, "eigenvalue spectrum of the metric")
     _add_state_source(p_eigs)
     p_eigs.add_argument("--csv", action="store_true", help="CSV output (default: JSON)")
-    p_eigs.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
 
     p_sweep = _subcommand(sub, "sweep", _cmd_sweep, "sweep a family angle, emit figure CSV")
     p_sweep.add_argument("--family", required=True, choices=FAMILY_TAGS)
@@ -353,9 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--start", type=float, required=True)
     p_sweep.add_argument("--stop", type=float, required=True)
     p_sweep.add_argument("--points", type=int, required=True)
-    p_sweep.add_argument(
-        "--normalize", action="store_true", help="divide eigenvalue columns by M"
-    )
 
     p_surface = _subcommand(sub, "surface", _cmd_surface, "E/3 grid for the three-qubit family")
     p_surface.add_argument("--gamma-start", type=float, default=0.0)

@@ -32,7 +32,9 @@ state gets the same bits alone or in a batch.  The owners:
   and ``spectrum`` read its one set of eigenvalues.
 - ``measure_tol``, ``trace_tol``, ``entry_tol`` and ``eig_tol``: the rounding bounds of
   E, of tr g - E, of one entry and of one eigenvalue; ``_turn_gap``: the gap
-  that a plan's Kronecker turns add, for ``entry_tol`` and ``verify``.
+  that a plan's Kronecker turns add, for ``entry_tol`` and ``verify``;
+  ``spectrum_tol``: the floor of a spectrum, for ``check_metrics`` and
+  ``Spectrum``.
 - ``entanglement_metric``, ``w_vectors``, ``metric_matrix``: the one-state calls.
 """
 from __future__ import annotations
@@ -46,6 +48,7 @@ import numpy as np
 from . import qstate
 from .qstate import (
     MAX_QUBITS,
+    NORM_TOL,
     SHORT_RUN_BITS,
     StateVector,
     _apply_one_qubit_matrix,
@@ -63,10 +66,8 @@ from .qstate import (
 )
 
 DEGENERATE_TOL = 1e-12
-DEFAULT_RANK_TOL = 1e-8
 SYMMETRY_TOL = 1e-12  # on max |g - g^T|
 DIAGONAL_TOL = 1e-12  # on how far a diagonal entry lies outside [0, 1/4]
-PSD_TOL = 1e-10  # on how far the smallest eigenvalue lies below 0
 BLOCK_BITS = 3  # a block holds at most 2**BLOCK_BITS rows' worth of amplitudes (see _block_bits)
 KRON_BITS = 4  # a Kronecker factor turns at most this many qubits (see _kron_groups)
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
@@ -164,8 +165,8 @@ def trace_tol(m: int) -> float:
     most ``measure_tol(m)`` = m (0.61 n + m/2) u.
 
     Above ROW_BITS qubits a diagonal entry is off by at most ``entry_tol(m)``
-    <= 0.75 (n + 2455) u (see there), which adds at most 1841 u per qubit
-    above 0.75 n u, below 0.12 n u.  The bound 2 m (n + m) u covers the
+    <= 0.75 (n + 2625) u (see there), which adds at most 1969 u per qubit
+    above 0.75 n u, below 0.13 n u.  The bound 2 m (n + m) u covers the
     sum in both cases with room to spare: at m = 20 it is 7.3e-11.  The
     largest gap measured on chain-phase (phi = 0.3), GHZ-like (theta =
     0.7, phase 0.2) and Haar states at m = 15-24 is 6.2e-14 (chain phase,
@@ -198,13 +199,14 @@ def entry_tol(m: int) -> float:
       of its unit mass.  Its signed sums, the blocks or strips of a pass
       in turn and then ``qstate._spin_moments``, run no deeper than
       ``row_depth(m)`` (see ``trace_tol``), so every <s_mu> and <s_mu
-      s_nu> is within delta = row_depth(m) u + 2 G, G the largest
-      ``_turn_gap`` of one pass of the plan, and an entry within 0.75
-      delta.
+      s_nu> is within delta = row_depth(m) u + 2 G, G the largest gap of
+      one pass of the plan: its ``_turn_gap`` plus 5 u for each qubit it
+      turns, the frame unitaries' own gap (``_frame_unitaries``).  An
+      entry is within 0.75 delta.
 
     ROW_BITS is read at call time, as ``qstate.row_view`` reads it.  The
     bound is 1.1e-15 at m = 1, 2.2e-14 at m = 8, 6.8e-13 at m = 14 and
-    1.5e-12 to 1.9e-12 at m = 15-26.  A check against an oracle adds the
+    1.6e-12 to 1.9e-12 at m = 15-26.  A check against an oracle adds the
     oracle's own rounding (``tests/oracles.py``).  The largest gap
     measured against the dense, pairwise and collective-spin oracles, at
     m = 1-22, is 4.6% of that sum for the one-row kernel (1.1e-16 at m =
@@ -212,7 +214,10 @@ def entry_tol(m: int) -> float:
     """
     k = qstate.ROW_BITS
     if m > k:
-        turn = max(_turn_gap([step]) for step in _frame_passes(m, k))
+        turn = max(
+            _turn_gap([step]) + 5 * _UNIT_ROUNDOFF * (len(step[0]) + len(step[1]))
+            for step in _frame_passes(m, k)
+        )
         return 0.75 * (row_depth(m) * _UNIT_ROUNDOFF + 2.0 * turn)
     depth = 1 << m if m < k else (1 << (k - 1)) + 1  # one run of _dot, or two and their sum
     return 0.75 * (depth + 11) * _UNIT_ROUNDOFF
@@ -233,15 +238,42 @@ def eig_tol(m: int) -> float:
     + m u): 1.2e-15 at m = 1, 1.9e-13 at m = 8 and 5.0e-11 at m = 26, of
     which eigvalsh's share is at most 17% (m = 3) and below 1% from m =
     11 on.  A check against an oracle adds m times the oracle's share of
-    an entry, or its own rounding of a closed form.
-
-    The bound is for the rounding alone.  A state whose norm is off by
-    delta moves the moments by delta, and a product state's smallest
-    eigenvalue to -(m - 1) delta / 4: -1.6e-12 at m = 8 for the delta =
-    0.9e-12 that ``qstate.NORM_TOL`` accepts, against 1.9e-13.  So
-    ``check_metrics`` keeps its absolute ``PSD_TOL``.
+    an entry, or its own rounding of a closed form.  The bound is for the
+    rounding alone; ``spectrum_tol`` adds what an accepted norm moves.
     """
     return m * (entry_tol(m) + m * _UNIT_ROUNDOFF)
+
+
+def spectrum_tol(m: int) -> float:
+    """The floor of an m-qubit spectrum: how far below 0 an eigenvalue of a valid state's metric may lie.
+
+    ``check_metrics`` refuses a smallest eigenvalue below -spectrum_tol(m),
+    and ``Spectrum.nonnull_count`` counts the eigenvalues above it.  Two
+    shares.  ``eig_tol(m)`` bounds the rounding of an eigenvalue for a
+    state normalized to working precision, but ``qstate.validate_amplitudes``
+    accepts a squared norm 1 + delta.  Its sum is ``qstate._dot`` of the
+    2^(m+1) squares, in runs of 2^(ROW_BITS-1) and then the runs' sum, of
+    depth d, so the computed sum within NORM_TOL of 1 leaves |delta| <=
+    (NORM_TOL + gamma_(d+1)) / (1 - gamma_(d+1)), the squares' rounding
+    counted.  The state is sqrt(1 + delta) times its normalized one, so
+    the kernels give the moments e and c times 1 + delta, and ``_diagonal``
+    takes 1 - e^2 with its 1 unscaled: g is (1 + delta) times the
+    normalized state's metric, less delta (1 + delta) e e^T / 4 with
+    ||e||^2 <= m, less delta / 4 on the diagonal.  A delta < 0 moves no
+    eigenvalue down, and for delta > 0 Weyl's inequality moves each down
+    by at most (1 + delta)(m + 1) delta / 4; the rounding scales by 1 +
+    delta too.  So the floor is (1 + delta)(eig_tol(m) + (m + 1) delta /
+    4): 1.0e-12 at m = 3, 2.6e-12 at m = 8, 3.3e-11 at m = 16 and 7.5e-11
+    at m = 26, where d is 2^13 + 2^14 - 1 and delta 3.7e-12.  The metric
+    of |0...0> scaled to a squared norm of 1 + 0.9e-12 has its smallest
+    eigenvalue at -(m - 1) 0.9e-12 / 4: -4.5e-13 at m = 3, -1.6e-12 at m
+    = 8.
+    """
+    n, run = 2 << m, 1 << (qstate.ROW_BITS - 1)
+    depth = n if n <= run else run + n // run - 1
+    gap = _gamma(depth + 1)
+    delta = (NORM_TOL + gap) / (1.0 - gap)
+    return (1.0 + delta) * (eig_tol(m) + (m + 1) * delta / 4.0)
 
 
 def check_metrics(g: np.ndarray, measure, at: tuple[str, np.ndarray] | None = None) -> np.ndarray:
@@ -250,10 +282,10 @@ def check_metrics(g: np.ndarray, measure, at: tuple[str, np.ndarray] | None = No
     Each g must be symmetric within SYMMETRY_TOL, have its diagonal in
     [0, 1/4] within DIAGONAL_TOL and its trace within ``trace_tol(M)`` of E;
     one batched eigvalsh of the symmetric parts gives every spectrum, whose
-    smallest eigenvalue must not fall below -PSD_TOL.  A failed check raises
-    ValueError with the measured value and its bound; for a batch taken
-    over a grid, ``at = (name, values)`` adds the grid value of the first
-    point that fails.
+    smallest eigenvalue must not fall below -``spectrum_tol(M)``.  A failed
+    check raises ValueError with the measured value and its bound; for a
+    batch taken over a grid, ``at = (name, values)`` adds the grid value of
+    the first point that fails.
     """
     *batch, m, _ = g.shape
     g = g.reshape(-1, m, m)
@@ -286,8 +318,9 @@ def check_metrics(g: np.ndarray, measure, at: tuple[str, np.ndarray] | None = No
     eigs = np.linalg.eigvalsh(0.5 * (g + gt))[:, ::-1].copy()
     check(
         -eigs[:, -1],
-        PSD_TOL,
-        "metric matrix must be positive semidefinite: smallest eigenvalue -{:.3e} is below -{:.0e}",
+        spectrum_tol(m),
+        "metric matrix must be positive semidefinite: smallest eigenvalue -{:.3e} is below the "
+        f"floor -{{:.3e}} for {m} qubits",
     )
     return eigs.reshape(*batch, m)
 
@@ -348,20 +381,21 @@ class EntanglementMetric:
 class Spectrum:
     """Eigenvalues of an entanglement metric, sorted descending, as a read-only copy.
 
-    ``rank_tol`` passes ``qstate.validate_real`` with a bound of 0 and is
-    stored as a Python float, so the ``eigs`` record serialises:
-    ``nonnull_count`` counts the eigenvalues above it, and a NaN would
-    silently count none.
+    ``rank_tol`` is ``spectrum_tol`` of the spectrum's length, the floor
+    that ``check_metrics`` holds the smallest eigenvalue to, and
+    ``nonnull_count`` counts the eigenvalues above it.
     """
 
     eigenvalues: np.ndarray
-    rank_tol: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rank_tol", validate_real("rank_tol", self.rank_tol, 0.0))
         eigs = np.array(self.eigenvalues, dtype=float, order="C")
         eigs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eigs)
+
+    @property
+    def rank_tol(self) -> float:
+        return spectrum_tol(self.eigenvalues.size)
 
     @property
     def nonnull_count(self) -> int:
@@ -428,6 +462,16 @@ def _frame_unitaries(dirs: np.ndarray) -> np.ndarray:
     closed form, scaled by 1 / sqrt(2 (1 + |v_3|)).  The form follows the
     sign of v_3, so 1 + |v_3| >= 1 never cancels: v = +z (a degenerate
     qubit's direction) gives U = I exactly and v = -z gives U = X.
+
+    Its gap from the exact U of a unit row: a = 1 + |v_3| and sqrt(2 a)
+    round once each, and the division by sqrt(2 a), numpy's complex by
+    real, rounds twice per part (1 / s, then the product).  So each real
+    part of an entry is within (1/2 + 1 + 2) u = 3.5 u of its exact value
+    relatively, and U within 3.5 u ||U||_F = 3.5 sqrt(2) u < 5 u in the
+    2-norm.  ``entry_tol`` adds 5 u per qubit a pass turns, since a
+    Kronecker product of near-unitaries is off by at most the sum of their
+    gaps (to first order).  Measured over 10^5 random unit rows against the
+    closed form in ``np.longdouble``: 2.1 u in the 2-norm, 2.64 u in a part.
     """
     v1, v2, v3 = np.moveaxis(np.asarray(dirs, dtype=float), -1, 0)
     a = 1.0 + np.abs(v3)
@@ -635,16 +679,17 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return _metric_from_moments(e, c)
 
 
-def _diagonal(e) -> np.ndarray:
+def _diagonal(e: np.ndarray) -> np.ndarray:
     """Diagonal entries (1 - e^2)/4 of a metric at expectations e = <A_nu> (...).
 
-    e is squared by Python's float power, which the committed one-row
-    output was made with (numpy's square differs from it in the last bit of
-    some values); a negative 1 - e^2, which rounding in |e| can give, is
-    clamped to 0, and a NaN is kept (max(0.0, d) would make it 0.0).
+    e is squared by ``np.float_power``, which gives Python's float power
+    ``x**2`` bit for bit, the power the committed one-row output was made
+    with (numpy's square differs from it in the last bit of some values);
+    a negative 1 - e^2, which rounding in |e| can give, is clamped to 0,
+    and a NaN is kept (max(0.0, d) would make it 0.0).
     """
-    gaps = [1.0 - x**2 for x in np.ravel(e).tolist()]
-    return np.reshape([0.25 * (0.0 if d < 0.0 else d) for d in gaps], np.shape(e))
+    gaps = 1.0 - np.float_power(e, 2.0)
+    return 0.25 * np.where(gaps < 0.0, 0.0, gaps)
 
 
 def _metric_from_moments(e: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -750,9 +795,9 @@ def entanglement_metric(state: StateVector) -> EntanglementMetric:
     return EntanglementMetric(state.num_qubits, g, dirs, float(measure))
 
 
-def spectrum(em: EntanglementMetric, rank_tol: float = DEFAULT_RANK_TOL) -> Spectrum:
-    """All eigenvalues of the metric, sorted descending, with a rank threshold."""
-    return Spectrum(em.eigenvalues, rank_tol)
+def spectrum(em: EntanglementMetric) -> Spectrum:
+    """All eigenvalues of the metric, sorted descending, with its floor as the rank threshold."""
+    return Spectrum(em.eigenvalues)
 
 
 def _field_traces(dirs: np.ndarray, bloch: np.ndarray) -> np.ndarray:

@@ -79,28 +79,26 @@ def validate_count(name: str, value, lo: int, hi: int | None = None) -> int:
     raise ValueError(f"{name} must be an integer {bound}, got {reprlib.repr(value)}")
 
 
-def validate_real(name: str, value, lo: float | None = None) -> float:
+def validate_real(name: str, value) -> float:
     """The one rule for a real-number argument, returned as a Python float.
 
     It must be a ``numbers.Real`` (a Python or numpy int or float), not a
-    bool, finite, and at least ``lo`` unless that is None.  Anything else,
-    a 0-d array or a string included, raises a ValueError that names the
-    argument and the bound.  The message quotes the value by
-    ``reprlib.repr``, which keeps an ordinary value's ``repr`` and cuts a
-    long one, such as 10**400, to a few dozen characters.
+    bool, and finite.  Anything else, a 0-d array or a string included,
+    raises a ValueError that names the argument.  The message quotes the
+    value by ``reprlib.repr``, which keeps an ordinary value's ``repr`` and
+    cuts a long one, such as 10**400, to a few dozen characters.
     """
     # a Python float or np.float64 (a float subclass) skips the numbers.Real ABC check
-    if isinstance(value, float) and math.isfinite(value) and (lo is None or value >= lo):
+    if isinstance(value, float) and math.isfinite(value):
         return float(value)
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             x = float(value)
         except OverflowError:  # an int beyond the float range
             x = math.inf
-        if math.isfinite(x) and (lo is None or x >= lo):
+        if math.isfinite(x):
             return x
-    bound = "" if lo is None else f" >= {lo:g}"
-    raise ValueError(f"{name} must be a finite real number{bound}, got {reprlib.repr(value)}")
+    raise ValueError(f"{name} must be a finite real number, got {reprlib.repr(value)}")
 
 
 def row_depth(m: int) -> int:

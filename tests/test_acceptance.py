@@ -107,7 +107,7 @@ def test_criterion_3_ghzl():
         assert worst < 1e-12, f"M={m} worst gap {worst:.3e}"
         em = entanglement_metric(ghzl_state(m, np.pi / 4.0))
         assert np.max(np.abs(em.matrix - 0.25 * np.ones((m, m)))) < 1e-12
-        sp = spectrum(em, rank_tol=1e-8)
+        sp = spectrum(em)
         assert sp.nonnull_count == 1
         assert abs(sp.eigenvalues[0] - m / 4.0) < 1e-10
 

@@ -33,8 +33,6 @@ def _per_point_rows(spec: SweepSpec) -> np.ndarray:
         fam = dataclasses.replace(spec.family, **{spec.parameter: float(value)})
         em = entanglement_metric(family_state(fam))
         eigs = spectrum(em).eigenvalues
-        if spec.normalize:
-            eigs = eigs / m
         x = float(value) / FAMILY_ANGLES[fam.tag][spec.parameter]
         rows.append([x, em.measure, em.measure / m, *map(float, eigs)])
     return np.array(rows)
@@ -44,7 +42,7 @@ def _seeded_spec(fam: FamilySpec, parameter: str, seed: int, points: int = 41) -
     rng = np.random.default_rng(seed)
     start = float(rng.uniform(-2.0 * np.pi, 2.0 * np.pi))
     stop = start + float(rng.uniform(0.1, 2.0 * np.pi))
-    return SweepSpec(fam, parameter, start, stop, points, normalize=bool(seed % 2))
+    return SweepSpec(fam, parameter, start, stop, points)
 
 
 SWEEPS = (

@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 from __future__ import annotations
 
-import dataclasses
 import json
 import reprlib
 
@@ -13,7 +12,7 @@ import entdist.families
 import entdist.metric
 from entdist import FamilySpec, brs_state, ghzl_state, write_state_file
 from entdist.cli import SweepSpec, main, run_surface, run_sweep
-from entdist.metric import eig_tol, trace_tol
+from entdist.metric import eig_tol, spectrum_tol, trace_tol
 from entdist.verify import bloch_tol, invariance_tol, verify_state
 
 from child import python_child
@@ -82,8 +81,8 @@ class TestMeasure:
 
         Its metric is -delta (J - I) / 4 to first order, so its smallest
         eigenvalue is -(M - 1) delta / 4, below -``eig_tol(M)`` at M = 3 and
-        8: a positive-semidefiniteness check at ``eig_tol`` would refuse it,
-        which is why ``check_metrics`` keeps ``PSD_TOL``.
+        8: a positive-semidefiniteness check at ``eig_tol`` would refuse it.
+        ``spectrum_tol(M)`` adds what an accepted norm moves, and holds it.
         """
         path = tmp_path / "near.json"
         for m in (3, 8):
@@ -94,7 +93,7 @@ class TestMeasure:
             assert code == 0
             record = json.loads(out)
             assert record["measure"] == 0.0
-            assert min(record["eigenvalues"]) < -eig_tol(m)
+            assert -spectrum_tol(m) <= min(record["eigenvalues"]) < -eig_tol(m)
 
     @pytest.mark.parametrize(
         "spec",
@@ -197,6 +196,7 @@ class TestEigs:
         payload = json.loads(out)
         assert payload["eigenvalues"][0] == pytest.approx(1.25, abs=1e-12)
         assert payload["nonnull_count"] == 1
+        assert payload["rank_tol"] == spectrum_tol(5)
 
     def test_csv(self, capsys):
         code, out = run_cli(
@@ -208,30 +208,11 @@ class TestEigs:
         values = [float(x) for x in lines[1].split(",")]
         assert values == sorted(values, reverse=True)
 
-    @pytest.mark.parametrize("rank_tol", ["nan", "-1e-8"])
-    def test_bad_rank_tol_exits_2(self, rank_tol, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["eigs", "--family", "brs", "--m", "3", f"--rank-tol={rank_tol}"])
-        assert err.value.code == 2
-        assert "--rank-tol: rank_tol must be a finite real number >= 0, got " in capsys.readouterr().err
-
-    def test_bad_rank_tol_exits_before_the_metric(self, monkeypatch, capsys):
-        """The threshold was checked only after the metric: 9 s and 1.1 GiB at M = 26."""
-
-        def no_metric(state):
-            raise AssertionError("the metric was computed for a refused --rank-tol")
-
-        monkeypatch.setattr(entdist.cli, "entanglement_metric", no_metric)
-        with pytest.raises(SystemExit) as err:
-            main(["eigs", "--family", "brs", "--m", "3", "--rank-tol", "nan"])
-        assert err.value.code == 2
-        assert "--rank-tol: rank_tol must be a finite real number >= 0, got " in capsys.readouterr().err
-
 
 @pytest.mark.parametrize(
     "args, usage",
     [
-        (["eigs", "--family", "brs", "--m", "3", "--rank-tol", "nan"], "usage: entdist eigs"),
+        (["eigs", "--family", "brs", "--m", "3", "--phi", "nan"], "usage: entdist eigs"),
         (["measure", "--family", "brs"], "usage: entdist measure"),
         (["sweep", "--family", "brs", "--m", "3", "--parameter", "phi",
           "--start", "1", "--stop", "0", "--points", "3"], "usage: entdist sweep"),
@@ -363,8 +344,8 @@ _INVALID = "error: invalid state: state is not normalized: sum |c_k|^2 = 2.0\n"
         # an argument refusal: exit 2, the usage, then the input rule's message
         (["measure", "--family", "brs", "--m", "3", "--theta", "0.5"], None, 2,
          "entdist measure: error: family 'brs' has no angle 'theta'\n"),
-        (["eigs", *_BRS_FLAGS, "--rank-tol", "nan"], None, 2,
-         "entdist eigs: error: --rank-tol: rank_tol must be a finite real number >= 0, got nan\n"),
+        (["eigs", "--family", "brs", "--m", "3", "--phi", "nan"], None, 2,
+         "entdist eigs: error: angle 'phi' must be a finite real number, got nan\n"),
         ([*_SWEEP_ARGS, "--points", "1"], None, 2,
          "entdist sweep: error: angle 'phi' grid points must be an integer >= 2, got 1\n"),
         (["surface", "--points", "3", "--tau-start", "2", "--tau-stop", "1"], None, 2,
@@ -731,21 +712,15 @@ def _assert_rows_array(rows, shape):
 def test_sweep_rows_are_one_float64_array(m, points):
     """(points, 3 + M) rows across chunk boundaries (P = 32 points at M = 9, one at M = 15).
 
-    x is the grid over the angle's unit, and --normalize divides the
-    eigenvalue columns alone by M.
+    x is the grid over the angle's unit.
     """
     assert (entdist.cli._chunk_points(9), entdist.cli._chunk_points(15)) == (32, 1)
-    spec = SweepSpec(FamilySpec("brs", m=m), "phi", 0.2, 2.9, points)
-    header, plain = run_sweep(spec)
-    _, normalized = run_sweep(dataclasses.replace(spec, normalize=True))
+    header, rows = run_sweep(SweepSpec(FamilySpec("brs", m=m), "phi", 0.2, 2.9, points))
     assert header == ["x", "E", "E_over_M"] + [f"eig_{i}" for i in range(1, m + 1)]
-    for rows in (plain, normalized):
-        _assert_rows_array(rows, (points, 3 + m))
+    _assert_rows_array(rows, (points, 3 + m))
     unit = entdist.families.FAMILY_ANGLES["brs"]["phi"]
-    assert plain[:, 0].tobytes() == (np.linspace(0.2, 2.9, points) / unit).tobytes()
-    assert plain[:, 2].tobytes() == (plain[:, 1] / m).tobytes()
-    assert normalized[:, :3].tobytes() == plain[:, :3].tobytes()
-    assert normalized[:, 3:].tobytes() == (plain[:, 3:] / m).tobytes()
+    assert rows[:, 0].tobytes() == (np.linspace(0.2, 2.9, points) / unit).tobytes()
+    assert rows[:, 2].tobytes() == (rows[:, 1] / m).tobytes()
 
 
 @pytest.mark.parametrize("points", [2, 7])
@@ -764,10 +739,10 @@ def test_surface_rows_are_one_float64_array(points):
     [
         # eigenvalues of rounding size (about 1e-17), negative ones among them
         lambda: run_sweep(SweepSpec(FamilySpec("ghzl", m=3), "theta", 0.0, np.pi / 2.0, 41)),
-        lambda: run_sweep(SweepSpec(FamilySpec("brs", m=9), "phi", -1.0, 5.0, 40, normalize=True)),
+        lambda: run_sweep(SweepSpec(FamilySpec("brs", m=9), "phi", -1.0, 5.0, 40)),
         lambda: run_surface((0.0, np.pi), (0.0, np.pi), 9),
     ],
-    ids=["ghzl-m3", "brs-m9-normalized", "surface"],
+    ids=["ghzl-m3", "brs-m9", "surface"],
 )
 def test_csv_text_of_an_array_is_that_of_its_lists_and_reads_back(drive):
     """The writer turns the array into Python floats itself: the same text as from nested lists.

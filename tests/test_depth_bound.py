@@ -15,7 +15,9 @@ so positive semidefinite, with at most k diagonal entries (1 - <A_nu>^2)/4
 trace, k/4.  So lambda_max(g) <= k/4.
 
 The bound is reached: GHZ on M qubits at the all-z field has g = J/4, so
-4 lambda_max = M, and disjoint GHZ blocks of k qubits give k.  A computed
+4 lambda_max = M, and disjoint GHZ blocks of k qubits give k.  So does the
+star graph state at z on the centre and x on the leaves, LU-equivalent to
+GHZ, while at its optimal field it gives 1.  A computed
 eigenvalue is within ``metric.eig_tol(M)`` of the exact one, so each check
 holds 4 lambda_max to k within 4 eig_tol(M).
 """
@@ -27,7 +29,7 @@ import pytest
 from entdist import StateVector, entanglement_metric, ghzl_state, metric_matrix
 from entdist.metric import eig_tol
 
-from oracles import permute_qubits, random_state
+from oracles import graph_amplitudes, permute_qubits, random_state
 from test_metric import _random_directions
 
 SIZES = range(6, 11)
@@ -90,3 +92,24 @@ def test_disjoint_ghz_blocks_reach_k(m, k):
     s = _product([_ghz(b) for b in sizes], rng)
     g = metric_matrix(s, np.tile((0.0, 0.0, 1.0), (m, 1)))
     assert abs(4 * _top(g) - k) <= 4 * eig_tol(m)
+
+
+def _star(m: int) -> StateVector:
+    """The star graph state, qubit 0 the centre: its stabilizers are X_0 Z_1 ... Z_(M-1) and Z_0 X_j."""
+    return StateVector(m, graph_amplitudes(m, [(0, j) for j in range(1, m)]))
+
+
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_star_graph_reaches_m_at_its_ghz_field(m):
+    """z on the centre, x on the leaves: <Z_0 X_j> = <X_i X_j> = 1 and every mean 0, so g = J/4 and 4 lambda_max = M."""
+    field = np.tile((1.0, 0.0, 0.0), (m, 1))
+    field[0] = (0.0, 0.0, 1.0)
+    assert abs(4 * _top(metric_matrix(_star(m), field)) - m) <= 4 * eig_tol(m)
+
+
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_star_graph_gives_one_at_its_optimal_field(m):
+    """Every Bloch vector is 0, so every direction is z and no Z_mu Z_nu is a stabilizer: g = I/4, 4 lambda_max = 1."""
+    em = entanglement_metric(_star(m))
+    assert (em.directions == (0.0, 0.0, 1.0)).all()
+    np.testing.assert_allclose(em.eigenvalues, np.full(m, 0.25), rtol=0, atol=eig_tol(m), equal_nan=False)

@@ -38,6 +38,7 @@ from entdist.metric import (
     check_metrics,
     entry_tol,
     metric_matrices,
+    spectrum_tol,
     trace_tol,
 )
 from entdist.qstate import _operator, bloch_vectors
@@ -458,6 +459,22 @@ class TestDirectionFrameMetric:
         assert np.max(np.abs(u @ _operator(*dirs.T) @ uh - np.diag([1.0, -1.0]))) <= 4 * eps
         assert np.max(np.abs(u @ uh - np.eye(2))) <= 4 * eps
 
+    def test_frame_unitaries_within_their_gap(self):
+        """Each U within 5 u of its closed form in the 2-norm, the gap ``entry_tol`` adds per turned qubit.
+
+        The closed form is taken in ``np.longdouble`` at the same rows.
+        """
+        rng = np.random.default_rng(1401)
+        vz = -1.0 + 2.0**-52
+        dirs = np.vstack([self.AXES, [(np.sqrt(1.0 - vz * vz), 0.0, vz)], _random_directions(rng, 10**4)])
+        v1, v2, v3 = dirs.T.astype(np.longdouble)
+        a, zero, north = 1 + np.abs(v3), np.zeros(len(dirs), dtype=np.longdouble), v3 >= 0
+        re = np.where(north, [[a, v1], [-v1, a]], [[v1, a], [a, -v1]]) / np.sqrt(2 * a)
+        im = np.where(north, [[zero, -v2], [-v2, zero]], [[v2, zero], [zero, v2]]) / np.sqrt(2 * a)
+        u = _frame_unitaries(dirs)
+        gap = (u.real - np.moveaxis(re, -1, 0)).astype(float) + 1j * (u.imag - np.moveaxis(im, -1, 0)).astype(float)
+        assert np.max(np.linalg.norm(gap, 2, axis=(-2, -1))) <= 5 * np.finfo(float).eps / 2
+
     def test_plus_z_and_degenerate_qubits_get_the_identity(self):
         dirs = optimal_directions(np.array([[0.0, 0.0, 0.5], [1e-13, 0.0, 0.0], [0.0, 0.0, 0.0]]))
         assert (_frame_unitaries(dirs) == np.eye(2)).all()
@@ -576,6 +593,20 @@ class TestMomentAssembly:
         d = _diagonal(np.array([past, -past, np.nan]))
         assert d[:2].tobytes() == np.zeros(2).tobytes()  # +0.0, not -0.0
         assert np.isnan(d[2])
+
+    def test_diagonal_squares_as_python_does(self):
+        """``_diagonal`` gives the bytes of Python's 0.25 * max(0, 1 - x**2), contiguous or strided.
+
+        ``np.float_power`` squares as ``x**2`` does; ``np.square`` differs in
+        the last bit of about 1 value in 1000.  The values: +-1, +-0, NaN, 1 +
+        2u, a subnormal and 10^5 random ones.
+        """
+        rng = np.random.default_rng(1704)
+        special = [1.0, -1.0, 0.0, -0.0, np.nan, 1.0 + 2.0**-52, -(1.0 + 2.0**-52), 5e-324]
+        e = np.concatenate([special, rng.uniform(-1.0, 1.0, 10**5)]).reshape(-1, 4)
+        for x in (e, e[:, ::2]):
+            python = [0.25 * (0.0 if d < 0.0 else d) for d in (1.0 - v**2 for v in x.ravel().tolist())]
+            assert _diagonal(x).tobytes() == np.reshape(python, x.shape).tobytes()
 
     def test_matrix_equals_its_transpose_byte_for_byte(self):
         rng = np.random.default_rng(1700)
@@ -766,30 +797,48 @@ class TestCheckMetrics:
         measure = np.array([0.2, 0.2, 0.2])
         with pytest.raises(
             ValueError,
-            match=r"semidefinite: smallest eigenvalue -1.000e-01 is below -1e-10 at phi = 1.5$",
+            match=rf"semidefinite: smallest eigenvalue -1.000e-01 is below the floor "
+            rf"-{spectrum_tol(2):.3e} for 2 qubits at phi = 1.5$",
         ):
             check_metrics(g, measure, at=self.AT)
 
     def test_single_metric_message_has_no_grid_value(self):
-        with pytest.raises(ValueError, match=r"smallest eigenvalue -1.000e-01 is below -1e-10$"):
+        with pytest.raises(ValueError, match=rf"-1.000e-01 is below the floor -{spectrum_tol(2):.3e} for 2 qubits$"):
             EntanglementMetric(2, np.array([[0.1, 0.2], [0.2, 0.1]]), np.array([Z, Z]), 0.2)
+
+    @pytest.mark.parametrize("m", [3, 9, 16])
+    def test_floor_is_spectrum_tol(self, m):
+        """A smallest eigenvalue of -2 ``spectrum_tol(M)`` is refused, and one of -spectrum_tol(M) / 2 accepted.
+
+        g = (1/8 - x) I + (J - I) / 8 has the eigenvalue -x, M - 1 times, and
+        its diagonal 1/8 - x inside [0, 1/4].
+        """
+        floor = spectrum_tol(m)
+        for x, refused in ((2.0 * floor, True), (0.5 * floor, False)):
+            g = np.full((m, m), 0.125) - x * np.eye(m)
+            measure = np.trace(g)
+            if refused:
+                with pytest.raises(ValueError, match=rf"is below the floor -{floor:.3e} for {m} qubits$"):
+                    check_metrics(g, measure)
+            else:
+                assert -floor < check_metrics(g, measure)[-1] < 0.0
 
 
 class TestSpectrum:
     def test_caller_array_stays_writeable(self):
         eigs = np.array([0.5, 0.25, 0.0])
-        sp = Spectrum(eigs, 1e-8)
+        sp = Spectrum(eigs)
         assert eigs.flags.writeable
         assert not sp.eigenvalues.flags.writeable
         eigs[0] = 1.0
         assert sp.eigenvalues[0] == 0.5
 
-    @pytest.mark.parametrize("rank_tol", [np.nan, np.inf, -1e-8])
-    def test_rejects_a_rank_tol_that_is_not_finite_and_non_negative(self, rank_tol):
-        """A NaN tolerance once made nonnull_count read 0 whatever the eigenvalues."""
-        em = entanglement_metric(ghzl_state(3, np.pi / 4))
-        with pytest.raises(ValueError, match="^rank_tol must be a finite real number >= 0, got "):
-            spectrum(em, rank_tol=rank_tol)
+    def test_counts_the_eigenvalues_above_the_floor(self):
+        """``rank_tol`` is ``spectrum_tol`` of the spectrum's length."""
+        floor = spectrum_tol(4)
+        sp = Spectrum([0.25, 2.0 * floor, floor, -floor])
+        assert sp.rank_tol == floor
+        assert sp.nonnull_count == 2
 
     def test_ghz_rank_one(self):
         sp = spectrum(entanglement_metric(ghzl_state(7, np.pi / 4)))

@@ -1,9 +1,8 @@
 """One real-number rule: every real argument passes ``qstate.validate_real``.
 
 The sites are the family angles, in ``FamilySpec`` and in the batch
-builder ``family_amplitudes``, ``EntanglementMetric.measure``,
-``Spectrum.rank_tol``, which also has a lower bound of 0, and the ends
-of a sweep grid.  Each takes a ``numbers.Real``, not a bool, that is
+builder ``family_amplitudes``, ``EntanglementMetric.measure`` and the
+ends of a sweep grid.  Each takes a ``numbers.Real``, not a bool, that is
 finite, and refuses anything else with a ValueError that names the
 argument and quotes the value by ``reprlib.repr``, so a huge value cannot
 flood the message.  A valid value is stored as a Python float, so the
@@ -18,10 +17,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entdist import EntanglementMetric, FamilySpec, Spectrum
+from entdist import EntanglementMetric, FamilySpec
 from entdist.cli import SweepSpec
 from entdist.families import family_amplitudes
-from entdist.qstate import validate_real
 
 _Z = [0.0, 0.0, 1.0]
 
@@ -36,7 +34,6 @@ _SITES = [
     ("family_amplitudes", lambda v: family_amplitudes(FamilySpec("brs", m=3), "phi", [0.1, v]),
      "angle 'phi'"),
     ("measure", lambda v: EntanglementMetric(1, np.zeros((1, 1)), [_Z], v), "measure"),
-    ("rank_tol", lambda v: Spectrum([0.25, 0.0], v), "rank_tol"),
 ]
 # a sweep grid's ends: a float infinity or NaN goes to the span check instead
 _GRID_SITES = [
@@ -83,14 +80,8 @@ def test_a_huge_value_is_quoted_in_short(call, name, value):
         call(value)
     message = str(err.value)
     assert message.startswith(f"{name} must be a finite real number")
-    assert len(message) <= len(name) + 80  # the wording, a bound and a 40-character quote
+    assert len(message) <= len(name) + 80  # the wording and a 40-character quote
     assert "..." in message
-
-
-@pytest.mark.parametrize("value", [-1e-8, -np.float32(1.0), -1], ids=["float", "float32", "int"])
-def test_rank_tol_keeps_its_lower_bound(value):
-    with pytest.raises(ValueError, match=r"^rank_tol must be a finite real number >= 0, got "):
-        Spectrum([0.25, 0.0], value)
 
 
 @pytest.mark.parametrize(
@@ -99,18 +90,10 @@ def test_rank_tol_keeps_its_lower_bound(value):
     ids=["int", "int64", "float32", "float64", "fraction", "big-int"],
 )
 def test_valid_reals_are_stored_as_python_floats(value):
-    """np.float32 and a 0-d array once reached the eigs record and failed json.dumps."""
+    """np.float32 and a 0-d array once reached a record and failed json.dumps."""
     spec = FamilySpec("brs", m=3, phi=value)
-    spectrum = Spectrum([0.25, 0.0], value)
-    assert type(spec.phi) is float and type(spectrum.rank_tol) is float
-    assert spec.phi == spectrum.rank_tol == float(value)
-    json.dumps({"spec": spec.to_dict(), "rank_tol": spectrum.rank_tol})
+    assert type(spec.phi) is float
+    assert spec.phi == float(value)
+    json.dumps(spec.to_dict())
     em = EntanglementMetric(1, np.zeros((1, 1)), [_Z], 0 * value)
     assert type(em.measure) is float
-
-
-def test_rule_returns_a_python_float_at_its_bound():
-    assert validate_real("x", np.float32(0.0), 0.0) == 0.0
-    assert type(validate_real("x", np.int64(3))) is float
-    with pytest.raises(ValueError, match=r"^x must be a finite real number >= 0.5, got 0.25$"):
-        validate_real("x", 0.25, 0.5)
