@@ -48,10 +48,7 @@ from .qstate import (
     read_state_file,
     validate_amplitudes,
 )
-from .verify import (
-    DEFAULT_RESTARTS,
-    verify_state,
-)
+from .verify import verify_state
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -312,10 +309,10 @@ def _cmd_surface(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    for name, lo in (("trials", 1), ("restarts", 1), ("seed", 0)):
+    for name, lo in (("trials", 1), ("seed", 0)):
         _accept(parser, qstate.validate_count, f"--{name}", getattr(args, name), lo)
     state = _state_from_args(args, parser)
-    payload = verify_state(state, args.trials, args.restarts, args.seed)
+    payload = verify_state(state, args.trials, args.seed)
     _emit(json.dumps(payload) + "\n", args.out)
     return EXIT_OK if payload["passed"] else EXIT_VERIFY_FAILED
 
@@ -358,9 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = _subcommand(sub, "verify", _cmd_verify, "run the numeric oracle harness")
     _add_state_source(p_verify)
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for the random checks")
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for the dressings and the ascent's start")
     p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
 
     return parser
 

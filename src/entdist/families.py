@@ -14,6 +14,7 @@ The closed forms give the measure E only.
 """
 from __future__ import annotations
 
+import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -35,23 +36,28 @@ FAMILY_ANGLES = {
 }
 
 
+class _Default(enum.Enum):
+    NOT_GIVEN = "not given"  # a FamilySpec angle's default: 0 for the family's own angles
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Tagged parameter record for state generation and closed forms.
 
     ``m = None`` means 3 for the three-qubit family and is refused for the
-    others.  An angle that belongs to another family must stay 0, and each
-    of the family's own passes ``qstate.validate_real`` and is stored as a
-    Python float.
+    others.  A family's own angle that is not given is 0, and an angle of
+    another family is refused whenever it is given, 0 included.  Each of
+    the family's own angles passes ``qstate.validate_real`` and is stored
+    as a Python float.
     """
 
     tag: str
     m: int | None = None
-    phi: float = 0.0
-    theta: float = 0.0
-    phase: float = 0.0
-    gamma: float = 0.0
-    tau: float = 0.0
+    phi: float | _Default = _Default.NOT_GIVEN
+    theta: float | _Default = _Default.NOT_GIVEN
+    phase: float | _Default = _Default.NOT_GIVEN
+    gamma: float | _Default = _Default.NOT_GIVEN
+    tau: float | _Default = _Default.NOT_GIVEN
 
     def __post_init__(self) -> None:
         if self.tag not in FAMILY_TAGS:
@@ -65,10 +71,11 @@ class FamilySpec:
         object.__setattr__(self, "m", m)
         for tag, angles in FAMILY_ANGLES.items():
             for name in angles:
-                if tag != self.tag and getattr(self, name) != 0.0:
+                if tag != self.tag and getattr(self, name) is not _Default.NOT_GIVEN:
                     raise ValueError(f"family {self.tag!r} has no angle {name!r}")
         for name in FAMILY_ANGLES[self.tag]:
-            object.__setattr__(self, name, validate_real(f"angle {name!r}", getattr(self, name)))
+            value = 0.0 if getattr(self, name) is _Default.NOT_GIVEN else getattr(self, name)
+            object.__setattr__(self, name, validate_real(f"angle {name!r}", value))
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FamilySpec":

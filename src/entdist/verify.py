@@ -2,8 +2,8 @@
 
 Three cross checks, none of which use the analytic minimizer v = b/|b|:
 
-* a multi-start Riemannian gradient ascent of (v . b)^2 on the unit
-  spheres, one per qubit, which minimizes the metric trace;
+* a Riemannian gradient ascent of (v . b)^2 on the unit spheres, one
+  start per qubit, which minimizes the metric trace;
 * single-qubit Bloch vectors from a pairwise-summed partial trace of the
   projector, validating the bilinear-to-Bloch identification;
 * a local-unitary invariance harness dressing states with Haar-random
@@ -12,7 +12,7 @@ Three cross checks, none of which use the analytic minimizer v = b/|b|:
 The owners:
 
 - ``verify_state``: the ``entdist verify`` record, each check against its threshold.
-- ``minimize_trace_numeric``: the ascent.
+- ``minimize_trace_numeric``: the ascent; ``optimizer_tol`` its bound.
 - ``reduced_density_matrix``: the partial trace; ``bloch_tol`` its bound.
 - ``_dressings``: the dressings and their memory; ``_dress_passes`` plans
   them, ``metric._turn_gap`` bounds the plan and ``invariance_tol`` holds
@@ -47,14 +47,11 @@ from .qstate import (
     validate_directions,
 )
 
-DEFAULT_RESTARTS = 8
-GRADIENT_TOL = 1e-8  # the ascent moves a row only while its gradient norm is at least this
+# a qubit moves while its gradient norm exceeds this share of |b|^2 (see minimize_trace_numeric)
+GRADIENT_TOL = 1e-8
 MAX_STEPS = 100  # ascent steps before minimize_trace_numeric reports no convergence
 # the largest singular-value gap from 1 that invariance_tol takes for one computed Haar draw
 HAAR_DRAW_GAP = 16 * _UNIT_ROUNDOFF
-
-# the optimizer threshold of verify_state; the others are invariance_tol(M) and bloch_tol(M)
-OPTIMIZER_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,42 +69,83 @@ class OptimizerReport:
         object.__setattr__(self, "directions", dirs)
 
 
-def minimize_trace_numeric(state: StateVector, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> OptimizerReport:
+def minimize_trace_numeric(state: StateVector, seed: int = 0) -> OptimizerReport:
     """Minimize the metric trace over direction fields by a sphere ascent.
 
     Each qubit contributes (1 - (v . b)^2) / 4 to the trace, b its Bloch
-    vector, so each v maximizes p^2 = (v . b)^2 on its own sphere.  All
-    restarts and qubits ascend as one (restarts, M, 3) array of unit rows
-    from Gaussian starts.  A step adds 1/L times the Riemannian gradient
-    2 p (b - p v), L = 2 |b|^2, and renormalizes each row, the retraction
-    onto the sphere (Absil, Mahony and Sepulchre, Optimization Algorithms
-    on Matrix Manifolds, 2008).  Only rows whose gradient norm is at least
-    ``GRADIENT_TOL``, a fixed threshold, move, which keeps a vanishing L
-    out of the division; the ascent stops when none does (``converged``)
-    or after ``MAX_STEPS`` steps (``iterations`` counts them).  Each
-    restart's trace is ``metric._field_traces``, ``distance_density``'s
-    formula.  Deterministic for a fixed seed; the best restart wins.
+    vector, so each v maximizes p^2 = (v . b)^2 on its own sphere.  The
+    qubits ascend as one (M, 3) array of unit rows from one Gaussian start
+    each.  A step adds 1/L times the Riemannian gradient 2 p (b - p v),
+    L = 2 |b|^2, and renormalizes the row, the retraction onto the sphere
+    (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008).  With c = v . b/|b| = cos(theta) that step is
+    v + c (b/|b| - c v), renormalized, which does not depend on |b|, and
+    the gradient norm is 2 |b|^2 |c| |b/|b| - c v| = |b|^2 |sin 2 theta|.
+    So the stop rule is scale-free too: a qubit moves while |sin 2 theta|
+    > ``GRADIENT_TOL``, its gradient norm above ``GRADIENT_TOL`` |b|^2,
+    and a qubit with b = 0 never moves.  The ascent runs on b/|b|, taken
+    after scaling b by its largest component, so a tiny b underflows
+    nowhere.  It stops when no qubit moves (``converged``) or after
+    ``MAX_STEPS`` steps (``iterations`` counts them).  Near the equator c
+    about doubles per step, and near the pole sin(theta) about cubes, so a
+    start at c = 1e-6 converges in about 25 steps.  A start with |c| <=
+    ``GRADIENT_TOL``/2 stays put, its term off by up to |b|^2 / 4, which
+    ``verify_state``'s optimizer check sees when it exceeds
+    ``optimizer_tol``; for a uniform start on the sphere c is uniform on
+    [-1, 1] (Archimedes), so that happens with probability
+    ``GRADIENT_TOL``/2 per qubit.  The trace is ``metric._field_traces``,
+    ``distance_density``'s formula.  Deterministic for a fixed seed.
     """
-    restarts, seed = validate_count("restarts", restarts, 1), validate_count("seed", seed, 0)
-    return _minimize_trace(bloch_vectors(*w_vectors(state)), restarts, seed)
+    seed = validate_count("seed", seed, 0)
+    return _minimize_trace(bloch_vectors(*w_vectors(state)), seed)
 
 
-def _minimize_trace(bloch: np.ndarray, restarts: int, seed: int) -> OptimizerReport:
-    """``minimize_trace_numeric`` of valid arguments, from the state's (M, 3) Bloch vectors."""
-    lipschitz = 2.0 * np.sum(bloch * bloch, axis=1)
-    v = np.random.default_rng(seed).normal(size=(restarts,) + bloch.shape)
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+def _minimize_trace(bloch: np.ndarray, seed: int) -> OptimizerReport:
+    """``minimize_trace_numeric`` of a valid seed, from the state's (M, 3) Bloch vectors."""
+    scale = np.max(np.abs(bloch), axis=1, keepdims=True)
+    unit = np.divide(bloch, scale, out=np.zeros_like(bloch), where=scale > 0.0)
+    unit /= np.maximum(np.linalg.norm(unit, axis=1, keepdims=True), 1.0)  # a zero row stays 0
+    v = np.random.default_rng(seed).normal(size=bloch.shape)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
     for steps in range(MAX_STEPS + 1):
-        proj = np.sum(v * bloch, axis=-1, keepdims=True)
-        grad = 2.0 * proj * (bloch - proj * v)
-        active = np.linalg.norm(grad, axis=-1) >= GRADIENT_TOL
+        c = np.sum(v * unit, axis=1, keepdims=True)
+        tangent = unit - c * v
+        active = 2.0 * np.abs(c[:, 0]) * np.linalg.norm(tangent, axis=1) > GRADIENT_TOL
         if steps == MAX_STEPS or not active.any():
             break
-        moved = v[active] + grad[active] / lipschitz[active.nonzero()[1], None]
-        v[active] = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
-    values = _field_traces(v, bloch)
-    best = int(np.argmin(values))
-    return OptimizerReport(float(values[best]), v[best], not active.any(), steps)
+        moved = v[active] + c[active] * tangent[active]
+        v[active] = moved / np.linalg.norm(moved, axis=1, keepdims=True)
+    return OptimizerReport(float(_field_traces(v, bloch)), v, not active.any(), steps)
+
+
+def optimizer_tol(m: int) -> float:
+    """Largest gap |trace at the ascent's field - E| that ``verify_state`` accepts at m qubits.
+
+    Both values come from the same computed bilinears w, so only what each
+    computes from w differs; take b and |b|^2 = w_3^2 + 4 |w_minus|^2 as
+    exact, |b|^2 <= 1 (to first order), and u = 2^-53.
+
+    * The ascent's stop: a qubit that stopped near its pole has
+      sin(theta)^2 (1 - sin(theta)^2) <= ``GRADIENT_TOL``^2 / 4, so its
+      term (1 - |b|^2 cos(theta)^2) / 4 lies within |b|^2
+      ``GRADIENT_TOL``^2 / 16 of the optimum (1 - |b|^2) / 4.  Twice that,
+      m ``GRADIENT_TOL``^2 / 8 for m qubits, covers the factor
+      1 - sin(theta)^2 and the stop test's rounding, which moves sin(theta)
+      by a few u against its ~``GRADIENT_TOL``/2.  A computed unit row has
+      |v|^2 within 9 u of 1, which moves each (v . b)^2 by at most 9 u
+      and its term by 9 u / 4.
+    * The trace, ``metric._field_traces``: e = v . b is within 3 u, so e^2
+      within 7 u and each term (1 - e^2) / 4 within 2 u; adding the m
+      terms, each at most 1/4, adds at most (m - 1) m u / 4.
+    * E, ``metric.measure_from_bilinears``: each term w_3^2 + 4
+      |w_minus|^2, hypot within 2 u, is within 6 u of |b|^2; adding the m
+      terms adds (m - 1) m u and the subtraction from m adds m u, all
+      divided by 4.
+
+    The sum, m (m + 11) u / 2 + m ``GRADIENT_TOL``^2 / 8, is 2.4e-15 at
+    m = 3, 1.0e-14 at m = 9, 2.4e-14 at m = 16 and 5.4e-14 at m = 26.
+    """
+    return m * (m + 11) * _UNIT_ROUNDOFF / 2.0 + m * GRADIENT_TOL**2 / 8.0
 
 
 def bloch_vector_oracle(state: StateVector, qubit: int) -> np.ndarray:
@@ -312,7 +350,7 @@ def _invariance_check(state: StateVector, trials: int, seed: int, base: float) -
     )
 
 
-def verify_state(state: StateVector, trials: int, restarts: int, seed: int) -> dict:
+def verify_state(state: StateVector, trials: int, seed: int) -> dict:
     """The ``entdist verify`` record: E and the three oracle checks against their thresholds.
 
     E, the ascent's Bloch vectors and the Bloch check's come from one
@@ -320,24 +358,22 @@ def verify_state(state: StateVector, trials: int, restarts: int, seed: int) -> d
     invariance dressings are drawn from ``seed`` and the ascent starts from
     ``seed + 1``.  A check fails unless its gap is below its threshold;
     ``failed_checks`` names the failures in the order of ``thresholds``.
-    ``trials``, ``restarts`` and ``seed`` pass ``qstate.validate_count``
-    before any pass over the state.  It holds the state and what
-    ``_dressings`` holds, whatever M.
+    ``trials`` and ``seed`` pass ``qstate.validate_count`` before any pass
+    over the state.  It holds the state and what ``_dressings`` holds,
+    whatever M.
     """
-    trials = validate_count("trials", trials, 1)
-    restarts = validate_count("restarts", restarts, 1)
-    seed = validate_count("seed", seed, 0)
+    trials, seed = validate_count("trials", trials, 1), validate_count("seed", seed, 0)
     w_minus, w_3 = w_vectors(state)
     analytic = float(measure_from_bilinears(w_minus, w_3))
     bloch = bloch_vectors(w_minus, w_3)
     deviation = _invariance_check(state, trials, seed, analytic)
-    report = _minimize_trace(bloch, restarts, seed + 1)
+    report = _minimize_trace(bloch, seed + 1)
     bloch_gap = max(
         float(np.max(np.abs(b - bloch_vector_oracle(state, nu)))) for nu, b in enumerate(bloch)
     )
     gaps = {"invariance": deviation, "optimizer": abs(report.value - analytic), "bloch": bloch_gap}
     m = state.num_qubits
-    thresholds = {"invariance": invariance_tol(m), "optimizer": OPTIMIZER_TOL, "bloch": bloch_tol(m)}
+    thresholds = {"invariance": invariance_tol(m), "optimizer": optimizer_tol(m), "bloch": bloch_tol(m)}
     failed = [name for name, tol in thresholds.items() if not gaps[name] < tol]
     return {
         "m": m,

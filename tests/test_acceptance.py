@@ -158,7 +158,7 @@ def test_criterion_7_oracle_equivalence():
         m = 2 + index % 4  # M in 2..5
         state = StateVector(m, random_state(m, rng))
         analytic = entanglement_measure(state)
-        report = minimize_trace_numeric(state, restarts=8, seed=700 + index)
+        report = minimize_trace_numeric(state, seed=700 + index)
         assert abs(report.value - analytic) < 1e-6, (
             f"state {index}: optimizer gap {abs(report.value - analytic):.3e}"
         )

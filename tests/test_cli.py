@@ -13,7 +13,7 @@ import entdist.metric
 from entdist import FamilySpec, brs_state, ghzl_state, write_state_file
 from entdist.cli import SweepSpec, main, run_surface, run_sweep
 from entdist.metric import eig_tol, spectrum_tol, trace_tol
-from entdist.verify import bloch_tol, invariance_tol, verify_state
+from entdist.verify import bloch_tol, invariance_tol, optimizer_tol, verify_state
 
 from child import python_child
 
@@ -115,8 +115,10 @@ class TestMeasure:
         [
             ('{"family": "brs", "m": 5, "Phi": 2.1}', "family 'brs' has no key 'Phi'"),
             ('{"family": "brs"}', "family 'brs' requires m"),
+            *[(f'{{"family": "brs", "m": 3, "theta": {v}}}', "family 'brs' has no key 'theta'")
+              for v in ["0", "-0.0", "1.0"]],
         ],
-        ids=["mistyped-key", "brs-without-m"],
+        ids=["mistyped-key", "brs-without-m", "foreign-angle-0", "foreign-angle-neg0", "foreign-angle-1"],
     )
     def test_family_json_refuses_what_it_would_drop(self, spec, message, capsys):
         """A mistyped key or a missing m exits 2 instead of falling back to a default."""
@@ -126,14 +128,16 @@ class TestMeasure:
         assert captured.err == f"error: invalid --family-json: {message}\n"
 
     def test_angle_of_another_family_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["measure", "--family", "brs", "--m", "3", "--theta", "0.5"])
-        assert err.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
-            "entdist measure: error: family 'brs' has no angle 'theta'"
-        )
+        """Whenever it is given, 0 and -0.0 included."""
+        for value in ["0.5", "0", "-0.0", "1.0"]:
+            with pytest.raises(SystemExit) as err:
+                main(["measure", "--family", "brs", "--m", "3", "--theta", value])
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1] == (
+                "entdist measure: error: family 'brs' has no angle 'theta'"
+            )
 
     def test_threeq_m_flag(self, capsys):
         """--m 3 is the threeq default and prints the same bytes; any other m exits 2."""
@@ -779,7 +783,7 @@ class TestVerify:
         assert payload["invariance_max_deviation"] < invariance_tol(4)
         assert payload["optimizer_gap"] < 1e-6
         assert payload["bloch_gap"] < 1e-12
-        assert payload["thresholds"] == {"invariance": invariance_tol(4), "optimizer": 1e-6, "bloch": bloch_tol(4)}
+        assert payload["thresholds"] == {"invariance": invariance_tol(4), "optimizer": optimizer_tol(4), "bloch": bloch_tol(4)}
         assert payload["failed_checks"] == []
 
     def test_chain_phase_passes(self, capsys):
@@ -794,11 +798,11 @@ class TestVerify:
         """The CLI prints ``verify_state``'s record for the state and flags it was given."""
         code, out = run_cli(
             ["verify", "--family", "brs", "--m", "5", "--phi", "2.1", "--trials", "20",
-             "--restarts", "3", "--seed", "7"],
+             "--seed", "7"],
             capsys,
         )
         assert code == 0
-        assert json.loads(out) == verify_state(brs_state(5, 2.1), trials=20, restarts=3, seed=7)
+        assert json.loads(out) == verify_state(brs_state(5, 2.1), trials=20, seed=7)
 
     def test_tolerance_breach_exits_1(self, capsys, monkeypatch):
         """No valid state breaches the thresholds, so force one to check the

@@ -53,18 +53,13 @@ _SITES = [
     ("SweepSpec", lambda v: SweepSpec(_BRS3, "phi", 0.0, 1.0, v), "angle 'phi' grid points", [1]),
     ("run_surface", lambda v: run_surface((0.0, 1.0), (0.0, 1.0), v), "angle 'gamma' grid points",
      [1]),
-    ("minimize-restarts", lambda v: minimize_trace_numeric(_BELL, restarts=v), "restarts", [0]),
     ("minimize-seed", lambda v: minimize_trace_numeric(_BELL, seed=v), "seed", [-1]),
     ("invariance-trials", lambda v: invariance_check(_BELL, trials=v), "trials", [0]),
     ("invariance-seed", lambda v: invariance_check(_BELL, trials=1, seed=v), "seed", [-1]),
     ("reduced_density_matrix", lambda v: reduced_density_matrix(_BELL, v), "qubit index",
      [-1, 2]),
-    ("verify_state-trials", lambda v: verify_state(_BELL, trials=v, restarts=1, seed=0), "trials",
-     [0]),
-    ("verify_state-restarts", lambda v: verify_state(_BELL, trials=1, restarts=v, seed=0),
-     "restarts", [0]),
-    ("verify_state-seed", lambda v: verify_state(_BELL, trials=1, restarts=1, seed=v), "seed",
-     [-1]),
+    ("verify_state-trials", lambda v: verify_state(_BELL, trials=v, seed=0), "trials", [0]),
+    ("verify_state-seed", lambda v: verify_state(_BELL, trials=1, seed=v), "seed", [-1]),
     ("EntanglementMetric", lambda v: EntanglementMetric(v, np.zeros((1, 1)), [[0.0, 0.0, 1.0]], 0.0),
      "size", [0, 27]),
 ]
@@ -92,8 +87,9 @@ def test_library_sites_refuse_what_is_not_a_count_in_range(call, name, value, tm
     [
         (["verify", "--family", "brs", "--m", "3", "--trials", "0"],
          "--trials must be an integer >= 1, got 0"),
-        (["verify", "--family", "brs", "--m", "3", "--restarts", "0"],
-         "--restarts must be an integer >= 1, got 0"),
+        # the ascent takes one start per qubit: the count it once took is no flag
+        (["verify", "--family", "brs", "--m", "3", "--restarts", "2"],
+         "unrecognized arguments: --restarts 2"),
         (["verify", "--family", "brs", "--m", "3", "--seed", "-1"],
          "--seed must be an integer >= 0, got -1"),
         (["measure", "--family", "brs", "--m", "1"],
@@ -106,7 +102,9 @@ def test_library_sites_refuse_what_is_not_a_count_in_range(call, name, value, tm
     ids=["trials", "restarts", "seed", "m-low", "m-high", "seed-not-int"],
 )
 def test_cli_count_errors_exit_2_naming_the_flag(args, message, capsys):
-    """A count out of range exits 2 through the subcommand's usage, not 4 as an internal error."""
+    """A count out of range exits 2 through the subcommand's usage, not 4 as an internal error.
+
+    ``--restarts``, a count ``verify`` no longer takes, exits 2 through the top-level usage."""
     with pytest.raises(SystemExit) as err:
         main(args)
     assert err.value.code == 2
@@ -126,19 +124,19 @@ def test_cli_state_file_m_exits_2_naming_the_file(m, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "counts, name",
-    [((0, 1, 0), "trials"), ((1, 0, 0), "restarts"), ((1, 1, -1), "seed")],
-    ids=["trials", "restarts", "seed"],
+    [((0, 0), "trials"), ((1, -1), "seed")],
+    ids=["trials", "seed"],
 )
 def test_verify_state_checks_its_counts_before_any_pass(counts, name, monkeypatch):
-    """``restarts=0`` at M = 22 was once refused only after the bilinear pass and the dressings, 1.7 s."""
+    """A bad count at M = 22 was once refused only after the bilinear pass and the dressings, 1.7 s."""
 
     def no_pass(state):
         raise AssertionError("verify_state read the state before checking its counts")
 
     monkeypatch.setattr(entdist.verify, "w_vectors", no_pass)
-    trials, restarts, seed = counts
+    trials, seed = counts
     with pytest.raises(ValueError, match=f"^{name} must be an integer "):
-        verify_state(_BELL, trials=trials, restarts=restarts, seed=seed)
+        verify_state(_BELL, trials=trials, seed=seed)
 
 
 def test_numpy_integers_give_json_records():
@@ -148,7 +146,7 @@ def test_numpy_integers_give_json_records():
     assert type(state.num_qubits) is int and type(spec.m) is int
     json.dumps(entanglement_metric(state).to_dict())
     json.dumps(spec.to_dict())
-    json.dumps(verify_state(state, trials=np.int64(2), restarts=np.int64(2), seed=np.int64(1)))
+    json.dumps(verify_state(state, trials=np.int64(2), seed=np.int64(1)))
 
 
 def test_entanglement_metric_size_is_stored_as_a_python_int():

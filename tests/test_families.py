@@ -1,6 +1,7 @@
 """State families: generators, closed forms, convention regressions."""
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -326,10 +327,17 @@ class TestFamilySpec:
          ("threeq", "phase", 2.0)],
     )
     def test_angle_of_another_family_is_refused(self, tag, angle, value):
-        """A non-zero angle the family does not use raises; 0, the field default, is accepted."""
-        with pytest.raises(ValueError, match=f"^family '{tag}' has no angle '{angle}'$"):
-            FamilySpec(tag, m=3, **{angle: value})
-        assert FamilySpec(tag, m=3, **{angle: 0.0}) == FamilySpec(tag, m=3)
+        """An angle the family does not use raises whenever it is given, 0 and -0.0 included."""
+        for given in (value, 0.0, -0.0, 1.0, None):
+            with pytest.raises(ValueError, match=f"^family '{tag}' has no angle '{angle}'$"):
+                FamilySpec(tag, m=3, **{angle: given})
+
+    def test_own_angles_not_given_are_zero(self):
+        """Not given is 0 for a family's own angles, and a ``dataclasses.replace`` of one angle keeps the rest."""
+        spec = FamilySpec("ghzl", m=3, phase=0.2)
+        assert (spec.theta, spec.phase) == (0.0, 0.2)
+        assert spec.to_dict() == {"family": "ghzl", "m": 3, "theta": 0.0, "phase": 0.2}
+        assert dataclasses.replace(spec, theta=0.7) == FamilySpec("ghzl", m=3, theta=0.7, phase=0.2)
 
     def test_threeq_m_fixed(self):
         with pytest.raises(ValueError):

@@ -145,8 +145,7 @@ def test_frame_kernel_memory_is_two_blocks_and_the_accumulator(m):
     assert peak <= 1.05 * (2 * 16 * budget + 8 * budget)
 
 
-VERIFY_M20 = ["verify", "--family", "brs", "--m", "20", "--phi", "0.3", "--trials", "1",
-              "--restarts", "1", "--seed", "1"]
+VERIFY_M20 = ["verify", "--family", "brs", "--m", "20", "--phi", "0.3", "--trials", "1", "--seed", "1"]
 
 
 def test_verify_passes_a_valid_20_qubit_state(capsys):

@@ -39,7 +39,7 @@ import numpy as np
 import pytest
 
 from entdist.metric import eig_tol, trace_tol
-from entdist.verify import OPTIMIZER_TOL, bloch_tol, invariance_tol
+from entdist.verify import bloch_tol, invariance_tol, optimizer_tol
 
 from child import python_child
 from oracles import closed_form_share, random_state
@@ -170,7 +170,7 @@ def test_verify_chain_phase_state_at_max_qubits(tmp_path):
     assert code == 0, err
     record = json.loads(out)
     assert record["m"] == M and record["passed"] is True
-    assert record["thresholds"] == {"invariance": invariance_tol(M), "optimizer": OPTIMIZER_TOL, "bloch": bloch_tol(M)}
+    assert record["thresholds"] == {"invariance": invariance_tol(M), "optimizer": optimizer_tol(M), "bloch": bloch_tol(M)}
     wall_limit = VERIFY_WALL_FACTOR * WALL_LIMIT_S
     assert wall <= wall_limit and peak <= VERIFY_PEAK_RSS_LIMIT, (
         f"wall time {wall:.1f} s (limit {wall_limit:.0f} s), "

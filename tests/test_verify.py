@@ -20,7 +20,15 @@ from entdist import (
     w_vectors,
 )
 from entdist import verify
-from entdist.verify import _dress, _dress_passes, _dressings, _oracle_depth, bloch_tol, invariance_tol
+from entdist.verify import (
+    _dress,
+    _dress_passes,
+    _dressings,
+    _oracle_depth,
+    bloch_tol,
+    invariance_tol,
+    optimizer_tol,
+)
 from entdist.metric import _block_bits, _turn_gap
 from entdist.qstate import ROW_BITS, _apply_one_qubit_matrix, _haar_unitary, bloch_vectors
 
@@ -56,7 +64,7 @@ class TestMinimizeTraceNumeric:
         for m in [2, 3, 4]:
             for _ in range(5):
                 s = StateVector(m, random_state(m, rng))
-                report = minimize_trace_numeric(s, restarts=4, seed=int(rng.integers(1 << 30)))
+                report = minimize_trace_numeric(s, seed=int(rng.integers(1 << 30)))
                 assert report.value >= entanglement_measure(s) - 1e-9
 
     def test_directions_evaluate_to_reported_value(self):
@@ -77,10 +85,81 @@ class TestMinimizeTraceNumeric:
         assert capped.iterations == full.iterations - 1
 
     def test_vanishing_bloch_vectors_need_no_step(self):
-        """Every direction is optimal for a GHZ state's qubits: no row moves."""
-        report = minimize_trace_numeric(ghzl_state(4, np.pi / 4), seed=4)
+        """Every direction is optimal for a qubit whose b is exactly 0: no row moves.
+
+        The GHZ state's two amplitudes are the same float, so each b is 0
+        exactly; ``ghzl_state(4, pi/4)``'s b is about 1e-16, and its rows
+        move to it (``test_tiny_bloch_vectors_raise_no_warning``)."""
+        amps = np.zeros(16)
+        amps[[0, 15]] = np.sqrt(0.5)
+        state = StateVector(4, amps)
+        assert not np.any(bloch_vectors(*w_vectors(state)))
+        report = minimize_trace_numeric(state, seed=4)
         assert report.converged and report.iterations == 0
         assert report.value == 1.0
+
+    @pytest.mark.parametrize("delta", [3e-3, 1e-3, 1e-4])
+    def test_one_start_passes_near_ghz(self, delta):
+        """GHZ-like states at theta = pi/4 + delta have |b|^2 = sin^2(2 delta), 3.6e-5 to 4.0e-8
+        at M = 16.  One start under an absolute stop rule, |grad| < 1e-8, froze a qubit near
+        its equator and failed a 1e-6 check in 3 and 14 of 2000 seeds at delta = 3e-3 and
+        1e-3; under the relative rule every seed of 200 passes the derived bound."""
+        state = ghzl_state(16, np.pi / 4 + delta)
+        bloch = bloch_vectors(*w_vectors(state))
+        e = entanglement_measure(state)
+        for seed in range(200):
+            report = verify._minimize_trace(bloch, seed)
+            assert report.converged and abs(report.value - e) < optimizer_tol(16), seed
+
+    def test_start_near_the_equator_converges(self):
+        """Bloch vectors planted at cos(theta_0) = 1e-6 from the seed's start: c about
+        doubles per step, so the ascent takes 24 steps, well within ``MAX_STEPS``."""
+        m, seed = 5, 6
+        rng = np.random.default_rng(seed)
+        start = rng.normal(size=(m, 3))
+        start /= np.linalg.norm(start, axis=1, keepdims=True)
+        normal = np.cross(start, rng.normal(size=(m, 3)))
+        normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+        c0 = 1e-6
+        bloch = np.linspace(0.2, 0.9, m)[:, None] * (c0 * start + np.sqrt(1 - c0**2) * normal)
+        report = verify._minimize_trace(bloch, seed)
+        assert report.converged and 20 <= report.iterations < verify.MAX_STEPS
+        best = 0.25 * (m - np.sum(bloch**2))
+        assert abs(report.value - best) < optimizer_tol(m)
+
+    def test_tiny_bloch_vectors_raise_no_warning(self):
+        """b of size 1e-160, whose |b|^2 is subnormal, 1e-170, whose |b|^2 underflows to 0,
+        and a subnormal b: the rows still turn to b/|b|, with no RuntimeWarning (an error here)."""
+        rng = np.random.default_rng(8)
+        dirs = rng.normal(size=(4, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        bloch = np.array([1e-160, 1e-170, 1e-310, 5e-324])[:, None] * dirs
+        report = verify._minimize_trace(bloch, 9)
+        assert report.converged and report.value == 1.0
+        scaled = bloch / np.max(np.abs(bloch), axis=1, keepdims=True)
+        alignment = np.sum(report.directions * scaled, axis=1) / np.linalg.norm(scaled, axis=1)
+        np.testing.assert_allclose(np.abs(alignment), 1.0, rtol=0, atol=1e-12, equal_nan=False)
+        ghz = minimize_trace_numeric(ghzl_state(4, np.pi / 4), seed=4)
+        assert ghz.converged and ghz.value == 1.0
+
+
+class TestOptimizerCheck:
+    @pytest.mark.parametrize("m", [3, 9, 16])
+    def test_planted_gap_fails(self, m, monkeypatch):
+        """``verify_state`` passes a chain phase state and fails it once its ascent's value
+        is moved by M ``optimizer_tol(M)``."""
+        state = brs_state(m, 0.3)
+        assert verify.verify_state(state, trials=1, seed=0)["passed"]
+        ascent = verify._minimize_trace
+
+        def planted(bloch, seed):
+            r = ascent(bloch, seed)
+            return verify.OptimizerReport(r.value + m * optimizer_tol(m), r.directions, r.converged, r.iterations)
+
+        monkeypatch.setattr(verify, "_minimize_trace", planted)
+        record = verify.verify_state(state, trials=1, seed=0)
+        assert record["failed_checks"] == ["optimizer"]
+        assert record["thresholds"]["optimizer"] == optimizer_tol(m)
 
 
 class TestBlochVectorOracle:
@@ -210,12 +289,11 @@ class TestInvarianceCheck:
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda s: minimize_trace_numeric(s, restarts=0), "restarts must be an integer >= 1, got 0"),
         (lambda s: minimize_trace_numeric(s, seed=-1), "seed must be an integer >= 0, got -1"),
         (lambda s: invariance_check(s, trials=0), "trials must be an integer >= 1, got 0"),
         (lambda s: invariance_check(s, trials=1, seed=-1), "seed must be an integer >= 0, got -1"),
     ],
-    ids=["restarts", "minimize-seed", "trials", "invariance-seed"],
+    ids=["minimize-seed", "trials", "invariance-seed"],
 )
 def test_refusals_come_before_any_pass_over_the_state(call, message, monkeypatch):
     """The public checks validate every argument before they read the state for its E or Bloch vectors."""
