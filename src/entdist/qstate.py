@@ -394,7 +394,17 @@ def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A state of several rows goes to ``_row_bilinears``, one state at a
     time.  A state of M <= ROW_BITS qubits is one row, and the batch
-    takes per qubit one einsum and two sums over the whole state.  The
+    takes per qubit one einsum and two sums over the whole state, one
+    per half of its pairs.  numpy adds each half pairwise over its
+    2^(M-1) terms in index order, and below 8 terms a pairwise sum is a
+    left-to-right sum.  So a batch of M <= 3 qubits holds its
+    probabilities as (2^M, ...batch), the batch innermost, and adds each
+    half's terms one at a time, in index order, into a batch-wide
+    accumulator: numpy's bits, from one vector add per term in place of
+    one tiny reduction per state.  A single state, and M >= 4, take
+    numpy's sums: one state gains nothing from a batch axis, and an exact
+    batch-innermost emulation of the pairwise blocks of 8 was slower than
+    numpy's sums at a sweep chunk of M = 9 and at M = 14.  The
     batch is conjugated once, and each qubit's einsum reads its half from
     that copy: the values of a conjugated copy of the half, in a layout
     whose strides rank the reduction axes the same way, so einsum adds
@@ -411,12 +421,27 @@ def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return w_minus, w_3
     amps = rows[..., 0, :]
     shapes = [batch + (1 << (m - 1 - nu), 2, 1 << nu) for nu in range(m)]
-    probs = np.abs(amps)
-    np.square(probs, out=probs)  # the bits of np.abs(amps) ** 2, one temporary fewer
-    for nu, shape in enumerate(shapes):
-        pview = probs.reshape(shape)
-        w_3[..., nu] = pview[..., 0, :].sum(axis=(-2, -1)) - pview[..., 1, :].sum(axis=(-2, -1))
-    del probs, pview  # the conjugate takes their place: one temporary of a batch's bytes at a time
+    if m <= 3 and batch:
+        probs = np.empty((1 << m,) + batch)  # the batch innermost: a half's term is one contiguous row
+        np.abs(np.moveaxis(amps, -1, 0), out=probs)
+        np.square(probs, out=probs)
+        halves = np.empty(batch), np.empty(batch)
+        for nu in range(m):
+            for s in (0, 1):
+                first, *rest = [k for k in range(1 << m) if (k >> nu) & 1 == s]
+                np.copyto(halves[s], probs[first])
+                for k in rest:
+                    np.add(halves[s], probs[k], out=halves[s])
+            np.subtract(*halves, out=w_3[..., nu])
+        del halves
+    else:
+        probs = np.abs(amps)
+        np.square(probs, out=probs)  # the bits of np.abs(amps) ** 2, one temporary fewer
+        for nu, shape in enumerate(shapes):
+            pview = probs.reshape(shape)
+            w_3[..., nu] = pview[..., 0, :].sum(axis=(-2, -1)) - pview[..., 1, :].sum(axis=(-2, -1))
+        del pview
+    del probs  # the conjugate takes their place: one temporary of a batch's bytes at a time
     conj = np.conj(amps)
     for nu, shape in enumerate(shapes):
         upper, lower = conj.reshape(shape)[..., 1, :], amps.reshape(shape)[..., 0, :]

@@ -89,11 +89,13 @@ def minimize_trace_numeric(state: StateVector, seed: int = 0) -> OptimizerReport
     ``MAX_STEPS`` steps (``iterations`` counts them).  Near the equator c
     about doubles per step, and near the pole sin(theta) about cubes, so a
     start at c = 1e-6 converges in about 25 steps.  A start with |c| <=
-    ``GRADIENT_TOL``/2 stays put, its term off by up to |b|^2 / 4, which
-    ``verify_state``'s optimizer check sees when it exceeds
-    ``optimizer_tol``; for a uniform start on the sphere c is uniform on
-    [-1, 1] (Archimedes), so that happens with probability
-    ``GRADIENT_TOL``/2 per qubit.  The trace is ``metric._field_traces``,
+    ``GRADIENT_TOL``/2 would stay put, its term off by up to |b|^2 / 4, so
+    a qubit with b != 0 whose start has |c| <= ``GRADIENT_TOL`` draws its
+    start again from the same generator until it lies off the equator;
+    from there it converges in about 30 steps.  For a uniform start on the
+    sphere c is uniform on [-1, 1] (Archimedes), so a redraw happens with
+    probability ``GRADIENT_TOL`` per qubit, and the other starts are those
+    of the first draw.  The trace is ``metric._field_traces``,
     ``distance_density``'s formula.  Deterministic for a fixed seed.
     """
     seed = validate_count("seed", seed, 0)
@@ -105,8 +107,13 @@ def _minimize_trace(bloch: np.ndarray, seed: int) -> OptimizerReport:
     scale = np.max(np.abs(bloch), axis=1, keepdims=True)
     unit = np.divide(bloch, scale, out=np.zeros_like(bloch), where=scale > 0.0)
     unit /= np.maximum(np.linalg.norm(unit, axis=1, keepdims=True), 1.0)  # a zero row stays 0
-    v = np.random.default_rng(seed).normal(size=bloch.shape)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    rng = np.random.default_rng(seed)
+    v = np.empty_like(bloch)
+    draw = np.ones(len(v), dtype=bool)
+    while draw.any():
+        start = rng.normal(size=(np.count_nonzero(draw), 3))
+        v[draw] = start / np.linalg.norm(start, axis=1, keepdims=True)
+        draw = (np.abs(np.sum(v * unit, axis=1)) <= GRADIENT_TOL) & unit.any(axis=1)
     for steps in range(MAX_STEPS + 1):
         c = np.sum(v * unit, axis=1, keepdims=True)
         tangent = unit - c * v

@@ -115,12 +115,20 @@ class TestRowWalkedKernel:
 
         The chunk, 2^ROW_BITS amplitudes, has about a third of its parts
         +0.0 or -0.0, and is read as a batch and its first state alone.
+        The batch is read in Fortran order too, against the reference on
+        its C-ordered copy.  At M <= 4, six of the chunk's states are read
+        as a (2, 3) batch: M <= 3 sums a batch's halves term by term, the
+        batch innermost, and M = 4 keeps numpy's sums.
         """
         rng = np.random.default_rng(600 + m)
         batch = _stacked_batch(m, rng)
         chunk = signed_zero_batch(m, max(1, (1 << qstate.ROW_BITS) >> m), rng)
-        for amps in [*batch, batch, chunk[0], chunk]:
-            for got, expected in zip(bilinears(amps), _whole_vector_bilinears(amps)):
+        cases = [(amps, amps) for amps in [*batch, batch, chunk[0], chunk]]
+        cases.append((np.asfortranarray(batch), batch))
+        if m <= 4:
+            cases.append((chunk[:6].reshape(2, 3, -1),) * 2)
+        for amps, reference in cases:
+            for got, expected in zip(bilinears(amps), _whole_vector_bilinears(reference)):
                 assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(

@@ -111,21 +111,34 @@ class TestMinimizeTraceNumeric:
             report = verify._minimize_trace(bloch, seed)
             assert report.converged and abs(report.value - e) < optimizer_tol(16), seed
 
-    def test_start_near_the_equator_converges(self):
-        """Bloch vectors planted at cos(theta_0) = 1e-6 from the seed's start: c about
-        doubles per step, so the ascent takes 24 steps, well within ``MAX_STEPS``."""
-        m, seed = 5, 6
+    @staticmethod
+    def _planted(c0: float, m: int = 5, seed: int = 6) -> tuple[np.ndarray, float]:
+        """Bloch vectors of |b| 0.2 to 0.9 at cos(theta_0) = c0 from the seed's first start, and E."""
         rng = np.random.default_rng(seed)
         start = rng.normal(size=(m, 3))
         start /= np.linalg.norm(start, axis=1, keepdims=True)
         normal = np.cross(start, rng.normal(size=(m, 3)))
         normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-        c0 = 1e-6
         bloch = np.linspace(0.2, 0.9, m)[:, None] * (c0 * start + np.sqrt(1 - c0**2) * normal)
-        report = verify._minimize_trace(bloch, seed)
+        return bloch, 0.25 * (m - np.sum(bloch**2))
+
+    def test_start_near_the_equator_converges(self):
+        """At cos(theta_0) = 1e-6 c about doubles per step, so the ascent takes 24 steps,
+        well within ``MAX_STEPS``."""
+        bloch, best = self._planted(1e-6)
+        report = verify._minimize_trace(bloch, 6)
         assert report.converged and 20 <= report.iterations < verify.MAX_STEPS
-        best = 0.25 * (m - np.sum(bloch**2))
-        assert abs(report.value - best) < optimizer_tol(m)
+        assert abs(report.value - best) < optimizer_tol(5)
+
+    @pytest.mark.parametrize("c0", [1e-9, 0.0, -4e-9])
+    def test_start_on_the_equator_is_drawn_again(self, c0):
+        """A first start within ``GRADIENT_TOL``/2 of the equator would pass the stop test at
+        once: kept, the ascent took 0 steps and its trace was 0.45 above E."""
+        bloch, best = self._planted(c0)
+        report = verify._minimize_trace(bloch, 6)
+        assert report.converged and 0 < report.iterations < verify.MAX_STEPS
+        assert abs(report.value - best) < optimizer_tol(5)
+        assert verify._minimize_trace(bloch, 6).directions.tobytes() == report.directions.tobytes()
 
     def test_tiny_bloch_vectors_raise_no_warning(self):
         """b of size 1e-160, whose |b|^2 is subnormal, 1e-170, whose |b|^2 underflows to 0,
