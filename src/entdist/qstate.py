@@ -397,14 +397,13 @@ def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     takes per qubit one einsum and two sums over the whole state, one
     per half of its pairs.  numpy adds each half pairwise over its
     2^(M-1) terms in index order, and below 8 terms a pairwise sum is a
-    left-to-right sum.  So a batch of M <= 3 qubits holds its
-    probabilities as (2^M, ...batch), the batch innermost, and adds each
-    half's terms one at a time, in index order, into a batch-wide
-    accumulator: numpy's bits, from one vector add per term in place of
-    one tiny reduction per state.  A single state, and M >= 4, take
-    numpy's sums: one state gains nothing from a batch axis, and an exact
-    batch-innermost emulation of the pairwise blocks of 8 was slower than
-    numpy's sums at a sweep chunk of M = 9 and at M = 14.  The
+    left-to-right sum.  So M <= 3 qubits hold their probabilities as
+    (2^M, ...batch), the batch innermost, and add each half's terms one
+    at a time, in index order, into a batch-wide accumulator: numpy's
+    bits, from one vector add per term in place of one tiny reduction
+    per state.  M >= 4 takes numpy's sums: an exact batch-innermost
+    emulation of the pairwise blocks of 8 was slower than numpy's sums
+    at a sweep chunk of M = 9 and at M = 14.  The
     batch is conjugated once, and each qubit's einsum reads its half from
     that copy: the values of a conjugated copy of the half, in a layout
     whose strides rank the reduction axes the same way, so einsum adds
@@ -421,7 +420,7 @@ def bilinears(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return w_minus, w_3
     amps = rows[..., 0, :]
     shapes = [batch + (1 << (m - 1 - nu), 2, 1 << nu) for nu in range(m)]
-    if m <= 3 and batch:
+    if m <= 3:
         probs = np.empty((1 << m,) + batch)  # the batch innermost: a half's term is one contiguous row
         np.abs(np.moveaxis(amps, -1, 0), out=probs)
         np.square(probs, out=probs)

@@ -117,8 +117,8 @@ class TestRowWalkedKernel:
         +0.0 or -0.0, and is read as a batch and its first state alone.
         The batch is read in Fortran order too, against the reference on
         its C-ordered copy.  At M <= 4, six of the chunk's states are read
-        as a (2, 3) batch: M <= 3 sums a batch's halves term by term, the
-        batch innermost, and M = 4 keeps numpy's sums.
+        as a (2, 3) batch: M <= 3 sums the halves term by term, the batch
+        innermost, and M = 4 keeps numpy's sums.
         """
         rng = np.random.default_rng(600 + m)
         batch = _stacked_batch(m, rng)
