@@ -26,7 +26,6 @@ from .metric import (
 )
 from .qstate import (
     MAX_QUBITS,
-    LocalUnitary,
     StateFileError,
     StateVector,
     apply_local_unitary,
@@ -51,7 +50,6 @@ __all__ = [
     "FAMILY_TAGS",
     "MAX_QUBITS",
     "StateVector",
-    "LocalUnitary",
     "StateFileError",
     "EntanglementMetric",
     "Spectrum",

@@ -23,10 +23,7 @@ state gets the same bits alone or in a batch.  The owners:
   one row by ``_applied_rows`` and ``qstate._dot``.
 - ``_frame_metric``: the direction-frame kernel, for a state of several
   rows, and its identity rule; ``_frame_passes`` plans its passes, within
-  ``_block_bits``.
-- ``_turns``, ``_rotate``, ``_kron_factors``, ``_kron_spec`` and
-  ``_kron_groups``: the Kronecker turns of the frame kernel and of
-  ``verify``'s dressings.
+  ``qstate._block_bits``, and ``qstate._turns`` turns them.
 - ``_metric_from_moments`` and ``_diagonal``: g from the moments, for both kernels.
 - ``check_metrics``: the checks and spectra of metrics; ``EntanglementMetric``
   and ``spectrum`` read its one set of eigenvalues.
@@ -40,7 +37,6 @@ state gets the same bits alone or in a batch.  The owners:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +48,12 @@ from .qstate import (
     SHORT_RUN_BITS,
     StateVector,
     _apply_one_qubit_matrix,
+    _block_bits,
     _dot,
-    _holds_amplitude,
+    _kron_groups,
     _operator,
     _spin_moments,
+    _turns,
     bilinears,
     bloch_vectors,
     row_depth,
@@ -68,8 +66,6 @@ from .qstate import (
 DEGENERATE_TOL = 1e-12
 SYMMETRY_TOL = 1e-12  # on max |g - g^T|
 DIAGONAL_TOL = 1e-12  # on how far a diagonal entry lies outside [0, 1/4]
-BLOCK_BITS = 3  # a block holds at most 2**BLOCK_BITS rows' worth of amplitudes (see _block_bits)
-KRON_BITS = 4  # a Kronecker factor turns at most this many qubits (see _kron_groups)
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -81,23 +77,24 @@ def _gamma(n: int) -> float:
 def _turn_gap(passes: list[tuple[range, range]]) -> float:
     """Bound on the 2-norm gap that the Kronecker turns of the plan ``passes`` add to a unit vector.
 
-    The one error model of a turn by ``_kron_factors`` and ``_rotate``,
-    against the exact turn by the 2 x 2 unitaries as given.  However its
-    2n real products are ordered or fused, a complex inner product of n
-    terms is off by at most 2 gamma_2n sum |a_i| |b_i| (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 3), so a turn x -> F x by a
-    d x d unitary adds at most 2 gamma_2d || |F| |x| ||_2 <= 2 gamma_2d
-    sqrt(d) to the error, |F| having 2-norm at most ||F||_F = sqrt(d).  A
-    unitary turn carries the earlier error with it unchanged, so the
-    turns' errors add.  ``_kron_factors`` takes one factor per group of
-    ``_kron_groups`` of a pass's row bits, and of its column bits; the
-    factor of a group of b qubits, d = 2^b, is a product of b unitary
-    entries, b - 1 complex products each within 2 gamma_2 relatively, so
-    it is off by at most 2 (b - 1) gamma_2 sqrt(d) in the 2-norm as well:
-    304 u for a full group, b = 4.  math.fsum adds the groups' terms
-    exactly rounded, so two plans with the same groups in another order
-    give the same bound.  ``entry_tol`` takes it per pass of the frame
-    kernel, and ``verify.invariance_tol`` over the dressing's whole plan.
+    The one error model of a turn by ``qstate._kron_factors`` and
+    ``qstate._rotate``, against the exact turn by the 2 x 2 unitaries as
+    given.  However its 2n real products are ordered or fused, a complex
+    inner product of n terms is off by at most 2 gamma_2n sum |a_i| |b_i|
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), so a
+    turn x -> F x by a d x d unitary adds at most 2 gamma_2d || |F| |x| ||_2
+    <= 2 gamma_2d sqrt(d) to the error, |F| having 2-norm at most ||F||_F
+    = sqrt(d).  A unitary turn carries the earlier error with it
+    unchanged, so the turns' errors add.  ``_kron_factors`` takes one
+    factor per group of ``qstate._kron_groups`` of a pass's row bits, and
+    of its column bits; the factor of a group of b qubits, d = 2^b, is a
+    product of b unitary entries, b - 1 complex products each within 2
+    gamma_2 relatively, so it is off by at most 2 (b - 1) gamma_2 sqrt(d)
+    in the 2-norm as well: 304 u for a full group, b = 4.  math.fsum adds
+    the groups' terms exactly rounded, so two plans with the same groups
+    in another order give the same bound.  ``entry_tol`` takes it per
+    pass of the frame kernel, and ``verify.invariance_tol`` and the tests
+    of ``qstate.apply_local_unitary`` over ``qstate._dress``' whole plan.
     """
     groups = [b for step in passes for bits in step for b in _kron_groups(len(bits))]
     return math.fsum((2 * (b - 1) * _gamma(2) + 2 * _gamma(2 << b)) * math.sqrt(1 << b) for b in groups)
@@ -480,105 +477,6 @@ def _frame_unitaries(dirs: np.ndarray) -> np.ndarray:
     south = np.array([[plus, a], [a, -minus]])
     u = np.where(v3 >= 0.0, north, south) / np.sqrt(2.0 * a)
     return np.moveaxis(u, (0, 1), (-2, -1))
-
-
-def _kron_groups(n: int) -> list[int]:
-    """The one grouping of a run of n qubits into Kronecker factors: each group's size, lowest first.
-
-    Groups of KRON_BITS qubits, and a short last one.
-    """
-    return [min(KRON_BITS, n - lo) for lo in range(0, n, KRON_BITS)]
-
-
-def _kron_spec(b: int) -> str:
-    """The einsum of a group of b <= KRON_BITS qubits, highest first: "gij,gkl,gmn,gop->gikmojlnp" at b = 4.
-
-    So f[g, (i k m o), (j l n p)] = u3[i, j] u2[k, l] u1[m, n] u0[o, p],
-    and a shorter group's spec is this one cut to its b unitaries.
-    """
-    rows, cols = "ikmoqsuw"[:b], "jlnprtvx"[:b]  # each unitary's row and column index
-    return ",".join(f"g{i}{j}" for i, j in zip(rows, cols)) + f"->g{rows}{cols}"
-
-
-def _kron_factors(u: np.ndarray, qubits: list[int]) -> list[np.ndarray]:
-    """Kronecker products of the unitaries of ``qubits``, one per group of ``_kron_groups``, lowest first.
-
-    Each factor has its group's highest qubit as the most significant bit.
-    The groups of one size, the full ones and then a short last one, take
-    one einsum, ``_kron_spec`` of their size, over their (G, b, 2, 2)
-    unitaries.
-    """
-    sizes, factors, lo = _kron_groups(len(qubits)), [], 0
-    for b in sorted(set(sizes), reverse=True):
-        n = sizes.count(b)
-        groups = u[qubits[lo : lo + n * b]].reshape(n, b, 2, 2)
-        f = np.einsum(_kron_spec(b), *(groups[:, q] for q in reversed(range(b))))
-        factors += list(f.reshape(n, 1 << b, 1 << b))
-        lo += n * b
-    return factors
-
-
-def _rotate(
-    x: np.ndarray, high: list[np.ndarray], low: list[np.ndarray], buffers: list[np.ndarray]
-) -> np.ndarray:
-    """Apply Kronecker factors to ``x`` (2^a, 2^b): ``high`` to its row bits, then ``low`` to its column bits.
-
-    The one turn of a block, for the frame kernel and ``verify``'s
-    dressings.  Each step is one matmul, written to the next of the two
-    ``buffers``, lowest group of bits first in each list.  A row-bit factor
-    f of size d multiplies x seen as (rest, d, below) from the left, which
-    keeps the index order, so ``x`` may be a strided slice of a state's
-    rows, read in place.  A column-bit factor multiplies the transpose of
-    the contiguous input seen as (rest, d), written (d, rest), so the
-    group's bits move to the front of the index and the next group trails;
-    after all of them the column bits lead, in order, and the row bits
-    trail.  The small factor is the left operand throughout, which keeps
-    the BLAS packing buffers small.
-    """
-    below = x.shape[-1]
-    for i, f in enumerate(high + low):
-        d = len(f)
-        out = buffers[i % 2][: x.size]
-        if i < len(high):
-            np.matmul(f, x.reshape(-1, d, below), out=out.reshape(-1, d, below))
-            below *= d
-        else:
-            np.matmul(f, x.reshape(-1, d).T, out=out.reshape(d, -1))
-        x = out
-    return x
-
-
-def _turns(
-    state: np.ndarray, row_bits: range, col_bits: range, w: int, u: np.ndarray | None,
-    buffers: list[np.ndarray],
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The one block loop of a Kronecker turn: (block, turned block) per block that holds amplitude.
-
-    ``state`` holds 2^M amplitudes in any C-contiguous shape.  A pass with
-    row bits J, a run of qubits above the w lowest, reads blocks of the
-    2^|J| rows of 2^w amplitudes that differ only in J: a (2^|J|, 2^w)
-    strided slice of the state, read in place.  ``_rotate`` turns a block
-    by the Kronecker factors (``_kron_factors``) of the unitaries ``u``
-    (M, 2, 2) of J and of the column bits C, either range(w) or none; a
-    pass the identity rule holds still, ``u`` None, yields the block as it
-    stands.  A turned block lies in one of the two ``buffers``, each of at
-    least a block, until the next is turned.  The blocks of a pass split
-    the state, so a pass turns each amplitude once.  A block that fails
-    ``qstate._holds_amplitude`` is skipped.
-    """
-    blocks = state.reshape(-1, 1 << len(row_bits), 1 << (row_bits.start - w), 1 << w)
-    if u is not None:
-        factors = _kron_factors(u, list(row_bits)), _kron_factors(u, list(col_bits))
-    for outer, inner in np.ndindex(blocks.shape[0], blocks.shape[2]):
-        blk = blocks[outer, :, inner, :]
-        if _holds_amplitude(blk):
-            yield blk, blk if u is None else _rotate(blk, *factors, buffers)
-
-
-def _block_bits(k: int) -> int:
-    """The block budget for rows of 2^k amplitudes: a block of the frame kernel, or of ``verify``'s
-    dressings at k = ROW_BITS, holds at most 2^(k + BLOCK_BITS) amplitudes."""
-    return k + BLOCK_BITS
 
 
 def _frame_passes(m: int, k: int) -> list[tuple[range, range]]:

@@ -8,8 +8,16 @@ significant bit.  All operations are pure functions on immutable inputs.
 The owners:
 
 - ``row_view``: the state-array rule and the rows every pass reads.
-- ``validate_count``, ``validate_real``, ``validate_directions`` and
-  ``validate_amplitudes``: the argument, field and state rules.
+- ``validate_count``, ``validate_real``, ``validate_directions``,
+  ``validate_unitaries`` and ``validate_amplitudes``: the argument,
+  field and state rules.
+- ``_dress``: every turn of a state by local unitaries, for
+  ``apply_local_unitary`` and ``verify``'s dressings; ``_dress_passes``
+  plans it.  ``_turns``, ``_rotate``, ``_kron_factors``, ``_kron_spec``
+  and ``_kron_groups``: the Kronecker turns of ``_dress`` and of the
+  frame kernel, in blocks of the budget ``_block_bits``.
+- ``_apply_one_qubit_matrix``: the one-row metric's apply
+  (``metric._applied_rows``).
 - ``bilinears``: the per-qubit amplitude bilinears, from which every
   Bloch vector (``bloch_vectors``) and E follow; ``_row_bilinears`` for
   a state of several rows.
@@ -25,6 +33,7 @@ import json
 import math
 import numbers
 import reprlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +45,8 @@ ROW_BITS = 14  # row_view splits a state into rows of 2**ROW_BITS amplitudes (25
 SHORT_RUN_BITS = 4
 NORM_TOL = 1e-12
 UNIT_TOL = 1e-12
+BLOCK_BITS = 3  # a block holds at most 2**BLOCK_BITS rows' worth of amplitudes (see _block_bits)
+KRON_BITS = 4  # a Kronecker factor turns at most this many qubits (see _kron_groups)
 
 
 class StateFileError(ValueError):
@@ -211,27 +222,31 @@ def validate_directions(dirs: np.ndarray, shape: tuple) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True, eq=False)
-class LocalUnitary:
-    """2x2 unitary acting on a single qubit, stored as a read-only copy."""
+def validate_unitaries(unitaries, m: int) -> np.ndarray:
+    """The one rule for a field of local unitaries: one 2x2 unitary per qubit, returned as a (m, 2, 2) complex copy.
 
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        u = np.array(self.matrix, dtype=np.complex128, order="C")
-        if u.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-        if not np.isfinite(u).all():
-            raise ValueError("matrix contains non-finite entries")
-        # a unitary's entries have modulus at most 1; a huge one would overflow U^H U
-        largest = np.max(np.abs(u))
-        if not largest <= 1.0 + UNIT_TOL:
-            raise ValueError(f"matrix is not unitary: max |u_ij| = {float(largest)!r} exceeds 1")
-        defect = np.max(np.abs(u.conj().T @ u - np.eye(2)))
-        if not defect <= UNIT_TOL:
-            raise ValueError(f"matrix is not unitary: max |U^H U - I| = {float(defect)!r}")
-        u.flags.writeable = False
-        object.__setattr__(self, "matrix", u)
+    Each matrix must be finite, have no entry of modulus above 1 +
+    ``UNIT_TOL`` and have max |U^H U - I| within ``UNIT_TOL``; each rule
+    runs over the whole field before the next, and its error names the
+    first qubit that fails it.  The size rule comes before the product, so
+    an entry such as 1e200 is refused by its size and U^H U never
+    overflows.
+    """
+    u = np.array(unitaries, dtype=np.complex128)
+    if u.shape != (m, 2, 2):
+        raise ValueError(f"expected unitaries of shape {(m, 2, 2)}, got shape {u.shape}")
+    bad = np.flatnonzero(~np.isfinite(u).all(axis=(-2, -1)))
+    if bad.size:
+        raise ValueError(f"qubit {bad[0]}: matrix contains non-finite entries")
+    largest = np.abs(u).max(axis=(-2, -1))
+    bad = np.flatnonzero(largest > 1.0 + UNIT_TOL)
+    if bad.size:
+        raise ValueError(f"qubit {bad[0]}: matrix is not unitary: max |u_ij| = {float(largest[bad[0]])!r} exceeds 1")
+    defect = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(2)).max(axis=(-2, -1))
+    bad = np.flatnonzero(defect > UNIT_TOL)
+    if bad.size:
+        raise ValueError(f"qubit {bad[0]}: matrix is not unitary: max |U^H U - I| = {float(defect[bad[0]])!r}")
+    return u
 
 
 def _operator(v1, v2, v3) -> np.ndarray:
@@ -249,13 +264,13 @@ def make_basis_state(m: int, k: int) -> StateVector:
     return StateVector(m, amps)
 
 
-def _apply_one_qubit_matrix(
-    amps: np.ndarray, m: int, qubit: int, mat: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def _apply_one_qubit_matrix(amps: np.ndarray, m: int, qubit: int, mat: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Mix amplitude pairs (k, k + 2**qubit) of states ``(..., 2**m)`` by matrices ``(..., 2, 2)``.
 
-    The result goes to ``out`` (a new array if None), a contiguous array of
-    the states' shape.  Each output entry is the same two-term sum whatever
+    The one-row metric's apply, for its one caller,
+    ``metric._applied_rows``; a state is turned by local unitaries in
+    ``_dress``.  The result goes to ``out``, a contiguous array of the
+    states' shape.  Each output entry is the same two-term sum whatever
     the iteration order or the layout of the pairs, so the bits do not
     depend on either, nor on the batch (``metric._applied_rows`` relies on
     it).  For qubits below SHORT_RUN_BITS the short innermost axis
@@ -264,18 +279,163 @@ def _apply_one_qubit_matrix(
     batch axis, P states long.
     """
     shape = amps.shape[:-1] + (1 << (m - 1 - qubit), 2, 1 << qubit)
-    if out is None:
-        out = np.empty(amps.shape, dtype=np.complex128)
     order = "F" if qubit < SHORT_RUN_BITS else "K"
     np.einsum("...ij,...ajb->...aib", mat, amps.reshape(shape), out=out.reshape(shape), order=order)
     return out
 
 
-def apply_local_unitary(state: StateVector, qubit: int, u: LocalUnitary) -> StateVector:
-    """Apply a single-qubit unitary; norm is preserved by construction."""
-    qubit = validate_count("qubit index", qubit, 0, state.num_qubits - 1)
-    out = _apply_one_qubit_matrix(state.amplitudes, state.num_qubits, qubit, u.matrix)
-    return StateVector(state.num_qubits, out)
+def _kron_groups(n: int) -> list[int]:
+    """The one grouping of a run of n qubits into Kronecker factors: each group's size, lowest first.
+
+    Groups of KRON_BITS qubits, and a short last one.
+    """
+    return [min(KRON_BITS, n - lo) for lo in range(0, n, KRON_BITS)]
+
+
+def _kron_spec(b: int) -> str:
+    """The einsum of a group of b <= KRON_BITS qubits, highest first: "gij,gkl,gmn,gop->gikmojlnp" at b = 4.
+
+    So f[g, (i k m o), (j l n p)] = u3[i, j] u2[k, l] u1[m, n] u0[o, p],
+    and a shorter group's spec is this one cut to its b unitaries.
+    """
+    rows, cols = "ikmoqsuw"[:b], "jlnprtvx"[:b]  # each unitary's row and column index
+    return ",".join(f"g{i}{j}" for i, j in zip(rows, cols)) + f"->g{rows}{cols}"
+
+
+def _kron_factors(u: np.ndarray, qubits: list[int]) -> list[np.ndarray]:
+    """Kronecker products of the unitaries of ``qubits``, one per group of ``_kron_groups``, lowest first.
+
+    Each factor has its group's highest qubit as the most significant bit.
+    The groups of one size, the full ones and then a short last one, take
+    one einsum, ``_kron_spec`` of their size, over their (G, b, 2, 2)
+    unitaries.
+    """
+    sizes, factors, lo = _kron_groups(len(qubits)), [], 0
+    for b in sorted(set(sizes), reverse=True):
+        n = sizes.count(b)
+        groups = u[qubits[lo : lo + n * b]].reshape(n, b, 2, 2)
+        f = np.einsum(_kron_spec(b), *(groups[:, q] for q in reversed(range(b))))
+        factors += list(f.reshape(n, 1 << b, 1 << b))
+        lo += n * b
+    return factors
+
+
+def _rotate(
+    x: np.ndarray, high: list[np.ndarray], low: list[np.ndarray], buffers: list[np.ndarray]
+) -> np.ndarray:
+    """Apply Kronecker factors to ``x`` (2^a, 2^b): ``high`` to its row bits, then ``low`` to its column bits.
+
+    The one turn of a block, for the frame kernel and ``_dress``.  Each
+    step is one matmul, written to the next of the two
+    ``buffers``, lowest group of bits first in each list.  A row-bit factor
+    f of size d multiplies x seen as (rest, d, below) from the left, which
+    keeps the index order, so ``x`` may be a strided slice of a state's
+    rows, read in place.  A column-bit factor multiplies the transpose of
+    the contiguous input seen as (rest, d), written (d, rest), so the
+    group's bits move to the front of the index and the next group trails;
+    after all of them the column bits lead, in order, and the row bits
+    trail.  The small factor is the left operand throughout, which keeps
+    the BLAS packing buffers small.
+    """
+    below = x.shape[-1]
+    for i, f in enumerate(high + low):
+        d = len(f)
+        out = buffers[i % 2][: x.size]
+        if i < len(high):
+            np.matmul(f, x.reshape(-1, d, below), out=out.reshape(-1, d, below))
+            below *= d
+        else:
+            np.matmul(f, x.reshape(-1, d).T, out=out.reshape(d, -1))
+        x = out
+    return x
+
+
+def _turns(
+    state: np.ndarray, row_bits: range, col_bits: range, w: int, u: np.ndarray | None,
+    buffers: list[np.ndarray],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The one block loop of a Kronecker turn: (block, turned block) per block that holds amplitude.
+
+    ``state`` holds 2^M amplitudes in any C-contiguous shape.  A pass with
+    row bits J, a run of qubits above the w lowest, reads blocks of the
+    2^|J| rows of 2^w amplitudes that differ only in J: a (2^|J|, 2^w)
+    strided slice of the state, read in place.  ``_rotate`` turns a block
+    by the Kronecker factors (``_kron_factors``) of the unitaries ``u``
+    (M, 2, 2) of J and of the column bits C, either range(w) or none; a
+    pass the identity rule holds still, ``u`` None, yields the block as it
+    stands.  A turned block lies in one of the two ``buffers``, each of at
+    least a block, until the next is turned.  The blocks of a pass split
+    the state, so a pass turns each amplitude once.  A block that fails
+    ``_holds_amplitude`` is skipped.  The frame kernel
+    (``metric._frame_metric``) and ``_dress`` run it.
+    """
+    blocks = state.reshape(-1, 1 << len(row_bits), 1 << (row_bits.start - w), 1 << w)
+    if u is not None:
+        factors = _kron_factors(u, list(row_bits)), _kron_factors(u, list(col_bits))
+    for outer, inner in np.ndindex(blocks.shape[0], blocks.shape[2]):
+        blk = blocks[outer, :, inner, :]
+        if _holds_amplitude(blk):
+            yield blk, blk if u is None else _rotate(blk, *factors, buffers)
+
+
+def _block_bits(k: int) -> int:
+    """The block budget for rows of 2^k amplitudes: a block of the frame kernel, or of ``_dress`` at
+    k = ROW_BITS, holds at most 2^(k + BLOCK_BITS) amplitudes."""
+    return k + BLOCK_BITS
+
+
+def _dress_passes(m: int, b: int) -> list[tuple[range, range]]:
+    """The dressing's plan for m qubits in blocks of 2^b amplitudes: (row bits, column bits) per pass.
+
+    One pass turns the low L = min(m, b) qubits as column bits, a
+    contiguous row of 2^L at a time, and one pass each run of at most b
+    higher qubits as row bits.  Neither kind of pass mixes row and column
+    bits, so ``_rotate`` gives each block back in its own index order.
+    """
+    low = min(m, b)
+    return [(range(low, low), range(low))] + [(range(s, min(s + b, m)), range(0)) for s in range(low, m, b)]
+
+
+def _dress(work: np.ndarray, u: np.ndarray, buffers: list[np.ndarray]) -> None:
+    """Apply u_{M-1} x ... x u_0, ``u`` (M, 2, 2), to the 2^M amplitudes ``work`` in place, each qubit once.
+
+    The one local-unitary turn of a state, for ``apply_local_unitary``
+    and ``verify``'s dressings: the plan ``_dress_passes`` over ``_turns``,
+    the frame kernel's block loop, in blocks of 2^b amplitudes, the size
+    of each of the two ``buffers``.  Each turned block is copied back in
+    place; a block that ``_turns`` skips stays as it is.  A pass whose
+    qubits all carry exactly I is skipped whole, as the frame kernel's
+    identity rule holds a still pass: identity factors would give each
+    amplitude back, so a field that turns one qubit runs that qubit's pass
+    alone.
+    """
+    m, b = work.size.bit_length() - 1, buffers[0].size.bit_length() - 1
+    still = (u == np.eye(2)).all(axis=(-2, -1))  # the qubits whose unitary is exactly I
+    for row_bits, col_bits in _dress_passes(m, b):
+        if still[[*row_bits, *col_bits]].all():
+            continue
+        w = len(col_bits) or b - len(row_bits)
+        for blk, turned in _turns(work, row_bits, col_bits, w, u, buffers):
+            blk[...] = turned.reshape(blk.shape)
+
+
+def apply_local_unitary(state: StateVector, unitaries) -> StateVector:
+    """u_{M-1} x ... x u_0 times the state, for a field ``unitaries`` (M, 2, 2), one 2x2 unitary per qubit.
+
+    The field passes ``validate_unitaries``; a qubit to leave alone takes
+    the exact identity, and ``_dress`` skips a pass of identities.  The
+    amplitudes are copied and the copy is turned in place by ``_dress``,
+    the dressing of ``verify.invariance_check``, through two buffers of at
+    most 2^b amplitudes, b = ``_block_bits(ROW_BITS)``: at most two passes
+    over the copy for every M <= 26.  The result is a new ``StateVector``, so its
+    norm is checked.  It lies within ``metric._turn_gap`` of the plan,
+    plus the given unitaries' own gap, of the exact turn.
+    """
+    m = state.num_qubits
+    u = validate_unitaries(unitaries, m)
+    work = state.amplitudes.copy()
+    _dress(work, u, list(np.empty((2, min(1 << _block_bits(ROW_BITS), 1 << m)), dtype=np.complex128)))
+    return StateVector(m, work)
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,9 +14,10 @@ The owners:
 - ``verify_state``: the ``entdist verify`` record, each check against its threshold.
 - ``minimize_trace_numeric``: the ascent; ``optimizer_tol`` its bound.
 - ``reduced_density_matrix``: the partial trace; ``bloch_tol`` its bound.
-- ``_dressings``: the dressings and their memory; ``_dress_passes`` plans
-  them, ``metric._turn_gap`` bounds the plan and ``invariance_tol`` holds
-  ``invariance_check`` to that bound.
+- ``_dressings``: the dressings and their memory, each one
+  ``qstate._dress``, the turn of ``apply_local_unitary``;
+  ``qstate._dress_passes`` plans them, ``metric._turn_gap`` bounds the
+  plan and ``invariance_tol`` holds ``invariance_check`` to that bound.
 """
 from __future__ import annotations
 
@@ -27,10 +28,8 @@ import numpy as np
 
 from .metric import (
     _UNIT_ROUNDOFF,
-    _block_bits,
     _field_traces,
     _turn_gap,
-    _turns,
     entanglement_measure,
     measure_from_bilinears,
     measure_tol,
@@ -39,6 +38,9 @@ from .metric import (
 from .qstate import (
     ROW_BITS,
     StateVector,
+    _block_bits,
+    _dress,
+    _dress_passes,
     _haar_unitary,
     bilinears,
     bloch_vectors,
@@ -287,41 +289,14 @@ def invariance_tol(m: int) -> float:
     return m * delta + 2.0 * measure_tol(m)
 
 
-def _dress_passes(m: int, b: int) -> list[tuple[range, range]]:
-    """The dressing's plan for m qubits in blocks of 2^b amplitudes: (row bits, column bits) per pass.
-
-    One pass turns the low L = min(m, b) qubits as column bits, a
-    contiguous row of 2^L at a time, and one pass each run of at most b
-    higher qubits as row bits.  Neither kind of pass mixes row and column
-    bits, so ``metric._rotate`` gives each block back in its own index
-    order.
-    """
-    low = min(m, b)
-    return [(range(low, low), range(low))] + [(range(s, min(s + b, m)), range(0)) for s in range(low, m, b)]
-
-
-def _dress(work: np.ndarray, u: np.ndarray, buffers: list[np.ndarray]) -> None:
-    """Apply u_{M-1} x ... x u_0, ``u`` (M, 2, 2), to the 2^M amplitudes ``work`` in place, each qubit once.
-
-    The plan ``_dress_passes`` over ``metric._turns``, the frame kernel's
-    block loop, in blocks of 2^b amplitudes, the size of each of the two
-    ``buffers``.  Each turned block is copied back in place; a block that
-    ``metric._turns`` skips stays as it is.
-    """
-    m, b = work.size.bit_length() - 1, buffers[0].size.bit_length() - 1
-    for row_bits, col_bits in _dress_passes(m, b):
-        w = len(col_bits) or b - len(row_bits)
-        for blk, turned in _turns(work, row_bits, col_bits, w, u, buffers):
-            blk[...] = turned.reshape(blk.shape)
-
-
 def _dressings(state: StateVector, trials: int, seed: int) -> Iterator[np.ndarray]:
     """Yield ``trials`` Haar-random local dressings of ``state``, each in the same reused array.
 
     Each trial draws one Haar unitary per qubit, qubit 0 first, and applies
-    them by ``_dress`` to a fresh copy of the amplitudes.  So the state is
-    copied into one array for all trials, and turned in place in blocks of
-    at most 2^b amplitudes, b = ``metric._block_bits(ROW_BITS)`` (17), the
+    them by ``qstate._dress`` to a fresh copy of the amplitudes.  So the
+    state is copied into one array for all trials, and turned in place in
+    blocks of at most 2^b amplitudes, b = ``qstate._block_bits(ROW_BITS)``
+    (17), the
     direction-frame kernel's block budget, through two buffers of a block
     each, whatever M: at most two passes over the copy for every M <= 26.
     A yielded array is overwritten by the next trial.
@@ -340,10 +315,11 @@ def _dressings(state: StateVector, trials: int, seed: int) -> Iterator[np.ndarra
 def invariance_check(state: StateVector, trials: int, seed: int = 0) -> float:
     """Max |E(dressed) - E(state)| over Haar-random local dressings.
 
-    Each trial takes E of one dressing of ``_dressings``, the dressing
-    that M ``apply_local_unitary`` calls would give.  A unitary keeps the
-    norm, so the dressed array is not revalidated.  Deterministic for a
-    fixed seed.
+    Each trial takes E of one dressing of ``_dressings``, the turn of
+    ``apply_local_unitary`` by the trial's field of Haar draws: the same
+    ``qstate._dress``, its blocks and its bytes.  A unitary keeps the norm,
+    so the dressed array is not revalidated.  Deterministic for a fixed
+    seed.
     """
     trials, seed = validate_count("trials", trials, 1), validate_count("seed", seed, 0)
     return _invariance_check(state, trials, seed, entanglement_measure(state))

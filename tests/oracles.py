@@ -35,6 +35,35 @@ def dense_qubit_operator(m: int, qubit: int, mat: np.ndarray) -> np.ndarray:
     return np.kron(np.eye(1 << (m - 1 - qubit)), np.kron(mat, np.eye(1 << qubit)))
 
 
+def dense_local_operator(unitaries) -> np.ndarray:
+    """Full 2^m x 2^m matrix u_(m-1) x ... x u_0 of one 2x2 matrix per qubit, built by a chain of np.kron."""
+    op = np.ones((1, 1), dtype=complex)
+    for u in reversed(list(unitaries)):  # the highest qubit is the most significant bit
+        op = np.kron(op, u)
+    return op
+
+
+def dense_local_share(m: int) -> float:
+    """Bound on the 2-norm gap of ``dense_local_operator(u) @ x`` from the exact product, for a unit x.
+
+    Higham's model (Accuracy and Stability of Numerical Algorithms, ch. 3),
+    to first order in u = 2^-53, d = 2^m.  Each entry of the chain is a
+    product of m entries of the given matrices, m - 1 complex products each
+    within 2 gamma_2 relatively, so the chain is off by at most 2 (m - 1)
+    gamma_2 times |U| entrywise, and by 2 (m - 1) gamma_2 sqrt(d) in the
+    2-norm, |U| having 2-norm at most ||U||_F = sqrt(d) for a unitary U.
+    The product with x takes inner products of d complex terms, each off by
+    at most 2 gamma_2d sum |a_i| |x_i|, which adds 2 gamma_2d sqrt(d).
+    """
+    u = np.finfo(float).eps / 2.0
+    d = 1 << m
+
+    def gamma(n: int) -> float:
+        return n * u / (1 - n * u)
+
+    return (2 * (m - 1) * gamma(2) + 2 * gamma(2 * d)) * math.sqrt(d)
+
+
 def dense_direction_operator(v) -> np.ndarray:
     return v[0] * SX + v[1] * SY + v[2] * SZ
 

@@ -205,7 +205,7 @@ def test_flipped_low_qubits_are_byte_equal_to_in_place(m):
     for a, o in ((amps, ops), (amps[0], ops[0])):
         applied = _applied_rows(a, o)
         for q in range(m):
-            in_place = qstate._apply_one_qubit_matrix(a, m, q, o[..., q, :, :])
+            in_place = qstate._apply_one_qubit_matrix(a, m, q, o[..., q, :, :], np.empty_like(a))
             assert applied[q].tobytes() == in_place.tobytes(), f"qubit {q}"
 
 
@@ -216,7 +216,7 @@ def test_sweep_memory_follows_the_chunk_rule(m, points):
     A chunk of P = ``_chunk_points(M)`` states holds their amplitudes and
     the metric kernel's stack of M applied rows of 2^k amplitudes each, k =
     min(M, ROW_BITS); above ROW_BITS qubits the direction-frame kernel
-    holds less, two blocks of 2^``metric._block_bits(k)`` amplitudes and an
+    holds less, two blocks of 2^``qstate._block_bits(k)`` amplitudes and an
     accumulator.  The bound allows the stack, twice the chunk's
     amplitudes (the states and one temporary of their size), 2^ROW_BITS
     amplitudes more (row temporaries and einsum's iteration buffers, at

@@ -15,14 +15,7 @@ import pytest
 import entdist.verify
 from entdist import EntanglementMetric, FamilySpec, brs_state, entanglement_metric
 from entdist.cli import SweepSpec, main, run_surface
-from entdist.qstate import (
-    LocalUnitary,
-    StateVector,
-    apply_local_unitary,
-    make_basis_state,
-    read_state_file,
-    validate_count,
-)
+from entdist.qstate import StateVector, make_basis_state, read_state_file, validate_count
 from entdist.verify import (
     invariance_check,
     minimize_trace_numeric,
@@ -32,7 +25,6 @@ from entdist.verify import (
 
 _BELL = StateVector(2, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
 _BRS3 = FamilySpec("brs", m=3)
-_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
 def _state_file(tmp_path, m):
@@ -46,8 +38,6 @@ _SITES = [
     ("StateVector", lambda v: StateVector(v, [1.0, 0.0]), "num_qubits", [0, 27]),
     ("make_basis_state-m", lambda v: make_basis_state(v, 0), "m", [0, 27]),
     ("make_basis_state-k", lambda v: make_basis_state(2, v), "basis index k", [-1, 4]),
-    ("apply_local_unitary", lambda v: apply_local_unitary(_BELL, v, LocalUnitary(_H)),
-     "qubit index", [-1, 2]),
     ("read_state_file", None, '"m"', [0, 27]),
     ("FamilySpec", lambda v: FamilySpec("brs", m=v), "m for family 'brs'", [1, 27]),
     ("SweepSpec", lambda v: SweepSpec(_BRS3, "phi", 0.0, 1.0, v), "angle 'phi' grid points", [1]),

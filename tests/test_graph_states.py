@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 
 from entdist import StateVector, metric_matrix, qstate
-from entdist.metric import _frame_passes, _kron_groups, entry_tol
+from entdist.metric import _frame_passes, entry_tol
+from entdist.qstate import _kron_groups
 
 from oracles import covariance_metric_dense, dense_share, graph_amplitudes, graph_metric, graph_share
 from test_metric import _random_directions

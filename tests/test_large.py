@@ -23,8 +23,8 @@ from entdist import (
     w_vectors,
 )
 from entdist.cli import main
-from entdist.metric import _block_bits, eig_tol, trace_tol
-from entdist.qstate import ROW_BITS, bilinears, bloch_vectors, row_depth
+from entdist.metric import eig_tol, trace_tol
+from entdist.qstate import ROW_BITS, _block_bits, bilinears, bloch_vectors, row_depth
 
 from oracles import bilinears_extended, brs_n01_counts, closed_form_share, covariance_entry_pairwise, random_state
 from test_metric import frame_pairs

@@ -9,7 +9,6 @@ import pytest
 
 from entdist import (
     EntanglementMetric,
-    LocalUnitary,
     Spectrum,
     StateVector,
     brs_state,
@@ -24,16 +23,13 @@ from entdist import (
     spectrum,
     w_vectors,
 )
-from entdist import metric, qstate
+from entdist import qstate
 from entdist.families import FAMILY_ANGLES, FamilySpec, family_amplitudes
 from entdist.metric import (
     DEGENERATE_TOL,
-    KRON_BITS,
-    _block_bits,
     _diagonal,
     _frame_passes,
     _frame_unitaries,
-    _kron_groups,
     _metric_from_moments,
     check_metrics,
     entry_tol,
@@ -41,7 +37,7 @@ from entdist.metric import (
     spectrum_tol,
     trace_tol,
 )
-from entdist.qstate import _operator, bloch_vectors
+from entdist.qstate import KRON_BITS, _block_bits, _kron_groups, _operator, bloch_vectors
 
 from oracles import (
     covariance_entry_pairwise,
@@ -349,14 +345,14 @@ class TestRowBlockedMetric:
         The field is a random unit one, as the grid's is: a Z field's frames
         are all the identity, which the kernel leaves unturned.
         """
-        rotate = metric._rotate
+        rotate = qstate._rotate
         calls = []
 
         def spy(x, high, low, buffers):
             calls.append("row" if low else "column")
             return rotate(x, high, low, buffers)
 
-        monkeypatch.setattr(metric, "_rotate", spy)
+        monkeypatch.setattr(qstate, "_rotate", spy)
         reached = set()
         for row_bits in [1, 2, 3, 4, 5]:
             monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
@@ -527,14 +523,14 @@ class TestDirectionFrameMetric:
     def test_a_state_that_fits_one_block_is_one_rotation(self, monkeypatch, m):
         """A one-pass plan that turns all M qubits as column bits: one ``_rotate`` call, a factor per group."""
         assert _frame_passes(m, qstate.ROW_BITS) == [(range(m, m), range(m))]
-        rotate = metric._rotate
+        rotate = qstate._rotate
         calls = []
 
         def spy(x, high, low, buffers):
             calls.append((x.shape, len(high), [len(f) for f in low]))
             return rotate(x, high, low, buffers)
 
-        monkeypatch.setattr(metric, "_rotate", spy)
+        monkeypatch.setattr(qstate, "_rotate", spy)
         metric_matrix(StateVector(m, random_state(m, np.random.default_rng(m))), np.tile(X, (m, 1)))
         assert calls == [((1, 1 << m), 0, [1 << b for b in _kron_groups(m)])]
 
@@ -551,7 +547,7 @@ class TestDirectionFrameMetric:
         """The einsum-built factors, full and short, against np.kron of each group of ``_kron_groups``."""
         u = _frame_unitaries(_random_directions(np.random.default_rng(1450 + n), n))
         qubits = list(np.random.default_rng(n).permutation(n))
-        factors = metric._kron_factors(u, qubits)
+        factors = qstate._kron_factors(u, qubits)
         groups = _kron_groups(n)
         assert len(factors) == len(groups)
         for lo, b, f in zip(np.cumsum([0] + groups), groups, factors):
@@ -913,7 +909,6 @@ _RECORDS = {
     "EntanglementMetric": lambda: entanglement_metric(brs_state(3, 0.3)),
     "Spectrum": lambda: spectrum(entanglement_metric(brs_state(3, 0.3))),
     "StateVector": lambda: brs_state(3, 0.3),
-    "LocalUnitary": lambda: LocalUnitary(np.eye(2)),
     "OptimizerReport": lambda: minimize_trace_numeric(brs_state(3, 0.3), seed=1),
 }
 

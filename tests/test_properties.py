@@ -5,12 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entdist import (
-    LocalUnitary,
-    StateVector,
-    apply_local_unitary,
-    entanglement_metric,
-)
+from entdist import StateVector, apply_local_unitary, entanglement_metric
 from entdist.metric import trace_tol
 from entdist.qstate import _haar_unitary
 
@@ -57,9 +52,7 @@ def test_measure_range_trace_and_spectrum(state):
 @given(state=states, seed=st.integers(0, 2**32 - 1))
 def test_measure_invariant_under_local_unitaries(state, seed):
     rng = np.random.default_rng(seed)
-    dressed = state
-    for qubit in range(state.num_qubits):
-        dressed = apply_local_unitary(dressed, qubit, LocalUnitary(_haar_unitary(rng)))
+    dressed = apply_local_unitary(state, [_haar_unitary(rng) for _ in range(state.num_qubits)])
     base = entanglement_metric(state)
     assert abs(entanglement_metric(dressed).measure - base.measure) < 1e-12
 

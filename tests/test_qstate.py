@@ -13,7 +13,6 @@ import pytest
 
 from entdist import (
     EntanglementMetric,
-    LocalUnitary,
     OptimizerReport,
     StateFileError,
     StateVector,
@@ -25,10 +24,20 @@ from entdist import (
     read_state_file,
     write_state_file,
 )
-from entdist.qstate import UNIT_TOL, _haar_unitary, _signs, bilinears, bloch_vectors
-from entdist.verify import HAAR_DRAW_GAP
+from entdist import qstate
+from entdist.metric import _turn_gap
+from entdist.qstate import UNIT_TOL, _haar_unitary, _signs, bilinears, bloch_vectors, validate_unitaries
+from entdist.verify import HAAR_DRAW_GAP, _dressings
 
-from oracles import HADAMARD, SX, dense_qubit_operator, random_product_state, random_state
+from oracles import (
+    HADAMARD,
+    SX,
+    dense_local_operator,
+    dense_local_share,
+    dense_qubit_operator,
+    random_product_state,
+    random_state,
+)
 
 X = np.array([1.0, 0.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
@@ -133,113 +142,168 @@ class TestDirectionValidation:
 
 
 class TestLocalUnitary:
+    """The rule of a field of local unitaries, ``qstate.validate_unitaries``: each refusal names the first qubit."""
+
     def test_rejects_nonunitary(self):
-        with pytest.raises(ValueError, match="unitary"):
-            LocalUnitary(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"^qubit 1: matrix is not unitary"):
+            validate_unitaries([np.eye(2), [[1.0, 1.0], [0.0, 1.0]], [[1.0, 1.0], [0.0, 1.0]]], 3)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite(self, entry):
         """The matrix is blamed, before any arithmetic on it can warn."""
-        u = np.array(HADAMARD, dtype=np.complex128)
-        u[1, 0] = entry
-        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
-            LocalUnitary(u)
+        u = np.array([HADAMARD, HADAMARD], dtype=np.complex128)
+        u[1, 1, 0] = entry
+        with pytest.raises(ValueError) as err:
+            validate_unitaries(u, 2)
+        assert str(err.value) == "qubit 1: matrix contains non-finite entries"
 
     @pytest.mark.parametrize("entry", [1e200, -1e200j, 1e155, 2.0])
     def test_rejects_large_entries_before_the_product(self, entry):
         """An entry beyond modulus 1 is refused by its size, quoted as a float; 1e200 overflowed U^H U first."""
         with pytest.raises(ValueError) as err:
-            LocalUnitary([[entry, 0.0], [0.0, 1.0]])
-        assert str(err.value) == f"matrix is not unitary: max |u_ij| = {abs(entry)!r} exceeds 1"
+            validate_unitaries([[[entry, 0.0], [0.0, 1.0]]], 1)
+        assert str(err.value) == f"qubit 0: matrix is not unitary: max |u_ij| = {abs(entry)!r} exceeds 1"
 
     @pytest.mark.parametrize("delta", [UNIT_TOL / 2, 4 * UNIT_TOL])
     def test_unitarity_is_held_at_its_bound(self, delta):
         """U = [[1, delta], [0, 1]]: max |U^H U - I| = delta, no |u_ij| above 1, and det U = 1."""
         u = np.array([[1.0, delta], [0.0, 1.0]])
         if delta <= UNIT_TOL:
-            np.testing.assert_array_equal(LocalUnitary(u).matrix, u)
+            np.testing.assert_array_equal(validate_unitaries([u], 1), [u])
         else:
             with pytest.raises(ValueError) as err:
-                LocalUnitary(u)
-            assert str(err.value) == f"matrix is not unitary: max |U^H U - I| = {delta!r}"
+                validate_unitaries([SX, u], 2)
+            assert str(err.value) == f"qubit 1: matrix is not unitary: max |U^H U - I| = {delta!r}"
 
     @pytest.mark.parametrize("matrix", [np.eye(3), np.eye(2)[0], [[1.0]], np.eye(2)[None]])
     def test_rejects_a_matrix_that_is_not_2x2(self, matrix):
+        """A field of two qubits is (2, 2, 2); one 2x2 matrix alone, or a field of one, is refused by its shape."""
         with pytest.raises(ValueError) as err:
-            LocalUnitary(matrix)
-        assert str(err.value) == f"expected a 2x2 matrix, got shape {np.shape(matrix)}"
+            validate_unitaries(matrix, 2)
+        assert str(err.value) == f"expected unitaries of shape (2, 2, 2), got shape {np.shape(matrix)}"
 
     def test_caller_array_stays_writeable(self):
-        u = np.array(HADAMARD, dtype=np.complex128)
-        lu = LocalUnitary(u)
+        """The field comes back as a copy: a later write to the caller's array does not reach it."""
+        u = np.array([HADAMARD], dtype=np.complex128)
+        field = validate_unitaries(u, 1)
         assert u.flags.writeable
-        assert not lu.matrix.flags.writeable
-        u[0, 0] = 0.0
-        np.testing.assert_array_equal(lu.matrix, HADAMARD)
+        u[0, 0, 0] = 0.0
+        np.testing.assert_array_equal(field, [HADAMARD])
 
 
 # ---------------------------------------------------------------------------
-# single-qubit operator application
+# local-unitary application
 # ---------------------------------------------------------------------------
+
+
+def _haar_field(m: int, rng: np.random.Generator) -> np.ndarray:
+    return np.array([_haar_unitary(rng) for _ in range(m)])
+
+
+def _one_qubit_field(m: int, qubit: int, u: np.ndarray) -> np.ndarray:
+    """The identity on every qubit but ``qubit``, which takes ``u``."""
+    field = np.tile(np.eye(2, dtype=complex), (m, 1, 1))
+    field[qubit] = u
+    return field
 
 
 class TestApplyLocalUnitary:
     def test_bit_flip(self):
-        out = apply_local_unitary(make_basis_state(1, 0), 0, LocalUnitary(SX))
+        out = apply_local_unitary(make_basis_state(1, 0), [SX])
         np.testing.assert_allclose(out.amplitudes, [0, 1], rtol=0, atol=1e-15, equal_nan=False)
 
     def test_identity(self):
-        s = make_basis_state(1, 0)
-        out = apply_local_unitary(s, 0, LocalUnitary(np.eye(2)))
-        np.testing.assert_allclose(out.amplitudes, s.amplitudes, rtol=0, atol=1e-15, equal_nan=False)
+        """A field of exact identities turns nothing: the state's bytes come back, in a new array."""
+        s = StateVector(5, random_state(5, np.random.default_rng(8)))
+        out = apply_local_unitary(s, np.tile(np.eye(2), (5, 1, 1)))
+        assert out.amplitudes.tobytes() == s.amplitudes.tobytes()
+        assert not np.shares_memory(out.amplitudes, s.amplitudes)
 
     def test_hadamard_pair_gives_uniform_state(self):
         """H on each qubit of |00> produces the uniform two-qubit state."""
-        h = LocalUnitary(HADAMARD)
-        s = apply_local_unitary(apply_local_unitary(make_basis_state(2, 0), 0, h), 1, h)
+        s = apply_local_unitary(make_basis_state(2, 0), [HADAMARD, HADAMARD])
         np.testing.assert_allclose(s.amplitudes, np.full(4, 0.5), rtol=0, atol=1e-15, equal_nan=False)
         np.testing.assert_allclose(s.amplitudes, brs_state(2, 0.0).amplitudes, rtol=0, atol=1e-15, equal_nan=False)
 
     def test_qubit_out_of_range(self):
-        with pytest.raises(ValueError):
-            apply_local_unitary(make_basis_state(2, 0), 2, LocalUnitary(SX))
+        """A matrix for a qubit the state does not have is refused by the field's shape."""
+        with pytest.raises(ValueError, match=r"^expected unitaries of shape \(2, 2, 2\), got shape \(3, 2, 2\)$"):
+            apply_local_unitary(make_basis_state(2, 0), [SX, SX, SX])
 
-    @pytest.mark.parametrize("qubit", [True, np.False_, 1.0])
-    def test_qubit_integer_rule(self, qubit):
-        """StateVector's integer rule: True once acted on qubit 1, and 1.0 raised TypeError."""
-        with pytest.raises(ValueError, match="qubit index must be an integer"):
-            apply_local_unitary(make_basis_state(2, 0), qubit, LocalUnitary(SX))
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_dense_operator(self, m, monkeypatch):
+        """Every qubit turned, against the kron-built operator of ``tests/oracles.py``.
 
-    def test_numpy_integer_qubit(self):
-        s = make_basis_state(2, 0)
-        out = apply_local_unitary(s, np.int32(1), LocalUnitary(SX))
-        np.testing.assert_array_equal(out.amplitudes, make_basis_state(2, 2).amplitudes)
-
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_matches_dense_operator(self, m):
-        """Pair-mixing application equals the kron-built full matrix."""
+        Within ``metric._turn_gap`` of the plan plus the oracle's share, in
+        blocks of 2^1 to 2^3 amplitudes, plans of a low pass and up to 7 runs
+        of row bits, and at the default budget, one pass.
+        """
         rng = np.random.default_rng(11 + m)
-        for qubit in range(m):
-            s = StateVector(m, random_state(m, rng))
-            u = LocalUnitary(_haar_unitary(rng))
-            out = apply_local_unitary(s, qubit, u)
-            expected = dense_qubit_operator(m, qubit, u.matrix) @ s.amplitudes
-            np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-13, equal_nan=False)
+        s = StateVector(m, random_state(m, rng))
+        u = _haar_field(m, rng)
+        expected = dense_local_operator(u) @ s.amplitudes
+        for block_bits in [1, 2, 3, qstate._block_bits(qstate.ROW_BITS)]:
+            monkeypatch.setattr(qstate, "_block_bits", lambda k, b=block_bits: b)
+            out = apply_local_unitary(s, u)
+            bound = _turn_gap(qstate._dress_passes(m, block_bits)) + dense_local_share(m)
+            assert np.linalg.norm(out.amplitudes - expected) <= bound, block_bits
+
+    def test_turns_only_the_passes_of_a_non_identity(self, monkeypatch):
+        """In blocks of 2^2, M = 5 plans a low pass (0, 1) and runs (2, 3) and (4,).
+
+        A field that turns qubit 3 alone runs ``qstate._rotate`` only in the
+        run (2, 3), once per block, and matches the dense one-qubit operator;
+        a field of identities runs it never and gives the state's bytes back.
+        """
+        rotate = qstate._rotate
+        calls = []
+
+        def spy(x, high, low, buffers):
+            calls.append(([len(f) for f in high], [len(f) for f in low]))
+            return rotate(x, high, low, buffers)
+
+        monkeypatch.setattr(qstate, "_rotate", spy)
+        monkeypatch.setattr(qstate, "_block_bits", lambda k: 2)
+        rng = np.random.default_rng(19)
+        s = StateVector(5, random_state(5, rng))
+        u = _haar_unitary(rng)
+        out = apply_local_unitary(s, _one_qubit_field(5, 3, u))
+        assert calls == [([4], [])] * 8
+        expected = dense_qubit_operator(5, 3, u) @ s.amplitudes
+        np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-15, equal_nan=False)
+        calls.clear()
+        out = apply_local_unitary(s, np.tile(np.eye(2), (5, 1, 1)))
+        assert calls == []
+        assert out.amplitudes.tobytes() == s.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("m", [5, 18])
+    def test_is_the_dressing_of_the_invariance_check(self, m):
+        """The field of one trial's Haar draws gives the bytes of ``verify._dressings``: one local-unitary turn.
+
+        At M = 18 the plan is a low pass of 17 qubits and a run of one.
+        """
+        s = StateVector(m, random_state(m, np.random.default_rng(m)))
+        (dressed,) = _dressings(s, 1, 23)
+        out = apply_local_unitary(s, _haar_field(m, np.random.default_rng(23)))
+        assert out.amplitudes.tobytes() == dressed.tobytes()
 
     def test_norm_preserved_along_chain(self):
         rng = np.random.default_rng(5)
         s = StateVector(4, random_state(4, rng))
         for step in range(20):
-            s = apply_local_unitary(s, step % 4, LocalUnitary(_haar_unitary(rng)))
+            s = apply_local_unitary(s, _one_qubit_field(4, step % 4, _haar_unitary(rng)))
         assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
 
     def test_commutes_on_distinct_qubits(self):
+        """Qubit 0 then qubit 2, qubit 2 then qubit 0, and both in one field agree."""
         rng = np.random.default_rng(17)
         s = StateVector(3, random_state(3, rng))
-        ua, ub = LocalUnitary(_haar_unitary(rng)), LocalUnitary(_haar_unitary(rng))
-        ab = apply_local_unitary(apply_local_unitary(s, 0, ua), 2, ub)
-        ba = apply_local_unitary(apply_local_unitary(s, 2, ub), 0, ua)
+        ua, ub = _one_qubit_field(3, 0, _haar_unitary(rng)), _one_qubit_field(3, 2, _haar_unitary(rng))
+        ab = apply_local_unitary(apply_local_unitary(s, ua), ub)
+        ba = apply_local_unitary(apply_local_unitary(s, ub), ua)
+        both = apply_local_unitary(s, ua @ ub)
         np.testing.assert_allclose(ab.amplitudes, ba.amplitudes, rtol=0, atol=1e-12, equal_nan=False)
+        np.testing.assert_allclose(both.amplitudes, ab.amplitudes, rtol=0, atol=1e-12, equal_nan=False)
 
 
 # ---------------------------------------------------------------------------

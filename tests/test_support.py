@@ -19,7 +19,6 @@ from entdist import (
     entanglement_measure,
     ghzl_state,
     make_basis_state,
-    metric,
     metric_matrix,
     qstate,
     w_vectors,
@@ -82,15 +81,15 @@ class _ReadAll(np.ndarray):
 
 @pytest.fixture
 def rotations(monkeypatch) -> list[int]:
-    """The size of each block that ``metric._rotate`` turns, one entry per call."""
-    rotate = metric._rotate
+    """The size of each block that ``qstate._rotate`` turns, one entry per call."""
+    rotate = qstate._rotate
     calls = []
 
     def spy(x, high, low, buffers):
         calls.append(x.size)
         return rotate(x, high, low, buffers)
 
-    monkeypatch.setattr(metric, "_rotate", spy)
+    monkeypatch.setattr(qstate, "_rotate", spy)
     return calls
 
 

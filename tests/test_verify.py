@@ -19,18 +19,18 @@ from entdist import (
     reduced_density_matrix,
     w_vectors,
 )
-from entdist import verify
-from entdist.verify import (
+from entdist import qstate, verify
+from entdist.verify import _dressings, _oracle_depth, bloch_tol, invariance_tol, optimizer_tol
+from entdist.metric import _turn_gap
+from entdist.qstate import (
+    ROW_BITS,
+    _apply_one_qubit_matrix,
+    _block_bits,
     _dress,
     _dress_passes,
-    _dressings,
-    _oracle_depth,
-    bloch_tol,
-    invariance_tol,
-    optimizer_tol,
+    _haar_unitary,
+    bloch_vectors,
 )
-from entdist.metric import _block_bits, _turn_gap
-from entdist.qstate import ROW_BITS, _apply_one_qubit_matrix, _haar_unitary, bloch_vectors
 
 from oracles import bilinears_extended, random_state
 from test_identity_frames import top_haar_state
@@ -322,9 +322,9 @@ def test_refusals_come_before_any_pass_over_the_state(call, message, monkeypatch
 
 
 def _chain(amps: np.ndarray, m: int, unitaries: list[np.ndarray]) -> np.ndarray:
-    """The dressing as one two-term einsum pass per qubit, as ``apply_local_unitary`` takes it."""
+    """The dressing as one two-term einsum pass per qubit, by the one-row metric's apply."""
     for qubit, u in enumerate(unitaries):
-        amps = _apply_one_qubit_matrix(amps, m, qubit, u)
+        amps = _apply_one_qubit_matrix(amps, m, qubit, u, np.empty_like(amps))
     return amps
 
 
@@ -344,7 +344,7 @@ def _dress_in_blocks(amps: np.ndarray, unitaries: list[np.ndarray], block_bits: 
 
 class TestDressing:
     """The in-place dressing, a low pass of column bits and runs of row bits over
-    ``metric._turns``' blocks, against the per-qubit chain."""
+    ``qstate._turns``' blocks, against the per-qubit chain."""
 
     @pytest.mark.parametrize("m", range(3, 13))
     def test_matches_the_chain_within_its_bound(self, m):
@@ -395,7 +395,7 @@ class TestDressing:
         amplitude, and both blocks of the run.  The dressing matches the chain."""
         m = 18
         state = ghzl_state(m, 0.7, 0.2) if kind == "ghzl" else top_haar_state(m)
-        turns = verify._turns
+        turns = qstate._turns
         yielded = []
 
         def spy(work, row_bits, col_bits, w, u, buffers):
@@ -410,7 +410,7 @@ class TestDressing:
             assert yielded[-1] == held.sum()
             assert not blocks[~held].any()
 
-        monkeypatch.setattr(verify, "_turns", spy)
+        monkeypatch.setattr(qstate, "_turns", spy)
         rng = np.random.default_rng(500)
         unitaries = [_haar_unitary(rng) for _ in range(m)]
         dressed = _dress_in_blocks(state.amplitudes, unitaries, block_bits)
