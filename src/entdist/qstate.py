@@ -13,7 +13,7 @@ The owners:
   field and state rules.
 - ``_dress``: every turn of a state by local unitaries, for
   ``apply_local_unitary`` and ``verify``'s dressings; ``_dress_passes``
-  plans it.  ``_turns``, ``_rotate``, ``_kron_factors``, ``_kron_spec``
+  plans it and ``_dress_buffers`` sizes its blocks.  ``_turns``, ``_rotate``, ``_kron_factors``, ``_kron_spec``
   and ``_kron_groups``: the Kronecker turns of ``_dress`` and of the
   frame kernel, in blocks of the budget ``_block_bits``.
 - ``_apply_one_qubit_matrix``: the one-row metric's apply
@@ -403,38 +403,35 @@ def _dress(work: np.ndarray, u: np.ndarray, buffers: list[np.ndarray]) -> None:
     and ``verify``'s dressings: the plan ``_dress_passes`` over ``_turns``,
     the frame kernel's block loop, in blocks of 2^b amplitudes, the size
     of each of the two ``buffers``.  Each turned block is copied back in
-    place; a block that ``_turns`` skips stays as it is.  A pass whose
-    qubits all carry exactly I is skipped whole, as the frame kernel's
-    identity rule holds a still pass: identity factors would give each
-    amplitude back, so a field that turns one qubit runs that qubit's pass
-    alone.
+    place; a block that ``_turns`` skips stays as it is.
     """
     m, b = work.size.bit_length() - 1, buffers[0].size.bit_length() - 1
-    still = (u == np.eye(2)).all(axis=(-2, -1))  # the qubits whose unitary is exactly I
     for row_bits, col_bits in _dress_passes(m, b):
-        if still[[*row_bits, *col_bits]].all():
-            continue
         w = len(col_bits) or b - len(row_bits)
         for blk, turned in _turns(work, row_bits, col_bits, w, u, buffers):
             blk[...] = turned.reshape(blk.shape)
+
+
+def _dress_buffers(m: int) -> list[np.ndarray]:
+    """The dressing's two buffers for m qubits: blocks of at most 2^b amplitudes, b = ``_block_bits(ROW_BITS)``."""
+    return list(np.empty((2, min(1 << _block_bits(ROW_BITS), 1 << m)), dtype=np.complex128))
 
 
 def apply_local_unitary(state: StateVector, unitaries) -> StateVector:
     """u_{M-1} x ... x u_0 times the state, for a field ``unitaries`` (M, 2, 2), one 2x2 unitary per qubit.
 
     The field passes ``validate_unitaries``; a qubit to leave alone takes
-    the exact identity, and ``_dress`` skips a pass of identities.  The
-    amplitudes are copied and the copy is turned in place by ``_dress``,
-    the dressing of ``verify.invariance_check``, through two buffers of at
-    most 2^b amplitudes, b = ``_block_bits(ROW_BITS)``: at most two passes
-    over the copy for every M <= 26.  The result is a new ``StateVector``, so its
+    the exact identity, which still runs every pass.  The amplitudes are
+    copied and the copy is turned in place by ``_dress``, the dressing of
+    ``verify.invariance_check``, through ``_dress_buffers``: at most two
+    passes over the copy for every M <= 26.  The result is a new ``StateVector``, so its
     norm is checked.  It lies within ``metric._turn_gap`` of the plan,
     plus the given unitaries' own gap, of the exact turn.
     """
     m = state.num_qubits
     u = validate_unitaries(unitaries, m)
     work = state.amplitudes.copy()
-    _dress(work, u, list(np.empty((2, min(1 << _block_bits(ROW_BITS), 1 << m)), dtype=np.complex128)))
+    _dress(work, u, _dress_buffers(m))
     return StateVector(m, work)
 
 

@@ -40,6 +40,7 @@ from .qstate import (
     StateVector,
     _block_bits,
     _dress,
+    _dress_buffers,
     _dress_passes,
     _haar_unitary,
     bilinears,
@@ -296,15 +297,15 @@ def _dressings(state: StateVector, trials: int, seed: int) -> Iterator[np.ndarra
     them by ``qstate._dress`` to a fresh copy of the amplitudes.  So the
     state is copied into one array for all trials, and turned in place in
     blocks of at most 2^b amplitudes, b = ``qstate._block_bits(ROW_BITS)``
-    (17), the
-    direction-frame kernel's block budget, through two buffers of a block
-    each, whatever M: at most two passes over the copy for every M <= 26.
+    (17), the direction-frame kernel's block budget, through the one pair
+    of ``qstate._dress_buffers``, whatever M: at most two passes over the
+    copy for every M <= 26.
     A yielded array is overwritten by the next trial.
     """
     rng = np.random.default_rng(seed)
     m = state.num_qubits
     work = np.empty(1 << m, dtype=np.complex128)
-    buffers = list(np.empty((2, min(1 << _block_bits(ROW_BITS), 1 << m)), dtype=np.complex128))
+    buffers = _dress_buffers(m)
     for _ in range(trials):
         u = np.array([_haar_unitary(rng) for _ in range(m)])
         np.copyto(work, state.amplitudes)
