@@ -46,8 +46,8 @@ print("metric (diagonal form):")
 print(em2.matrix)
 
 # The spectra tell the robustness story: one large eigenvalue vs many.
-print("\nGHZ spectrum:        ", spectrum(em).eigenvalues)
-print("chain-phase spectrum:", spectrum(em2).eigenvalues)
+print("\nGHZ spectrum:        ", spectrum(em))
+print("chain-phase spectrum:", spectrum(em2))
 print("A rank-1 metric leaves M-1 flat directions; the full-rank one keeps a",
       "nonzero minimum distance along every axis combination.")
 

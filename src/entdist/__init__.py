@@ -15,7 +15,6 @@ from .families import (
 )
 from .metric import (
     EntanglementMetric,
-    Spectrum,
     distance_density,
     entanglement_measure,
     entanglement_metric,
@@ -52,7 +51,6 @@ __all__ = [
     "StateVector",
     "StateFileError",
     "EntanglementMetric",
-    "Spectrum",
     "FamilySpec",
     "ClosedForm",
     "OptimizerReport",

@@ -38,7 +38,6 @@ from .metric import (
     measure_from_bilinears,
     metric_matrices,
     optimal_directions,
-    spectrum,
 )
 from .qstate import (
     StateFileError,
@@ -273,16 +272,16 @@ def _cmd_measure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 def _cmd_eigs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     state = _state_from_args(args, parser)
-    spec = spectrum(entanglement_metric(state))
+    em = entanglement_metric(state)
     if args.csv:
-        header = [f"eig_{i}" for i in range(1, state.num_qubits + 1)]
-        _emit(_csv_text(header, spec.eigenvalues.reshape(1, -1)), args.out)
+        header = [f"eig_{i}" for i in range(1, em.size + 1)]
+        _emit(_csv_text(header, em.eigenvalues.reshape(1, -1)), args.out)
     else:
         payload = {
-            "m": state.num_qubits,
-            "rank_tol": spec.rank_tol,
-            "eigenvalues": spec.eigenvalues.tolist(),
-            "nonnull_count": spec.nonnull_count,
+            "m": em.size,
+            "rank_tol": em.rank_tol,
+            "eigenvalues": em.eigenvalues.tolist(),
+            "nonnull_count": em.nonnull_count,
         }
         _emit(json.dumps(payload) + "\n", args.out)
     return EXIT_OK

@@ -25,13 +25,16 @@ state gets the same bits alone or in a batch.  The owners:
   rows, and its identity rule; ``_frame_passes`` plans its passes, within
   ``qstate._block_bits``, and ``qstate._turns`` turns them.
 - ``_metric_from_moments`` and ``_diagonal``: g from the moments, for both kernels.
-- ``check_metrics``: the checks and spectra of metrics; ``EntanglementMetric``
-  and ``spectrum`` read its one set of eigenvalues.
+- ``check_metrics``: the checks and spectra of metrics.
+- ``EntanglementMetric``: the one record of a metric and its spectrum, its
+  floor ``rank_tol`` and its ``nonnull_count``; ``spectrum`` returns the
+  record's own eigenvalues.
 - ``measure_tol``, ``trace_tol``, ``entry_tol`` and ``eig_tol``: the rounding bounds of
   E, of tr g - E, of one entry and of one eigenvalue; ``_turn_gap``: the gap
   that a plan's Kronecker turns add, for ``entry_tol`` and ``verify``;
   ``spectrum_tol``: the floor of a spectrum, for ``check_metrics`` and
-  ``Spectrum``.
+  ``EntanglementMetric.rank_tol``.  The depths of ``qstate._dot`` come from
+  ``qstate._dot_depth``.
 - ``entanglement_metric``, ``w_vectors``, ``metric_matrix``: the one-state calls.
 """
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .qstate import (
     _apply_one_qubit_matrix,
     _block_bits,
     _dot,
+    _dot_depth,
     _kron_groups,
     _operator,
     _spin_moments,
@@ -64,8 +68,6 @@ from .qstate import (
 )
 
 DEGENERATE_TOL = 1e-12
-SYMMETRY_TOL = 1e-12  # on max |g - g^T|
-DIAGONAL_TOL = 1e-12  # on how far a diagonal entry lies outside [0, 1/4]
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -185,9 +187,10 @@ def entry_tol(m: int) -> float:
     * Up to ROW_BITS qubits, one row: an entry of an applied row A_nu|s>
       is a two-term sum, off by at most (2 sqrt 2 + 1) u of |A| |s|, and
       || |A| ||_2 <= sqrt 2, so the row is off by at most 6 u in 2-norm.
-      Each moment is one ``qstate._dot``, of depth d = 2^m, or
-      2^(ROW_BITS-1) + 1 at m = ROW_BITS.  So delta_e <= (d + 8) u and
-      delta_c <= (d + 14) u, and an entry is off by at most 0.75 (d + 11) u.
+      Each moment is one ``qstate._dot``, of depth d =
+      ``qstate._dot_depth(2^m)``: 2^m, or 2^(ROW_BITS-1) + 1 at m =
+      ROW_BITS.  So delta_e <= (d + 8) u and delta_c <= (d + 14) u, and an
+      entry is off by at most 0.75 (d + 11) u.
     * Above ROW_BITS qubits, the direction-frame kernel: each pass of
       ``_frame_passes`` reads the state afresh and turns it, a block at a
       time, by the Kronecker factors of its row bits and its column bits,
@@ -216,8 +219,7 @@ def entry_tol(m: int) -> float:
             for step in _frame_passes(m, k)
         )
         return 0.75 * (row_depth(m) * _UNIT_ROUNDOFF + 2.0 * turn)
-    depth = 1 << m if m < k else (1 << (k - 1)) + 1  # one run of _dot, or two and their sum
-    return 0.75 * (depth + 11) * _UNIT_ROUNDOFF
+    return 0.75 * (_dot_depth(1 << m) + 11) * _UNIT_ROUNDOFF
 
 
 def eig_tol(m: int) -> float:
@@ -245,18 +247,18 @@ def spectrum_tol(m: int) -> float:
     """The floor of an m-qubit spectrum: how far below 0 an eigenvalue of a valid state's metric may lie.
 
     ``check_metrics`` refuses a smallest eigenvalue below -spectrum_tol(m),
-    and ``Spectrum.nonnull_count`` counts the eigenvalues above it.  Two
-    shares.  ``eig_tol(m)`` bounds the rounding of an eigenvalue for a
-    state normalized to working precision, but ``qstate.validate_amplitudes``
-    accepts a squared norm 1 + delta.  Its sum is ``qstate._dot`` of the
-    2^(m+1) squares, in runs of 2^(ROW_BITS-1) and then the runs' sum, of
-    depth d, so the computed sum within NORM_TOL of 1 leaves |delta| <=
-    (NORM_TOL + gamma_(d+1)) / (1 - gamma_(d+1)), the squares' rounding
-    counted.  The state is sqrt(1 + delta) times its normalized one, so
-    the kernels give the moments e and c times 1 + delta, and ``_diagonal``
-    takes 1 - e^2 with its 1 unscaled: g is (1 + delta) times the
-    normalized state's metric, less delta (1 + delta) e e^T / 4 with
-    ||e||^2 <= m, less delta / 4 on the diagonal.  A delta < 0 moves no
+    and ``EntanglementMetric.nonnull_count`` counts the eigenvalues above
+    it.  Two shares.  ``eig_tol(m)`` bounds the rounding of an eigenvalue
+    for a state normalized to working precision, but
+    ``qstate.validate_amplitudes`` accepts a squared norm 1 + delta.  Its
+    sum is ``qstate._dot`` of the 2^(m+1) squares, of depth d =
+    ``qstate._dot_depth(2^(m+1))``, so the computed sum within NORM_TOL of
+    1 leaves |delta| <= (NORM_TOL + gamma_(d+1)) / (1 - gamma_(d+1)), the
+    squares' rounding counted.  The state is sqrt(1 + delta) times its
+    normalized one, so the kernels give the moments e and c times 1 +
+    delta, and ``_diagonal`` takes 1 - e^2 with its 1 unscaled: g is (1 +
+    delta) times the normalized state's metric, less delta (1 + delta) e
+    e^T / 4 with ||e||^2 <= m, less delta / 4 on the diagonal.  A delta < 0 moves no
     eigenvalue down, and for delta > 0 Weyl's inequality moves each down
     by at most (1 + delta)(m + 1) delta / 4; the rounding scales by 1 +
     delta too.  So the floor is (1 + delta)(eig_tol(m) + (m + 1) delta /
@@ -266,9 +268,7 @@ def spectrum_tol(m: int) -> float:
     eigenvalue at -(m - 1) 0.9e-12 / 4: -4.5e-13 at m = 3, -1.6e-12 at m
     = 8.
     """
-    n, run = 2 << m, 1 << (qstate.ROW_BITS - 1)
-    depth = n if n <= run else run + n // run - 1
-    gap = _gamma(depth + 1)
+    gap = _gamma(_dot_depth(2 << m) + 1)
     delta = (NORM_TOL + gap) / (1.0 - gap)
     return (1.0 + delta) * (eig_tol(m) + (m + 1) * delta / 4.0)
 
@@ -276,17 +276,21 @@ def spectrum_tol(m: int) -> float:
 def check_metrics(g: np.ndarray, measure, at: tuple[str, np.ndarray] | None = None) -> np.ndarray:
     """Check metrics ``(..., M, M)`` against measures ``(...)``; return the spectra, descending.
 
-    Each g must be symmetric within SYMMETRY_TOL, have its diagonal in
-    [0, 1/4] within DIAGONAL_TOL and its trace within ``trace_tol(M)`` of E;
-    one batched eigvalsh of the symmetric parts gives every spectrum, whose
-    smallest eigenvalue must not fall below -``spectrum_tol(M)``.  A failed
-    check raises ValueError with the measured value and its bound; for a
-    batch taken over a grid, ``at = (name, values)`` adds the grid value of
-    the first point that fails.
+    Each g must be exactly symmetric, have its diagonal exactly in [0, 1/4]
+    (a NaN fails both) and its trace within ``trace_tol(M)`` of E; one
+    batched eigvalsh gives every spectrum, whose smallest eigenvalue must
+    not fall below -``spectrum_tol(M)``.  The first two rules take no
+    bound, since every metric the library builds meets them exactly:
+    ``_metric_from_moments`` mirrors the upper triangle below the
+    diagonal, and ``_diagonal`` clamps a negative (1 - e^2)/4 to 0, while
+    e^2 >= 0 keeps it at most 1/4.  A matrix built by hand is held to the
+    same rules.  A failed check raises ValueError with the measured value,
+    and with its bound where it has one; for a batch taken over a grid,
+    ``at = (name, values)`` adds the grid value of the first point that
+    fails.
     """
     *batch, m, _ = g.shape
     g = g.reshape(-1, m, m)
-    gt = np.swapaxes(g, -1, -2)
 
     def check(value: np.ndarray, bound: float, message: str) -> None:
         failed = ~(value <= bound)  # also true for NaN
@@ -296,15 +300,15 @@ def check_metrics(g: np.ndarray, measure, at: tuple[str, np.ndarray] | None = No
             raise ValueError(message.format(value[i], bound) + where)
 
     check(
-        np.max(np.abs(g - gt), axis=(-2, -1)),
-        SYMMETRY_TOL,
-        "metric matrix must be symmetric: max |g - g^T| = {:.3e} exceeds {:.0e}",
+        np.max(np.abs(g - np.swapaxes(g, -1, -2)), axis=(-2, -1)),
+        0.0,
+        "metric matrix must be exactly symmetric: max |g - g^T| = {:.3e}",
     )
     diag = np.diagonal(g, axis1=-2, axis2=-1)
     check(
         np.maximum(-diag, diag - 0.25).max(axis=-1),
-        DIAGONAL_TOL,
-        "metric diagonal entries must lie in [0, 1/4]: one lies {:.3e} outside, more than {:.0e}",
+        0.0,
+        "metric diagonal entries must lie exactly in [0, 1/4]: one lies {:.3e} outside",
     )
     check(
         np.abs(np.reshape(measure, -1) - np.trace(g, axis1=-2, axis2=-1)),
@@ -312,7 +316,7 @@ def check_metrics(g: np.ndarray, measure, at: tuple[str, np.ndarray] | None = No
         "measure must equal the matrix trace: |tr g - E| = {:.3e} exceeds the rounding bound "
         f"{{:.3e}} for {m} qubits",
     )
-    eigs = np.linalg.eigvalsh(0.5 * (g + gt))[:, ::-1].copy()
+    eigs = np.linalg.eigvalsh(g)[:, ::-1].copy()
     check(
         -eigs[:, -1],
         spectrum_tol(m),
@@ -324,16 +328,20 @@ def check_metrics(g: np.ndarray, measure, at: tuple[str, np.ndarray] | None = No
 
 @dataclass(frozen=True, eq=False)
 class EntanglementMetric:
-    """Metric evaluated at the minimizing direction field.
+    """Metric evaluated at the minimizing direction field: the one record of a metric and its spectrum.
 
     ``size`` passes ``qstate.validate_count`` and is stored as a Python
     int, and ``measure`` passes ``qstate.validate_real`` and is stored as a
     Python float, so the ``to_dict`` record serialises.  ``matrix``, a
     read-only copy of the array passed in, passes ``check_metrics``
-    against ``measure``, once, at construction, and ``eigenvalues`` is the
+    against ``measure``, once, at construction, so it is exactly symmetric
+    with its diagonal exactly in [0, 1/4], and ``eigenvalues`` is the
     spectrum that call gives, sorted descending and read-only; ``spectrum``
-    and ``to_dict`` read it.  ``directions`` is a read-only copy of the
-    (size, 3) direction field, one unit row per qubit.
+    returns it and ``to_dict`` reads it.  ``rank_tol`` is
+    ``spectrum_tol(size)`` as a Python float, the floor that ``check_metrics`` holds the
+    smallest eigenvalue to, and ``nonnull_count`` counts the eigenvalues
+    above it.  ``directions`` is a read-only copy of the (size, 3)
+    direction field, one unit row per qubit.
     """
 
     size: int
@@ -341,6 +349,8 @@ class EntanglementMetric:
     directions: np.ndarray
     measure: float
     eigenvalues: np.ndarray = field(init=False)
+    rank_tol: float = field(init=False)
+    nonnull_count: int = field(init=False)
 
     def __post_init__(self) -> None:
         m = validate_count("size", self.size, 1, MAX_QUBITS)
@@ -357,6 +367,8 @@ class EntanglementMetric:
         object.__setattr__(self, "matrix", g)
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "eigenvalues", eigs)
+        object.__setattr__(self, "rank_tol", float(spectrum_tol(m)))
+        object.__setattr__(self, "nonnull_count", int(np.sum(eigs > self.rank_tol)))
 
     def to_dict(self) -> dict:
         """The ``entdist measure`` record: m, E, E/M, directions, matrix, eigenvalues.
@@ -372,31 +384,6 @@ class EntanglementMetric:
             "matrix": self.matrix.reshape(-1).tolist(),
             "eigenvalues": self.eigenvalues.tolist(),
         }
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues of an entanglement metric, sorted descending, as a read-only copy.
-
-    ``rank_tol`` is ``spectrum_tol`` of the spectrum's length, the floor
-    that ``check_metrics`` holds the smallest eigenvalue to, and
-    ``nonnull_count`` counts the eigenvalues above it.
-    """
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self) -> None:
-        eigs = np.array(self.eigenvalues, dtype=float, order="C")
-        eigs.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", eigs)
-
-    @property
-    def rank_tol(self) -> float:
-        return spectrum_tol(self.eigenvalues.size)
-
-    @property
-    def nonnull_count(self) -> int:
-        return int(np.sum(self.eigenvalues > self.rank_tol))
 
 
 def w_vectors(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
@@ -693,9 +680,9 @@ def entanglement_metric(state: StateVector) -> EntanglementMetric:
     return EntanglementMetric(state.num_qubits, g, dirs, float(measure))
 
 
-def spectrum(em: EntanglementMetric) -> Spectrum:
-    """All eigenvalues of the metric, sorted descending, with its floor as the rank threshold."""
-    return Spectrum(em.eigenvalues)
+def spectrum(em: EntanglementMetric) -> np.ndarray:
+    """All eigenvalues of the metric, sorted descending: the record's own read-only ``eigenvalues``, not a copy."""
+    return em.eigenvalues
 
 
 def _field_traces(dirs: np.ndarray, bloch: np.ndarray) -> np.ndarray:

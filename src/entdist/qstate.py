@@ -23,7 +23,9 @@ The owners:
   a state of several rows.
 - ``_spin_moments``: the spin moments of a distribution, and
   ``_spin_means`` their first moments.
-- ``_dot``: every BLAS dot over amplitudes (the short-dot rule).
+- ``_dot``: every BLAS dot over amplitudes (the short-dot rule), and
+  ``_dot_depth`` its summation depth; ``_norm_sq``: the squared norm of a
+  state, by ``_dot``.
 - ``_holds_amplitude``: the zero test of the passes over a state.
 """
 from __future__ import annotations
@@ -128,14 +130,30 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     run of 2^13 terms is never threaded, and the runs' results are added
     by one ``np.sum`` over the last axis, whatever the thread count.
     ``np.vecdot`` takes one BLAS dot per vector, the one np.vdot takes, so
-    a vector gets the same bits alone or in a batch.  A row of 2^ROW_BITS
-    terms is two runs, a depth of 2^(ROW_BITS - 1) + 1 (see
-    ``metric.trace_tol``).
+    a vector gets the same bits alone or in a batch.  Its depth is
+    ``_dot_depth``.
     """
     run = 1 << (ROW_BITS - 1)
     if a.shape[-1] <= run:
         return np.vecdot(a, b)
     return np.vecdot(a.reshape(a.shape[:-1] + (-1, run)), b.reshape(b.shape[:-1] + (-1, run))).sum(axis=-1)
+
+
+def _dot_depth(n: int) -> int:
+    """Summation depth of ``_dot`` over n terms: n in one run, else a run, then the runs' sum.
+
+    A row of 2^ROW_BITS terms is two runs, a depth of 2^(ROW_BITS - 1) +
+    1.  ROW_BITS is read at call time, as ``_dot`` reads it.
+    ``metric.entry_tol`` takes it for a one-row moment and
+    ``metric.spectrum_tol`` for the norm sum of ``validate_amplitudes``.
+    """
+    run = 1 << (ROW_BITS - 1)
+    return n if n <= run else run + n // run - 1
+
+
+def _norm_sq(amps: np.ndarray) -> np.ndarray:
+    """Squared norms (...) of C-contiguous complex128 states (..., 2**M): ``_dot`` of each float view with itself."""
+    return _dot(amps.view(float), amps.view(float))
 
 
 def _holds_amplitude(x: np.ndarray) -> bool:
@@ -155,16 +173,14 @@ def validate_amplitudes(amps: np.ndarray) -> None:
     """Reject non-finite or unnormalized states ``(..., 2**M)`` (see ``row_view``).
 
     Each state's squared norm, the sum of re^2 + im^2, must be 1 within
-    ``NORM_TOL``; the error names the first state that is not.  It is
-    ``_dot`` of the state's float view with itself, in short runs.  A
-    norm past the float range is refused as inf with no numpy warning.  A
-    non-finite entry makes its state's norm non-finite, so the entries are
-    scanned only on that error path.
+    ``NORM_TOL``, by ``_norm_sq``; the error names the first state that is
+    not.  A norm past the float range is refused as inf with no numpy
+    warning.  A non-finite entry makes its state's norm non-finite, so the
+    entries are scanned only on that error path.
     """
     rows = row_view(amps)[1]
-    floats = rows.reshape(rows.shape[:-2] + (-1,)).view(float)
     with np.errstate(over="ignore"):
-        norm_sq = _dot(floats, floats)
+        norm_sq = _norm_sq(rows.reshape(rows.shape[:-2] + (-1,)))
     bad = ~(np.abs(norm_sq - 1.0) <= NORM_TOL)  # also true for a NaN gap
     if np.any(bad):
         if not np.all(np.isfinite(rows)):
@@ -242,11 +258,16 @@ def validate_unitaries(unitaries, m: int) -> np.ndarray:
     bad = np.flatnonzero(largest > 1.0 + UNIT_TOL)
     if bad.size:
         raise ValueError(f"qubit {bad[0]}: matrix is not unitary: max |u_ij| = {float(largest[bad[0]])!r} exceeds 1")
-    defect = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(2)).max(axis=(-2, -1))
+    defect = _unitary_defect(u)
     bad = np.flatnonzero(defect > UNIT_TOL)
     if bad.size:
         raise ValueError(f"qubit {bad[0]}: matrix is not unitary: max |U^H U - I| = {float(defect[bad[0]])!r}")
     return u
+
+
+def _unitary_defect(u: np.ndarray) -> np.ndarray:
+    """max |U^H U - I| (M,) of a field (M, 2, 2) of 2x2 matrices."""
+    return np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(2)).max(axis=(-2, -1))
 
 
 def _operator(v1, v2, v3) -> np.ndarray:
@@ -424,15 +445,31 @@ def apply_local_unitary(state: StateVector, unitaries) -> StateVector:
     the exact identity, which still runs every pass.  The amplitudes are
     copied and the copy is turned in place by ``_dress``, the dressing of
     ``verify.invariance_check``, through ``_dress_buffers``: at most two
-    passes over the copy for every M <= 26.  The result is a new ``StateVector``, so its
-    norm is checked.  It lies within ``metric._turn_gap`` of the plan,
-    plus the given unitaries' own gap, of the exact turn.
+    passes over the copy for every M <= 26.  The result is a new
+    ``StateVector``, so its norm is checked.  It lies within
+    ``metric._turn_gap`` of the plan, plus the given unitaries' own gap, of
+    the exact turn.
+
+    Each matrix within ``UNIT_TOL`` of unitary may still scale the squared
+    norm by up to about 1 + 2 UNIT_TOL, and over M qubits the turned copy
+    can leave ``NORM_TOL``.  That refusal is the field's, not the state's:
+    its ValueError names the qubit of the largest max |U^H U - I|, that
+    defect, and the squared norm before and after the turn.
     """
     m = state.num_qubits
     u = validate_unitaries(unitaries, m)
     work = state.amplitudes.copy()
     _dress(work, u, _dress_buffers(m))
-    return StateVector(m, work)
+    try:
+        return StateVector(m, work)
+    except ValueError:
+        defect = _unitary_defect(u)
+        q = int(np.argmax(defect))
+        raise ValueError(
+            f"the field moved the norm: sum |c_k|^2 = {float(_norm_sq(state.amplitudes))!r} before the turn "
+            f"and {float(_norm_sq(work))!r} after; qubit {q} has the largest max |U^H U - I|, "
+            f"{float(defect[q])!r}"
+        ) from None
 
 
 @functools.lru_cache(maxsize=None)

@@ -107,9 +107,8 @@ def test_criterion_3_ghzl():
         assert worst < 1e-12, f"M={m} worst gap {worst:.3e}"
         em = entanglement_metric(ghzl_state(m, np.pi / 4.0))
         assert np.max(np.abs(em.matrix - 0.25 * np.ones((m, m)))) < 1e-12
-        sp = spectrum(em)
-        assert sp.nonnull_count == 1
-        assert abs(sp.eigenvalues[0] - m / 4.0) < 1e-10
+        assert em.nonnull_count == 1
+        assert abs(spectrum(em)[0] - m / 4.0) < 1e-10
 
 
 @criterion(4, "three-qubit family: 101x101 grid 1e-12 plus classification points")
@@ -139,7 +138,7 @@ def test_criterion_4_three_qubit_family():
 @criterion(5, "chain-phase spectrum robustness: M=7, 50 interior angles, 7 eigenvalues > 1e-8")
 def test_criterion_5_spectrum_robustness():
     for phi in np.linspace(0.0, 2.0 * np.pi, 52)[1:-1]:
-        eigs = spectrum(entanglement_metric(brs_state(7, phi))).eigenvalues
+        eigs = spectrum(entanglement_metric(brs_state(7, phi)))
         assert eigs.shape == (7,)
         assert np.all(eigs > 1e-8), f"phi={phi:.4f}: min eig {eigs[-1]:.3e}"
 

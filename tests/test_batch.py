@@ -32,7 +32,7 @@ def _per_point_rows(spec: SweepSpec) -> np.ndarray:
     for value in np.linspace(spec.start, spec.stop, spec.points):
         fam = dataclasses.replace(spec.family, **{spec.parameter: float(value)})
         em = entanglement_metric(family_state(fam))
-        eigs = spectrum(em).eigenvalues
+        eigs = spectrum(em)
         x = float(value) / FAMILY_ANGLES[fam.tag][spec.parameter]
         rows.append([x, em.measure, em.measure / m, *map(float, eigs)])
     return np.array(rows)

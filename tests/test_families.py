@@ -147,8 +147,8 @@ class TestBrsState:
             )
             assert abs(entanglement_measure(other) - entanglement_measure(s)) < 1e-12
             np.testing.assert_allclose(
-                spectrum(entanglement_metric(other)).eigenvalues,
-                spectrum(entanglement_metric(s)).eigenvalues,
+                spectrum(entanglement_metric(other)),
+                spectrum(entanglement_metric(s)),
                 rtol=0, atol=1e-12, equal_nan=False,
             )
 

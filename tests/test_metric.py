@@ -9,7 +9,6 @@ import pytest
 
 from entdist import (
     EntanglementMetric,
-    Spectrum,
     StateVector,
     brs_state,
     distance_density,
@@ -759,18 +758,49 @@ class TestCheckMetrics:
         g[1, 0, 2] += 3e-12
         g[2, 0, 2] += 1.0
         with pytest.raises(
-            ValueError, match=r"symmetric: max \|g - g\^T\| = 3.000e-12 exceeds 1e-12 at phi = 1.5$"
+            ValueError, match=r"exactly symmetric: max \|g - g\^T\| = 3.000e-12 at phi = 1.5$"
         ):
             check_metrics(g, measure, at=self.AT)
 
-    @pytest.mark.parametrize("entry, outside", [(0.25 + 5e-12, "5.000e-12"), (-2e-12, "2.000e-12")])
+    def test_one_ulp_asymmetry(self):
+        """Library metrics are mirrored, so a one-ulp gap between g[0, 2] and g[2, 0] is refused."""
+        g, measure, _ = self._batch()
+        entry = g[1, 0, 2]
+        g[1, 0, 2] = np.nextafter(entry, np.inf)
+        with pytest.raises(
+            ValueError, match=rf"exactly symmetric: max \|g - g\^T\| = {abs(np.spacing(entry)):.3e} at phi = 1.5$"
+        ):
+            check_metrics(g, measure, at=self.AT)
+
+    @pytest.mark.parametrize(
+        "entry, outside",
+        [
+            (0.25 + 5e-12, "5.000e-12"),
+            (-2e-12, "2.000e-12"),
+            (np.nextafter(0.25, 1.0), f"{np.spacing(0.25):.3e}"),
+            (-np.nextafter(0.0, 1.0), "4.941e-324"),
+        ],
+    )
     def test_diagonal_outside_range(self, entry, outside):
+        """A library diagonal is clamped, so one ulp outside [0, 1/4], 0.25 + ulp or -ulp, is refused too."""
         g, measure, _ = self._batch()
         g[2, 3, 3] = entry
         with pytest.raises(
             ValueError,
-            match=rf"\[0, 1/4\]: one lies {outside} outside, more than 1e-12 at phi = 2.5$",
+            match=rf"exactly in \[0, 1/4\]: one lies {outside} outside at phi = 2.5$",
         ):
+            check_metrics(g, measure, at=self.AT)
+
+    def test_diagonal_of_negative_zero_is_accepted(self):
+        """-0.0 lies in [0, 1/4]: the metric of a basis state, with every diagonal entry -0.0."""
+        g = np.full((3, 3), -0.0)
+        np.testing.assert_array_equal(check_metrics(g, 0.0), np.zeros(3))
+
+    def test_nan_is_refused(self):
+        """A NaN fails both exact rules; on the diagonal it is refused by the first, whose value is nan."""
+        g, measure, _ = self._batch()
+        g[1, 2, 2] = np.nan
+        with pytest.raises(ValueError, match=r"exactly symmetric: max \|g - g\^T\| = nan at phi = 1.5$"):
             check_metrics(g, measure, at=self.AT)
 
     def test_trace_gap(self):
@@ -821,52 +851,89 @@ class TestCheckMetrics:
 
 
 class TestSpectrum:
+    """The spectrum is the record's: ``spectrum(em)`` is ``em.eigenvalues``, with ``rank_tol`` and ``nonnull_count``."""
+
     def test_caller_array_stays_writeable(self):
-        eigs = np.array([0.5, 0.25, 0.0])
-        sp = Spectrum(eigs)
-        assert eigs.flags.writeable
-        assert not sp.eigenvalues.flags.writeable
-        eigs[0] = 1.0
-        assert sp.eigenvalues[0] == 0.5
+        """The record copies the caller's matrix, and its spectrum, returned as it is, is read-only."""
+        g = np.diag([0.25, 0.0, 0.0])
+        em = EntanglementMetric(3, g, np.array([Z, Z, Z]), 0.25)
+        assert spectrum(em) is em.eigenvalues
+        assert g.flags.writeable
+        assert not spectrum(em).flags.writeable
+        g[0, 0] = 0.0
+        np.testing.assert_array_equal(spectrum(em), [0.25, 0.0, 0.0])
 
     def test_counts_the_eigenvalues_above_the_floor(self):
-        """``rank_tol`` is ``spectrum_tol`` of the spectrum's length."""
+        """``rank_tol`` is ``spectrum_tol(size)``; an eigenvalue at the floor is not counted.
+
+        g = diag(1/4, 2f) + [[0, f], [f, 0]], f the floor: exactly symmetric,
+        its diagonal in [0, 1/4], and its spectrum exactly [1/4, 2f, f, -f],
+        so the smallest eigenvalue sits on the floor and is accepted.
+        """
         floor = spectrum_tol(4)
-        sp = Spectrum([0.25, 2.0 * floor, floor, -floor])
-        assert sp.rank_tol == floor
-        assert sp.nonnull_count == 2
+        g = np.diag([0.25, 2.0 * floor, 0.0, 0.0])
+        g[2, 3] = g[3, 2] = floor
+        em = EntanglementMetric(4, g, np.array([Z] * 4), 0.25 + 2.0 * floor)
+        np.testing.assert_array_equal(em.eigenvalues, [0.25, 2.0 * floor, floor, -floor])
+        assert em.rank_tol == floor
+        assert em.nonnull_count == 2
 
     def test_ghz_rank_one(self):
-        sp = spectrum(entanglement_metric(ghzl_state(7, np.pi / 4)))
-        assert sp.eigenvalues[0] == pytest.approx(7 / 4, abs=1e-12)
-        assert np.all(np.abs(sp.eigenvalues[1:]) < 1e-12)
-        assert sp.nonnull_count == 1
+        em = entanglement_metric(ghzl_state(7, np.pi / 4))
+        assert em.eigenvalues[0] == pytest.approx(7 / 4, abs=1e-12)
+        assert np.all(np.abs(em.eigenvalues[1:]) < 1e-12)
+        assert em.nonnull_count == 1
 
     def test_zero_matrix(self):
-        sp = spectrum(entanglement_metric(make_basis_state(5, 0)))
-        np.testing.assert_allclose(sp.eigenvalues, np.zeros(5), rtol=0, atol=1e-14, equal_nan=False)
-        assert sp.nonnull_count == 0
+        em = entanglement_metric(make_basis_state(5, 0))
+        np.testing.assert_allclose(em.eigenvalues, np.zeros(5), rtol=0, atol=1e-14, equal_nan=False)
+        assert em.nonnull_count == 0
 
     def test_chain_phase_full_rank_against_jacobi(self):
         """M=7, phi=pi/2: all eigenvalues positive; values match the Jacobi oracle."""
         em = entanglement_metric(brs_state(7, np.pi / 2))
-        sp = spectrum(em)
-        assert np.all(sp.eigenvalues > 1e-8)
-        np.testing.assert_allclose(sp.eigenvalues, jacobi_eigenvalues(em.matrix), rtol=0, atol=1e-11, equal_nan=False)
+        assert np.all(em.eigenvalues > 1e-8)
+        assert em.nonnull_count == 7
+        np.testing.assert_allclose(em.eigenvalues, jacobi_eigenvalues(em.matrix), rtol=0, atol=1e-11, equal_nan=False)
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_random_states_against_jacobi(self, m):
         rng = np.random.default_rng(80 + m)
         em = entanglement_metric(StateVector(m, random_state(m, rng)))
+        assert em.rank_tol == spectrum_tol(m)
         np.testing.assert_allclose(
-            spectrum(em).eigenvalues, jacobi_eigenvalues(em.matrix), rtol=0, atol=1e-11, equal_nan=False
+            em.eigenvalues, jacobi_eigenvalues(em.matrix), rtol=0, atol=1e-11, equal_nan=False
         )
 
     def test_eigenvalue_sum_equals_measure(self):
         rng = np.random.default_rng(81)
         for m in [2, 3, 5]:
             em = entanglement_metric(StateVector(m, random_state(m, rng)))
-            assert abs(np.sum(spectrum(em).eigenvalues) - em.measure) < 1e-10
+            assert abs(np.sum(em.eigenvalues) - em.measure) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "m, entry, floor",
+    [
+        (1, 1.0824674490095276e-15, 5.014710455081304e-13),
+        (8, 2.223221606811876e-14, 2.563110648522761e-12),
+        (13, 6.830369603250119e-13, 1.5582251865702543e-11),
+        (14, 6.831202270518588e-13, 1.6747714016235706e-11),
+        (15, 1.5475349476861993e-12, 3.087953575418684e-11),
+        (26, 1.923763433303414e-12, 7.526016805365475e-11),
+    ],
+)
+def test_bounds_read_the_dot_depth(m, entry, floor):
+    """``entry_tol`` and ``spectrum_tol`` take ``qstate._dot_depth`` and keep their values bit for bit.
+
+    The depth is n in one run of 2^13 terms, and 2^13 + n / 2^13 - 1 in
+    more: 2^13 + 1 for a row of 2^14, 2^13 + 2^14 - 1 for the 2^27 floats
+    of an M = 26 norm.
+    """
+    assert entry_tol(m) == entry
+    assert spectrum_tol(m) == floor
+    depths = [qstate._dot_depth(n) for n in (4, 1 << 13, 1 << 14, 1 << 27)]
+    assert depths == [4, 1 << 13, (1 << 13) + 1, (1 << 13) + (1 << 14) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +974,6 @@ class TestDistanceDensity:
 
 _RECORDS = {
     "EntanglementMetric": lambda: entanglement_metric(brs_state(3, 0.3)),
-    "Spectrum": lambda: spectrum(entanglement_metric(brs_state(3, 0.3))),
     "StateVector": lambda: brs_state(3, 0.3),
     "OptimizerReport": lambda: minimize_trace_numeric(brs_state(3, 0.3), seed=1),
 }

@@ -8,6 +8,8 @@ on product states.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from entdist import (
 )
 from entdist import qstate
 from entdist.metric import _turn_gap
-from entdist.qstate import UNIT_TOL, _haar_unitary, _signs, bilinears, bloch_vectors, validate_unitaries
+from entdist.qstate import NORM_TOL, UNIT_TOL, _haar_unitary, _signs, bilinears, bloch_vectors, validate_unitaries
 from entdist.verify import HAAR_DRAW_GAP, _dressings
 
 from oracles import (
@@ -274,6 +276,45 @@ class TestApplyLocalUnitary:
         (dressed,) = _dressings(s, 1, 23)
         out = apply_local_unitary(s, _haar_field(m, np.random.default_rng(23)))
         assert out.amplitudes.tobytes() == dressed.tobytes()
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_haar_fields_are_accepted(self, m):
+        """Fields of ``_haar_unitary`` draws keep every turned state within ``NORM_TOL``."""
+        rng = np.random.default_rng(40 + m)
+        s = StateVector(m, random_state(m, rng))
+        for _ in range(20):
+            apply_local_unitary(s, _haar_field(m, rng))
+
+    @pytest.mark.parametrize("m", [3, 8])
+    @pytest.mark.parametrize("worst", [0, 2])
+    def test_field_that_moves_the_norm_is_refused_as_the_field(self, m, worst):
+        """A field that ``validate_unitaries`` accepts can move the norm past ``NORM_TOL``; the error says so.
+
+        U = [[1, t], [0, 1]], t = UNIT_TOL / 2, has max |U^H U - I| = t and
+        scales its top eigenvector of U^H U by |.|^2 = 1 + t + O(t^2); on
+        every qubit of the product of those eigenvectors the squared norm
+        grows by about M t, past NORM_TOL from M = 3.  Qubit ``worst`` takes
+        t = 0.9 UNIT_TOL in place of UNIT_TOL / 2, and the message names it.
+        """
+        field = np.array([[[1.0, UNIT_TOL / 2], [0.0, 1.0]]] * m, dtype=complex)
+        field[worst, 0, 1] = 0.9 * UNIT_TOL
+        amps = np.ones(1)
+        for u in field:
+            amps = np.kron(np.linalg.eigh(u.conj().T @ u)[1][:, -1], amps)
+        state = StateVector(m, amps)
+        with pytest.raises(ValueError) as err:
+            apply_local_unitary(state, field)
+        match = re.fullmatch(
+            r"the field moved the norm: sum \|c_k\|\^2 = (\S+) before the turn and (\S+) after; "
+            r"qubit (\d+) has the largest max \|U\^H U - I\|, (\S+)",
+            str(err.value),
+        )
+        assert match is not None, str(err.value)
+        before, after, qubit, defect = float(match[1]), float(match[2]), int(match[3]), float(match[4])
+        assert abs(before - 1.0) <= NORM_TOL < abs(after - 1.0)
+        growth = np.prod([np.linalg.eigvalsh(u.conj().T @ u)[-1] for u in field])
+        assert after == pytest.approx(before * growth, rel=0, abs=1e-15)
+        assert (qubit, defect) == (worst, float(np.abs(field[worst].conj().T @ field[worst] - np.eye(2)).max()))
 
     def test_norm_preserved_along_chain(self):
         rng = np.random.default_rng(5)
