@@ -1,13 +1,16 @@
 """Command-line front end: measure states, sweep families, emit figure data.
 
 Subcommands: ``measure``, ``eigs``, ``sweep``, ``surface``, ``verify``.
-Exit codes: 0 ok; 1 verification failure; 2 an argument, I/O or parse
-error, or out of memory; 3 a --state-file state fails validation; 4 any
-fault after the inputs are accepted, a family state that fails validation
-included.  Every command-line value refused by an input rule exits 2
-through ``_accept``.  Identical invocations produce byte-identical output
-with the same numpy, BLAS build and BLAS thread count; CSV floats carry
-17 significant digits and round-trip exactly.
+``measure``, ``eigs`` and ``verify`` take one state source: a named family
+(--family and its flags, parsed by the ``FamilySpec`` constructor) or an
+amplitude file (--state-file).
+Exit codes: 0 ok; 1 verification failure; 2 an argument, I/O or state
+file parse error, or out of memory; 3 a --state-file state fails
+validation; 4 any fault after the inputs are accepted, a family state that
+fails validation included.  Every command-line value refused by an input
+rule exits 2 through ``_accept``.  Identical invocations produce
+byte-identical output with the same numpy, BLAS build and BLAS thread
+count; CSV floats carry 17 significant digits and round-trip exactly.
 
 The figure drivers ``run_sweep`` and ``run_surface`` return a header and
 one float64 array of rows, which ``_csv_text`` alone turns into text.
@@ -208,7 +211,6 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
 def _add_state_source(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--family", choices=FAMILY_TAGS, help="generate a family state")
-    source.add_argument("--family-json", help="family spec as a JSON object string")
     source.add_argument("--state-file", help='JSON state file {"m", "re", "im"}')
     _add_family_flags(parser)
 
@@ -232,8 +234,8 @@ def _accept(parser: argparse.ArgumentParser, rule, /, *args, **kwargs):
 def _state_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> StateVector:
     """Build the input state.
 
-    Argparse-level errors and refused family flags exit 2, and unreadable
-    input or a refused --family-json raises StateFileError.  Only a
+    Argparse-level errors and refused family flags exit 2, and an
+    unreadable or malformed --state-file raises StateFileError.  Only a
     --state-file state that fails validation raises InvalidStateError; a
     family state that fails it after its spec was accepted is a broken
     invariant, and its ValueError reaches ``main`` as an internal error.
@@ -242,22 +244,13 @@ def _state_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     if args.family is None and given:
         parser.error(f"--{next(iter(given))} applies only with --family")
     if args.state_file is None:
-        return family_state(_spec_from_args(args, parser))
+        return family_state(_family_from_flags(args, parser))
     try:
         return read_state_file(args.state_file)
     except StateFileError:
         raise
     except ValueError as exc:
         raise InvalidStateError(exc) from exc
-
-
-def _spec_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FamilySpec:
-    if args.family_json is not None:
-        try:
-            return FamilySpec.from_dict(json.loads(args.family_json))
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise StateFileError(f"invalid --family-json: {exc}") from exc
-    return _family_from_flags(args, parser)
 
 
 def _family_from_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FamilySpec:

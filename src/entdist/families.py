@@ -28,7 +28,7 @@ GHZL = "ghzl"
 THREEQ = "threeq"
 FAMILY_TAGS = (BRS, GHZL, THREEQ)
 
-# each family's angles (also the JSON schema) and their figure units: sweep x = angle / unit
+# each family's angles and their figure units: sweep x = angle / unit
 FAMILY_ANGLES = {
     BRS: {"phi": 2.0 * math.pi},
     GHZL: {"theta": math.pi / 2.0, "phase": 2.0 * math.pi},
@@ -76,26 +76,6 @@ class FamilySpec:
         for name in FAMILY_ANGLES[self.tag]:
             value = 0.0 if getattr(self, name) is _Default.NOT_GIVEN else getattr(self, name)
             object.__setattr__(self, name, validate_real(f"angle {name!r}", value))
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FamilySpec":
-        """Build from JSON {"family": tag, "m": ..., <angles>}; any other key is refused."""
-        if not isinstance(payload, dict) or "family" not in payload:
-            raise ValueError('family spec must be an object with a "family" key')
-        tag = payload["family"]
-        if tag not in FAMILY_TAGS:
-            raise ValueError(f"unknown family tag {tag!r}; expected one of {FAMILY_TAGS}")
-        params = {k: v for k, v in payload.items() if k != "family"}
-        for key in params:
-            if key not in ("m", *FAMILY_ANGLES[tag]):
-                raise ValueError(f"family {tag!r} has no key {key!r}")
-        return cls(tag, **params)
-
-    def to_dict(self) -> dict:
-        out = {"family": self.tag, "m": self.m}
-        for name in FAMILY_ANGLES[self.tag]:
-            out[name] = getattr(self, name)
-        return out
 
 
 @dataclass(frozen=True)

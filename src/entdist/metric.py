@@ -68,7 +68,7 @@ from .qstate import (
 )
 
 DEGENERATE_TOL = 1e-12
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 
 
 def _gamma(n: int) -> float:
@@ -276,18 +276,19 @@ def spectrum_tol(m: int) -> float:
 def check_metrics(g: np.ndarray, measure, at: tuple[str, np.ndarray] | None = None) -> np.ndarray:
     """Check metrics ``(..., M, M)`` against measures ``(...)``; return the spectra, descending.
 
-    Each g must be exactly symmetric, have its diagonal exactly in [0, 1/4]
-    (a NaN fails both) and its trace within ``trace_tol(M)`` of E; one
-    batched eigvalsh gives every spectrum, whose smallest eigenvalue must
-    not fall below -``spectrum_tol(M)``.  The first two rules take no
-    bound, since every metric the library builds meets them exactly:
-    ``_metric_from_moments`` mirrors the upper triangle below the
-    diagonal, and ``_diagonal`` clamps a negative (1 - e^2)/4 to 0, while
-    e^2 >= 0 keeps it at most 1/4.  A matrix built by hand is held to the
-    same rules.  A failed check raises ValueError with the measured value,
-    and with its bound where it has one; for a batch taken over a grid,
-    ``at = (name, values)`` adds the grid value of the first point that
-    fails.
+    Each g must have its diagonal exactly in [0, 1/4], be exactly
+    symmetric and have its trace within ``trace_tol(M)`` of E, checked in
+    that order, so a NaN on the diagonal fails the diagonal rule and one
+    off it the symmetry rule; one batched eigvalsh gives every spectrum,
+    whose smallest eigenvalue must not fall below -``spectrum_tol(M)``.
+    The first two rules take no bound, since every metric the library
+    builds meets them exactly: ``_metric_from_moments`` mirrors the upper
+    triangle below the diagonal, and ``_diagonal`` clamps a negative (1 -
+    e^2)/4 to 0, while e^2 >= 0 keeps it at most 1/4.  A matrix built by
+    hand is held to the same rules.  A failed check raises ValueError with
+    the measured value, and with its bound where it has one; for a batch
+    taken over a grid, ``at = (name, values)`` adds the grid value of the
+    first point that fails.
     """
     *batch, m, _ = g.shape
     g = g.reshape(-1, m, m)
@@ -299,16 +300,16 @@ def check_metrics(g: np.ndarray, measure, at: tuple[str, np.ndarray] | None = No
             where = f" at {at[0]} = {float(at[1][i])!r}" if at is not None else ""
             raise ValueError(message.format(value[i], bound) + where)
 
-    check(
-        np.max(np.abs(g - np.swapaxes(g, -1, -2)), axis=(-2, -1)),
-        0.0,
-        "metric matrix must be exactly symmetric: max |g - g^T| = {:.3e}",
-    )
     diag = np.diagonal(g, axis1=-2, axis2=-1)
     check(
         np.maximum(-diag, diag - 0.25).max(axis=-1),
         0.0,
         "metric diagonal entries must lie exactly in [0, 1/4]: one lies {:.3e} outside",
+    )
+    check(
+        np.max(np.abs(g - np.swapaxes(g, -1, -2)), axis=(-2, -1)),
+        0.0,
+        "metric matrix must be exactly symmetric: max |g - g^T| = {:.3e}",
     )
     check(
         np.abs(np.reshape(measure, -1) - np.trace(g, axis1=-2, axis2=-1)),
@@ -338,10 +339,11 @@ class EntanglementMetric:
     with its diagonal exactly in [0, 1/4], and ``eigenvalues`` is the
     spectrum that call gives, sorted descending and read-only; ``spectrum``
     returns it and ``to_dict`` reads it.  ``rank_tol`` is
-    ``spectrum_tol(size)`` as a Python float, the floor that ``check_metrics`` holds the
-    smallest eigenvalue to, and ``nonnull_count`` counts the eigenvalues
-    above it.  ``directions`` is a read-only copy of the (size, 3)
-    direction field, one unit row per qubit.
+    ``spectrum_tol(size)``, a Python float like every rounding bound, the
+    floor that ``check_metrics`` holds the smallest eigenvalue to, and
+    ``nonnull_count`` counts the eigenvalues above it.  ``directions`` is
+    a read-only copy of the (size, 3) direction field, one unit row per
+    qubit.
     """
 
     size: int
@@ -367,7 +369,7 @@ class EntanglementMetric:
         object.__setattr__(self, "matrix", g)
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "eigenvalues", eigs)
-        object.__setattr__(self, "rank_tol", float(spectrum_tol(m)))
+        object.__setattr__(self, "rank_tol", spectrum_tol(m))
         object.__setattr__(self, "nonnull_count", int(np.sum(eigs > self.rank_tol)))
 
     def to_dict(self) -> dict:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import reprlib
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,14 +70,6 @@ class TestMeasure:
         assert code == 0
         assert json.loads(out)["measure"] == pytest.approx(0.75, abs=1e-12)
 
-    def test_family_json(self, capsys):
-        code, out = run_cli(
-            ["measure", "--family-json", '{"family": "threeq", "gamma": 0.7853981633974483, "tau": 0.0}'],
-            capsys,
-        )
-        assert code == 0
-        assert json.loads(out)["measure"] == pytest.approx(0.75, abs=1e-12)
-
     def test_near_normalized_state_file(self, tmp_path, capsys):
         """A basis state with |c|^2 = 1 + delta, delta = 0.9e-12, is within NORM_TOL, so valid and separable.
 
@@ -94,38 +88,6 @@ class TestMeasure:
             record = json.loads(out)
             assert record["measure"] == 0.0
             assert -spectrum_tol(m) <= min(record["eigenvalues"]) < -eig_tol(m)
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            '{"family": "brs", "m": 3.0}',
-            '{"family": "brs", "m": "3"}',
-            '{"family": "brs", "m": true}',
-            '{"family": "ghzl", "m": 3, "theta": null}',
-            '{"family": "ghzl", "m": 3, "theta": "0.3"}',
-            '{"family": ["brs"]}',
-        ],
-    )
-    def test_family_json_wrong_types_exit_2(self, spec, capsys):
-        assert main(["measure", "--family-json", spec]) == 2
-        assert "invalid --family-json" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "spec, message",
-        [
-            ('{"family": "brs", "m": 5, "Phi": 2.1}', "family 'brs' has no key 'Phi'"),
-            ('{"family": "brs"}', "family 'brs' requires m"),
-            *[(f'{{"family": "brs", "m": 3, "theta": {v}}}', "family 'brs' has no key 'theta'")
-              for v in ["0", "-0.0", "1.0"]],
-        ],
-        ids=["mistyped-key", "brs-without-m", "foreign-angle-0", "foreign-angle-neg0", "foreign-angle-1"],
-    )
-    def test_family_json_refuses_what_it_would_drop(self, spec, message, capsys):
-        """A mistyped key or a missing m exits 2 instead of falling back to a default."""
-        assert main(["measure", "--family-json", spec]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: invalid --family-json: {message}\n"
 
     def test_angle_of_another_family_exits_2(self, capsys):
         """Whenever it is given, 0 and -0.0 included."""
@@ -260,12 +222,8 @@ def test_out_of_memory_exits_2(args, stage, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["measure", "eigs", "verify"])
 @pytest.mark.parametrize(
     "sources",
-    [
-        ["--family", "brs", "--m", "3", "--family-json", '{"family": "brs", "m": 3}'],
-        ["--family", "brs", "--m", "3", "--state-file", "STATE"],
-        ["--family-json", '{"family": "brs", "m": 3}', "--state-file", "STATE"],
-    ],
-    ids=["family-and-json", "family-and-file", "json-and-file"],
+    [["--family", "brs", "--m", "3", "--state-file", "STATE"]],
+    ids=["family-and-file"],
 )
 def test_two_state_sources_exit_2(command, sources, tmp_path, capsys):
     """Exactly one state source: a second one is refused, not silently ignored."""
@@ -279,15 +237,24 @@ def test_two_state_sources_exit_2(command, sources, tmp_path, capsys):
     assert "not allowed with argument" in captured.err.splitlines()[-1]
 
 
+def test_family_json_is_no_flag(capsys):
+    """A family is named by --family and its flags alone: the JSON spelling it once had is no flag."""
+    spec = '{"family": "brs", "m": 3}'
+    with pytest.raises(SystemExit) as err:
+        main(["measure", "--family", "brs", "--m", "3", "--family-json", spec])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"error: unrecognized arguments: --family-json {spec}")
+
+
 @pytest.mark.parametrize("flag", [["--m", "5"], ["--phi", "0.3"], ["--tau", "1.0"]])
-@pytest.mark.parametrize("source", ["--family-json", "--state-file"])
-def test_family_flag_without_family_exits_2(flag, source, tmp_path, capsys):
-    """--m and the angle flags describe a --family state; with another source they exit 2."""
+def test_family_flag_without_family_exits_2(flag, tmp_path, capsys):
+    """--m and the angle flags describe a --family state; with --state-file they exit 2."""
     path = tmp_path / "state.json"
     write_state_file(path, ghzl_state(3, 0.4))
-    value = '{"family": "brs", "m": 3}' if source == "--family-json" else str(path)
     with pytest.raises(SystemExit) as err:
-        main(["measure", source, value, *flag])
+        main(["measure", "--state-file", str(path), *flag])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -319,7 +286,6 @@ def test_only_eigs_takes_a_format_flag(command, flag, capsys):
 # ---------------------------------------------------------------------------
 
 _BRS_FLAGS = ["--family", "brs", "--m", "3", "--phi", "0.3"]
-_BRS_JSON = ["--family-json", '{"family": "brs", "m": 3, "phi": 0.3}']
 _SWEEP_ARGS = ["sweep", "--family", "brs", "--m", "3", "--parameter", "phi",
                "--start", "0", "--stop", "1"]
 _UNNORMALIZED = '{"m": 2, "re": [1.0, 1.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0, 0.0]}'
@@ -362,19 +328,16 @@ _INVALID = "error: invalid state: state is not normalized: sum |c_k|^2 = 2.0\n"
         (["verify", "--state-file", "STATE"], None, 3, _INVALID),
         # a fault after the inputs were accepted: exit 4
         (["measure", *_BRS_FLAGS], _doubled_brs, 4, _DOUBLED),
-        (["measure", *_BRS_JSON], _doubled_brs, 4, _DOUBLED),
         (["eigs", *_BRS_FLAGS], _doubled_brs, 4, _DOUBLED),
-        (["eigs", *_BRS_JSON, "--csv"], _doubled_brs, 4, _DOUBLED),
+        (["eigs", *_BRS_FLAGS, "--csv"], _doubled_brs, 4, _DOUBLED),
         (["verify", *_BRS_FLAGS], _doubled_brs, 4, _DOUBLED),
-        (["verify", *_BRS_JSON], _doubled_brs, 4, _DOUBLED),
         ([*_SWEEP_ARGS, "--points", "3"], _failing_validation, 4, _PLANTED),
         (["surface", "--points", "3"], _failing_validation, 4, _PLANTED),
     ],
     ids=[
         "measure-refused", "eigs-refused", "sweep-refused", "surface-refused", "verify-refused",
         "measure-file", "eigs-file", "verify-file",
-        "measure-family", "measure-json", "eigs-family", "eigs-json", "verify-family",
-        "verify-json", "sweep", "surface",
+        "measure-family", "eigs-family", "eigs-family-csv", "verify-family", "sweep", "surface",
     ],
 )
 def test_exit_code_table(args, plant, code, err, tmp_path, capsys, monkeypatch):
@@ -539,9 +502,7 @@ class TestSweep:
             "entdist sweep: error: --phi is the swept angle; its range is --start to --stop"
         )
 
-    @pytest.mark.parametrize(
-        "flag", [["--state-file", "/nonexistent.json"], ["--family-json", '{"family": "threeq"}']]
-    )
+    @pytest.mark.parametrize("flag", [["--state-file", "/nonexistent.json"]])
     def test_state_source_flags_rejected(self, flag, capsys):
         """A sweep varies a family angle, so it takes family flags only."""
         with pytest.raises(SystemExit) as err:
@@ -848,3 +809,33 @@ class TestVerify:
     def test_missing_state_file_exits_2(self, capsys):
         code, _ = run_cli(["measure", "--state-file", "/nonexistent/state.json"], capsys)
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# the README's command lines
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_command_lines(text: str) -> list[list[str]]:
+    """The arguments of each ``entdist ...`` line of the README's "Command line" block."""
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("entdist ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    """Each line exits 0 and writes its --out file, so a flag the docs name but the CLI lacks fails here."""
+    monkeypatch.chdir(tmp_path)
+    write_state_file(tmp_path / "ghz3.json", ghzl_state(3, np.pi / 4))
+    commands = readme_command_lines(README.read_text(encoding="utf-8"))
+    assert commands, "no entdist line in the README's Command line block"
+    for args in commands:
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 0, f"entdist {shlex.join(args)} exited {code}: {capsys.readouterr().err}"
+        if "--out" in args:
+            assert (tmp_path / args[args.index("--out") + 1]).is_file()

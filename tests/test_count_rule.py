@@ -135,7 +135,6 @@ def test_numpy_integers_give_json_records():
     spec = FamilySpec("brs", m=np.int64(3))
     assert type(state.num_qubits) is int and type(spec.m) is int
     json.dumps(entanglement_metric(state).to_dict())
-    json.dumps(spec.to_dict())
     json.dumps(verify_state(state, trials=np.int64(2), seed=np.int64(1)))
 
 

@@ -287,39 +287,16 @@ class TestClosedForms:
 
 
 class TestFamilySpec:
-    def test_json_round_trip(self):
-        spec = FamilySpec("ghzl", m=5, theta=0.7, phase=1.1)
-        assert FamilySpec.from_dict(spec.to_dict()) == spec
-
-    def test_from_dict_validates_tag(self):
-        with pytest.raises(ValueError, match="family"):
-            FamilySpec.from_dict({"family": "w-state"})
-
     def test_unknown_tag_is_refused(self):
-        """The constructor's own tag check, which ``from_dict``'s does not reach."""
         with pytest.raises(ValueError) as err:
             FamilySpec("w-state", m=3)
         assert str(err.value) == f"unknown family tag 'w-state'; expected one of {FAMILY_TAGS}"
 
-    @pytest.mark.parametrize("payload", [["brs", 3], "brs", None, {"m": 3}], ids=["list", "str", "none", "no-family"])
-    def test_from_dict_refuses_what_is_not_an_object_with_a_family(self, payload):
-        with pytest.raises(ValueError, match='^family spec must be an object with a "family" key$'):
-            FamilySpec.from_dict(payload)
-
-    def test_from_dict_refuses_keys_it_would_drop(self):
-        """Only "family", "m" and the family's own angles are read; any other key raises."""
-        for key in ["Phi", "theta", "tag", "M"]:
-            with pytest.raises(ValueError, match=f"^family 'brs' has no key '{key}'$"):
-                FamilySpec.from_dict({"family": "brs", "m": 3, "phi": 0.5, key: 0.0})
-
     def test_m_defaults_only_for_threeq(self):
         assert FamilySpec("threeq").m == 3
-        assert FamilySpec.from_dict({"family": "threeq"}) == FamilySpec("threeq", m=3)
         for tag in ["brs", "ghzl"]:
             with pytest.raises(ValueError, match=f"^family '{tag}' requires m$"):
                 FamilySpec(tag)
-            with pytest.raises(ValueError, match=f"^family '{tag}' requires m$"):
-                FamilySpec.from_dict({"family": tag})
 
     @pytest.mark.parametrize(
         "tag, angle, value",
@@ -336,7 +313,6 @@ class TestFamilySpec:
         """Not given is 0 for a family's own angles, and a ``dataclasses.replace`` of one angle keeps the rest."""
         spec = FamilySpec("ghzl", m=3, phase=0.2)
         assert (spec.theta, spec.phase) == (0.0, 0.2)
-        assert spec.to_dict() == {"family": "ghzl", "m": 3, "theta": 0.0, "phase": 0.2}
         assert dataclasses.replace(spec, theta=0.7) == FamilySpec("ghzl", m=3, theta=0.7, phase=0.2)
 
     def test_threeq_m_fixed(self):

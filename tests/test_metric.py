@@ -31,12 +31,15 @@ from entdist.metric import (
     _frame_unitaries,
     _metric_from_moments,
     check_metrics,
+    eig_tol,
     entry_tol,
+    measure_tol,
     metric_matrices,
     spectrum_tol,
     trace_tol,
 )
 from entdist.qstate import KRON_BITS, _block_bits, _kron_groups, _operator, bloch_vectors
+from entdist.verify import HAAR_DRAW_GAP, bloch_tol, invariance_tol, optimizer_tol
 
 from oracles import (
     covariance_entry_pairwise,
@@ -797,9 +800,13 @@ class TestCheckMetrics:
         np.testing.assert_array_equal(check_metrics(g, 0.0), np.zeros(3))
 
     def test_nan_is_refused(self):
-        """A NaN fails both exact rules; on the diagonal it is refused by the first, whose value is nan."""
+        """A NaN on the diagonal fails the diagonal rule, which runs first; a NaN off it, the symmetry rule."""
         g, measure, _ = self._batch()
         g[1, 2, 2] = np.nan
+        with pytest.raises(ValueError, match=r"exactly in \[0, 1/4\]: one lies nan outside at phi = 1.5$"):
+            check_metrics(g, measure, at=self.AT)
+        g, measure, _ = self._batch()
+        g[1, 0, 2] = np.nan
         with pytest.raises(ValueError, match=r"exactly symmetric: max \|g - g\^T\| = nan at phi = 1.5$"):
             check_metrics(g, measure, at=self.AT)
 
@@ -934,6 +941,18 @@ def test_bounds_read_the_dot_depth(m, entry, floor):
     assert spectrum_tol(m) == floor
     depths = [qstate._dot_depth(n) for n in (4, 1 << 13, 1 << 14, 1 << 27)]
     assert depths == [4, 1 << 13, (1 << 13) + 1, (1 << 13) + (1 << 14) - 1]
+
+
+@pytest.mark.parametrize("m", [1, 14, 15, 26])
+@pytest.mark.parametrize(
+    "bound",
+    [measure_tol, trace_tol, entry_tol, eig_tol, spectrum_tol, optimizer_tol, bloch_tol, invariance_tol],
+    ids=lambda bound: bound.__name__,
+)
+def test_bounds_are_python_floats(bound, m):
+    """Every rounding bound is a Python float, so no message or ``repr`` shows ``np.float64(...)``."""
+    assert type(bound(m)) is float
+    assert type(HAAR_DRAW_GAP) is float
 
 
 # ---------------------------------------------------------------------------

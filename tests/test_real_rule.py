@@ -10,7 +10,6 @@ records built from it serialise to JSON.
 """
 from __future__ import annotations
 
-import json
 import reprlib
 from fractions import Fraction
 
@@ -94,6 +93,5 @@ def test_valid_reals_are_stored_as_python_floats(value):
     spec = FamilySpec("brs", m=3, phi=value)
     assert type(spec.phi) is float
     assert spec.phi == float(value)
-    json.dumps(spec.to_dict())
     em = EntanglementMetric(1, np.zeros((1, 1)), [_Z], 0 * value)
     assert type(em.measure) is float
