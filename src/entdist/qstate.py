@@ -12,10 +12,11 @@ The owners:
   ``validate_unitaries`` and ``validate_amplitudes``: the argument,
   field and state rules.
 - ``_dress``: every turn of a state by local unitaries, for
-  ``apply_local_unitary`` and ``verify``'s dressings; ``_dress_passes``
-  plans it and ``_dress_buffers`` sizes its blocks.  ``_turns``, ``_rotate``, ``_kron_factors``, ``_kron_spec``
-  and ``_kron_groups``: the Kronecker turns of ``_dress`` and of the
-  frame kernel, in blocks of the budget ``_block_bits``.
+  ``apply_local_unitary`` and ``verify``'s dressings, in blocks it sizes
+  from its plan; ``_dress_passes`` plans it.  ``_turns``, ``_rotate``,
+  ``_kron_factors``, ``_kron_spec`` and ``_kron_groups``: the Kronecker
+  turns of ``_dress`` and of the frame kernel, in blocks of the budget
+  ``_block_bits``.
 - ``_apply_one_qubit_matrix``: the one-row metric's apply
   (``metric._applied_rows``).
 - ``bilinears``: the per-qubit amplitude bilinears, from which every
@@ -405,37 +406,38 @@ def _block_bits(k: int) -> int:
     return k + BLOCK_BITS
 
 
-def _dress_passes(m: int, b: int) -> list[tuple[range, range]]:
-    """The dressing's plan for m qubits in blocks of 2^b amplitudes: (row bits, column bits) per pass.
+def _dress_passes(m: int) -> list[tuple[range, range]]:
+    """The dressing's plan for m qubits: (row bits, column bits) per pass, in blocks of at most 2^b amplitudes.
 
-    One pass turns the low L = min(m, b) qubits as column bits, a
-    contiguous row of 2^L at a time, and one pass each run of at most b
-    higher qubits as row bits.  Neither kind of pass mixes row and column
-    bits, so ``_rotate`` gives each block back in its own index order.
+    b = ``_block_bits(ROW_BITS)``, read at call time, the one budget of the
+    dressing's blocks.  One pass turns the low L = min(m, b) qubits as
+    column bits, a contiguous row of 2^L at a time, and one pass each run
+    of at most b higher qubits as row bits.  Neither kind of pass mixes row
+    and column bits, so ``_rotate`` gives each block back in its own index
+    order.
     """
+    b = _block_bits(ROW_BITS)
     low = min(m, b)
     return [(range(low, low), range(low))] + [(range(s, min(s + b, m)), range(0)) for s in range(low, m, b)]
 
 
-def _dress(work: np.ndarray, u: np.ndarray, buffers: list[np.ndarray]) -> None:
+def _dress(work: np.ndarray, u: np.ndarray) -> None:
     """Apply u_{M-1} x ... x u_0, ``u`` (M, 2, 2), to the 2^M amplitudes ``work`` in place, each qubit once.
 
     The one local-unitary turn of a state, for ``apply_local_unitary``
     and ``verify``'s dressings: the plan ``_dress_passes`` over ``_turns``,
-    the frame kernel's block loop, in blocks of 2^b amplitudes, the size
-    of each of the two ``buffers``.  Each turned block is copied back in
-    place; a block that ``_turns`` skips stays as it is.
+    the frame kernel's block loop.  Every block of the plan holds 2^b
+    amplitudes, b the low pass's width, and the turn allocates its two
+    blocks of that size.  Each turned block is copied back in place; a
+    block that ``_turns`` skips stays as it is.
     """
-    m, b = work.size.bit_length() - 1, buffers[0].size.bit_length() - 1
-    for row_bits, col_bits in _dress_passes(m, b):
+    passes = _dress_passes(work.size.bit_length() - 1)
+    b = len(passes[0][1])
+    buffers = list(np.empty((2, 1 << b), dtype=np.complex128))
+    for row_bits, col_bits in passes:
         w = len(col_bits) or b - len(row_bits)
         for blk, turned in _turns(work, row_bits, col_bits, w, u, buffers):
             blk[...] = turned.reshape(blk.shape)
-
-
-def _dress_buffers(m: int) -> list[np.ndarray]:
-    """The dressing's two buffers for m qubits: blocks of at most 2^b amplitudes, b = ``_block_bits(ROW_BITS)``."""
-    return list(np.empty((2, min(1 << _block_bits(ROW_BITS), 1 << m)), dtype=np.complex128))
 
 
 def apply_local_unitary(state: StateVector, unitaries) -> StateVector:
@@ -444,11 +446,10 @@ def apply_local_unitary(state: StateVector, unitaries) -> StateVector:
     The field passes ``validate_unitaries``; a qubit to leave alone takes
     the exact identity, which still runs every pass.  The amplitudes are
     copied and the copy is turned in place by ``_dress``, the dressing of
-    ``verify.invariance_check``, through ``_dress_buffers``: at most two
-    passes over the copy for every M <= 26.  The result is a new
-    ``StateVector``, so its norm is checked.  It lies within
-    ``metric._turn_gap`` of the plan, plus the given unitaries' own gap, of
-    the exact turn.
+    ``verify.invariance_check``: at most two passes over the copy for
+    every M <= 26.  The result is a new ``StateVector``, so its norm is
+    checked.  It lies within ``metric._turn_gap`` of the plan, plus the
+    given unitaries' own gap, of the exact turn.
 
     Each matrix within ``UNIT_TOL`` of unitary may still scale the squared
     norm by up to about 1 + 2 UNIT_TOL, and over M qubits the turned copy
@@ -459,7 +460,7 @@ def apply_local_unitary(state: StateVector, unitaries) -> StateVector:
     m = state.num_qubits
     u = validate_unitaries(unitaries, m)
     work = state.amplitudes.copy()
-    _dress(work, u, _dress_buffers(m))
+    _dress(work, u)
     try:
         return StateVector(m, work)
     except ValueError:

@@ -15,9 +15,10 @@ The owners:
 - ``minimize_trace_numeric``: the ascent; ``optimizer_tol`` its bound.
 - ``reduced_density_matrix``: the partial trace; ``bloch_tol`` its bound.
 - ``_dressings``: the dressings and their memory, each one
-  ``qstate._dress``, the turn of ``apply_local_unitary``;
-  ``qstate._dress_passes`` plans them, ``metric._turn_gap`` bounds the
-  plan and ``invariance_tol`` holds ``invariance_check`` to that bound.
+  ``qstate._dress``, the turn of ``apply_local_unitary``, which sizes
+  its own blocks; ``qstate._dress_passes`` plans them, and
+  ``invariance_tol`` holds ``invariance_check`` to ``metric._turn_gap``
+  of that plan, read at call time.
 """
 from __future__ import annotations
 
@@ -38,9 +39,7 @@ from .metric import (
 from .qstate import (
     ROW_BITS,
     StateVector,
-    _block_bits,
     _dress,
-    _dress_buffers,
     _dress_passes,
     _haar_unitary,
     bilinears,
@@ -267,8 +266,8 @@ def invariance_tol(m: int) -> float:
     ``HAAR_DRAW_GAP`` = 16 u a draw (``tests/test_qstate.py`` holds the
     draws to it).  So U is within m ``HAAR_DRAW_GAP`` of the unitary W =
     W_{M-1} x ... x W_0 in the 2-norm.  The dressing computes U times the
-    state within ``metric._turn_gap`` of its plan at the dressings' block
-    budget, so the dressed vector lies within delta = ``metric._turn_gap``
+    state within ``metric._turn_gap`` of its plan, ``qstate._dress_passes``
+    as it runs, so the dressed vector lies within delta = ``metric._turn_gap``
     + m ``HAAR_DRAW_GAP`` of W times the state.
 
     * The change in E: W turns each Bloch vector b_nu by a rotation, so E
@@ -286,7 +285,7 @@ def invariance_tol(m: int) -> float:
     The dressing's share m delta is the larger up to m = 9, E's rounding
     from m = 10 on: m delta is 2.6e-12 of the 3.8e-11 at m = 16.
     """
-    delta = _turn_gap(_dress_passes(m, _block_bits(ROW_BITS))) + m * HAAR_DRAW_GAP
+    delta = _turn_gap(_dress_passes(m)) + m * HAAR_DRAW_GAP
     return m * delta + 2.0 * measure_tol(m)
 
 
@@ -296,20 +295,19 @@ def _dressings(state: StateVector, trials: int, seed: int) -> Iterator[np.ndarra
     Each trial draws one Haar unitary per qubit, qubit 0 first, and applies
     them by ``qstate._dress`` to a fresh copy of the amplitudes.  So the
     state is copied into one array for all trials, and turned in place in
-    blocks of at most 2^b amplitudes, b = ``qstate._block_bits(ROW_BITS)``
-    (17), the direction-frame kernel's block budget, through the one pair
-    of ``qstate._dress_buffers``, whatever M: at most two passes over the
-    copy for every M <= 26.
-    A yielded array is overwritten by the next trial.
+    blocks of at most 2^b amplitudes, b = ``qstate._block_bits(ROW_BITS)``,
+    the direction-frame kernel's block budget, in the two blocks that
+    ``_dress`` allocates per trial, whatever M: at most two passes over the
+    copy for every M <= 26.  A yielded array is overwritten by the next
+    trial.
     """
     rng = np.random.default_rng(seed)
     m = state.num_qubits
     work = np.empty(1 << m, dtype=np.complex128)
-    buffers = _dress_buffers(m)
     for _ in range(trials):
         u = np.array([_haar_unitary(rng) for _ in range(m)])
         np.copyto(work, state.amplitudes)
-        _dress(work, u, buffers)
+        _dress(work, u)
         yield work
 
 

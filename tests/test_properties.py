@@ -1,9 +1,8 @@
-"""Property tests on random states of up to 8 qubits (hypothesis, derandomized)."""
+"""Property tests on random states of up to 8 qubits, over a fixed seeded sample."""
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import pytest
 
 from entdist import StateVector, apply_local_unitary, entanglement_metric
 from entdist.metric import trace_tol
@@ -11,7 +10,7 @@ from entdist.qstate import _haar_unitary
 
 from oracles import permute_qubits, random_product_state, random_state
 
-PROPERTY = settings(derandomize=True, deadline=None)
+KINDS = ["haar", "product", "sparse"]
 
 
 def _state(m: int, kind: str, seed: int) -> StateVector:
@@ -28,19 +27,28 @@ def _state(m: int, kind: str, seed: int) -> StateVector:
     return StateVector(m, amps)
 
 
-states = st.builds(
-    _state,
-    m=st.integers(1, 8),
-    kind=st.sampled_from(["haar", "product", "sparse"]),
-    seed=st.integers(0, 2**32 - 1),
-)
+def _cases() -> list[tuple]:
+    """(m, kind, seed, field seed, permutation): every M = 1-8 and kind at the seeds 0 and
+    2^32 - 1 and at three drawn ones, 120 cases.  Each case draws a seed for a Haar field
+    and a permutation of the qubits; at each M and kind the first two permutations are the
+    identity and the reversal."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for m in range(1, 9):
+        for kind in KINDS:
+            seeds = [0, 2**32 - 1, *rng.integers(2**32, size=3).tolist()]
+            perms = [list(range(m)), list(range(m))[::-1], *(rng.permutation(m).tolist() for _ in range(3))]
+            cases += [(m, kind, seed, int(rng.integers(2**32)), perm) for seed, perm in zip(seeds, perms)]
+    return cases
 
 
-@PROPERTY
-@given(state=states)
-def test_measure_range_trace_and_spectrum(state):
-    m = state.num_qubits
-    em = entanglement_metric(state)
+CASES = _cases()
+IDS = [f"{m}-{kind}-{seed}" for m, kind, seed, _, _ in CASES]
+
+
+@pytest.mark.parametrize("m, kind, seed", [c[:3] for c in CASES], ids=IDS)
+def test_measure_range_trace_and_spectrum(m, kind, seed):
+    em = entanglement_metric(_state(m, kind, seed))
     assert 0.0 <= em.measure <= m / 4.0
     np.testing.assert_allclose(np.trace(em.matrix), em.measure, rtol=0, atol=trace_tol(m), equal_nan=False)
     np.testing.assert_array_equal(em.eigenvalues, np.linalg.eigvalsh(em.matrix)[::-1])
@@ -48,21 +56,19 @@ def test_measure_range_trace_and_spectrum(state):
     assert em.eigenvalues[-1] >= -1e-10
 
 
-@PROPERTY
-@given(state=states, seed=st.integers(0, 2**32 - 1))
-def test_measure_invariant_under_local_unitaries(state, seed):
-    rng = np.random.default_rng(seed)
-    dressed = apply_local_unitary(state, [_haar_unitary(rng) for _ in range(state.num_qubits)])
+@pytest.mark.parametrize("m, kind, seed, field_seed", [c[:4] for c in CASES], ids=IDS)
+def test_measure_invariant_under_local_unitaries(m, kind, seed, field_seed):
+    state = _state(m, kind, seed)
+    rng = np.random.default_rng(field_seed)
+    dressed = apply_local_unitary(state, [_haar_unitary(rng) for _ in range(m)])
     base = entanglement_metric(state)
     assert abs(entanglement_metric(dressed).measure - base.measure) < 1e-12
 
 
-@PROPERTY
-@given(data=st.data(), state=states)
-def test_permutation_covariance(data, state):
+@pytest.mark.parametrize("m, kind, seed, perm", [c[:3] + c[4:] for c in CASES], ids=IDS)
+def test_permutation_covariance(m, kind, seed, perm):
     """Relabeling qubits permutes the metric and leaves E and the spectrum alone."""
-    m = state.num_qubits
-    perm = data.draw(st.permutations(range(m)))
+    state = _state(m, kind, seed)
     em = entanglement_metric(state)
     ep = entanglement_metric(StateVector(m, permute_qubits(state.amplitudes, m, perm)))
     assert abs(ep.measure - em.measure) < 1e-12

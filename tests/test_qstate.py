@@ -247,7 +247,7 @@ class TestApplyLocalUnitary:
         for block_bits in [1, 2, 3, qstate._block_bits(qstate.ROW_BITS)]:
             monkeypatch.setattr(qstate, "_block_bits", lambda k, b=block_bits: b)
             out = apply_local_unitary(s, u)
-            bound = _turn_gap(qstate._dress_passes(m, block_bits)) + dense_local_share(m)
+            bound = _turn_gap(qstate._dress_passes(m)) + dense_local_share(m)
             assert np.linalg.norm(out.amplitudes - expected) <= bound, block_bits
 
     @pytest.mark.parametrize("qubit", range(5))

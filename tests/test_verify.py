@@ -20,11 +20,10 @@ from entdist import (
     w_vectors,
 )
 from entdist import qstate, verify
-from entdist.verify import _dressings, _oracle_depth, bloch_tol, invariance_tol, optimizer_tol
-from entdist.metric import _turn_gap
+from entdist.verify import HAAR_DRAW_GAP, _dressings, _oracle_depth, bloch_tol, invariance_tol, optimizer_tol
+from entdist.metric import _turn_gap, measure_tol
 from entdist.qstate import (
     ROW_BITS,
-    _apply_one_qubit_matrix,
     _block_bits,
     _dress,
     _dress_passes,
@@ -213,6 +212,24 @@ class TestBlochVectorOracle:
             for nu, b in enumerate(bloch_vectors(*w_vectors(s))):
                 assert np.max(np.abs(b - bloch_vector_oracle(s, nu))) <= bloch_tol(m)
 
+    @pytest.mark.parametrize("m", [3, 9, 16])
+    def test_planted_gap_fails(self, m, monkeypatch):
+        """``verify_state`` passes a chain phase state and fails it once one component
+        of the partial trace's Bloch vectors is moved by M ``bloch_tol(M)``."""
+        state = brs_state(m, 0.3)
+        assert verify.verify_state(state, trials=1, seed=0)["passed"]
+        oracle = verify.bloch_vector_oracle
+
+        def planted(state, qubit):
+            b = oracle(state, qubit)
+            b[2] += m * bloch_tol(m) * (qubit == 0)
+            return b
+
+        monkeypatch.setattr(verify, "bloch_vector_oracle", planted)
+        record = verify.verify_state(state, trials=1, seed=0)
+        assert record["failed_checks"] == ["bloch"]
+        assert record["thresholds"]["bloch"] == bloch_tol(m)
+
     @pytest.mark.parametrize(
         "m, qubits",
         [(12, range(12)), (16, range(16)), (18, [0, ROW_BITS - 1, ROW_BITS, ROW_BITS + 1, 16, 17])],
@@ -298,6 +315,44 @@ class TestInvarianceCheck:
         s = brs_state(3, 2.2)
         assert invariance_check(s, trials=20, seed=7) == invariance_check(s, trials=20, seed=7)
 
+    @pytest.mark.parametrize("m", [3, 9, 16])
+    def test_planted_gap_fails(self, m, monkeypatch):
+        """``verify_state`` passes a chain phase state and fails it once its dressings'
+        deviation is moved by M ``invariance_tol(M)``."""
+        state = brs_state(m, 0.3)
+        assert verify.verify_state(state, trials=1, seed=0)["passed"]
+        check = verify._invariance_check
+        monkeypatch.setattr(verify, "_invariance_check", lambda *args: check(*args) + m * invariance_tol(m))
+        record = verify.verify_state(state, trials=1, seed=0)
+        assert record["failed_checks"] == ["invariance"]
+        assert record["thresholds"]["invariance"] == invariance_tol(m)
+
+    @pytest.mark.parametrize(
+        "name, value, m, passes",
+        [
+            ("ROW_BITS", 3, 5, 1),
+            ("ROW_BITS", 3, 12, 2),
+            ("_block_bits", lambda k: 2, 5, 3),
+            ("_block_bits", lambda k: 2, 12, 6),
+        ],
+        ids=["rows-3-5", "rows-3-12", "blocks-2-5", "blocks-2-12"],
+    )
+    def test_the_bound_takes_the_plan_that_runs(self, name, value, m, passes, monkeypatch):
+        """``invariance_tol`` bounds the passes that ``_dress`` runs, read at call time: rows
+        of 2^3 give blocks of 2^6, one pass at M = 5 and two at 12; blocks of 2^2 give a
+        low pass of two qubits and runs of two, three passes at M = 5 and six at 12."""
+        monkeypatch.setattr(qstate, name, value)
+        turns, ran = qstate._turns, []
+
+        def spy(work, row_bits, col_bits, *rest):
+            ran.append((row_bits, col_bits))
+            return turns(work, row_bits, col_bits, *rest)
+
+        monkeypatch.setattr(qstate, "_turns", spy)
+        invariance_check(brs_state(m, 0.3), trials=1)
+        assert len(ran) == passes
+        assert invariance_tol(m) == m * (_turn_gap(ran) + m * HAAR_DRAW_GAP) + 2 * measure_tol(m)
+
 
 @pytest.mark.parametrize(
     "call, message",
@@ -322,49 +377,51 @@ def test_refusals_come_before_any_pass_over_the_state(call, message, monkeypatch
 
 
 def _chain(amps: np.ndarray, m: int, unitaries: list[np.ndarray]) -> np.ndarray:
-    """The dressing as one two-term einsum pass per qubit, by the one-row metric's apply."""
-    for qubit, u in enumerate(unitaries):
-        amps = _apply_one_qubit_matrix(amps, m, qubit, u, np.empty_like(amps))
+    """The dressing as one two-term einsum pass per qubit: u mixes the amplitude pairs (k, k + 2^q)."""
+    for q, u in enumerate(unitaries):
+        amps = np.einsum("ij,ajb->aib", u, amps.reshape(1 << (m - 1 - q), 2, 1 << q)).reshape(-1)
     return amps
 
 
-def _chain_bound(m: int, block_bits: int = _block_bits(ROW_BITS)) -> float:
-    """Bound on ||dressing - chain||_2 for a unit vector: the dressing's gap in blocks of
-    2^block_bits, plus the chain's, one qubit a pass."""
-    return _turn_gap(_dress_passes(m, block_bits)) + _turn_gap([(range(q, q + 1), range(0)) for q in range(m)])
+def _chain_bound(m: int) -> float:
+    """Bound on ||dressing - chain||_2 for a unit vector: the gap of the dressing's plan as it
+    stands when called, plus the chain's, one qubit a pass."""
+    return _turn_gap(_dress_passes(m)) + _turn_gap([(range(q, q + 1), range(0)) for q in range(m)])
 
 
-def _dress_in_blocks(amps: np.ndarray, unitaries: list[np.ndarray], block_bits: int) -> np.ndarray:
-    """``_dress`` of a copy of ``amps`` through two buffers of 2^block_bits amplitudes."""
+def _dressed(amps: np.ndarray, unitaries: list[np.ndarray]) -> np.ndarray:
+    """``_dress`` of a copy of ``amps``."""
     work = amps.copy()
-    n = min(1 << block_bits, work.size)
-    _dress(work, np.array(unitaries), list(np.empty((2, n), dtype=np.complex128)))
+    _dress(work, np.array(unitaries))
     return work
 
 
 class TestDressing:
     """The in-place dressing, a low pass of column bits and runs of row bits over
-    ``qstate._turns``' blocks, against the per-qubit chain."""
+    ``qstate._turns``' blocks, against the per-qubit chain.  A test sizes the blocks
+    by patching ``qstate._block_bits``, which ``_dress_passes`` reads at call time."""
 
     @pytest.mark.parametrize("m", range(3, 13))
-    def test_matches_the_chain_within_its_bound(self, m):
+    def test_matches_the_chain_within_its_bound(self, m, monkeypatch):
         """Blocks of 2^2 (runs of two row bits), 2^5 (one or two runs) and the whole state
         (the low pass alone).  The largest gap seen is 4.3e-16, at M = 12; the largest
-        share of its bound is 1/42, at M = 3 in blocks of 2^2."""
+        share of its bound is 1/46, at M = 3 in blocks of 2^2."""
         rng = np.random.default_rng(300 + m)
         amps = random_state(m, rng)
         unitaries = [_haar_unitary(rng) for _ in range(m)]
         expected = _chain(amps, m, unitaries)
         for block_bits in [2, 5, m]:
-            dressed = _dress_in_blocks(amps, unitaries, block_bits)
-            assert np.linalg.norm(dressed - expected) <= _chain_bound(m, block_bits)
+            monkeypatch.setattr(qstate, "_block_bits", lambda k, b=block_bits: b)
+            assert np.linalg.norm(_dressed(amps, unitaries) - expected) <= _chain_bound(m)
 
     @pytest.mark.parametrize("m", range(3, 27))
-    def test_the_plan_bound_is_no_looser_than_one_pass_of_fours(self, m):
+    def test_the_plan_bound_is_no_looser_than_one_pass_of_fours(self, m, monkeypatch):
         """The plan's groups, at the default budget of 2^17, are never looser than the
         fours from qubit 0 over the whole state, a group of four across the low pass's
         edge splits into smaller ones: equal at M <= 17, 21 and 25, below them elsewhere."""
-        assert _turn_gap(_dress_passes(m, _block_bits(ROW_BITS))) <= _turn_gap(_dress_passes(m, m))
+        default = _turn_gap(_dress_passes(m))
+        monkeypatch.setattr(qstate, "_block_bits", lambda k: m)
+        assert default <= _turn_gap(_dress_passes(m))
 
     @pytest.mark.parametrize("m", [3, 5, 9])
     def test_draws_one_unitary_per_qubit_from_qubit_0(self, m):
@@ -377,7 +434,7 @@ class TestDressing:
 
     @pytest.mark.parametrize("m", [17, 18])
     def test_matches_the_chain_at_the_default_budget(self, m):
-        """``_dressings``' own buffers, 2^``_block_bits(ROW_BITS)`` = 2^17 amplitudes each:
+        """``_dress``' own blocks, 2^``_block_bits(ROW_BITS)`` = 2^17 amplitudes each:
         the low pass alone at M = 17; at 18 a low pass of two rows and a run of one qubit."""
         s = StateVector(m, random_state(m, np.random.default_rng(400 + m)))
         rng = np.random.default_rng(m)
@@ -394,6 +451,7 @@ class TestDressing:
         run of six qubits all 64 blocks; at the default budget both low rows hold
         amplitude, and both blocks of the run.  The dressing matches the chain."""
         m = 18
+        monkeypatch.setattr(qstate, "_block_bits", lambda k: block_bits)
         state = ghzl_state(m, 0.7, 0.2) if kind == "ghzl" else top_haar_state(m)
         turns = qstate._turns
         yielded = []
@@ -413,9 +471,8 @@ class TestDressing:
         monkeypatch.setattr(qstate, "_turns", spy)
         rng = np.random.default_rng(500)
         unitaries = [_haar_unitary(rng) for _ in range(m)]
-        dressed = _dress_in_blocks(state.amplitudes, unitaries, block_bits)
         expected = _chain(state.amplitudes, m, unitaries)
-        assert np.linalg.norm(dressed - expected) <= _chain_bound(m, block_bits)
+        assert np.linalg.norm(_dressed(state.amplitudes, unitaries) - expected) <= _chain_bound(m)
         assert yielded == ([2, 64] if block_bits == 12 else [2, 2])  # the low pass, then the run
 
     @pytest.mark.slow
