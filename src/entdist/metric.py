@@ -21,6 +21,8 @@ state gets the same bits alone or in a batch.  The owners:
 - ``optimal_directions``: the minimizing direction fields (..., M, 3).
 - ``metric_matrices``: the metrics (..., M, M); the moments of a state of
   one row by ``_applied_rows`` and ``qstate._dot``.
+- ``_applied_rows``: the one-row apply of the operators ``_operator``, and
+  its short-run rule ``SHORT_RUN_BITS``.
 - ``_frame_metric``: the direction-frame kernel, for a state of several
   rows, and its identity rule; ``_frame_passes`` plans its passes, within
   ``qstate._block_bits``, and ``qstate._turns`` turns them.
@@ -48,14 +50,11 @@ from . import qstate
 from .qstate import (
     MAX_QUBITS,
     NORM_TOL,
-    SHORT_RUN_BITS,
     StateVector,
-    _apply_one_qubit_matrix,
     _block_bits,
     _dot,
     _dot_depth,
     _kron_groups,
-    _operator,
     _spin_moments,
     _turns,
     bilinears,
@@ -68,6 +67,8 @@ from .qstate import (
 )
 
 DEGENERATE_TOL = 1e-12
+# a bit below it pairs amplitudes in runs of fewer than 2**SHORT_RUN_BITS, too short for einsum's inner loop
+SHORT_RUN_BITS = 4
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 
 
@@ -594,24 +595,34 @@ def _metric_from_moments(e: np.ndarray, c: np.ndarray) -> np.ndarray:
     return g
 
 
+def _operator(v1, v2, v3) -> np.ndarray:
+    """v . sigma = [[v3, v1 - i v2], [v1 + i v2, -v3]], shape (..., 2, 2), for components (...)."""
+    ops = np.array([[v3, v1 - 1j * v2], [v1 + 1j * v2, -v3]], dtype=complex)
+    return np.moveaxis(ops, (0, 1), (-2, -1))
+
+
 def _applied_rows(amps: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """The stack (M, ..., 2^M) of rows A_q|s>, one-row states ``(..., 2**M)``, operators ``(..., M, 2, 2)``.
 
-    Each A_q is applied by ``qstate._apply_one_qubit_matrix``, into its
-    slot of the stack.  A qubit q < SHORT_RUN_BITS pairs amplitudes in runs
-    of 2^q, too short for einsum's inner loop, so the low qubits are
-    applied on a transposed copy of the batch instead.  The index splits
-    as ``qstate._row_bilinears`` splits a row, into hi = M // 2 high and lo
-    = M - hi low bits, and the batch seen as (..., 2^hi, 2^lo) is copied,
+    The one-row metric's apply: one loop over ascending q, each A_q mixing
+    the amplitude pairs (k, k + 2^q) by one two-term einsum into its slot
+    of the stack.  Each output entry is the same two-term sum whatever the
+    iteration order or the layout of the pairs, so the bits depend on
+    neither, nor on the batch.  A qubit at a bit below SHORT_RUN_BITS pairs
+    amplitudes in runs too short for einsum's inner loop, so its outer axes
+    are iterated innermost, order "F" (with a batch, the batch axis, P
+    states long), and the low qubits go to a transposed copy of the batch
+    where that lengthens their runs.  The index splits as
+    ``qstate._row_bilinears`` splits a row, into hi = M // 2 high and lo = M
+    - hi low bits, and the batch seen as (..., 2^hi, 2^lo) is copied,
     transposed, into the last slot of the stack, where a qubit q < lo sits
     at bit hi + q.  Each q < lo with hi + q >= SHORT_RUN_BITS is applied
     there, into the slot before it, and copied back, transposed, into its
     own slot (a qubit that would land lower keeps short runs, and stays);
-    the two borrowed slots' own qubits, M - 2 and M - 1 >= lo, are applied
-    last, in place, as every other qubit is.  So the flip takes no memory
-    beyond the stack, and from M = 8 on every q < lo is flipped.  By
-    ``_apply_one_qubit_matrix``'s layout rule the bytes are those of
-    applying every qubit in place.
+    every other qubit is applied in place, at bit q.  The two borrowed
+    slots' own qubits, M - 2 and M - 1 >= lo, come last in the loop, so the
+    flip takes no memory beyond the stack, and from M = 8 on every q < lo
+    is flipped.  The bytes are those of applying every qubit in place.
 
     Measured on one sweep chunk, 2^ROW_BITS amplitudes (numpy 2.4, 2-vCPU
     x86-64): the M applies took 1717 -> 1141 us at M = 9 and 1714 -> 1431 us
@@ -622,15 +633,18 @@ def _applied_rows(amps: np.ndarray, ops: np.ndarray) -> np.ndarray:
     applied = np.empty((m,) + amps.shape, dtype=np.complex128)
     hi, lo = m // 2, m - m // 2
     flipped = range(max(0, SHORT_RUN_BITS - hi), lo)  # empty for M <= 4
+    by_rows, by_cols = batch + (1 << hi, 1 << lo), batch + (1 << lo, 1 << hi)
     if flipped:
-        flip, turned = applied[-1], applied[-2]
-        by_rows, by_cols = batch + (1 << hi, 1 << lo), batch + (1 << lo, 1 << hi)
-        np.copyto(flip.reshape(by_cols), amps.reshape(by_rows).swapaxes(-1, -2))
-        for q in flipped:
-            _apply_one_qubit_matrix(flip, m, hi + q, ops[..., q, :, :], out=turned)
-            np.copyto(applied[q].reshape(by_rows), turned.reshape(by_cols).swapaxes(-1, -2))
-    for q in (q for q in range(m) if q not in flipped):
-        _apply_one_qubit_matrix(amps, m, q, ops[..., q, :, :], out=applied[q])
+        np.copyto(applied[-1].reshape(by_cols), amps.reshape(by_rows).swapaxes(-1, -2))
+    for q in range(m):
+        source, bit, out = (applied[-1], hi + q, applied[-2]) if q in flipped else (amps, q, applied[q])
+        shape = batch + (1 << (m - 1 - bit), 2, 1 << bit)
+        order = "F" if bit < SHORT_RUN_BITS else "K"
+        np.einsum(
+            "...ij,...ajb->...aib", ops[..., q, :, :], source.reshape(shape), out=out.reshape(shape), order=order
+        )
+        if q in flipped:
+            np.copyto(applied[q].reshape(by_rows), out.reshape(by_cols).swapaxes(-1, -2))
     return applied
 
 
@@ -643,10 +657,11 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     M and the rows come from ``qstate.row_view``, and the fields pass
     ``qstate.validate_directions``.  A state of several rows goes to
     ``_frame_metric``, one state at a time.  A state of one row, M <=
-    ROW_BITS, takes its M applied rows A_nu|s> from ``_applied_rows``, and
-    ``qstate._dot`` takes the <A_mu> in one call and the upper triangle of
-    <A_mu A_nu> in one call per mu against every nu > mu.  Both paths hand
-    their moments to ``_metric_from_moments``.
+    ROW_BITS, takes its M applied rows A_nu|s> from ``_applied_rows``, each
+    A_nu the ``_operator`` of its direction, and ``qstate._dot`` takes the
+    <A_mu> in one call and the upper triangle of <A_mu A_nu> in one call per
+    mu against every nu > mu.  Both paths hand their moments to
+    ``_metric_from_moments``.
     """
     m, rows = row_view(amps)
     batch = rows.shape[:-2]

@@ -17,8 +17,6 @@ The owners:
   ``_kron_factors``, ``_kron_spec`` and ``_kron_groups``: the Kronecker
   turns of ``_dress`` and of the frame kernel, in blocks of the budget
   ``_block_bits``.
-- ``_apply_one_qubit_matrix``: the one-row metric's apply
-  (``metric._applied_rows``).
 - ``bilinears``: the per-qubit amplitude bilinears, from which every
   Bloch vector (``bloch_vectors``) and E follow; ``_row_bilinears`` for
   a state of several rows.
@@ -44,8 +42,6 @@ import numpy as np
 
 MAX_QUBITS = 26  # 1 GiB of complex128 amplitudes; every pass streams over them in cache-sized rows
 ROW_BITS = 14  # row_view splits a state into rows of 2**ROW_BITS amplitudes (256 KiB)
-# a qubit below it pairs amplitudes in runs of fewer than 2**SHORT_RUN_BITS, too short for einsum's inner loop
-SHORT_RUN_BITS = 4
 NORM_TOL = 1e-12
 UNIT_TOL = 1e-12
 BLOCK_BITS = 3  # a block holds at most 2**BLOCK_BITS rows' worth of amplitudes (see _block_bits)
@@ -132,12 +128,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     by one ``np.sum`` over the last axis, whatever the thread count.
     ``np.vecdot`` takes one BLAS dot per vector, the one np.vdot takes, so
     a vector gets the same bits alone or in a batch.  Its depth is
-    ``_dot_depth``.
+    ``_dot_depth``.  The runs are sized explicitly, so an empty batch
+    splits as a full one does.
     """
     run = 1 << (ROW_BITS - 1)
     if a.shape[-1] <= run:
         return np.vecdot(a, b)
-    return np.vecdot(a.reshape(a.shape[:-1] + (-1, run)), b.reshape(b.shape[:-1] + (-1, run))).sum(axis=-1)
+    runs = (a.shape[-1] // run, run)
+    return np.vecdot(a.reshape(a.shape[:-1] + runs), b.reshape(b.shape[:-1] + runs)).sum(axis=-1)
 
 
 def _dot_depth(n: int) -> int:
@@ -179,9 +177,9 @@ def validate_amplitudes(amps: np.ndarray) -> None:
     warning.  A non-finite entry makes its state's norm non-finite, so the
     entries are scanned only on that error path.
     """
-    rows = row_view(amps)[1]
+    m, rows = row_view(amps)
     with np.errstate(over="ignore"):
-        norm_sq = _norm_sq(rows.reshape(rows.shape[:-2] + (-1,)))
+        norm_sq = _norm_sq(rows.reshape(rows.shape[:-2] + (1 << m,)))
     bad = ~(np.abs(norm_sq - 1.0) <= NORM_TOL)  # also true for a NaN gap
     if np.any(bad):
         if not np.all(np.isfinite(rows)):
@@ -271,12 +269,6 @@ def _unitary_defect(u: np.ndarray) -> np.ndarray:
     return np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(2)).max(axis=(-2, -1))
 
 
-def _operator(v1, v2, v3) -> np.ndarray:
-    """v . sigma = [[v3, v1 - i v2], [v1 + i v2, -v3]], shape (..., 2, 2), for components (...)."""
-    ops = np.array([[v3, v1 - 1j * v2], [v1 + 1j * v2, -v3]], dtype=complex)
-    return np.moveaxis(ops, (0, 1), (-2, -1))
-
-
 def make_basis_state(m: int, k: int) -> StateVector:
     """Computational basis state |k> of m qubits."""
     m = validate_count("m", m, 1, MAX_QUBITS)
@@ -284,26 +276,6 @@ def make_basis_state(m: int, k: int) -> StateVector:
     amps = np.zeros(1 << m, dtype=np.complex128)
     amps[k] = 1.0
     return StateVector(m, amps)
-
-
-def _apply_one_qubit_matrix(amps: np.ndarray, m: int, qubit: int, mat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Mix amplitude pairs (k, k + 2**qubit) of states ``(..., 2**m)`` by matrices ``(..., 2, 2)``.
-
-    The one-row metric's apply, for its one caller,
-    ``metric._applied_rows``; a state is turned by local unitaries in
-    ``_dress``.  The result goes to ``out``, a contiguous array of the
-    states' shape.  Each output entry is the same two-term sum whatever
-    the iteration order or the layout of the pairs, so the bits do not
-    depend on either, nor on the batch (``metric._applied_rows`` relies on
-    it).  For qubits below SHORT_RUN_BITS the short innermost axis
-    2**qubit would make einsum's inner loop tiny, so the outer axes are
-    iterated innermost instead; with a batch the innermost is then the
-    batch axis, P states long.
-    """
-    shape = amps.shape[:-1] + (1 << (m - 1 - qubit), 2, 1 << qubit)
-    order = "F" if qubit < SHORT_RUN_BITS else "K"
-    np.einsum("...ij,...ajb->...aib", mat, amps.reshape(shape), out=out.reshape(shape), order=order)
-    return out
 
 
 def _kron_groups(n: int) -> list[int]:

@@ -20,7 +20,7 @@ from entdist import (
 from entdist import qstate
 from entdist.cli import SweepSpec, _chunk_points, run_sweep
 from entdist.families import FAMILY_ANGLES, family_amplitudes
-from entdist.metric import _applied_rows, metric_matrices
+from entdist.metric import _applied_rows, _operator, check_metrics, metric_matrices
 
 from oracles import signed_zero_batch
 
@@ -182,9 +182,9 @@ def test_batch_builder_rejects_what_family_spec_rejects():
         family_amplitudes(FamilySpec("brs", m=3), "theta", [0.1])
 
 
-@pytest.mark.parametrize("m", range(2, 15))
+@pytest.mark.parametrize("m", range(1, 15))
 def test_flipped_low_qubits_are_byte_equal_to_in_place(m):
-    """Every slot of ``_applied_rows`` has the bytes of ``_apply_one_qubit_matrix`` applied in place.
+    """Every slot of ``_applied_rows`` has the bytes of one literal einsum per qubit, applied in place.
 
     From M = 5 on, the low qubits q < lo = M - M // 2 whose runs the flip
     lengthens are applied on a transposed copy of the batch and copied
@@ -201,12 +201,28 @@ def test_flipped_low_qubits_are_byte_equal_to_in_place(m):
     axes = np.concatenate([np.eye(3), -np.eye(3)])
     on_axis = rng.random((p, m)) < 1 / 3
     dirs[on_axis] = axes[rng.integers(0, 6, size=on_axis.sum())]
-    ops = qstate._operator(*np.moveaxis(dirs, -1, 0))
+    ops = _operator(*np.moveaxis(dirs, -1, 0))
     for a, o in ((amps, ops), (amps[0], ops[0])):
         applied = _applied_rows(a, o)
         for q in range(m):
-            in_place = qstate._apply_one_qubit_matrix(a, m, q, o[..., q, :, :], np.empty_like(a))
+            pairs = a.reshape(a.shape[:-1] + (1 << (m - 1 - q), 2, 1 << q))
+            in_place = np.einsum("...ij,...ajb->...aib", o[..., q, :, :], pairs)
             assert applied[q].tobytes() == in_place.tobytes(), f"qubit {q}"
+
+
+@pytest.mark.parametrize("m", [3, 13, 14, 15])
+def test_an_empty_batch_gives_empty_outputs(m):
+    """A batch of no states, as ``family_amplitudes`` gives for no values, passes
+    ``validate_amplitudes`` and gets empty outputs of its shape from every stage:
+    one row below ROW_BITS, two runs of ``qstate._dot`` at it, several rows above."""
+    amps = family_amplitudes(FamilySpec("brs", m=m), "phi", [])
+    assert amps.shape == (0, 1 << m)
+    qstate.validate_amplitudes(amps)
+    w_minus, w_3 = qstate.bilinears(amps)
+    assert w_minus.shape == w_3.shape == (0, m)
+    g = metric_matrices(amps, np.zeros((0, m, 3)))
+    assert g.shape == (0, m, m)
+    assert check_metrics(g, np.zeros(0)).shape == (0, m)
 
 
 @pytest.mark.parametrize("m, points", [(9, 201), (16, 3)])

@@ -30,6 +30,7 @@ from entdist.metric import (
     _frame_passes,
     _frame_unitaries,
     _metric_from_moments,
+    _operator,
     check_metrics,
     eig_tol,
     entry_tol,
@@ -38,7 +39,7 @@ from entdist.metric import (
     spectrum_tol,
     trace_tol,
 )
-from entdist.qstate import KRON_BITS, _block_bits, _kron_groups, _operator, bloch_vectors
+from entdist.qstate import KRON_BITS, _block_bits, _kron_groups, bloch_vectors
 from entdist.verify import HAAR_DRAW_GAP, bloch_tol, invariance_tol, optimizer_tol
 
 from oracles import (
