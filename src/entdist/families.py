@@ -10,7 +10,8 @@ Families, selected by tag:
 * ``threeq`` - a two-parameter three-qubit family interpolating between
   fully separable, bi-separable and genuinely tripartite entangled states.
 
-The closed forms give the measure E only.
+``closed_form_E`` gives each family's measure E in closed form, as the one
+field ``value`` of a ``ClosedForm`` record.
 """
 from __future__ import annotations
 
@@ -80,25 +81,13 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Closed-form measure value together with the formula it came from.
+    """The closed-form measure E of a family spec, as ``closed_form_E`` returns it.
 
-    A negative value is rejected with no tolerance: every formula in
-    ``closed_form_E`` is >= 0 in floating point, not just in exact
-    arithmetic.  A computed sine lies in [-1, 1], so each computed square
-    s^2 lies in [0, 1], and rounding is monotone.  Hence (m - 2) s^2 <= m - 2
-    and 2m - 2 - (m - 2) s^2 >= m for the chain-phase family, 1 - sin^2(2 tau)
-    >= 0 for the three-qubit family, and each value is a sum of products of
-    non-negative factors.
+    One field, ``value``, a float.  ``closed_form_E`` states each formula
+    and why its value is >= 0 in floating point.
     """
 
     value: float
-    source: str
-
-    def __post_init__(self) -> None:
-        if self.value < 0.0:
-            raise ValueError(
-                f"closed-form measure cannot be negative: {self.value!r} from {self.source}"
-            )
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,21 +212,26 @@ def family_amplitudes(spec: FamilySpec, parameter: str, values) -> np.ndarray:
 
 
 def closed_form_E(spec: FamilySpec) -> ClosedForm:
-    """Closed-form entanglement measure for a family spec.
+    """Closed-form entanglement measure E of a family spec, for every m.
 
-    For the chain-phase family the two end qubits have |b|^2 = cos^2(phi/2)
-    and the m - 2 inner ones |b|^2 = cos^4(phi/2), so E = (m - sum |b|^2) / 4
-    is s^2 (2m - 2 - (m - 2) s^2) / 4 with s^2 = sin^2(phi/2), for every m.
+    * ``brs``: s^2 (2m - 2 - (m - 2) s^2) / 4, s^2 = sin^2(phi/2).  The two
+      end qubits have |b|^2 = cos^2(phi/2) and the m - 2 inner ones |b|^2 =
+      cos^4(phi/2), so E = (m - sum |b|^2) / 4 takes this form.
+    * ``ghzl``: (m/4) sin^2(2 theta).
+    * ``threeq``: (2 sin^2(2 tau) + 3 sin^2(2 gamma) cos^2(2 tau)) / 4,
+      with cos^2(2 tau) computed as 1 - sin^2(2 tau).
+
+    Each value is >= 0 in floating point, not just in exact arithmetic, so
+    none is checked.  A computed sine lies in [-1, 1], so each computed
+    square s^2 lies in [0, 1], and rounding is monotone.  Hence (m - 2) s^2
+    <= m - 2 and 2m - 2 - (m - 2) s^2 >= m for the chain-phase family,
+    1 - sin^2(2 tau) >= 0 for the three-qubit family, and each value is a
+    sum of products of non-negative factors.
     """
     if spec.tag == BRS:
         s2 = math.sin(spec.phi / 2.0) ** 2
-        value = s2 * (2 * spec.m - 2 - (spec.m - 2) * s2) / 4.0
-        return ClosedForm(value, "s^2 (2m - 2 - (m - 2) s^2) / 4, s^2 = sin^2(phi/2)")
+        return ClosedForm(s2 * (2 * spec.m - 2 - (spec.m - 2) * s2) / 4.0)
     if spec.tag == GHZL:
-        return ClosedForm(
-            spec.m / 4.0 * math.sin(2.0 * spec.theta) ** 2, "(m/4) sin^2(2 theta)"
-        )
+        return ClosedForm(spec.m / 4.0 * math.sin(2.0 * spec.theta) ** 2)
     s2t = math.sin(2.0 * spec.tau) ** 2
-    value = 0.25 * (2.0 * s2t + 3.0 * math.sin(2.0 * spec.gamma) ** 2 * (1.0 - s2t))
-    return ClosedForm(value, "(2 sin^2(2 tau) + 3 sin^2(2 gamma) cos^2(2 tau)) / 4")
-
+    return ClosedForm(0.25 * (2.0 * s2t + 3.0 * math.sin(2.0 * spec.gamma) ** 2 * (1.0 - s2t)))

@@ -6,10 +6,11 @@ Jacobi eigensolver, the projector-product construction of the diagonal
 chain-phase operator, pair-by-pair adjacent-pair counts, the analytic
 two- and three-qubit chain-phase metric forms, the metric of a
 permutation-symmetric state from (M + 1) x (M + 1) collective-spin
-matrices and the metric of a graph state from its stabilizer group.
+matrices, the metric of a graph state from its stabilizer group, and the
+metric of any state in exact rational arithmetic.
 Beside each metric oracle stands its share of a check's bound, its own
 rounding (``dense_share``, ``pairwise_share``, ``spin_share``,
-``graph_share``): a check holds a kernel's entry to ``metric.entry_tol(M)``
+``graph_share``, ``EXACT_SHARE``): a check holds a kernel's entry to ``metric.entry_tol(M)``
 plus that share, and an eigenvalue to ``metric.eig_tol(M)`` plus M times
 it, or plus ``closed_form_share(M)`` against a closed form.
 Basis convention matches the library: bit nu of the index k is qubit nu,
@@ -18,6 +19,7 @@ composite kron order is qubit M-1 (MSB) first.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -540,3 +542,48 @@ def graph_share(m: int) -> float:
     """
     u = np.finfo(float).eps / 2.0
     return 1.75 * u + 7 * float(np.finfo(np.longdouble).eps) / 2.0
+
+
+EXACT_SHARE = np.finfo(float).eps / 8.0  # u / 4, u = 2^-53: the one rounding of an ``exact_metric`` entry
+
+
+def exact_metric(amps: np.ndarray, dirs) -> np.ndarray:
+    """The metric of states ``(2**M,)`` at a field ``(M, 3)`` in exact arithmetic, each entry rounded once.
+
+    Entries g[mu, nu] = (<A_mu A_nu> - <A_mu><A_nu>) / 4 off the diagonal
+    and (1 - <A_mu>^2) / 4 on it, A_nu = v^nu . sigma^nu, as
+    ``metric.metric_matrices`` defines them, taken in the given amplitudes
+    and field as they stand.  A float64 is a dyadic rational, so
+    ``fractions.Fraction`` holds each amplitude part and field component
+    exactly, and every sum and product after it.  Each applied vector
+    A_nu|s> is built pair by pair, (k, k + 2^nu) for each k with bit nu
+    clear, and each moment is the real part of an inner product.  So only
+    the final rounding to float64, within u |g| <= u / 4 for a unit state
+    at a unit field, separates an entry from the exact g: ``EXACT_SHARE``.
+    About 0.03 s at M = 6 and 0.2 s at M = 8.
+    """
+    s = [(Fraction(a.real), Fraction(a.imag)) for a in np.asarray(amps, dtype=complex).tolist()]
+    m = len(s).bit_length() - 1
+    applied = []
+    for nu, (v1, v2, v3) in enumerate(np.asarray(dirs, dtype=float).tolist()):
+        v1, v2, v3 = Fraction(v1), Fraction(v2), Fraction(v3)
+        a = list(s)
+        for k0 in range(len(s)):
+            if k0 >> nu & 1:
+                continue
+            k1 = k0 | 1 << nu
+            (r0, i0), (r1, i1) = s[k0], s[k1]
+            a[k0] = (v3 * r0 + v1 * r1 + v2 * i1, v3 * i0 + v1 * i1 - v2 * r1)  # v3 s_k0 + (v1 - i v2) s_k1
+            a[k1] = (v1 * r0 - v2 * i0 - v3 * r1, v1 * i0 + v2 * r0 - v3 * i1)  # (v1 + i v2) s_k0 - v3 s_k1
+        applied.append(a)
+
+    def inner(x, y) -> Fraction:  # Re <x|y>
+        return sum((xr * yr + xi * yi for (xr, xi), (yr, yi) in zip(x, y)), Fraction(0))
+
+    e = [inner(s, a) for a in applied]
+    g = np.empty((m, m))
+    for mu in range(m):
+        g[mu, mu] = float((1 - e[mu] ** 2) / 4)
+        for nu in range(mu + 1, m):
+            g[mu, nu] = g[nu, mu] = float((inner(applied[mu], applied[nu]) - e[mu] * e[nu]) / 4)
+    return g

@@ -47,7 +47,9 @@ from oracles import (
     covariance_metric_dense,
     dense_direction_operator,
     dense_qubit_operator,
+    EXACT_SHARE,
     dense_share,
+    exact_metric,
     expectation_dense,
     jacobi_eigenvalues,
     pairwise_share,
@@ -283,6 +285,31 @@ class TestMetricMatrix:
                 f"got shape {amps_shape}"
             )
         assert str(err.value) == expected
+
+
+
+def assert_matches_exact_oracle(g: np.ndarray, amps: np.ndarray, dirs: np.ndarray) -> None:
+    """Every entry within ``entry_tol(M)`` plus the exact oracle's one rounding, ``EXACT_SHARE``."""
+    atol = entry_tol(len(dirs)) + EXACT_SHARE
+    np.testing.assert_allclose(g, exact_metric(amps, dirs), rtol=0, atol=atol, equal_nan=False)
+
+
+@pytest.mark.parametrize("m", [*range(2, 7), pytest.param(8, marks=pytest.mark.slow)])
+def test_one_row_metric_matches_the_exact_oracle(m):
+    """A Haar state and brs phi = 1.1, each at its optimal field and at a seeded random one.
+
+    Then one entry of the last metric, moved by M times the bound, fails
+    the check.
+    """
+    rng = np.random.default_rng(2900 + m)
+    for amps in (random_state(m, rng), brs_state(m, 1.1).amplitudes):
+        s = StateVector(m, amps)
+        for dirs in (entanglement_metric(s).directions, _random_directions(rng, m)):
+            g = metric_matrix(s, dirs)
+            assert_matches_exact_oracle(g, amps, dirs)
+    g[0, m - 1] += m * (entry_tol(m) + EXACT_SHARE)
+    with pytest.raises(AssertionError):
+        assert_matches_exact_oracle(g, amps, dirs)
 
 
 def _run_vdot(a: np.ndarray, b: np.ndarray) -> complex:
