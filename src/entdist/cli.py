@@ -8,7 +8,9 @@ Exit codes: 0 ok; 1 verification failure; 2 an argument, I/O or state
 file parse error, or out of memory; 3 a --state-file state fails
 validation; 4 any fault after the inputs are accepted, a family state that
 fails validation included.  Every command-line value refused by an input
-rule exits 2 through ``_accept``.  Identical invocations produce
+rule exits 2 through ``_accept``.  A flag takes a negative number in
+any form float() reads, -1e-3 and -inf included (``_subcommand``).
+Identical invocations produce
 byte-identical output with the same numpy, BLAS build and BLAS thread
 count; CSV floats carry 17 significant digits and round-trip exactly.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -309,8 +312,23 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return EXIT_OK if payload["passed"] else EXIT_VERIFY_FAILED
 
 
+# matches the start of every token that float() reads and that begins with '-': a digit, a point and a digit, inf, nan
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
+
 def _subcommand(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    r"""A subcommand's parser, with --out, its handler and itself as defaults.
+
+    Its tokens that match ``_NEGATIVE_NUMBER`` are values, so a flag takes
+    -1e-3 or -inf as it takes -0.001: argparse on Python 3.10 and 3.11
+    reads a token that starts with '-' as a value only if it matches
+    ``^-\d+$|^-\d*\.\d+$``, and reads -1e-3 as an unknown flag.  A
+    token that matches but that float() does not read, such as -1x, is
+    refused by a float flag's type.  Only the subcommand's parser reads the
+    tokens after its name.
+    """
     parser = sub.add_parser(name, help=help)
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.set_defaults(func=func, _parser=parser)
     return parser

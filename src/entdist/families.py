@@ -27,14 +27,14 @@ from .qstate import MAX_QUBITS, StateVector, row_view, validate_count, validate_
 BRS = "brs"
 GHZL = "ghzl"
 THREEQ = "threeq"
-FAMILY_TAGS = (BRS, GHZL, THREEQ)
 
-# each family's angles and their figure units: sweep x = angle / unit
+# each family's angles and their figure units: sweep x = angle / unit; its keys name the families
 FAMILY_ANGLES = {
     BRS: {"phi": 2.0 * math.pi},
     GHZL: {"theta": math.pi / 2.0, "phase": 2.0 * math.pi},
     THREEQ: {"gamma": math.pi, "tau": math.pi},
 }
+FAMILY_TAGS = tuple(FAMILY_ANGLES)
 
 
 class _Default(enum.Enum):

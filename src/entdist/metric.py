@@ -19,14 +19,16 @@ state gets the same bits alone or in a batch.  The owners:
 
 - ``measure_from_bilinears``: E, from the bilinears of ``qstate.bilinears``.
 - ``optimal_directions``: the minimizing direction fields (..., M, 3).
-- ``metric_matrices``: the metrics (..., M, M); the moments of a state of
-  one row by ``_applied_rows`` and ``qstate._dot``.
+- ``metric_matrices``: the metrics (..., M, M), from the moments of the
+  whole batch, which either kernel fills; the moments of a state of one
+  row by ``_applied_rows`` and ``qstate._dot``.
 - ``_applied_rows``: the one-row apply of the operators ``_operator``, and
   its short-run rule ``SHORT_RUN_BITS``.
-- ``_frame_metric``: the direction-frame kernel, for a state of several
-  rows, and its identity rule; ``_frame_passes`` plans its passes, within
-  ``qstate._block_bits``, and ``qstate._turns`` turns them.
-- ``_metric_from_moments`` and ``_diagonal``: g from the moments, for both kernels.
+- ``_frame_moments``: the direction-frame kernel, the moments of a state
+  of several rows, and its identity rule; ``_frame_passes`` plans its
+  passes, within ``qstate._block_bits``, and ``qstate._turns`` turns them.
+- ``_metric_from_moments`` and ``_diagonal``: g from the moments, for both
+  kernels, called once per ``metric_matrices`` call.
 - ``check_metrics``: the checks and spectra of metrics.
 - ``EntanglementMetric``: the one record of a metric and its spectrum, its
   floor ``rank_tol`` and its ``nonnull_count``; ``spectrum`` returns the
@@ -495,8 +497,8 @@ def _frame_passes(m: int, k: int) -> list[tuple[range, range]]:
                 return plan if passes == 1 else [(range(low, m), range(0))] + plan
 
 
-def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Adapted metric (M, M) of one state of M > k qubits, in the direction frame, from its rows.
+def _frame_moments(rows: np.ndarray, dirs: np.ndarray, e: np.ndarray, c: np.ndarray) -> None:
+    """Fill e (M,) and c (M, M) with the moments <A_nu>, <A_mu A_nu> of one state of M > k qubits, from its rows.
 
     With U_nu (v^nu . sigma) U_nu^dagger = Z (``_frame_unitaries``) and
     phi = (U_{M-1} x ... x U_0)|s>, every A_nu becomes Z_nu, so <A_nu> and
@@ -528,11 +530,13 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
     Working memory is two blocks of the plan's largest, at most 2^b
     amplitudes, b = ``_block_bits(k)``, unless a row's index has more
-    bits, and one accumulator of as many floats, whatever M.
+    bits, and one accumulator of as many floats, whatever M.  Each entry
+    of e and c, c's diagonal and lower triangle included, is written by
+    the last pass that turns its qubits; ``metric_matrices`` passes its
+    batch's slots for the state and hands them to ``_metric_from_moments``.
     """
-    m = len(dirs)
     k = rows.shape[-1].bit_length() - 1
-    passes = _frame_passes(m, k)
+    passes = _frame_passes(len(dirs), k)
     bits = max(len(row_bits) + len(col_bits) for row_bits, col_bits in passes)
     u = _frame_unitaries(dirs)
     still = (dirs == (0.0, 0.0, 1.0)).all(axis=-1)  # the qubits whose U is exactly I
@@ -542,8 +546,6 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     work = np.empty(5 * n // 2, dtype=np.complex128)
     buffers = [work[:n], work[n : 2 * n]]
     sums = work[2 * n :].view(float)  # each pass's accumulator is a prefix of it
-    e = np.empty(m)
-    c = np.empty((m, m))
     for row_bits, col_bits in passes:
         j = len(row_bits)
         w = len(col_bits) or bits - j  # the block's columns; the column pass fills the buffer with them
@@ -564,7 +566,6 @@ def _frame_metric(rows: np.ndarray, dirs: np.ndarray) -> np.ndarray:
             np.copyto(moved.reshape(1 << w, 1 << j), total.reshape(1 << j, 1 << w).T)
             total = moved
         e[qubits], c[np.ix_(qubits, qubits)] = _spin_moments(total)
-    return _metric_from_moments(e, c)
 
 
 def _diagonal(e: np.ndarray) -> np.ndarray:
@@ -655,28 +656,30 @@ def metric_matrices(amps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     and g[mu, mu] = (1 - <A_mu>^2) / 4, with A_nu = v^nu . sigma^nu.
 
     M and the rows come from ``qstate.row_view``, and the fields pass
-    ``qstate.validate_directions``.  A state of several rows goes to
-    ``_frame_metric``, one state at a time.  A state of one row, M <=
-    ROW_BITS, takes its M applied rows A_nu|s> from ``_applied_rows``, each
-    A_nu the ``_operator`` of its direction, and ``qstate._dot`` takes the
-    <A_mu> in one call and the upper triangle of <A_mu A_nu> in one call per
-    mu against every nu > mu.  Both paths hand their moments to
-    ``_metric_from_moments``.
+    ``qstate.validate_directions``.  The moments <A_mu> and <A_mu A_nu> of
+    the whole batch are allocated once and filled by either kernel, and
+    ``_metric_from_moments`` assembles g from them in one call.  A state
+    of several rows has its moments filled by ``_frame_moments``, one
+    state at a time.  A state of one row, M <= ROW_BITS, takes its M
+    applied rows A_nu|s> from ``_applied_rows``, each A_nu the
+    ``_operator`` of its direction, and ``qstate._dot`` takes the <A_mu>
+    in one call and the upper triangle of <A_mu A_nu> in one call per mu
+    against every nu > mu.
     """
     m, rows = row_view(amps)
     batch = rows.shape[:-2]
     dirs = validate_directions(dirs, batch + (m, 3))
+    e = np.empty(batch + (m,))
+    c = np.zeros(batch + (m, m))  # the one-row path fills only the upper triangle, all that is read
     if rows.shape[-2] > 1:
-        g = np.empty(batch + (m, m))
         for i in np.ndindex(batch):
-            g[i] = _frame_metric(rows[i], dirs[i])
-        return g
-    amps = rows[..., 0, :]
-    applied = _applied_rows(amps, _operator(*np.moveaxis(dirs, -1, 0)))
-    e = np.moveaxis(_dot(amps, applied).real, 0, -1)
-    c = np.zeros(batch + (m, m))  # only the upper triangle is read
-    for q in range(m - 1):
-        c[..., q, q + 1 :] = np.moveaxis(_dot(applied[q], applied[q + 1 :]).real, 0, -1)
+            _frame_moments(rows[i], dirs[i], e[i], c[i])
+    else:
+        amps = rows[..., 0, :]
+        applied = _applied_rows(amps, _operator(*np.moveaxis(dirs, -1, 0)))
+        e[...] = np.moveaxis(_dot(amps, applied).real, 0, -1)
+        for q in range(m - 1):
+            c[..., q, q + 1 :] = np.moveaxis(_dot(applied[q], applied[q + 1 :]).real, 0, -1)
     return _metric_from_moments(e, c)
 
 

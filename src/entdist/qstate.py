@@ -361,7 +361,8 @@ def _turns(
     least a block, until the next is turned.  The blocks of a pass split
     the state, so a pass turns each amplitude once.  A block that fails
     ``_holds_amplitude`` is skipped.  The frame kernel
-    (``metric._frame_metric``) and ``_dress`` run it.
+    (``metric._frame_moments``, whose moments ``metric.metric_matrices``
+    assembles into g) and ``_dress`` run it.
     """
     blocks = state.reshape(-1, 1 << len(row_bits), 1 << (row_bits.start - w), 1 << w)
     if u is not None:

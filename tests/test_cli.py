@@ -101,6 +101,35 @@ class TestMeasure:
                 "entdist measure: error: family 'brs' has no angle 'theta'"
             )
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.5e1", "-5e+0"])
+    def test_a_negative_value_in_exponent_form_follows_its_flag(self, value, capsys):
+        """``--phi -1e-3`` gives the bytes of ``--phi=-1e-3``: a token that float() reads is a value."""
+        code, out = run_cli(["measure", "--family", "brs", "--m", "3", "--phi", value], capsys)
+        assert code == 0
+        assert out == run_cli(["measure", "--family", "brs", "--m", "3", f"--phi={value}"], capsys)[1]
+        assert json.loads(out)["m"] == 3
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("-inf", "angle 'theta' must be a finite real number, got -inf"),
+            ("-Infinity", "angle 'theta' must be a finite real number, got -inf"),
+            ("-1x", "argument --theta: invalid float value: '-1x'"),
+        ],
+        ids=["minus-inf", "minus-infinity", "not-a-number"],
+    )
+    def test_a_negative_token_after_a_flag_is_its_value(self, value, message, capsys):
+        """``--theta -inf`` reaches the family's real-number rule and ``--theta -1x`` the flag's type.
+
+        Neither is read as an unknown flag, which left --theta without its value.
+        """
+        with pytest.raises(SystemExit) as err:
+            main(["measure", "--family", "ghzl", "--m", "3", "--theta", value])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"entdist measure: error: {message}"
+
     def test_threeq_m_flag(self, capsys):
         """--m 3 is the threeq default and prints the same bytes; any other m exits 2."""
         flags = ["measure", "--family", "threeq", "--gamma", "0.8", "--tau", "0.3"]
@@ -475,11 +504,17 @@ class TestSweep:
             (["--start=-inf", "--stop", "1"], "start = -inf, stop = 1.0"),
             (["--start", "nan", "--stop", "1"], "start = nan, stop = 1.0"),
             (["--start=-1e308", "--stop=1e308"], "start = -1e+308, stop = 1e+308"),
+            (["--start", "-inf", "--stop", "1"], "start = -inf, stop = 1.0"),
+            (["--start", "-1e308", "--stop", "1e308"], "start = -1e+308, stop = 1e+308"),
         ],
-        ids=["stop-inf", "start-minus-inf", "start-nan", "span-overflows"],
+        ids=["stop-inf", "start-minus-inf", "start-nan", "span-overflows", "start-minus-inf-spaced",
+             "span-overflows-spaced"],
     )
     def test_non_finite_range_is_bad_input(self, bounds, named, capsys):
-        """A non-finite bound exits 2 naming both bounds, before any grid is computed."""
+        """A non-finite bound exits 2 naming both bounds, before any grid is computed.
+
+        A bound may follow its flag as a separate token, -inf and -1e308 too.
+        """
         with pytest.raises(SystemExit) as err:
             main(["sweep", "--family", "ghzl", "--m", "3", "--parameter", "theta",
                   *bounds, "--points", "3"])
@@ -568,8 +603,9 @@ class TestSurface:
             (["--gamma-stop", "inf"], "start = 0.0, stop = inf"),
             (["--gamma-start=-1e308", "--gamma-stop=1e308"], "start = -1e+308, stop = 1e+308"),
             (["--gamma-start", "nan"], "start = nan, stop = 3.141592653589793"),
+            (["--gamma-start", "-1e308", "--gamma-stop", "1e308"], "start = -1e+308, stop = 1e+308"),
         ],
-        ids=["stop-inf", "span-overflows", "start-nan"],
+        ids=["stop-inf", "span-overflows", "start-nan", "span-overflows-spaced"],
     )
     def test_non_finite_range_prints_only_usage_and_error(self, flags, named):
         """The range is refused before numpy computes a grid, so no warning reaches stderr."""

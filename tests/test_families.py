@@ -21,7 +21,7 @@ from entdist import (
 )
 
 from entdist import qstate
-from entdist.families import FAMILY_TAGS, family_amplitudes
+from entdist.families import FAMILY_ANGLES, FAMILY_TAGS, family_amplitudes
 from entdist.metric import measure_tol
 
 from oracles import (
@@ -309,6 +309,10 @@ class TestClosedForms:
 
 
 class TestFamilySpec:
+    def test_tags_are_the_keys_of_the_angle_table(self):
+        """The one list of families, in the order the CLI offers them."""
+        assert FAMILY_TAGS == ("brs", "ghzl", "threeq") == tuple(FAMILY_ANGLES)
+
     def test_unknown_tag_is_refused(self):
         with pytest.raises(ValueError) as err:
             FamilySpec("w-state", m=3)

@@ -1,15 +1,16 @@
 """Direction frames that are the identity: a pass whose qubits all have the direction exactly +z is not turned.
 
-``_frame_unitaries`` gives +z exactly U = I, so ``metric._frame_metric``
+``_frame_unitaries`` gives +z exactly U = I, so ``metric._frame_moments``
 squares such a pass's blocks straight from the state and puts their sums
 into a turned block's index order.  It must give the bytes of the same
-pass turned by identity factors, and match the pairwise oracle.  At their
-optimal directions GHZ-like, W, basis and Dicke states (the last dense on
-+z) have every qubit on +z.  The two mixed states hold some passes still
-and turn others: |0...0> on the high qubits with a Haar state on the low
-ten turns every row pass and holds the column pass still; a Haar qubit
-M - 1 with |0...0> below turns only the passes that name it.  M = 15-19
-runs in tier-1, M = 20-22 under ``slow``.
+pass turned by identity factors, in the moments e and c whole, and the
+metric must match the pairwise oracle.  At their optimal directions
+GHZ-like, W, basis and Dicke states (the last dense on +z) have every
+qubit on +z.  The two mixed states hold some passes still and turn others:
+|0...0> on the high qubits with a Haar state on the low ten turns every
+row pass and holds the column pass still; a Haar qubit M - 1 with |0...0>
+below turns only the passes that name it.  M = 15-19 runs in tier-1, M =
+20-22 under ``slow``.
 """
 from __future__ import annotations
 
@@ -19,12 +20,12 @@ import numpy as np
 import pytest
 
 from entdist import StateVector, ghzl_state, make_basis_state, metric_matrix, optimal_directions, w_vectors
-from entdist.metric import _frame_metric, _frame_passes, _frame_unitaries, entry_tol
+from entdist.metric import _frame_passes, _frame_unitaries, entry_tol
 from entdist.qstate import ROW_BITS, bloch_vectors, row_view
 
 from oracles import pairwise_share, random_state
 from test_metric import assert_pairs_match_pairwise_oracle
-from test_support import SIZES, _blocks_with_amplitude, rotations, w_state  # noqa: F401 (a fixture)
+from test_support import SIZES, _blocks_with_amplitude, frame_moment_bytes, rotations, w_state  # noqa: F401 (a fixture)
 
 Z = (0.0, 0.0, 1.0)
 
@@ -74,15 +75,15 @@ def _optimal(s: StateVector) -> np.ndarray:
 @pytest.mark.parametrize("m", SIZES)
 @pytest.mark.parametrize("kind", sorted(STATES))
 def test_held_passes_have_the_bytes_of_a_forced_rotation(rotations, kind, m):
-    """The metric at the optimal directions is the metric whose every pass is turned, to the byte."""
+    """The moments e and c at the optimal directions are those whose every pass is turned, to the byte."""
     s = STATES[kind][0](m)
     rows, dirs = row_view(s.amplitudes)[1], _optimal(s)
-    g = _frame_metric(rows, dirs)
+    held = frame_moment_bytes(rows, dirs)
     rotations.clear()
-    forced = _frame_metric(rows, dirs.view(_Turned))
+    forced = frame_moment_bytes(rows, dirs.view(_Turned))
     x_field = np.tile((1.0, 0.0, 0.0), (m, 1))  # a field that holds no pass still
     assert len(rotations) == _blocks_with_amplitude(s.amplitudes, m, x_field)
-    assert g.tobytes() == forced.tobytes()
+    assert held == forced
 
 
 @pytest.mark.parametrize("m", SIZES)

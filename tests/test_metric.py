@@ -30,7 +30,6 @@ from entdist.metric import (
     _frame_passes,
     _frame_unitaries,
     _metric_from_moments,
-    _operator,
     check_metrics,
     eig_tol,
     entry_tol,
@@ -329,15 +328,17 @@ def _run_vdot(a: np.ndarray, b: np.ndarray) -> complex:
 def _whole_vector_metric(state, dirs) -> np.ndarray:
     """Reference for a state that is one row: M whole applied copies of it.
 
-    One einsum per qubit and one ``_run_vdot`` per entry, the arithmetic
-    that ``metric_matrix`` must reproduce bit for bit when M <= ROW_BITS.
+    One einsum per qubit, by v . sigma written out here, and one
+    ``_run_vdot`` per entry, the arithmetic that ``metric_matrix`` must
+    reproduce bit for bit when M <= ROW_BITS.
     """
     m = state.num_qubits
     amps = state.amplitudes
     applied = []
-    for nu, v in enumerate(dirs):
+    for nu, (v1, v2, v3) in enumerate(dirs):
         view = amps.reshape(1 << (m - 1 - nu), 2, 1 << nu)
-        applied.append(np.einsum("ij,ajb->aib", _operator(*v), view).reshape(-1))
+        sigma = np.array([[v3, v1 - 1j * v2], [v1 + 1j * v2, -v3]], dtype=complex)
+        applied.append(np.einsum("ij,ajb->aib", sigma, view).reshape(-1))
     expectations = np.array([_run_vdot(amps, t).real for t in applied])
     g = np.zeros((m, m))
     for mu in range(m):
@@ -481,8 +482,10 @@ class TestDirectionFrameMetric:
         dirs = np.vstack([self.AXES, [(np.sqrt(1.0 - vz * vz), 0.0, vz)], _random_directions(rng, 1000)])
         u = _frame_unitaries(dirs)
         uh = np.conj(np.swapaxes(u, -1, -2))
+        v1, v2, v3 = dirs.T
+        sigma = np.array([[v3, v1 - 1j * v2], [v1 + 1j * v2, -v3]], dtype=complex).transpose(2, 0, 1)
         eps = np.finfo(float).eps
-        assert np.max(np.abs(u @ _operator(*dirs.T) @ uh - np.diag([1.0, -1.0]))) <= 4 * eps
+        assert np.max(np.abs(u @ sigma @ uh - np.diag([1.0, -1.0]))) <= 4 * eps
         assert np.max(np.abs(u @ uh - np.eye(2))) <= 4 * eps
 
     def test_frame_unitaries_within_their_gap(self):

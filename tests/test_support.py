@@ -1,13 +1,14 @@
 """The support of a state: the blocks that hold a non-zero amplitude, found as the kernels read them.
 
 ``qstate._row_bilinears`` skips a row, and a high qubit's pair with a
-partner row, and ``metric._frame_metric`` a block of a row pass or a strip
+partner row, and ``metric._frame_moments`` a block of a row pass or a strip
 of the column pass, when it fails ``qstate._holds_amplitude``; nothing
 about the support is recorded.  A skipped block adds exactly +0.0, so the
-kernels must give the bytes of a pass that reads every block, and they
-must match the oracles of ``tests/oracles.py``.  M = 15-17 runs the
-one-block frame pass, M = 18-19 row passes wider than a row; M = 20-22,
-under ``slow``, plans with a column pass, whose strips span every row.
+kernels must give the bytes of a pass that reads every block, the frame
+kernel's moments e and c whole, and they must match the oracles of
+``tests/oracles.py``.  M = 15-17 runs the one-block frame pass, M = 18-19
+row passes wider than a row; M = 20-22, under ``slow``, plans with a
+column pass, whose strips span every row.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from entdist import (
     qstate,
     w_vectors,
 )
-from entdist.metric import _frame_metric, _frame_passes, entry_tol, measure_from_bilinears, metric_matrices
+from entdist.metric import _frame_moments, _frame_passes, entry_tol, measure_from_bilinears, metric_matrices
 from entdist.qstate import ROW_BITS, _row_bilinears, bilinears, row_depth, row_view
 
 from oracles import bilinears_extended, covariance_entry_pairwise, pairwise_share, random_state
@@ -72,6 +73,20 @@ STATES = {
 }
 
 
+def frame_moment_bytes(rows: np.ndarray, dirs: np.ndarray) -> list[bytes]:
+    """The bytes of the moments e (M,) and c (M, M) that ``_frame_moments`` writes for one state's rows at ``dirs``.
+
+    All of c, its diagonal and lower triangle too, which never reach g, so
+    a comparison of these bytes is stricter than one of g.  Both start as
+    NaN, and every entry must be written with a finite value.
+    """
+    m = len(dirs)
+    e, c = np.full(m, np.nan), np.full((m, m), np.nan)
+    _frame_moments(rows, dirs, e, c)
+    assert np.isfinite(e).all() and np.isfinite(c).all()
+    return [e.tobytes(), c.tobytes()]
+
+
 class _ReadAll(np.ndarray):
     """Rows whose every block reports an amplitude, so the kernels skip nothing."""
 
@@ -99,7 +114,7 @@ def _unit_rows(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def _blocks_with_amplitude(amps: np.ndarray, m: int, dirs: np.ndarray) -> int:
-    """Blocks that ``_frame_metric`` turns at ``dirs``: those that hold a non-zero amplitude, from the indices of
+    """Blocks that ``_frame_moments`` turns at ``dirs``: those that hold a non-zero amplitude, from the indices of
     those amplitudes, in the passes that name a qubit whose direction is not exactly +z.
 
     A pass with row bits J and column bits C reads blocks of 2^w columns,
@@ -127,8 +142,9 @@ def _blocks_with_amplitude(amps: np.ndarray, m: int, dirs: np.ndarray) -> int:
 def test_support_path_has_the_bytes_of_the_array_path(kind, m):
     """The kernels, skipping the blocks outside the support, give the bytes of a pass that reads them all.
 
-    That pass runs on the state's rows seen as ``_ReadAll``, whose blocks
-    all pass the zero test.  Both match the oracles: a few entries of g
+    That pass runs on the state's rows seen as ``_ReadAll``, whose blocks all
+    pass the zero test: the bilinears, and the frame kernel's moments e and
+    c (``frame_moment_bytes``).  Both match the oracles: a few entries of g
     against ``covariance_entry_pairwise`` within ``entry_tol`` plus the
     oracle's share, and, up to M = 17 (the oracle takes 0.7 s at 19 qubits
     and 6 s at 22), the bilinears against ``bilinears_extended`` within
@@ -141,8 +157,8 @@ def test_support_path_has_the_bytes_of_the_array_path(kind, m):
     assert w_minus.tobytes() == ref_minus.tobytes()
     assert w_3.tobytes() == ref_3.tobytes()
     dirs = _unit_rows(np.random.default_rng(m), m)
-    g = assert_pairs_match_pairwise_oracle(s.amplitudes, dirs, entry_tol(m) + pairwise_share(m))
-    assert g.tobytes() == _frame_metric(rows.view(_ReadAll), dirs).tobytes()
+    assert_pairs_match_pairwise_oracle(s.amplitudes, dirs, entry_tol(m) + pairwise_share(m))
+    assert frame_moment_bytes(rows, dirs) == frame_moment_bytes(rows.view(_ReadAll), dirs)
     if m <= 17:
         ext_minus, ext_3 = bilinears_extended(s.amplitudes, m)
         bound = (row_depth(m) + 3) * U
@@ -218,8 +234,8 @@ def test_a_basis_state_turns_fewer_blocks(rotations, m):
 def test_random_supports_under_short_rows(monkeypatch, row_bits):
     """Rows of 2^2-2^4 amplitudes give the frame kernel plans of one to four passes, with and without
     the column pass, and blocks that hold amplitude through outer and inner bits.  Random supports, each
-    row live with probability 1/4, keep the bytes of the pass that reads every block, and every entry of
-    g matches ``covariance_entry_pairwise``."""
+    row live with probability 1/4, keep the bytes of the pass that reads every block, the frame kernel's
+    moments e and c whole, and every entry of g matches ``covariance_entry_pairwise``."""
     monkeypatch.setattr(qstate, "ROW_BITS", row_bits)
     rng = np.random.default_rng(row_bits)
     for m in range(row_bits + 1, 11):
@@ -229,11 +245,11 @@ def test_random_supports_under_short_rows(monkeypatch, row_bits):
             amps[rng.random(len(amps)) < 0.75] = 0.0
             amps[rng.integers(len(amps))] = 1.0  # at least one live row
             s = StateVector(m, (amps / np.linalg.norm(amps)).reshape(-1))
-            rows = row_view(s.amplitudes)[1].view(_ReadAll)
-            assert [a.tobytes() for a in w_vectors(s)] == [a.tobytes() for a in _row_bilinears(rows)]
+            rows = row_view(s.amplitudes)[1]
+            assert [a.tobytes() for a in w_vectors(s)] == [a.tobytes() for a in _row_bilinears(rows.view(_ReadAll))]
             dirs = _unit_rows(rng, m)
+            assert frame_moment_bytes(rows, dirs) == frame_moment_bytes(rows.view(_ReadAll), dirs)
             g = metric_matrix(s, dirs)
-            assert g.tobytes() == _frame_metric(rows, dirs).tobytes()
             for mu in range(m):
                 for nu in range(mu, m):
                     ref = covariance_entry_pairwise(s.amplitudes, m, mu, dirs[mu], nu, dirs[nu])
