@@ -25,8 +25,9 @@ state gets the same bits alone or in a batch.  The owners:
 - ``_applied_rows``: the one-row apply of the operators ``_operator``, and
   its short-run rule ``SHORT_RUN_BITS``.
 - ``_frame_moments``: the direction-frame kernel, the moments of a state
-  of several rows, and its identity rule; ``_frame_passes`` plans its
-  passes, within ``qstate._block_bits``, and ``qstate._turns`` turns them.
+  of several rows; ``_frame_passes`` plans its passes, within
+  ``qstate._block_bits``, and ``qstate._turns`` turns them, or holds a
+  pass by its identity rule.
 - ``_metric_from_moments`` and ``_diagonal``: g from the moments, for both
   kernels, called once per ``metric_matrices`` call.
 - ``check_metrics``: the checks and spectra of metrics.
@@ -450,7 +451,9 @@ def _frame_unitaries(dirs: np.ndarray) -> np.ndarray:
     The rows of U are the conjugated +1 and -1 eigenvectors of v . sigma in
     closed form, scaled by 1 / sqrt(2 (1 + |v_3|)).  The form follows the
     sign of v_3, so 1 + |v_3| >= 1 never cancels: v = +z (a degenerate
-    qubit's direction) gives U = I exactly and v = -z gives U = X.
+    qubit's direction) gives U = I exactly and v = -z gives U = X.  So
+    ``qstate._turns``' identity rule holds a pass whose qubits are all on
+    +z, or on a direction whose U rounds to I, such as (0, 0, 1 - 2^-53).
 
     Its gap from the exact U of a unit row: a = 1 + |v_3| and sqrt(2 a)
     round once each, and the division by sqrt(2 a), numpy's complex by
@@ -515,18 +518,18 @@ def _frame_moments(rows: np.ndarray, dirs: np.ndarray, e: np.ndarray, c: np.ndar
     once the column pass has added up the columns it does not turn, and
     ``_spin_moments`` gives their moments at the end of the pass.
 
-    The identity rule: a pass whose qubits all have the direction exactly
-    (0, 0, 1), whose U is exactly I, is not turned, since identity factors
-    give each amplitude back as it is: each block's |x|^2 is squared
-    straight from the state into the idle block buffer.  Such a block
-    keeps the state's index order, C's bits low and J's high, the reverse
-    of a turned block's, so a row pass's sums are copied, transposed, into
-    the idle buffer at its end: ``_spin_moments`` then reads the very array
-    the turned pass gives, and the bytes do not move.  The column pass,
-    whose turned blocks keep that order too, needs no copy.  So a
-    GHZ-like, W or basis state at its optimal directions, every qubit on
-    +z, runs no gemm.  A direction off +z by one ulp is turned, even where
-    its U rounds to I.
+    Every block's |y|^2 is squared into the first block buffer, in place
+    when ``_rotate`` left the block there.  A pass whose unitaries all
+    equal I exactly is held by ``_turns``' identity rule, and yields the
+    state's own blocks: +z gives U = I exactly, and so does any direction
+    whose U rounds to I.  A held block keeps the state's index order, C's
+    bits low and J's high, the reverse of a turned block's, so a held row
+    pass, told by its block being the state's own, has its sums copied,
+    transposed, into the first block buffer at its end: ``_spin_moments``
+    then reads the very array the turned pass gives, and the bytes do not
+    move.  The column pass, whose turned blocks keep that order too, needs
+    no copy.  So a GHZ-like, W or basis state at its optimal directions,
+    every qubit on +z, runs no gemm.
 
     Working memory is two blocks of the plan's largest, at most 2^b
     amplitudes, b = ``_block_bits(k)``, unless a row's index has more
@@ -539,7 +542,6 @@ def _frame_moments(rows: np.ndarray, dirs: np.ndarray, e: np.ndarray, c: np.ndar
     passes = _frame_passes(len(dirs), k)
     bits = max(len(row_bits) + len(col_bits) for row_bits, col_bits in passes)
     u = _frame_unitaries(dirs)
-    still = (dirs == (0.0, 0.0, 1.0)).all(axis=-1)  # the qubits whose U is exactly I
     n = 1 << bits
     # one allocation for the two blocks and the sums: three separate ones were mapped afresh,
     # page by page, on every call at M = 16
@@ -550,18 +552,19 @@ def _frame_moments(rows: np.ndarray, dirs: np.ndarray, e: np.ndarray, c: np.ndar
         j = len(row_bits)
         w = len(col_bits) or bits - j  # the block's columns; the column pass fills the buffer with them
         qubits = list(row_bits) + list(col_bits)  # the turned block's index: J's bits low, C's high
-        turned = not still[qubits].all()
         total = sums[: 1 << (j + w)]
         total.fill(0.0)
-        for _, y in _turns(rows, row_bits, col_bits, w, u if turned else None, buffers):
+        held = False
+        for blk, y in _turns(rows, row_bits, col_bits, w, u, buffers):
+            held = y is blk
             parts = y.view(float)  # |y|^2 is the sum of its real and imaginary parts' squares
-            squares = y.reshape(-1).view(float) if turned else buffers[0][: y.size].view(float)
-            np.square(parts, out=squares.reshape(parts.shape))  # in place for a turned block
+            squares = buffers[0][: y.size].view(float)
+            np.square(parts, out=squares.reshape(parts.shape))  # in place when _rotate left y there
             total += squares[0::2]
             total += squares[1::2]
         if not col_bits:  # the column pass: add up the strip's columns, which trail its row bits
             total = total.reshape(1 << j, 1 << w).sum(axis=1)
-        elif not turned:  # the sums of blocks as they stand, C's bits low: put J's bits low
+        elif held:  # the sums of blocks as they stand, C's bits low: put J's bits low
             moved = buffers[0].view(float)[: total.size]
             np.copyto(moved.reshape(1 << w, 1 << j), total.reshape(1 << j, 1 << w).T)
             total = moved

@@ -16,7 +16,8 @@ The owners:
   from its plan; ``_dress_passes`` plans it.  ``_turns``, ``_rotate``,
   ``_kron_factors``, ``_kron_spec`` and ``_kron_groups``: the Kronecker
   turns of ``_dress`` and of the frame kernel, in blocks of the budget
-  ``_block_bits``.
+  ``_block_bits``; ``_turns`` owns their identity rule, which holds a
+  pass whose unitaries are all exactly I.
 - ``bilinears``: the per-qubit amplitude bilinears, from which every
   Bloch vector (``bloch_vectors``) and E follow; ``_row_bilinears`` for
   a state of several rows.
@@ -345,8 +346,7 @@ def _rotate(
 
 
 def _turns(
-    state: np.ndarray, row_bits: range, col_bits: range, w: int, u: np.ndarray | None,
-    buffers: list[np.ndarray],
+    state: np.ndarray, row_bits: range, col_bits: range, w: int, u: np.ndarray, buffers: list[np.ndarray]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The one block loop of a Kronecker turn: (block, turned block) per block that holds amplitude.
 
@@ -355,22 +355,26 @@ def _turns(
     2^|J| rows of 2^w amplitudes that differ only in J: a (2^|J|, 2^w)
     strided slice of the state, read in place.  ``_rotate`` turns a block
     by the Kronecker factors (``_kron_factors``) of the unitaries ``u``
-    (M, 2, 2) of J and of the column bits C, either range(w) or none; a
-    pass the identity rule holds still, ``u`` None, yields the block as it
-    stands.  A turned block lies in one of the two ``buffers``, each of at
-    least a block, until the next is turned.  The blocks of a pass split
-    the state, so a pass turns each amplitude once.  A block that fails
+    (M, 2, 2) of J and of the column bits C, either range(w) or none.  A
+    turned block lies in one of the two ``buffers``, each of at least a
+    block, until the next is turned.  The blocks of a pass split the
+    state, so a pass turns each amplitude once.  A block that fails
     ``_holds_amplitude`` is skipped.  The frame kernel
     (``metric._frame_moments``, whose moments ``metric.metric_matrices``
     assembles into g) and ``_dress`` run it.
+
+    The identity rule, one for both: a pass whose unitaries of J and C
+    all equal I exactly is held, and yields each block as it stands, the
+    state's own, since identity factors give every amplitude back as it
+    is.
     """
     blocks = state.reshape(-1, 1 << len(row_bits), 1 << (row_bits.start - w), 1 << w)
-    if u is not None:
-        factors = _kron_factors(u, list(row_bits)), _kron_factors(u, list(col_bits))
+    held = (u[[*row_bits, *col_bits]] == np.eye(2)).all()
+    factors = _kron_factors(u, list(row_bits)), _kron_factors(u, list(col_bits))
     for outer, inner in np.ndindex(blocks.shape[0], blocks.shape[2]):
         blk = blocks[outer, :, inner, :]
         if _holds_amplitude(blk):
-            yield blk, blk if u is None else _rotate(blk, *factors, buffers)
+            yield blk, blk if held else _rotate(blk, *factors, buffers)
 
 
 def _block_bits(k: int) -> int:
@@ -402,7 +406,9 @@ def _dress(work: np.ndarray, u: np.ndarray) -> None:
     the frame kernel's block loop.  Every block of the plan holds 2^b
     amplitudes, b the low pass's width, and the turn allocates its two
     blocks of that size.  Each turned block is copied back in place; a
-    block that ``_turns`` skips stays as it is.
+    block that ``_turns`` skips stays as it is, and so does each block of a
+    pass it holds, whose qubits all take the exact identity: numpy assigns
+    a block onto itself for free.
     """
     passes = _dress_passes(work.size.bit_length() - 1)
     b = len(passes[0][1])
@@ -417,12 +423,15 @@ def apply_local_unitary(state: StateVector, unitaries) -> StateVector:
     """u_{M-1} x ... x u_0 times the state, for a field ``unitaries`` (M, 2, 2), one 2x2 unitary per qubit.
 
     The field passes ``validate_unitaries``; a qubit to leave alone takes
-    the exact identity, which still runs every pass.  The amplitudes are
-    copied and the copy is turned in place by ``_dress``, the dressing of
-    ``verify.invariance_check``: at most two passes over the copy for
-    every M <= 26.  The result is a new ``StateVector``, so its norm is
-    checked.  It lies within ``metric._turn_gap`` of the plan, plus the
-    given unitaries' own gap, of the exact turn.
+    the exact identity.  The amplitudes are copied and the copy is turned
+    in place by ``_dress``, the dressing of ``verify.invariance_check``: at
+    most two passes over the copy for every M <= 26, and a pass whose
+    qubits all take the identity is held (``_turns``).  Up to 17 qubits
+    the plan is one pass, so a one-qubit field there costs a whole one.
+    The result is a new ``StateVector``, so its norm is checked.  It lies
+    within ``metric._turn_gap`` of the plan, plus the given unitaries' own
+    gap, of the exact turn, a bound that is an upper one when a pass is
+    held.
 
     Each matrix within ``UNIT_TOL`` of unitary may still scale the squared
     norm by up to about 1 + 2 UNIT_TOL, and over M qubits the turned copy

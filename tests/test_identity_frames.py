@@ -1,16 +1,16 @@
-"""Direction frames that are the identity: a pass whose qubits all have the direction exactly +z is not turned.
+"""Direction frames that are the identity: a pass whose frame unitaries are all exactly I is held.
 
-``_frame_unitaries`` gives +z exactly U = I, so ``metric._frame_moments``
-squares such a pass's blocks straight from the state and puts their sums
-into a turned block's index order.  It must give the bytes of the same
-pass turned by identity factors, in the moments e and c whole, and the
-metric must match the pairwise oracle.  At their optimal directions
-GHZ-like, W, basis and Dicke states (the last dense on +z) have every
-qubit on +z.  The two mixed states hold some passes still and turn others:
-|0...0> on the high qubits with a Haar state on the low ten turns every
-row pass and holds the column pass still; a Haar qubit M - 1 with |0...0>
-below turns only the passes that name it.  M = 15-19 runs in tier-1, M =
-20-22 under ``slow``.
+``_frame_unitaries`` gives +z exactly U = I, so ``qstate._turns`` holds
+such a pass, and ``metric._frame_moments`` squares its blocks straight
+from the state and puts their sums into a turned block's index order.  It
+must give the bytes of the same pass turned by identity factors, in the
+moments e and c whole, and the metric must match the pairwise oracle.  At
+their optimal directions GHZ-like, W, basis and Dicke states (the last
+dense on +z) have every qubit on +z.  The two mixed states hold some
+passes still and turn others: |0...0> on the high qubits with a Haar
+state on the low ten turns every row pass and holds the column pass
+still; a Haar qubit M - 1 with |0...0> below turns only the passes that
+name it.  M = 15-19 runs in tier-1, M = 20-22 under ``slow``.
 """
 from __future__ import annotations
 
@@ -19,15 +19,13 @@ import math
 import numpy as np
 import pytest
 
-from entdist import StateVector, ghzl_state, make_basis_state, metric_matrix, optimal_directions, w_vectors
+from entdist import StateVector, ghzl_state, make_basis_state, metric, metric_matrix, optimal_directions, w_vectors
 from entdist.metric import _frame_passes, _frame_unitaries, entry_tol
 from entdist.qstate import ROW_BITS, bloch_vectors, row_view
 
 from oracles import pairwise_share, random_state
 from test_metric import assert_pairs_match_pairwise_oracle
 from test_support import SIZES, _blocks_with_amplitude, frame_moment_bytes, rotations, w_state  # noqa: F401 (a fixture)
-
-Z = (0.0, 0.0, 1.0)
 
 
 def low_haar_state(m: int) -> StateVector:
@@ -62,10 +60,16 @@ STATES = {
 
 
 class _Turned(np.ndarray):
-    """A direction field none of whose rows compares equal to +z, so the kernel turns every pass."""
+    """A field of frame unitaries none of which compares equal to I, so ``qstate._turns`` turns every pass."""
 
     def __eq__(self, other):
         return np.zeros(self.shape, dtype=bool)
+
+
+def _force_turns(monkeypatch) -> None:
+    """Make ``metric._frame_unitaries`` give its unitaries as a ``_Turned`` view, for every caller."""
+    frame_unitaries = metric._frame_unitaries
+    monkeypatch.setattr(metric, "_frame_unitaries", lambda dirs: frame_unitaries(dirs).view(_Turned))
 
 
 def _optimal(s: StateVector) -> np.ndarray:
@@ -74,16 +78,25 @@ def _optimal(s: StateVector) -> np.ndarray:
 
 @pytest.mark.parametrize("m", SIZES)
 @pytest.mark.parametrize("kind", sorted(STATES))
-def test_held_passes_have_the_bytes_of_a_forced_rotation(rotations, kind, m):
-    """The moments e and c at the optimal directions are those whose every pass is turned, to the byte."""
+def test_held_passes_have_the_bytes_of_a_forced_rotation(monkeypatch, rotations, kind, m):
+    """The moments e and c at the optimal directions are those whose every pass is turned, to the byte.
+
+    The turn is forced on the unitaries, where the rule reads, so it holds
+    through ``metric_matrix`` too.
+    """
     s = STATES[kind][0](m)
     rows, dirs = row_view(s.amplitudes)[1], _optimal(s)
     held = frame_moment_bytes(rows, dirs)
+    g = metric_matrix(s, dirs)
     rotations.clear()
-    forced = frame_moment_bytes(rows, dirs.view(_Turned))
+    _force_turns(monkeypatch)
+    forced = frame_moment_bytes(rows, dirs)
     x_field = np.tile((1.0, 0.0, 0.0), (m, 1))  # a field that holds no pass still
-    assert len(rotations) == _blocks_with_amplitude(s.amplitudes, m, x_field)
+    blocks = _blocks_with_amplitude(s.amplitudes, m, x_field)
+    assert len(rotations) == blocks
     assert held == forced
+    assert metric_matrix(s, dirs).tobytes() == g.tobytes()
+    assert len(rotations) == 2 * blocks
 
 
 @pytest.mark.parametrize("m", SIZES)
@@ -101,7 +114,8 @@ def test_rotate_runs_only_in_the_turned_passes(rotations, kind, m):
     s = build(m)
     dirs = _optimal(s)
     plan = _frame_passes(m, ROW_BITS)
-    still = [all(tuple(dirs[q]) == Z for q in [*rows, *cols]) for rows, cols in plan]
+    u = _frame_unitaries(dirs)
+    still = [bool((u[[*rows, *cols]] == np.eye(2)).all()) for rows, cols in plan]
     assert still == [holds_still(m, rows, cols) for rows, cols in plan]
     metric_matrix(s, dirs)
     assert len(rotations) == _blocks_with_amplitude(s.amplitudes, m, dirs)
@@ -109,11 +123,11 @@ def test_rotate_runs_only_in_the_turned_passes(rotations, kind, m):
 
 
 @pytest.mark.parametrize("m", [16, 18, 19, pytest.param(22, marks=pytest.mark.slow)])
-def test_a_direction_one_ulp_off_z_is_turned(rotations, m):
-    """v = (0, 0, 1 - 2^-53) is turned, in every pass that names it, though its U rounds to I exactly.
+def test_a_direction_one_ulp_off_z_is_held(rotations, m):
+    """v = (0, 0, 1 - 2^-53) is held, in every pass that names it, since its U rounds to I exactly.
 
-    The rule is on the direction, not on U, so the bytes are those of the
-    field on +z.
+    The rule is on the unitaries, not on the directions, so no block is
+    turned and the bytes are those of the field on +z.
     """
     s = ghzl_state(m, 0.7, 0.2)
     on_z = _optimal(s)
@@ -121,7 +135,5 @@ def test_a_direction_one_ulp_off_z_is_turned(rotations, m):
     dirs[m - 1, 2] = np.nextafter(1.0, 0.0)
     assert (_frame_unitaries(dirs)[m - 1] == np.eye(2)).all()
     g = metric_matrix(s, dirs)
-    assert len(rotations) == _blocks_with_amplitude(s.amplitudes, m, dirs) > 0
-    rotations.clear()
-    assert g.tobytes() == metric_matrix(s, on_z).tobytes()
     assert not rotations
+    assert g.tobytes() == metric_matrix(s, on_z).tobytes()

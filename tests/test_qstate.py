@@ -40,6 +40,7 @@ from oracles import (
     random_product_state,
     random_state,
 )
+from test_support import rotations  # noqa: F401 (a fixture)
 
 X = np.array([1.0, 0.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
@@ -265,6 +266,30 @@ class TestApplyLocalUnitary:
         out = apply_local_unitary(s, _one_qubit_field(5, qubit, u))
         expected = dense_qubit_operator(5, qubit, u) @ s.amplitudes
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-15, equal_nan=False)
+
+    @pytest.mark.parametrize("qubit", [0, 1, 2, 7, 11])
+    def test_one_qubit_field_turns_only_the_pass_that_names_it(self, qubit, monkeypatch, rotations):
+        """At M = 12 in blocks of 2^2 the plan is a low pass (0, 1) and five runs of two, each
+        of 2^10 blocks of four amplitudes.  The passes whose qubits all take the identity are
+        held, so ``_rotate`` turns only the blocks of the pass that names the qubit."""
+        monkeypatch.setattr(qstate, "_block_bits", lambda k: 2)
+        assert len(qstate._dress_passes(12)) == 6
+        rng = np.random.default_rng(31 + qubit)
+        s = StateVector(12, random_state(12, rng))
+        u = _haar_unitary(rng)
+        out = apply_local_unitary(s, _one_qubit_field(12, qubit, u))
+        assert rotations == [4] * (1 << 10)
+        expected = np.einsum("ij,ajb->aib", u, s.amplitudes.reshape(1 << (11 - qubit), 2, 1 << qubit))
+        np.testing.assert_allclose(out.amplitudes, expected.reshape(-1), rtol=0, atol=1e-15, equal_nan=False)
+
+    def test_identity_field_turns_no_block(self, monkeypatch, rotations):
+        """At M = 12 in blocks of 2^2, six passes, a field of exact identities holds every pass:
+        no ``_rotate`` call, and the state's bytes come back."""
+        monkeypatch.setattr(qstate, "_block_bits", lambda k: 2)
+        s = StateVector(12, random_state(12, np.random.default_rng(12)))
+        out = apply_local_unitary(s, np.tile(np.eye(2), (12, 1, 1)))
+        assert not rotations
+        assert out.amplitudes.tobytes() == s.amplitudes.tobytes()
 
     @pytest.mark.parametrize("m", [5, 18])
     def test_is_the_dressing_of_the_invariance_check(self, m):

@@ -24,7 +24,14 @@ from entdist import (
     qstate,
     w_vectors,
 )
-from entdist.metric import _frame_moments, _frame_passes, entry_tol, measure_from_bilinears, metric_matrices
+from entdist.metric import (
+    _frame_moments,
+    _frame_passes,
+    _frame_unitaries,
+    entry_tol,
+    measure_from_bilinears,
+    metric_matrices,
+)
 from entdist.qstate import ROW_BITS, _row_bilinears, bilinears, row_depth, row_view
 
 from oracles import bilinears_extended, covariance_entry_pairwise, pairwise_share, random_state
@@ -115,7 +122,7 @@ def _unit_rows(rng: np.random.Generator, m: int) -> np.ndarray:
 
 def _blocks_with_amplitude(amps: np.ndarray, m: int, dirs: np.ndarray) -> int:
     """Blocks that ``_frame_moments`` turns at ``dirs``: those that hold a non-zero amplitude, from the indices of
-    those amplitudes, in the passes that name a qubit whose direction is not exactly +z.
+    those amplitudes, in the passes that name a qubit whose frame unitary is not exactly I.
 
     A pass with row bits J and column bits C reads blocks of 2^w columns,
     w = |C|, or in the column pass as many low bits as fill the largest
@@ -126,10 +133,10 @@ def _blocks_with_amplitude(amps: np.ndarray, m: int, dirs: np.ndarray) -> int:
     passes = _frame_passes(m, ROW_BITS)
     bits = max(len(row_bits) + len(col_bits) for row_bits, col_bits in passes)
     index = np.flatnonzero(amps)
-    off_z = [tuple(v) != (0.0, 0.0, 1.0) for v in np.asarray(dirs).tolist()]
+    turned = (_frame_unitaries(dirs) != np.eye(2)).any(axis=(-2, -1))
     count = 0
     for row_bits, col_bits in passes:
-        if not any(off_z[q] for q in [*row_bits, *col_bits]):
+        if not turned[[*row_bits, *col_bits]].any():
             continue
         w = len(col_bits) or bits - len(row_bits)
         inner = (index >> w) & ((1 << (row_bits.start - w)) - 1)
