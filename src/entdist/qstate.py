@@ -21,8 +21,8 @@ The owners:
 - ``bilinears``: the per-qubit amplitude bilinears, from which every
   Bloch vector (``bloch_vectors``) and E follow; ``_row_bilinears`` for
   a state of several rows.
-- ``_spin_moments``: the spin moments of a distribution, and
-  ``_spin_means`` their first moments.
+- ``_spin_moments``: the spin moments of a distribution, for the frame
+  passes and the bilinear pass.
 - ``_dot``: every BLAS dot over amplitudes (the short-dot rule), and
   ``_dot_depth`` its summation depth; ``_norm_sq``: the squared norm of a
   state, by ``_dot``.
@@ -157,16 +157,18 @@ def _norm_sq(amps: np.ndarray) -> np.ndarray:
 
 
 def _holds_amplitude(x: np.ndarray) -> bool:
-    """The one zero test of a row or block: False exactly when ``x`` holds no amplitude.
+    """The one zero test of a row or block: False exactly when every byte of ``x`` is zero, no amplitude held.
 
-    The first entry makes the test of a dense ``x`` one element read;
-    ``any()`` is false for entries of -0.0 and true for one of 1e-170, whose
-    square underflows.  A pass that skips what fails it adds exactly +0.0
-    where reading it would (every sum of products of zeros, -0.0 ones
-    included, starts from +0.0 and stays there), so the test does not move
-    the bytes.
+    The first entry makes the test of a dense ``x`` one element read; the
+    rest is scanned as bytes, in about half the time of a complex
+    ``any()``.  So an entry of 1e-170, whose square underflows, holds
+    amplitude, and so does one of -0.0, whose sign bit is set.  A pass that
+    skips what fails it adds exactly +0.0 where reading it would, and a
+    pass over -0.0 entries adds +0.0 as well (every sum of products of
+    zeros, -0.0 ones included, starts from +0.0 and stays there), so the
+    test does not move the bytes.
     """
-    return bool(x.item(0) or x.any())
+    return bool(x.item(0) or x.view(np.bool_).any())
 
 
 def validate_amplitudes(amps: np.ndarray) -> None:
@@ -463,39 +465,27 @@ def _signs(n: int) -> np.ndarray:
     return signs
 
 
-def _spin_means(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First moments <s_t> (n,) of the bits of a 2^n distribution, and the marginals they come from.
-
-    The index splits into its high and low halves of bits, hi = n // 2 and
-    lo = n - hi, and p into their (2^hi, 2^lo) table.  Each half's moments
-    are its marginal @ spins; the marginals (p_lo, p_hi) are returned too,
-    for ``_spin_moments`` to reuse.
-    """
-    n = p.size.bit_length() - 1
-    hi, lo = n // 2, n - n // 2
-    table = p.reshape(1 << hi, 1 << lo)
-    p_hi, p_lo = table.sum(axis=1), table.sum(axis=0)
-    return np.concatenate([p_lo @ _signs(lo), p_hi @ _signs(hi)]), p_lo, p_hi
-
-
 def _spin_moments(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments <s_t> (n,) and <s_t s_u> (n, n) of the bits of a 2^n distribution.
 
     The one helper for a distribution's spin moments, for the
-    direction-frame kernel.  The first moments, the half marginals and the
-    split of p into its (2^hi, 2^lo) table P are those of ``_spin_means``.
-    Each half's second moments are spins^T (marginal * spins), and the
-    signed sum S_hi^T P S_lo gives the pairs across, so no sum runs over
-    more than 2^hi + 2^lo terms in turn.
+    direction-frame kernel and the low qubits' w_3 of ``_row_bilinears``.
+    The index splits into its high and low halves of bits, hi = n // 2 and
+    lo = n - hi, and p into their (2^hi, 2^lo) table P.  Each half's first
+    moments are its marginal @ spins and its second moments spins^T
+    (marginal * spins), and the signed sum S_hi^T P S_lo gives the pairs
+    across, so no sum runs over more than 2^hi + 2^lo terms in turn.
     """
     n = p.size.bit_length() - 1
     hi, lo = n // 2, n - n // 2
-    e, p_lo, p_hi = _spin_means(p)
     s_hi, s_lo = _signs(hi), _signs(lo)
-    cross = s_hi.T @ p.reshape(1 << hi, 1 << lo) @ s_lo
+    table = p.reshape(1 << hi, 1 << lo)
+    p_hi, p_lo = table.sum(axis=1), table.sum(axis=0)
+    cross = s_hi.T @ table @ s_lo
     c_lo = s_lo.T @ (p_lo[:, None] * s_lo)
     c_hi = s_hi.T @ (p_hi[:, None] * s_hi)
-    return e, np.block([[c_lo, cross.T], [cross, c_hi]])
+    c = np.concatenate([np.concatenate([c_lo, cross.T], axis=1), np.concatenate([cross, c_hi], axis=1)])
+    return np.concatenate([p_lo @ s_lo, p_hi @ s_hi]), c
 
 
 def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -505,10 +495,10 @@ def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     temporary is larger than a row.  Each row's
     probabilities |c|^2 = re^2 + im^2 are added into a 2^k marginal of the k
     low qubits and their sum is kept as the row's total; w_3 then comes from
-    these, the low qubits by ``_spin_means`` of the marginal and the high
-    qubits as the totals times ``_signs(M - k)``.  Every w_minus is one
-    formula: a vecdot of the two halves of each run of pairs, summed over
-    the runs.  The row's index splits as ``_spin_means`` splits one, into
+    these, the low qubits as the first moments (``_spin_moments``) of the
+    marginal and the high qubits as the totals times ``_signs(M - k)``.
+    Every w_minus is one formula: a vecdot of the two halves of each run of
+    pairs, summed over the runs.  The row's index splits as ``_spin_moments`` splits one, into
     hi = k // 2 high and lo = k - hi low bits, and the row seen as (2^hi,
     2^lo) is copied, transposed, into one reused buffer, where a low qubit
     nu < lo sits at bit hi + nu: its runs are the copy's (2^(lo-1-nu), 2,
@@ -556,7 +546,7 @@ def _row_bilinears(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             partner = h ^ (1 << (nu - k))
             if partner > h and live[partner]:
                 parts[h, nu] = _dot(rows[partner], row)
-    w_3 = np.concatenate([_spin_means(marginal)[0], totals @ _signs(high)])
+    w_3 = np.concatenate([_spin_moments(marginal)[0], totals @ _signs(high)])
     return parts.sum(axis=0), w_3
 
 

@@ -1,4 +1,4 @@
-"""The support of a state: the blocks that hold a non-zero amplitude, found as the kernels read them.
+"""The support of a state: the blocks that hold amplitude, a non-zero byte, found as the kernels read them.
 
 ``qstate._row_bilinears`` skips a row, and a high qubit's pair with a
 partner row, and ``metric._frame_moments`` a block of a row pass or a strip
@@ -56,10 +56,15 @@ def _haar_row_zero_dead(m: int) -> np.ndarray:
 
 
 def _negative_zero_rows(m: int) -> np.ndarray:
-    """A Haar state whose odd rows are -0.0, so every lowest high qubit pairs a live row with a dead one."""
+    """A Haar state whose odd rows are -0.0, real and imaginary parts both, written after the norm is taken.
+
+    The zero test reads such a row as bytes, so the kernels read it.
+    """
     amps = random_state(m, np.random.default_rng(100 + m)).reshape(-1, 1 << ROW_BITS)
-    amps[1::2] = -0.0 - 0.0j
-    return (amps / np.linalg.norm(amps)).reshape(-1)
+    amps[1::2] = 0.0
+    amps /= np.linalg.norm(amps)
+    amps.real[1::2] = amps.imag[1::2] = -0.0  # a complex -0.0 - 0.0j, or a division, would keep +0.0 parts
+    return amps.reshape(-1)
 
 
 def _tiny_row(m: int) -> np.ndarray:
@@ -121,18 +126,19 @@ def _unit_rows(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def _blocks_with_amplitude(amps: np.ndarray, m: int, dirs: np.ndarray) -> int:
-    """Blocks that ``_frame_moments`` turns at ``dirs``: those that hold a non-zero amplitude, from the indices of
+    """Blocks that ``_frame_moments`` turns at ``dirs``: those that hold amplitude, from the indices of
     those amplitudes, in the passes that name a qubit whose frame unitary is not exactly I.
 
     A pass with row bits J and column bits C reads blocks of 2^w columns,
     w = |C|, or in the column pass as many low bits as fill the largest
     block of the plan; a block is fixed by the index bits above J and those
     between w and J, so two amplitudes share one when those bits agree.
-    -0.0 is not an amplitude (``np.flatnonzero``), 1e-170 is.
+    An entry holds amplitude when a byte of it is not zero, as the zero
+    test reads it: 1e-170 does, and so does -0.0.
     """
     passes = _frame_passes(m, ROW_BITS)
     bits = max(len(row_bits) + len(col_bits) for row_bits, col_bits in passes)
-    index = np.flatnonzero(amps)
+    index = np.flatnonzero(amps.view(np.uint8).reshape(-1, amps.itemsize).any(axis=1))
     turned = (_frame_unitaries(dirs) != np.eye(2)).any(axis=(-2, -1))
     count = 0
     for row_bits, col_bits in passes:
@@ -176,11 +182,11 @@ def test_support_path_has_the_bytes_of_the_array_path(kind, m):
 @pytest.mark.parametrize("m", SIZES)
 @pytest.mark.parametrize("kind", sorted(STATES))
 def test_rotate_turns_the_blocks_that_hold_amplitude(rotations, kind, m):
-    """One ``_rotate`` call per block that holds a non-zero amplitude, in every pass, the column pass included.
+    """One ``_rotate`` call per block that holds amplitude, in every pass, the column pass included.
 
     For ghzl that is two blocks per pass (one when the state fits one
-    block), for W one per block its M amplitudes fall in; -0.0 rows are
-    skipped and the 1e-170 block is turned.
+    block), for W one per block its M amplitudes fall in; the blocks of
+    -0.0 rows and the 1e-170 block are turned.
     """
     s = STATES[kind](m)
     dirs = _unit_rows(np.random.default_rng(m), m)
@@ -188,9 +194,24 @@ def test_rotate_turns_the_blocks_that_hold_amplitude(rotations, kind, m):
     assert len(rotations) == _blocks_with_amplitude(s.amplitudes, m, dirs)
 
 
+@pytest.mark.parametrize("m", [15, 18])
+def test_negative_zero_rows_give_the_bytes_of_positive_zero_rows(m):
+    """The kernels read -0.0 rows, which the zero test keeps, and add +0.0 for them, as for the skipped +0.0 rows
+    of the state's twin: the bilinears, the frame kernel's moments e and c, and g at random directions."""
+    neg = StateVector(m, _negative_zero_rows(m))
+    pos = StateVector(m, np.where(neg.amplitudes == 0, 0, neg.amplitudes))
+    assert np.signbit(neg.amplitudes.imag).sum() >= 1 << (m - 1)
+    assert not np.signbit(pos.amplitudes[neg.amplitudes == 0].view(float)).any()
+    assert [a.tobytes() for a in w_vectors(neg)] == [a.tobytes() for a in w_vectors(pos)]
+    dirs = _unit_rows(np.random.default_rng(m), m)
+    rows = [row_view(s.amplitudes)[1] for s in (neg, pos)]
+    assert frame_moment_bytes(rows[0], dirs) == frame_moment_bytes(rows[1], dirs)
+    assert metric_matrix(neg, dirs).tobytes() == metric_matrix(pos, dirs).tobytes()
+
+
 @pytest.mark.parametrize("m", [15, 16])
 def test_a_row_of_underflowing_squares_is_live(m):
-    """Its |c|^2 sum is 0.0, but ``row.any()`` keeps it, and its pair reaches w_minus as the oracle has it."""
+    """Its |c|^2 sum is 0.0, but the zero test keeps it, and its pair reaches w_minus as the oracle has it."""
     s = StateVector(m, _tiny_row(m))
     w_minus = w_vectors(s)[0]
     assert w_minus[m - 1] == 1e-170

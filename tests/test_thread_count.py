@@ -85,9 +85,22 @@ def test_one_and_two_blas_threads_give_the_same_bytes(tmp_path):
 
 
 @pytest.mark.slow
-def test_one_and_two_blas_threads_give_the_same_bytes_at_large_m():
-    """The same at M = 18, 20 and 22, where every moment comes from the frame kernel's gemms."""
-    _assert_same_bytes(_family_cases([18, 20, 22]))
+def test_one_and_two_blas_threads_give_the_same_bytes_at_large_m(tmp_path):
+    """The same at M = 18, 20 and 22, where every moment comes from the frame kernel's gemms, and beyond.
+
+    ghzl's row passes are held, so a Haar state at M = 18, written once
+    and read by both runs, turns every pass through threaded gemms as brs
+    does.  brs at M = 24 reaches the largest ``totals @ _signs(M - 14)``
+    of ``qstate._row_bilinears`` the test sees, 1024 x 10: the one BLAS
+    product over amplitude sums outside the frame gemms that grows with M.
+    """
+    path = tmp_path / "haar18.json"
+    entdist.write_state_file(path, qstate.StateVector(18, random_state(18, np.random.default_rng(18))))
+    cases = _family_cases([18, 20, 22])
+    cases += [["measure", "--state-file", str(path)], ["eigs", "--csv", "--state-file", str(path)]]
+    brs24 = ["--family", "brs", "--m", "24", "--phi", "0.3"]
+    cases += [["measure", *brs24], ["eigs", "--csv", *brs24]]
+    _assert_same_bytes(cases)
 
 
 @pytest.mark.parametrize("m", [9, 13, 14, 15, 16])
