@@ -512,11 +512,13 @@ def _frame_moments(rows: np.ndarray, dirs: np.ndarray, e: np.ndarray, c: np.ndar
     at a time, in the passes of ``_frame_passes``.
 
     A pass with row bits J and column bits C takes from ``_turns`` each
-    block, turned in J and C, of 2^w columns: C, or in the column pass as
-    many low qubits as fill the work buffer.  |.|^2 of each is added into
-    one accumulator.  That is the joint distribution of the turned spins,
-    once the column pass has added up the columns it does not turn, and
-    ``_spin_moments`` gives their moments at the end of the pass.
+    block, turned in J and C, of 2^w columns, a width that ``_turns``
+    states: C, or in the column pass as many low qubits as fill a block
+    buffer.  |.|^2 of each is added into one accumulator, 2^(|J| + |C|)
+    floats, or the whole of it for the column pass.  That is the joint
+    distribution of the turned spins, once the column pass has added up
+    the columns it does not turn, and ``_spin_moments`` gives their
+    moments at the end of the pass.
 
     Every block's |y|^2 is squared into the first block buffer, in place
     when ``_rotate`` left the block there.  A pass whose unitaries all
@@ -524,19 +526,22 @@ def _frame_moments(rows: np.ndarray, dirs: np.ndarray, e: np.ndarray, c: np.ndar
     state's own blocks: +z gives U = I exactly, and so does any direction
     whose U rounds to I.  A held block keeps the state's index order, C's
     bits low and J's high, the reverse of a turned block's, so a held row
-    pass, told by its block being the state's own, has its sums copied,
-    transposed, into the first block buffer at its end: ``_spin_moments``
-    then reads the very array the turned pass gives, and the bytes do not
-    move.  The column pass, whose turned blocks keep that order too, needs
-    no copy.  So a GHZ-like, W or basis state at its optimal directions,
+    pass, told by its block being the state's own, hands ``_spin_moments``
+    a C-order copy of its sums' transpose: the very array the turned pass
+    gives, so the bytes do not move.  A strided view of the transpose
+    would not do: where |C| is half the pass's bits it is already the
+    table that ``_spin_moments`` sums, and strided sums change the bits.
+    The column pass, whose turned blocks keep that order too, needs no
+    copy.  So a GHZ-like, W or basis state at its optimal directions,
     every qubit on +z, runs no gemm.
 
-    Working memory is two blocks of the plan's largest, at most 2^b
-    amplitudes, b = ``_block_bits(k)``, unless a row's index has more
-    bits, and one accumulator of as many floats, whatever M.  Each entry
-    of e and c, c's diagonal and lower triangle included, is written by
-    the last pass that turns its qubits; ``metric_matrices`` passes its
-    batch's slots for the state and hands them to ``_metric_from_moments``.
+    Working memory is two block buffers of the plan's largest block, at
+    most 2^b amplitudes, b = ``_block_bits(k)``, unless a row's index has
+    more bits, one accumulator of as many floats, and a held row pass's
+    copy of its sums, whatever M.  Each entry of e and c, c's diagonal and
+    lower triangle included, is written by the last pass that turns its
+    qubits; ``metric_matrices`` passes its batch's slots for the state and
+    hands them to ``_metric_from_moments``.
     """
     k = rows.shape[-1].bit_length() - 1
     passes = _frame_passes(len(dirs), k)
@@ -550,12 +555,11 @@ def _frame_moments(rows: np.ndarray, dirs: np.ndarray, e: np.ndarray, c: np.ndar
     sums = work[2 * n :].view(float)  # each pass's accumulator is a prefix of it
     for row_bits, col_bits in passes:
         j = len(row_bits)
-        w = len(col_bits) or bits - j  # the block's columns; the column pass fills the buffer with them
         qubits = list(row_bits) + list(col_bits)  # the turned block's index: J's bits low, C's high
-        total = sums[: 1 << (j + w)]
+        total = sums[: 1 << (j + len(col_bits))] if col_bits else sums  # a column strip fills the buffer
         total.fill(0.0)
         held = False
-        for blk, y in _turns(rows, row_bits, col_bits, w, u, buffers):
+        for blk, y in _turns(rows, row_bits, col_bits, u, buffers):
             held = y is blk
             parts = y.view(float)  # |y|^2 is the sum of its real and imaginary parts' squares
             squares = buffers[0][: y.size].view(float)
@@ -563,11 +567,9 @@ def _frame_moments(rows: np.ndarray, dirs: np.ndarray, e: np.ndarray, c: np.ndar
             total += squares[0::2]
             total += squares[1::2]
         if not col_bits:  # the column pass: add up the strip's columns, which trail its row bits
-            total = total.reshape(1 << j, 1 << w).sum(axis=1)
-        elif held:  # the sums of blocks as they stand, C's bits low: put J's bits low
-            moved = buffers[0].view(float)[: total.size]
-            np.copyto(moved.reshape(1 << w, 1 << j), total.reshape(1 << j, 1 << w).T)
-            total = moved
+            total = total.reshape(1 << j, -1).sum(axis=1)
+        elif held:  # the sums of blocks as they stand, C's bits low: a C-order copy with J's bits low
+            total = total.reshape(1 << j, -1).T.copy()
         e[qubits], c[np.ix_(qubits, qubits)] = _spin_moments(total)
 
 

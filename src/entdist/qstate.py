@@ -12,12 +12,13 @@ The owners:
   ``validate_unitaries`` and ``validate_amplitudes``: the argument,
   field and state rules.
 - ``_dress``: every turn of a state by local unitaries, for
-  ``apply_local_unitary`` and ``verify``'s dressings, in blocks it sizes
-  from its plan; ``_dress_passes`` plans it.  ``_turns``, ``_rotate``,
-  ``_kron_factors``, ``_kron_spec`` and ``_kron_groups``: the Kronecker
-  turns of ``_dress`` and of the frame kernel, in blocks of the budget
-  ``_block_bits``; ``_turns`` owns their identity rule, which holds a
-  pass whose unitaries are all exactly I.
+  ``apply_local_unitary`` and ``verify``'s dressings, with buffers it
+  sizes from its plan; ``_dress_passes`` plans it.  ``_turns``,
+  ``_rotate``, ``_kron_factors``, ``_kron_spec`` and ``_kron_groups``: the
+  Kronecker turns of ``_dress`` and of the frame kernel, in blocks of the
+  budget ``_block_bits``; ``_turns`` owns a pass's block width, from its
+  column bits or its buffers, and the identity rule, which holds a pass
+  whose unitaries are all exactly I.
 - ``bilinears``: the per-qubit amplitude bilinears, from which every
   Bloch vector (``bloch_vectors``) and E follow; ``_row_bilinears`` for
   a state of several rows.
@@ -348,7 +349,7 @@ def _rotate(
 
 
 def _turns(
-    state: np.ndarray, row_bits: range, col_bits: range, w: int, u: np.ndarray, buffers: list[np.ndarray]
+    state: np.ndarray, row_bits: range, col_bits: range, u: np.ndarray, buffers: list[np.ndarray]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The one block loop of a Kronecker turn: (block, turned block) per block that holds amplitude.
 
@@ -358,18 +359,23 @@ def _turns(
     strided slice of the state, read in place.  ``_rotate`` turns a block
     by the Kronecker factors (``_kron_factors``) of the unitaries ``u``
     (M, 2, 2) of J and of the column bits C, either range(w) or none.  A
-    turned block lies in one of the two ``buffers``, each of at least a
-    block, until the next is turned.  The blocks of a pass split the
+    turned block lies in one of the two ``buffers``, of 2^b amplitudes
+    each, until the next is turned.  The blocks of a pass split the
     state, so a pass turns each amplitude once.  A block that fails
     ``_holds_amplitude`` is skipped.  The frame kernel
     (``metric._frame_moments``, whose moments ``metric.metric_matrices``
     assembles into g) and ``_dress`` run it.
+
+    The block width, stated here alone: w = |C|, or, in a pass that turns
+    no column bits, as many low qubits as fill a buffer, w = b - |J|.
+    Callers size the buffers and the plan, never the blocks.
 
     The identity rule, one for both: a pass whose unitaries of J and C
     all equal I exactly is held, and yields each block as it stands, the
     state's own, since identity factors give every amplitude back as it
     is.
     """
+    w = len(col_bits) or buffers[0].size.bit_length() - 1 - len(row_bits)
     blocks = state.reshape(-1, 1 << len(row_bits), 1 << (row_bits.start - w), 1 << w)
     held = (u[[*row_bits, *col_bits]] == np.eye(2)).all()
     factors = _kron_factors(u, list(row_bits)), _kron_factors(u, list(col_bits))
@@ -405,19 +411,18 @@ def _dress(work: np.ndarray, u: np.ndarray) -> None:
 
     The one local-unitary turn of a state, for ``apply_local_unitary``
     and ``verify``'s dressings: the plan ``_dress_passes`` over ``_turns``,
-    the frame kernel's block loop.  Every block of the plan holds 2^b
-    amplitudes, b the low pass's width, and the turn allocates its two
-    blocks of that size.  Each turned block is copied back in place; a
-    block that ``_turns`` skips stays as it is, and so does each block of a
-    pass it holds, whose qubits all take the exact identity: numpy assigns
-    a block onto itself for free.
+    the frame kernel's block loop.  The turn allocates two buffers of 2^b
+    amplitudes, b the low pass's width, and ``_turns`` states each pass's
+    block width from them, so every block of the plan holds 2^b
+    amplitudes.  Each turned block is copied back in place; a block that
+    ``_turns`` skips stays as it is, and so does each block of a pass it
+    holds, whose qubits all take the exact identity: numpy assigns a block
+    onto itself for free.
     """
     passes = _dress_passes(work.size.bit_length() - 1)
-    b = len(passes[0][1])
-    buffers = list(np.empty((2, 1 << b), dtype=np.complex128))
+    buffers = list(np.empty((2, 1 << len(passes[0][1])), dtype=np.complex128))
     for row_bits, col_bits in passes:
-        w = len(col_bits) or b - len(row_bits)
-        for blk, turned in _turns(work, row_bits, col_bits, w, u, buffers):
+        for blk, turned in _turns(work, row_bits, col_bits, u, buffers):
             blk[...] = turned.reshape(blk.shape)
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qstate
 from .metric import (
     _UNIT_ROUNDOFF,
     _field_traces,
@@ -37,7 +38,6 @@ from .metric import (
     w_vectors,
 )
 from .qstate import (
-    ROW_BITS,
     StateVector,
     _dress,
     _dress_passes,
@@ -178,7 +178,8 @@ def reduced_density_matrix(state: StateVector, qubit: int) -> np.ndarray:
 
     rho_ij sums psi_i conj(psi_j) over the other qubits' indices, psi_0 and
     psi_1 the qubit's two half-views of the state.  The sums run over
-    chunks of 2^c pairs, c = min(M - 1, ROW_BITS): a chunk is whole
+    chunks of 2^c pairs, c = min(M - 1, ``qstate.ROW_BITS``), read at call
+    time as every reader of the row width reads it: a chunk is whole
     2^qubit runs of the half-views for a qubit below c, and a piece of one
     run above it.  A chunk's products psi_0 conj(psi_1), and the squares of
     the real and imaginary parts of psi_0 and of psi_1, go to contiguous
@@ -189,7 +190,7 @@ def reduced_density_matrix(state: StateVector, qubit: int) -> np.ndarray:
     """
     m = state.num_qubits
     qubit = validate_count("qubit index", qubit, 0, m - 1)
-    chunk = 1 << min(m - 1, ROW_BITS)
+    chunk = 1 << min(m - 1, qstate.ROW_BITS)
     inner = 1 << qubit
     width = min(inner, chunk)
     shape = (-1, chunk // width, 2, inner // width, width)  # (row groups, rows, half, runs, width)
@@ -226,14 +227,14 @@ def _oracle_depth(m: int) -> int:
     """Rounding depth of ``reduced_density_matrix`` at m qubits: a chunk's sum, then the partials'.
 
     A nested sum's depth is the sum of the two depths.  A chunk of 2^c
-    pairs, c = min(m - 1, ROW_BITS), sums 2^c products for rho_01 and
-    2^(c+1) squares, each exact but for one rounding, for rho_00 or
-    rho_11.  The sum of the 2^(m - 1 - c) partials adds its own depth when
-    there are several.  So the depth is min(2^m, m + 21) up to m = ROW_BITS
-    + 1, and 36 + min(2^(m-15), m + 6) above it: 62 at m = 20 and 68 at m
-    = 26.
+    pairs, c = min(m - 1, ``qstate.ROW_BITS``) read at call time, sums 2^c
+    products for rho_01 and 2^(c+1) squares, each exact but for one
+    rounding, for rho_00 or rho_11.  The sum of the 2^(m - 1 - c) partials
+    adds its own depth when there are several.  So the depth is
+    min(2^m, m + 21) up to m = ROW_BITS + 1, and 36 + min(2^(m-15), m + 6)
+    above it: 62 at m = 20 and 68 at m = 26.
     """
-    c = min(m - 1, ROW_BITS)
+    c = min(m - 1, qstate.ROW_BITS)
     return _sum_depth(c + 1) + (_sum_depth(m - 1 - c) if m - 1 > c else 0)
 
 
@@ -296,10 +297,10 @@ def _dressings(state: StateVector, trials: int, seed: int) -> Iterator[np.ndarra
     them by ``qstate._dress`` to a fresh copy of the amplitudes.  So the
     state is copied into one array for all trials, and turned in place in
     blocks of at most 2^b amplitudes, b = ``qstate._block_bits(ROW_BITS)``,
-    the direction-frame kernel's block budget, in the two blocks that
-    ``_dress`` allocates per trial, whatever M: at most two passes over the
-    copy for every M <= 26.  A yielded array is overwritten by the next
-    trial.
+    the direction-frame kernel's block budget, in the two buffers that
+    ``_dress`` allocates per trial, whatever M; ``qstate._turns`` states
+    each pass's block width from them.  At most two passes over the copy
+    for every M <= 26.  A yielded array is overwritten by the next trial.
     """
     rng = np.random.default_rng(seed)
     m = state.num_qubits

@@ -99,6 +99,20 @@ def test_held_passes_have_the_bytes_of_a_forced_rotation(monkeypatch, rotations,
     assert len(rotations) == 2 * blocks
 
 
+def test_held_sums_of_square_blocks_keep_the_bytes_of_a_forced_rotation(monkeypatch):
+    """Rows of 2^3 at M = 9: each row pass turns three row bits over three column bits, so
+    ``_spin_moments``' table of its sums has the shape of their transpose.  A held pass
+    hands over a C-order copy, not a strided view, and the Dicke-3 state's moments keep
+    the bytes of the forced turn (a strided view changes them)."""
+    m = 9
+    s = dicke_state(m)
+    rows, dirs = s.amplitudes.reshape(-1, 1 << 3), _optimal(s)
+    assert _frame_passes(m, 3)[1:] == [(range(3, 6), range(3)), (range(6, 9), range(3))]
+    held = frame_moment_bytes(rows, dirs)
+    _force_turns(monkeypatch)
+    assert frame_moment_bytes(rows, dirs) == held
+
+
 @pytest.mark.parametrize("m", SIZES)
 @pytest.mark.parametrize("kind", sorted(STATES))
 def test_held_passes_match_the_pairwise_oracle(kind, m):

@@ -248,6 +248,17 @@ class TestBlochVectorOracle:
             gap = np.max(np.abs(bloch_vector_oracle(s, nu) - reference[nu]))
             assert float(gap) <= (_oracle_depth(m) + 3) * U
 
+    def test_the_oracle_reads_the_row_width_at_call_time(self, monkeypatch):
+        """Rows of 2^3: the partial trace sums chunks of 2^3 pairs, so at M = 8 its depth is
+        a chunk's sum of 2^4 terms and then the sum of 2^4 partials, and a Haar state passes
+        the Bloch check against the kernel's bilinears in rows of 2^3."""
+        monkeypatch.setattr(qstate, "ROW_BITS", 3)
+        assert _oracle_depth(8) == verify._sum_depth(4) + verify._sum_depth(4)
+        s = StateVector(8, random_state(8, np.random.default_rng(208)))
+        record = verify.verify_state(s, trials=1, seed=0)
+        assert "bloch" not in record["failed_checks"]
+        assert record["bloch_gap"] < bloch_tol(8)
+
     def test_oracle_holds_no_more_than_a_chunk(self):
         """At M = 20 the partial trace reads the 16 MiB state in place: its chunk
         buffers, 2^14 complex products and 2^15 squares, take 0.5 MiB (0.50-0.63 MiB
@@ -456,17 +467,19 @@ class TestDressing:
         turns = qstate._turns
         yielded = []
 
-        def spy(work, row_bits, col_bits, w, u, buffers):
-            shape = (1 << (m - row_bits.stop), 1 << len(row_bits), 1 << (row_bits.start - w), 1 << w)
-            blocks = work.reshape(shape).swapaxes(1, 2)  # one (rows, columns) block per (outer, inner)
-            held = blocks.any(axis=(2, 3))
+        def spy(work, row_bits, col_bits, u, buffers):
+            before, shapes = work.copy(), set()
             yielded.append(0)
-            for blk, turned in turns(work, row_bits, col_bits, w, u, buffers):
+            for blk, turned in turns(work, row_bits, col_bits, u, buffers):
                 assert blk.any()
+                shapes.add(blk.shape)
                 yielded[-1] += 1
                 yield blk, turned
+            ((_, width),) = shapes  # the pass's block width, from the blocks it yielded
+            shape = (1 << (m - row_bits.stop), 1 << len(row_bits), (1 << row_bits.start) // width, width)
+            held = before.reshape(shape).swapaxes(1, 2).any(axis=(2, 3))  # per (outer, inner) block
             assert yielded[-1] == held.sum()
-            assert not blocks[~held].any()
+            assert not work.reshape(shape).swapaxes(1, 2)[~held].any()
 
         monkeypatch.setattr(qstate, "_turns", spy)
         rng = np.random.default_rng(500)
